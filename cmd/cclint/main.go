@@ -18,7 +18,7 @@
 // -only runs a comma-separated subset of the suite — the iteration loop
 // for a single analyzer on a subtree, e.g.
 //
-//	cclint -only snapcover ./internal/swap
+//	cclint -only kernelproto ./internal/cluster
 //
 // Ignore directives naming unselected analyzers stay valid (the unused-
 // directive hygiene check is skipped in filtered runs).

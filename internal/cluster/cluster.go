@@ -184,21 +184,9 @@ func (c *Cluster) Run() sim.Time { return c.Kernel.Run() }
 // the determinism tests exercise exactly that. Mid-Wait snapshots go through
 // sim.Kernel.Stop and carry pending events; see the sim package.
 func (c *Cluster) SnapshotCycle() error {
-	w := snap.NewWriter()
-	if err := c.Kernel.SnapshotTo(w); err != nil {
-		return fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	img, err := w.Bytes()
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	r, err := snap.NewReader(img)
-	if err != nil {
-		return fmt.Errorf("cluster: restore: %w", err)
-	}
 	k := sim.NewKernel()
-	if err := k.RestoreFrom(r); err != nil {
-		return fmt.Errorf("cluster: restore: %w", err)
+	if err := snap.RoundTrip(c.Kernel.Snap, k.Snap); err != nil {
+		return fmt.Errorf("cluster: snapshot cycle: %w", err)
 	}
 	for i, m := range c.machines {
 		k.Attach(m.Clock, sim.ActorID(i))

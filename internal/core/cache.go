@@ -142,18 +142,12 @@ type DropFunc func(key swap.PageKey)
 
 // Cache is the compression cache.
 type Cache struct {
-	params Params     //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same params
-	clock  *sim.Clock //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pool   *mem.Pool  //cclint:ignore snapcover -- wiring: injected at construction, not replay state
+	cacheState
+	params Params
+	clock  *sim.Clock
+	pool   *mem.Pool
 
-	frames []*ccFrame // ring order; frames[0] is the oldest
-	//cclint:ignore snapcover -- derived: the snapshot encodes the entry table via the frame ring
-	entries map[swap.PageKey]*Entry
-	order   []*Entry // insertion order; order[head:] are current, nil = killed
-	head    int
-
-	dirtyBytes int
-	liveBytes  int
+	entries map[swap.PageKey]*Entry // index of the live entries in the ring
 
 	// Recycling freelists: dead entries' slabs return at kill time; Entry
 	// and ccFrame structs return when the last reference (ring frame) lets
@@ -161,17 +155,27 @@ type Cache struct {
 	// steady-state insert/kill cycle allocation-free. All bookkeeping is
 	// per-cache and single-goroutine, so recycling cannot perturb
 	// determinism.
-	slabs      [][]byte      //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	entryPool  []*Entry      //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	framePool  []*ccFrame    //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	acqBuf     []mem.FrameID //cclint:ignore snapcover -- scratch: Insert's frame-acquisition buffer, dead between calls
-	cleanBatch []*Entry      //cclint:ignore snapcover -- scratch: Clean's batch buffer, dead between calls
-	cleanItems []swap.Item   //cclint:ignore snapcover -- scratch: Clean's flush-item buffer, dead between calls
+	slabs      [][]byte
+	entryPool  []*Entry
+	framePool  []*ccFrame
+	acqBuf     []mem.FrameID // Insert's frame-acquisition buffer
+	cleanBatch []*Entry      // Clean's batch buffer
+	cleanItems []swap.Item   // Clean's flush-item buffer
 
 	flush  FlushFunc
 	onDrop DropFunc
 
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
+	bus *obs.Bus
+}
+
+// cacheState is the cache's replay state: everything a snapshot carries.
+type cacheState struct {
+	frames []*ccFrame // ring order; frames[0] is the oldest
+	order  []*Entry   // insertion order; order[head:] are current, nil = killed
+	head   int
+
+	dirtyBytes int
+	liveBytes  int
 
 	st stats.CC
 }
@@ -734,13 +738,14 @@ func (c *Cache) CheckConsistency() error {
 		return fmt.Errorf("core: dirtyBytes %d, recomputed %d", c.dirtyBytes, dirty)
 	}
 	frameSet := make(map[*ccFrame]bool, len(c.frames))
+	claims := c.pool.Claims()
 	for _, f := range c.frames {
 		frameSet[f] = true
 		if f.used < c.params.FrameHeaderBytes || f.used > c.pool.PageSize() {
 			return fmt.Errorf("core: frame %d occupancy %d out of range", f.id, f.used)
 		}
-		if c.pool.Owner(f.id) != mem.CC {
-			return fmt.Errorf("core: frame %d owned by %v", f.id, c.pool.Owner(f.id))
+		if err := claims.Claim(f.id, mem.CC); err != nil {
+			return fmt.Errorf("core: ring frame: %w", err)
 		}
 	}
 	for key, e := range c.entries {

@@ -3,184 +3,116 @@ package core
 import (
 	"fmt"
 
-	"compcache/internal/mem"
-	"compcache/internal/sim"
 	"compcache/internal/snap"
 	"compcache/internal/swap"
 )
 
-// SnapshotTo serializes the cache ring exactly: an entry table (live and
+// Snap walks the cache's replay state exactly: an entry table (live and
 // dead-but-referenced entries, discovered in ring order), the frames with
 // their entry lists, and the insertion-order deque of live entries. Dead
 // entries matter — they still occupy frame space and gate reclaimability —
-// so they are captured with their keys but without data.
-func (c *Cache) SnapshotTo(w *snap.Writer) {
-	w.Section("core.cache")
-	// Entries are collected in frame-ring order — deterministic, and the
-	// order RestoreFrom rebuilds. (Index loops: f.entries is a slice, but
-	// shares its name with the cache's entry map.)
+// so they are carried with their keys but without data. Frames and the deque
+// name entries by their index in the table.
+//
+// Decoding needs a freshly constructed cache. A prefilled cache (FixedFrames)
+// grabbed frames at construction; the pool restore has already rewritten
+// ownership, so its stand-in ring is simply replaced. The decoded order deque
+// is compacted (dead slots dropped, head reset to 0); that renumbering is
+// invisible to behavior — OldestAge and Clean skip nil slots either way.
+func (c *Cache) Snap(sc *snap.Codec) {
+	sc.Section("core.cache")
+	if sc.Decoding() && len(c.frames) > 0 && c.st.Inserts > 0 {
+		sc.Failf("core: restore into a cache that has been used")
+		return
+	}
+	var list, live []*Entry
 	idx := make(map[*Entry]int)
-	var list []*Entry
-	for fi := 0; fi < len(c.frames); fi++ {
-		f := c.frames[fi]
-		for ei := 0; ei < len(f.entries); ei++ {
-			e := f.entries[ei]
-			if _, ok := idx[e]; !ok {
-				idx[e] = len(list)
-				list = append(list, e)
+	if !sc.Decoding() {
+		// (Index loops: f.entries is a slice, but shares its name with the
+		// cache's entry map.)
+		for fi := 0; fi < len(c.frames); fi++ {
+			f := c.frames[fi]
+			for ei := 0; ei < len(f.entries); ei++ {
+				if _, ok := idx[f.entries[ei]]; !ok {
+					idx[f.entries[ei]] = len(list)
+					list = append(list, f.entries[ei])
+				}
+			}
+		}
+		for _, e := range c.order[c.head:] {
+			if e != nil {
+				live = append(live, e)
 			}
 		}
 	}
-	w.Int(len(list))
-	for _, e := range list {
-		w.I32(e.Key.Seg)
-		w.I32(e.Key.Page)
-		w.Bool(e.dead)
-		w.Bool(e.Dirty)
-		w.U32(e.Sum)
-		w.I64(int64(e.insert))
-		w.Bytes32(e.Data)
-	}
-	w.Int(len(c.frames))
-	for _, f := range c.frames {
-		w.I32(int32(f.id))
-		w.Int(f.used)
-		w.Int(len(f.entries))
-		for _, e := range f.entries {
-			w.Int(idx[e])
+	snap.Slice(sc, &list, 1<<24, "cache entries", func(ep **Entry) {
+		if sc.Decoding() {
+			*ep = &Entry{oidx: -1}
 		}
-	}
-	n := 0
-	for _, e := range c.order[c.head:] {
-		if e != nil {
-			n++
+		e := *ep
+		sc.I32(&e.Key.Seg)
+		sc.I32(&e.Key.Page)
+		sc.Bool(&e.dead)
+		sc.Bool(&e.Dirty)
+		sc.U32(&e.Sum)
+		snap.Int64(sc, &e.insert)
+		sc.Bytes(&e.Data)
+		if !sc.Decoding() {
+			return
 		}
-	}
-	w.Int(n)
-	for _, e := range c.order[c.head:] {
-		if e != nil {
-			w.Int(idx[e])
-		}
-	}
-	w.Int(c.liveBytes)
-	w.Int(c.dirtyBytes)
-	w.U64(c.st.Inserts)
-	w.U64(c.st.Hits)
-	w.U64(c.st.Misses)
-	w.U64(c.st.CleanWrites)
-	w.U64(c.st.FrameGrows)
-	w.U64(c.st.FrameShrinks)
-	w.U64(c.st.Dropped)
-	w.U64(c.st.MidReclaims)
-}
-
-// RestoreFrom rebuilds the ring into a freshly constructed cache. The
-// restored order deque is compacted (dead slots dropped, head reset to 0);
-// that renumbering is invisible to behavior — OldestAge and Clean skip nil
-// slots either way.
-func (c *Cache) RestoreFrom(r *snap.Reader) error {
-	r.Section("core.cache")
-	if len(c.frames) > 0 && c.st.Inserts > 0 {
-		return fmt.Errorf("core: restore into a cache that has been used")
-	}
-	nentries := r.Int()
-	if r.Err() == nil && (nentries < 0 || nentries > 1<<24) {
-		return fmt.Errorf("core: snapshot claims %d entries", nentries)
-	}
-	list := make([]*Entry, 0, nentries)
-	for i := 0; i < nentries && r.Err() == nil; i++ {
-		e := &Entry{}
-		e.Key = swap.PageKey{Seg: r.I32(), Page: r.I32()}
-		e.dead = r.Bool()
-		e.Dirty = r.Bool()
-		e.Sum = r.U32()
-		e.insert = sim.Time(r.I64())
-		data := r.Bytes32()
-		if !e.dead {
+		data := e.Data
+		e.Data = nil
+		if len(data) > c.pool.PageSize() {
+			sc.Failf("core: snapshot entry %v holds %d bytes, more than a page", e.Key, len(data))
+		} else if !e.dead {
 			// Entry buffers must carry full page capacity: killed entries'
 			// slabs are recycled and re-sliced up to the page size.
 			e.Data = c.slabGet(len(data))
 			copy(e.Data, data)
 		}
-		e.oidx = -1
-		list = append(list, e)
-	}
-	nframes := r.Int()
-	if r.Err() == nil && (nframes < 0 || nframes > 1<<24) {
-		return fmt.Errorf("core: snapshot claims %d frames", nframes)
-	}
-	frames := make([]*ccFrame, 0, nframes)
-	for i := 0; i < nframes && r.Err() == nil; i++ {
-		f := &ccFrame{id: mem.FrameID(r.I32()), used: r.Int()}
-		ne := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		if ne < 0 || ne > 1<<20 {
-			return fmt.Errorf("core: snapshot frame %d claims %d entries", i, ne)
-		}
-		for j := 0; j < ne && r.Err() == nil; j++ {
-			k := r.Int()
-			if r.Err() != nil {
-				break
-			}
-			if k < 0 || k >= len(list) {
-				return fmt.Errorf("core: snapshot frame %d references entry %d of %d", i, k, len(list))
-			}
-			e := list[k]
-			f.entries = append(f.entries, e)
-			e.frames = append(e.frames, f)
-			e.refs++
-		}
-		frames = append(frames, f)
-	}
-	norder := r.Int()
-	if r.Err() == nil && (norder < 0 || norder > len(list)) {
-		return fmt.Errorf("core: snapshot order of %d entries exceeds entry table", norder)
-	}
-	order := make([]*Entry, 0, norder)
-	for i := 0; i < norder && r.Err() == nil; i++ {
-		k := r.Int()
-		if r.Err() != nil {
-			break
-		}
+	})
+	// entryRef visits one reference into the entry table.
+	entryRef := func(ep **Entry) {
+		k := idx[*ep]
+		sc.Int(&k)
 		if k < 0 || k >= len(list) {
-			return fmt.Errorf("core: snapshot order references entry %d of %d", k, len(list))
-		}
-		e := list[k]
-		e.oidx = len(order)
-		order = append(order, e)
-	}
-	liveBytes := r.Int()
-	dirtyBytes := r.Int()
-	var st [8]uint64
-	for i := range st {
-		st[i] = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	// A prefilled cache (FixedFrames) grabbed frames at construction; the
-	// pool restore has already rewritten ownership, so just drop the stand-in
-	// ring before installing the snapshot's.
-	c.frames = frames
-	c.entries = make(map[swap.PageKey]*Entry, len(list))
-	for _, e := range list {
-		if !e.dead {
-			c.entries[e.Key] = e
+			sc.Failf("core: snapshot references entry %d of %d", k, len(list))
+		} else if sc.Decoding() {
+			*ep = list[k]
 		}
 	}
-	c.order = order
-	c.head = 0
-	c.liveBytes = liveBytes
-	c.dirtyBytes = dirtyBytes
-	c.st.Inserts = st[0]
-	c.st.Hits = st[1]
-	c.st.Misses = st[2]
-	c.st.CleanWrites = st[3]
-	c.st.FrameGrows = st[4]
-	c.st.FrameShrinks = st[5]
-	c.st.Dropped = st[6]
-	c.st.MidReclaims = st[7]
-	return c.CheckConsistency()
+	snap.Slice(sc, &c.frames, 1<<24, "cache frames", func(fp **ccFrame) {
+		if sc.Decoding() {
+			*fp = &ccFrame{}
+		}
+		f := *fp
+		snap.Int32(sc, &f.id)
+		sc.Int(&f.used)
+		snap.Slice(sc, &f.entries, 1<<20, "entries in a cache frame", func(ep **Entry) {
+			if entryRef(ep); sc.Decoding() && *ep != nil {
+				(*ep).frames = append((*ep).frames, f)
+				(*ep).refs++
+			}
+		})
+	})
+	sc.Mark(&c.order, &c.head)
+	snap.Slice(sc, &live, len(list), "ordered cache entries", entryRef)
+	sc.Int(&c.liveBytes)
+	sc.Int(&c.dirtyBytes)
+	sc.Counters(&c.st)
+	sc.Check(func() error {
+		c.order, c.head = live, 0
+		for i, e := range live {
+			e.oidx = i
+		}
+		c.entries = make(map[swap.PageKey]*Entry, len(list))
+		for _, e := range list {
+			if _, dup := c.entries[e.Key]; dup && !e.dead {
+				return fmt.Errorf("core: snapshot holds two live entries for page %v", e.Key)
+			} else if !e.dead {
+				c.entries[e.Key] = e
+			}
+		}
+		return c.CheckConsistency()
+	})
 }

@@ -91,18 +91,23 @@ func (p Params) TransferTime(n int) time.Duration {
 // an access that starts where the previous one ended skips seek and
 // rotational delay, which is how clustered swap writes earn their bandwidth.
 type Disk struct {
-	params Params     //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same params
-	clock  *sim.Clock //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	busyAt sim.Time   // device is busy until this instant
-	next   int64      // byte address one past the previous access
-	stats  stats.Disk
-	faults *fault.Injector //cclint:ignore snapcover -- wiring: the injector snapshots itself separately
+	diskState
+	params Params
+	clock  *sim.Clock
+	faults *fault.Injector
 
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
-	//cclint:ignore snapcover -- observability: per-run histogram, not replay state
+	bus      *obs.Bus
 	waitHist *obs.Histogram // disk.queue_wait — delay behind queued work
-	//cclint:ignore snapcover -- observability: per-run histogram, not replay state
-	svcHist *obs.Histogram // disk.service — positioning plus transfer
+	svcHist  *obs.Histogram // disk.service — positioning plus transfer
+}
+
+// diskState is the disk's replay state: everything a snapshot carries. The
+// fields of Disk proper are configuration, wiring and observability handles
+// the restore target is rebuilt with.
+type diskState struct {
+	busyAt sim.Time // device is busy until this instant
+	next   int64    // byte address one past the previous access
+	stats  stats.Disk
 }
 
 // New creates a disk on the given clock.
@@ -110,7 +115,7 @@ func New(p Params, clock *sim.Clock) (*Disk, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Disk{params: p, clock: clock, next: -1}, nil
+	return &Disk{params: p, clock: clock, diskState: diskState{next: -1}}, nil
 }
 
 // Params reports the disk's parameters.

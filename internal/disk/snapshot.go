@@ -1,49 +1,12 @@
 package disk
 
-import (
-	"compcache/internal/sim"
-	"compcache/internal/snap"
-)
+import "compcache/internal/snap"
 
-// SnapshotTo serializes the device's timing state (busy horizon, head
-// position) and traffic counters. The parameters come from the machine
-// configuration and are not stored.
-func (d *Disk) SnapshotTo(w *snap.Writer) {
-	w.Section("disk")
-	w.I64(int64(d.busyAt))
-	w.I64(d.next)
-	w.U64(d.stats.Reads)
-	w.U64(d.stats.Writes)
-	w.U64(d.stats.BytesRead)
-	w.U64(d.stats.BytesWritten)
-	w.U64(d.stats.Seeks)
-	w.Dur(d.stats.BusyTime)
-	w.U64(d.stats.Retries)
-}
-
-// RestoreFrom rebuilds the device's timing state and counters.
-func (d *Disk) RestoreFrom(r *snap.Reader) error {
-	r.Section("disk")
-	busyAt := sim.Time(r.I64())
-	next := r.I64()
-	reads := r.U64()
-	writes := r.U64()
-	bytesRead := r.U64()
-	bytesWritten := r.U64()
-	seeks := r.U64()
-	busyTime := r.Dur()
-	retries := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	d.busyAt = busyAt
-	d.next = next
-	d.stats.Reads = reads
-	d.stats.Writes = writes
-	d.stats.BytesRead = bytesRead
-	d.stats.BytesWritten = bytesWritten
-	d.stats.Seeks = seeks
-	d.stats.BusyTime = busyTime
-	d.stats.Retries = retries
-	return nil
+// Snap walks the device's replay state: the timing state (busy horizon, head
+// position) and the traffic counters.
+func (d *Disk) Snap(c *snap.Codec) {
+	c.Section("disk")
+	snap.Int64(c, &d.busyAt)
+	c.I64(&d.next)
+	c.Counters(&d.stats)
 }

@@ -139,12 +139,18 @@ func (c Config) Validate() error {
 // Injector is not safe for concurrent use; like the clock it belongs to
 // exactly one single-threaded simulated machine.
 type Injector struct {
-	cfg   Config     //cclint:ignore snapcover -- config: fixed at construction; restore reads only cfg.Seed
-	clock *sim.Clock //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	src   countingSource
-	rng   *rand.Rand //cclint:ignore snapcover -- derived: re-synced from cfg.Seed by replaying the counted src draws
-	bus   *obs.Bus   //cclint:ignore snapcover -- wiring: observability bus attached separately
-	st    stats.Faults
+	injectorState
+	cfg   Config
+	clock *sim.Clock
+	rng   *rand.Rand // draws through &src, so re-syncing src re-syncs it
+	bus   *obs.Bus
+}
+
+// injectorState is the injector's replay state: everything a snapshot
+// carries.
+type injectorState struct {
+	src countingSource // only the draw count is stored; restore replays the seed
+	st  stats.Faults   // the Injected* counters; the machine owns the rest
 
 	writeSeq  uint64   // device writes seen (crash-point numbering)
 	crashAt   sim.Time // dynamically scheduled crash instant (0 = none)

@@ -1,63 +1,43 @@
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 
-	"compcache/internal/sim"
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the injector: its counters, the crash-point state,
-// and — crucially — the number of raw PRNG draws consumed so far. The
-// generator itself is not serialized; RestoreFrom replays it from the seed,
-// which is exact because countingSource counts at the Source level where
-// rand.Rand's rejection sampling bottoms out.
-func (in *Injector) SnapshotTo(w *snap.Writer) {
-	w.Section("fault.injector")
-	w.U64(in.src.n)
-	w.U64(in.st.InjectedReadErrors)
-	w.U64(in.st.InjectedWriteErrors)
-	w.U64(in.st.InjectedCorruptions)
-	w.U64(in.st.InjectedSpikes)
-	w.U64(in.st.InjectedCrashes)
-	w.U64(in.writeSeq)
-	w.I64(int64(in.crashAt))
-	w.Bool(in.crashed)
-	w.I64(int64(in.crashTime))
-}
+// maxReplayDraws bounds the draw count a snapshot may claim: restore replays
+// that many draws one by one, so a forged count must not buy an unbounded
+// loop. A real run makes a handful of draws per device operation.
+const maxReplayDraws = 1 << 30
 
-// RestoreFrom rebuilds the injector's state, re-synchronizing the PRNG by
-// drawing from a fresh source seeded with the configured seed until the
-// snapshotted draw count is reached. The restored generator then produces
-// the exact sequence the original would have.
-func (in *Injector) RestoreFrom(r *snap.Reader) error {
-	r.Section("fault.injector")
-	n := r.U64()
-	readErrs := r.U64()
-	writeErrs := r.U64()
-	corruptions := r.U64()
-	spikes := r.U64()
-	crashes := r.U64()
-	writeSeq := r.U64()
-	crashAt := sim.Time(r.I64())
-	crashed := r.Bool()
-	crashTime := sim.Time(r.I64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	in.src.src = rand.NewSource(in.cfg.Seed)
-	for i := uint64(0); i < n; i++ {
-		in.src.src.Int63()
-	}
-	in.src.n = n
-	in.st.InjectedReadErrors = readErrs
-	in.st.InjectedWriteErrors = writeErrs
-	in.st.InjectedCorruptions = corruptions
-	in.st.InjectedSpikes = spikes
-	in.st.InjectedCrashes = crashes
-	in.writeSeq = writeSeq
-	in.crashAt = crashAt
-	in.crashed = crashed
-	in.crashTime = crashTime
-	return nil
+// Snap walks the injector's replay state: its counters, the crash-point
+// state, and — crucially — the number of raw PRNG draws consumed so far. The
+// generator itself is not stored; decoding re-synchronizes it by drawing from
+// a fresh source seeded with the configured seed until the stored count is
+// reached, which is exact because countingSource counts at the Source level
+// where rand.Rand's rejection sampling bottoms out.
+func (in *Injector) Snap(c *snap.Codec) {
+	c.Section("fault.injector")
+	c.U64(&in.src.n)
+	c.U64(&in.st.InjectedReadErrors)
+	c.U64(&in.st.InjectedWriteErrors)
+	c.U64(&in.st.InjectedCorruptions)
+	c.U64(&in.st.InjectedSpikes)
+	c.U64(&in.st.InjectedCrashes)
+	c.U64(&in.writeSeq)
+	snap.Int64(c, &in.crashAt)
+	c.Bool(&in.crashed)
+	snap.Int64(c, &in.crashTime)
+	c.Check(func() error {
+		if in.src.n > maxReplayDraws {
+			return fmt.Errorf("fault: snapshot claims %d PRNG draws (limit %d)", in.src.n, maxReplayDraws)
+		}
+		in.src.src = rand.NewSource(in.cfg.Seed)
+		for i := uint64(0); i < in.src.n; i++ {
+			in.src.src.Int63()
+		}
+		return nil
+	})
 }

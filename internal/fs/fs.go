@@ -90,26 +90,28 @@ type CompressedBlockCache interface {
 
 // FS is a simulated block file system on one device.
 type FS struct {
-	opts  Options              //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same options
-	disk  Device               //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	clock *sim.Clock           //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pool  *mem.Pool            //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	ccb   CompressedBlockCache //cclint:ignore snapcover -- wiring: the optional block cache snapshots itself separately
-	//cclint:ignore snapcover -- scratch: eviction copy buffer, dead between operations
+	fsState
+	opts    Options
+	disk    Device
+	clock   *sim.Clock
+	pool    *mem.Pool
+	ccb     CompressedBlockCache
 	scratch []byte // eviction copy buffer for the block cache
-	nextID  int32
-
-	files    map[string]*File
-	nextBase int64
 
 	// frameSource obtains a frame for the buffer cache, reclaiming one from
 	// some consumer if the pool is empty. The machine wires this to the
 	// replacement policy after construction.
 	frameSource func(mem.Owner) (mem.FrameID, error)
+}
 
-	cache   map[blockKey]*cacheBlock
-	lruHead *cacheBlock // least recently used
-	//cclint:ignore snapcover -- derived: tail of the LRU list, re-linked as restore replays insertions
+// fsState is the file system's replay state: everything a snapshot carries.
+type fsState struct {
+	nextID   int32
+	files    map[string]*File
+	nextBase int64
+
+	cache     map[blockKey]*cacheBlock
+	lruHead   *cacheBlock // least recently used
 	lruTail   *cacheBlock // most recently used
 	hits      uint64
 	misses    uint64
@@ -155,8 +157,10 @@ func New(opts Options, d Device, clock *sim.Clock, pool *mem.Pool) (*FS, error) 
 		disk:  d,
 		clock: clock,
 		pool:  pool,
-		files: make(map[string]*File),
-		cache: make(map[blockKey]*cacheBlock),
+		fsState: fsState{
+			files: make(map[string]*File),
+			cache: make(map[blockKey]*cacheBlock),
+		},
 	}
 	f.frameSource = func(o mem.Owner) (mem.FrameID, error) {
 		id, ok := pool.Alloc(o)

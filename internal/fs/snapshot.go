@@ -1,161 +1,94 @@
 package fs
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"compcache/internal/mem"
-	"compcache/internal/sim"
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the file system: every file's metadata and platter
-// blocks (in name- and block-sorted order, like Image), then the buffer
-// cache in LRU order as (file name, block) pairs, then the hit counters.
-// Frame IDs are recorded as-is; the pool restores them verbatim.
-func (fs *FS) SnapshotTo(w *snap.Writer) {
-	w.Section("fs")
-	w.I32(fs.nextID)
-	w.I64(fs.nextBase)
-	names := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Int(len(names))
-	for _, name := range names {
-		f := fs.files[name]
-		w.String(f.name)
-		w.I32(f.id)
-		w.I64(f.base)
-		w.I64(f.size)
-		blocks := make([]int64, 0, len(f.platter))
-		for b := range f.platter {
-			blocks = append(blocks, b)
+// Snap walks the file system's replay state: every file's metadata and
+// platter blocks (in name- and block-sorted order, like Image), then the
+// buffer cache in LRU order as (file name, block) pairs, then the hit
+// counters. Frame IDs are recorded as-is; the pool restores them verbatim.
+//
+// Decoding updates files that already exist (created by the store
+// constructors during machine rebuild) in place, so the *File handles other
+// subsystems hold stay valid; files the snapshot lacks drop out with the old
+// map.
+func (fs *FS) Snap(c *snap.Codec) {
+	c.Section("fs")
+	c.I32(&fs.nextID)
+	c.I64(&fs.nextBase)
+	old := fs.files
+	snap.Map(c, &fs.files, 1<<20, "files", cmp.Less[string], func(name *string, fp **File) {
+		c.String(name)
+		if c.Decoding() {
+			if *fp = old[*name]; *fp == nil {
+				*fp = &File{fs: fs, name: *name}
+			}
 		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		w.Int(len(blocks))
-		for _, b := range blocks {
-			w.I64(b)
-			w.Bytes32(f.platter[b])
+		f := *fp
+		c.I32(&f.id)
+		c.I64(&f.base)
+		c.I64(&f.size)
+		snap.Map(c, &f.platter, 1<<24, "platter blocks", cmp.Less[int64], func(block *int64, data *[]byte) {
+			c.I64(block)
+			if c.Decoding() {
+				*data = make([]byte, fs.opts.BlockSize)
+			}
+			c.Fixed(data, "fs: platter block")
+		})
+	})
+
+	c.Mark(&fs.cache, &fs.lruHead, &fs.lruTail)
+	n := c.Len(len(fs.cache), 1<<24, "cached blocks")
+	cb := fs.lruHead
+	if c.Decoding() {
+		fs.cache = make(map[blockKey]*cacheBlock, n)
+		fs.lruHead, fs.lruTail = nil, nil
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var name string
+		if c.Decoding() {
+			cb = &cacheBlock{prev: fs.lruTail}
+		} else {
+			name = cb.key.file.name
 		}
+		c.String(&name)
+		c.I64(&cb.key.block)
+		snap.Int32(c, &cb.frame)
+		c.Bool(&cb.dirty)
+		snap.Int64(c, &cb.lastUse)
+		if !c.Decoding() {
+			cb = cb.next
+			continue
+		}
+		if cb.key.file = fs.files[name]; cb.key.file == nil || fs.cache[cb.key] != nil {
+			c.Failf("fs: snapshot caches block %d of %q: unknown file or block cached twice", cb.key.block, name)
+			return
+		}
+		fs.cache[cb.key] = cb
+		if fs.lruTail != nil {
+			fs.lruTail.next = cb
+		} else {
+			fs.lruHead = cb
+		}
+		fs.lruTail = cb
 	}
-	w.Int(len(fs.cache))
-	for cb := fs.lruHead; cb != nil; cb = cb.next {
-		w.String(cb.key.file.name)
-		w.I64(cb.key.block)
-		w.I32(int32(cb.frame))
-		w.Bool(cb.dirty)
-		w.I64(int64(cb.lastUse))
-	}
-	w.U64(fs.hits)
-	w.U64(fs.misses)
-	w.U64(fs.ccHits)
-	w.U64(fs.writeHits)
+	c.U64(&fs.hits)
+	c.U64(&fs.misses)
+	c.U64(&fs.ccHits)
+	c.U64(&fs.writeHits)
 }
 
-// RestoreFrom rebuilds the file set and buffer cache. Files that already
-// exist (created by the store constructors during machine rebuild) are
-// updated in place so any *File handles other subsystems hold stay valid;
-// files in the snapshot but not yet present are created, and files present
-// but absent from the snapshot are removed.
-func (fs *FS) RestoreFrom(r *snap.Reader) error {
-	r.Section("fs")
-	nextID := r.I32()
-	nextBase := r.I64()
-	nfiles := r.Int()
-	if r.Err() == nil && (nfiles < 0 || nfiles > 1<<20) {
-		return fmt.Errorf("fs: snapshot claims %d files", nfiles)
-	}
-	seen := make(map[string]bool, nfiles)
-	for i := 0; i < nfiles && r.Err() == nil; i++ {
-		name := r.String()
-		id := r.I32()
-		base := r.I64()
-		size := r.I64()
-		nblocks := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		if nblocks < 0 || nblocks > 1<<24 {
-			return fmt.Errorf("fs: snapshot file %q claims %d blocks", name, nblocks)
-		}
-		f := fs.files[name]
-		if f == nil {
-			f = &File{fs: fs, name: name}
-			fs.files[name] = f
-		}
-		f.id = id
-		f.base = base
-		f.size = size
-		f.platter = make(map[int64][]byte, nblocks)
-		for b := 0; b < nblocks; b++ {
-			block := r.I64()
-			data := r.Bytes32()
-			if r.Err() != nil {
-				break
-			}
-			if len(data) != fs.opts.BlockSize {
-				return fmt.Errorf("fs: snapshot block %d of %q is %d bytes, want %d",
-					block, name, len(data), fs.opts.BlockSize)
-			}
-			f.platter[block] = data
-		}
-		seen[name] = true
-	}
-	ncache := r.Int()
-	if r.Err() == nil && (ncache < 0 || ncache > 1<<24) {
-		return fmt.Errorf("fs: snapshot claims %d cached blocks", ncache)
-	}
-	cache := make(map[blockKey]*cacheBlock, ncache)
-	var head, tail *cacheBlock
-	for i := 0; i < ncache && r.Err() == nil; i++ {
-		name := r.String()
-		block := r.I64()
-		frame := mem.FrameID(r.I32())
-		dirty := r.Bool()
-		lastUse := sim.Time(r.I64())
-		if r.Err() != nil {
-			break
-		}
-		f := fs.files[name]
-		if f == nil || !seen[name] {
-			return fmt.Errorf("fs: snapshot caches block %d of unknown file %q", block, name)
-		}
-		cb := &cacheBlock{
-			key:     blockKey{file: f, block: block},
-			frame:   frame,
-			dirty:   dirty,
-			lastUse: lastUse,
-			prev:    tail,
-		}
-		if tail != nil {
-			tail.next = cb
-		} else {
-			head = cb
-		}
-		tail = cb
-		cache[cb.key] = cb
-	}
-	hits := r.U64()
-	misses := r.U64()
-	ccHits := r.U64()
-	writeHits := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for name := range fs.files {
-		if !seen[name] {
-			delete(fs.files, name)
+// CacheFrames reports the frame under every buffer-cache block, for the
+// machine's frame-ownership audit.
+func (fs *FS) CacheFrames(visit func(mem.FrameID) error) error {
+	for cb := fs.lruHead; cb != nil; cb = cb.next {
+		if err := visit(cb.frame); err != nil {
+			return err
 		}
 	}
-	fs.nextID = nextID
-	fs.nextBase = nextBase
-	fs.cache = cache
-	fs.lruHead, fs.lruTail = head, tail
-	fs.hits = hits
-	fs.misses = misses
-	fs.ccHits = ccHits
-	fs.writeHits = writeHits
 	return nil
 }

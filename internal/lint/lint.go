@@ -85,8 +85,8 @@ type Analyzer interface {
 // All returns the full cclint analyzer suite, in stable order: the four
 // original syntactic analyzers, the five call-graph analyzers added
 // with the cross-package engine, the three effect-inference analyzers
-// (hotalloc, bufown, effectdrift), then the three dataflow/contract
-// analyzers (nondet, kernelproto, snapcover).
+// (hotalloc, bufown, effectdrift), then the two dataflow/contract
+// analyzers (nondet, kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
@@ -103,7 +103,6 @@ func All() []Analyzer {
 		EffectDrift{},
 		Nondet{},
 		KernelProto{},
-		SnapCover{},
 	}
 }
 

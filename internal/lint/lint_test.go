@@ -145,7 +145,6 @@ func TestBufOwnGolden(t *testing.T)      { runGolden(t, "testdata/src/bufown") }
 func TestEffectDriftGolden(t *testing.T) { runGolden(t, "testdata/src/effectdrift") }
 func TestNondetGolden(t *testing.T)      { runGolden(t, "testdata/src/nondet") }
 func TestKernelProtoGolden(t *testing.T) { runGolden(t, "testdata/src/kernelproto") }
-func TestSnapCoverGolden(t *testing.T)   { runGolden(t, "testdata/src/snapcover") }
 
 // TestRunOnlyFilters pins the -only semantics: only selected analyzers
 // fire, ignore directives naming unselected analyzers stay valid (no

@@ -105,42 +105,6 @@ func assertExactlyNew(t *testing.T, base, got []Diagnostic, wantNew []string) {
 	}
 }
 
-// TestSnapCoverMutationUnserializedField: a brand-new field nobody
-// serializes must produce both per-side findings.
-func TestSnapCoverMutationUnserializedField(t *testing.T) {
-	root := t.TempDir()
-	copyFixtureTree(t, root, "snapcover")
-	base := lintTree(t, root)
-	mutateFile(t, filepath.Join(root, "snapcover", "snapcover.go"),
-		"pages   int64",
-		"pages   int64\n\tepoch   int64")
-	got := lintTree(t, root)
-	assertExactlyNew(t, base, got, []string{
-		"snapcover: field Good.epoch is never written by SnapshotTo; snapshot it or mark it //cclint:ignore snapcover -- <reason>",
-		"snapcover: field Good.epoch is never restored by RestoreFrom; restore it or mark it //cclint:ignore snapcover -- <reason>",
-	})
-}
-
-// TestSnapCoverMutationUnrestoredField: a field written by the snapshot
-// but forgotten by the restore — the silent stream-desync bug — must
-// produce exactly the restored-side finding.
-func TestSnapCoverMutationUnrestoredField(t *testing.T) {
-	root := t.TempDir()
-	copyFixtureTree(t, root, "snapcover")
-	base := lintTree(t, root)
-	path := filepath.Join(root, "snapcover", "snapcover.go")
-	mutateFile(t, path,
-		"pages   int64",
-		"pages   int64\n\tepoch   int64")
-	mutateFile(t, path,
-		"w.I64(g.pages)",
-		"w.I64(g.pages)\n\tw.I64(g.epoch)")
-	got := lintTree(t, root)
-	assertExactlyNew(t, base, got, []string{
-		"snapcover: field Good.epoch is never restored by RestoreFrom; restore it or mark it //cclint:ignore snapcover -- <reason>",
-	})
-}
-
 // TestKernelProtoMutationRawGoroutine: a raw go statement slipped into
 // the clean actor body must be reported with its actor chain.
 func TestKernelProtoMutationRawGoroutine(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 // running a workload against the machine produces deterministic virtual-time
 // measurements.
 type Machine struct {
+	machineState
 	cfg Config
 
 	Clock *sim.Clock
@@ -45,13 +46,8 @@ type Machine struct {
 	faults      *fault.Injector      // nil when no fault config is given
 	recovery    *swap.RecoveryReport // mount-time recovery report (NewFromMedia only)
 
-	segByID     map[int32]*vm.Segment
-	segCodec    map[int32]compress.Codec // per-segment override (§3)
-	comp        stats.Compression
-	fst         stats.Faults // machine-side detection/recovery counters
-	err         error        // first fatal error; see Err
-	start       sim.Time
-	startFrozen bool
+	segByID map[int32]*vm.Segment // index of VM.Segments() by ID
+	err     error                 // first fatal error; see Err
 
 	bus        *obs.Bus       // nil without WithObs
 	compHist   *obs.Histogram // machine.compress_page — per-page compression time
@@ -68,6 +64,17 @@ type Machine struct {
 	compBuf []byte       // codec.Compress destination, reused across calls
 	nbrBuf  []byte       // clustered-read neighbor staging (corrupt+verify)
 	itemBuf [1]swap.Item // single-item WriteCluster batches
+}
+
+// machineState is the machine's own replay state — what a snapshot carries
+// beyond the subsystems' state. A dead machine (err set) is never
+// snapshotted.
+type machineState struct {
+	segCodec    map[int32]compress.Codec // per-segment override (§3); stored by name
+	comp        stats.Compression
+	fst         stats.Faults // machine-side detection/recovery counters; the injector owns the rest
+	start       sim.Time
+	startFrozen bool
 }
 
 // New builds a machine from the configuration. Options attach the machine to
@@ -100,11 +107,12 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		o(&b)
 	}
 	m := &Machine{
-		cfg:      cfg,
-		Clock:    &sim.Clock{},
-		remote:   b.remote,
-		segByID:  make(map[int32]*vm.Segment),
-		segCodec: make(map[int32]compress.Codec),
+		cfg:     cfg,
+		Clock:   &sim.Clock{},
+		remote:  b.remote,
+		segByID: make(map[int32]*vm.Segment),
+
+		machineState: machineState{segCodec: make(map[int32]compress.Codec)},
 	}
 	if b.kernel != nil {
 		// Attach before any subsystem exists so construction-time charges land
@@ -981,7 +989,12 @@ func (m *Machine) CheckInvariants() error {
 			return err
 		}
 	}
-	// Every page's state must agree with the subsystem actually holding it.
+	// Every page's state must agree with the subsystem actually holding it,
+	// and every frame a subsystem holds must be its own in the pool, once.
+	claims := m.Pool.Claims()
+	if err := m.FS.CacheFrames(func(id mem.FrameID) error { return claims.Claim(id, mem.FS) }); err != nil {
+		return err
+	}
 	for _, seg := range m.VM.Segments() {
 		for i := int32(0); i < seg.NPages; i++ {
 			p := seg.Page(i)
@@ -998,8 +1011,8 @@ func (m *Machine) CheckInvariants() error {
 					return fmt.Errorf("machine: page %v marked swapped but absent from backing store", p.Key)
 				}
 			case vm.Resident:
-				if p.Frame == mem.NoFrame {
-					return fmt.Errorf("machine: resident page %v has no frame", p.Key)
+				if err := claims.Claim(p.Frame, mem.VM); err != nil {
+					return fmt.Errorf("machine: resident page %v: %w", p.Key, err)
 				}
 			}
 		}

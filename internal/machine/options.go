@@ -47,7 +47,7 @@ func WithObs(o obs.Options) Option {
 // distinct actor id, and the id doubles as the event tie-breaker, so fleet
 // composition — not attachment order — determines the schedule. Attached
 // machines cannot use Machine.Snapshot (the kernel snapshots instead; see
-// sim.Kernel.SnapshotTo).
+// sim.Kernel.Snap).
 func WithKernel(k *sim.Kernel, id sim.ActorID) Option {
 	return func(b *buildOpts) {
 		b.kernel = k

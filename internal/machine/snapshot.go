@@ -1,11 +1,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"compcache/internal/compress"
-	"compcache/internal/sim"
 	"compcache/internal/snap"
 )
 
@@ -23,72 +22,27 @@ import (
 // machines (their simulated process is gone; boot from media instead),
 // network-backed machines (the netdev has no snapshot support), and
 // kernel-attached machines (the kernel owns the schedule; snapshot the fleet
-// through sim.Kernel.SnapshotTo instead).
+// through sim.Kernel.Snap instead).
 func (m *Machine) Snapshot() ([]byte, error) {
 	if m.err != nil {
 		return nil, fmt.Errorf("machine: cannot snapshot a dead machine: %w", m.err)
 	}
-	if m.cfg.Net != nil {
-		return nil, fmt.Errorf("machine: snapshot of network-backed machines is not supported")
-	}
-	if m.Clock.Attached() {
-		return nil, fmt.Errorf("machine: snapshot of kernel-attached machines goes through the kernel")
+	if err := m.snapshottable(); err != nil {
+		return nil, err
 	}
 	w := snap.NewWriter()
-	w.Section("machine")
-	m.cfg.fingerprintTo(w, m.bus != nil)
-
-	m.Clock.SnapshotTo(w)
-	w.Bool(m.faults != nil)
-	if m.faults != nil {
-		m.faults.SnapshotTo(w)
-	}
-	m.Disk.SnapshotTo(w)
-	m.Pool.SnapshotTo(w)
-	m.FS.SnapshotTo(w)
-	m.VM.SnapshotTo(w)
-	w.Bool(m.CC != nil)
-	if m.CC != nil {
-		m.CC.SnapshotTo(w)
-	}
-	switch {
-	case m.clustered != nil:
-		w.U8(storeClustered)
-		m.clustered.SnapshotTo(w)
-	case m.lfs != nil:
-		w.U8(storeLFS)
-		m.lfs.SnapshotTo(w)
-	default:
-		w.U8(storeDirect)
-		m.directPlain.SnapshotTo(w)
-	}
-	m.bus.SnapshotTo(w)
-
-	w.Section("machine.tail")
-	w.U64(m.comp.Compressions)
-	w.U64(m.comp.Decompressions)
-	w.U64(m.comp.BytesIn)
-	w.U64(m.comp.BytesOut)
-	w.U64(m.comp.Incompressible)
-	w.U64(m.comp.CompressibleIn)
-	w.U64(m.comp.CompressibleOut)
-	w.U64(m.fst.CorruptionsDetected)
-	w.U64(m.fst.Recoveries)
-	w.U64(m.fst.RecoveredSegments)
-	w.U64(m.fst.TornWritesDiscarded)
-	w.I64(int64(m.start))
-	w.Bool(m.startFrozen)
-	segs := make([]int32, 0, len(m.segCodec))
-	for seg := range m.segCodec {
-		segs = append(segs, seg)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	w.Int(len(segs))
-	for _, seg := range segs {
-		w.I32(seg)
-		w.String(m.segCodec[seg].Name())
-	}
+	m.snap(snap.Encoder(w))
 	return w.Bytes()
+}
+
+func (m *Machine) snapshottable() error {
+	if m.cfg.Net != nil {
+		return fmt.Errorf("machine: snapshot of network-backed machines is not supported")
+	}
+	if m.Clock.Attached() {
+		return fmt.Errorf("machine: snapshot of kernel-attached machines goes through the kernel")
+	}
+	return nil
 }
 
 // Store kind tags in the snapshot stream.
@@ -98,62 +52,78 @@ const (
 	storeClustered
 )
 
-// fingerprintTo writes the configuration facts a snapshot depends on —
-// including whether an event bus was attached, which lives in the options,
-// not the Config — a snapshot restored under a different fingerprint would
-// silently mis-simulate, so Restore rejects it instead.
-func (c *Config) fingerprintTo(w *snap.Writer, obsAttached bool) {
-	w.Int(c.PageSize)
-	w.I64(c.MemoryBytes)
-	w.Int(c.FS.BlockSize)
-	w.Bool(c.CC.Enabled)
-	w.String(c.CC.Codec)
-	w.Bool(c.Swap.CommitRecords)
-	w.Bool(c.LFSSwap != nil)
-	w.Bool(c.LFSSwap != nil && c.LFSSwap.Durable)
-	w.Bool(c.Faults != nil)
-	w.Bool(obsAttached)
+// snap walks the machine's replay state: the configuration fingerprint, each
+// subsystem in construction order, then the machine's own counters and
+// per-segment codec overrides (by name, segment-sorted).
+func (m *Machine) snap(c *snap.Codec) {
+	c.Section("machine")
+	m.fingerprint(c)
+
+	m.Clock.Snap(c)
+	if snap.Const(c, c.Bool, m.faults != nil, "machine: fault injector"); m.faults != nil {
+		m.faults.Snap(c)
+	}
+	m.Disk.Snap(c)
+	m.Pool.Snap(c)
+	m.FS.Snap(c)
+	m.VM.Snap(c)
+	if snap.Const(c, c.Bool, m.CC != nil, "machine: compression cache"); m.CC != nil {
+		m.CC.Snap(c)
+	}
+	store, kind := m.directPlain.Snap, storeDirect
+	if m.clustered != nil {
+		store, kind = m.clustered.Snap, storeClustered
+	} else if m.lfs != nil {
+		store, kind = m.lfs.Snap, storeLFS
+	}
+	snap.Const(c, func(p *uint8) { snap.Byte(c, p) }, kind, "machine: backing store kind")
+	store(c)
+	m.bus.Snap(c)
+
+	c.Section("machine.tail")
+	c.Counters(&m.comp)
+	c.U64(&m.fst.CorruptionsDetected)
+	c.U64(&m.fst.Recoveries)
+	c.U64(&m.fst.RecoveredSegments)
+	c.U64(&m.fst.TornWritesDiscarded)
+	snap.Int64(c, &m.start)
+	c.Bool(&m.startFrozen)
+	snap.Map(c, &m.segCodec, 1<<20, "segment codec overrides", cmp.Less[int32], func(seg *int32, codec *compress.Codec) {
+		var name string
+		if !c.Decoding() {
+			name = (*codec).Name()
+		}
+		c.I32(seg)
+		c.String(&name)
+		if c.Decoding() && c.Err() == nil {
+			var err error
+			if *codec, err = compress.Lookup(name); err != nil {
+				c.Failf("machine: snapshot names codec %q for segment %d: %v", name, *seg, err)
+			}
+		}
+	})
 }
 
-// checkFingerprint validates a snapshot's fingerprint against this
-// (defaulted) configuration and the rebuilt machine's attachments.
-func (c *Config) checkFingerprint(r *snap.Reader, obsAttached bool) error {
-	pageSize := r.Int()
-	memory := r.I64()
-	blockSize := r.Int()
-	ccEnabled := r.Bool()
-	codec := r.String()
-	commit := r.Bool()
-	lfsPresent := r.Bool()
-	lfsDurable := r.Bool()
-	faults := r.Bool()
-	obsPresent := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
+// fingerprint visits the configuration facts a snapshot depends on —
+// including whether an event bus was attached, which lives in the options,
+// not the Config. A snapshot restored under a different fingerprint would
+// silently mis-simulate, so decoding rejects it instead.
+func (m *Machine) fingerprint(c *snap.Codec) {
+	cfg := &m.cfg
+	snap.Const(c, c.Int, cfg.PageSize, "machine: page size")
+	snap.Const(c, c.I64, cfg.MemoryBytes, "machine: memory bytes")
+	snap.Const(c, c.Int, cfg.FS.BlockSize, "machine: block size")
+	snap.Const(c, c.Bool, cfg.CC.Enabled, "machine: compression cache")
+	if codec := cfg.CC.Codec; cfg.CC.Enabled {
+		snap.Const(c, c.String, codec, "machine: codec")
+	} else {
+		c.String(&codec) // no cache, so the name is never used
 	}
-	switch {
-	case pageSize != c.PageSize:
-		return fmt.Errorf("machine: snapshot page size %d, config %d", pageSize, c.PageSize)
-	case memory != c.MemoryBytes:
-		return fmt.Errorf("machine: snapshot memory %d bytes, config %d", memory, c.MemoryBytes)
-	case blockSize != c.FS.BlockSize:
-		return fmt.Errorf("machine: snapshot block size %d, config %d", blockSize, c.FS.BlockSize)
-	case ccEnabled != c.CC.Enabled:
-		return fmt.Errorf("machine: snapshot compression cache %v, config %v", ccEnabled, c.CC.Enabled)
-	case ccEnabled && codec != c.CC.Codec:
-		return fmt.Errorf("machine: snapshot codec %q, config %q", codec, c.CC.Codec)
-	case commit != c.Swap.CommitRecords:
-		return fmt.Errorf("machine: snapshot commit records %v, config %v", commit, c.Swap.CommitRecords)
-	case lfsPresent != (c.LFSSwap != nil):
-		return fmt.Errorf("machine: snapshot LFS swap %v, config %v", lfsPresent, c.LFSSwap != nil)
-	case lfsDurable != (c.LFSSwap != nil && c.LFSSwap.Durable):
-		return fmt.Errorf("machine: snapshot LFS durability does not match the configuration")
-	case faults != (c.Faults != nil):
-		return fmt.Errorf("machine: snapshot fault injection %v, config %v", faults, c.Faults != nil)
-	case obsPresent != obsAttached:
-		return fmt.Errorf("machine: snapshot observability %v, rebuilt machine %v", obsPresent, obsAttached)
-	}
-	return nil
+	snap.Const(c, c.Bool, cfg.Swap.CommitRecords, "machine: commit records")
+	snap.Const(c, c.Bool, cfg.LFSSwap != nil, "machine: LFS swap")
+	snap.Const(c, c.Bool, cfg.LFSSwap != nil && cfg.LFSSwap.Durable, "machine: LFS durability")
+	snap.Const(c, c.Bool, cfg.Faults != nil, "machine: fault injection")
+	snap.Const(c, c.Bool, m.bus != nil, "machine: observability")
 }
 
 // Restore builds a machine from a configuration and a snapshot previously
@@ -161,127 +131,24 @@ func (c *Config) checkFingerprint(r *snap.Reader, obsAttached bool) error {
 // the original was built with — attachment presence is fingerprinted). The
 // rebuilt machine resumes exactly where the snapshot was taken: the same
 // virtual clock, page placement, cache contents, device timeline, PRNG
-// position and counters.
+// position and counters. A snapshot that is damaged, forged or from another
+// configuration yields an error, never a machine that misbehaves later.
 func Restore(cfg Config, data []byte, opts ...Option) (*Machine, error) {
 	m, err := New(cfg, opts...)
 	if err != nil {
+		return nil, err
+	}
+	if err := m.snapshottable(); err != nil {
 		return nil, err
 	}
 	r, err := snap.NewReader(data)
 	if err != nil {
 		return nil, err
 	}
-	r.Section("machine")
-	if err := m.cfg.checkFingerprint(r, m.bus != nil); err != nil {
-		return nil, err
-	}
-
-	if err := m.Clock.RestoreFrom(r); err != nil {
-		return nil, err
-	}
-	hasFaults := r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if hasFaults {
-		if err := m.faults.RestoreFrom(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.Disk.RestoreFrom(r); err != nil {
-		return nil, err
-	}
-	if err := m.Pool.RestoreFrom(r); err != nil {
-		return nil, err
-	}
-	if err := m.FS.RestoreFrom(r); err != nil {
-		return nil, err
-	}
-	if err := m.VM.RestoreFrom(r); err != nil {
-		return nil, err
-	}
-	hasCC := r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if hasCC != (m.CC != nil) {
-		return nil, fmt.Errorf("machine: snapshot cache presence does not match the configuration")
-	}
-	if hasCC {
-		if err := m.CC.RestoreFrom(r); err != nil {
-			return nil, err
-		}
-	}
-	kind := r.U8()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case storeClustered:
-		if m.clustered == nil {
-			return nil, fmt.Errorf("machine: snapshot holds a clustered store, config builds none")
-		}
-		if err := m.clustered.RestoreFrom(r); err != nil {
-			return nil, err
-		}
-	case storeLFS:
-		if m.lfs == nil {
-			return nil, fmt.Errorf("machine: snapshot holds an LFS store, config builds none")
-		}
-		if err := m.lfs.RestoreFrom(r); err != nil {
-			return nil, err
-		}
-	case storeDirect:
-		if m.directPlain == nil {
-			return nil, fmt.Errorf("machine: snapshot holds a direct store, config builds none")
-		}
-		if err := m.directPlain.RestoreFrom(r); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("machine: snapshot names unknown store kind %d", kind)
-	}
-	if err := m.bus.RestoreFrom(r); err != nil {
-		return nil, err
-	}
-
-	r.Section("machine.tail")
-	m.comp.Compressions = r.U64()
-	m.comp.Decompressions = r.U64()
-	m.comp.BytesIn = r.U64()
-	m.comp.BytesOut = r.U64()
-	m.comp.Incompressible = r.U64()
-	m.comp.CompressibleIn = r.U64()
-	m.comp.CompressibleOut = r.U64()
-	m.fst.CorruptionsDetected = r.U64()
-	m.fst.Recoveries = r.U64()
-	m.fst.RecoveredSegments = r.U64()
-	m.fst.TornWritesDiscarded = r.U64()
-	m.start = sim.Time(r.I64())
-	m.startFrozen = r.Bool()
-	nseg := r.Int()
-	if r.Err() == nil && (nseg < 0 || nseg > 1<<20) {
-		return nil, fmt.Errorf("machine: snapshot claims %d segment codec overrides", nseg)
-	}
-	type segCodecPair struct {
-		seg  int32
-		name string
-	}
-	pairs := make([]segCodecPair, 0, nseg)
-	for i := 0; i < nseg && r.Err() == nil; i++ {
-		pairs = append(pairs, segCodecPair{seg: r.I32(), name: r.String()})
-	}
+	m.snap(snap.Decoder(r))
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	for _, p := range pairs {
-		codec, err := compress.Lookup(p.name)
-		if err != nil {
-			return nil, fmt.Errorf("machine: snapshot names codec %q for segment %d: %w", p.name, p.seg, err)
-		}
-		m.segCodec[p.seg] = codec
-	}
-
 	// Re-derive the segment index and validate the assembled machine end to
 	// end before handing it back.
 	for _, seg := range m.VM.Segments() {

@@ -2,12 +2,21 @@ package machine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"compcache/internal/fault"
+	"compcache/internal/mem"
 	"compcache/internal/obs"
+	"compcache/internal/snap"
 	"compcache/internal/swap"
+	"compcache/internal/vm"
 )
 
 // drivePhase applies a deterministic mixed read/write pattern to the space.
@@ -231,4 +240,219 @@ func TestNewFromMediaRequiresImage(t *testing.T) {
 		!strings.Contains(err.Error(), "recoverable") {
 		t.Errorf("direct-swap boot from media: err = %v, want recoverable-store complaint", err)
 	}
+}
+
+// TestSnapshotCoversState runs the machine's own walk under snap.Uncovered: a
+// machineState field it never visits is a field snapshots lose. (Each
+// subsystem package has the same test for its state struct.)
+func TestSnapshotCoversState(t *testing.T) {
+	m := newMachine(t, Default(40*4096))
+	if missing := snap.Uncovered(&m.machineState, m.snap); len(missing) != 0 {
+		t.Errorf("Machine.snap never visits state field(s) %v", missing)
+	}
+}
+
+// fillCounters walks the object graph under v (pointers, structs and
+// interfaces; unexported fields included) and sets every field of every
+// stats.* block it finds to a distinct non-zero value.
+func fillCounters(v reflect.Value, holder string, seen map[unsafe.Pointer]bool, next *uint64) {
+	switch v.Kind() {
+	case reflect.Interface:
+		if !v.IsNil() {
+			fillCounters(v.Elem(), holder, seen, next)
+		}
+	case reflect.Pointer:
+		if p := v.UnsafePointer(); p != nil && !seen[p] {
+			seen[p] = true
+			fillCounters(v.Elem(), holder, seen, next)
+		}
+	case reflect.Struct:
+		if !v.CanAddr() {
+			return // a copy held in an interface; nothing under it is machine state
+		}
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem() // lift the unexported-field read-only flag
+			switch {
+			case v.Type().PkgPath() != "compcache/internal/stats":
+				fillCounters(f, v.Type().Name(), seen, next)
+			case holder == "directState" && v.Type().Field(i).Name != "PagesOut" && v.Type().Field(i).Name != "PagesIn":
+				// The direct store has no fragments and never collects
+				// garbage: it counts page traffic only, the rest stay zero.
+			case f.CanInt():
+				*next++
+				f.SetInt(int64(*next))
+			default:
+				*next++
+				f.SetUint(*next)
+			}
+		}
+	}
+}
+
+// TestSnapshotCarriesEveryCounter sets every counter of every stats block in
+// a machine non-zero and requires Stats() to survive a snapshot/restore
+// cycle — the check that would have caught the vm walk dropping RemoteIns.
+func TestSnapshotCarriesEveryCounter(t *testing.T) {
+	for name, tc := range snapshotConfigs() {
+		m := newMachine(t, tc.cfg, tc.opts...)
+		drivePhase(m, m.NewSegment("snap", 96*4096), 1)
+		var n uint64
+		fillCounters(reflect.ValueOf(m), "", map[unsafe.Pointer]bool{}, &n)
+		if n < 30 {
+			t.Fatalf("%s: found only %d counters to set", name, n)
+		}
+		blob, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", name, err)
+		}
+		restored, err := Restore(tc.cfg, blob, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: Restore: %v", name, err)
+		}
+		if before, after := m.Stats(), restored.Stats(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: counters lost across snapshot/restore:\nbefore:\n%s\nafter:\n%s", name, before.String(), after.String())
+		}
+	}
+}
+
+// TestSnapshotFormatPinned holds the length and SHA-256 of the snapshot each
+// covered configuration produces after one drive phase, so any drift in what
+// the state walks write fails here until snap.Version is bumped and the
+// values are re-pinned. (Version 2 is Version 1 plus the 8-byte
+// stats.VM.RemoteIns counter in the vm section.)
+func TestSnapshotFormatPinned(t *testing.T) {
+	want := map[string]struct {
+		size int
+		sum  string
+	}{
+		"cc":     {999354, "d980e49eeab7a1af14ce1dea454e4b9b29dc0064d9f6870196960d285fda328f"},
+		"direct": {429670, "c2a53eceee1bbdf740c0fd2827c630584e76896a4edc8cd61bd437381fccff0e"},
+		"lfs":    {594733, "07fe6306e77a858c7568023144523beadf27084b57bfa8a5c26af687fa48fa00"},
+	}
+	if snap.Version != 2 {
+		t.Fatalf("snap.Version is %d: re-pin these values for the new format", snap.Version)
+	}
+	for name, blob := range snapshotBlobs(t) {
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); len(blob) != want[name].size || got != want[name].sum {
+			t.Errorf("%s: snapshot is %d B %s, pinned %d B %s", name, len(blob), got, want[name].size, want[name].sum)
+		}
+	}
+}
+
+// snapshotBlobs captures every snapshotConfigs machine after one drive phase.
+func snapshotBlobs(t testing.TB) map[string][]byte {
+	blobs := make(map[string][]byte)
+	for name, tc := range snapshotConfigs() {
+		m, err := New(tc.cfg, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		drivePhase(m, m.NewSegment("snap", 96*4096), 1)
+		if blobs[name], err = m.Snapshot(); err != nil {
+			t.Fatalf("%s: Snapshot: %v", name, err)
+		}
+	}
+	return blobs
+}
+
+// reseal recomputes the CRC trailer over a (doctored) snapshot body, so a
+// forgery gets past the checksum and has to be caught by validation.
+func reseal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
+// TestSnapshotRejectsForgedState feeds Restore checksum-valid snapshots of
+// states no run can reach. Each must be refused with an error — promptly —
+// rather than yield a machine that panics or spins on first use.
+func TestSnapshotRejectsForgedState(t *testing.T) {
+	tc := snapshotConfigs()["cc"]
+	resident := func(m *Machine) []*vm.Page {
+		var out []*vm.Page
+		seg := m.VM.Segments()[0]
+		for i := int32(0); i < seg.NPages; i++ {
+			if p := seg.Page(i); p.State == vm.Resident {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	forgeries := map[string]struct {
+		config string
+		forge  func(*Machine)
+	}{
+		"frame out of range": {"cc", func(m *Machine) { resident(m)[0].Frame = 1 << 30 }},
+		"frame held twice":   {"direct", func(m *Machine) { resident(m)[0].Frame = resident(m)[1].Frame }},
+		"frame of the cache": {"cc", func(m *Machine) { resident(m)[0].Frame = cacheFrame(t, m) }},
+	}
+	for name, f := range forgeries {
+		tc := snapshotConfigs()[f.config]
+		m := newMachine(t, tc.cfg, tc.opts...)
+		drivePhase(m, m.NewSegment("snap", 96*4096), 1)
+		f.forge(m)
+		blob, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", name, err)
+		}
+		if _, err := Restore(tc.cfg, blob, tc.opts...); err == nil {
+			t.Errorf("%s: forged snapshot accepted", name)
+		}
+	}
+
+	// Byte-level forgeries, located from a section marker. The fault
+	// injector replays its PRNG draw by draw, so a forged count of 2^62 (the
+	// section's first field) must be refused, not replayed. The vm section
+	// opens with nextSeg, the segment count, then segment 0's id, name
+	// ("snap") and page count; the next byte is page 0's state.
+	blob := snapshotBlobs(t)["cc"]
+	patched := func(marker string, skip int, val ...byte) []byte {
+		body := bytes.Clone(blob[:len(blob)-4])
+		copy(body[bytes.Index(body, []byte(marker))+len(marker)+skip:], val)
+		return reseal(body)
+	}
+	draws := binary.LittleEndian.AppendUint64(nil, 1<<62)
+	if _, err := Restore(tc.cfg, patched("fault.injector", 0, draws...), tc.opts...); err == nil || !strings.Contains(err.Error(), "PRNG draws") {
+		t.Errorf("forged draw count: err = %v, want the draw-count limit", err)
+	}
+	if _, err := Restore(tc.cfg, patched("\x02\x00\x00\x00vm", 4+8+4+8+4, 9), tc.opts...); err == nil || !strings.Contains(err.Error(), "unknown state 9") {
+		t.Errorf("forged page state: err = %v, want the unknown-state complaint", err)
+	}
+}
+
+// cacheFrame returns a frame the pool records as owned by the compression
+// cache.
+func cacheFrame(t *testing.T, m *Machine) mem.FrameID {
+	for id := mem.FrameID(0); int(id) < m.Pool.Total(); id++ {
+		if m.Pool.Owner(id) == mem.CC {
+			return id
+		}
+	}
+	t.Fatal("the compression cache holds no frame")
+	return mem.NoFrame
+}
+
+// FuzzRestore mutates snapshot bodies and reseals them, so every input gets
+// past the checksum: Restore must return an error or a machine that passes
+// its invariants and survives a drive phase without panicking or hanging.
+func FuzzRestore(f *testing.F) {
+	cases := snapshotConfigs()
+	names := []string{"cc", "direct", "lfs"}
+	for i, name := range names {
+		blob := snapshotBlobs(f)[name]
+		f.Add(uint8(i), blob[:len(blob)-4])
+	}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		tc := cases[names[int(which)%len(names)]]
+		m, err := Restore(tc.cfg, reseal(body), tc.opts...)
+		if err != nil {
+			return
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("Restore returned a machine that fails its invariants: %v", err)
+		}
+		if segs := m.VM.Segments(); len(segs) > 0 {
+			drivePhase(m, &Space{m: m, seg: segs[0]}, 2)
+		}
+	})
 }

@@ -51,11 +51,16 @@ func (o Owner) String() string {
 
 // Pool is the fixed stock of physical page frames.
 type Pool struct {
+	poolState
 	pageSize int
-	data     []byte // one backing array, sliced per frame
-	owner    []Owner
-	free     []FrameID
-	counts   [numOwners]int //cclint:ignore snapcover -- derived: recomputed from the owner table on restore
+	counts   [numOwners]int // per-owner census of the owner table
+}
+
+// poolState is the pool's replay state: everything a snapshot carries.
+type poolState struct {
+	data  []byte // one backing array, sliced per frame
+	owner []Owner
+	free  []FrameID
 }
 
 // NewPool creates a pool of n frames of pageSize bytes each.
@@ -65,12 +70,11 @@ func NewPool(n, pageSize int) *Pool {
 		// validation rejects bad geometry before reaching here.
 		panic(fmt.Sprintf("mem: invalid pool geometry %d x %d", n, pageSize))
 	}
-	p := &Pool{
-		pageSize: pageSize,
-		data:     make([]byte, n*pageSize),
-		owner:    make([]Owner, n),
-		free:     make([]FrameID, 0, n),
-	}
+	p := &Pool{pageSize: pageSize, poolState: poolState{
+		data:  make([]byte, n*pageSize),
+		owner: make([]Owner, n),
+		free:  make([]FrameID, 0, n),
+	}}
 	// Push in reverse so frame 0 is handed out first; allocation order is
 	// deterministic, which keeps runs reproducible.
 	for i := n - 1; i >= 0; i-- {
@@ -179,6 +183,31 @@ func (p *Pool) CheckConservation() error {
 	if counts[Free] != len(p.free) {
 		return fmt.Errorf("mem: free list length %d != free count %d", len(p.free), counts[Free])
 	}
+	return nil
+}
+
+// Claims audits the frames subsystems say they hold against the owner table.
+type Claims struct {
+	p    *Pool
+	held []bool
+}
+
+// Claims starts an audit with no frame claimed.
+func (p *Pool) Claims() *Claims { return &Claims{p: p, held: make([]bool, len(p.owner))} }
+
+// Claim records that a subsystem holds frame id as owner o. It fails when no
+// such frame exists, the pool records a different owner, or the frame was
+// claimed before — each the precursor of a wild access or a double release.
+func (c *Claims) Claim(id FrameID, o Owner) error {
+	switch {
+	case id < 0 || int(id) >= len(c.held):
+		return fmt.Errorf("mem: %v holds frame %d, pool has %d frames", o, id, len(c.held))
+	case c.p.owner[id] != o:
+		return fmt.Errorf("mem: %v holds frame %d, which the pool records as %v", o, id, c.p.owner[id])
+	case c.held[id]:
+		return fmt.Errorf("mem: %v holds frame %d twice", o, id)
+	}
+	c.held[id] = true
 	return nil
 }
 

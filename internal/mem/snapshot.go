@@ -6,69 +6,42 @@ import (
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the pool exactly: every frame's bytes, the owner
-// table, and the free list in its current order. Restoring the pool
-// verbatim is what keeps every FrameID held by the other subsystems (VM
-// page tables, cache ring, buffer cache, LFS segment buffer) valid across
-// a snapshot/restore cycle without any pointer rewriting.
-func (p *Pool) SnapshotTo(w *snap.Writer) {
-	w.Section("mem.pool")
-	w.Int(p.pageSize)
-	w.Int(len(p.owner))
-	w.Bytes32(p.data)
-	for _, o := range p.owner {
-		w.U8(uint8(o))
+// Snap walks the pool's replay state exactly: every frame's bytes, the owner
+// table, and the free list in its current order. Restoring the pool verbatim
+// is what keeps every FrameID held by the other subsystems (VM page tables,
+// cache ring, buffer cache, LFS segment buffer) valid across a snapshot/
+// restore cycle without any pointer rewriting. The geometry is fixed by the
+// configuration; machine.Restore rebuilds the pool from it first.
+func (p *Pool) Snap(c *snap.Codec) {
+	c.Section("mem.pool")
+	snap.Const(c, c.Int, p.pageSize, "mem: page size")
+	snap.Const(c, c.Int, len(p.owner), "mem: frame count")
+	c.Fixed(&p.data, "mem: frame data")
+	c.Mark(&p.owner)
+	for i := range p.owner {
+		snap.Byte(c, &p.owner[i])
 	}
-	w.Int(len(p.free))
-	for _, id := range p.free {
-		w.I32(int32(id))
-	}
+	snap.Slice(c, &p.free, len(p.owner), "free frames", func(id *FrameID) { snap.Int32(c, id) })
+	c.Check(p.adoptOwners)
 }
 
-// RestoreFrom overwrites the pool's state with a snapshot. The pool must
-// have the same geometry (frame count and page size) as the one that was
-// snapshotted — machine.Restore guarantees it by rebuilding the machine
-// from the same configuration first.
-func (p *Pool) RestoreFrom(r *snap.Reader) error {
-	r.Section("mem.pool")
-	pageSize := r.Int()
-	frames := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if pageSize != p.pageSize || frames != len(p.owner) {
-		return fmt.Errorf("mem: snapshot geometry %d frames x %d bytes, pool has %d x %d",
-			frames, pageSize, len(p.owner), p.pageSize)
-	}
-	data := r.Bytes32()
-	if r.Err() == nil && len(data) != len(p.data) {
-		return fmt.Errorf("mem: snapshot holds %d data bytes, pool has %d", len(data), len(p.data))
-	}
-	owner := make([]Owner, frames)
-	for i := range owner {
-		o := Owner(r.U8())
-		if r.Err() == nil && (o < Free || o >= numOwners) {
+// adoptOwners validates a decoded owner table and free list — a frame on the
+// free list must exist, be Free and appear once, or the first Alloc hands out
+// a wild or doubly-owned frame — and recomputes the census.
+func (p *Pool) adoptOwners() error {
+	p.counts = [numOwners]int{}
+	for i, o := range p.owner {
+		if o < Free || o >= numOwners {
 			return fmt.Errorf("mem: snapshot frame %d has invalid owner %d", i, o)
 		}
-		owner[i] = o
-	}
-	nfree := r.Int()
-	if r.Err() == nil && (nfree < 0 || nfree > frames) {
-		return fmt.Errorf("mem: snapshot free list of %d frames exceeds pool size %d", nfree, frames)
-	}
-	free := make([]FrameID, 0, nfree)
-	for i := 0; i < nfree; i++ {
-		free = append(free, FrameID(r.I32()))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	copy(p.data, data)
-	p.owner = owner
-	p.free = free
-	p.counts = [numOwners]int{}
-	for _, o := range owner {
 		p.counts[o]++
+	}
+	listed := make([]bool, len(p.owner))
+	for _, id := range p.free {
+		if id < 0 || int(id) >= len(p.owner) || p.owner[id] != Free || listed[id] {
+			return fmt.Errorf("mem: snapshot free list names frame %d, which is out of range, owned or listed twice", id)
+		}
+		listed[id] = true
 	}
 	return p.CheckConservation()
 }

@@ -10,7 +10,12 @@ package obs
 // concurrent use; cross-machine aggregation happens by index order in the
 // experiment runner, never by sharing a bus.
 type Bus struct {
-	mask    Class
+	busState
+	mask Class
+}
+
+// busState is the bus's replay state: everything a snapshot carries.
+type busState struct {
 	ring    []Event
 	start   int    // index of the oldest retained event
 	n       int    // retained events
@@ -26,7 +31,7 @@ func NewBus(opts Options) *Bus {
 	if opts.RingSize <= 0 {
 		opts.RingSize = DefaultRingSize
 	}
-	return &Bus{mask: opts.Classes, ring: make([]Event, 0, opts.RingSize)}
+	return &Bus{mask: opts.Classes, busState: busState{ring: make([]Event, 0, opts.RingSize)}}
 }
 
 // Enabled reports whether events of class c are recorded. It is the hot-path

@@ -1,201 +1,77 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
-	"compcache/internal/sim"
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the bus: the retained events (oldest first), the
-// drop counter, and every registered metric by name. The enable mask is
-// written only to be verified on restore — it comes from the configuration.
-// A nil bus writes a presence flag and nothing else.
-func (b *Bus) SnapshotTo(w *snap.Writer) {
-	w.Section("obs.bus")
-	w.Bool(b != nil)
+// Snap walks the bus's replay state: the retained events (oldest first), the
+// drop counter, and every registered metric by name. The enable mask comes
+// from the configuration and is stored only to be verified. A nil bus
+// carries a presence flag and nothing else.
+func (b *Bus) Snap(c *snap.Codec) {
+	c.Section("obs.bus")
+	snap.Const(c, c.Bool, b != nil, "obs: event bus attached")
 	if b == nil {
 		return
 	}
-	w.U32(uint32(b.mask))
+	snap.Const(c, c.U32, uint32(b.mask), "obs: class mask")
+	c.Mark(&b.ring, &b.start, &b.n)
 	events := b.Events()
-	w.Int(len(events))
-	for _, e := range events {
-		w.I64(int64(e.T))
-		w.U32(uint32(e.Class))
-		w.U8(uint8(e.Sub))
-		w.I32(e.Seg)
-		w.I32(e.Page)
-		w.I64(e.Bytes)
-		w.Dur(e.Dur)
-		w.I64(e.Aux)
+	snap.Slice(c, &events, cap(b.ring), "retained events", func(e *Event) {
+		snap.Int64(c, &e.T)
+		snap.Uint32(c, &e.Class)
+		snap.Byte(c, &e.Sub)
+		c.I32(&e.Seg)
+		c.I32(&e.Page)
+		c.I64(&e.Bytes)
+		snap.Int64(c, &e.Dur)
+		c.I64(&e.Aux)
+	})
+	if c.Decoding() {
+		b.ring = append(b.ring[:0], events...)
+		b.start, b.n = 0, len(events)
 	}
-	w.U64(b.dropped)
-	snapshotRegistry(w, &b.reg)
+	c.U64(&b.dropped)
+
+	c.Mark(&b.reg.counters, &b.reg.gauges, &b.reg.hists)
+	metrics(c, "counter", b.reg.counters, func(m *Counter) { c.U64(&m.v) })
+	metrics(c, "gauge", b.reg.gauges, func(m *Gauge) { c.I64(&m.v) })
+	metrics(c, "histogram", b.reg.hists, func(h *Histogram) {
+		snap.Const(c, c.Int, len(h.counts), "obs: buckets of histogram "+h.name)
+		for i := range h.counts {
+			c.U64(&h.counts[i])
+		}
+		c.U64(&h.count)
+		snap.Int64(c, &h.sum)
+		snap.Int64(c, &h.min)
+		snap.Int64(c, &h.max)
+	})
 }
 
-func snapshotRegistry(w *snap.Writer, reg *Registry) {
-	names := make([]string, 0, len(reg.counters))
-	for name := range reg.counters {
+// metrics visits one metric family in name order. Values decode onto the
+// existing handles in place — subsystems cached those pointers at wiring
+// time — so a metric the snapshot names must already be registered on this
+// bus.
+func metrics[M any](c *snap.Codec, family string, byName map[string]*M, value func(*M)) {
+	names := make([]string, 0, len(byName))
+	for name := range byName {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	w.Int(len(names))
-	for _, name := range names {
-		w.String(name)
-		w.U64(reg.counters[name].v)
-	}
-	names = names[:0]
-	for name := range reg.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Int(len(names))
-	for _, name := range names {
-		w.String(name)
-		w.I64(reg.gauges[name].v)
-	}
-	names = names[:0]
-	for name := range reg.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Int(len(names))
-	for _, name := range names {
-		h := reg.hists[name]
-		w.String(name)
-		w.Int(len(h.counts))
-		for _, c := range h.counts {
-			w.U64(c)
+	n := c.Len(len(names), 1<<20, family+" metrics")
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var name string
+		if !c.Decoding() {
+			name = names[i]
 		}
-		w.U64(h.count)
-		w.Dur(h.sum)
-		w.Dur(h.min)
-		w.Dur(h.max)
-	}
-}
-
-// RestoreFrom rebuilds the bus's events and metrics. Metric values are
-// restored onto the existing handles in place — subsystems cached those
-// pointers at wiring time — so a metric named in the snapshot must already
-// be registered on this bus.
-func (b *Bus) RestoreFrom(r *snap.Reader) error {
-	r.Section("obs.bus")
-	present := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if present != (b != nil) {
-		return fmt.Errorf("obs: snapshot bus presence %v does not match the configuration", present)
-	}
-	if b == nil {
-		return nil
-	}
-	mask := Class(r.U32())
-	if r.Err() == nil && mask != b.mask {
-		return fmt.Errorf("obs: snapshot mask %#x does not match configured %#x", mask, b.mask)
-	}
-	nevents := r.Int()
-	if r.Err() == nil && (nevents < 0 || nevents > cap(b.ring)) {
-		return fmt.Errorf("obs: snapshot holds %d events, ring capacity %d", nevents, cap(b.ring))
-	}
-	ring := b.ring[:0]
-	for i := 0; i < nevents && r.Err() == nil; i++ {
-		ring = append(ring, Event{
-			T:     sim.Time(r.I64()),
-			Class: Class(r.U32()),
-			Sub:   Subsystem(r.U8()),
-			Seg:   r.I32(),
-			Page:  r.I32(),
-			Bytes: r.I64(),
-			Dur:   r.Dur(),
-			Aux:   r.I64(),
-		})
-	}
-	dropped := r.U64()
-	ncounters := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	counters := make(map[string]uint64, ncounters)
-	for i := 0; i < ncounters && r.Err() == nil; i++ {
-		counters[r.String()] = r.U64()
-	}
-	ngauges := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	gauges := make(map[string]int64, ngauges)
-	for i := 0; i < ngauges && r.Err() == nil; i++ {
-		gauges[r.String()] = r.I64()
-	}
-	nhists := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	type histState struct {
-		counts []uint64
-		count  uint64
-		sum    time.Duration
-		min    time.Duration
-		max    time.Duration
-	}
-	hists := make(map[string]histState, nhists)
-	for i := 0; i < nhists && r.Err() == nil; i++ {
-		name := r.String()
-		nbuckets := r.Int()
-		if r.Err() != nil {
-			break
+		c.String(&name)
+		m := byName[name]
+		if m == nil {
+			c.Failf("obs: snapshot names unregistered %s %q", family, name)
+			return
 		}
-		if nbuckets < 0 || nbuckets > len(DefaultBuckets)+1 {
-			return fmt.Errorf("obs: snapshot histogram %q has %d buckets", name, nbuckets)
-		}
-		hs := histState{counts: make([]uint64, nbuckets)}
-		for j := range hs.counts {
-			hs.counts[j] = r.U64()
-		}
-		hs.count = r.U64()
-		hs.sum = r.Dur()
-		hs.min = r.Dur()
-		hs.max = r.Dur()
-		hists[name] = hs
+		value(m)
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for name, v := range counters {
-		c, ok := b.reg.counters[name]
-		if !ok {
-			return fmt.Errorf("obs: snapshot names unregistered counter %q", name)
-		}
-		c.v = v
-	}
-	for name, v := range gauges {
-		g, ok := b.reg.gauges[name]
-		if !ok {
-			return fmt.Errorf("obs: snapshot names unregistered gauge %q", name)
-		}
-		g.v = v
-	}
-	for name, hs := range hists {
-		h, ok := b.reg.hists[name]
-		if !ok {
-			return fmt.Errorf("obs: snapshot names unregistered histogram %q", name)
-		}
-		if len(hs.counts) != len(h.counts) {
-			return fmt.Errorf("obs: snapshot histogram %q has %d buckets, want %d", name, len(hs.counts), len(h.counts))
-		}
-		copy(h.counts, hs.counts)
-		h.count = hs.count
-		h.sum = hs.sum
-		h.min = hs.min
-		h.max = hs.max
-	}
-	b.ring = ring
-	b.start = 0
-	b.n = len(ring)
-	b.dropped = dropped
-	return nil
 }

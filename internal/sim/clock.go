@@ -49,9 +49,14 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // globally earlier actors run. Callers cannot tell the difference — both
 // flavours return the same instants for the same call sequence.
 type Clock struct {
-	now    Time
-	kernel *Kernel //cclint:ignore snapcover -- wiring: the kernel snapshots itself separately
-	actor  ActorID //cclint:ignore snapcover -- wiring: per-actor clock views are re-derived on attach
+	clockState
+	kernel *Kernel // nil for a free-running clock
+	actor  ActorID
+}
+
+// clockState is the clock's replay state: everything a snapshot carries.
+type clockState struct {
+	now Time
 }
 
 // Now reports the current virtual time.

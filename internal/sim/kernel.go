@@ -135,19 +135,26 @@ type actorState struct {
 // private free-running counter. Single-machine runs therefore stay
 // byte-identical to the pre-kernel code.
 type Kernel struct {
+	kernelState
+	// yield returns the baton to the scheduler: the yielding actor reports
+	// whether its body returned (done) or it blocked in Wait. All actor
+	// bookkeeping is written on the scheduler side of this hand-off, so
+	// every field access is ordered by the channel.
+	yield   chan yieldMsg
+	running bool
+	stopped bool
+	current ActorID
+}
+
+// kernelState is the kernel's replay state: everything a snapshot carries.
+// The fields of Kernel proper are spent at a snapshot boundary — snapshots
+// happen outside Run, where no actor holds the baton.
+type kernelState struct {
 	heap   eventHeap
 	seq    uint64
 	now    Time
 	actors map[ActorID]*actorState
 	ids    []ActorID // sorted attach order view for deterministic snapshots
-	// yield returns the baton to the scheduler: the yielding actor reports
-	// whether its body returned (done) or it blocked in Wait. All actor
-	// bookkeeping is written on the scheduler side of this hand-off, so
-	// every field access is ordered by the channel.
-	yield   chan yieldMsg //cclint:ignore snapcover -- runtime: the baton channel is recreated when Run starts
-	running bool
-	stopped bool    //cclint:ignore snapcover -- runtime: snapshots happen outside Run, where Stop state is spent
-	current ActorID //cclint:ignore snapcover -- runtime: no actor holds the baton at a snapshot boundary
 }
 
 // yieldMsg is the baton an actor hands back to the scheduler.
@@ -159,9 +166,9 @@ type yieldMsg struct {
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
 	return &Kernel{
-		actors:  make(map[ActorID]*actorState),
-		yield:   make(chan yieldMsg),
-		current: -1,
+		kernelState: kernelState{actors: make(map[ActorID]*actorState)},
+		yield:       make(chan yieldMsg),
+		current:     -1,
 	}
 }
 
@@ -174,7 +181,7 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Attach registers clock c as actor id on the kernel. From then on the
 // clock's Advance/AdvanceTo are kernel-mediated waits. If the kernel holds
-// restored state for id (see RestoreFrom), the clock adopts the restored
+// restored state for id (see Snap), the clock adopts the restored
 // instant; otherwise the actor starts at the clock's current time. Attaching
 // a duplicate id or a nil clock panics.
 func (k *Kernel) Attach(c *Clock, id ActorID) {

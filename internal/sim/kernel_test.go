@@ -170,9 +170,7 @@ func TestKernelSnapshotRestoreMidRun(t *testing.T) {
 	}
 
 	w := snap.NewWriter()
-	if err := k1.SnapshotTo(w); err != nil {
-		t.Fatalf("SnapshotTo: %v", err)
-	}
+	k1.Snap(snap.Encoder(w))
 	img, err := w.Bytes()
 	if err != nil {
 		t.Fatalf("snapshot bytes: %v", err)
@@ -190,8 +188,9 @@ func TestKernelSnapshotRestoreMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	if err := k2.RestoreFrom(r); err != nil {
-		t.Fatalf("RestoreFrom: %v", err)
+	k2.Snap(snap.Decoder(r))
+	if err := r.Close(); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
 	clocks2 := make([]*Clock, nActors)
 	pcs2 := append([]int(nil), pausePCs...)
@@ -225,9 +224,9 @@ func TestKernelSnapshotRefusesPendingTimer(t *testing.T) {
 	k := NewKernel()
 	k.NewClock(0)
 	k.Schedule(100, 0, func(Time) {})
-	w := snap.NewWriter()
-	if err := k.SnapshotTo(w); err == nil {
-		t.Fatal("SnapshotTo allowed a pending timer callback")
+	c := snap.Encoder(snap.NewWriter())
+	if k.Snap(c); c.Err() == nil {
+		t.Fatal("snapshot allowed a pending timer callback")
 	}
 }
 

@@ -1,118 +1,76 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the clock for a machine snapshot.
-func (c *Clock) SnapshotTo(w *snap.Writer) {
-	w.Section("sim.clock")
-	w.I64(int64(c.now))
+// Snap walks the clock's replay state: the current instant.
+func (c *Clock) Snap(sc *snap.Codec) {
+	sc.Section("sim.clock")
+	snap.Int64(sc, &c.now)
 }
 
-// RestoreFrom rewinds (or advances) the clock to a snapshotted instant.
-func (c *Clock) RestoreFrom(r *snap.Reader) error {
-	r.Section("sim.clock")
-	now := Time(r.I64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.now = now
-	return nil
-}
-
-// SnapshotTo serializes the kernel: global time, the sequence counter, every
-// actor's clock instant, and the pending resume events in dispatch order with
-// their original sequence numbers, so a restored kernel replays the exact
-// same schedule. The kernel must be paused (not inside Run — use Stop from a
-// timer callback to pause mid-simulation) and must hold no pending timers:
-// timer callbacks are closures and cannot be serialized.
-func (k *Kernel) SnapshotTo(w *snap.Writer) error {
+// Snap walks the kernel's replay state: global time, the sequence counter,
+// every actor's clock instant, and the pending resume events in dispatch
+// order with their original sequence numbers, so a restored kernel replays
+// the exact same schedule.
+//
+// Encoding needs a paused kernel (not inside Run — use Stop from a timer
+// callback to pause mid-simulation) that holds no pending timers: timer
+// callbacks are closures and cannot be serialized. Decoding needs an empty
+// kernel; each restored actor must then be re-attached with Attach (its clock
+// adopts the restored instant) and, if it had a pending resume event,
+// re-armed with Bind so the wake-up has a continuation to start.
+func (k *Kernel) Snap(c *snap.Codec) {
 	if k.running {
-		return errors.New("sim: kernel snapshot while running (pause with Stop first)")
+		c.Failf("sim: kernel snapshot or restore while running (pause with Stop first)")
+		return
 	}
-	for _, e := range k.heap {
-		if e.kind == evTimer {
-			return errors.New("sim: kernel snapshot with pending timer callback")
-		}
-	}
-	w.Section("sim.kernel")
-	w.I64(int64(k.now))
-	w.U64(k.seq)
-	w.Int(len(k.ids))
-	for _, id := range k.ids {
-		st := k.actors[id]
-		at := st.save
-		if st.clock != nil {
-			at = st.clock.now
-		}
-		w.I32(int32(id))
-		w.I64(int64(at))
+	if c.Decoding() && len(k.actors)+len(k.heap) != 0 {
+		c.Failf("sim: kernel restore into non-empty kernel")
+		return
 	}
 	evs := make([]event, len(k.heap))
 	copy(evs, k.heap)
 	sort.Slice(evs, func(i, j int) bool { return less(evs[i].at, evs[i].id, evs[i].seq, evs[j]) })
-	w.Int(len(evs))
 	for _, e := range evs {
-		w.I64(int64(e.at))
-		w.I32(int32(e.id))
-		w.U64(e.seq)
-	}
-	return nil
-}
-
-// RestoreFrom loads a kernel snapshot into a fresh kernel. Each restored
-// actor must then be re-attached with Attach (its clock adopts the restored
-// instant) and, if it had a pending resume event, re-armed with Bind so the
-// wake-up has a continuation to start. The kernel must be empty.
-func (k *Kernel) RestoreFrom(r *snap.Reader) error {
-	if k.running || len(k.actors) != 0 || len(k.heap) != 0 {
-		return errors.New("sim: kernel restore into non-empty kernel")
-	}
-	r.Section("sim.kernel")
-	now := Time(r.I64())
-	seq := r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	type actorSave struct {
-		id ActorID
-		at Time
-	}
-	saves := make([]actorSave, n)
-	for i := range saves {
-		saves[i] = actorSave{id: ActorID(r.I32()), at: Time(r.I64())}
-	}
-	ne := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	evs := make([]event, ne)
-	for i := range evs {
-		evs[i] = event{at: Time(r.I64()), id: ActorID(r.I32()), kind: evResume}
-		evs[i].seq = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	k.now = now
-	k.seq = seq
-	for _, s := range saves {
-		if _, dup := k.actors[s.id]; dup {
-			return fmt.Errorf("sim: duplicate actor %d in kernel snapshot", s.id)
+		if e.kind == evTimer {
+			c.Failf("sim: kernel snapshot with pending timer callback")
+			return
 		}
-		k.actors[s.id] = &actorState{id: s.id, resume: make(chan Time), save: s.at}
-		k.ids = append(k.ids, s.id)
 	}
-	sort.Slice(k.ids, func(i, j int) bool { return k.ids[i] < k.ids[j] })
-	k.heap = append(k.heap, evs...)
-	// The events were written in dispatch order, which is a valid heap
-	// layout already, but establish the invariant explicitly.
-	k.heap.init()
-	return nil
+	c.Section("sim.kernel")
+	snap.Int64(c, &k.now)
+	c.U64(&k.seq)
+	c.Mark(&k.actors, &k.heap)
+	snap.Slice(c, &k.ids, 1<<20, "kernel actors", func(id *ActorID) {
+		snap.Int32(c, id)
+		st := k.actors[*id]
+		if c.Decoding() {
+			if st != nil {
+				c.Failf("sim: duplicate actor %d in kernel snapshot", *id)
+			}
+			st = &actorState{id: *id, resume: make(chan Time)}
+			k.actors[*id] = st
+		} else if st.clock != nil {
+			st.save = st.clock.now // save is read only by Attach on a restored actor
+		}
+		snap.Int64(c, &st.save)
+	})
+	snap.Slice(c, &evs, 1<<24, "pending kernel events", func(e *event) {
+		snap.Int64(c, &e.at)
+		snap.Int32(c, &e.id)
+		c.U64(&e.seq)
+		e.kind = evResume
+	})
+	c.Check(func() error {
+		sort.Slice(k.ids, func(i, j int) bool { return k.ids[i] < k.ids[j] })
+		// The events were written in dispatch order, which is a valid heap
+		// layout already, but establish the invariant explicitly.
+		k.heap = evs
+		k.heap.init()
+		return nil
+	})
 }

@@ -1,15 +1,29 @@
-// Package snap is the versioned binary encoding machine snapshots use: a
-// fixed-width little-endian stream with a magic/version header and a CRC-32
-// trailer. Both ends carry sticky errors, so callers chain field writes and
-// reads without per-call checks and inspect the error once at the end —
-// the idiom keeps the per-subsystem SnapshotTo/RestoreFrom methods flat.
+// Package snap is the versioned binary encoding machine snapshots use, and
+// the one state walk each subsystem describes its snapshot with.
 //
-// The format is deliberately dumb: no varints, no compression, no field
-// tags. Snapshots are pure functions of machine state, so two runs that
-// reach the same state produce byte-identical snapshots — the property the
-// determinism tests assert — and any structural drift between writer and
-// reader surfaces as a checksum or length failure rather than silently
-// misaligned fields.
+// The stream (Writer, Reader) is fixed-width little-endian with a
+// magic/version header and a CRC-32 trailer. Both ends carry sticky errors,
+// so callers chain field writes and reads without per-call checks and
+// inspect the error once at the end. The format is deliberately dumb: no
+// varints, no compression, no field tags. Snapshots are pure functions of
+// machine state, so two runs that reach the same state produce byte-identical
+// snapshots — the property the determinism tests assert.
+//
+// A Codec sits on top and walks state in one direction chosen at
+// construction: Encoder(w) appends every visited field, Decoder(r)
+// overwrites it. Each subsystem has a single Snap(c *Codec) method whose
+// visitors take pointers (c.Bool(&p.Dirty), Int64(c, &d.busyAt),
+// c.Counters(&st), Slice, Map), so a field is spelled once and the encode and
+// decode sides cannot drift. Len and Bound carry the restore-side bound
+// checks, Const the configuration facts a snapshot must agree with, Failf and
+// Check the remaining restore-side validation: a damaged or forged snapshot
+// becomes an error, not a machine that panics later.
+//
+// Subsystems keep their replay state in an embedded xxxState struct, apart
+// from configuration, wiring, scratch and derived indexes. Uncovered runs a
+// walk under an address-recording encoder and names any field of such a
+// struct the walk never visited; each package's coverage test calls it, so
+// an unserialized state field fails a test by name.
 package snap
 
 import (
@@ -23,8 +37,9 @@ import (
 var Magic = [4]byte{'C', 'C', 'S', 'N'}
 
 // Version is the current snapshot format version. Bump it on any change to
-// what the subsystems write; Restore refuses other versions.
-const Version = 1
+// what the subsystems write; Restore refuses other versions. (2: the vm
+// section carries the whole stats.VM block, adding RemoteIns.)
+const Version = 2
 
 // Writer serializes fixed-width values into a growing buffer.
 type Writer struct {

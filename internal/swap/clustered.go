@@ -110,22 +110,40 @@ type Neighbor struct {
 // explicit page map; stale copies accumulate as garbage until a compaction
 // pass rewrites the live data densely.
 type Clustered struct {
-	cfg       ClusterConfig //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same config
-	fsys      *fs.FS        //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	file      *fs.File      //cclint:ignore snapcover -- wiring: handle reopened through the restored fs
-	blockSize int           //cclint:ignore snapcover -- config: derived from the fs block size at construction
-	fragsPerB int           //cclint:ignore snapcover -- config: derived from cfg at construction, identical in the restore target
+	clusteredState
+	cfg       ClusterConfig
+	fsys      *fs.FS
+	file      *fs.File
+	blockSize int
+	fragsPerB int
 
+	byStart map[int32]PageKey // reverse index of extents by first fragment
+	inGC    bool              // true only inside a GC pass
+
+	bus   *obs.Bus
+	clock *sim.Clock // event timestamps only; the fs layer charges the I/O
+
+	// readBuf and readNbrs back the slices Read returns; they are reused on
+	// the next Read, which is why Read's results are borrow-only.
+	readBuf  []byte
+	readNbrs []Neighbor
+
+	// placeBuf and writeBuf are WriteCluster's layout and serialization
+	// scratch, reused across calls; the device copies the bytes out before
+	// WriteCluster returns, so nothing aliases them afterwards.
+	placeBuf []placement
+	writeBuf []byte
+}
+
+// clusteredState is the store's replay state: everything a snapshot carries.
+type clusteredState struct {
 	// marked[i] is true when fragment i is part of a live extent or is
 	// cluster padding; free (reusable) fragments are false.
 	marked  []bool
 	extents map[PageKey]extent
-	//cclint:ignore snapcover -- derived: reverse index rebuilt from extents on restore
-	byStart map[int32]PageKey
-	liveFr  int  // fragments covered by live extents
-	padFr   int  // marked fragments belonging to no extent (padding)
-	hint    int  // first-fit search start
-	inGC    bool //cclint:ignore snapcover -- transient: only true inside a GC pass, never at a snapshot boundary
+	liveFr  int // fragments covered by live extents
+	padFr   int // marked fragments belonging to no extent (padding)
+	hint    int // first-fit search start
 
 	// Commit-record state (CommitRecords mode): seq orders clusters for
 	// recovery; attempted remembers the item checksums of a crash-torn
@@ -133,21 +151,6 @@ type Clustered struct {
 	// consults it).
 	seq       uint64
 	attempted map[PageKey]uint32
-
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
-	//cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	clock *sim.Clock // event timestamps only; the fs layer charges the I/O
-
-	// readBuf and readNbrs back the slices Read returns; they are reused on
-	// the next Read, which is why Read's results are borrow-only.
-	readBuf  []byte     //cclint:ignore snapcover -- scratch: Read's borrow-only result buffer, dead between calls
-	readNbrs []Neighbor //cclint:ignore snapcover -- scratch: Read's borrow-only neighbor list, dead between calls
-
-	// placeBuf and writeBuf are WriteCluster's layout and serialization
-	// scratch, reused across calls; the device copies the bytes out before
-	// WriteCluster returns, so nothing aliases them afterwards.
-	placeBuf []placement //cclint:ignore snapcover -- scratch: WriteCluster's layout buffer, dead between calls
-	writeBuf []byte      //cclint:ignore snapcover -- scratch: WriteCluster's serialization buffer, dead between calls
 
 	st stats.Swap
 }
@@ -170,8 +173,9 @@ func makeClustered(cfg ClusterConfig, fsys *fs.FS, file *fs.File) *Clustered {
 		file:      file,
 		blockSize: fsys.BlockSize(),
 		fragsPerB: fsys.BlockSize() / cfg.FragSize,
-		extents:   make(map[PageKey]extent),
 		byStart:   make(map[int32]PageKey),
+
+		clusteredState: clusteredState{extents: make(map[PageKey]extent)},
 	}
 	if cfg.CommitRecords {
 		c.seq = 1
@@ -687,6 +691,9 @@ func (c *Clustered) CheckConsistency() error {
 	if marked != c.liveFr+c.padFr {
 		return fmt.Errorf("swap: bitmap marks %d fragments, counters say %d live + %d padding",
 			marked, c.liveFr, c.padFr)
+	}
+	if c.hint < 0 || c.hint > len(c.marked) {
+		return fmt.Errorf("swap: first-fit hint %d outside the %d-fragment bitmap", c.hint, len(c.marked))
 	}
 	return nil
 }

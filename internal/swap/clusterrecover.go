@@ -341,10 +341,13 @@ func (rec *Clustered) VerifyRecovery(pre *Clustered) error {
 }
 
 func sortPageKeys(keys []PageKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Seg != keys[j].Seg {
-			return keys[i].Seg < keys[j].Seg
-		}
-		return keys[i].Page < keys[j].Page
-	})
+	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
+}
+
+// lessKey orders page keys by segment, then page.
+func lessKey(a, b PageKey) bool {
+	if a.Seg != b.Seg {
+		return a.Seg < b.Seg
+	}
+	return a.Page < b.Page
 }

@@ -119,23 +119,33 @@ type lfsPending struct {
 
 // LFS is the log-structured store.
 type LFS struct {
-	cfg  LFSConfig //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same config
-	fsys *fs.FS    //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	file *fs.File  //cclint:ignore snapcover -- wiring: handle reopened through the restored fs
-	pool *mem.Pool //cclint:ignore snapcover -- wiring: injected at construction, not replay state
+	lfsState
+	cfg  LFSConfig
+	fsys *fs.FS
+	file *fs.File
+	pool *mem.Pool
 
-	pagesPerSeg int
-	//cclint:ignore snapcover -- config: derived from cfg at construction, identical in the restore target
+	pagesPerSeg  int
 	headerBytes  int           // media bytes reserved for the segment header (durable format)
 	bufferFrames []mem.FrameID // pinned segment buffer
 
-	segs []*lfsSegment
-	free []int32 // free segment numbers
-	//cclint:ignore snapcover -- derived: the snapshot encodes page locations via the segment tables
-	loc     map[PageKey]lfsLoc
-	cur     int32 // segment being filled (in the buffer)
-	curUsed int   // pages staged in the buffer
-	inClean bool  //cclint:ignore snapcover -- transient: only true inside a cleaning pass, never at a snapshot boundary
+	loc     map[PageKey]lfsLoc // index of the live slots in segs
+	inClean bool               // true only inside a cleaning pass
+
+	// Cleaner scratch, reused across passes so steady-state cleaning
+	// allocates nothing: recycled segment bookkeeping objects and the
+	// page-copy/segment-sweep buffers.
+	segPool  []*lfsSegment
+	copyBuf  []byte
+	sweepBuf []byte
+}
+
+// lfsState is the store's replay state: everything a snapshot carries.
+type lfsState struct {
+	segs    []*lfsSegment
+	free    []int32 // free segment numbers
+	cur     int32   // segment being filled (in the buffer)
+	curUsed int     // pages staged in the buffer
 
 	// Durable-format state: the open segment's full media image (header
 	// block plus staged pages) accumulates here and reaches the device as
@@ -145,13 +155,6 @@ type LFS struct {
 	seq     uint64
 	stage   []byte
 	pending []lfsPending
-
-	// Cleaner scratch, reused across passes so steady-state cleaning
-	// allocates nothing: recycled segment bookkeeping objects and the
-	// page-copy/segment-sweep buffers.
-	segPool  []*lfsSegment //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	copyBuf  []byte        //cclint:ignore snapcover -- scratch: cleaner copy buffer, dead between passes
-	sweepBuf []byte        //cclint:ignore snapcover -- scratch: cleaner sweep buffer, dead between passes
 
 	st stats.Swap
 }
@@ -585,9 +588,20 @@ func (l *LFS) CheckConsistency() error {
 		}
 	}
 	for _, p := range l.pending {
-		if int(p.seg) < len(l.segs) && l.segs[p.seg] != nil {
-			return fmt.Errorf("swap: lfs pending segment %d still registered", p.seg)
+		if int(p.seg) < 0 || int(p.seg) >= len(l.segs) || l.segs[p.seg] != nil {
+			return fmt.Errorf("swap: lfs pending segment %d is out of range or still registered", p.seg)
 		}
+	}
+	for _, f := range l.free {
+		if int(f) < 0 || int(f) >= len(l.segs) || l.segs[f] != nil {
+			return fmt.Errorf("swap: lfs free segment %d is out of range or still registered", f)
+		}
+	}
+	if int(l.cur) < 0 || int(l.cur) >= len(l.segs) || l.segs[l.cur] == nil {
+		return fmt.Errorf("swap: lfs open segment %d is not allocated", l.cur)
+	}
+	if l.curUsed != len(l.segs[l.cur].pages) {
+		return fmt.Errorf("swap: lfs buffer stages %d pages, open segment has %d slots", l.curUsed, len(l.segs[l.cur].pages))
 	}
 	return nil
 }

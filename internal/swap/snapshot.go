@@ -1,369 +1,138 @@
 package swap
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"compcache/internal/fs"
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the log-structured store: the segment tables, the
-// free list (in order — allocSegment pops from the tail), the open segment
-// and its staged bytes, the durable-format sequencing state, and the
-// counters. The location map is not written; it is a pure function of the
-// segment tables and is recomputed on restore. The pinned segment-buffer
-// frames are likewise omitted: the rebuilt machine re-pins them during
-// construction and the pool restore rewrites ownership verbatim.
-func (l *LFS) SnapshotTo(w *snap.Writer) {
-	w.Section("swap.lfs")
-	w.Int(l.pagesPerSeg)
-	w.Int(len(l.bufferFrames))
-	w.Int(len(l.segs))
-	for _, s := range l.segs {
-		w.Bool(s != nil)
-		if s == nil {
-			continue
-		}
-		w.Int(len(s.pages))
-		for _, key := range s.pages {
-			w.I32(key.Seg)
-			w.I32(key.Page)
-		}
-		w.Int(len(s.sums))
-		for _, sum := range s.sums {
-			w.U32(sum)
-		}
-		w.Int(s.live)
-		w.U64(s.seq)
-	}
-	w.Int(len(l.free))
-	for _, f := range l.free {
-		w.I32(f)
-	}
-	w.I32(l.cur)
-	w.Int(l.curUsed)
-	w.U64(l.seq)
-	w.Bytes32(l.stage)
-	w.Int(len(l.pending))
-	for _, p := range l.pending {
-		w.I32(p.seg)
-		w.U64(p.afterSeq)
-	}
-	w.U64(l.st.PagesOut)
-	w.U64(l.st.PagesIn)
-	w.U64(l.st.GCs)
-	w.U64(l.st.GCBytesCopied)
+// pageKey visits one page key.
+func pageKey(c *snap.Codec, k *PageKey) {
+	c.I32(&k.Seg)
+	c.I32(&k.Page)
 }
 
-// RestoreFrom rebuilds the store into a freshly constructed LFS of the same
-// configuration, recomputing the location map from the segment tables.
-func (l *LFS) RestoreFrom(r *snap.Reader) error {
-	r.Section("swap.lfs")
-	pagesPerSeg := r.Int()
-	nbuffer := r.Int()
-	if r.Err() == nil && pagesPerSeg != l.pagesPerSeg {
-		return fmt.Errorf("swap: lfs snapshot has %d pages per segment, this store %d", pagesPerSeg, l.pagesPerSeg)
-	}
-	if r.Err() == nil && nbuffer != len(l.bufferFrames) {
-		return fmt.Errorf("swap: lfs snapshot pinned %d buffer frames, this store %d", nbuffer, len(l.bufferFrames))
-	}
-	nsegs := r.Int()
-	if r.Err() == nil && (nsegs < 0 || nsegs > 1<<24) {
-		return fmt.Errorf("swap: lfs snapshot claims %d segments", nsegs)
-	}
-	segs := make([]*lfsSegment, 0, nsegs)
-	for i := 0; i < nsegs && r.Err() == nil; i++ {
-		if !r.Bool() {
-			segs = append(segs, nil)
-			continue
+// Snap walks the log-structured store's replay state: the segment tables,
+// the free list (in order — allocSegment pops from the tail), the open
+// segment and its staged bytes, the durable-format sequencing state, and the
+// counters. The location map is not stored; it is a pure function of the
+// segment tables and is recomputed after decoding. The pinned segment-buffer
+// frames are likewise omitted: the rebuilt machine re-pins them during
+// construction and the pool restore rewrites ownership verbatim. Decoding
+// needs a freshly constructed LFS of the same configuration.
+func (l *LFS) Snap(c *snap.Codec) {
+	c.Section("swap.lfs")
+	snap.Const(c, c.Int, l.pagesPerSeg, "swap: lfs pages per segment")
+	snap.Const(c, c.Int, len(l.bufferFrames), "swap: lfs pinned buffer frames")
+	snap.Slice(c, &l.segs, 1<<24, "lfs segments", func(sp **lfsSegment) {
+		allocated := *sp != nil
+		if c.Bool(&allocated); !allocated {
+			return
 		}
-		npages := r.Int()
-		if r.Err() != nil {
-			break
+		if c.Decoding() {
+			*sp = &lfsSegment{}
 		}
-		if npages < 0 || npages > l.pagesPerSeg {
-			return fmt.Errorf("swap: lfs snapshot segment %d holds %d slots, capacity %d", i, npages, l.pagesPerSeg)
+		s := *sp
+		snap.Slice(c, &s.pages, l.pagesPerSeg, "slots in an lfs segment", func(k *PageKey) { pageKey(c, k) })
+		snap.Slice(c, &s.sums, len(s.pages), "lfs slot checksums", c.U32)
+		if len(s.sums) != 0 && len(s.sums) != len(s.pages) {
+			c.Failf("swap: lfs snapshot segment has %d sums for %d slots", len(s.sums), len(s.pages))
 		}
-		s := &lfsSegment{pages: make([]PageKey, npages)}
-		for j := range s.pages {
-			s.pages[j] = PageKey{Seg: r.I32(), Page: r.I32()}
-		}
-		nsums := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		if nsums != 0 && nsums != npages {
-			return fmt.Errorf("swap: lfs snapshot segment %d has %d sums for %d slots", i, nsums, npages)
-		}
-		if nsums > 0 {
-			s.sums = make([]uint32, nsums)
-			for j := range s.sums {
-				s.sums[j] = r.U32()
-			}
-		}
-		s.live = r.Int()
-		s.seq = r.U64()
-		segs = append(segs, s)
-	}
-	nfree := r.Int()
-	if r.Err() == nil && (nfree < 0 || nfree > nsegs) {
-		return fmt.Errorf("swap: lfs snapshot free list of %d exceeds %d segments", nfree, nsegs)
-	}
-	free := make([]int32, 0, nfree)
-	for i := 0; i < nfree && r.Err() == nil; i++ {
-		free = append(free, r.I32())
-	}
-	cur := r.I32()
-	curUsed := r.Int()
-	seq := r.U64()
-	stage := r.Bytes32()
-	npending := r.Int()
-	if r.Err() == nil && (npending < 0 || npending > nsegs) {
-		return fmt.Errorf("swap: lfs snapshot pending list of %d exceeds %d segments", npending, nsegs)
-	}
-	pending := make([]lfsPending, 0, npending)
-	for i := 0; i < npending && r.Err() == nil; i++ {
-		pending = append(pending, lfsPending{seg: r.I32(), afterSeq: r.U64()})
-	}
-	pagesOut := r.U64()
-	pagesIn := r.U64()
-	gcs := r.U64()
-	gcBytes := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if int(cur) < 0 || int(cur) >= len(segs) || segs[cur] == nil {
-		return fmt.Errorf("swap: lfs snapshot current segment %d is not allocated", cur)
-	}
-	for _, f := range free {
-		if int(f) < 0 || int(f) >= len(segs) || segs[f] != nil {
-			return fmt.Errorf("swap: lfs snapshot frees allocated segment %d", f)
-		}
-	}
-	if l.durable() != (len(stage) > 0) {
-		return fmt.Errorf("swap: lfs snapshot durability does not match the configuration")
-	}
-	if l.durable() && len(stage) != len(l.stage) {
-		return fmt.Errorf("swap: lfs snapshot stage is %d bytes, want %d", len(stage), len(l.stage))
-	}
-	l.segs = segs
-	l.free = free
-	l.cur = cur
-	l.curUsed = curUsed
-	l.seq = seq
-	if l.durable() {
-		copy(l.stage, stage)
-	}
-	l.pending = pending
-	l.loc = make(map[PageKey]lfsLoc, len(segs)*l.pagesPerSeg/2)
-	for i, s := range l.segs {
-		if s == nil {
-			continue
-		}
-		for idx, key := range s.pages {
-			if key == lfsTombstone {
+		c.Int(&s.live)
+		c.U64(&s.seq)
+	})
+	snap.Slice(c, &l.free, len(l.segs), "free lfs segments", c.I32)
+	c.I32(&l.cur)
+	c.Int(&l.curUsed)
+	c.U64(&l.seq)
+	c.Fixed(&l.stage, "swap: lfs stage (set by the durability configuration)")
+	snap.Slice(c, &l.pending, len(l.segs), "pending lfs segments", func(p *lfsPending) {
+		c.I32(&p.seg)
+		c.U64(&p.afterSeq)
+	})
+	c.U64(&l.st.PagesOut)
+	c.U64(&l.st.PagesIn)
+	c.U64(&l.st.GCs)
+	c.U64(&l.st.GCBytesCopied)
+	c.Check(func() error {
+		l.loc = make(map[PageKey]lfsLoc, len(l.segs)*l.pagesPerSeg/2)
+		for i, s := range l.segs {
+			if s == nil {
 				continue
 			}
-			l.loc[key] = lfsLoc{seg: int32(i), idx: int32(idx)}
+			for idx, key := range s.pages {
+				if key != lfsTombstone {
+					l.loc[key] = lfsLoc{seg: int32(i), idx: int32(idx)}
+				}
+			}
 		}
-	}
-	l.st.PagesOut = pagesOut
-	l.st.PagesIn = pagesIn
-	l.st.GCs = gcs
-	l.st.GCBytesCopied = gcBytes
-	return l.CheckConsistency()
+		return l.CheckConsistency()
+	})
 }
 
-// SnapshotTo serializes the clustered store: the fragment bitmap, the page
-// map (key-sorted), the accounting counters, the commit-record sequencing
-// state, and the stats. byStart is recomputed on restore.
-func (c *Clustered) SnapshotTo(w *snap.Writer) {
-	w.Section("swap.clustered")
-	w.Int(len(c.marked))
-	for _, m := range c.marked {
-		w.Bool(m)
-	}
-	keys := make([]PageKey, 0, len(c.extents))
-	for key := range c.extents {
-		keys = append(keys, key)
-	}
-	sortPageKeys(keys)
-	w.Int(len(keys))
-	for _, key := range keys {
-		e := c.extents[key]
-		w.I32(key.Seg)
-		w.I32(key.Page)
-		w.I32(e.start)
-		w.I32(e.nfrags)
-		w.I32(e.length)
-		w.Bool(e.compressed)
-		w.U32(e.sum)
-	}
-	w.Int(c.liveFr)
-	w.Int(c.padFr)
-	w.Int(c.hint)
-	w.U64(c.seq)
-	akeys := make([]PageKey, 0, len(c.attempted))
-	for key := range c.attempted {
-		akeys = append(akeys, key)
-	}
-	sortPageKeys(akeys)
-	w.Int(len(akeys))
-	for _, key := range akeys {
-		w.I32(key.Seg)
-		w.I32(key.Page)
-		w.U32(c.attempted[key])
-	}
-	w.U64(c.st.PagesOut)
-	w.U64(c.st.PagesIn)
-	w.U64(c.st.GCs)
-	w.U64(c.st.GCBytesCopied)
+// Snap walks the clustered store's replay state: the fragment bitmap, the
+// page map (key-sorted), the accounting counters, the commit-record
+// sequencing state, and the stats. byStart is recomputed after decoding,
+// which needs a freshly constructed store of the same configuration.
+func (c *Clustered) Snap(sc *snap.Codec) {
+	sc.Section("swap.clustered")
+	snap.Slice(sc, &c.marked, 1<<28, "clustered fragments", sc.Bool)
+	snap.Map(sc, &c.extents, 1<<24, "clustered extents", lessKey, func(key *PageKey, e *extent) {
+		pageKey(sc, key)
+		sc.I32(&e.start)
+		sc.I32(&e.nfrags)
+		sc.I32(&e.length)
+		sc.Bool(&e.compressed)
+		sc.U32(&e.sum)
+		if e.start < 0 || e.nfrags <= 0 || int(e.start)+int(e.nfrags) > len(c.marked) {
+			sc.Failf("swap: clustered snapshot extent for %v out of bounds", *key)
+		}
+	})
+	sc.Int(&c.liveFr)
+	sc.Int(&c.padFr)
+	sc.Int(&c.hint)
+	sc.U64(&c.seq)
+	snap.Map(sc, &c.attempted, 1<<24, "attempted pages", lessKey, func(key *PageKey, sum *uint32) {
+		pageKey(sc, key)
+		sc.U32(sum)
+	})
+	sc.U64(&c.st.PagesOut)
+	sc.U64(&c.st.PagesIn)
+	sc.U64(&c.st.GCs)
+	sc.U64(&c.st.GCBytesCopied)
+	sc.Check(func() error {
+		c.byStart = make(map[int32]PageKey, len(c.extents))
+		for key, e := range c.extents {
+			c.byStart[e.start] = key
+		}
+		return c.CheckConsistency()
+	})
 }
 
-// RestoreFrom rebuilds the clustered store into a freshly constructed one of
-// the same configuration.
-func (c *Clustered) RestoreFrom(r *snap.Reader) error {
-	r.Section("swap.clustered")
-	nmarked := r.Int()
-	if r.Err() == nil && (nmarked < 0 || nmarked > 1<<28) {
-		return fmt.Errorf("swap: clustered snapshot claims %d fragments", nmarked)
-	}
-	marked := make([]bool, nmarked)
-	for i := range marked {
-		marked[i] = r.Bool()
-	}
-	nextents := r.Int()
-	if r.Err() == nil && (nextents < 0 || nextents > 1<<24) {
-		return fmt.Errorf("swap: clustered snapshot claims %d extents", nextents)
-	}
-	extents := make(map[PageKey]extent, nextents)
-	byStart := make(map[int32]PageKey, nextents)
-	for i := 0; i < nextents && r.Err() == nil; i++ {
-		key := PageKey{Seg: r.I32(), Page: r.I32()}
-		e := extent{
-			start:      r.I32(),
-			nfrags:     r.I32(),
-			length:     r.I32(),
-			compressed: r.Bool(),
-			sum:        r.U32(),
-		}
-		if r.Err() != nil {
-			break
-		}
-		if e.start < 0 || e.nfrags <= 0 || int(e.start)+int(e.nfrags) > nmarked {
-			return fmt.Errorf("swap: clustered snapshot extent for %v out of bounds", key)
-		}
-		extents[key] = e
-		byStart[e.start] = key
-	}
-	liveFr := r.Int()
-	padFr := r.Int()
-	hint := r.Int()
-	seq := r.U64()
-	nattempted := r.Int()
-	if r.Err() == nil && (nattempted < 0 || nattempted > 1<<24) {
-		return fmt.Errorf("swap: clustered snapshot claims %d attempted pages", nattempted)
-	}
-	var attempted map[PageKey]uint32
-	if nattempted > 0 {
-		attempted = make(map[PageKey]uint32, nattempted)
-	}
-	for i := 0; i < nattempted && r.Err() == nil; i++ {
-		key := PageKey{Seg: r.I32(), Page: r.I32()}
-		attempted[key] = r.U32()
-	}
-	pagesOut := r.U64()
-	pagesIn := r.U64()
-	gcs := r.U64()
-	gcBytes := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.marked = marked
-	c.extents = extents
-	c.byStart = byStart
-	c.liveFr = liveFr
-	c.padFr = padFr
-	c.hint = hint
-	c.seq = seq
-	c.attempted = attempted
-	c.st.PagesOut = pagesOut
-	c.st.PagesIn = pagesIn
-	c.st.GCs = gcs
-	c.st.GCBytesCopied = gcBytes
-	return c.CheckConsistency()
-}
-
-// SnapshotTo serializes the direct store: the per-segment swap files (by
-// name, segment-sorted) and the present set. Restore rebinds the files by
+// Snap walks the direct store's replay state: the per-segment swap files (by
+// name, segment-sorted) and the present set. Decoding rebinds the files by
 // name — the fs restore has already recreated them.
-func (d *Direct) SnapshotTo(w *snap.Writer) {
-	w.Section("swap.direct")
-	segs := make([]int32, 0, len(d.files))
-	for seg := range d.files {
-		segs = append(segs, seg)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	w.Int(len(segs))
-	for _, seg := range segs {
-		w.I32(seg)
-		w.String(d.files[seg].Name())
-	}
-	keys := make([]PageKey, 0, len(d.present))
-	for key := range d.present {
-		keys = append(keys, key)
-	}
-	sortPageKeys(keys)
-	w.Int(len(keys))
-	for _, key := range keys {
-		w.I32(key.Seg)
-		w.I32(key.Page)
-	}
-	w.U64(d.st.PagesOut)
-	w.U64(d.st.PagesIn)
-}
-
-// RestoreFrom rebuilds the direct store, binding segment swap files by name
-// through the already-restored file system.
-func (d *Direct) RestoreFrom(r *snap.Reader) error {
-	r.Section("swap.direct")
-	nfiles := r.Int()
-	if r.Err() == nil && (nfiles < 0 || nfiles > 1<<20) {
-		return fmt.Errorf("swap: direct snapshot claims %d files", nfiles)
-	}
-	names := make(map[int32]string, nfiles)
-	for i := 0; i < nfiles && r.Err() == nil; i++ {
-		seg := r.I32()
-		name := r.String()
-		if r.Err() != nil {
-			break
+func (d *Direct) Snap(c *snap.Codec) {
+	c.Section("swap.direct")
+	snap.Map(c, &d.files, 1<<20, "direct swap files", cmp.Less[int32], func(seg *int32, f **fs.File) {
+		var name string
+		if !c.Decoding() {
+			name = (*f).Name()
 		}
-		names[seg] = name
-	}
-	npresent := r.Int()
-	if r.Err() == nil && (npresent < 0 || npresent > 1<<28) {
-		return fmt.Errorf("swap: direct snapshot claims %d present pages", npresent)
-	}
-	present := make(map[PageKey]bool, npresent)
-	for i := 0; i < npresent && r.Err() == nil; i++ {
-		present[PageKey{Seg: r.I32(), Page: r.I32()}] = true
-	}
-	pagesOut := r.U64()
-	pagesIn := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	d.files = make(map[int32]*fs.File, nfiles)
-	for seg, name := range names {
-		f, err := d.fsys.Open(name)
-		if err != nil {
-			return fmt.Errorf("swap: direct snapshot names missing file %q: %w", name, err)
+		c.I32(seg)
+		c.String(&name)
+		if c.Decoding() && c.Err() == nil {
+			var err error
+			if *f, err = d.fsys.Open(name); err != nil {
+				c.Failf("swap: direct snapshot names missing file %q: %v", name, err)
+			}
 		}
-		d.files[seg] = f
-	}
-	d.present = present
-	d.st.PagesOut = pagesOut
-	d.st.PagesIn = pagesIn
-	return nil
+	})
+	snap.Map(c, &d.present, 1<<28, "present pages", lessKey, func(key *PageKey, present *bool) {
+		pageKey(c, key)
+		*present = true
+	})
+	c.U64(&d.st.PagesOut)
+	c.U64(&d.st.PagesIn)
 }

@@ -50,11 +50,16 @@ type Item struct {
 // Direct is the unmodified-Sprite backing store: one file per segment,
 // page p at byte offset p*pageSize. Writes and reads are whole pages.
 type Direct struct {
-	fsys     *fs.FS //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pageSize int    //cclint:ignore snapcover -- config: derived from the pool at construction
-	files    map[int32]*fs.File
-	present  map[PageKey]bool
-	st       stats.Swap
+	directState
+	fsys     *fs.FS
+	pageSize int
+}
+
+// directState is the store's replay state: everything a snapshot carries.
+type directState struct {
+	files   map[int32]*fs.File // per-segment swap file; stored by name
+	present map[PageKey]bool
+	st      stats.Swap
 }
 
 // NewDirect creates a direct store for pages of pageSize bytes.
@@ -63,12 +68,10 @@ func NewDirect(fsys *fs.FS, pageSize int) (*Direct, error) {
 		return nil, fmt.Errorf("swap: page size %d not a multiple of block size %d",
 			pageSize, fsys.BlockSize())
 	}
-	return &Direct{
-		fsys:     fsys,
-		pageSize: pageSize,
-		files:    make(map[int32]*fs.File),
-		present:  make(map[PageKey]bool),
-	}, nil
+	return &Direct{fsys: fsys, pageSize: pageSize, directState: directState{
+		files:   make(map[int32]*fs.File),
+		present: make(map[PageKey]bool),
+	}}, nil
 }
 
 func (d *Direct) file(seg int32) *fs.File {

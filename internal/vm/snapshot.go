@@ -1,133 +1,86 @@
 package vm
 
 import (
-	"fmt"
-
-	"compcache/internal/mem"
-	"compcache/internal/sim"
 	"compcache/internal/snap"
-	"compcache/internal/stats"
 	"compcache/internal/swap"
 )
 
-// SnapshotTo serializes the VM: every segment's page table and the resident
-// LRU list as an explicit key sequence (head to tail), so the restored
-// replacement order is exact. Frame IDs are recorded as-is — the pool is
-// restored verbatim, so they stay valid.
-func (v *VM) SnapshotTo(w *snap.Writer) {
-	w.Section("vm")
-	w.I32(v.nextSeg)
-	w.Int(len(v.segs))
-	for _, s := range v.segs {
-		w.I32(s.ID)
-		w.String(s.Name)
-		w.I32(s.NPages)
-		for i := range s.pages {
-			p := &s.pages[i]
-			w.U8(uint8(p.State))
-			w.I32(int32(p.Frame))
-			w.Bool(p.Dirty)
-			w.Bool(p.SwapValid)
-			w.Bool(p.EverWritten)
-			w.Bool(p.Pinned)
-			w.I64(int64(p.LastUse))
+// Snap walks the VM's replay state: every segment's page table and the
+// resident LRU list as an explicit key sequence (head to tail), so the
+// restored replacement order is exact. Frame IDs are recorded as-is — the
+// pool is restored verbatim, so they stay valid; the machine's invariant
+// check audits them against the pool. Decoding needs a freshly constructed
+// VM (no segments).
+func (v *VM) Snap(c *snap.Codec) {
+	c.Section("vm")
+	if c.Decoding() && len(v.segs) != 0 {
+		c.Failf("vm: restore into a VM that already has %d segment(s)", len(v.segs))
+		return
+	}
+	c.I32(&v.nextSeg)
+	segByID := make(map[int32]*Segment)
+	snap.Slice(c, &v.segs, 1<<20, "segments", func(sp **Segment) {
+		if c.Decoding() {
+			*sp = &Segment{}
 		}
-	}
-	w.Int(v.resident)
-	for p := v.lruHead; p != nil; p = p.next {
-		w.I32(p.Key.Seg)
-		w.I32(p.Key.Page)
-	}
-	w.U64(v.st.Refs)
-	w.U64(v.st.Faults)
-	w.U64(v.st.ColdFaults)
-	w.U64(v.st.CacheHits)
-	w.U64(v.st.SwapIns)
-	w.U64(v.st.Evictions)
-	w.U64(v.st.WriteBacks)
-	w.U64(v.st.PinnedSkips)
-}
+		s := *sp
+		c.I32(&s.ID)
+		c.String(&s.Name)
+		c.I32(&s.NPages)
+		if c.Decoding() {
+			if s.NPages <= 0 {
+				c.Failf("vm: snapshot segment %q claims %d pages", s.Name, s.NPages)
+			}
+			s.pages = make([]Page, c.Bound(int(s.NPages), 1<<24, "pages in a segment"))
+			segByID[s.ID] = s
+		}
+		for i := 0; i < len(s.pages) && c.Err() == nil; i++ {
+			p := &s.pages[i]
+			p.Key = swap.PageKey{Seg: s.ID, Page: int32(i)}
+			snap.Byte(c, &p.State)
+			snap.Int32(c, &p.Frame)
+			c.Bool(&p.Dirty)
+			c.Bool(&p.SwapValid)
+			c.Bool(&p.EverWritten)
+			c.Bool(&p.Pinned)
+			snap.Int64(c, &p.LastUse)
+			if p.State < Untouched || p.State > Swapped {
+				c.Failf("vm: snapshot page %v is in unknown state %d", p.Key, p.State)
+			}
+		}
+	})
 
-// RestoreFrom rebuilds the VM's segments, page states and LRU list. The VM
-// must be freshly constructed (no segments).
-func (v *VM) RestoreFrom(r *snap.Reader) error {
-	r.Section("vm")
-	if len(v.segs) != 0 {
-		return fmt.Errorf("vm: restore into a VM that already has %d segment(s)", len(v.segs))
-	}
-	nextSeg := r.I32()
-	nsegs := r.Int()
-	if r.Err() == nil && (nsegs < 0 || nsegs > 1<<20) {
-		return fmt.Errorf("vm: snapshot claims %d segments", nsegs)
-	}
-	for si := 0; si < nsegs && r.Err() == nil; si++ {
-		id := r.I32()
-		name := r.String()
-		npages := r.I32()
-		if r.Err() != nil {
-			break
+	c.Mark(&v.lruHead, &v.lruTail)
+	c.Int(&v.resident)
+	n := c.Bound(v.resident, v.pool.Total(), "resident pages")
+	p := v.lruHead
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var key swap.PageKey
+		if !c.Decoding() {
+			key = p.Key
 		}
-		if npages <= 0 || npages > 1<<24 {
-			return fmt.Errorf("vm: snapshot segment %q claims %d pages", name, npages)
+		c.I32(&key.Seg)
+		c.I32(&key.Page)
+		if !c.Decoding() {
+			p = p.next
+			continue
 		}
-		s := &Segment{ID: id, Name: name, NPages: npages, pages: make([]Page, npages)}
-		for i := range s.pages {
-			p := &s.pages[i]
-			p.Key = swap.PageKey{Seg: id, Page: int32(i)}
-			p.State = PageState(r.U8())
-			p.Frame = mem.FrameID(r.I32())
-			p.Dirty = r.Bool()
-			p.SwapValid = r.Bool()
-			p.EverWritten = r.Bool()
-			p.Pinned = r.Bool()
-			p.LastUse = sim.Time(r.I64())
+		s := segByID[key.Seg]
+		if s == nil || key.Page < 0 || key.Page >= s.NPages {
+			c.Failf("vm: snapshot LRU entry %v does not name a page", key)
+			return
 		}
-		v.segs = append(v.segs, s)
-	}
-	resident := r.Int()
-	if r.Err() == nil && resident < 0 {
-		return fmt.Errorf("vm: snapshot claims %d resident pages", resident)
-	}
-	segByID := make(map[int32]*Segment, len(v.segs))
-	for _, s := range v.segs {
-		segByID[s.ID] = s
-	}
-	var head, tail *Page
-	for i := 0; i < resident && r.Err() == nil; i++ {
-		seg := r.I32()
-		page := r.I32()
-		if r.Err() != nil {
-			break
+		if p = s.Page(key.Page); p.prev != nil || p == v.lruHead {
+			c.Failf("vm: snapshot LRU lists page %v twice", key)
+			return
 		}
-		s := segByID[seg]
-		if s == nil || page < 0 || page >= s.NPages {
-			return fmt.Errorf("vm: snapshot LRU entry %d/%d does not name a page", seg, page)
-		}
-		p := s.Page(page)
-		p.prev = tail
-		p.next = nil
-		if tail != nil {
-			tail.next = p
+		if p.prev = v.lruTail; p.prev != nil {
+			p.prev.next = p
 		} else {
-			head = p
+			v.lruHead = p
 		}
-		tail = p
+		v.lruTail = p
 	}
-	var st stats.VM
-	st.Refs = r.U64()
-	st.Faults = r.U64()
-	st.ColdFaults = r.U64()
-	st.CacheHits = r.U64()
-	st.SwapIns = r.U64()
-	st.Evictions = r.U64()
-	st.WriteBacks = r.U64()
-	st.PinnedSkips = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	v.nextSeg = nextSeg
-	v.lruHead, v.lruTail = head, tail
-	v.resident = resident
-	v.st = st
-	return v.CheckLRU()
+	c.Counters(&v.st)
+	c.Check(v.CheckLRU)
 }

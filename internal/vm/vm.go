@@ -147,33 +147,34 @@ func (s *Segment) Size(pageSize int) int64 { return int64(s.NPages) * int64(page
 
 // VM is the virtual-memory system.
 type VM struct {
-	clock *sim.Clock    //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pool  *mem.Pool     //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	cost  sim.CostModel //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same model
-	pager Pager         //cclint:ignore snapcover -- wiring: installed with SetPager after construction
+	vmState
+	clock *sim.Clock
+	pool  *mem.Pool
+	cost  sim.CostModel
+	pager Pager // installed with SetPager after construction
 
 	// frameSource obtains a frame for a faulting page, reclaiming one
 	// through the replacement policy when the pool is empty.
 	frameSource func(mem.Owner) (mem.FrameID, error)
 
-	segs    []*Segment
-	nextSeg int32
-
-	lruHead *Page // least recently used resident page
-	//cclint:ignore snapcover -- derived: tail of the LRU list, re-linked as restore replays insertions
-	lruTail  *Page // most recently used
-	resident int
-
-	//cclint:ignore snapcover -- scratch: eviction copy buffer, dead between operations
 	scratch []byte // eviction copy buffer
 
 	// traceHook, when set, observes every simulated reference (segment,
 	// page, write); the trace package's Recorder plugs in here.
 	traceHook func(seg, page int32, write bool)
 
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
-	//cclint:ignore snapcover -- observability: per-run histogram, not replay state
+	bus       *obs.Bus
 	faultHist *obs.Histogram // vm.fault_service — full fault service time
+}
+
+// vmState is the VM's replay state: everything a snapshot carries.
+type vmState struct {
+	segs    []*Segment
+	nextSeg int32
+
+	lruHead  *Page // least recently used resident page
+	lruTail  *Page // most recently used
+	resident int
 
 	st stats.VM
 }
