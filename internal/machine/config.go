@@ -161,12 +161,21 @@ func (c Config) WithCC() Config {
 	return c
 }
 
+// PageSizeError reports a Config.PageSize the machine cannot be built with.
+// The VM splits byte offsets into page and offset by shift and mask, so the
+// size must be a power of two; 512, one disk sector, is the smallest.
+type PageSizeError struct{ Size int }
+
+func (e *PageSizeError) Error() string {
+	return fmt.Sprintf("machine: bad page size %d (need a power of two, 512 or more)", e.Size)
+}
+
 func (c *Config) setDefaults() error {
 	if c.PageSize == 0 {
 		c.PageSize = 4096
 	}
-	if c.PageSize <= 0 || c.PageSize%512 != 0 {
-		return fmt.Errorf("machine: bad page size %d", c.PageSize)
+	if c.PageSize < 512 || c.PageSize&(c.PageSize-1) != 0 {
+		return &PageSizeError{Size: c.PageSize}
 	}
 	if c.MemoryBytes < int64(c.PageSize)*8 {
 		return fmt.Errorf("machine: memory %d bytes is too small (need at least 8 pages)", c.MemoryBytes)

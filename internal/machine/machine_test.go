@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,8 +46,24 @@ func fillRandom(s *Space, seed int64) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{PageSize: 1000, MemoryBytes: mb}); err == nil {
-		t.Error("bad page size accepted")
+	for _, c := range []struct {
+		pageSize int
+		ok       bool
+	}{
+		{512, true}, {4096, true}, {8192, true},
+		{-4096, false}, {256, false}, {1000, false},
+		{1536, false}, // a multiple of the sector size, but not a power of two
+	} {
+		_, err := New(Config{PageSize: c.pageSize, MemoryBytes: mb})
+		var pse *PageSizeError
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("page size %d rejected: %v", c.pageSize, err)
+		case !c.ok && !errors.As(err, &pse):
+			t.Errorf("page size %d: err = %v, want a *PageSizeError", c.pageSize, err)
+		case !c.ok && pse.Size != c.pageSize:
+			t.Errorf("page size %d: error names size %d", c.pageSize, pse.Size)
+		}
 	}
 	if _, err := New(Config{MemoryBytes: 1024}); err == nil {
 		t.Error("tiny memory accepted")

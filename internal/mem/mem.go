@@ -212,10 +212,23 @@ func (c *Claims) Claim(id FrameID, o Owner) error {
 }
 
 func (p *Pool) ownerOf(id FrameID) Owner {
-	if id < 0 || int(id) >= len(p.owner) {
-		// Invariant: frame ids only come from Alloc; an out-of-range id is
-		// the simulated equivalent of a wild kernel pointer.
-		panic(fmt.Sprintf("mem: bad frame id %d (pool has %d frames)", id, len(p.owner)))
+	if uint(id) >= uint(len(p.owner)) {
+		panic(badFrame{id, len(p.owner)})
 	}
 	return p.owner[id]
+}
+
+// badFrame is the panic value for a frame id that names no frame.
+// Invariant: frame ids only come from Alloc; an out-of-range id is the
+// simulated equivalent of a wild kernel pointer. It is a value, formatted
+// only when the panic is printed, so that raising it leaves ownerOf, and
+// Bytes with it, small enough to inline into the per-reference path (a
+// Sprintf call, even out of line, would not).
+type badFrame struct {
+	id     FrameID
+	frames int
+}
+
+func (b badFrame) Error() string {
+	return fmt.Sprintf("mem: bad frame id %d (pool has %d frames)", b.id, b.frames)
 }

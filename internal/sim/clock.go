@@ -70,18 +70,28 @@ func (c *Clock) Actor() ActorID { return c.actor }
 
 // Advance moves the clock forward by d and returns the new time.
 // Advance panics if d is negative: virtual time never runs backward.
+//
+// The body is the free-running positive step only, so that it inlines into
+// the per-reference path (vm.Touch); everything else is advanceSlow.
 func (c *Clock) Advance(d Duration) Time {
+	if d <= 0 || c.kernel != nil {
+		return c.advanceSlow(d)
+	}
+	c.now += Time(d)
+	return c.now
+}
+
+// advanceSlow is Advance's out-of-line half: the negative-duration panic,
+// the zero-duration no-op and, for the only positive d that reaches it, the
+// kernel-mediated wait of an attached clock.
+func (c *Clock) advanceSlow(d Duration) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Advance by negative duration %v", d))
 	}
 	if d == 0 {
 		return c.now
 	}
-	if c.kernel != nil {
-		return c.kernel.Wait(c.actor, c.now+Time(d))
-	}
-	c.now += Time(d)
-	return c.now
+	return c.kernel.Wait(c.actor, c.now+Time(d))
 }
 
 // AdvanceTo moves the clock forward to instant t. It is a no-op if t is in

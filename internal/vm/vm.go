@@ -17,6 +17,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"compcache/internal/mem"
@@ -134,12 +135,19 @@ type Segment struct {
 
 // Page returns the page descriptor for page n.
 func (s *Segment) Page(n int32) *Page {
-	if n < 0 || n >= s.NPages {
-		// Invariant: a reference outside the segment is the simulated
-		// equivalent of a wild pointer — a workload bug, not a runtime fault.
-		panic(fmt.Sprintf("vm: page %d out of range [0,%d) in segment %q", n, s.NPages, s.Name))
+	if uint(n) >= uint(len(s.pages)) { // len(s.pages) == NPages
+		s.outOfRange(n)
 	}
 	return &s.pages[n]
+}
+
+// outOfRange is Page's panic, out of line so that Page inlines into Touch.
+//
+//go:noinline
+func (s *Segment) outOfRange(n int32) {
+	// Invariant: a reference outside the segment is the simulated
+	// equivalent of a wild pointer — a workload bug, not a runtime fault.
+	panic(fmt.Sprintf("vm: page %d out of range [0,%d) in segment %q", n, s.NPages, s.Name))
 }
 
 // Size reports the segment size in bytes, given the page size p.
@@ -156,6 +164,11 @@ type VM struct {
 	// frameSource obtains a frame for a faulting page, reclaiming one
 	// through the replacement policy when the pool is empty.
 	frameSource func(mem.Owner) (mem.FrameID, error)
+
+	// pageShift and pageMask split a byte offset into page number and
+	// offset within the page; the page size is a power of two (see New).
+	pageShift uint
+	pageMask  int64
 
 	scratch []byte // eviction copy buffer
 
@@ -182,11 +195,20 @@ type vmState struct {
 // New creates a VM system. The pager and frame source must be installed with
 // SetPager/SetFrameSource before the first fault.
 func New(clock *sim.Clock, pool *mem.Pool, cost sim.CostModel) *VM {
+	ps := pool.PageSize()
+	if ps&(ps-1) != 0 {
+		// Invariant: machine.Config validation rejects other sizes with a
+		// typed error; byte addressing is shift and mask, with no division
+		// fallback for a direct constructor to fall into.
+		panic(fmt.Sprintf("vm: page size %d is not a power of two", ps))
+	}
 	v := &VM{
-		clock:   clock,
-		pool:    pool,
-		cost:    cost,
-		scratch: make([]byte, pool.PageSize()),
+		clock:     clock,
+		pool:      pool,
+		cost:      cost,
+		pageShift: uint(bits.TrailingZeros(uint(ps))),
+		pageMask:  int64(ps - 1),
+		scratch:   make([]byte, ps),
 	}
 	v.frameSource = func(o mem.Owner) (mem.FrameID, error) {
 		id, ok := pool.Alloc(o)
@@ -275,9 +297,7 @@ func (v *VM) markWritten(p *Page) {
 	p.EverWritten = true
 	if !p.Dirty {
 		p.Dirty = true
-		if p.SwapValid {
-			p.SwapValid = false
-		}
+		p.SwapValid = false
 		v.pager.Dirtied(p)
 	}
 }
@@ -414,17 +434,21 @@ func (v *VM) Evict(p *Page) error {
 	v.lruRemove(p)
 	v.resident--
 
+	// Never-written page: contents are all zeros; recreate on demand.
+	zeros := !p.Dirty && !p.EverWritten && !p.SwapValid
+
 	// Copy the contents to scratch and release the frame first, so the
 	// pager can reuse it (for instance to grow the compression cache by one
 	// frame while absorbing this very page). The copy is a simulation
 	// convenience and is not charged: the kernel compresses straight out of
 	// the page frame.
-	copy(v.scratch, v.pool.Bytes(p.Frame))
+	if !zeros {
+		copy(v.scratch, v.pool.Bytes(p.Frame))
+	}
 	v.pool.Release(p.Frame)
 	p.Frame = mem.NoFrame
 
-	if !p.Dirty && !p.EverWritten && !p.SwapValid {
-		// Never-written page: contents are all zeros; recreate on demand.
+	if zeros {
 		p.State = Untouched
 		return nil
 	}
@@ -460,10 +484,27 @@ func (v *VM) lruRemove(p *Page) {
 	p.prev, p.next = nil, nil
 }
 
+// lruTouch makes resident page p the most recently used: a hit on the tail
+// only refreshes LastUse, any other page is spliced to the tail. It reads the
+// clock itself, after Touch's trace hook has returned — the hook is
+// re-entrant (workload.Multi runs other processes inside it, which touch
+// pages and advance the clock), so neither the time Advance returned before
+// the hook nor a tail read before it is still current.
 func (v *VM) lruTouch(p *Page) {
-	v.lruRemove(p)
-	v.resident--
-	v.lruAppend(p)
+	p.LastUse = v.clock.Now()
+	if p == v.lruTail {
+		return
+	}
+	next := p.next // non-nil: p is resident and not the tail
+	if p.prev != nil {
+		p.prev.next = next
+	} else {
+		v.lruHead = next
+	}
+	next.prev = p.prev
+	p.prev, p.next = v.lruTail, nil
+	v.lruTail.next = p
+	v.lruTail = p
 }
 
 // CheckLRU verifies the resident list's internal consistency (length,
@@ -510,11 +551,10 @@ func (v *VM) access(s *Segment, off int64, buf []byte, write bool) error {
 		// Invariant: the simulated equivalent of a wild pointer (see Page).
 		panic("vm: negative offset")
 	}
-	ps := int64(v.pool.PageSize())
 	for len(buf) > 0 {
-		page := int32(off / ps)
-		in := int(off % ps)
-		n := int(ps) - in
+		page := int32(off >> v.pageShift)
+		in := int(off & v.pageMask)
+		n := int(v.pageMask) + 1 - in
 		if n > len(buf) {
 			n = len(buf)
 		}
@@ -564,12 +604,11 @@ func (v *VM) wordAddr(off int64) (page int32, in int) {
 		// Invariant: the simulated equivalent of a wild pointer (see Page).
 		panic("vm: negative offset")
 	}
-	ps := int64(v.pool.PageSize())
-	in = int(off % ps)
-	if in+8 > int(ps) {
+	in = int(off & v.pageMask)
+	if in+8 > int(v.pageMask)+1 {
 		// Invariant: word accessors are documented page-aligned; a straddle
 		// is a workload bug.
 		panic(fmt.Sprintf("vm: word access at %d straddles a page boundary", off))
 	}
-	return int32(off / ps), in
+	return int32(off >> v.pageShift), in
 }

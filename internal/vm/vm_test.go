@@ -74,7 +74,7 @@ func writeWord(t *testing.T, v *VM, s *Segment, off int64, val uint64) {
 	}
 }
 
-func newTestVM(t *testing.T, frames int) (*VM, *fakePager, *mem.Pool, *sim.Clock) {
+func newTestVM(t testing.TB, frames int) (*VM, *fakePager, *mem.Pool, *sim.Clock) {
 	t.Helper()
 	var clock sim.Clock
 	pool := mem.NewPool(frames, 4096)
@@ -286,6 +286,18 @@ func TestNewSegmentValidation(t *testing.T) {
 		}
 	}()
 	v.NewSegment("empty", 0)
+}
+
+// Byte addressing is shift and mask; a direct constructor that bypasses
+// machine.Config's validation must not get a VM that silently mis-addresses.
+func TestNewRejectsNonPowerOfTwoPageSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("1536-byte pages did not panic")
+		}
+	}()
+	var clock sim.Clock
+	New(&clock, mem.NewPool(4, 1536), sim.DefaultCostModel())
 }
 
 func TestSegmentsDistinctKeys(t *testing.T) {
