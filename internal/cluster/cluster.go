@@ -57,11 +57,9 @@ type remoteKey struct {
 
 // remoteEntry is one page held in fleet memory.
 type remoteEntry struct {
-	payload    []byte
-	compressed bool
-	sum        uint32
-	donor      int   // sibling machine holding the copy, or -1 = server tier
-	addr       int64 // server-tier address when donor == -1
+	it    swap.Item // the page in its travel form; it.Data is the entry's own buffer
+	donor int       // sibling machine holding the copy, or -1 = server tier
+	addr  int64     // server-tier address when donor == -1
 }
 
 // Cluster is a running fleet: the kernel, the machines (actor i is machine
@@ -80,7 +78,7 @@ type Cluster struct {
 }
 
 // newEntry recycles an invalidated directory entry, or allocates one while
-// the freelist warms up. Offer runs on the paging hot path, so steady-state
+// the freelist warms up. Put runs on the paging hot path, so steady-state
 // placements must not allocate; the payload buffer grows in place inside
 // the recycled entry.
 func (c *Cluster) newEntry() *remoteEntry {
@@ -216,7 +214,7 @@ func (c *Cluster) CheckInvariants() error {
 }
 
 // ---------------------------------------------------------------------------
-// machine.RemoteStore adapter: fleet memory as seen by one member.
+// machine.Tier adapter: fleet memory as seen by one member.
 
 // remoteAdapter gives machine idx its view of fleet memory. All calls run on
 // machine idx's actor goroutine; transfer costs are charged through the
@@ -227,12 +225,12 @@ type remoteAdapter struct {
 	idx int
 }
 
-// Offer implements machine.RemoteStore: place an evicted page in a sibling's
-// donated memory, or spill it to the server's compressed tier. The requester
-// pays the network forward either way.
-func (r *remoteAdapter) Offer(key swap.PageKey, payload []byte, compressed bool, sum uint32) bool {
+// Put implements machine.Tier: place an evicted page in a sibling's donated
+// memory, or spill it to the server's compressed tier. The requester pays the
+// network forward either way.
+func (r *remoteAdapter) Put(it swap.Item) error {
 	c := r.c
-	k := remoteKey{owner: r.idx, key: key}
+	k := remoteKey{owner: r.idx, key: it.Key}
 	ent, existed := c.dir[k]
 	if existed {
 		// Re-offer of a key the fleet already holds: return the old
@@ -241,7 +239,7 @@ func (r *remoteAdapter) Offer(key swap.PageKey, payload []byte, compressed bool,
 	} else {
 		ent = c.newEntry()
 	}
-	donor := c.pickDonor(r.idx, len(payload))
+	donor := c.pickDonor(r.idx, len(it.Data))
 	var addr int64 = -1 // pure forward: machine-to-machine migration
 	if donor < 0 {
 		// No sibling has room: spill into the server's compressed tier at a
@@ -250,48 +248,46 @@ func (r *remoteAdapter) Offer(key swap.PageKey, payload []byte, compressed bool,
 		addr = -(2 + c.spillSeq)
 		c.spillSeq++
 	}
-	if err := c.nets[r.idx].Write(addr, len(payload)); err != nil {
+	if err := c.nets[r.idx].Write(addr, len(it.Data)); err != nil {
 		// The transfer failed (fault injection): the placement is void and
 		// the machine falls back to its own backing store.
 		delete(c.dir, k)
 		c.free = append(c.free, ent)
-		return false
+		return err
 	}
-	ent.payload = append(ent.payload[:0], payload...)
-	ent.compressed = compressed
-	ent.sum = sum
+	buf := append(ent.it.Data[:0], it.Data...)
+	ent.it = it
+	ent.it.Data = buf
 	ent.donor = donor
 	ent.addr = addr
 	if donor >= 0 {
-		c.donated[donor] -= int64(len(payload))
+		c.donated[donor] -= int64(len(buf))
 	}
 	c.dir[k] = ent
-	return true
+	return nil
 }
 
-// Fetch implements machine.RemoteStore: bring a remotely held page back over
-// the network. Sibling copies are forwarded through the server at CPU speed;
+// Get implements machine.Tier: bring a remotely held page back over the
+// network. Sibling copies are forwarded through the server at CPU speed;
 // spilled copies read from the server tier (or its disk, on a miss).
-func (r *remoteAdapter) Fetch(key swap.PageKey) ([]byte, bool, uint32, bool, error) {
+func (r *remoteAdapter) Get(key swap.PageKey) (swap.Item, []swap.Item, bool, error) {
 	c := r.c
 	ent, ok := c.dir[remoteKey{owner: r.idx, key: key}]
 	if !ok {
-		return nil, false, 0, false, nil
+		return swap.Item{}, nil, false, nil
 	}
-	addr := ent.addr // spill address, or -1 for a sibling forward
-	if err := c.nets[r.idx].Read(addr, len(ent.payload)); err != nil {
-		return nil, false, 0, true, err
-	}
-	return ent.payload, ent.compressed, ent.sum, true, nil
+	// ent.addr is the spill address, or -1 for a sibling forward.
+	err := c.nets[r.idx].Read(ent.addr, len(ent.it.Data))
+	return ent.it, nil, true, err
 }
 
-// Has implements machine.RemoteStore.
+// Has implements machine.Tier.
 func (r *remoteAdapter) Has(key swap.PageKey) bool {
 	_, ok := r.c.dir[remoteKey{owner: r.idx, key: key}]
 	return ok
 }
 
-// Invalidate implements machine.RemoteStore.
+// Invalidate implements machine.Tier.
 func (r *remoteAdapter) Invalidate(key swap.PageKey) {
 	c := r.c
 	k := remoteKey{owner: r.idx, key: key}
@@ -303,11 +299,11 @@ func (r *remoteAdapter) Invalidate(key swap.PageKey) {
 }
 
 // release returns an entry's capacity to its holder. The entry itself goes
-// back to the freelist only when it leaves the directory (Invalidate);
-// Offer's replace path reuses it in place.
+// back to the freelist only when it leaves the directory (Invalidate); Put's
+// replace path reuses it in place.
 func (c *Cluster) release(ent *remoteEntry) {
 	if ent.donor >= 0 {
-		c.donated[ent.donor] += int64(len(ent.payload))
+		c.donated[ent.donor] += int64(len(ent.it.Data))
 	} else {
 		c.server.Release(ent.addr)
 	}

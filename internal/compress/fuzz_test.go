@@ -17,7 +17,7 @@ import (
 //  2. Corrupt-input totality: Decompress never panics on arbitrary bytes,
 //     and when it fails, the error wraps ErrCorrupt so callers can
 //     distinguish corruption from programming errors. (Arbitrary bytes may
-//     also decode "successfully" to the wrong length — decompressInto's
+//     also decode "successfully" to the wrong length — restoreInto's
 //     length check is what rejects those.)
 
 const fuzzPageSize = 4096
@@ -54,7 +54,7 @@ func fuzzRoundTrip(f *testing.F, c Codec) {
 		if err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)
 		}
-		// The bound decompressInto depends on: a block compressed from a
+		// The bound restoreInto depends on: a block compressed from a
 		// page never decodes past the page size.
 		if len(out) > fuzzPageSize {
 			t.Fatalf("page-sized block decoded to %d bytes", len(out))
@@ -82,7 +82,7 @@ func fuzzCorrupt(f *testing.F, c Codec) {
 			}
 			return
 		}
-		// Successful decodes of arbitrary bytes are fine (decompressInto
+		// Successful decodes of arbitrary bytes are fine (restoreInto
 		// rejects wrong lengths); they just must stay bounded: one copy item
 		// expands to at most ~2*lzssLenCap bytes, so output is linear in the
 		// input with a constant far below 1024.

@@ -152,9 +152,12 @@ func (g *CallGraph) resolve(call *ast.CallExpr) []Edge {
 			if !ok {
 				return nil
 			}
-			if types.IsInterface(sel.Recv()) {
+			// The method's own receiver decides, not the selection's: a
+			// method promoted through an embedded interface field is
+			// selected on a struct and dispatches dynamically all the same.
+			if recv := fn.Type().(*types.Signature).Recv().Type(); types.IsInterface(recv) {
 				out := []Edge{{Site: call, Callee: fn, Dynamic: true}}
-				for _, impl := range g.implementations(sel.Recv(), fn) {
+				for _, impl := range g.implementations(recv, fn) {
 					out = append(out, Edge{Site: call, Callee: impl, Dynamic: true})
 				}
 				return out

@@ -5,23 +5,17 @@ import (
 	"go/types"
 )
 
-// CrossCredit is the interprocedural, cross-package form of ClockCredit.
-//
-// ClockCredit's view stops at the package boundary: it sees an exported
-// internal/machine method charge the clock through a same-package helper,
-// but it cannot see codec work buried two calls deep in another package,
-// and it cannot see credit earned there either. CrossCredit walks the
-// module-wide call graph instead: an exported method of internal/machine,
-// internal/swap or internal/disk that transitively reaches codec work
-// (internal/compress Compress/Decompress, resolved through interfaces by
-// method-set matching) or raw device I/O (internal/disk
-// Read/Write/ReadCluster/WriteCluster) in *another* package must also
-// transitively reach a virtual-clock advance ((*sim.Clock).Advance /
-// AdvanceTo) — otherwise simulated work is happening that no experiment
-// ever pays for.
-//
-// Same-package chains are deliberately left to ClockCredit, so the two
-// analyzers partition the invariant instead of double-reporting it.
+// CrossCredit guards the cost accounting of the simulated machine: work
+// advances the clock. It walks the module-wide call graph: an exported
+// function of internal/machine, internal/swap or internal/disk that is, or
+// transitively reaches, codec work (internal/compress Compress/Decompress,
+// resolved through interfaces by method-set matching) or raw device I/O
+// (internal/disk Read/Write/ReadCluster/WriteCluster) must also transitively
+// reach a virtual-clock advance ((*sim.Clock).Advance / AdvanceTo, or the
+// kernel's Wait / Schedule) — otherwise simulated work is happening that no
+// experiment ever pays for, silently skewing Table 1 and Figure 3 while
+// every test stays green. Where the work and the credit sit — the same
+// package or three packages away — makes no difference.
 type CrossCredit struct{}
 
 // Name implements Analyzer.
@@ -29,7 +23,7 @@ func (CrossCredit) Name() string { return "crosscredit" }
 
 // Doc implements Analyzer.
 func (CrossCredit) Doc() string {
-	return "exported machine/swap/disk methods reaching codec or device work in another package must advance the virtual clock"
+	return "exported machine/swap/disk methods reaching codec or device work must advance the virtual clock"
 }
 
 // Severity implements Analyzer.
@@ -49,6 +43,12 @@ var deviceFuncs = map[string]bool{"Read": true, "Write": true, "ReadCluster": tr
 func isChargeableWork(fn *types.Func) bool {
 	return fnIn(fn, "internal/compress", codecFuncs) || fnIn(fn, "internal/disk", deviceFuncs)
 }
+
+// advanceOps are the virtual-clock charging calls. Advance/AdvanceTo are the
+// clock's own methods; Wait/Schedule are the kernel's — on an attached clock
+// every Advance is a kernel-mediated Wait, so a method reaching the kernel
+// API directly has charged its actor's clock just the same.
+var advanceOps = map[string]bool{"Advance": true, "AdvanceTo": true, "Wait": true, "Schedule": true}
 
 // isClockAdvance reports whether fn is a virtual-clock charging call.
 func isClockAdvance(fn *types.Func) bool {
@@ -74,12 +74,7 @@ func (c CrossCredit) Check(pkg *Package) []Diagnostic {
 			if !ok || credited[fn] {
 				continue
 			}
-			// Only cross-package work counts: the final work primitive
-			// must live outside the declaring package (same-package work
-			// is ClockCredit's jurisdiction).
-			chain := g.Path(fn, func(callee *types.Func) bool {
-				return isChargeableWork(callee) && callee.Pkg() != nil && callee.Pkg() != pkg.Types
-			})
+			chain := g.Path(fn, isChargeableWork)
 			if chain == nil {
 				continue
 			}

@@ -226,7 +226,7 @@ func TestEffectsManifestDeterministic(t *testing.T) {
 }
 
 // TestHotAllocTreeClean locks the tentpole invariant: the real tree has
-// zero unignored findings under the full fourteen-analyzer suite —
+// zero unignored findings under the full thirteen-analyzer suite —
 // in particular no steady-state allocation on the paging hot path.
 // (The full suite must run so ignore directives for the other
 // analyzers resolve; a partial suite would misread them as unknown.)
@@ -238,7 +238,7 @@ func TestHotAllocTreeClean(t *testing.T) {
 }
 
 // BenchmarkLintModule measures full-module cclint wall time: load,
-// type-check, call graph, effect inference, and all fourteen analyzers — the
+// type-check, call graph, effect inference, and all thirteen analyzers — the
 // pass the CI wall-time budget gate times against .cclint-lint-budget.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -82,7 +82,7 @@ type Analyzer interface {
 	Check(pkg *Package) []Diagnostic
 }
 
-// All returns the full cclint analyzer suite, in stable order: the four
+// All returns the full cclint analyzer suite, in stable order: the three
 // original syntactic analyzers, the five call-graph analyzers added
 // with the cross-package engine, the three effect-inference analyzers
 // (hotalloc, bufown, effectdrift), then the two dataflow/contract
@@ -92,7 +92,6 @@ func All() []Analyzer {
 		Walltime{},
 		GlobalRand{},
 		MapRange{},
-		ClockCredit{},
 		CrossCredit{},
 		ErrDrop{},
 		SharedWrite{},

@@ -119,3 +119,19 @@ func TestKernelProtoMutationRawGoroutine(t *testing.T) {
 		"kernelproto: actor body armed in Good: spawns a raw goroutine outside the kernel baton (Good); fleet determinism needs the single-actor discipline",
 	})
 }
+
+// TestCrossCreditMutationSamePackageHelper: crosscredit alone owns "work
+// advances the clock", same-package chains included. Deleting the Advance
+// from a helper that charges for a device read in its own package must
+// surface the exported caller, and nothing else.
+func TestCrossCreditMutationSamePackageHelper(t *testing.T) {
+	root := t.TempDir()
+	copyFixtureTree(t, root, "crosscredit")
+	base := lintTree(t, root)
+	mutateFile(t, filepath.Join(root, "crosscredit", "internal", "disk", "disk.go"),
+		"\td.clock.Advance(1)\n", "")
+	got := lintTree(t, root)
+	assertExactlyNew(t, base, got, []string{
+		"crosscredit: Verify does codec/device work (Verify → disk.chargedRead → disk.Read) but no call path ever advances the virtual clock; this cost is uncharged",
+	})
+}

@@ -1,7 +1,7 @@
-// Package disk is the crosscredit fixture for the disjointness rule: the
-// chargeable device primitives live here, so a chain that ends in this
-// same package is clockcredit's jurisdiction and crosscredit must stay
-// silent on it — only cross-package work counts.
+// Package disk is the crosscredit fixture for same-package chains: the
+// chargeable device primitives live here, and a chain that starts and ends
+// in this package owes the clock exactly like one that crosses packages —
+// an uncharged primitive is itself a finding.
 package disk
 
 import (
@@ -21,13 +21,27 @@ func (d *Disk) Write(addr int64, p []byte) {
 	d.clock.Advance(time.Duration(len(p)))
 }
 
-// Read is a device primitive that does not charge; it is the target of
-// the same-package chain below.
-func (d *Disk) Read(addr int64, p []byte) {}
+// Read is a device primitive that does not charge: flagged itself, and
+// the target of the same-package chains below.
+func (d *Disk) Read(addr int64, p []byte) {} // want `Read does codec/device work \(Read\) but no call path ever advances the virtual clock`
 
-// Scrub reaches the uncharged Read — but only within its own package, so
-// crosscredit leaves it alone (disjointness with clockcredit).
-func (d *Disk) Scrub(p []byte) {
+// WriteCluster is the uncharged primitive the machine fixture writes through.
+func (d *Disk) WriteCluster(addr int64, p []byte) {} // want `WriteCluster does codec/device work \(WriteCluster\)`
+
+// Scrub reaches the uncharged Read without leaving its own package.
+func (d *Disk) Scrub(p []byte) { // want `Scrub does codec/device work \(Scrub → disk\.Read\)`
+	d.Read(0, p)
+}
+
+// Verify reaches the same Read through a helper that charges for it. The
+// mutation test deletes the helper's Advance and expects exactly one new
+// finding, here.
+func (d *Disk) Verify(p []byte) {
+	d.chargedRead(p)
+}
+
+func (d *Disk) chargedRead(p []byte) {
+	d.clock.Advance(1)
 	d.Read(0, p)
 }
 

@@ -1,17 +1,58 @@
 // Package machine is the crosscredit golden fixture for the scoped
-// exported API: every chain here keeps the codec work in another package,
-// which is exactly the territory the same-package clockcredit analyzer
-// cannot see.
+// exported API: direct work, work behind an unexported helper, and chains
+// that keep the codec work two packages away.
 package machine
 
 import (
+	"compcache/crosscredit/internal/compress"
+	"compcache/crosscredit/internal/disk"
 	"compcache/crosscredit/internal/pipeline"
 	"compcache/crosscredit/internal/sim"
 )
 
-// Machine owns the fixture's clock.
+// Machine owns the fixture's clock and mirrors the real struct's codec and
+// device fields.
 type Machine struct {
 	clock *sim.Clock
+	codec compress.LZ
+	disk  *disk.Disk
+}
+
+// BadCompress does codec work without charging the clock.
+func (m *Machine) BadCompress(p []byte) []byte { // want `BadCompress does codec/device work \(BadCompress → compress\.Compress\)`
+	return m.codec.Compress(p)
+}
+
+// BadWrite touches the device through its uncharged primitive.
+func (m *Machine) BadWrite(p []byte) { // want `BadWrite does codec/device work \(BadWrite → disk\.WriteCluster\)`
+	m.disk.WriteCluster(0, p)
+}
+
+// BadViaHelper reaches uncharged work through an unexported helper; the
+// exported entry point is what gets flagged, with the helper in the chain.
+func (m *Machine) BadViaHelper(p []byte) { // want `BadViaHelper does codec/device work \(BadViaHelper → machine\.unchargedWrite → disk\.WriteCluster\)`
+	m.unchargedWrite(p)
+}
+
+func (m *Machine) unchargedWrite(p []byte) {
+	m.disk.WriteCluster(0, p)
+}
+
+// GoodCompress charges the clock in the same body.
+func (m *Machine) GoodCompress(p []byte) []byte {
+	m.clock.Advance(1)
+	return m.codec.Compress(p)
+}
+
+// GoodViaHelper charges through a same-package helper; credit propagates
+// transitively.
+func (m *Machine) GoodViaHelper(p []byte) {
+	m.chargedWrite(p)
+}
+
+func (m *Machine) chargedWrite(p []byte) {
+	m.clock.Advance(1)
+	m.disk.WriteCluster(0, p)
 }
 
 // BadDeep reaches codec work two packages away with no credit on any

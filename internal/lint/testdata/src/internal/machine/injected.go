@@ -1,9 +1,9 @@
 // Package machine is a golden fixture that stands in for
 // compcache/internal/machine (the loader maps this directory to an import
-// path ending in internal/machine, which is the clockcredit scope). It
-// proves the two headline regressions are caught without editing the real
-// machine package: a wall-clock read injected into the simulation core,
-// and simulated work whose cost never reaches the virtual clock.
+// path ending in internal/machine, the scope of the package-scoped
+// analyzers). It proves the headline regression is caught without editing
+// the real machine package: a wall-clock read injected into the simulation
+// core.
 package machine
 
 import "time"

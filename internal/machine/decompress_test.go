@@ -10,7 +10,7 @@ import (
 
 // growingCodec decompresses correctly but ignores the destination buffer,
 // returning a freshly allocated slice — the behaviour of any append-style
-// codec that transiently grows past cap(dst). decompressInto must detect
+// codec that transiently grows past cap(dst). restoreInto must detect
 // that the result no longer aliases the page buffer and copy it back.
 type growingCodec struct{}
 
@@ -43,7 +43,7 @@ func TestDecompressIntoCopiesBackNonAliasedResult(t *testing.T) {
 	for i := range page {
 		page[i] = 0xEE
 	}
-	if err := m.decompressInto(page, cdata, core.Checksum(cdata), swap.PageKey{Seg: seg, Page: 3}); err != nil {
+	if err := m.restoreInto(page, cdata, true, core.Checksum(cdata), swap.PageKey{Seg: seg, Page: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(page, want) {
@@ -62,10 +62,10 @@ func TestDecompressIntoAliasedResultUnchanged(t *testing.T) {
 	codec := m.codecFor(0)
 	cdata := codec.Compress(nil, want)
 	page := make([]byte, m.Config().PageSize)
-	if err := m.decompressInto(page, cdata, core.Checksum(cdata), swap.PageKey{Seg: 0, Page: 0}); err != nil {
+	if err := m.restoreInto(page, cdata, true, core.Checksum(cdata), swap.PageKey{Seg: 0, Page: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(page, want) {
-		t.Fatal("round trip through decompressInto corrupted the page")
+		t.Fatal("round trip through restoreInto corrupted the page")
 	}
 }

@@ -53,17 +53,18 @@ type Machine struct {
 	compHist   *obs.Histogram // machine.compress_page — per-page compression time
 	decompHist *obs.Histogram // machine.decompress_page — per-page decompression time
 
-	remote RemoteStore // nil without WithRemote; fleet-level page placement
+	// below is the tier chain under the compression cache, in the order
+	// PageOut offers and PageIn asks: fleet memory when WithRemote attached
+	// it, then the clustered store. Empty on a baseline machine.
+	below []link
 
-	// Hot-path scratch. The machine is single-goroutine, and both consumers
-	// of these buffers copy at the boundary before returning — core.Cache
-	// .Insert copies into a cache-owned slab, swap.Clustered.WriteCluster
-	// serializes into its own cluster buffer — so one compression buffer and
-	// one neighbor-staging buffer serve every PageOut/PageIn/Store without
-	// per-call allocation.
-	compBuf []byte       // codec.Compress destination, reused across calls
-	nbrBuf  []byte       // clustered-read neighbor staging (corrupt+verify)
-	itemBuf [1]swap.Item // single-item WriteCluster batches
+	// Hot-path scratch. The machine is single-goroutine, and every consumer
+	// of these buffers copies at the boundary before returning — core.Cache
+	// .Insert copies into a cache-owned slab, a Tier copies what it keeps —
+	// so one compression buffer and one neighbor-staging buffer serve every
+	// PageOut/PageIn/Store without per-call allocation.
+	compBuf []byte // codec.Compress destination, reused across calls
+	nbrBuf  []byte // neighbor staging (corrupt+verify)
 }
 
 // machineState is the machine's own replay state — what a snapshot carries
@@ -109,7 +110,6 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 	m := &Machine{
 		cfg:     cfg,
 		Clock:   &sim.Clock{},
-		remote:  b.remote,
 		segByID: make(map[int32]*vm.Segment),
 
 		machineState: machineState{segCodec: make(map[int32]compress.Codec)},
@@ -208,6 +208,13 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 			}
 		}
 		m.clustered.SetObserver(m.bus, m.Clock)
+		if b.remote != nil {
+			m.below = append(m.below, link{tier: b.remote, name: "remote", src: vm.SrcRemote})
+		}
+		m.below = append(m.below, link{
+			tier: &clusteredTier{Clustered: m.clustered, faults: m.faults},
+			name: "backing-store", src: vm.SrcSwap,
+		})
 		if cfg.CC.FixedFrames > 0 {
 			m.CC.Prefill(cfg.CC.FixedFrames)
 		}
@@ -443,16 +450,6 @@ func (m *Machine) allocFrame(owner mem.Owner) (mem.FrameID, error) {
 	return id, nil
 }
 
-// writeOne sends a single item to the clustered store through the reusable
-// one-item batch buffer, clearing the staged reference afterwards so the
-// machine never retains a caller's page buffer.
-func (m *Machine) writeOne(it swap.Item) error {
-	m.itemBuf[0] = it
-	err := m.clustered.WriteCluster(m.itemBuf[:], true)
-	m.itemBuf[0] = swap.Item{}
-	return err
-}
-
 // maybeClean runs the background cleaner: if the stock of immediately
 // usable frames (free plus clean-reclaimable) is below the reserve, write
 // out the oldest dirty compressed data in clustered batches. The write is
@@ -551,23 +548,16 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		return nil
 	}
 
-	// Compression cache path: compress the page and decide its fate.
-	m.Clock.Advance(m.cfg.Cost.CompressCost(len(data)))
-	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
-	m.comp.Compressions++
-	m.comp.BytesIn += uint64(len(data))
-	// Compress into the machine scratch buffer: Insert copies into a
-	// cache-owned slab and WriteCluster serializes before returning, so the
-	// buffer is free again by the time this call ends.
-	cdata := m.codecFor(p.Key.Seg).Compress(m.compBuf[:0], data)
-	m.compBuf = cdata[:0]
-	m.comp.BytesOut += uint64(len(cdata))
-
-	if len(cdata) <= m.cfg.keepThreshold() {
-		m.comp.CompressibleIn += uint64(len(data))
-		m.comp.CompressibleOut += uint64(len(cdata))
-		ok, insErr := m.CC.Insert(p.Key, cdata, p.Dirty)
-		if ok {
+	// Compress once, then decide the page's fate: the cache keeps it if it
+	// fits, otherwise it goes to the first tier below that takes it — raw
+	// when it missed the 4:3 threshold and the compression effort was wasted
+	// (§5.2).
+	cdata, keep := m.compress(p.Key, data)
+	it := swap.Item{Key: p.Key, Data: data}
+	var insErr error
+	if keep {
+		var ok bool
+		if ok, insErr = m.CC.Insert(p.Key, cdata, p.Dirty); ok {
 			p.State = vm.Compressed
 			p.Dirty = false // dirtiness now tracked by the cache entry
 			m.maybeClean()
@@ -576,102 +566,78 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		// The cache could not take the page: no memory, or the flush that
 		// would have made room failed (insErr — the flushed batch stays
 		// dirty in the cache and is retried later, so insErr alone loses
-		// nothing). Offer the compressed page to the fleet first — remote
-		// memory is faster than the local backing store — then fall back to
-		// a direct backing-store write, still benefiting from the reduced
-		// transfer size.
-		if p.Dirty || !p.SwapValid {
-			if m.remote != nil && m.remote.Offer(p.Key, cdata, true, core.Checksum(cdata)) {
-				p.SwapValid = true
-			} else {
-				err := m.writeOne(swap.Item{
-					Key: p.Key, Data: cdata, Compressed: true, Sum: core.Checksum(cdata),
-				})
-				if err != nil {
-					return &fault.UnrecoverableError{
-						Page:   p.Key.String(),
-						Reason: "backing-store write failed for the only copy",
-						Err:    errors.Join(insErr, err),
-					}
-				}
-				p.SwapValid = true
-			}
-		}
-		p.Dirty = false
-		p.State = vm.Swapped
-		return nil
+		// nothing). The page goes below compressed, still benefiting from
+		// the reduced transfer size.
+		it.Data, it.Compressed = cdata, true
 	}
-
-	// Below the 4:3 threshold: the compression effort was wasted (§5.2) and
-	// the page travels uncompressed.
-	m.comp.Incompressible++
 	if p.Dirty || !p.SwapValid {
-		if m.remote != nil && m.remote.Offer(p.Key, data, false, core.Checksum(data)) {
-			p.SwapValid = true
-		} else {
-			// The page buffer goes straight to the store: WriteCluster copies
-			// into its own cluster buffer before returning, so no defensive
-			// copy is needed.
-			err := m.writeOne(swap.Item{
-				Key: p.Key, Data: data, Compressed: false, Sum: core.Checksum(data),
-			})
-			if err != nil {
-				return &fault.UnrecoverableError{
-					Page:   p.Key.String(),
-					Reason: "backing-store write failed for the only copy",
-					Err:    err,
-				}
-			}
-			p.SwapValid = true
+		it.Sum = core.Checksum(it.Data)
+		if err := m.putBelow(it, insErr); err != nil {
+			return err
 		}
+		p.SwapValid = true
 	}
 	p.Dirty = false
 	p.State = vm.Swapped
 	return nil
 }
 
-// PageIn services a fault for a page whose contents are compressed in
-// memory or on the backing store. A corrupt compression-cache fragment is
-// recovered from the backing store when a clean copy exists there (the
-// entry is dropped, the swap read proceeds at its usual virtual-time cost,
-// and the recovery is counted); a corrupt or unreadable fragment with no
-// lower-level copy returns fault.UnrecoverableError.
-func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
-	if m.CC != nil {
-		if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
-			m.faults.CorruptCache(cdata)
-			err := m.decompressInto(data, cdata, sum, p.Key)
-			if err == nil {
-				// The entry is retained and backs the resident copy, so the
-				// page itself is clean; SwapValid tracks whether the entry
-				// has been persisted. Modifying the page invalidates the
-				// entry (see Dirtied).
-				p.Dirty = false
-				p.SwapValid = !entryDirty
-				return vm.SrcCC, nil
-			}
-			// The in-memory fragment is corrupt. Drop the entry; if the
-			// backing store (or the fleet) has a clean copy of the same
-			// contents, recover from it below at the usual swap-in cost.
-			m.CC.Drop(p.Key)
-			hasCopy := m.clustered.Has(p.Key) || (m.remote != nil && m.remote.Has(p.Key))
-			if entryDirty || !hasCopy {
-				return 0, &fault.UnrecoverableError{
-					Page:   p.Key.String(),
-					Reason: "corrupt cache entry with no backing copy",
-					Err:    err,
-				}
-			}
-			m.fst.Recoveries++
-			if m.bus.Enabled(obs.ClassRecovery) {
-				m.bus.Emit(obs.Event{
-					T: m.Clock.Now(), Class: obs.ClassRecovery, Sub: obs.SubMachine,
-					Seg: p.Key.Seg, Page: p.Key.Page,
-				})
-			}
-			// Fall through to the backing-store read.
+// compress runs a page through its segment's codec into the machine's
+// scratch buffer, charging the cost model, and reports whether the result
+// clears the keep threshold. Insert copies into a cache-owned slab and a
+// Tier copies what it keeps, so the buffer is free again by the time the
+// caller returns.
+func (m *Machine) compress(key swap.PageKey, data []byte) (cdata []byte, keep bool) {
+	m.Clock.Advance(m.cfg.Cost.CompressCost(len(data)))
+	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
+	m.comp.Compressions++
+	m.comp.BytesIn += uint64(len(data))
+	cdata = m.codecFor(key.Seg).Compress(m.compBuf[:0], data)
+	m.compBuf = cdata[:0]
+	m.comp.BytesOut += uint64(len(cdata))
+	if len(cdata) > m.cfg.keepThreshold() {
+		m.comp.Incompressible++
+		return cdata, false
+	}
+	m.comp.CompressibleIn += uint64(len(data))
+	m.comp.CompressibleOut += uint64(len(cdata))
+	return cdata, true
+}
+
+// putBelow offers a page leaving the cache level to each tier in order —
+// fleet memory is faster than the local backing store — until one takes it.
+// If none does the frame is gone and the only copy with it.
+func (m *Machine) putBelow(it swap.Item, insErr error) error {
+	var err error
+	for _, l := range m.below {
+		if err = l.tier.Put(it); err == nil {
+			return nil
 		}
 	}
+	return &fault.UnrecoverableError{
+		Page:   it.Key.String(),
+		Reason: "backing-store write failed for the only copy",
+		Err:    errors.Join(insErr, err),
+	}
+}
+
+// heldBelow reports whether any tier of the chain holds a current copy.
+func (m *Machine) heldBelow(key swap.PageKey) bool {
+	for _, l := range m.below {
+		if l.tier.Has(key) {
+			return true
+		}
+	}
+	return false
+}
+
+// PageIn services a fault for a page whose contents are compressed in
+// memory or held by a tier below. A corrupt compression-cache fragment is
+// recovered from the first tier that has a clean copy (the entry is dropped,
+// the tier's read proceeds at its usual virtual-time cost, and the recovery
+// is counted); a corrupt or unreadable fragment with no lower-level copy
+// returns fault.UnrecoverableError.
+func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 	if m.CC == nil {
 		ok, err := m.direct.Read(p.Key, data)
 		if err != nil {
@@ -693,95 +659,81 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 		return vm.SrcSwap, nil
 	}
 
-	// Fleet memory first: a remotely placed page comes back over the network
-	// far faster than a backing-store extent. Dirtied invalidates the remote
-	// copy, so whatever the fleet holds is current.
-	if m.remote != nil && m.remote.Has(p.Key) {
-		payload, compressed, sum, _, ferr := m.remote.Fetch(p.Key)
-		if ferr != nil {
+	if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
+		m.faults.CorruptCache(cdata)
+		err := m.restoreInto(data, cdata, true, sum, p.Key)
+		if err == nil {
+			// The entry is retained and backs the resident copy, so the
+			// page itself is clean; SwapValid tracks whether the entry
+			// has been persisted. Modifying the page invalidates the
+			// entry (see Dirtied).
+			p.Dirty = false
+			p.SwapValid = !entryDirty
+			return vm.SrcCC, nil
+		}
+		// The in-memory fragment is corrupt. Drop the entry; if a tier
+		// below has a clean copy of the same contents, recover from it at
+		// that tier's usual cost.
+		m.CC.Drop(p.Key)
+		if entryDirty || !m.heldBelow(p.Key) {
 			return 0, &fault.UnrecoverableError{
 				Page:   p.Key.String(),
-				Reason: "remote fetch failed",
-				Err:    ferr,
+				Reason: "corrupt cache entry with no backing copy",
+				Err:    err,
 			}
 		}
-		if compressed {
-			if derr := m.decompressInto(data, payload, sum, p.Key); derr != nil {
-				return 0, &fault.UnrecoverableError{
-					Page:   p.Key.String(),
-					Reason: "corrupt remote fragment",
-					Err:    derr,
-				}
+		m.fst.Recoveries++
+		if m.bus.Enabled(obs.ClassRecovery) {
+			m.bus.Emit(obs.Event{
+				T: m.Clock.Now(), Class: obs.ClassRecovery, Sub: obs.SubMachine,
+				Seg: p.Key.Seg, Page: p.Key.Page,
+			})
+		}
+	}
+
+	// The first tier that holds the page serves the fault. Dirtied
+	// invalidates every tier, so whatever one holds is current; below the
+	// cache there is no further fallback — a tier that fails to deliver what
+	// it holds had the only remaining copy.
+	for _, l := range m.below {
+		it, along, ok, err := l.tier.Get(p.Key)
+		if !ok {
+			continue
+		}
+		if err != nil {
+			return 0, &fault.UnrecoverableError{
+				Page:   p.Key.String(),
+				Reason: l.name + " read failed",
+				Err:    err,
 			}
-		} else {
-			m.Clock.Advance(m.cfg.Cost.PageCopy)
-			if core.Checksum(payload) != sum {
-				m.fst.CorruptionsDetected++
-				return 0, &fault.UnrecoverableError{
-					Page:   p.Key.String(),
-					Reason: "corrupt remote page",
-					Err:    &fault.CorruptionError{Page: p.Key.String(), Reason: "checksum mismatch on remote page"},
-				}
+		}
+		if err := m.restoreInto(data, it.Data, it.Compressed, it.Sum, p.Key); err != nil {
+			return 0, &fault.UnrecoverableError{
+				Page:   p.Key.String(),
+				Reason: "corrupt " + l.name + " copy",
+				Err:    err,
 			}
-			copy(data, payload)
 		}
 		p.Dirty = false
 		p.SwapValid = true
-		return vm.SrcRemote, nil
-	}
-
-	payload, sum, compressed, neighbors, ok, err := m.clustered.Read(p.Key)
-	if !ok {
-		return 0, &fault.UnrecoverableError{
-			Page:   p.Key.String(),
-			Reason: fmt.Sprintf("page in state %v has no backing copy", p.State),
+		if !m.cfg.CC.DisablePrefetch {
+			m.insertNeighbors(along)
 		}
+		return l.src, nil
 	}
-	if err != nil {
-		return 0, &fault.UnrecoverableError{
-			Page:   p.Key.String(),
-			Reason: "backing-store read failed",
-			Err:    err,
-		}
+	return 0, &fault.UnrecoverableError{
+		Page:   p.Key.String(),
+		Reason: fmt.Sprintf("page in state %v has no backing copy", p.State),
 	}
-	if compressed {
-		m.faults.CorruptSwap(payload)
-		if derr := m.decompressInto(data, payload, sum, p.Key); derr != nil {
-			// The backing store held the only remaining copy.
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: "corrupt backing-store fragment",
-				Err:    derr,
-			}
-		}
-	} else {
-		m.Clock.Advance(m.cfg.Cost.PageCopy)
-		if core.Checksum(payload) != sum {
-			m.fst.CorruptionsDetected++
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: "corrupt backing-store page",
-				Err:    &fault.CorruptionError{Page: p.Key.String(), Reason: "checksum mismatch on raw page"},
-			}
-		}
-		copy(data, payload)
-	}
-	p.Dirty = false
-	p.SwapValid = true
-
-	if !m.cfg.CC.DisablePrefetch {
-		m.insertNeighbors(neighbors)
-	}
-	return vm.SrcSwap, nil
 }
 
-// insertNeighbors caches pages that came along for free with a clustered
-// read ("multiple pages can be obtained with a single read from the backing
-// store", §5.1). Only compressed, currently swapped-out pages are inserted,
+// insertNeighbors caches pages that came along for free with a tier's
+// transfer — in practice a clustered read ("multiple pages can be obtained
+// with a single read from the backing store", §5.1). Only compressed, currently swapped-out pages are inserted,
 // and only when the cache can take them without stealing memory. A neighbor
 // whose checksum does not verify is skipped — the prefetch is an
 // opportunistic copy; the extent on the backing store stays authoritative.
-func (m *Machine) insertNeighbors(neighbors []swap.Neighbor) {
+func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 	for _, n := range neighbors {
 		if !n.Compressed {
 			continue
@@ -826,20 +778,17 @@ func (m *Machine) insertNeighbors(neighbors []swap.Neighbor) {
 }
 
 // Dirtied invalidates stale lower-level copies when a clean resident page is
-// first modified: the retained compression-cache entry and the backing-store
-// copy both go stale at that moment.
+// first modified: the retained compression-cache entry and the copy in any
+// tier below both go stale at that moment.
 func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
 	}
-	if m.clustered != nil {
-		m.clustered.Invalidate(p.Key)
+	for _, l := range m.below {
+		l.tier.Invalidate(p.Key)
 	}
 	if m.direct != nil {
 		m.direct.Invalidate(p.Key)
-	}
-	if m.remote != nil {
-		m.remote.Invalidate(p.Key)
 	}
 }
 
@@ -872,19 +821,10 @@ func (f fsBlockCache) Store(fileID int32, block int64, data []byte) (bool, error
 	if m.CC.Has(key) {
 		return true, nil // still-valid compressed copy from an earlier eviction
 	}
-	m.Clock.Advance(m.cfg.Cost.CompressCost(len(data)))
-	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
-	m.comp.Compressions++
-	m.comp.BytesIn += uint64(len(data))
-	cdata := m.codec.Compress(m.compBuf[:0], data)
-	m.compBuf = cdata[:0]
-	m.comp.BytesOut += uint64(len(cdata))
-	if len(cdata) > m.cfg.keepThreshold() {
-		m.comp.Incompressible++
+	cdata, keep := m.compress(key, data)
+	if !keep {
 		return false, nil
 	}
-	m.comp.CompressibleIn += uint64(len(data))
-	m.comp.CompressibleOut += uint64(len(cdata))
 	// File blocks are always clean here (written back before Store), so the
 	// entry can be dropped at any time without I/O.
 	return m.CC.Insert(key, cdata, false)
@@ -901,7 +841,7 @@ func (f fsBlockCache) Load(fileID int32, block int64, data []byte) (bool, error)
 		return false, nil
 	}
 	m.faults.CorruptCache(cdata)
-	if err := m.decompressInto(data, cdata, sum, key); err != nil {
+	if err := m.restoreInto(data, cdata, true, sum, key); err != nil {
 		m.CC.Drop(key)
 		return false, nil
 	}
@@ -935,21 +875,30 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 	}
 }
 
-// decompressInto verifies and decompresses cdata into the page buffer data,
-// charging the cost model. sum is the fragment's checksum computed when the
-// data entered the cache; verification runs before the codec so a flipped
-// bit can never decompress to a silently wrong page. A checksum mismatch,
-// codec rejection, or length mismatch returns a *fault.CorruptionError;
-// callers decide whether a fallback copy exists.
-func (m *Machine) decompressInto(data, cdata []byte, sum uint32, key swap.PageKey) error {
-	m.Clock.Advance(m.cfg.Cost.DecompressCost(len(data)))
-	m.decompHist.Observe(m.cfg.Cost.DecompressCost(len(data)))
-	m.comp.Decompressions++
-	if core.Checksum(cdata) != sum {
+// restoreInto verifies a page's travel form and rebuilds the page in data,
+// charging the cost model: decompression for a compressed payload, a page
+// copy for a raw one. sum is the payload's checksum computed when it left
+// memory; verification runs before the codec so a flipped bit can never
+// decompress to a silently wrong page. A checksum mismatch, codec rejection,
+// or length mismatch returns a *fault.CorruptionError; callers decide whether
+// a fallback copy exists.
+func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey) error {
+	if compressed {
+		m.Clock.Advance(m.cfg.Cost.DecompressCost(len(data)))
+		m.decompHist.Observe(m.cfg.Cost.DecompressCost(len(data)))
+		m.comp.Decompressions++
+	} else {
+		m.Clock.Advance(m.cfg.Cost.PageCopy)
+	}
+	if core.Checksum(payload) != sum {
 		m.fst.CorruptionsDetected++
 		return &fault.CorruptionError{Page: key.String(), Reason: "checksum mismatch"}
 	}
-	out, err := m.codecFor(key.Seg).Decompress(data[:0], cdata)
+	if !compressed {
+		copy(data, payload)
+		return nil
+	}
+	out, err := m.codecFor(key.Seg).Decompress(data[:0], payload)
 	if err != nil {
 		m.fst.CorruptionsDetected++
 		return &fault.CorruptionError{Page: key.String(), Reason: "codec rejected fragment", Err: err}
@@ -1004,10 +953,7 @@ func (m *Machine) CheckInvariants() error {
 					return fmt.Errorf("machine: page %v marked compressed but absent from cache", p.Key)
 				}
 			case vm.Swapped:
-				hasBacking := (m.direct != nil && m.direct.Has(p.Key)) ||
-					(m.clustered != nil && m.clustered.Has(p.Key)) ||
-					(m.remote != nil && m.remote.Has(p.Key))
-				if !hasBacking {
+				if !(m.direct != nil && m.direct.Has(p.Key)) && !m.heldBelow(p.Key) {
 					return fmt.Errorf("machine: page %v marked swapped but absent from backing store", p.Key)
 				}
 			case vm.Resident:

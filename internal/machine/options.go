@@ -22,7 +22,7 @@ type buildOpts struct {
 	obs    *obs.Options
 	kernel *sim.Kernel
 	actor  sim.ActorID
-	remote RemoteStore
+	remote Tier
 }
 
 // WithObs attaches the observability layer: every subsystem emits
@@ -55,36 +55,13 @@ func WithKernel(k *sim.Kernel, id sim.ActorID) Option {
 	}
 }
 
-// WithRemote attaches a remote page store: fleet-level memory the paging
-// policy offers evicted pages to before falling back to the local backing
-// store, and consults first on faults. The cluster package implements it
-// with sibling-machine memory and a shared page server.
-func WithRemote(r RemoteStore) Option {
-	return func(b *buildOpts) { b.remote = r }
-}
-
-// RemoteStore is the machine's hook into fleet-level page placement. All
-// methods are called on the machine's own actor goroutine; implementations
-// charge transfer costs through the machine's devices (so virtual time and
-// contention stay honest) and must copy payloads they retain — the machine
-// reuses its scratch buffers immediately after each call.
-type RemoteStore interface {
-	// Offer proposes an evicted page for remote placement. payload is the
-	// page's travel form (compressed when compressed is true), sum its
-	// checksum. Offer reports whether the remote store took responsibility
-	// for the copy; false means the caller must place the page locally.
-	Offer(key swap.PageKey, payload []byte, compressed bool, sum uint32) bool
-
-	// Fetch returns the remotely held copy of a page. ok reports whether
-	// the store holds the page at all; err reports a transfer failure for
-	// a page the store does hold.
-	Fetch(key swap.PageKey) (payload []byte, compressed bool, sum uint32, ok bool, err error)
-
-	// Has reports whether the store holds a current copy of the page.
-	Has(key swap.PageKey) bool
-
-	// Invalidate discards the remote copy (the page was modified locally).
-	Invalidate(key swap.PageKey)
+// WithRemote attaches fleet-level memory as the first tier below the
+// compression cache: evicted pages are offered to it before the local backing
+// store, and faults consult it first. The cluster package implements it with
+// sibling-machine memory and a shared page server. Only a compression-cache
+// machine has a chain; the baseline machine pages straight to its store.
+func WithRemote(t Tier) Option {
+	return func(b *buildOpts) { b.remote = t }
 }
 
 // Introspection bundles the read-only wiring handles a harness occasionally

@@ -6,6 +6,7 @@ import (
 
 	"compcache/internal/compress"
 	"compcache/internal/snap"
+	"compcache/internal/vm"
 )
 
 // Snapshot captures the machine's complete simulation state as one opaque
@@ -20,9 +21,10 @@ import (
 // driving the restored machine produces exactly the virtual-time trace and
 // statistics the original would have produced. Snapshot refuses dead
 // machines (their simulated process is gone; boot from media instead),
-// network-backed machines (the netdev has no snapshot support), and
+// network-backed machines (the netdev has no snapshot support),
 // kernel-attached machines (the kernel owns the schedule; snapshot the fleet
-// through sim.Kernel.Snap instead).
+// through sim.Kernel.Snap instead), and machines with a remote tier (pages
+// only the tier holds would be missing).
 func (m *Machine) Snapshot() ([]byte, error) {
 	if m.err != nil {
 		return nil, fmt.Errorf("machine: cannot snapshot a dead machine: %w", m.err)
@@ -41,6 +43,11 @@ func (m *Machine) snapshottable() error {
 	}
 	if m.Clock.Attached() {
 		return fmt.Errorf("machine: snapshot of kernel-attached machines goes through the kernel")
+	}
+	for _, l := range m.below {
+		if l.src == vm.SrcRemote {
+			return fmt.Errorf("machine: snapshot of a machine with a remote tier (WithRemote) is not supported: pages only the tier holds are not in the snapshot")
+		}
 	}
 	return nil
 }

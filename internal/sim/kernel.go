@@ -334,8 +334,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Wait blocks actor id until global time reaches until, running other actors
 // meanwhile, and returns the (unchanged) target instant. Outside Run the
 // clock simply jumps — construction-time charges accrue before the kernel
-// starts dispatching. Wait is the one operation clockcredit/crosscredit
-// count as crediting the clock, exactly like Clock.Advance.
+// starts dispatching. Wait is the one operation crosscredit counts
+// as crediting the clock, exactly like Clock.Advance.
 func (k *Kernel) Wait(id ActorID, until Time) Time {
 	st := k.state(id)
 	if until < st.clock.now {

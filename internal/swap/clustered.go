@@ -96,15 +96,6 @@ type extent struct {
 	sum        uint32 // integrity checksum of the stored bytes
 }
 
-// Neighbor is a page incidentally read by a clustered read because it shares
-// the file blocks of the requested page.
-type Neighbor struct {
-	Key        PageKey
-	Data       []byte
-	Compressed bool
-	Sum        uint32 // integrity checksum recorded when the page was stored
-}
-
 // Clustered is the compressed backing store of §4.3. Compressed pages are
 // padded to FragSize, batched into clustered writes, and located through an
 // explicit page map; stale copies accumulate as garbage until a compaction
@@ -126,7 +117,7 @@ type Clustered struct {
 	// readBuf and readNbrs back the slices Read returns; they are reused on
 	// the next Read, which is why Read's results are borrow-only.
 	readBuf  []byte
-	readNbrs []Neighbor
+	readNbrs []Item
 
 	// placeBuf and writeBuf are WriteCluster's layout and serialization
 	// scratch, reused across calls; the device copies the bytes out before
@@ -411,9 +402,9 @@ func (c *Clustered) alloc(n int32, blockAligned bool) int32 {
 
 // Read fetches the page, honouring the whole-block rule: in whole-block mode
 // the device reads every block the page's fragments touch, and every other
-// page wholly contained in those blocks is returned as a neighbor (the
-// caller typically inserts neighbors into the compression cache as clean
-// pages). It reports ok=false if the page is not stored. The returned sum is
+// page wholly contained in those blocks is returned as a neighbor — an Item
+// carrying the checksum recorded when that page was stored (the caller
+// typically inserts neighbors into the compression cache as clean pages). It reports ok=false if the page is not stored. The returned sum is
 // the integrity checksum recorded when the page was stored; the caller
 // verifies it after any decompression-side corruption checks.
 //
@@ -421,7 +412,7 @@ func (c *Clustered) alloc(n int32, blockAligned bool) int32 {
 // read buffer that the next Read call reuses: callers must copy anything
 // they retain before reading again (they may mutate the views in place,
 // e.g. for fault injection, until then).
-func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool, neighbors []Neighbor, ok bool, err error) {
+func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool, neighbors []Item, ok bool, err error) {
 	e, found := c.extents[key]
 	if !found {
 		return nil, 0, false, nil, false, nil
@@ -464,7 +455,7 @@ func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool,
 			continue // partially outside the read
 		}
 		nrel := int64(ne.start)*int64(c.cfg.FragSize) - b0*bs
-		neighbors = append(neighbors, Neighbor{
+		neighbors = append(neighbors, Item{
 			Key:        nk,
 			Data:       buf[nrel : nrel+int64(ne.length)],
 			Compressed: ne.compressed,

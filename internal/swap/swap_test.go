@@ -46,7 +46,7 @@ func writeCluster(t *testing.T, c *Clustered, items []Item, async bool) {
 
 // readC adapts Clustered.Read to the historical 4-tuple shape for tests that
 // do not exercise checksums or device errors.
-func readC(t *testing.T, c *Clustered, key PageKey) (data []byte, compressed bool, neighbors []Neighbor, ok bool) {
+func readC(t *testing.T, c *Clustered, key PageKey) (data []byte, compressed bool, neighbors []Item, ok bool) {
 	t.Helper()
 	data, _, compressed, neighbors, ok, err := c.Read(key)
 	if err != nil {
