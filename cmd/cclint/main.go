@@ -47,8 +47,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,74 +58,86 @@ import (
 	"compcache/internal/lint"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	werror := flag.Bool("werror", false, "treat warn-severity findings as errors for the exit status")
-	baselinePath := flag.String("baseline", ".cclint-baseline.json", "baseline file (module-root-relative unless absolute); missing file = empty baseline")
-	writeBaseline := flag.Bool("write-baseline", false, "record current findings into the baseline file and exit 0")
-	effectsPath := flag.String("effects", lint.EffectsFile, "effects manifest (module-root-relative unless absolute); missing file = no drift checks")
-	writeEffects := flag.Bool("write-effects", false, "record the inferred effects of every exported function into the manifest and exit 0")
-	only := flag.String("only", "", "comma-separated analyzer names to run instead of the full suite")
-	taintReport := flag.String("taint-report", "", "write the taint source→sink flow report to this JSON file and exit 0")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it lints the module containing the working
+// directory and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	werror := fs.Bool("werror", false, "treat warn-severity findings as errors for the exit status")
+	baselinePath := fs.String("baseline", ".cclint-baseline.json", "baseline file (module-root-relative unless absolute); missing file = empty baseline")
+	writeBaseline := fs.Bool("write-baseline", false, "record current findings into the baseline file and exit 0")
+	effectsPath := fs.String("effects", lint.EffectsFile, "effects manifest (module-root-relative unless absolute); missing file = no drift checks")
+	writeEffects := fs.Bool("write-effects", false, "record the inferred effects of every exported function into the manifest and exit 0")
+	only := fs.String("only", "", "comma-separated analyzer names to run instead of the full suite")
+	taintReport := fs.String("taint-report", "", "write the taint source→sink flow report to this JSON file and exit 0")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// fail reports a usage, load or I/O error: exit status 2.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cclint:", err)
+		return 2
+	}
 
 	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %-5s %s\n", a.Name(), a.Severity(), a.Doc())
+			fmt.Fprintf(stdout, "%-12s %-5s %s\n", a.Name(), a.Severity(), a.Doc())
 		}
-		return
+		return 0
 	}
 
 	mod, err := lint.LoadModule(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	for _, terr := range mod.TypeErrors {
-		fmt.Fprintln(os.Stderr, "cclint: type error:", terr)
+		fmt.Fprintln(stderr, "cclint: type error:", terr)
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := mod.Select(".", patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	if len(pkgs) == 0 {
-		fmt.Fprintln(os.Stderr, "cclint: no Go packages matched")
-		os.Exit(2)
+		return fail(errors.New("no Go packages matched"))
+	}
+	// inRoot resolves a path flag against the module root.
+	inRoot := func(p string) string {
+		if filepath.IsAbs(p) {
+			return p
+		}
+		return filepath.Join(mod.Root, p)
 	}
 
-	ep := *effectsPath
-	if !filepath.IsAbs(ep) {
-		ep = filepath.Join(mod.Root, ep)
-	}
+	ep := inRoot(*effectsPath)
 	if *writeEffects {
 		if err := lint.WriteEffects(ep, mod); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "cclint: wrote effects manifest to %s\n", ep)
-		return
+		fmt.Fprintf(stderr, "cclint: wrote effects manifest to %s\n", ep)
+		return 0
 	}
 	mod.EffectsPath = ep
 
 	if *taintReport != "" {
-		tp := *taintReport
-		if !filepath.IsAbs(tp) {
-			tp = filepath.Join(mod.Root, tp)
-		}
+		tp := inRoot(*taintReport)
 		if err := lint.WriteTaintReport(tp, mod); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "cclint: wrote taint report to %s\n", tp)
-		return
+		fmt.Fprintf(stderr, "cclint: wrote taint report to %s\n", tp)
+		return 0
 	}
 
 	var diags []lint.Diagnostic
@@ -134,55 +148,48 @@ func main() {
 		}
 		diags, err = lint.RunOnly(pkgs, analyzers, names)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	} else {
 		diags = lint.Run(pkgs, analyzers)
 	}
 
-	bp := *baselinePath
-	if !filepath.IsAbs(bp) {
-		bp = filepath.Join(mod.Root, bp)
-	}
+	bp := inRoot(*baselinePath)
 	if *writeBaseline {
 		if err := lint.WriteBaseline(bp, mod.Root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "cclint: wrote %d finding(s) to %s\n", len(diags), bp)
-		return
+		fmt.Fprintf(stderr, "cclint: wrote %d finding(s) to %s\n", len(diags), bp)
+		return 0
 	}
 	entries, err := lint.LoadBaseline(bp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	diags, suppressed := lint.ApplyBaseline(entries, mod.Root, diags)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
 			diags = []lint.Diagnostic{}
 		}
 		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 
-	fail := lint.ErrorCount(diags) > 0 || (*werror && len(diags) > 0)
 	if len(diags) > 0 || suppressed > 0 {
 		if !*jsonOut || suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "cclint: %d finding(s), %d suppressed by baseline\n", len(diags), suppressed)
+			fmt.Fprintf(stderr, "cclint: %d finding(s), %d suppressed by baseline\n", len(diags), suppressed)
 		}
 	}
-	if fail {
-		os.Exit(1)
+	if lint.ErrorCount(diags) > 0 || (*werror && len(diags) > 0) {
+		return 1
 	}
+	return 0
 }

@@ -1,0 +1,107 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// cclint drives run directly and returns its exit status and streams.
+func cclint(t *testing.T, args ...string) (status int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	status = run(args, &out, &errb)
+	return status, out.String(), errb.String()
+}
+
+// TestListNamesTheSuite pins the suite's names and order: ignore
+// directives, -only and CI all spell them.
+func TestListNamesTheSuite(t *testing.T) {
+	status, out, _ := cclint(t, "-list")
+	if status != 0 {
+		t.Fatalf("-list exited %d, want 0", status)
+	}
+	want := []string{
+		"walltime", "globalrand", "maprange", "crosscredit", "errdrop",
+		"sharedwrite", "floatorder", "obscoverage", "hotalloc", "bufown",
+		"effectdrift", "nondet", "kernelproto",
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(want), out)
+	}
+	for i, line := range lines {
+		if got := strings.Fields(line)[0]; got != want[i] {
+			t.Errorf("-list line %d names %q, want %q", i, got, want[i])
+		}
+	}
+}
+
+// scratchModule writes a two-package module — one clean, one reading the
+// host clock — and makes it the working directory, which is what cclint
+// lints.
+func scratchModule(t *testing.T) {
+	t.Helper()
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":         "module scratch\n\ngo 1.22\n",
+		"clean/clean.go": "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
+		"dirty/dirty.go": "package dirty\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(root); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestExitStatus pins the contract CI and scripts rely on: 0 clean, 1 an
+// error-severity finding, 2 a usage error.
+func TestExitStatus(t *testing.T) {
+	scratchModule(t)
+
+	if status, out, errs := cclint(t, "./clean"); status != 0 || out != "" {
+		t.Errorf("clean package: exit %d, stdout %q, stderr %q; want 0 and no findings", status, out, errs)
+	}
+
+	status, out, _ := cclint(t, "./...")
+	if status != 1 {
+		t.Errorf("module with a time.Now(): exit %d, want 1", status)
+	}
+	if !strings.Contains(out, "dirty.go:5:") || !strings.Contains(out, "[walltime]") {
+		t.Errorf("finding not reported at dirty.go:5 by walltime:\n%s", out)
+	}
+
+	status, _, errs := cclint(t, "-only", "wibble", "./clean")
+	if status != 2 || !strings.Contains(errs, `unknown analyzer "wibble"`) {
+		t.Errorf("-only wibble: exit %d, stderr %q; want 2 naming the analyzer", status, errs)
+	}
+}
+
+// TestJSONCleanTreeIsEmptyArray: CI diffs this output against "[]", so a
+// clean tree must not print null.
+func TestJSONCleanTreeIsEmptyArray(t *testing.T) {
+	scratchModule(t)
+	status, out, _ := cclint(t, "-json", "./clean")
+	if status != 0 || strings.TrimSpace(out) != "[]" {
+		t.Errorf("-json on a clean package: exit %d, stdout %q; want 0 and []", status, out)
+	}
+}

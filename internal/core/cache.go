@@ -696,7 +696,7 @@ func (c *Cache) reclaimFirstExcept(skip *ccFrame) bool {
 		for j, e := range f.entries {
 			if e.refs--; e.refs == 0 {
 				e.frames = e.frames[:0]
-				c.entryPool = append(c.entryPool, e) //cclint:ignore maprange -- f.entries is a slice ([]*Entry); the syntactic check name-matches the Cache.entries map
+				c.entryPool = append(c.entryPool, e)
 			}
 			f.entries[j] = nil
 		}

@@ -90,10 +90,7 @@ func contractParams(fn *types.Func) map[*types.Var]borrowRole {
 func (BufOwn) Check(pkg *Package) []Diagnostic {
 	facts := pkg.Mod.Effects()
 	var out []Diagnostic
-	for _, n := range pkg.Mod.Graph.order {
-		if n.Pkg != pkg {
-			continue
-		}
+	for _, n := range pkg.funcs {
 		borrowed := contractParams(n.Fn)
 		if borrowed == nil {
 			continue

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -52,6 +53,20 @@ type Node struct {
 	Pkg *Package
 	// Out lists the call edges in source order.
 	Out []Edge
+
+	bySite map[ast.Node][]Edge // Out indexed by call site, built on first EdgesAt
+}
+
+// EdgesAt returns the edges whose site is the given call expression, in
+// edge order — several when the call dispatches through an interface.
+func (n *Node) EdgesAt(site ast.Node) []Edge {
+	if n.bySite == nil {
+		n.bySite = make(map[ast.Node][]Edge, len(n.Out))
+		for _, e := range n.Out {
+			n.bySite[e.Site] = append(n.bySite[e.Site], e)
+		}
+	}
+	return n.bySite[site]
 }
 
 // Edge is one call site.
@@ -101,6 +116,7 @@ func buildCallGraph(mod *Module) *CallGraph {
 				node := &Node{Fn: fn, Decl: fd, Pkg: pkg}
 				g.nodes[fn] = node
 				g.order = append(g.order, node)
+				pkg.funcs = append(pkg.funcs, node)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
@@ -138,18 +154,10 @@ func (g *CallGraph) before(a, b *types.Func) bool {
 // resolve maps one call expression to its edges.
 func (g *CallGraph) resolve(call *ast.CallExpr) []Edge {
 	info := g.mod.Info
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return []Edge{{Site: call, Callee: fn}}
-		}
-	case *ast.SelectorExpr:
+	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil
-			}
 			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
+			if !ok || sel.Kind() != types.MethodVal {
 				return nil
 			}
 			// The method's own receiver decides, not the selection's: a
@@ -164,10 +172,10 @@ func (g *CallGraph) resolve(call *ast.CallExpr) []Edge {
 			}
 			return []Edge{{Site: call, Callee: fn}}
 		}
-		// No selection: a package-qualified call like compress.Compress.
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return []Edge{{Site: call, Callee: fn}}
-		}
+	}
+	// No selection: a plain or package-qualified call like compress.Compress.
+	if fn := funcValueOf(info, call.Fun); fn != nil {
+		return []Edge{{Site: call, Callee: fn}}
 	}
 	return nil
 }
@@ -247,19 +255,21 @@ func (g *CallGraph) Reaches(pred func(*types.Func) bool) map[*types.Func]bool {
 	return reached
 }
 
-// Path returns a shortest call chain from `from` to a callee satisfying
-// pred: [from, ..., target]. It returns nil if no chain exists. The BFS is
-// level-synchronized and ties between same-length chains are broken by
-// g.order (each level's frontier is visited in declaration order, and the
-// first match wins), so the chain reported for a diagnostic is the same
-// on every run regardless of how the graph was assembled.
-func (g *CallGraph) Path(from *types.Func, pred func(*types.Func) bool) []*types.Func {
-	if pred(from) {
-		return []*types.Func{from}
+// Walk is the module's one forward traversal: breadth-first from seeds,
+// level-synchronized, each level's frontier visited in declaration order
+// (g.before) and each function's edges in source order, so the link
+// recorded for a function is the same on every run regardless of how the
+// graph was assembled. An edge to a function not reached yet is taken when
+// follow accepts it; callees without a body are recorded but never
+// expanded. The result maps every function reached to the one it was first
+// reached from (a seed maps to nil); chainTo turns it into call chains.
+// seeds is sorted in place.
+func (g *CallGraph) Walk(seeds []*types.Func, follow func(from *Node, e Edge) bool) map[*types.Func]*types.Func {
+	prev := make(map[*types.Func]*types.Func, len(seeds))
+	for _, fn := range seeds {
+		prev[fn] = nil
 	}
-	parent := map[*types.Func]*types.Func{from: nil}
-	frontier := []*types.Func{from}
-	for len(frontier) > 0 {
+	for frontier := seeds; len(frontier) > 0; {
 		sort.Slice(frontier, func(i, j int) bool { return g.before(frontier[i], frontier[j]) })
 		var next []*types.Func
 		for _, fn := range frontier {
@@ -267,29 +277,53 @@ func (g *CallGraph) Path(from *types.Func, pred func(*types.Func) bool) []*types
 			if node == nil {
 				continue
 			}
-			var target *types.Func
 			for _, e := range node.Out {
-				if pred(e.Callee) && (target == nil || g.before(e.Callee, target)) {
-					target = e.Callee
+				if _, seen := prev[e.Callee]; seen || !follow(node, e) {
+					continue
 				}
-			}
-			if target != nil {
-				chain := []*types.Func{target}
-				for f := fn; f != nil; f = parent[f] {
-					chain = append([]*types.Func{f}, chain...)
-				}
-				return chain
-			}
-			for _, e := range node.Out {
-				if _, ok := parent[e.Callee]; !ok {
-					parent[e.Callee] = fn
-					next = append(next, e.Callee)
-				}
+				prev[e.Callee] = fn
+				next = append(next, e.Callee)
 			}
 		}
 		frontier = next
 	}
-	return nil
+	return prev
+}
+
+// chainTo rebuilds the chain [seed, ..., fn] from Walk's links.
+func chainTo(prev map[*types.Func]*types.Func, fn *types.Func) []*types.Func {
+	var chain []*types.Func
+	for f := fn; f != nil; f = prev[f] {
+		chain = append(chain, f)
+	}
+	slices.Reverse(chain)
+	return chain
+}
+
+// Path returns a shortest call chain from `from` to a callee satisfying
+// pred: [from, ..., target]. It returns nil if no chain exists. Ties
+// between same-length chains are broken by Walk's order: the first caller
+// in its level with a matching callee wins, and among that caller's
+// matches the earliest declared.
+func (g *CallGraph) Path(from *types.Func, pred func(*types.Func) bool) []*types.Func {
+	if pred(from) {
+		return []*types.Func{from}
+	}
+	var target *types.Func
+	var caller *Node
+	prev := g.Walk([]*types.Func{from}, func(n *Node, e Edge) bool {
+		if caller != nil && n != caller {
+			return false // a chain is found; take nothing more and the walk runs dry
+		}
+		if pred(e.Callee) && (target == nil || g.before(e.Callee, target)) {
+			target, caller = e.Callee, n
+		}
+		return true
+	})
+	if target == nil {
+		return nil
+	}
+	return chainTo(prev, target)
 }
 
 // pkgPath returns a function's package path, "" for builtins.

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // CrossCredit guards the cost accounting of the simulated machine: work
 // advances the clock. It walks the module-wide call graph: an exported
@@ -57,31 +54,23 @@ func isClockAdvance(fn *types.Func) bool {
 
 // Check implements Analyzer.
 func (c CrossCredit) Check(pkg *Package) []Diagnostic {
-	if pkg.Mod == nil || pkg.Mod.Graph == nil || !inScopes(pkg.Path, crossCreditScopes) {
+	if !inScopes(pkg.Path, crossCreditScopes) {
 		return nil
 	}
-	g := pkg.Mod.Graph
 	credited := pkg.Mod.factSet("crosscredit.credited", isClockAdvance)
 
 	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !fd.Name.IsExported() {
-				continue
-			}
-			fn, ok := pkg.Mod.Info.Defs[fd.Name].(*types.Func)
-			if !ok || credited[fn] {
-				continue
-			}
-			chain := g.Path(fn, isChargeableWork)
-			if chain == nil {
-				continue
-			}
-			out = append(out, diag(pkg, c.Name(), fd.Name,
-				"%s does codec/device work (%s) but no call path ever advances the virtual clock; this cost is uncharged",
-				fd.Name.Name, chainString(chain)))
+	for _, n := range pkg.funcs {
+		if !n.Fn.Exported() || credited[n.Fn] {
+			continue
 		}
+		chain := pkg.Mod.Graph.Path(n.Fn, isChargeableWork)
+		if chain == nil {
+			continue
+		}
+		out = append(out, diag(pkg, c.Name(), n.Decl.Name,
+			"%s does codec/device work (%s) but no call path ever advances the virtual clock; this cost is uncharged",
+			n.Fn.Name(), chainString(chain)))
 	}
 	return out
 }

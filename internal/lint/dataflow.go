@@ -8,21 +8,24 @@ package lint
 //
 // The model is sources, sinks and sanitizers:
 //
-//   - Sources introduce nondeterminism: host-clock reads (time.Now/
+//   - Sources introduce nondeterminism. The standard-library ones are the
+//     rows of one table (nondetSources) that walltime and globalrand ban
+//     from and this engine taints from: host-clock reads (time.Now/
 //     Since/Until), the process-global math/rand source, os environment
-//     reads, runtime scheduler facts (NumGoroutine/NumCPU), map iteration
-//     order, %p pointer formatting, and uintptr(unsafe.Pointer)
-//     addresses. Seeded randomness (methods on a *rand.Rand) is NOT a
-//     source — that is the sanctioned determinism idiom.
+//     reads, runtime scheduler facts (NumGoroutine/NumCPU). The rest are
+//     shapes: map iteration order, %p pointer formatting, and
+//     uintptr(unsafe.Pointer) addresses. Seeded randomness (methods on a
+//     *rand.Rand) is NOT a source — that is the sanctioned determinism
+//     idiom.
 //   - Sinks are the places a nondeterministic value would corrupt a
 //     replayable artifact: the obs probes and exporters (Emit, Add, Set,
 //     Observe, WriteEventsJSONL, WriteTimeline, ...) and experiment
 //     table rows (exp Table.AddRow).
 //   - Sanitizers kill ordering taint: sort.X(s)/slices.Sort(s) and
-//     package-local helpers whose name starts with "sort" (the same
-//     collect-then-sort idiom maprange recognizes). Sorting fixes
-//     iteration-order nondeterminism only, so value taint (a host-clock
-//     reading) survives a sort.
+//     package-local helpers whose name starts with "sort" (sortedObjects,
+//     which maprange asks too). Sorting fixes iteration-order
+//     nondeterminism only, so value taint (a host-clock reading) survives
+//     a sort.
 //
 // Taint is tracked flow-insensitively per function over three token
 // kinds: a local source, a parameter (index), and a call-site result.
@@ -53,6 +56,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -158,35 +162,67 @@ func (f *TaintFacts) HitsIn(fn *types.Func) []TaintHit { return f.hits[fn] }
 // ---------------------------------------------------------------------------
 // Source, sink and sanitizer tables.
 
-// nondetSourceFn reports whether an external callee is a nondeterminism
-// source, with its diagnostic description.
-func nondetSourceFn(fn *types.Func) (string, bool) {
-	if fn == nil {
-		return "", false
+// nondetSource is one row of the source table: the single list of
+// host-dependent standard-library entry points, read by walltime,
+// globalrand and nondet alike.
+type nondetSource struct {
+	// pkgs are the import paths the row's functions live in.
+	pkgs []string
+	// names are the package-level functions; nil means every exported one
+	// except the seeded constructors (randConstructors).
+	names []string
+	// ban names the analyzer that forbids any reference to these functions
+	// module-wide, called or handed around as a value; "" = allowed where
+	// the value stays out of replayable output.
+	ban string
+	// taint describes the value a call returns, as a pattern over the
+	// function name; "" = the result carries nothing for nondet to track
+	// (time.Sleep returns nothing, time.After a channel).
+	taint string
+}
+
+// nondetSources is the table. The time rows forbid reads of and waits on
+// the host clock only: types and pure arithmetic (time.Duration,
+// time.Microsecond, d.Round(...)) are fine — the simulation uses
+// time.Duration as its unit of virtual time.
+var nondetSources = []nondetSource{
+	{pkgs: []string{"time"}, names: []string{"Now", "Since", "Until"}, ban: "walltime", taint: "time.%s host-clock value"},
+	{pkgs: []string{"time"}, names: []string{"Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"}, ban: "walltime"},
+	{pkgs: randPkgs, ban: "globalrand", taint: "global rand.%s value"},
+	{pkgs: []string{"os"}, names: []string{"Getenv", "LookupEnv", "Environ", "Getpid", "Getppid", "Hostname"}, taint: "os.%s environment value"},
+	{pkgs: []string{"runtime"}, names: []string{"NumGoroutine", "NumCPU"}, taint: "runtime.%s scheduler value"},
+}
+
+// randPkgs are the two generations of math/rand; randConstructors are their
+// package-level names that do not touch the global source.
+var (
+	randPkgs         = []string{"math/rand", "math/rand/v2"}
+	randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+)
+
+// nondetSourceOf returns fn's row in the source table, or nil. Only
+// package-level functions match: t.After(u) compares two values, and
+// methods on a seeded *rand.Rand are the sanctioned determinism idiom.
+func nondetSourceOf(fn *types.Func) *nondetSource {
+	if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
 	}
-	switch pkgPath(fn) {
-	case "time":
-		switch fn.Name() {
-		case "Now", "Since", "Until":
-			return "time." + fn.Name() + " host-clock value", true
+	for i := range nondetSources {
+		row := &nondetSources[i]
+		if !slices.Contains(row.pkgs, pkgPath(fn)) {
+			continue
 		}
-	case "math/rand", "math/rand/v2":
-		sig, ok := fn.Type().(*types.Signature)
-		if ok && sig.Recv() == nil && fn.Exported() && !randConstructors[fn.Name()] {
-			return "global rand." + fn.Name() + " value", true
-		}
-	case "os":
-		switch fn.Name() {
-		case "Getenv", "LookupEnv", "Environ", "Getpid", "Getppid", "Hostname":
-			return "os." + fn.Name() + " environment value", true
-		}
-	case "runtime":
-		switch fn.Name() {
-		case "NumGoroutine", "NumCPU":
-			return "runtime." + fn.Name() + " scheduler value", true
+		if (row.names == nil && fn.Exported() && !randConstructors[fn.Name()]) || slices.Contains(row.names, fn.Name()) {
+			return row
 		}
 	}
-	return "", false
+	return nil
+}
+
+// bannedBy reports whether the named analyzer forbids referencing fn.
+func bannedBy(fn *types.Func, analyzer string) bool {
+	row := nondetSourceOf(fn)
+	return row != nil && row.ban == analyzer
 }
 
 // nondetSinkFn reports whether fn is an output sink: the obs probes and
@@ -224,8 +260,8 @@ func isNondetSink(fn *types.Func) bool {
 }
 
 // sanitizerCall reports whether a call is a sort-shaped sanitizer:
-// sort.X(...), slices.X(...), or a local helper named sort* — the same
-// heuristic maprange's sortedLater uses.
+// sort.X(...), slices.X(...), or a package-local helper whose name starts
+// with "sort" (sortPageKeys(keys)).
 func sanitizerCall(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -236,6 +272,27 @@ func sanitizerCall(call *ast.CallExpr) bool {
 		return strings.HasPrefix(fun.Name, "sort")
 	}
 	return false
+}
+
+// sortedObjects returns every variable a function body hands to a
+// sanitizer anywhere — the collect-then-sort idiom. It is the one sort
+// sanitizer: maprange lets an append into such a variable pass, and the
+// taint engine keeps ordering taint off it.
+func sortedObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	sorted := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && sanitizerCall(call) {
+			for _, arg := range call.Args {
+				if id := rootIdent(arg); id != nil {
+					if obj := objectOf(info, id); obj != nil {
+						sorted[obj] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return sorted
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +308,6 @@ type taintScanner struct {
 	tainted    map[types.Object]map[tok]bool
 	sanitized  map[types.Object]bool
 	srcMemo    map[ast.Node]*TaintSource
-	siteEdges  map[ast.Node][]Edge
 	ft         *fnTaint
 	changed    bool
 }
@@ -263,13 +319,9 @@ func scanFnTaint(mod *Module, node *Node) *fnTaint {
 		node:      node,
 		params:    make(map[types.Object]int),
 		tainted:   make(map[types.Object]map[tok]bool),
-		sanitized: make(map[types.Object]bool),
+		sanitized: sortedObjects(mod.Info, node.Decl.Body),
 		srcMemo:   make(map[ast.Node]*TaintSource),
-		siteEdges: make(map[ast.Node][]Edge),
 		ft:        ft,
-	}
-	for _, e := range node.Out {
-		s.siteEdges[e.Site] = append(s.siteEdges[e.Site], e)
 	}
 	sig := node.Fn.Type().(*types.Signature)
 	for i := 0; i < sig.Params().Len(); i++ {
@@ -284,7 +336,6 @@ func scanFnTaint(mod *Module, node *Node) *fnTaint {
 			s.results = append(s.results, nil)
 		}
 	}
-	s.collectSanitized(node.Decl.Body)
 	// Iterate the flow-insensitive propagation to a fixed point (bounded:
 	// each round can only add tokens to objects). The final round runs
 	// with a stable tainted set, so its collected relations stand.
@@ -298,32 +349,8 @@ func scanFnTaint(mod *Module, node *Node) *fnTaint {
 	return ft
 }
 
-// collectSanitized records every object handed to a sort-shaped call.
-func (s *taintScanner) collectSanitized(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !sanitizerCall(call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if id := rootIdent(arg); id != nil {
-				if obj := s.objectOf(id); obj != nil {
-					s.sanitized[obj] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-func (s *taintScanner) objectOf(id *ast.Ident) types.Object {
-	if u := s.mod.Info.Uses[id]; u != nil {
-		return u
-	}
-	return s.mod.Info.Defs[id]
-}
-
-// addTaint joins tokens into an object's taint set. Sanitized objects
+// addTaint joins tokens into the taint set of an assignment target's local
+// (localVar: fields and globals are not tracked). Sanitized objects
 // reject ordering taint — sorting is exactly what makes map-order
 // collection deterministic — but value taint passes through a sort.
 func (s *taintScanner) addTaint(obj types.Object, toks map[tok]bool) {
@@ -344,20 +371,6 @@ func (s *taintScanner) addTaint(obj types.Object, toks map[tok]bool) {
 			s.changed = true
 		}
 	}
-}
-
-// lhsTaintObject resolves an assignment target to a local object (or a
-// parameter); fields and globals are not tracked.
-func (s *taintScanner) lhsTaintObject(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	obj := s.objectOf(id)
-	if v, ok := obj.(*types.Var); ok && !v.IsField() && !isGlobal(v) {
-		return v
-	}
-	return nil
 }
 
 // walk runs one propagation round and (re)collects the flow relations.
@@ -389,7 +402,7 @@ func (s *taintScanner) walk(body *ast.BlockStmt) {
 		case *ast.ValueSpec:
 			if len(n.Names) == len(n.Values) {
 				for i, name := range n.Names {
-					s.addTaint(s.lhsTaintObject(name), s.toksOf(n.Values[i]))
+					s.addTaint(localVar(s.mod.Info, name), s.toksOf(n.Values[i]))
 				}
 			}
 		case *ast.RangeStmt:
@@ -413,17 +426,17 @@ func (s *taintScanner) scanAssignTaint(n *ast.AssignStmt) {
 	switch {
 	case len(n.Lhs) == len(n.Rhs):
 		for i := range n.Lhs {
-			s.addTaint(s.lhsTaintObject(n.Lhs[i]), s.toksOf(n.Rhs[i]))
+			s.addTaint(localVar(s.mod.Info, n.Lhs[i]), s.toksOf(n.Rhs[i]))
 		}
 	case len(n.Rhs) == 1:
 		toks := s.toksOf(n.Rhs[0])
 		call, isCall := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
 		for i, lhs := range n.Lhs {
 			if isCall && len(n.Lhs) > 1 {
-				s.addTaint(s.lhsTaintObject(lhs), retargetCall(toks, call, i))
+				s.addTaint(localVar(s.mod.Info, lhs), retargetCall(toks, call, i))
 				continue
 			}
-			s.addTaint(s.lhsTaintObject(lhs), toks)
+			s.addTaint(localVar(s.mod.Info, lhs), toks)
 		}
 	}
 }
@@ -468,32 +481,22 @@ func (s *taintScanner) scanReturnTaint(n *ast.ReturnStmt) {
 // source, and propagates the ranged expression's own taint into both.
 func (s *taintScanner) scanRangeTaint(n *ast.RangeStmt) {
 	toks := s.toksOf(n.X)
-	if t := s.mod.Info.TypeOf(n.X); t != nil {
-		if _, isMap := t.Underlying().(*types.Map); isMap {
-			src := s.srcMemo[n]
-			if src == nil {
-				src = &TaintSource{
-					Node:  n,
-					Desc:  fmt.Sprintf("iteration order of map %s", types.ExprString(n.X)),
-					Order: true,
-				}
-				s.srcMemo[n] = src
-			}
-			toks = unionToks(toks, map[tok]bool{srcTok(src): true})
-		}
+	if isMap(s.mod.Info.TypeOf(n.X)) {
+		src := s.sourceAt(n, fmt.Sprintf("iteration order of map %s", types.ExprString(n.X)), true)
+		toks = unionToks(toks, map[tok]bool{srcTok(src): true})
 	}
 	if id, ok := n.Key.(*ast.Ident); ok {
-		s.addTaint(s.lhsTaintObject(id), toks)
+		s.addTaint(localVar(s.mod.Info, id), toks)
 	}
 	if id, ok := n.Value.(*ast.Ident); ok {
-		s.addTaint(s.lhsTaintObject(id), toks)
+		s.addTaint(localVar(s.mod.Info, id), toks)
 	}
 }
 
 // recordCallFlows collects sink-argument and internal-call-argument taint
 // for one call site.
 func (s *taintScanner) recordCallFlows(call *ast.CallExpr) {
-	for _, e := range s.siteEdges[call] {
+	for _, e := range s.node.EdgesAt(call) {
 		if label, ok := nondetSinkFn(e.Callee); ok {
 			toks := make(map[tok]bool)
 			for _, arg := range call.Args {
@@ -562,7 +565,7 @@ func unionToks(a, b map[tok]bool) map[tok]bool {
 func (s *taintScanner) toksOf(e ast.Expr) map[tok]bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		obj := s.objectOf(e)
+		obj := objectOf(s.mod.Info, e)
 		if obj == nil {
 			return nil
 		}
@@ -624,17 +627,16 @@ func (s *taintScanner) toksOfCall(call *ast.CallExpr) map[tok]bool {
 	}
 	// Builtins: append derives from every argument; len/cap/make/new are
 	// deterministic (a tainted slice's length is not itself tainted).
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			if id.Name == "append" {
-				var out map[tok]bool
-				for _, a := range call.Args {
-					out = unionToks(out, s.toksOf(a))
-				}
-				return out
-			}
-			return nil
+	switch builtinCall(info, call) {
+	case "":
+	case "append":
+		var out map[tok]bool
+		for _, a := range call.Args {
+			out = unionToks(out, s.toksOf(a))
 		}
+		return out
+	default:
+		return nil
 	}
 	// Conversions propagate their operand; uintptr(unsafe.Pointer) is
 	// additionally an address source.
@@ -651,8 +653,9 @@ func (s *taintScanner) toksOfCall(call *ast.CallExpr) map[tok]bool {
 	}
 	var internal bool
 	var out map[tok]bool
-	for _, e := range s.siteEdges[call] {
-		if desc, ok := nondetSourceFn(e.Callee); ok {
+	for _, e := range s.node.EdgesAt(call) {
+		if row := nondetSourceOf(e.Callee); row != nil && row.taint != "" {
+			desc := fmt.Sprintf(row.taint, e.Callee.Name())
 			out = unionToks(out, map[tok]bool{srcTok(s.sourceAt(call, desc, false)): true})
 			continue
 		}
@@ -696,7 +699,7 @@ func (s *taintScanner) sourceAt(n ast.Node, desc string, order bool) *TaintSourc
 // fmtPointerCall reports a fmt call whose constant format string contains
 // %p — the classic way a heap address sneaks into output.
 func (s *taintScanner) fmtPointerCall(call *ast.CallExpr) bool {
-	for _, e := range s.siteEdges[call] {
+	for _, e := range s.node.EdgesAt(call) {
 		if pkgPath(e.Callee) == "fmt" {
 			for _, a := range call.Args {
 				if lit, ok := ast.Unparen(a).(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "%p") {
@@ -866,8 +869,8 @@ func computeTaint(mod *Module) *TaintFacts {
 // order.
 func calleesAt(n *Node, site *ast.CallExpr) []*types.Func {
 	var out []*types.Func
-	for _, e := range n.Out {
-		if e.Site == site && n.Pkg != nil && n.Pkg.Mod.Graph.Node(e.Callee) != nil {
+	for _, e := range n.EdgesAt(site) {
+		if n.Pkg.Mod.Graph.Node(e.Callee) != nil {
 			out = append(out, e.Callee)
 		}
 	}

@@ -49,8 +49,8 @@ func (EffectDrift) Check(pkg *Package) []Diagnostic {
 	}
 	facts := pkg.Mod.Effects()
 	var out []Diagnostic
-	for _, n := range pkg.Mod.Graph.order {
-		if n.Pkg != pkg || !n.Fn.Exported() {
+	for _, n := range pkg.funcs {
+		if !n.Fn.Exported() {
 			continue
 		}
 		recorded, ok := manifest[n.Fn.FullName()]

@@ -45,7 +45,6 @@ import (
 	"go/token"
 	"go/types"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -282,19 +281,17 @@ type fnScanner struct {
 	coldRoots []ast.Node
 	handled   map[ast.Node]bool // composite lits consumed by a parent &T{}
 	pooled    bool
-	errorType types.Type
 }
 
 func scanFn(mod *Module, node *Node) *FnEffects {
 	fe := &FnEffects{Fn: node.Fn, ColdSites: make(map[ast.Node]bool)}
 	s := &fnScanner{
-		mod:       mod,
-		node:      node,
-		fe:        fe,
-		origins:   make(map[types.Object]origin),
-		fieldRHS:  make(map[ast.Expr]bool),
-		handled:   make(map[ast.Node]bool),
-		errorType: types.Universe.Lookup("error").Type(),
+		mod:      mod,
+		node:     node,
+		fe:       fe,
+		origins:  make(map[types.Object]origin),
+		fieldRHS: make(map[ast.Expr]bool),
+		handled:  make(map[ast.Node]bool),
 	}
 	for name, fns := range pooledAllocFns {
 		if fnIn(node.Fn, name, fns) {
@@ -326,7 +323,7 @@ func (s *fnScanner) contextPass(body *ast.BlockStmt) {
 					if s.isPersistentLHS(n.Lhs[i]) {
 						s.fieldRHS[n.Rhs[i]] = true
 					}
-					if obj := s.lhsObject(n.Lhs[i]); obj != nil {
+					if obj := localVar(s.mod.Info, n.Lhs[i]); obj != nil {
 						s.setOrigin(obj, s.originOf(n.Rhs[i]))
 					}
 				}
@@ -342,20 +339,16 @@ func (s *fnScanner) contextPass(body *ast.BlockStmt) {
 		case *ast.RangeStmt:
 			// `for _, x := range p`: the element derives from the ranged
 			// value (a slice element aliases its backing array).
-			if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
-				if obj := s.lhsObject(id); obj != nil {
-					s.setOrigin(obj, s.originOf(n.X))
-				}
+			if obj := localVar(s.mod.Info, n.Value); obj != nil {
+				s.setOrigin(obj, s.originOf(n.X))
 			}
 		case *ast.ReturnStmt:
 			if s.isColdReturn(n) {
 				s.coldRoots = append(s.coldRoots, n)
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				if _, isBuiltin := s.mod.Info.Uses[id].(*types.Builtin); isBuiltin {
-					s.coldRoots = append(s.coldRoots, n)
-				}
+			if builtinCall(s.mod.Info, n) == "panic" {
+				s.coldRoots = append(s.coldRoots, n)
 			}
 		}
 		return true
@@ -373,7 +366,7 @@ func (s *fnScanner) isColdReturn(ret *ast.ReturnStmt) bool {
 	if nres == 0 || len(ret.Results) == 0 {
 		return false
 	}
-	if !types.Identical(sig.Results().At(nres-1).Type(), s.errorType) {
+	if !isErrorType(sig.Results().At(nres - 1).Type()) {
 		return false
 	}
 	switch last := ast.Unparen(ret.Results[len(ret.Results)-1]).(type) {
@@ -385,24 +378,13 @@ func (s *fnScanner) isColdReturn(ret *ast.ReturnStmt) bool {
 			return ok
 		}
 	case *ast.CallExpr:
-		for _, e := range s.edgesAt(last) {
+		for _, e := range s.node.EdgesAt(last) {
 			if knownAllocExternal(e.Callee) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// edgesAt returns the call-graph edges whose site is this expression.
-func (s *fnScanner) edgesAt(call ast.Node) []Edge {
-	var out []Edge
-	for _, e := range s.node.Out {
-		if e.Site == call {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // isCold reports whether a node lies inside a cold root's span.
@@ -437,29 +419,6 @@ func (s *fnScanner) isPersistentLHS(e ast.Expr) bool {
 		return s.isPersistentLHS(e.X)
 	}
 	return false
-}
-
-func isGlobal(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// lhsObject returns the local variable object an assignment target binds,
-// or nil for fields, globals, and indexed elements.
-func (s *fnScanner) lhsObject(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	var obj types.Object
-	if d := s.mod.Info.Defs[id]; d != nil {
-		obj = d
-	} else if u := s.mod.Info.Uses[id]; u != nil {
-		obj = u
-	}
-	if v, ok := obj.(*types.Var); ok && !v.IsField() && !isGlobal(v) {
-		return v
-	}
-	return nil
 }
 
 // setOrigin joins a new binding into a variable's origin. The pass is
@@ -497,7 +456,7 @@ func (s *fnScanner) setOrigin(obj types.Object, o origin) {
 func (s *fnScanner) originOf(e ast.Expr) origin {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if v, ok := s.objectOf(e).(*types.Var); ok {
+		if v, ok := objectOf(s.mod.Info, e).(*types.Var); ok {
 			if o, ok := s.origins[v]; ok {
 				return o
 			}
@@ -528,20 +487,11 @@ func (s *fnScanner) originOf(e ast.Expr) origin {
 			return s.originOf(e.X)
 		}
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
-			if _, isBuiltin := s.mod.Info.Uses[id].(*types.Builtin); isBuiltin && len(e.Args) > 0 {
-				return s.originOf(e.Args[0])
-			}
+		if builtinCall(s.mod.Info, e) == "append" && len(e.Args) > 0 {
+			return s.originOf(e.Args[0])
 		}
 	}
 	return origin{kind: oFresh}
-}
-
-func (s *fnScanner) objectOf(id *ast.Ident) types.Object {
-	if u := s.mod.Info.Uses[id]; u != nil {
-		return u
-	}
-	return s.mod.Info.Defs[id]
 }
 
 // addSite records one allocation site and folds its class into Local.
@@ -634,19 +584,18 @@ func (s *fnScanner) scanCall(call *ast.CallExpr) {
 	if cold {
 		s.fe.ColdSites[call] = true
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make", "new":
-				class := s.classify(call, call)
-				s.addSite(call, class, types.ExprString(call))
-			case "append":
-				if len(call.Args) > 0 {
-					s.scanAppend(call)
-				}
-			}
-			return
+	switch builtinCall(info, call) {
+	case "":
+	case "make", "new":
+		s.addSite(call, s.classify(call, call), types.ExprString(call))
+		return
+	case "append":
+		if len(call.Args) > 0 {
+			s.scanAppend(call)
 		}
+		return
+	default:
+		return
 	}
 	// Conversions: string↔[]byte (and []rune) copy their operand.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
@@ -658,7 +607,7 @@ func (s *fnScanner) scanCall(call *ast.CallExpr) {
 	}
 	// Known-allocating external callees become local sites (externals
 	// have no bodies, so the fixed point cannot see inside them).
-	for _, e := range s.edgesAt(call) {
+	for _, e := range s.node.EdgesAt(call) {
 		if s.mod.Graph.Node(e.Callee) != nil {
 			continue
 		}
@@ -757,7 +706,7 @@ func (s *fnScanner) scanFuncLit(lit *ast.FuncLit, parent ast.Node) {
 		if ast.Unparen(p.Fun) == lit {
 			escapes = false // directly invoked
 		} else {
-			for _, e := range s.edgesAt(p) {
+			for _, e := range s.node.EdgesAt(p) {
 				if knownAllocExternal(e.Callee) {
 					return // the call itself is already a site
 				}
@@ -811,14 +760,12 @@ func (s *fnScanner) scanAssign(n *ast.AssignStmt) {
 	info := s.mod.Info
 	for _, lhs := range n.Lhs {
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-			if t := info.Types[ix.X].Type; t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					class := SiteWarm
-					if s.isCold(n) {
-						class = SiteCold
-					}
-					s.addSite(n, class, fmt.Sprintf("map write to %s", types.ExprString(ix.X)))
+			if isMap(info.TypeOf(ix.X)) {
+				class := SiteWarm
+				if s.isCold(n) {
+					class = SiteCold
 				}
+				s.addSite(n, class, fmt.Sprintf("map write to %s", types.ExprString(ix.X)))
 			}
 		}
 	}
@@ -844,14 +791,7 @@ func (s *fnScanner) scanSliceExpr(n *ast.SliceExpr) {
 		return
 	}
 	capCall, ok := ast.Unparen(n.High).(*ast.CallExpr)
-	if !ok || len(capCall.Args) != 1 {
-		return
-	}
-	id, ok := ast.Unparen(capCall.Fun).(*ast.Ident)
-	if !ok || id.Name != "cap" {
-		return
-	}
-	if _, isBuiltin := s.mod.Info.Uses[id].(*types.Builtin); !isBuiltin {
+	if !ok || len(capCall.Args) != 1 || builtinCall(s.mod.Info, capCall) != "cap" {
 		return
 	}
 	if arg := s.originOf(capCall.Args[0]); arg.kind == oParam && arg.param == base.param {
@@ -868,6 +808,9 @@ func isStringBytesConv(to, from types.Type) bool {
 }
 
 func isString(t types.Type) bool {
+	if t == nil {
+		return false
+	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
 }
@@ -950,8 +893,7 @@ func codecContract(fn *types.Func) bool {
 	case "Compress":
 		return res.Len() == 1 && isByteSlice(res.At(0).Type())
 	case "Decompress":
-		return res.Len() == 2 && isByteSlice(res.At(0).Type()) &&
-			types.Identical(res.At(1).Type(), types.Universe.Lookup("error").Type())
+		return res.Len() == 2 && isByteSlice(res.At(0).Type()) && isErrorType(res.At(1).Type())
 	}
 	return false
 }
@@ -967,50 +909,26 @@ func isByteSlice(t types.Type) bool {
 
 // HotChains computes, for every function reachable from a hot root along
 // non-cold call edges, the deterministic shortest chain from its root
-// (ties broken by declaration order). The map is cached on the facts.
+// (CallGraph.Walk's order). The map is cached on the facts.
 func (f *EffectFacts) HotChains() map[*types.Func][]*types.Func {
 	if f.hot != nil {
 		return f.hot
 	}
 	g := f.mod.Graph
-	chains := make(map[*types.Func][]*types.Func)
-	var frontier []*types.Func
+	var roots []*types.Func
 	for _, n := range g.order {
 		if hotRoot(n.Fn) {
-			chains[n.Fn] = []*types.Func{n.Fn}
-			frontier = append(frontier, n.Fn)
+			roots = append(roots, n.Fn)
 		}
 	}
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return g.before(frontier[i], frontier[j]) })
-		var next []*types.Func
-		for _, fn := range frontier {
-			node := g.nodes[fn]
-			fe := f.fns[fn]
-			if node == nil || fe == nil {
-				continue
-			}
-			for _, e := range node.Out {
-				if fe.ColdSites[e.Site] {
-					continue
-				}
-				if g.nodes[e.Callee] == nil {
-					continue // external
-				}
-				if _, ok := chains[e.Callee]; ok {
-					continue
-				}
-				chain := make([]*types.Func, len(chains[fn])+1)
-				copy(chain, chains[fn])
-				chain[len(chain)-1] = e.Callee
-				chains[e.Callee] = chain
-				next = append(next, e.Callee)
-			}
-		}
-		frontier = next
+	prev := g.Walk(roots, func(n *Node, e Edge) bool {
+		return !f.fns[n.Fn].ColdSites[e.Site] && g.nodes[e.Callee] != nil // external callees are local sites
+	})
+	f.hot = make(map[*types.Func][]*types.Func, len(prev))
+	for fn := range prev {
+		f.hot[fn] = chainTo(prev, fn)
 	}
-	f.hot = chains
-	return chains
+	return f.hot
 }
 
 // ---------------------------------------------------------------------------

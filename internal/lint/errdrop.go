@@ -49,38 +49,29 @@ var errDropScopes = []string{
 
 // Check implements Analyzer.
 func (e ErrDrop) Check(pkg *Package) []Diagnostic {
-	if pkg.Mod == nil {
+	if !inScopes(pkg.Path, errDropScopes) {
 		return nil
 	}
-	var out []Diagnostic
-	if !inScopes(pkg.Path, errDropScopes) {
-		return out
-	}
 	info := pkg.Mod.Info
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ExprStmt:
-					if call, ok := n.X.(*ast.CallExpr); ok {
-						out = append(out, e.checkDiscardedCall(pkg, info, call, "")...)
-					}
-				case *ast.DeferStmt:
-					out = append(out, e.checkDiscardedCall(pkg, info, n.Call, "deferred ")...)
-				case *ast.GoStmt:
-					out = append(out, e.checkDiscardedCall(pkg, info, n.Call, "spawned ")...)
-				case *ast.AssignStmt:
-					out = append(out, e.checkBlank(pkg, info, n)...)
-				case *ast.BlockStmt:
-					out = append(out, e.checkOverwrites(pkg, info, n)...)
+	var out []Diagnostic
+	for _, fn := range pkg.funcs {
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					out = append(out, e.checkDiscardedCall(pkg, info, call, "")...)
 				}
-				return true
-			})
-		}
+			case *ast.DeferStmt:
+				out = append(out, e.checkDiscardedCall(pkg, info, n.Call, "deferred ")...)
+			case *ast.GoStmt:
+				out = append(out, e.checkDiscardedCall(pkg, info, n.Call, "spawned ")...)
+			case *ast.AssignStmt:
+				out = append(out, e.checkBlank(pkg, info, n)...)
+			case *ast.BlockStmt:
+				out = append(out, e.checkOverwrites(pkg, info, n)...)
+			}
+			return true
+		})
 	}
 	return out
 }
@@ -129,41 +120,42 @@ func (e ErrDrop) checkOverwrites(pkg *Package, info *types.Info, block *ast.Bloc
 	var out []Diagnostic
 	// last[obj] remembers the most recent unread error-write in this
 	// statement list.
-	type write struct {
-		at   ast.Node
-		name string
-	}
-	last := make(map[types.Object]*write)
+	last := make(map[types.Object]*ast.Ident)
 	for _, stmt := range block.List {
 		// Which error objects does this statement write at its own level,
 		// and which does it mention anywhere in its subtree?
 		writes := topLevelErrWrites(info, stmt)
-		mentioned := mentionedObjects(info, stmt)
-		for obj := range mentioned {
-			if _, isWrite := writes[obj]; !isWrite {
+		written := make(map[types.Object]bool, len(writes))
+		for _, id := range writes {
+			written[objectOf(info, id)] = true
+		}
+		for obj := range mentionedObjects(info, stmt) {
+			if !written[obj] {
 				// Read (or nested use) clears the pending write.
 				delete(last, obj)
 			}
 		}
-		for obj, n := range writes {
-			if w, ok := last[obj]; ok {
-				// Does the overwriting statement also read the variable
-				// (err = fmt.Errorf("...: %w", err) wraps, not drops)?
-				if !readsObject(info, stmt, obj, n) {
-					out = append(out, diag(pkg, e.Name(), w.at,
-						"error assigned to %s is overwritten before anything reads it; the first failure is lost", w.name))
-				}
+		// Findings are appended in the order the statement writes its
+		// targets, never in map order: cclint's output is itself a
+		// byte-identical artifact.
+		for _, id := range writes {
+			obj := objectOf(info, id)
+			// Does the overwriting statement also read the variable
+			// (err = fmt.Errorf("...: %w", err) wraps, not drops)?
+			if w, ok := last[obj]; ok && !readsObject(info, stmt, obj, id) {
+				out = append(out, diag(pkg, e.Name(), w,
+					"error assigned to %s is overwritten before anything reads it; the first failure is lost", w.Name))
 			}
-			last[obj] = &write{at: n, name: obj.Name()}
+			last[obj] = id
 		}
 	}
 	return out
 }
 
-// topLevelErrWrites returns the error-typed objects a statement assigns
-// from a call at its own level (not inside nested blocks), keyed to the
-// assignment node.
-func topLevelErrWrites(info *types.Info, stmt ast.Stmt) map[types.Object]ast.Node {
+// topLevelErrWrites returns, in source order, the error-typed identifiers a
+// statement assigns from a call at its own level (not inside nested
+// blocks).
+func topLevelErrWrites(info *types.Info, stmt ast.Stmt) []*ast.Ident {
 	as, ok := stmt.(*ast.AssignStmt)
 	if !ok || (as.Tok != token.ASSIGN && as.Tok != token.DEFINE) {
 		return nil
@@ -180,22 +172,13 @@ func topLevelErrWrites(info *types.Info, stmt ast.Stmt) map[types.Object]ast.Nod
 	if !hasCall {
 		return nil
 	}
-	writes := make(map[types.Object]ast.Node)
+	var writes []*ast.Ident
 	for _, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
+		if id, ok := lhs.(*ast.Ident); ok {
+			if v, ok := objectOf(info, id).(*types.Var); ok && isErrorType(v.Type()) {
+				writes = append(writes, id)
+			}
 		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); ok && isErrorType(v.Type()) {
-			writes[obj] = id
-		}
-	}
-	if len(writes) == 0 {
-		return nil
 	}
 	return writes
 }

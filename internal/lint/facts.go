@@ -1,0 +1,97 @@
+package lint
+
+import (
+	"go/ast"
+	"go/types"
+)
+
+// The typed fact helpers every analyzer and per-function scanner shares.
+// They answer from the module's one types.Info what spelling can only
+// guess: which object an identifier is, which function an expression
+// names, whether a value is a map. A nil or missing type is "unknown",
+// never proof.
+
+// objectOf resolves an identifier to the object it uses or defines.
+func objectOf(info *types.Info, id *ast.Ident) types.Object {
+	if u := info.Uses[id]; u != nil {
+		return u
+	}
+	return info.Defs[id]
+}
+
+// localVar resolves an assignment target to the local variable or
+// parameter it binds; nil for the blank identifier, fields, globals and
+// anything that is not a plain identifier. The result is a types.Object,
+// what the scanners key their maps by, so that a miss is a plain nil
+// rather than a nil *types.Var inside a non-nil interface.
+func localVar(info *types.Info, e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if v, ok := objectOf(info, id).(*types.Var); ok && !v.IsField() && !isGlobal(v) {
+			return v
+		}
+	}
+	return nil
+}
+
+func isGlobal(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// funcValueOf resolves an expression naming a function — f, pkg.f under
+// whatever name the file imports pkg, a dot-imported f, or a method value
+// x.m — to that function, whether the expression is called or handed
+// around as a value. Anything else (a func-typed variable, a literal) is
+// nil.
+func funcValueOf(info *types.Info, e ast.Expr) *types.Func {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[e].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[e.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// builtinCall returns the name of the builtin a call invokes ("append",
+// "make", "panic", ...), or "" when it calls anything else — including a
+// user function that shadows a builtin's name.
+func builtinCall(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
+// isMap reports whether t is a map type (false for a nil, unknown type).
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// rootIdent returns the leftmost identifier of an expression chain
+// (x, x.y, x[i], *x, &x, (x) ...), or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return v
+		case *ast.SelectorExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		case *ast.UnaryExpr:
+			e = v.X
+		default:
+			return nil
+		}
+	}
+}

@@ -38,20 +38,13 @@ func (FloatOrder) Severity() Severity { return SevWarn }
 
 // Check implements Analyzer.
 func (fo FloatOrder) Check(pkg *Package) []Diagnostic {
-	if pkg.Mod == nil {
-		return nil
-	}
 	info := pkg.Mod.Info
 	var out []Diagnostic
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				t := info.TypeOf(n.X)
-				if t == nil {
-					return true
-				}
-				if _, ok := deref(t).Underlying().(*types.Map); !ok {
+				if !isMap(info.TypeOf(n.X)) {
 					return true
 				}
 				out = append(out, fo.checkBody(pkg, info, n.Body, n.Body.Pos(), n.Body.End(),
@@ -95,7 +88,7 @@ func (fo FloatOrder) checkBody(pkg *Package, info *types.Info, body *ast.BlockSt
 			if !ok {
 				return true
 			}
-			id = rootCapturedIdent(sel.X)
+			id = rootIdent(sel.X)
 			if id == nil {
 				return true
 			}

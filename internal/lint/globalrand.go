@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"slices"
 )
 
@@ -31,47 +32,27 @@ func (GlobalRand) Doc() string {
 // Severity implements Analyzer.
 func (GlobalRand) Severity() Severity { return SevError }
 
-// randConstructors are the math/rand package-level names that do not touch
-// the global source.
-var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-}
-
 // Check implements Analyzer.
 func (g GlobalRand) Check(pkg *Package) []Diagnostic {
+	info := pkg.Mod.Info
 	var out []Diagnostic
 	for _, f := range pkg.Files {
-		names := append(importNames(f, "math/rand"), importNames(f, "math/rand/v2")...)
-		if len(names) == 0 {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || !slices.Contains(names, id.Name) {
-				return true
-			}
-			fn := sel.Sel.Name
-			switch {
-			case !randConstructors[fn] && ast.IsExported(fn):
+			// The callee is resolved by identity, so a local *rand.Rand that
+			// shadows the package name is not mistaken for the package.
+			switch fn := funcValueOf(info, call.Fun); {
+			case bannedBy(fn, g.Name()):
 				out = append(out, diag(pkg, g.Name(), call,
-					"rand.%s uses the process-global source; thread a seeded *rand.Rand instead", fn))
-			case fn == "New" && len(call.Args) == 1:
-				if src, ok := call.Args[0].(*ast.CallExpr); ok {
-					if s, ok := src.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "NewSource" && len(src.Args) == 1 {
-						if !explicitSeed(src.Args[0]) {
-							out = append(out, diag(pkg, g.Name(), src.Args[0],
-								"rand.NewSource seed must be a constant, parameter or field, not a computed value"))
-						}
+					"rand.%s uses the process-global source; thread a seeded *rand.Rand instead", fn.Name()))
+			case isRandFunc(fn, "New") && len(call.Args) == 1:
+				if src, ok := call.Args[0].(*ast.CallExpr); ok && isRandFunc(funcValueOf(info, src.Fun), "NewSource") && len(src.Args) == 1 {
+					if !explicitSeed(src.Args[0]) {
+						out = append(out, diag(pkg, g.Name(), src.Args[0],
+							"rand.NewSource seed must be a constant, parameter or field, not a computed value"))
 					}
 				}
 			}
@@ -79,6 +60,12 @@ func (g GlobalRand) Check(pkg *Package) []Diagnostic {
 		})
 	}
 	return out
+}
+
+// isRandFunc reports whether fn is math/rand's (or v2's) function of the
+// given name.
+func isRandFunc(fn *types.Func, name string) bool {
+	return fn != nil && fn.Name() == name && slices.Contains(randPkgs, pkgPath(fn))
 }
 
 // explicitSeed reports whether an expression is an acceptable seed: a

@@ -37,10 +37,7 @@ func (HotAlloc) Check(pkg *Package) []Diagnostic {
 	facts := pkg.Mod.Effects()
 	chains := facts.HotChains()
 	var out []Diagnostic
-	for _, n := range pkg.Mod.Graph.order {
-		if n.Pkg != pkg {
-			continue
-		}
+	for _, n := range pkg.funcs {
 		chain, hot := chains[n.Fn]
 		if !hot {
 			continue

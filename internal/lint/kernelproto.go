@@ -17,9 +17,9 @@ package lint
 // closure — a plain func-value call the call graph itself drops, so the
 // wrapper propagation is what makes the check hold on real fleet code.
 //
-// From every armed function literal and named function, a forward BFS
-// over the call graph (deterministic, chain-recording, exactly the
-// HotChains shape) visits everything an actor body can execute, and every
+// From every armed function literal and named function, the call graph's
+// forward walk (CallGraph.Walk: deterministic, chain-recording) visits
+// everything an actor body can execute, and every
 // violation — go statement, channel send/receive/select/close, ranging
 // over a channel, sync.Mutex/RWMutex/WaitGroup/Cond/Once methods,
 // sync/atomic operations — is reported with the actor→violation chain.
@@ -34,7 +34,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // KernelProto reports scheduler-visible primitives reachable from kernel
@@ -82,9 +81,6 @@ func (m *Module) kernelProto() *kprotoFacts {
 
 // Check implements Analyzer.
 func (kp KernelProto) Check(pkg *Package) []Diagnostic {
-	if pkg.Mod == nil || pkg.Mod.Graph == nil {
-		return nil
-	}
 	var out []Diagnostic
 	for _, v := range pkg.Mod.kernelProto().viols {
 		if v.pkg != pkg {
@@ -105,23 +101,28 @@ func computeKernelProto(mod *Module) *kprotoFacts {
 
 	// Roots: at every call site of an armer, the armed argument is either
 	// a function literal (scanned in place, its outgoing edges followed)
-	// or a named module function (a BFS root). Func-typed parameters were
+	// or a named module function (a walk seed). Func-typed parameters were
 	// already absorbed by the armer fixed point.
 	type litRoot struct {
 		node *Node
 		lit  *ast.FuncLit
 	}
+	// seed is what the walk cannot know about where it started: the
+	// function whose body armed the actor, which also heads every chain
+	// when the actor is a literal in that body and the seed a callee of it.
+	type seed struct {
+		armedIn *types.Func
+		viaLit  bool
+	}
 	var litRoots []litRoot
-	chains := make(map[*types.Func][]*types.Func)
-	rootOf := make(map[*types.Func]string)
-	var frontier []*types.Func
-	addRoot := func(fn *types.Func, chain []*types.Func, root string) {
-		if _, ok := chains[fn]; ok || g.Node(fn) == nil || inSimPkg(fn) {
-			return
+	var seeds []*types.Func
+	seedOf := make(map[*types.Func]seed)
+	inScope := func(fn *types.Func) bool { return g.Node(fn) != nil && !inSimPkg(fn) }
+	addSeed := func(fn *types.Func, sd seed) {
+		if _, ok := seedOf[fn]; !ok && inScope(fn) {
+			seedOf[fn] = sd
+			seeds = append(seeds, fn)
 		}
-		chains[fn] = chain
-		rootOf[fn] = root
-		frontier = append(frontier, fn)
 	}
 	for _, n := range g.order {
 		if simPath(n.Pkg.Path) {
@@ -136,70 +137,45 @@ func computeKernelProto(mod *Module) *kprotoFacts {
 			if !okCall || idx >= len(call.Args) {
 				continue
 			}
-			switch arg := ast.Unparen(call.Args[idx]).(type) {
-			case *ast.FuncLit:
-				litRoots = append(litRoots, litRoot{node: n, lit: arg})
-			default:
-				if fn := funcValueOf(mod, call.Args[idx]); fn != nil {
-					addRoot(fn, []*types.Func{fn}, n.Fn.Name())
-				}
+			if lit, ok := ast.Unparen(call.Args[idx]).(*ast.FuncLit); ok {
+				litRoots = append(litRoots, litRoot{node: n, lit: lit})
+			} else if fn := funcValueOf(mod.Info, call.Args[idx]); fn != nil {
+				addSeed(fn, seed{armedIn: n.Fn})
 			}
 		}
 	}
-	// Literal roots: scan the literal body directly and seed the BFS with
+	// Literal roots: scan the literal body directly and seed the walk with
 	// the calls made inside the literal's span.
 	facts := &kprotoFacts{}
 	for _, lr := range litRoots {
-		root := lr.node.Fn.Name()
 		for _, v := range scanKernelViolations(mod, lr.lit.Body) {
 			facts.viols = append(facts.viols, kpViolation{
 				pkg: lr.node.Pkg, node: v.node, what: v.what,
-				chain: []*types.Func{lr.node.Fn}, root: root,
+				chain: []*types.Func{lr.node.Fn}, root: lr.node.Fn.Name(),
 			})
 		}
 		for _, e := range lr.node.Out {
-			if e.Site.Pos() < lr.lit.Pos() || e.Site.End() > lr.lit.End() {
-				continue
-			}
-			addRoot(e.Callee, []*types.Func{lr.node.Fn, e.Callee}, root)
-		}
-	}
-
-	// Forward BFS, level-synchronized with declaration-order tie-breaks,
-	// exactly the HotChains shape.
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return g.before(frontier[i], frontier[j]) })
-		var next []*types.Func
-		for _, fn := range frontier {
-			node := g.Node(fn)
-			if node == nil {
-				continue
-			}
-			for _, e := range node.Out {
-				if _, ok := chains[e.Callee]; ok || g.Node(e.Callee) == nil || inSimPkg(e.Callee) {
-					continue
-				}
-				chain := make([]*types.Func, len(chains[fn])+1)
-				copy(chain, chains[fn])
-				chain[len(chain)-1] = e.Callee
-				chains[e.Callee] = chain
-				rootOf[e.Callee] = rootOf[fn]
-				next = append(next, e.Callee)
+			if e.Site.Pos() >= lr.lit.Pos() && e.Site.End() <= lr.lit.End() {
+				addSeed(e.Callee, seed{armedIn: lr.node.Fn, viaLit: true})
 			}
 		}
-		frontier = next
 	}
+	prev := g.Walk(seeds, func(_ *Node, e Edge) bool { return inScope(e.Callee) })
 
 	// Scan every reached function body, in declaration order.
 	for _, n := range g.order {
-		chain, ok := chains[n.Fn]
-		if !ok {
+		if _, reached := prev[n.Fn]; !reached {
 			continue
+		}
+		chain := chainTo(prev, n.Fn)
+		sd := seedOf[chain[0]]
+		if sd.viaLit {
+			chain = append([]*types.Func{sd.armedIn}, chain...)
 		}
 		for _, v := range scanKernelViolations(mod, n.Decl.Body) {
 			facts.viols = append(facts.viols, kpViolation{
 				pkg: n.Pkg, node: v.node, what: v.what,
-				chain: chain, root: rootOf[n.Fn],
+				chain: chain, root: sd.armedIn.Name(),
 			})
 		}
 	}
@@ -237,10 +213,8 @@ func computeArmers(mod *Module) map[*types.Func]int {
 				var pi int = -1
 				switch a := arg.(type) {
 				case *ast.Ident:
-					if obj := mod.Info.Uses[a]; obj != nil {
-						if i, ok := params[obj]; ok {
-							pi = i
-						}
+					if i, ok := params[mod.Info.Uses[a]]; ok {
+						pi = i
 					}
 				case *ast.FuncLit:
 					pi = litCallsParam(mod, a, params)
@@ -302,31 +276,13 @@ func litCallsParam(mod *Module, lit *ast.FuncLit, params map[types.Object]int) i
 			return found < 0
 		}
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if obj := mod.Info.Uses[id]; obj != nil {
-				if i, ok := params[obj]; ok {
-					found = i
-				}
+			if i, ok := params[mod.Info.Uses[id]]; ok {
+				found = i
 			}
 		}
 		return true
 	})
 	return found
-}
-
-// funcValueOf resolves a func-valued argument to a declared module
-// function (named function or method value), or nil.
-func funcValueOf(mod *Module, e ast.Expr) *types.Func {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if fn, ok := mod.Info.Uses[e].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := mod.Info.Uses[e.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 func simPath(path string) bool { return pathHasSuffix(path, "internal/sim") }
@@ -381,11 +337,8 @@ func scanKernelViolations(mod *Module, body ast.Node) []kpSite {
 // kernelViolationCall classifies a call: close(ch), sync primitive
 // methods, and sync/atomic operations.
 func kernelViolationCall(info *types.Info, call *ast.CallExpr) string {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "close" {
-			return "closes a channel"
-		}
-		return ""
+	if builtinCall(info, call) == "close" {
+		return "closes a channel"
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

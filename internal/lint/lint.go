@@ -18,7 +18,8 @@
 // builds an approximate static call graph with type-informed method-set
 // resolution — so invariants that cross package boundaries (clock credit
 // earned two calls deep in another package, probes emitted by a callee)
-// are enforced too, not just the syntactic per-package ones.
+// are enforced too, and every analyzer asks the type checker what an
+// identifier is instead of guessing from its spelling (facts.go).
 //
 // Findings can be suppressed, one line at a time, with a written reason:
 //
@@ -83,10 +84,10 @@ type Analyzer interface {
 }
 
 // All returns the full cclint analyzer suite, in stable order: the three
-// original syntactic analyzers, the five call-graph analyzers added
-// with the cross-package engine, the three effect-inference analyzers
-// (hotalloc, bufown, effectdrift), then the two dataflow/contract
-// analyzers (nondet, kernelproto).
+// determinism analyzers on the nondeterminism source table and typed
+// map-ness, the five call-graph analyzers, the three effect-inference
+// analyzers (hotalloc, bufown, effectdrift), then the two
+// dataflow/contract analyzers (nondet, kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},

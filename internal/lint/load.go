@@ -109,10 +109,12 @@ type Package struct {
 	// Types is the type-checked package (never nil after loading, but
 	// possibly incomplete if TypeErrors is non-empty for the module).
 	Types *types.Package
-	// Mod is the module this package belongs to.
+	// Mod is the module this package belongs to (set by the loader, as is
+	// Mod.Graph: a Package never reaches an analyzer without them).
 	Mod *Module
 
 	imports []string // module-internal import paths, for topo-sorting
+	funcs   []*Node  // the declared functions with a body, in source order (the call graph's nodes)
 }
 
 // Lookup returns the package with the given import path, or nil.

@@ -3,7 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strings"
+	"go/types"
 )
 
 // MapRange flags `range` over a map whose body produces ordered output:
@@ -21,11 +21,11 @@ import (
 // and order-independent work (counting, summing, writing into another
 // map, deleting entries) is never flagged.
 //
-// Without go/types the map-ness of the ranged expression is inferred
-// syntactically: map literals and make(map[...]) directly in the range
-// clause, local variables assigned from either, parameters and variables
-// declared with a map type, and selector expressions whose field is
-// declared as a map anywhere in the package.
+// Map-ness is a question for the type checker, not for spelling: the
+// ranged expression's type is looked up in the module's types.Info, so a
+// map returned by a call, a variable of a named map type and a field
+// declared in another package are all seen, and a slice that merely shares
+// a name with a map field is not.
 type MapRange struct{}
 
 // Name implements Analyzer.
@@ -41,59 +41,55 @@ func (MapRange) Severity() Severity { return SevError }
 
 // Check implements Analyzer.
 func (m MapRange) Check(pkg *Package) []Diagnostic {
-	mapFields := collectMapFields(pkg)
+	info := pkg.Mod.Info
 	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			mapVars := collectMapVars(fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok || !isMapExpr(rs.X, mapVars, mapFields) {
-					return true
-				}
-				out = append(out, m.checkLoop(pkg, fd, rs)...)
+	for _, fn := range pkg.funcs {
+		var sorted map[types.Object]bool // fn's sorted variables, found at its first map range
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok || !isMap(info.TypeOf(rs.X)) {
 				return true
-			})
-		}
+			}
+			if sorted == nil {
+				sorted = sortedObjects(info, fn.Decl.Body)
+			}
+			out = append(out, m.checkLoop(pkg, rs, sorted)...)
+			return true
+		})
 	}
 	return out
 }
 
 // checkLoop inspects one map-range body for order-dependent output.
-func (m MapRange) checkLoop(pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt) []Diagnostic {
+func (m MapRange) checkLoop(pkg *Package, rs *ast.RangeStmt, sorted map[types.Object]bool) []Diagnostic {
+	info := pkg.Mod.Info
 	var out []Diagnostic
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// x = append(x, ...) — ordered unless x is sorted afterwards.
+			// x = append(x, ...) — ordered unless x is sorted somewhere in
+			// the function (the collect-then-sort idiom).
 			for i, rhs := range n.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
+				if !ok || builtinCall(info, call) != "append" {
 					continue
 				}
 				if i < len(n.Lhs) {
-					if dst := rootIdent(n.Lhs[i]); dst != nil && sortedLater(fd, dst.Name) {
+					if dst := rootIdent(n.Lhs[i]); dst != nil && sorted[objectOf(info, dst)] {
 						continue
 					}
 				}
 				out = append(out, diag(pkg, m.Name(), call,
 					"append inside map iteration captures random map order; collect and sort keys first"))
 			}
-			// s += expr inside a map range builds a string (or other
-			// ordered accumulation over a non-commutative op).
-			if n.Tok == token.ADD_ASSIGN && likelyStringConcat(n) {
+			// s += expr on a string builds it in iteration order (numeric +=
+			// is commutative and therefore order-independent).
+			if n.Tok == token.ADD_ASSIGN && isString(info.TypeOf(n.Lhs[0])) {
 				out = append(out, diag(pkg, m.Name(), n,
 					"string built inside map iteration varies run to run; sort the keys first"))
 			}
 		case *ast.CallExpr:
-			if name, ok := orderedOutputCall(n); ok {
+			if name, ok := orderedOutputCall(info, n); ok {
 				out = append(out, diag(pkg, m.Name(), n,
 					"%s inside map iteration emits output in random map order; sort the keys first", name))
 			}
@@ -104,250 +100,21 @@ func (m MapRange) checkLoop(pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt) [
 }
 
 // orderedOutputCall recognizes calls that emit ordered output: the fmt
-// printers, io.WriteString, writer/encoder methods (Write, WriteString,
-// Encode, ...) and the obs exporters (WriteEventsJSONL, WriteTimeline, ...
-// all match the Write prefix rule below).
-func orderedOutputCall(call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// printers, io.WriteString, and any function or method named like a
+// writer/encoder entry point (Write, WriteString, Encode, ...).
+func orderedOutputCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	fn := funcValueOf(info, call.Fun)
+	if fn == nil {
 		return "", false
 	}
-	if id, ok := sel.X.(*ast.Ident); ok {
-		switch id.Name {
-		case "fmt":
-			switch sel.Sel.Name {
-			case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
-				return "fmt." + sel.Sel.Name, true
-			}
-		case "io":
-			if sel.Sel.Name == "WriteString" {
-				return "io.WriteString", true
-			}
-		}
+	switch name := pkgPath(fn) + "." + fn.Name(); name {
+	case "fmt.Print", "fmt.Println", "fmt.Printf", "fmt.Fprint", "fmt.Fprintln", "fmt.Fprintf", "io.WriteString":
+		return name, true
 	}
-	switch sel.Sel.Name {
+	switch fn.Name() {
 	case "Write", "WriteString", "WriteByte", "WriteRune", "WriteTo",
 		"Encode", "WriteAll":
-		return sel.Sel.Name, true
+		return fn.Name(), true
 	}
 	return "", false
-}
-
-// likelyStringConcat reports whether an ADD_ASSIGN looks like string
-// building rather than numeric accumulation (numeric += is commutative
-// and therefore order-independent).
-func likelyStringConcat(n *ast.AssignStmt) bool {
-	if len(n.Rhs) != 1 {
-		return false
-	}
-	found := false
-	ast.Inspect(n.Rhs[0], func(e ast.Node) bool {
-		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			found = true
-		}
-		if call, ok := e.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "fmt" && strings.HasPrefix(sel.Sel.Name, "Sprint") {
-					found = true
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// sortedLater reports whether the function body contains a sort call over
-// the named slice — sort.X(name, ...), slices.Sort*(name, ...), or a
-// package-local helper whose name starts with "sort" (sortPageKeys(name)) —
-// anywhere, which is the collect-then-sort idiom.
-func sortedLater(fd *ast.FuncDecl, name string) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.SelectorExpr:
-			pkgID, ok := fun.X.(*ast.Ident)
-			if !ok || (pkgID.Name != "sort" && pkgID.Name != "slices") {
-				return true
-			}
-		case *ast.Ident:
-			if !strings.HasPrefix(fun.Name, "sort") {
-				return true
-			}
-		default:
-			return true
-		}
-		for _, arg := range call.Args {
-			if id := rootIdent(arg); id != nil && id.Name == name {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// rootIdent returns the leftmost identifier of an expression chain
-// (x, x.y, x[i], *x, &x ...), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
-}
-
-// isMapType reports whether a type expression is (syntactically) a map.
-func isMapType(t ast.Expr) bool {
-	switch t := t.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.ParenExpr:
-		return isMapType(t.X)
-	default:
-		return false
-	}
-}
-
-// collectMapFields gathers the names of struct fields (and package-level
-// vars) declared with map types anywhere in the package. Matching later
-// is by field name only — without type information that is the sound
-// over-approximation for a determinism lint.
-func collectMapFields(pkg *Package) map[string]bool {
-	fields := map[string]bool{}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.StructType:
-				for _, fld := range n.Fields.List {
-					if !isMapType(fld.Type) {
-						continue
-					}
-					for _, name := range fld.Names {
-						fields[name.Name] = true
-					}
-				}
-			case *ast.GenDecl:
-				if n.Tok != token.VAR {
-					return true
-				}
-				for _, spec := range n.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if vs.Type != nil && isMapType(vs.Type) {
-						for _, name := range vs.Names {
-							fields[name.Name] = true
-						}
-					}
-					for i, v := range vs.Values {
-						if i < len(vs.Names) && mapValueExpr(v) {
-							fields[vs.Names[i].Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return fields
-}
-
-// collectMapVars gathers identifiers with map-typed declarations or
-// assignments inside one function: parameters, var decls, := from
-// make(map[...]) or a map literal.
-func collectMapVars(fd *ast.FuncDecl) map[string]bool {
-	vars := map[string]bool{}
-	if fd.Type.Params != nil {
-		for _, p := range fd.Type.Params.List {
-			if isMapType(p.Type) {
-				for _, name := range p.Names {
-					vars[name.Name] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && mapValueExpr(rhs) {
-					vars[id.Name] = true
-				}
-			}
-		case *ast.DeclStmt:
-			gd, ok := n.Decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if vs.Type != nil && isMapType(vs.Type) {
-					for _, name := range vs.Names {
-						vars[name.Name] = true
-					}
-				}
-				for i, v := range vs.Values {
-					if i < len(vs.Names) && mapValueExpr(v) {
-						vars[vs.Names[i].Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return vars
-}
-
-// mapValueExpr reports whether an expression certainly evaluates to a
-// map: a map composite literal or make(map[...], ...).
-func mapValueExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return isMapType(e.Type)
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) >= 1 {
-			return isMapType(e.Args[0])
-		}
-	}
-	return false
-}
-
-// isMapExpr decides whether a ranged expression is a map, using the
-// gathered hints.
-func isMapExpr(e ast.Expr, mapVars, mapFields map[string]bool) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return mapVars[e.Name] || mapFields[e.Name]
-	case *ast.SelectorExpr:
-		return mapFields[e.Sel.Name]
-	case *ast.ParenExpr:
-		return isMapExpr(e.X, mapVars, mapFields)
-	default:
-		return mapValueExpr(e)
-	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -105,19 +106,27 @@ func assertExactlyNew(t *testing.T, base, got []Diagnostic, wantNew []string) {
 	}
 }
 
+// mutateFixture runs one mutation test: copy the fixture subtree that
+// file (a path under testdata/src) belongs to, lint it, apply the
+// replacement to file, lint again, and demand exactly the named new
+// findings.
+func mutateFixture(t *testing.T, file, old, new string, wantNew ...string) {
+	t.Helper()
+	root := t.TempDir()
+	fixture, _, _ := strings.Cut(file, "/")
+	copyFixtureTree(t, root, fixture)
+	base := lintTree(t, root)
+	mutateFile(t, filepath.Join(root, filepath.FromSlash(file)), old, new)
+	assertExactlyNew(t, base, lintTree(t, root), wantNew)
+}
+
 // TestKernelProtoMutationRawGoroutine: a raw go statement slipped into
 // the clean actor body must be reported with its actor chain.
 func TestKernelProtoMutationRawGoroutine(t *testing.T) {
-	root := t.TempDir()
-	copyFixtureTree(t, root, "kernelproto")
-	base := lintTree(t, root)
-	mutateFile(t, filepath.Join(root, "kernelproto", "kernelproto.go"),
+	mutateFixture(t, "kernelproto/kernelproto.go",
 		"buf := pool.Get().([]byte)",
-		"buf := pool.Get().([]byte)\n\t\tgo func() { _ = buf }()")
-	got := lintTree(t, root)
-	assertExactlyNew(t, base, got, []string{
-		"kernelproto: actor body armed in Good: spawns a raw goroutine outside the kernel baton (Good); fleet determinism needs the single-actor discipline",
-	})
+		"buf := pool.Get().([]byte)\n\t\tgo func() { _ = buf }()",
+		"kernelproto: actor body armed in Good: spawns a raw goroutine outside the kernel baton (Good); fleet determinism needs the single-actor discipline")
 }
 
 // TestCrossCreditMutationSamePackageHelper: crosscredit alone owns "work
@@ -125,13 +134,50 @@ func TestKernelProtoMutationRawGoroutine(t *testing.T) {
 // from a helper that charges for a device read in its own package must
 // surface the exported caller, and nothing else.
 func TestCrossCreditMutationSamePackageHelper(t *testing.T) {
-	root := t.TempDir()
-	copyFixtureTree(t, root, "crosscredit")
-	base := lintTree(t, root)
-	mutateFile(t, filepath.Join(root, "crosscredit", "internal", "disk", "disk.go"),
-		"\td.clock.Advance(1)\n", "")
-	got := lintTree(t, root)
-	assertExactlyNew(t, base, got, []string{
-		"crosscredit: Verify does codec/device work (Verify → disk.chargedRead → disk.Read) but no call path ever advances the virtual clock; this cost is uncharged",
-	})
+	mutateFixture(t, "crosscredit/internal/disk/disk.go",
+		"\td.clock.Advance(1)\n", "",
+		"crosscredit: Verify does codec/device work (Verify → disk.chargedRead → disk.Read) but no call path ever advances the virtual clock; this cost is uncharged")
+}
+
+// TestWalltimeMutationRenamedImport: a host-clock read through the
+// renamed import, slipped into the clean function, is one new finding —
+// the callee is time.Now whatever the file calls the package.
+func TestWalltimeMutationRenamedImport(t *testing.T) {
+	mutateFixture(t, "walltime/walltime.go",
+		"d := 50 * time.Microsecond",
+		"d := 50 * time.Microsecond\n\t_ = wall.Now()",
+		"walltime: wall-clock call time.Now contaminates virtual-time measurements; advance the sim clock instead")
+}
+
+// TestMapRangeMutationDeletedSort: the collect-then-sort idiom without its
+// sort is a plain map-order append.
+func TestMapRangeMutationDeletedSort(t *testing.T) {
+	mutateFixture(t, "maprange/maprange.go",
+		"\tsort.Strings(keys)\n\treturn keys", "\treturn keys",
+		"maprange: append inside map iteration captures random map order; collect and sort keys first")
+}
+
+// TestGlobalRandMutationDroppedSeed: delete the seeded local that shadows
+// the package name and the very same spelling, rand.Intn(4), becomes the
+// process-global source.
+func TestGlobalRandMutationDroppedSeed(t *testing.T) {
+	mutateFixture(t, "globalrand/globalrand.go",
+		"\trand := rand.New(rand.NewSource(seed))\n", "",
+		"globalrand: rand.Intn uses the process-global source; thread a seeded *rand.Rand instead")
+}
+
+// TestRunDeterministic: cclint's own output is a byte-identical artifact.
+// Five fresh loads of the whole fixture module, full suite each time, must
+// produce deep-equal diagnostics — positions, order and messages (which
+// carry call chains picked among equal-length alternatives).
+func TestRunDeterministic(t *testing.T) {
+	first := lintTree(t, filepath.Join("testdata", "src"))
+	if len(first) == 0 {
+		t.Fatal("fixture module produced no findings")
+	}
+	for i := 1; i < 5; i++ {
+		if again := lintTree(t, filepath.Join("testdata", "src")); !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d differs from run 0:\n%v\nvs\n%v", i, again, first)
+		}
+	}
 }

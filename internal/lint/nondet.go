@@ -1,8 +1,8 @@
 package lint
 
 // nondet: no nondeterministic value may flow into a replayable artifact.
-// The syntactic analyzers forbid the obvious calls (walltime bans the
-// host clock, globalrand the process-global source), but a value can
+// Two rows of the source table are banned outright (walltime the host
+// clock, globalrand the process-global source), but a value can
 // still be minted legally somewhere out of scope and *flow* into an
 // experiment table or an obs export — map iteration order collected into
 // rows, a %p-formatted address in an event label, an env var in a CSV.
@@ -30,15 +30,9 @@ func (Nondet) Severity() Severity { return SevError }
 
 // Check implements Analyzer.
 func (nd Nondet) Check(pkg *Package) []Diagnostic {
-	if pkg.Mod == nil || pkg.Mod.Graph == nil {
-		return nil
-	}
 	tf := pkg.Mod.Taint()
 	var out []Diagnostic
-	for _, n := range pkg.Mod.Graph.order {
-		if n.Pkg != pkg {
-			continue
-		}
+	for _, n := range pkg.funcs {
 		for _, h := range tf.HitsIn(n.Fn) {
 			out = append(out, diag(pkg, nd.Name(), h.Node,
 				"nondeterministic %s flows into %s (%s); replayable output must not depend on it",

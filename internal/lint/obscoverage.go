@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // ObsCoverage keeps the observability layer honest as code grows.
 //
@@ -55,29 +52,19 @@ func isObsProbe(fn *types.Func) bool {
 
 // Check implements Analyzer.
 func (o ObsCoverage) Check(pkg *Package) []Diagnostic {
-	if pkg.Mod == nil || pkg.Mod.Graph == nil || !inScopes(pkg.Path, obsScopes) {
-		return nil
-	}
-	if !importsObs(pkg) {
+	if !inScopes(pkg.Path, obsScopes) || !importsObs(pkg) {
 		return nil // not instrumented (yet); nothing to cover
 	}
 	advances := pkg.Mod.factSet("obscoverage.advances", isClockAdvance)
 	probes := pkg.Mod.factSet("obscoverage.probes", isObsProbe)
 
 	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !fd.Name.IsExported() {
-				continue
-			}
-			fn, ok := pkg.Mod.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !advances[fn] || probes[fn] {
-				continue
-			}
-			out = append(out, diag(pkg, o.Name(), fd.Name,
-				"%s advances the virtual clock but no call path reaches an obs probe; traced runs under-report this work", fd.Name.Name))
+	for _, n := range pkg.funcs {
+		if !n.Fn.Exported() || !advances[n.Fn] || probes[n.Fn] {
+			continue
 		}
+		out = append(out, diag(pkg, o.Name(), n.Decl.Name,
+			"%s advances the virtual clock but no call path reaches an obs probe; traced runs under-report this work", n.Fn.Name()))
 	}
 	return out
 }

@@ -28,3 +28,10 @@ func good(o opts, seed int64) {
 	_ = rand.New(rand.NewSource(int64(seed)))
 	_ = rand.NewZipf(r, 1.2, 1, 100)
 }
+
+// goodShadow names its seeded generator after the package: rand.Intn below
+// is a method on the local *rand.Rand, not the process-global function.
+func goodShadow(seed int64) int {
+	rand := rand.New(rand.NewSource(seed))
+	return rand.Intn(4)
+}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"compcache/maprange/ext"
 )
 
 type runStats struct{ Extra map[string]float64 }
@@ -123,6 +125,64 @@ func goodSliceRange(xs []string) []string {
 	for _, x := range xs {
 		out = append(out, x)
 		fmt.Println(x)
+	}
+	return out
+}
+
+// The shapes below are the ones only the type checker gets right; a
+// spelling-based guess misses the first four and flags the fifth.
+
+func table() map[string]int { return map[string]int{} }
+
+// badCallResult ranges over a map that is never named: it is the result of
+// a call.
+func badCallResult() []string {
+	var out []string
+	for k := range table() {
+		out = append(out, k) // want `append inside map iteration`
+	}
+	return out
+}
+
+type counts map[string]int
+
+// badNamedType ranges over a variable whose type is a named map type.
+func badNamedType(c counts) []string {
+	var out []string
+	for k := range c {
+		out = append(out, k) // want `append inside map iteration`
+	}
+	return out
+}
+
+// badForeignField ranges over a map field declared in another package.
+func badForeignField(ix ext.Index) []string {
+	var out []string
+	for k := range ix.ByKey {
+		out = append(out, k) // want `append inside map iteration`
+	}
+	return out
+}
+
+// badConcatPlain builds a string with no literal in sight; the += is a
+// string concatenation because its target is a string.
+func badConcatPlain(m map[string]string) string {
+	out := ""
+	for _, v := range m {
+		out += v // want `string built inside map iteration`
+	}
+	return out
+}
+
+// frame has a slice field that shares its name with runStats.Extra, a map
+// (the core.Cache shape: frame.entries is a slice, Cache.entries a map).
+type frame struct{ Extra []string }
+
+// goodSliceField ranges over the slice: deterministic order, no finding.
+func goodSliceField(f frame) []string {
+	var out []string
+	for _, x := range f.Extra {
+		out = append(out, x)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package wt
 
 import (
 	"time"
+	. "time"
 
 	wall "time"
 )
@@ -35,4 +36,10 @@ func good() time.Duration {
 	d := 50 * time.Microsecond
 	d = d.Round(time.Millisecond)
 	return time.Duration(int64(d))
+}
+
+// badDot reaches the host clock through a dot import: there is no package
+// name to spell, only the function's identity.
+func badDot() {
+	_ = Now() // want `wall-clock call time\.Now`
 }
