@@ -26,7 +26,7 @@ func TestListNamesTheSuite(t *testing.T) {
 	want := []string{
 		"walltime", "globalrand", "maprange", "crosscredit", "errdrop",
 		"sharedwrite", "floatorder", "obscoverage", "hotalloc", "bufown",
-		"effectdrift", "nondet", "kernelproto",
+		"nondet", "kernelproto",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {
@@ -39,16 +39,17 @@ func TestListNamesTheSuite(t *testing.T) {
 	}
 }
 
-// scratchModule writes a two-package module — one clean, one reading the
-// host clock — and makes it the working directory, which is what cclint
-// lints.
+// scratchModule writes a three-package module — one clean, one reading the
+// host clock, one summing floats in map order — and makes it the working
+// directory, which is what cclint lints.
 func scratchModule(t *testing.T) {
 	t.Helper()
 	root := t.TempDir()
 	files := map[string]string{
-		"go.mod":         "module scratch\n\ngo 1.22\n",
-		"clean/clean.go": "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
-		"dirty/dirty.go": "package dirty\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
+		"go.mod":           "module scratch\n\ngo 1.22\n",
+		"clean/clean.go":   "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
+		"dirty/dirty.go":   "package dirty\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
+		"floaty/floaty.go": "package floaty\n\nfunc Sum(m map[string]float64) (t float64) {\n\tfor _, v := range m {\n\t\tt += v\n\t}\n\treturn t\n}\n",
 	}
 	for name, src := range files {
 		path := filepath.Join(root, name)
@@ -73,8 +74,8 @@ func scratchModule(t *testing.T) {
 	})
 }
 
-// TestExitStatus pins the contract CI and scripts rely on: 0 clean, 1 an
-// error-severity finding, 2 a usage error.
+// TestExitStatus pins the contract CI and scripts rely on: 0 clean, 1 any
+// surviving finding whichever analyzer reports it, 2 a usage error.
 func TestExitStatus(t *testing.T) {
 	scratchModule(t)
 
@@ -90,9 +91,21 @@ func TestExitStatus(t *testing.T) {
 		t.Errorf("finding not reported at dirty.go:5 by walltime:\n%s", out)
 	}
 
+	// There is no advisory tier: a floatorder finding alone fails the run.
+	status, out, _ = cclint(t, "./floaty")
+	if status != 1 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "[floatorder]") {
+		t.Errorf("package with only a floatorder finding: exit %d, stdout %q; want 1 and that one finding", status, out)
+	}
+
 	status, _, errs := cclint(t, "-only", "wibble", "./clean")
 	if status != 2 || !strings.Contains(errs, `unknown analyzer "wibble"`) {
 		t.Errorf("-only wibble: exit %d, stderr %q; want 2 naming the analyzer", status, errs)
+	}
+	// Scripts still passing a flag cclint no longer has must fail loudly.
+	for _, flag := range []string{"-werror", "-baseline=b.json", "-write-baseline", "-effects=e.json", "-write-effects", "-taint-report=t.json"} {
+		if status, _, _ := cclint(t, flag, "./clean"); status != 2 {
+			t.Errorf("retired flag %s: exit %d, want 2", flag, status)
+		}
 	}
 }
 

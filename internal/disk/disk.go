@@ -183,41 +183,57 @@ func (d *Disk) start() sim.Time {
 	return now
 }
 
-// Read performs a synchronous read of n bytes at byte address addr. The
-// caller's virtual clock is advanced to the completion instant (queueing
-// behind any pending asynchronous writes, as a real request would). An
-// injected failure surfaces only after the operation has been charged its
-// full service time — a failed transfer is not a free one.
-func (d *Disk) Read(addr int64, n int) error {
+// op performs one operation: extend the busy timeline by its service time
+// (plus any injected latency), count and probe it, and — for a synchronous
+// operation — advance the caller's virtual clock to the completion instant,
+// queueing behind any pending asynchronous writes as a real request would.
+// An injected failure is drawn last, so it surfaces only after the
+// operation has been charged its full service time: a failed transfer is
+// not a free one.
+func (d *Disk) op(addr int64, n int, write, sync bool) (sim.Time, error) {
 	svc, seek := d.opTime(addr, n)
 	svc += d.faults.Latency()
 	st := d.start()
 	wait := time.Duration(st - d.clock.Now())
 	done := st.Add(svc)
-	d.finish(addr, n, done, svc, seek)
-	d.stats.Reads++
-	d.stats.BytesRead += uint64(n)
-	d.observe(obs.ClassDiskRead, n, wait, svc, done)
-	d.clock.AdvanceTo(done)
-	return d.faults.DiskRead()
+	d.busyAt = done
+	d.next = addr + int64(n)
+	d.stats.BusyTime += svc
+	if seek {
+		d.stats.Seeks++
+	}
+	class := obs.ClassDiskRead
+	if write {
+		class = obs.ClassDiskWrite
+		d.stats.Writes++
+		d.stats.BytesWritten += uint64(n)
+	} else {
+		d.stats.Reads++
+		d.stats.BytesRead += uint64(n)
+	}
+	d.observe(class, n, wait, svc, done)
+	if sync {
+		d.clock.AdvanceTo(done)
+	}
+	if !write {
+		return done, d.faults.DiskRead()
+	}
+	if err := d.faults.CrashWrite(n, d.params.SectorSize); err != nil {
+		return done, err
+	}
+	return done, d.faults.DiskWrite()
+}
+
+// Read performs a synchronous read of n bytes at byte address addr.
+func (d *Disk) Read(addr int64, n int) error {
+	_, err := d.op(addr, n, false, true)
+	return err
 }
 
 // Write performs a synchronous write of n bytes at byte address addr.
 func (d *Disk) Write(addr int64, n int) error {
-	svc, seek := d.opTime(addr, n)
-	svc += d.faults.Latency()
-	st := d.start()
-	wait := time.Duration(st - d.clock.Now())
-	done := st.Add(svc)
-	d.finish(addr, n, done, svc, seek)
-	d.stats.Writes++
-	d.stats.BytesWritten += uint64(n)
-	d.observe(obs.ClassDiskWrite, n, wait, svc, done)
-	d.clock.AdvanceTo(done)
-	if err := d.faults.CrashWrite(n, d.params.SectorSize); err != nil {
-		return err
-	}
-	return d.faults.DiskWrite()
+	_, err := d.op(addr, n, true, true)
+	return err
 }
 
 // WriteAsync queues a write without blocking the caller: the device busy
@@ -227,19 +243,7 @@ func (d *Disk) Write(addr int64, n int) error {
 // write is reported immediately (the model has no completion interrupt),
 // with the busy timeline still charged.
 func (d *Disk) WriteAsync(addr int64, n int) (sim.Time, error) {
-	svc, seek := d.opTime(addr, n)
-	svc += d.faults.Latency()
-	st := d.start()
-	wait := time.Duration(st - d.clock.Now())
-	done := st.Add(svc)
-	d.finish(addr, n, done, svc, seek)
-	d.stats.Writes++
-	d.stats.BytesWritten += uint64(n)
-	d.observe(obs.ClassDiskWrite, n, wait, svc, done)
-	if err := d.faults.CrashWrite(n, d.params.SectorSize); err != nil {
-		return done, err
-	}
-	return done, d.faults.DiskWrite()
+	return d.op(addr, n, true, false)
 }
 
 // Drain advances the clock until all queued operations complete. Tests and
@@ -248,13 +252,4 @@ func (d *Disk) WriteAsync(addr int64, n int) (sim.Time, error) {
 //cclint:ignore obscoverage -- drain only retires the busy timeline; every waited-out op was probed when it was issued
 func (d *Disk) Drain() {
 	d.clock.AdvanceTo(d.busyAt)
-}
-
-func (d *Disk) finish(addr int64, n int, done sim.Time, svc time.Duration, seek bool) {
-	d.busyAt = done
-	d.next = addr + int64(n)
-	d.stats.BusyTime += svc
-	if seek {
-		d.stats.Seeks++
-	}
 }

@@ -38,9 +38,6 @@ func (BufOwn) Doc() string {
 	return "borrowed codec/cache buffers must not be retained, returned (src), or read past len"
 }
 
-// Severity implements Analyzer.
-func (BufOwn) Severity() Severity { return SevError }
-
 // borrowRole says what the contract allows for one borrowed parameter.
 type borrowRole int
 

@@ -23,9 +23,6 @@ func (CrossCredit) Doc() string {
 	return "exported machine/swap/disk methods reaching codec or device work must advance the virtual clock"
 }
 
-// Severity implements Analyzer.
-func (CrossCredit) Severity() Severity { return SevError }
-
 // crossCreditScopes are the package-path suffixes whose exported API owns
 // chargeable simulation work.
 var crossCreditScopes = []string{"internal/machine", "internal/swap", "internal/disk"}

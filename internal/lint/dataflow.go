@@ -3,8 +3,8 @@ package lint
 // Dataflow and taint analysis: the flow-aware layer under the nondet
 // analyzer. An intraprocedural def-use/taint pass runs once per declared
 // function, then the per-function facts are joined interprocedurally over
-// the existing call graph — the same deterministic g.order iteration and
-// monotone fixed-point shape the effects engine uses.
+// the existing call graph, iterating g.order deterministically to a
+// monotone fixed point.
 //
 // The model is sources, sinks and sanitizers:
 //
@@ -21,11 +21,11 @@ package lint
 //     replayable artifact: the obs probes and exporters (Emit, Add, Set,
 //     Observe, WriteEventsJSONL, WriteTimeline, ...) and experiment
 //     table rows (exp Table.AddRow).
-//   - Sanitizers kill ordering taint: sort.X(s)/slices.Sort(s) and
-//     package-local helpers whose name starts with "sort" (sortedObjects,
-//     which maprange asks too). Sorting fixes iteration-order
-//     nondeterminism only, so value taint (a host-clock reading) survives
-//     a sort.
+//   - Sanitizers kill ordering taint: the sort and slices functions that
+//     sort (sortFuncs) and package-local helpers whose name starts with
+//     "sort" (sortedObjects, which maprange asks too). Sorting fixes
+//     iteration-order nondeterminism only, so value taint (a host-clock
+//     reading) survives a sort.
 //
 // Taint is tracked flow-insensitively per function over three token
 // kinds: a local source, a parameter (index), and a call-site result.
@@ -39,7 +39,7 @@ package lint
 // deterministic shortest source→sink chain recovered through
 // CallGraph.Path exactly as crosscredit prints its credit chains.
 //
-// Soundness caveats, mirroring the effects engine's: receiver taint on
+// Soundness caveats, mirroring the allocation scan's: receiver taint on
 // module-internal method calls is dropped (only argument and result flow
 // is joined across calls); interprocedural param-to-result propagation is
 // resolved one level deep; taint stored into a struct field in one
@@ -49,13 +49,10 @@ package lint
 // laundering is impossible.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -259,19 +256,28 @@ func isNondetSink(fn *types.Func) bool {
 	return ok
 }
 
-// sanitizerCall reports whether a call is a sort-shaped sanitizer:
-// sort.X(...), slices.X(...), or a package-local helper whose name starts
-// with "sort" (sortPageKeys(keys)).
-func sanitizerCall(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			return id.Name == "sort" || id.Name == "slices"
-		}
-	case *ast.Ident:
-		return strings.HasPrefix(fun.Name, "sort")
+// sortFuncs are the standard-library functions that sort their argument
+// in place, by package path. Everything else spelled sort.X or slices.X
+// (Search, Contains, Reverse, Clone ...) leaves map order as it found it.
+var sortFuncs = map[string][]string{
+	"sort":   {"Sort", "Stable", "Slice", "SliceStable", "Strings", "Ints", "Float64s"},
+	"slices": {"Sort", "SortFunc", "SortStableFunc"},
+}
+
+// sanitizerCall reports whether a call sorts its arguments: one of
+// sortFuncs, resolved through the type checker whatever the file calls
+// the package, or a package-local helper whose name starts with "sort"
+// (sortPageKeys(keys)).
+func sanitizerCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := funcValueOf(info, call.Fun)
+	if fn == nil {
+		return false
 	}
-	return false
+	if names, ok := sortFuncs[pkgPath(fn)]; ok {
+		return slices.Contains(names, fn.Name())
+	}
+	_, unqualified := ast.Unparen(call.Fun).(*ast.Ident)
+	return unqualified && strings.HasPrefix(fn.Name(), "sort")
 }
 
 // sortedObjects returns every variable a function body hands to a
@@ -281,7 +287,7 @@ func sanitizerCall(call *ast.CallExpr) bool {
 func sortedObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	sorted := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && sanitizerCall(call) {
+		if call, ok := n.(*ast.CallExpr); ok && sanitizerCall(info, call) {
 			for _, arg := range call.Args {
 				if id := rootIdent(arg); id != nil {
 					if obj := objectOf(info, id); obj != nil {
@@ -622,7 +628,7 @@ func (s *taintScanner) toksOf(e ast.Expr) map[tok]bool {
 // fmt.Sprintf("%d", tainted) both stay tainted).
 func (s *taintScanner) toksOfCall(call *ast.CallExpr) map[tok]bool {
 	info := s.mod.Info
-	if sanitizerCall(call) {
+	if sanitizerCall(info, call) {
 		return nil
 	}
 	// Builtins: append derives from every argument; len/cap/make/new are
@@ -979,51 +985,4 @@ func dedupHits(mod *Module, hits []TaintHit) []TaintHit {
 		return out[i].Node.Pos() < out[j].Node.Pos()
 	})
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Taint report (-taint-report): the machine-readable source→sink table CI
-// archives next to the effects manifest.
-
-// TaintReportEntry is one source→sink flow in the module-wide report.
-type TaintReportEntry struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Source string `json:"source"`
-	Sink   string `json:"sink"`
-	Chain  string `json:"chain"`
-}
-
-// TaintReport lists every resolved source→sink flow in the module, in
-// deterministic (declaration, position) order with module-relative paths.
-func TaintReport(mod *Module) []TaintReportEntry {
-	tf := mod.Taint()
-	out := []TaintReportEntry{}
-	for _, n := range mod.Graph.order {
-		for _, h := range tf.hits[n.Fn] {
-			pos := mod.Fset.Position(h.Node.Pos())
-			file := pos.Filename
-			if rel, err := filepath.Rel(mod.Root, file); err == nil {
-				file = filepath.ToSlash(rel)
-			}
-			out = append(out, TaintReportEntry{
-				File:   file,
-				Line:   pos.Line,
-				Source: h.Source,
-				Sink:   h.Sink,
-				Chain:  chainString(h.Chain),
-			})
-		}
-	}
-	return out
-}
-
-// WriteTaintReport writes the report deterministically; an empty report
-// serializes as [] so a clean tree's artifact is canonical.
-func WriteTaintReport(path string, mod *Module) error {
-	data, err := json.MarshalIndent(TaintReport(mod), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,35 +1,32 @@
 package lint
 
-// Effect inference: a bottom-up pass over the module that assigns every
-// declared function a conservative effect set, the static half of the
-// zero-allocation hot-path contract that internal/machine's AllocsPerRun
-// tests enforce dynamically.
+// Allocation-site and parameter-flow scan: one pass over every declared
+// function body, the static half of the zero-allocation hot-path contract
+// that internal/machine's AllocsPerRun tests enforce dynamically. hotalloc
+// reads the sites of the functions on a hot chain (HotChains); bufown reads
+// the parameter flows and cap-reslices of the contract functions.
 //
-// The lattice is four independent boolean facts (so joins are bitwise OR
-// and the transitive fixed point converges even through recursion):
+// Every site gets one of three classes:
 //
-//   - AllocSteady: the function may allocate on every execution in steady
-//     state — composite literals that escape, make/new into locals,
-//     appends to fresh slices, string↔[]byte conversions, interface
-//     boxing at call sites, escaping closures, and calls into the small
-//     set of standard-library functions known to allocate (fmt,
-//     errors.New/Join, sort.Slice).
-//   - AllocWarm: the function may allocate, but only through recognized
-//     warm-up/amortized idioms — growing a pooled buffer held in a
-//     struct field (compBuf/nbrBuf/readBuf and friends), appending to
-//     caller- or field-owned backing storage, map writes, sync.Pool
-//     refills, and the cache's slab/entry/frame recyclers. These settle
-//     to zero allocations once capacities are reached, which is exactly
-//     what AllocsPerRun measures after warm-up.
-//   - Retains: the function stores parameter-derived slice/pointer memory
-//     into a receiver field, package state, or a map.
-//   - Escapes: the function returns parameter-derived memory to the
-//     caller.
+//   - steady: may allocate on every execution in steady state — composite
+//     literals that escape, make/new into locals, appends to fresh slices,
+//     string↔[]byte conversions, interface boxing at call sites, escaping
+//     closures, and calls into the small set of standard-library
+//     functions known to allocate (fmt, errors.New/Join, sort.Slice).
+//   - warm: allocates only through recognized warm-up/amortized idioms —
+//     growing a pooled buffer held in a struct field (compBuf/nbrBuf/
+//     readBuf and friends), appending to caller- or field-owned backing
+//     storage, map writes, sync.Pool refills, and the cache's
+//     slab/entry/frame recyclers. These settle to zero allocations once
+//     capacities are reached, which is exactly what AllocsPerRun measures
+//     after warm-up.
+//   - cold: on an error or panic path. The dynamic contract never
+//     exercises those, and wrapping an error is allowed to cost an
+//     allocation, so cold sites are not reported and hot-path reachability
+//     skips cold call edges.
 //
-// Sites on error and panic paths are classified cold and excluded from
-// steady-state summaries and from hot-path reachability: the dynamic
-// contract never exercises them, and wrapping an error is allowed to
-// cost an allocation.
+// A flow is parameter-derived slice/pointer memory stored into a receiver
+// field, package state or a map, or returned to the caller.
 //
 // Soundness caveats (documented in DESIGN.md): the known-allocating
 // external table is curated, not derived, so an allocating stdlib call
@@ -39,79 +36,11 @@ package lint
 // local and called in place is assumed non-escaping).
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"strings"
 )
-
-// Effects is a set of inferred function effects.
-type Effects uint8
-
-const (
-	// AllocSteady marks steady-state allocation.
-	AllocSteady Effects = 1 << iota
-	// AllocWarm marks warm-up/amortized allocation through a recognized
-	// pooled idiom.
-	AllocWarm
-	// Retains marks storing parameter-derived memory into longer-lived
-	// state.
-	Retains
-	// Escapes marks returning parameter-derived memory to the caller.
-	Escapes
-)
-
-// Has reports whether e includes every flag of f.
-func (e Effects) Has(f Effects) bool { return e&f == f }
-
-// Names returns the canonical sorted spelling of the set, the form the
-// manifest records.
-func (e Effects) Names() []string {
-	out := []string{}
-	if e.Has(AllocSteady) {
-		out = append(out, "allocates")
-	}
-	if e.Has(AllocWarm) {
-		out = append(out, "allocates-amortized")
-	}
-	if e.Has(Escapes) {
-		out = append(out, "escapes")
-	}
-	if e.Has(Retains) {
-		out = append(out, "retains")
-	}
-	return out
-}
-
-// String renders the set for diagnostics ("none" for the empty set).
-func (e Effects) String() string {
-	if e == 0 {
-		return "none"
-	}
-	return strings.Join(e.Names(), ",")
-}
-
-// effectsFromNames parses a manifest entry; unknown names are ignored so
-// an old cclint reading a newer manifest degrades gracefully.
-func effectsFromNames(names []string) Effects {
-	var e Effects
-	for _, n := range names {
-		switch n {
-		case "allocates":
-			e |= AllocSteady
-		case "allocates-amortized":
-			e |= AllocWarm
-		case "retains":
-			e |= Retains
-		case "escapes":
-			e |= Escapes
-		}
-	}
-	return e
-}
 
 // SiteClass classifies one allocation site.
 type SiteClass int
@@ -155,15 +84,10 @@ type CapReslice struct {
 	Param *types.Var
 }
 
-// FnEffects is the inferred effect summary of one declared function.
+// FnEffects is what the scan found in one declared function's body.
 type FnEffects struct {
 	// Fn identifies the function.
 	Fn *types.Func
-	// Local is the effect set earned by this body's own sites.
-	Local Effects
-	// Summary is Local joined with the summaries of every callee reached
-	// through a non-cold call edge (the transitive fixed point).
-	Summary Effects
 	// Sites lists the body's allocation sites.
 	Sites []AllocSite
 	// ColdSites marks call expressions that execute only on error/panic
@@ -175,7 +99,7 @@ type FnEffects struct {
 	CapReslices []CapReslice
 }
 
-// EffectFacts is the module-wide effect table, computed once per load.
+// EffectFacts is the module-wide scan table, computed once per load.
 type EffectFacts struct {
 	mod *Module
 	fns map[*types.Func]*FnEffects
@@ -183,15 +107,19 @@ type EffectFacts struct {
 	hot map[*types.Func][]*types.Func // hot-path chains, computed lazily
 }
 
-// Effects returns the module's effect table, computing it on first use.
+// Effects returns the module's scan table, scanning every declared
+// function on first use.
 func (m *Module) Effects() *EffectFacts {
 	if m.effects == nil {
-		m.effects = computeEffects(m)
+		m.effects = &EffectFacts{mod: m, fns: make(map[*types.Func]*FnEffects)}
+		for _, node := range m.Graph.order {
+			m.effects.fns[node.Fn] = scanFn(m, node)
+		}
 	}
 	return m.effects
 }
 
-// Of returns the summary for fn, or nil for external functions.
+// Of returns the scan of fn, or nil for external functions.
 func (f *EffectFacts) Of(fn *types.Func) *FnEffects { return f.fns[fn] }
 
 // pooledAllocFns are module functions whose whole purpose is recycling:
@@ -222,37 +150,6 @@ func knownAllocExternal(fn *types.Func) bool {
 // warmExternal flags external callees that allocate only to refill a pool.
 func warmExternal(fn *types.Func) bool {
 	return fn.Name() == "Get" && pkgPath(fn) == "sync"
-}
-
-// computeEffects scans every declared function and runs the transitive
-// fixed point over non-cold call edges.
-func computeEffects(mod *Module) *EffectFacts {
-	facts := &EffectFacts{mod: mod, fns: make(map[*types.Func]*FnEffects)}
-	for _, node := range mod.Graph.order {
-		facts.fns[node.Fn] = scanFn(mod, node)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, node := range mod.Graph.order {
-			fe := facts.fns[node.Fn]
-			sum := fe.Summary
-			for _, e := range node.Out {
-				if fe.ColdSites[e.Site] {
-					continue
-				}
-				callee := facts.fns[e.Callee]
-				if callee == nil {
-					continue // external; handled as a local site
-				}
-				sum |= callee.Summary & (AllocSteady | AllocWarm)
-			}
-			if sum != fe.Summary {
-				fe.Summary = sum
-				changed = true
-			}
-		}
-	}
-	return facts
 }
 
 // originKind says where a value's backing memory comes from.
@@ -305,7 +202,6 @@ func scanFn(mod *Module, node *Node) *FnEffects {
 	}
 	s.contextPass(node.Decl.Body)
 	s.sitePass(node.Decl.Body)
-	fe.Summary = fe.Local
 	return fe
 }
 
@@ -494,18 +390,12 @@ func (s *fnScanner) originOf(e ast.Expr) origin {
 	return origin{kind: oFresh}
 }
 
-// addSite records one allocation site and folds its class into Local.
+// addSite records one allocation site.
 func (s *fnScanner) addSite(n ast.Node, class SiteClass, what string) {
 	if class != SiteCold && s.pooled {
 		class = SiteWarm
 	}
 	s.fe.Sites = append(s.fe.Sites, AllocSite{Node: n, Class: class, What: what})
-	switch class {
-	case SiteSteady:
-		s.fe.Local |= AllocSteady
-	case SiteWarm:
-		s.fe.Local |= AllocWarm
-	}
 }
 
 // classify picks steady vs warm vs cold for a site: cold spans win, then
@@ -566,7 +456,6 @@ func (s *fnScanner) sitePass(body *ast.BlockStmt) {
 			for _, res := range n.Results {
 				if o := s.originOf(res); o.kind == oParam && pointerish(o.param.Type()) {
 					s.fe.Flows = append(s.fe.Flows, ParamFlow{Node: n, Param: o.param})
-					s.fe.Local |= Escapes
 				}
 			}
 		case *ast.SliceExpr:
@@ -605,8 +494,8 @@ func (s *fnScanner) scanCall(call *ast.CallExpr) {
 		}
 		return
 	}
-	// Known-allocating external callees become local sites (externals
-	// have no bodies, so the fixed point cannot see inside them).
+	// Known-allocating external callees become sites of the caller
+	// (externals have no bodies to scan).
 	for _, e := range s.node.EdgesAt(call) {
 		if s.mod.Graph.Node(e.Callee) != nil {
 			continue
@@ -778,7 +667,6 @@ func (s *fnScanner) scanAssign(n *ast.AssignStmt) {
 		}
 		if o := s.originOf(n.Rhs[i]); o.kind == oParam && pointerish(o.param.Type()) {
 			s.fe.Flows = append(s.fe.Flows, ParamFlow{Node: n, Param: o.param, Store: true})
-			s.fe.Local |= Retains
 		}
 	}
 }
@@ -907,8 +795,15 @@ func isByteSlice(t types.Type) bool {
 	return ok && b.Kind() == types.Byte
 }
 
+// hotEdge reports whether the hot path continues along a call edge: the
+// call site is not on an error/panic path, and the callee has a body
+// (external callees are sites of the caller).
+func (f *EffectFacts) hotEdge(from *Node, e Edge) bool {
+	return !f.fns[from.Fn].ColdSites[e.Site] && f.mod.Graph.nodes[e.Callee] != nil
+}
+
 // HotChains computes, for every function reachable from a hot root along
-// non-cold call edges, the deterministic shortest chain from its root
+// hot edges, the deterministic shortest chain from its root
 // (CallGraph.Walk's order). The map is cached on the facts.
 func (f *EffectFacts) HotChains() map[*types.Func][]*types.Func {
 	if f.hot != nil {
@@ -921,68 +816,10 @@ func (f *EffectFacts) HotChains() map[*types.Func][]*types.Func {
 			roots = append(roots, n.Fn)
 		}
 	}
-	prev := g.Walk(roots, func(n *Node, e Edge) bool {
-		return !f.fns[n.Fn].ColdSites[e.Site] && g.nodes[e.Callee] != nil // external callees are local sites
-	})
+	prev := g.Walk(roots, f.hotEdge)
 	f.hot = make(map[*types.Func][]*types.Func, len(prev))
 	for fn := range prev {
 		f.hot[fn] = chainTo(prev, fn)
 	}
 	return f.hot
-}
-
-// ---------------------------------------------------------------------------
-// Effects manifest (.cclint-effects.json)
-
-// EffectsFile is the manifest's fixed name, resolved against the module
-// root (so the fixture tree carries its own).
-const EffectsFile = ".cclint-effects.json"
-
-// EffectsManifest builds the recordable manifest: every exported-name
-// function declared in the module, keyed by FullName, mapped to the
-// canonical sorted effect names. Functions proven effect-free appear
-// with an empty list — that records the proof, and effectdrift warns
-// when they lose it.
-func EffectsManifest(mod *Module) map[string][]string {
-	facts := mod.Effects()
-	out := make(map[string][]string)
-	for _, n := range mod.Graph.order {
-		if !n.Fn.Exported() {
-			continue
-		}
-		out[n.Fn.FullName()] = facts.Of(n.Fn).Summary.Names()
-	}
-	return out
-}
-
-// WriteEffects writes the manifest deterministically: MarshalIndent
-// sorts map keys and Names() is canonical, so regeneration is
-// byte-identical for an unchanged tree.
-func WriteEffects(path string, mod *Module) error {
-	data, err := json.MarshalIndent(EffectsManifest(mod), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadEffects reads a manifest; a missing file is an empty manifest, so
-// trees without one get no drift warnings.
-func LoadEffects(path string) (map[string]Effects, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]Effects{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var raw map[string][]string
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("lint: parsing %s: %v", path, err)
-	}
-	out := make(map[string]Effects, len(raw))
-	for k, v := range raw {
-		out[k] = effectsFromNames(v)
-	}
-	return out, nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"go/types"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,73 +11,107 @@ import (
 	"compcache/internal/compress"
 )
 
-// fxEffects resolves the inferred facts for one function of the effects
-// unit fixture (testdata/src/effects).
+// fxEffects resolves the scan of one function of the unit fixture
+// (testdata/src/effects).
 func fxEffects(t *testing.T, name string) *FnEffects {
 	t.Helper()
 	mod := fixtureModule(t)
 	fe := mod.Effects().Of(findFn(t, mod, "effects", name))
 	if fe == nil {
-		t.Fatalf("no effect facts for %s", name)
+		t.Fatalf("no scan for %s", name)
 	}
 	return fe
 }
 
 // TestEffectsPerAllocationKind pins the classification of every
-// allocation kind the engine recognizes, one fixture function each.
+// allocation kind the scan recognizes, one fixture function each, and the
+// one parameter flow among them (AppendParam returns its dst).
 func TestEffectsPerAllocationKind(t *testing.T) {
 	cases := []struct {
 		fn       string
-		want     Effects // exact summary
-		whatSub  string  // substring of the first site's What ("" = no sites)
-		numSites int
+		class    SiteClass // class of the one site
+		whatSub  string    // substring of its What ("" = no sites)
+		numFlows int
 	}{
-		{"CompositeLit", AllocSteady, "literal", 1},
-		{"AppendFresh", AllocSteady, "append to out", 1},
-		{"AppendParam", AllocWarm | Escapes, "append to dst", 1},
-		{"StringConv", AllocSteady, "conversion", 1},
-		{"Boxing", AllocSteady, "boxed into interface argument", 1},
-		{"Closure", AllocSteady, "escaping closure", 1},
-		{"MapWrite", AllocWarm, "map write to m", 1},
+		{"CompositeLit", SiteSteady, "literal", 0},
+		{"AppendFresh", SiteSteady, "append to out", 0},
+		{"AppendParam", SiteWarm, "append to dst", 1},
+		{"StringConv", SiteSteady, "conversion", 0},
+		{"Boxing", SiteSteady, "boxed into interface argument", 0},
+		{"Closure", SiteSteady, "escaping closure", 0},
+		{"MapWrite", SiteWarm, "map write to m", 0},
 		{"Clean", 0, "", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fn, func(t *testing.T) {
 			fe := fxEffects(t, tc.fn)
-			if fe.Summary != tc.want {
-				t.Errorf("%s summary = {%s}, want {%s}", tc.fn, fe.Summary, tc.want)
+			if len(fe.Flows) != tc.numFlows {
+				t.Errorf("%s has %d parameter flows, want %d", tc.fn, len(fe.Flows), tc.numFlows)
 			}
-			if len(fe.Sites) != tc.numSites {
-				t.Fatalf("%s has %d sites, want %d", tc.fn, len(fe.Sites), tc.numSites)
+			for _, fl := range fe.Flows {
+				if fl.Store || fl.Param.Name() != "dst" {
+					t.Errorf("%s flow = %+v, want a return of dst", tc.fn, fl)
+				}
 			}
-			if tc.numSites > 0 && !strings.Contains(fe.Sites[0].What, tc.whatSub) {
-				t.Errorf("%s site %q does not mention %q", tc.fn, fe.Sites[0].What, tc.whatSub)
+			if tc.whatSub == "" {
+				if len(fe.Sites) != 0 {
+					t.Fatalf("%s has %d sites, want none", tc.fn, len(fe.Sites))
+				}
+				return
+			}
+			if len(fe.Sites) != 1 {
+				t.Fatalf("%s has %d sites, want 1", tc.fn, len(fe.Sites))
+			}
+			if site := fe.Sites[0]; site.Class != tc.class || !strings.Contains(site.What, tc.whatSub) {
+				t.Errorf("%s site = class %d %q, want class %d mentioning %q", tc.fn, site.Class, site.What, tc.class, tc.whatSub)
 			}
 		})
 	}
 }
 
-// TestEffectsFixedPointConverges: mutual recursion must terminate and
-// both functions must end up with the allocating summary.
-func TestEffectsFixedPointConverges(t *testing.T) {
-	for _, name := range []string{"Ping", "Pong"} {
-		if fe := fxEffects(t, name); !fe.Summary.Has(AllocSteady) {
-			t.Errorf("%s summary = {%s}, want allocates (propagated through the cycle)", name, fe.Summary)
+// cyclePair resolves the mutually recursive Ping↔Pong of the hotalloc
+// codec fixture and the codec root that enters the cycle.
+func cyclePair(t *testing.T) (mod *Module, root, ping, pong *types.Func) {
+	t.Helper()
+	mod = fixtureModule(t)
+	for _, n := range mod.Graph.order {
+		if n.Fn.FullName() == "(compcache/hotalloc/internal/compress.Cycle).Compress" {
+			root = n.Fn
 		}
 	}
-	// Ping itself has no local allocation site; its steadiness is purely
-	// the propagated fixed point.
-	if fe := fxEffects(t, "Ping"); fe.Local.Has(AllocSteady) {
-		t.Error("Ping has a local steady site; the fixture should only inherit one from Pong")
+	if root == nil {
+		t.Fatal("Cycle.Compress not found in the hotalloc fixture")
+	}
+	const pkg = "hotalloc/internal/compress"
+	return mod, root, findFn(t, mod, pkg, "Ping"), findFn(t, mod, pkg, "Pong")
+}
+
+// TestEffectsFixedPointConverges: the hot-chain walk over mutual
+// recursion must terminate, put both members of the cycle on a chain from
+// the root, and leave the steady site where it is — in Pong, not
+// smeared onto Ping.
+func TestEffectsFixedPointConverges(t *testing.T) {
+	mod, root, ping, pong := cyclePair(t)
+	facts := mod.Effects()
+	chains := facts.HotChains()
+	if got, want := chainString(chains[ping]), chainString([]*types.Func{root, ping}); got != want {
+		t.Errorf("hot chain to Ping = %s, want %s", got, want)
+	}
+	if got, want := chainString(chains[pong]), chainString([]*types.Func{root, ping, pong}); got != want {
+		t.Errorf("hot chain to Pong = %s, want %s", got, want)
+	}
+	if sites := facts.Of(ping).Sites; len(sites) != 0 {
+		t.Errorf("Ping has %d sites of its own; the fixture should only reach Pong's", len(sites))
+	}
+	if sites := facts.Of(pong).Sites; len(sites) == 0 || sites[0].Class != SiteSteady {
+		t.Errorf("Pong's make is not a steady site: %+v", sites)
 	}
 }
 
 // TestCallGraphCycleTerminates: Reaches and Path over a mutually
 // recursive pair must terminate and produce the deterministic chain.
 func TestCallGraphCycleTerminates(t *testing.T) {
-	mod := fixtureModule(t)
-	ping := findFn(t, mod, "effects", "Ping")
-	pong := findFn(t, mod, "effects", "Pong")
+	mod, _, ping, pong := cyclePair(t)
 
 	reach := mod.Graph.Reaches(func(fn *types.Func) bool { return fn == pong })
 	if !reach[ping] {
@@ -99,7 +131,7 @@ func TestCallGraphCycleTerminates(t *testing.T) {
 }
 
 // realModule loads the actual compcache module once for the whole test
-// binary (shared by the codec cross-check and manifest tests).
+// binary (shared by the codec cross-check and the clean-tree test).
 var (
 	realOnce sync.Once
 	realMod  *Module
@@ -140,9 +172,9 @@ func findCodecMethod(t *testing.T, mod *Module, recv, name string) *types.Func {
 }
 
 // TestCodecStaticDynamicAllocAgreement cross-checks the two proofs for
-// every registered codec: the effect engine must statically infer no
-// steady-state allocation for the concrete Compress/Decompress (which
-// is what keeps hotalloc quiet), and testing.AllocsPerRun must
+// every registered codec: the scan must find no steady-state site on any
+// function the hot path reaches from the concrete Compress/Decompress
+// (which is what keeps hotalloc quiet), and testing.AllocsPerRun must
 // dynamically measure zero once pools are warm. A disagreement in
 // either direction is a soundness or precision bug worth failing on.
 func TestCodecStaticDynamicAllocAgreement(t *testing.T) {
@@ -158,15 +190,27 @@ func TestCodecStaticDynamicAllocAgreement(t *testing.T) {
 		}
 		recv := strings.TrimPrefix(strings.TrimPrefix(fmt.Sprintf("%T", c), "*"), "compress.")
 		t.Run(name, func(t *testing.T) {
-			// Static half: both contract methods are recognized roots with
-			// no steady allocation anywhere in their summaries.
+			// Static half: both contract methods are recognized hot roots with
+			// no steady site on any function the hot path reaches from them.
 			for _, meth := range []string{"Compress", "Decompress"} {
 				fn := findCodecMethod(t, mod, recv, meth)
 				if !codecContract(fn) {
 					t.Errorf("%s.%s does not match the codec contract shape", recv, meth)
 				}
-				if sum := facts.Of(fn).Summary; sum.Has(AllocSteady) {
-					t.Errorf("%s.%s statically allocates in steady state ({%s}); hotalloc and AllocsPerRun disagree", recv, meth, sum)
+				if _, hot := facts.HotChains()[fn]; !hot {
+					t.Errorf("%s.%s is not on a hot chain", recv, meth)
+				}
+				reached := mod.Graph.Walk([]*types.Func{fn}, facts.hotEdge)
+				for _, n := range mod.Graph.order {
+					if _, ok := reached[n.Fn]; !ok {
+						continue
+					}
+					for _, site := range facts.Of(n.Fn).Sites {
+						if site.Class == SiteSteady {
+							t.Errorf("%s.%s statically allocates in steady state (%s: %s); hotalloc and AllocsPerRun disagree",
+								recv, meth, chainString(chainTo(reached, n.Fn)), site.What)
+						}
+					}
 				}
 			}
 			// Dynamic half, mirroring TestCodecZeroAllocs' warm-up.
@@ -191,42 +235,8 @@ func TestCodecStaticDynamicAllocAgreement(t *testing.T) {
 	}
 }
 
-// TestEffectsManifestDeterministic: regenerating the manifest twice
-// must be byte-identical, and the checked-in file must be fresh (CI
-// enforces the same property by regenerate-and-diff).
-func TestEffectsManifestDeterministic(t *testing.T) {
-	mod := realModule(t)
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "a.json")
-	p2 := filepath.Join(dir, "b.json")
-	if err := WriteEffects(p1, mod); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteEffects(p2, mod); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatal("two regenerations of the effects manifest differ")
-	}
-	checked, err := os.ReadFile(filepath.Join(mod.Root, EffectsFile))
-	if err != nil {
-		t.Fatalf("checked-in %s unreadable: %v", EffectsFile, err)
-	}
-	if !bytes.Equal(checked, d1) {
-		t.Fatalf("checked-in %s is stale; regenerate with `go run ./cmd/cclint -write-effects`", EffectsFile)
-	}
-}
-
 // TestHotAllocTreeClean locks the tentpole invariant: the real tree has
-// zero unignored findings under the full thirteen-analyzer suite —
+// zero unignored findings under the full twelve-analyzer suite —
 // in particular no steady-state allocation on the paging hot path.
 // (The full suite must run so ignore directives for the other
 // analyzers resolve; a partial suite would misread them as unknown.)
@@ -238,7 +248,7 @@ func TestHotAllocTreeClean(t *testing.T) {
 }
 
 // BenchmarkLintModule measures full-module cclint wall time: load,
-// type-check, call graph, effect inference, and all thirteen analyzers — the
+// type-check, call graph, allocation-site scan, and all twelve analyzers — the
 // pass the CI wall-time budget gate times against .cclint-lint-budget.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

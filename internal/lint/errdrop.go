@@ -37,9 +37,6 @@ func (ErrDrop) Doc() string {
 	return "forbid discarded or shadowed error returns on the paged-data paths (vm/core/swap/disk/netdev/machine)"
 }
 
-// Severity implements Analyzer.
-func (ErrDrop) Severity() Severity { return SevError }
-
 // errDropScopes are the paged-data packages whose error returns carry the
 // degradation ladder.
 var errDropScopes = []string{

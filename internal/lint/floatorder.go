@@ -33,9 +33,6 @@ func (FloatOrder) Doc() string {
 	return "flag float accumulation over map iteration or across goroutines; float sums are order-sensitive"
 }
 
-// Severity implements Analyzer.
-func (FloatOrder) Severity() Severity { return SevWarn }
-
 // Check implements Analyzer.
 func (fo FloatOrder) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info

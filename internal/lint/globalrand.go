@@ -29,9 +29,6 @@ func (GlobalRand) Doc() string {
 	return "forbid the global math/rand source; randomness must come from rand.New(rand.NewSource(seed)) with an explicit seed"
 }
 
-// Severity implements Analyzer.
-func (GlobalRand) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (g GlobalRand) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info

@@ -29,9 +29,6 @@ func (HotAlloc) Doc() string {
 	return "no steady-state allocation reachable from PageIn/PageOut/Cache.Insert or a codec"
 }
 
-// Severity implements Analyzer.
-func (HotAlloc) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (HotAlloc) Check(pkg *Package) []Diagnostic {
 	facts := pkg.Mod.Effects()

@@ -27,10 +27,9 @@
 //
 // or, as a standalone comment, on the line directly below it. The reason
 // after "--" is mandatory; a directive without one is itself a finding, as
-// is a directive that no longer suppresses anything. For incremental
-// adoption of new analyzers there is also a baseline mechanism
-// (.cclint-baseline.json, see baseline.go) — the checked-in baseline is
-// kept empty, and CI fails if it ever stops being empty.
+// is a directive that no longer suppresses anything. That is the only
+// suppression mechanism: cclint reads the source tree and nothing else,
+// and any surviving finding fails it.
 package lint
 
 import (
@@ -40,23 +39,9 @@ import (
 	"sort"
 )
 
-// Severity ranks a finding. Error-severity findings fail cclint (exit 1);
-// warn-severity findings are reported but only fail under -werror.
-type Severity string
-
-const (
-	// SevError marks invariant violations: the tree must not merge with
-	// one of these outstanding.
-	SevError Severity = "error"
-	// SevWarn marks strong-heuristic findings that occasionally need
-	// human judgment (floatorder, obscoverage).
-	SevWarn Severity = "warn"
-)
-
 // Diagnostic is one finding, positioned at file:line:col.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
-	Severity Severity       `json:"severity"`
 	Pos      token.Position `json:"-"`
 	File     string         `json:"file"`
 	Line     int            `json:"line"`
@@ -66,7 +51,7 @@ type Diagnostic struct {
 
 // String renders the conventional compiler-style form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s [%s]", d.File, d.Line, d.Col, d.Severity, d.Message, d.Analyzer)
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 }
 
 // Analyzer is one named check. Check is called once per selected package;
@@ -77,17 +62,15 @@ type Analyzer interface {
 	Name() string
 	// Doc is a one-line description of what the analyzer enforces.
 	Doc() string
-	// Severity is the default severity of this analyzer's findings.
-	Severity() Severity
 	// Check reports all findings in pkg.
 	Check(pkg *Package) []Diagnostic
 }
 
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
-// map-ness, the five call-graph analyzers, the three effect-inference
-// analyzers (hotalloc, bufown, effectdrift), then the two
-// dataflow/contract analyzers (nondet, kernelproto).
+// map-ness, the five call-graph analyzers, the two analyzers on the
+// allocation-site scan (hotalloc, bufown), then the two dataflow/contract
+// analyzers (nondet, kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
@@ -100,14 +83,12 @@ func All() []Analyzer {
 		ObsCoverage{},
 		HotAlloc{},
 		BufOwn{},
-		EffectDrift{},
 		Nondet{},
 		KernelProto{},
 	}
 }
 
-// diag builds a Diagnostic at a node's position. Severity is stamped by
-// Run from the analyzer's declared level.
+// diag builds a Diagnostic at a node's position.
 func diag(pkg *Package, name string, n ast.Node, format string, args ...any) Diagnostic {
 	pos := pkg.Fset.Position(n.Pos())
 	return Diagnostic{
@@ -162,25 +143,14 @@ func run(pkgs []*Package, suite, selected []Analyzer, fullSuite bool) []Diagnost
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		dirs := collectIgnores(pkg, known)
-		var raw []Diagnostic
 		for _, a := range selected {
 			for _, d := range a.Check(pkg) {
-				if d.Severity == "" {
-					d.Severity = a.Severity()
+				if !dirs.suppress(d) {
+					out = append(out, d)
 				}
-				raw = append(raw, d)
 			}
 		}
-		for _, d := range raw {
-			if dirs.suppress(d) {
-				continue
-			}
-			out = append(out, d)
-		}
-		for _, d := range dirs.hygiene(fullSuite) {
-			d.Severity = SevError
-			out = append(out, d)
-		}
+		out = append(out, dirs.hygiene(fullSuite)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -196,17 +166,4 @@ func run(pkgs []*Package, suite, selected []Analyzer, fullSuite bool) []Diagnost
 		return a.Analyzer < b.Analyzer
 	})
 	return out
-}
-
-// ErrorCount reports how many diagnostics are error-severity; cclint's
-// exit status is 1 exactly when this is non-zero (or -werror is set and
-// any finding survives).
-func ErrorCount(diags []Diagnostic) int {
-	n := 0
-	for _, d := range diags {
-		if d.Severity == SevError {
-			n++
-		}
-	}
-	return n
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -142,7 +141,6 @@ func TestFloatOrderGolden(t *testing.T)  { runGolden(t, "testdata/src/floatorder
 func TestObsCoverageGolden(t *testing.T) { runGolden(t, "testdata/src/obscoverage") }
 func TestHotAllocGolden(t *testing.T)    { runGolden(t, "testdata/src/hotalloc") }
 func TestBufOwnGolden(t *testing.T)      { runGolden(t, "testdata/src/bufown") }
-func TestEffectDriftGolden(t *testing.T) { runGolden(t, "testdata/src/effectdrift") }
 func TestNondetGolden(t *testing.T)      { runGolden(t, "testdata/src/nondet") }
 func TestKernelProtoGolden(t *testing.T) { runGolden(t, "testdata/src/kernelproto") }
 
@@ -324,86 +322,5 @@ func TestRunOutputSorted(t *testing.T) {
 		if a.File > b.File || (a.File == b.File && a.Line > b.Line) {
 			t.Fatalf("diagnostics out of order: %v before %v", a, b)
 		}
-	}
-}
-
-// TestSeverityStamped: Run stamps each finding with its analyzer's
-// declared severity, and ErrorCount counts only error-severity ones.
-func TestSeverityStamped(t *testing.T) {
-	pkgs := selectFixture(t, "testdata/src/obscoverage")
-	diags := Run(pkgs, All())
-	if len(diags) == 0 {
-		t.Fatal("obscoverage fixture produced no findings")
-	}
-	for _, d := range diags {
-		if d.Severity == "" {
-			t.Errorf("finding without severity: %v", d)
-		}
-		if d.Analyzer == "obscoverage" && d.Severity != SevWarn {
-			t.Errorf("obscoverage finding has severity %q, want warn", d.Severity)
-		}
-	}
-	if n := ErrorCount(diags); n != 0 {
-		t.Errorf("obscoverage fixture has %d error-severity findings, want 0 (all warns)", n)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	path := filepath.Join(root, ".cclint-baseline.json")
-	diags := []Diagnostic{
-		{Analyzer: "walltime", Severity: SevError, File: filepath.Join(root, "a.go"), Line: 3, Message: "m1"},
-		{Analyzer: "walltime", Severity: SevError, File: filepath.Join(root, "a.go"), Line: 9, Message: "m1"},
-		{Analyzer: "errdrop", Severity: SevError, File: filepath.Join(root, "b.go"), Line: 1, Message: "m2"},
-	}
-	if err := WriteBaseline(path, root, diags); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("got %d baseline entries, want 2 (same-message findings fold into a count)", len(entries))
-	}
-	if entries[0].File != "a.go" || entries[0].Count != 2 {
-		t.Fatalf("entry[0] = %+v, want a.go with count 2", entries[0])
-	}
-
-	kept, suppressed := ApplyBaseline(entries, root, diags)
-	if len(kept) != 0 || suppressed != 3 {
-		t.Fatalf("ApplyBaseline kept %d / suppressed %d, want 0 / 3", len(kept), suppressed)
-	}
-
-	// A new instance beyond the recorded count must still surface: the
-	// baseline is line-number-free but budgeted.
-	extra := append(diags, Diagnostic{Analyzer: "walltime", Severity: SevError, File: filepath.Join(root, "a.go"), Line: 20, Message: "m1"})
-	kept, suppressed = ApplyBaseline(entries, root, extra)
-	if len(kept) != 1 || suppressed != 3 {
-		t.Fatalf("over-budget ApplyBaseline kept %d / suppressed %d, want 1 / 3", len(kept), suppressed)
-	}
-	if kept[0].Line != 20 {
-		t.Fatalf("surviving finding at line %d, want the budget-exceeding one at 20", kept[0].Line)
-	}
-}
-
-func TestBaselineMissingFileIsEmpty(t *testing.T) {
-	entries, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || entries != nil {
-		t.Fatalf("missing baseline: got (%v, %v), want (nil, nil)", entries, err)
-	}
-}
-
-func TestBaselineEmptyWritesCanonicalForm(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "b.json")
-	if err := WriteBaseline(path, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Fatalf("empty baseline serializes as %q, want []", data)
 	}
 }

@@ -41,37 +41,13 @@ type Module struct {
 	// cclint has to be able to point at code the compiler also rejects —
 	// but analyses degrade to syntax where type facts are missing.
 	TypeErrors []error
-	// EffectsPath overrides where the effects manifest is read from
-	// (absolute, or relative to Root); empty selects EffectsFile.
-	EffectsPath string
 
 	byPath map[string]*Package
 	facts  map[string]map[*types.Func]bool
 
-	effects             *EffectFacts       // memoized effect-inference table
-	taint               *TaintFacts        // memoized dataflow/taint table
-	kproto              *kprotoFacts       // memoized kernel-protocol facts
-	manifest            map[string]Effects // memoized .cclint-effects.json
-	manifestLoaded      bool
-	manifestErr         error
-	manifestErrReported bool
-}
-
-// effectsManifest loads the module's effects manifest once; a missing
-// file is an empty manifest.
-func (m *Module) effectsManifest() (map[string]Effects, error) {
-	if !m.manifestLoaded {
-		m.manifestLoaded = true
-		p := m.EffectsPath
-		if p == "" {
-			p = EffectsFile
-		}
-		if !filepath.IsAbs(p) {
-			p = filepath.Join(m.Root, p)
-		}
-		m.manifest, m.manifestErr = LoadEffects(p)
-	}
-	return m.manifest, m.manifestErr
+	effects *EffectFacts // memoized allocation-site/parameter-flow scan
+	taint   *TaintFacts  // memoized dataflow/taint table
+	kproto  *kprotoFacts // memoized kernel-protocol facts
 }
 
 // factSet memoizes Graph.Reaches computations under a key, so several

@@ -36,9 +36,6 @@ func (MapRange) Doc() string {
 	return "flag map iteration that feeds ordered output (append/print/string build) without sorting"
 }
 
-// Severity implements Analyzer.
-func (MapRange) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (m MapRange) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info

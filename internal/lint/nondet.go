@@ -25,9 +25,6 @@ func (Nondet) Doc() string {
 	return "no nondeterministic value (host clock, global rand, map order, %p, env) may flow into obs exports or experiment tables"
 }
 
-// Severity implements Analyzer.
-func (Nondet) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (nd Nondet) Check(pkg *Package) []Diagnostic {
 	tf := pkg.Mod.Taint()

@@ -31,9 +31,6 @@ func (SharedWrite) Doc() string {
 	return "goroutine closures may write captured state only via index-slotted slices or channels (the -j1 ≡ -jN contract)"
 }
 
-// Severity implements Analyzer.
-func (SharedWrite) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (s SharedWrite) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info

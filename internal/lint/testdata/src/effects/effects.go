@@ -1,7 +1,6 @@
-// Package effects is the unit-test fixture for the effect-inference
-// engine: one function per allocation kind, plus a mutually recursive
-// pair that exercises the fixed point. No golden test selects this
-// package; effects_test.go asserts on the inferred facts directly.
+// Package effects is the unit-test fixture for the allocation-site scan:
+// one function per allocation kind. No golden test selects this package;
+// effects_test.go asserts on the scanned sites and flows directly.
 package effects
 
 // CompositeLit allocates a slice literal: steady.
@@ -52,25 +51,7 @@ func MapWrite(m map[int]int, k, v int) {
 	m[k] = v
 }
 
-// Clean does arithmetic only: no effects.
+// Clean does arithmetic only: no sites, no flows.
 func Clean(a, b int) int {
 	return a + b
-}
-
-// Ping and Pong are mutually recursive; Pong allocates, so the fixed
-// point must converge with both summaries marked steady.
-func Ping(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	return Pong(n - 1)
-}
-
-// Pong allocates and recurses back into Ping.
-func Pong(n int) []byte {
-	buf := make([]byte, 1)
-	if n == 0 {
-		return buf
-	}
-	return Ping(n - 1)
 }

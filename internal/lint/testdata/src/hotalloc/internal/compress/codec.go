@@ -44,3 +44,30 @@ func (c *Codec) Decompress(dst, src []byte) ([]byte, error) {
 	copy(buf, src)
 	return append(dst[:0], buf...), nil
 }
+
+// Cycle's Compress enters a mutually recursive pair. The walk from the
+// root must terminate, and the steady site inside the cycle is reported
+// once, on the shortest chain.
+type Cycle struct{}
+
+// Compress matches the contract shape, so it is a hot root.
+func (Cycle) Compress(dst, src []byte) []byte {
+	return Ping(dst, len(src))
+}
+
+// Ping has no site of its own; it is hot only by reaching Pong.
+func Ping(dst []byte, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	return Pong(dst, n-1)
+}
+
+// Pong allocates and recurses back into Ping.
+func Pong(dst []byte, n int) []byte {
+	tmp := make([]byte, 1) // want `hot path Compress → compress\.Ping → compress\.Pong: make\(\[\]byte, 1\) allocates in steady state`
+	if n == 0 {
+		return append(dst, tmp...)
+	}
+	return Ping(dst, n-1)
+}

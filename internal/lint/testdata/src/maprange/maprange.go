@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -185,4 +186,51 @@ func goodSliceField(f frame) []string {
 		out = append(out, x)
 	}
 	return out
+}
+
+// The shapes below are spelled like sorts and are not: a sort.X or
+// slices.X call that does not order its argument leaves the append in map
+// order.
+
+// badContains hands the collected keys to a membership test.
+func badContains(m map[string]int) bool {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	return slices.Contains(keys, "x")
+}
+
+// badSearch binary-searches keys that nobody sorted.
+func badSearch(m map[string]int) int {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	return sort.SearchStrings(keys, "x")
+}
+
+// badReverse reverses map order, which is still map order.
+func badReverse(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	slices.Reverse(keys)
+	return keys
+}
+
+type finder struct{}
+
+func (finder) Strings(keys []string) int { return len(keys) }
+
+// badShadowedSort calls a method on a local variable that happens to be
+// named sort.
+func badShadowedSort(m map[string]int) int {
+	sort := finder{}
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	return sort.Strings(keys)
 }

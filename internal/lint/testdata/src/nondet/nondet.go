@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,4 +84,26 @@ func GoodSeeded(b *obs.Bus, seed int64) {
 // GoodVirtual exports a value derived only from deterministic inputs.
 func GoodVirtual(t *exp.Table, pages int) {
 	t.AddRow(fmt.Sprintf("%d", 4096*pages))
+}
+
+// BadContains hands the collected keys to slices.Contains, which is
+// spelled like a sanitizer and orders nothing.
+func BadContains(t *exp.Table, m map[string]int) {
+	var keys []string
+	for k := range m { // want `nondeterministic iteration order of map m flows into exp\.AddRow \(BadContains → exp\.AddRow\)`
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	if slices.Contains(keys, "x") {
+		t.AddRow(keys...)
+	}
+}
+
+// BadClone copies the keys on their way into the row; a copy of map
+// order is map order.
+func BadClone(t *exp.Table, m map[string]int) {
+	var keys []string
+	for k := range m { // want `nondeterministic iteration order of map m flows into exp\.AddRow \(BadClone → exp\.AddRow\)`
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	t.AddRow(slices.Clone(keys)...)
 }

@@ -27,9 +27,6 @@ func (Walltime) Doc() string {
 	return "forbid host wall-clock reads (time.Now/Since/Sleep/...); the virtual clock is the only time source"
 }
 
-// Severity implements Analyzer.
-func (Walltime) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (w Walltime) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info

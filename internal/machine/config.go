@@ -53,9 +53,9 @@ type CCConfig struct {
 	// memory size.
 	CleanReserve int
 
-	// PrefetchNeighbors inserts pages incidentally read by clustered swap
-	// reads into the cache as clean entries (on by default; set
-	// DisablePrefetch to turn off).
+	// DisablePrefetch turns off neighbor prefetch: by default, pages
+	// incidentally read by clustered swap reads are inserted into the
+	// cache as clean entries.
 	DisablePrefetch bool
 
 	// MetadataOverhead models the paper's §4.4 memory overhead: ~38 KBytes
