@@ -23,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -32,28 +34,44 @@ import (
 	"compcache/internal/exp"
 )
 
-func main() {
-	scaleFlag := flag.String("scale", "small", "experiment scale: small or paper")
-	runFlag := flag.String("run", "", "comma-separated experiment names (see -list); groups: ablations, extensions, all")
-	listFlag := flag.Bool("list", false, "list registered experiment names and exit")
-	expFlag := flag.String("exp", "", "alias for -run (kept for compatibility)")
-	format := flag.String("format", "text", "output format for tables: text or csv")
-	jobs := flag.Int("j", 0, "max concurrent simulated machines (0 = one per core, 1 = serial); output is identical at any value")
-	faultsFlag := flag.Bool("faults", false, "run the fault-injection sweep (overhead and survival vs fault rate); shorthand for -run faults")
-	faultRate := flag.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
-	hostTiming := flag.Bool("host-timing", false, "measure host-clock columns (codec sweep ns/op); nondeterministic, off by default")
-	tracePath := flag.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it runs the selected experiments, prints their
+// tables on stdout and returns the exit status — 0 done, 1 an experiment
+// failed, 2 a usage error (with the message on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "small", "experiment scale: small or paper")
+	runFlag := fs.String("run", "", "comma-separated experiment names (see -list); groups: ablations, extensions, all")
+	listFlag := fs.Bool("list", false, "list registered experiment names and exit")
+	expFlag := fs.String("exp", "", "alias for -run (kept for compatibility)")
+	format := fs.String("format", "text", "output format for tables: text or csv")
+	jobs := fs.Int("j", 0, "max concurrent simulated machines (0 = one per core, 1 = serial); output is identical at any value")
+	faultsFlag := fs.Bool("faults", false, "run the fault-injection sweep (overhead and survival vs fault rate); shorthand for -run faults")
+	faultRate := fs.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
+	hostTiming := fs.Bool("host-timing", false, "measure host-clock columns (codec sweep ns/op); nondeterministic, off by default")
+	tracePath := fs.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// fail reports an error on stderr and hands back the exit status.
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, "ccbench:", err)
+		return status
+	}
 
 	if *listFlag {
 		for _, name := range exp.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 	if *format != "text" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "ccbench: unknown format %q\n", *format)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown format %q", *format))
 	}
 
 	var scale exp.Scale
@@ -63,8 +81,7 @@ func main() {
 	case "paper":
 		scale = exp.Paper
 	default:
-		fmt.Fprintf(os.Stderr, "ccbench: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown scale %q", *scaleFlag))
 	}
 
 	// Merge the aliases into one selection: -run wins, then -exp, then the
@@ -86,12 +103,10 @@ func main() {
 	experiments, err := exp.Resolve(strings.Split(selection, ","))
 	if err != nil {
 		// Bad selection is a usage error (exit 2), like a bad flag value.
-		fmt.Fprintln(os.Stderr, "ccbench:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if len(experiments) == 0 {
-		fmt.Fprintf(os.Stderr, "ccbench: nothing selected by %q\n", selection)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("nothing selected by %q", selection))
 	}
 
 	opts := exp.DefaultOptions(scale)
@@ -100,31 +115,23 @@ func main() {
 	opts.HostTiming = *hostTiming
 	opts.TracePath = *tracePath
 
-	emit := func(tab *exp.Table) {
-		if *format == "csv" {
-			fmt.Printf("# %s\n%s\n", tab.Title, tab.CSV())
-			return
-		}
-		fmt.Println(tab)
-	}
-
 	ctx := context.Background()
 	start := time.Now() //cclint:ignore walltime -- deliberate host-time reading: the closing line reports how long the suite took on this machine, never a simulated cost
 	for _, e := range experiments {
 		res, err := e.Run(ctx, opts)
-		fatal(err)
+		if err != nil {
+			return fail(1, err)
+		}
 		for _, tab := range res.Tables() {
-			emit(tab)
+			if *format == "csv" {
+				fmt.Fprintf(stdout, "# %s\n%s\n", tab.Title, tab.CSV())
+			} else {
+				fmt.Fprintln(stdout, tab)
+			}
 		}
 	}
 	elapsed := time.Since(start).Round(time.Millisecond) //cclint:ignore walltime -- deliberate host-time reading: the summary is explicitly labelled "(host time)" in the output
-	fmt.Printf("ccbench: %d experiment(s) at %s scale in %v (host time)\n",
+	fmt.Fprintf(stdout, "ccbench: %d experiment(s) at %s scale in %v (host time)\n",
 		len(experiments), scale, elapsed)
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccbench:", err)
-		os.Exit(1)
-	}
+	return 0
 }

@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"compcache/internal/exp"
+)
+
+// ccbench drives run directly and returns its exit status and streams.
+func ccbench(t *testing.T, args ...string) (status int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	status = run(args, &out, &errb)
+	return status, out.String(), errb.String()
+}
+
+// TestListPrintsTheRegistry: -list is exp.Names(), one per line.
+func TestListPrintsTheRegistry(t *testing.T) {
+	status, out, errs := ccbench(t, "-list")
+	if status != 0 || errs != "" {
+		t.Fatalf("-list exited %d with stderr %q, want 0 and silence", status, errs)
+	}
+	if want := strings.Join(exp.Names(), "\n") + "\n"; out != want {
+		t.Errorf("-list printed\n%s\nwant\n%s", out, want)
+	}
+}
+
+// TestUsageErrorsExitTwo: a bad -scale, -format or -run value prints
+// nothing on stdout, names the offender on stderr and exits 2.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "huge"}, `unknown scale "huge"`},
+		{[]string{"-format", "xml"}, `unknown format "xml"`},
+		{[]string{"-run", "bogus"}, `unknown experiment "bogus"`},
+		{[]string{"-run", ","}, `nothing selected by ","`},
+		{[]string{"-j", "many"}, `invalid value "many"`},
+	} {
+		status, out, errs := ccbench(t, c.args...)
+		if status != 2 || out != "" || !strings.Contains(errs, c.want) {
+			t.Errorf("ccbench %v: exit %d, stdout %q, stderr %q; want 2, no output and %q", c.args, status, out, errs, c.want)
+		}
+	}
+}
+
+// TestRunCSVHostTimeIsTheOnlyHostLine: an experiment's CSV opens with its
+// title, and two runs differ in nothing but the closing line that is
+// labelled as host time.
+func TestRunCSVHostTimeIsTheOnlyHostLine(t *testing.T) {
+	// virtual drops the host-time summary, checking it is the last line.
+	virtual := func(out string) string {
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		last := lines[len(lines)-1]
+		if !strings.HasPrefix(last, "ccbench: 1 experiment(s) at small scale in ") || !strings.HasSuffix(last, " (host time)") {
+			t.Fatalf("closing line %q is not the host-time summary", last)
+		}
+		rest := strings.Join(lines[:len(lines)-1], "\n")
+		if strings.Contains(rest, "host time") {
+			t.Errorf("host time mentioned before the closing line:\n%s", rest)
+		}
+		return rest
+	}
+
+	status, first, errs := ccbench(t, "-run", "fig1a", "-format", "csv")
+	if status != 0 || errs != "" {
+		t.Fatalf("-run fig1a: exit %d, stderr %q; want 0 and silence", status, errs)
+	}
+	if !strings.HasPrefix(first, "# Figure 1(a)") {
+		t.Errorf("CSV output does not open with the table title:\n%.80s", first)
+	}
+	_, second, _ := ccbench(t, "-exp", "fig1a", "-format", "csv", "-j", "1")
+	if virtual(first) != virtual(second) {
+		t.Errorf("two runs differ outside the host-time line:\n%s\nvs\n%s", first, second)
+	}
+}

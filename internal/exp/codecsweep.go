@@ -67,7 +67,6 @@ func CodecSweep(memoryMB int, pages int32, seed int64, workers int, hostTiming b
 			if err != nil {
 				return nil, err
 			}
-			//cclint:ignore nondet -- intentional: the host-ns column exists to report wall-clock codec cost and hides behind the HostTiming gate
 			host = fmt.Sprintf("%d", hostNsPerPage(c, seed))
 		}
 		t.AddRow(v.codec, fmtDur(st.Time),

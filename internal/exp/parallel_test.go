@@ -52,6 +52,26 @@ func TestFig3ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// The fleet sweep's percentile columns come out of a map of histogram
+// buckets (histAgg); reading it in iteration order instead of sorted order
+// shows up here as two runs disagreeing.
+func TestFleetSweepParallelMatchesSerial(t *testing.T) {
+	render := func(parallelism int) string {
+		opts := DefaultOptions(Small)
+		memMB, pages := opts.sizing()
+		tab, err := FleetSweep(memMB, pages, opts.seed(), parallelism, "")
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", parallelism, err)
+		}
+		return tab.String()
+	}
+	serial := render(1)
+	parallel := render(4)
+	if serial != parallel {
+		t.Fatalf("fleet sweep differs between -j 1 and -j 4:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
 // RunBoth's contract predates the runner: the two-machine comparison must
 // come back identical whether the machines run serially or concurrently.
 func TestRunBothNMatchesRunBoth(t *testing.T) {

@@ -14,9 +14,10 @@ import (
 //	rng := rand.New(rand.NewSource(seed))
 //
 // Flagged:
-//   - any call through the package-level source: rand.Intn, rand.Shuffle,
-//     rand.Float64, rand.Seed, ... (their stream is shared, goroutine-
-//     interleaving-dependent, and auto-seeded since Go 1.20);
+//   - any reference to the package-level source, called or handed around
+//     as a value: rand.Intn(n), rand.Shuffle, var pick = rand.Intn, ...
+//     (the stream is shared, goroutine-interleaving-dependent, and
+//     auto-seeded since Go 1.20) — the source table's globalrand row;
 //   - rand.New(rand.NewSource(expr)) where expr is a computed value such
 //     as time.Now().UnixNano() rather than a constant, parameter or field.
 type GlobalRand struct{}
@@ -32,25 +33,17 @@ func (GlobalRand) Doc() string {
 // Check implements Analyzer.
 func (g GlobalRand) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info
-	var out []Diagnostic
+	out := bannedRefs(pkg, g.Name())
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || !isRandFunc(funcValueOf(info, call.Fun), "New") || len(call.Args) != 1 {
 				return true
 			}
-			// The callee is resolved by identity, so a local *rand.Rand that
-			// shadows the package name is not mistaken for the package.
-			switch fn := funcValueOf(info, call.Fun); {
-			case bannedBy(fn, g.Name()):
-				out = append(out, diag(pkg, g.Name(), call,
-					"rand.%s uses the process-global source; thread a seeded *rand.Rand instead", fn.Name()))
-			case isRandFunc(fn, "New") && len(call.Args) == 1:
-				if src, ok := call.Args[0].(*ast.CallExpr); ok && isRandFunc(funcValueOf(info, src.Fun), "NewSource") && len(src.Args) == 1 {
-					if !explicitSeed(src.Args[0]) {
-						out = append(out, diag(pkg, g.Name(), src.Args[0],
-							"rand.NewSource seed must be a constant, parameter or field, not a computed value"))
-					}
+			if src, ok := call.Args[0].(*ast.CallExpr); ok && isRandFunc(funcValueOf(info, src.Fun), "NewSource") && len(src.Args) == 1 {
+				if !explicitSeed(src.Args[0]) {
+					out = append(out, diag(pkg, g.Name(), src.Args[0],
+						"rand.NewSource seed must be a constant, parameter or field, not a computed value"))
 				}
 			}
 			return true

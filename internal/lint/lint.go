@@ -69,8 +69,8 @@ type Analyzer interface {
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
 // map-ness, the five call-graph analyzers, the two analyzers on the
-// allocation-site scan (hotalloc, bufown), then the two dataflow/contract
-// analyzers (nondet, kernelproto).
+// allocation-site scan (hotalloc, bufown), then the kernel-protocol
+// contract analyzer (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
@@ -83,7 +83,6 @@ func All() []Analyzer {
 		ObsCoverage{},
 		HotAlloc{},
 		BufOwn{},
-		Nondet{},
 		KernelProto{},
 	}
 }

@@ -141,7 +141,6 @@ func TestFloatOrderGolden(t *testing.T)  { runGolden(t, "testdata/src/floatorder
 func TestObsCoverageGolden(t *testing.T) { runGolden(t, "testdata/src/obscoverage") }
 func TestHotAllocGolden(t *testing.T)    { runGolden(t, "testdata/src/hotalloc") }
 func TestBufOwnGolden(t *testing.T)      { runGolden(t, "testdata/src/bufown") }
-func TestNondetGolden(t *testing.T)      { runGolden(t, "testdata/src/nondet") }
 func TestKernelProtoGolden(t *testing.T) { runGolden(t, "testdata/src/kernelproto") }
 
 // TestRunOnlyFilters pins the -only semantics: only selected analyzers

@@ -46,7 +46,6 @@ type Module struct {
 	facts  map[string]map[*types.Func]bool
 
 	effects *EffectFacts // memoized allocation-site/parameter-flow scan
-	taint   *TaintFacts  // memoized dataflow/taint table
 	kproto  *kprotoFacts // memoized kernel-protocol facts
 }
 

@@ -185,6 +185,39 @@ func TestBufOwnMutationRetainedBorrow(t *testing.T) {
 		"bufown: Compress retains borrowed buffer src past the call (must copy, not keep)")
 }
 
+// TestErrDropMutationDroppedCheck: delete the `if err != nil` between two
+// assignments to err and the first failure is lost to the second.
+func TestErrDropMutationDroppedCheck(t *testing.T) {
+	mutateFixture(t, "errdrop/internal/vm/vm.go",
+		"\terr := p.read(addr)\n\tif err != nil {\n\t\treturn err\n\t}\n\terr = p.write(addr)",
+		"\terr := p.read(addr)\n\terr = p.write(addr)",
+		"errdrop: error assigned to err is overwritten before anything reads it; the first failure is lost")
+}
+
+// TestSharedWriteMutationCapturedAppend: the index-slotted write turned
+// into an append races on the captured slice header.
+func TestSharedWriteMutationCapturedAppend(t *testing.T) {
+	mutateFixture(t, "sharedwrite/sharedwrite.go",
+		"results[i] = 2 * i", "results = append(results, 2*i)",
+		"sharedwrite: goroutine writes captured variable results; concurrent writes are scheduler-ordered — use an index-slotted slice or a channel")
+}
+
+// TestFloatOrderMutationMovedIntoMapRange: the sorted-keys reduction run
+// over the map itself sums in iteration order.
+func TestFloatOrderMutationMovedIntoMapRange(t *testing.T) {
+	mutateFixture(t, "floatorder/floatorder.go",
+		"\tfor _, k := range keys {\n\t\ttotal += m[k]", "\tfor k := range m {\n\t\ttotal += m[k]",
+		"floatorder: float accumulation inside map iteration; map order is random per run — sort the keys first")
+}
+
+// TestObsCoverageMutationDeletedProbe: an exported method that still
+// advances the clock after its probe call is deleted goes dark.
+func TestObsCoverageMutationDeletedProbe(t *testing.T) {
+	mutateFixture(t, "obscoverage/internal/vm/vm.go",
+		"\tv.hits.Inc()\n", "",
+		"obscoverage: GoodTouch advances the virtual clock but no call path reaches an obs probe; traced runs under-report this work")
+}
+
 // TestRunDeterministic: cclint's own output is a byte-identical artifact.
 // Five fresh loads of the whole fixture module, full suite each time, must
 // produce deep-equal diagnostics — positions, order and messages (which

@@ -18,6 +18,24 @@ func bad() {
 
 func nano() int64 { return 0 }
 
+// pick smuggles the global source past a call-only check: nothing here is
+// called, and every later pick(n) draws from the shared stream.
+var pick = rand.Intn // want `rand\.Intn referenced as a value`
+
+// badValue hands the global source around as a function value.
+func badValue(xs []int) {
+	f := rand.Shuffle // want `rand\.Shuffle referenced as a value`
+	f(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	_ = pick(3)
+}
+
+// goodMethodValue binds a method of a seeded *rand.Rand: the value
+// carries its own explicit stream.
+func goodMethodValue(seed int64) int {
+	draw := rand.New(rand.NewSource(seed)).Intn
+	return draw(6)
+}
+
 // good threads explicit seeds, the pattern internal/trace and
 // internal/workload already use.
 func good(o opts, seed int64) {

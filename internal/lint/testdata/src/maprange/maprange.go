@@ -201,6 +201,16 @@ func badContains(m map[string]int) bool {
 	return slices.Contains(keys, "x")
 }
 
+// badClone copies the keys on their way out; a copy of map order is map
+// order.
+func badClone(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	return slices.Clone(keys)
+}
+
 // badSearch binary-searches keys that nobody sorted.
 func badSearch(m map[string]int) int {
 	var keys []string

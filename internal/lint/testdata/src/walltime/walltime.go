@@ -2,6 +2,9 @@
 package wt
 
 import (
+	"fmt"
+	"os"
+	"runtime"
 	"time"
 	. "time"
 
@@ -42,4 +45,46 @@ func good() time.Duration {
 // name to spell, only the function's identity.
 func badDot() {
 	_ = Now() // want `wall-clock call time\.Now`
+}
+
+// table stands in for an experiment table; what a host value goes on to
+// touch does not matter, because it is banned where it is minted.
+type table struct{ rows []string }
+
+func (t *table) AddRow(cells ...string) { t.rows = append(t.rows, cells...) }
+
+// BadClock formats the host clock straight into a table row.
+func BadClock(t *table) {
+	t.AddRow(fmt.Sprintf("%v", time.Now())) // want `wall-clock call time\.Now`
+}
+
+// hostStamp returns a host-clock string; the finding is here, at the
+// read, not at whichever caller exports it.
+func hostStamp() string {
+	return fmt.Sprintf("%v", time.Now()) // want `wall-clock call time\.Now`
+}
+
+// BadTransitive exports the helper's value and is itself clean: with the
+// read banned there is nothing left to follow.
+func BadTransitive(t *table) {
+	t.AddRow(hostStamp())
+}
+
+// BadEnv lets the host environment name a table row.
+func BadEnv(t *table) {
+	t.AddRow(os.Getenv("CC_HOST")) // want `host-state call os\.Getenv`
+}
+
+// report forwards its argument into the table.
+func report(t *table, v string) { t.AddRow(v) }
+
+// BadDeepSink reaches AddRow two hops away; the ban is on the read.
+func BadDeepSink(t *table) {
+	report(t, os.Getenv("CC_SEED")) // want `host-state call os\.Getenv`
+}
+
+// badSched sizes work by the host's core count, called and as a value.
+func badSched() int {
+	cores := runtime.NumCPU                 // want `host-state func runtime\.NumCPU referenced as a value`
+	return cores() + runtime.NumGoroutine() // want `host-state call runtime\.NumGoroutine`
 }

@@ -1,8 +1,9 @@
 package swap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"compcache/internal/fault"
 	"compcache/internal/fs"
@@ -124,6 +125,16 @@ type Clustered struct {
 	// WriteCluster returns, so nothing aliases them afterwards.
 	placeBuf []placement
 	writeBuf []byte
+
+	// A compaction pass's scratch, grown once and reused the same way: the
+	// live-page table and the arena its page data is carved from, the
+	// relocating pass's cover map and padding list, and the rewrite batch.
+	// A pass is never reentered (inGC) and nothing outlives it.
+	gcPages   []gcPage
+	gcArena   []byte
+	gcCovered []bool
+	gcPad     []int32
+	gcBatch   []Item
 }
 
 // clusteredState is the store's replay state: everything a snapshot carries.
@@ -552,39 +563,51 @@ func (c *Clustered) GC() error {
 }
 
 // sweepLive reads every live extent in one sequential sweep, block-granular
-// in whole-block mode, returning the pages sorted by media position.
+// in whole-block mode, returning the pages sorted by media position. The
+// pages' data is carved from one arena sized before the first read, so each
+// extent keeps its own copy until the rewrite.
 func (c *Clustered) sweepLive() ([]gcPage, error) {
-	pages := make([]gcPage, 0, len(c.extents)) //cclint:ignore hotalloc -- compaction is rare and amortized; the live-page table is per-pass by design
+	pages := c.gcPages[:0]
+	total := 0
 	for key, e := range c.extents {
-		pages = append(pages, gcPage{key: key, e: e}) //cclint:ignore hotalloc -- compaction is rare and amortized; the table was sized above, appends rarely grow it
+		pages = append(pages, gcPage{key: key, e: e})
+		_, n := c.sweepSpan(e)
+		total += n
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].e.start < pages[j].e.start }) //cclint:ignore hotalloc -- compaction is rare and amortized; sorting a per-pass table is fine
+	c.gcPages = pages
+	slices.SortFunc(pages, func(a, b gcPage) int { return cmp.Compare(a.e.start, b.e.start) })
 
+	if cap(c.gcArena) < total {
+		c.gcArena = make([]byte, total)
+	}
+	arena := c.gcArena[:total]
 	for i := range pages {
 		e := pages[i].e
-		fragOff := int64(e.start) * int64(c.cfg.FragSize)
-		byteLen := int(e.nfrags) * c.cfg.FragSize
-		if c.fsys.AllowPartialIO() {
-			buf := make([]byte, byteLen) //cclint:ignore hotalloc -- compaction is rare; each live extent keeps its own copy until the rewrite
-			if err := c.file.RawRead(buf, fragOff, byteLen); err != nil {
-				return nil, err
-			}
-			pages[i].data = buf[:e.length]
-			c.st.GCBytesCopied += uint64(byteLen)
-			continue
-		}
-		bs := int64(c.blockSize)
-		b0 := fragOff / bs
-		b1 := (fragOff + int64(byteLen) + bs - 1) / bs
-		buf := make([]byte, (b1-b0)*bs) //cclint:ignore hotalloc -- compaction is rare; each live extent keeps its own copy until the rewrite
-		if err := c.file.RawRead(buf, b0*bs, len(buf)); err != nil {
+		off, n := c.sweepSpan(e)
+		buf := arena[:n:n]
+		arena = arena[n:]
+		if err := c.file.RawRead(buf, off, n); err != nil {
 			return nil, err
 		}
-		rel := fragOff - b0*bs
+		rel := int64(e.start)*int64(c.cfg.FragSize) - off
 		pages[i].data = buf[rel : rel+int64(e.length)]
-		c.st.GCBytesCopied += uint64(len(buf))
+		c.st.GCBytesCopied += uint64(n)
 	}
 	return pages, nil
+}
+
+// sweepSpan returns the device transfer that reads extent e: exactly its
+// fragments under partial I/O, the whole blocks around them otherwise.
+func (c *Clustered) sweepSpan(e extent) (off int64, n int) {
+	off = int64(e.start) * int64(c.cfg.FragSize)
+	n = int(e.nfrags) * c.cfg.FragSize
+	if c.fsys.AllowPartialIO() {
+		return off, n
+	}
+	bs := int64(c.blockSize)
+	b0 := off / bs
+	b1 := (off + int64(n) + bs - 1) / bs
+	return b0 * bs, int((b1 - b0) * bs)
 }
 
 // gcRewrite is the in-place dense rewrite: reset the allocation state and
@@ -608,18 +631,23 @@ func (c *Clustered) gcRelocate(pages []gcPage) error {
 	// Snapshot the pre-pass padding fragments: marked but covered by no
 	// extent. They stay marked for the whole pass (the allocator skips
 	// marked fragments), so the indices remain valid.
-	covered := make([]bool, len(c.marked)) //cclint:ignore hotalloc -- compaction is rare and amortized; the cover map is per-pass by design
+	if cap(c.gcCovered) < len(c.marked) {
+		c.gcCovered = make([]bool, len(c.marked))
+	}
+	covered := c.gcCovered[:len(c.marked)]
+	clear(covered)
 	for _, e := range c.extents {
 		for i := e.start; i < e.start+e.nfrags; i++ {
 			covered[i] = true
 		}
 	}
-	pad := make([]int32, 0, c.padFr) //cclint:ignore hotalloc -- compaction is rare and amortized; the pad list is per-pass by design
+	pad := c.gcPad[:0]
 	for i, m := range c.marked {
 		if m && !covered[i] {
-			pad = append(pad, int32(i)) //cclint:ignore hotalloc -- compaction is rare and amortized; the list was sized above, appends never grow it
+			pad = append(pad, int32(i))
 		}
 	}
+	c.gcPad = pad
 
 	c.hint = 0 // steer the relocation toward the lowest holes
 	if err := c.writeBack(pages); err != nil {
@@ -635,10 +663,10 @@ func (c *Clustered) gcRelocate(pages []gcPage) error {
 
 // writeBack rewrites the swept pages in cluster-sized batches.
 func (c *Clustered) writeBack(pages []gcPage) error {
-	batch := make([]Item, 0, 32) //cclint:ignore hotalloc -- compaction is rare and amortized; the rewrite batch is per-pass by design
+	batch := c.gcBatch[:0]
 	batchBytes := 0
 	for _, p := range pages {
-		batch = append(batch, Item{Key: p.key, Data: p.data, Compressed: p.e.compressed, Sum: p.e.sum}) //cclint:ignore hotalloc -- compaction is rare and amortized; the batch was sized above, appends rarely grow it
+		batch = append(batch, Item{Key: p.key, Data: p.data, Compressed: p.e.compressed, Sum: p.e.sum})
 		batchBytes += int(p.e.nfrags) * c.cfg.FragSize
 		if batchBytes >= c.cfg.ClusterBytes {
 			if err := c.WriteCluster(batch, false); err != nil {
@@ -648,6 +676,7 @@ func (c *Clustered) writeBack(pages []gcPage) error {
 			batchBytes = 0
 		}
 	}
+	c.gcBatch = batch
 	return c.WriteCluster(batch, false)
 }
 

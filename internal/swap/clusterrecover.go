@@ -196,7 +196,9 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 	})
 	claimed := make([]bool, totalFrags)
 	unclaimedRun := func(start, nfrags int32) bool {
-		if int(start+nfrags) > totalFrags {
+		// The end is summed in int: a checksum-valid hostile record with start
+		// near MaxInt32 would wrap an int32 sum negative and pass the bound.
+		if int(start)+int(nfrags) > totalFrags {
 			return false
 		}
 		for i := start; i < start+nfrags; i++ {

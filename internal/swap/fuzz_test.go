@@ -2,6 +2,8 @@ package swap
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,16 +25,7 @@ func fuzzLFSConfig() LFSConfig {
 // dead records), flushed mid-stage, with the raw swap file bytes returned.
 func durableLFSImage(tb testing.TB, npages int) []byte {
 	tb.Helper()
-	var clock sim.Clock
-	d, err := disk.New(disk.RZ57(), &clock)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pool := mem.NewPool(64, 4096)
-	fsys, err := fs.New(fs.Options{BlockSize: 4096}, d, &clock, pool)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	fsys, pool, _ := fuzzMedia(tb, "", nil)
 	l, err := NewLFS(fuzzLFSConfig(), fsys, pool)
 	if err != nil {
 		tb.Fatal(err)
@@ -60,49 +53,77 @@ func durableLFSImage(tb testing.TB, npages int) []byte {
 	return img
 }
 
+// damaged returns the shapes of media damage every recovery corpus holds
+// alongside its valid image: a torn half and a scattering of bit flips.
+func damaged(valid []byte) (torn, flipped []byte) {
+	flipped = append([]byte(nil), valid...)
+	for i := 128; i < len(flipped); i += 997 {
+		flipped[i] ^= 0x40
+	}
+	return valid[:len(valid)/2], flipped
+}
+
+// fuzzSeed is one seed input and the name of its checked-in corpus file.
+type fuzzSeed struct {
+	name string
+	data []byte
+}
+
+// lfsSeeds is FuzzRecoverLFS's seed corpus.
+func lfsSeeds(tb testing.TB) []fuzzSeed {
+	valid := durableLFSImage(tb, 24)
+	torn, flipped := damaged(valid)
+	return []fuzzSeed{
+		{"empty", []byte{}},
+		{"garbage", []byte("not a log segment")},
+		{"valid-image", valid},
+		{"torn-half", torn},
+		{"bit-flipped", flipped},
+		{"short-header", valid[:100]},
+	}
+}
+
+// fuzzMedia builds a fresh file system; a non-empty img becomes the platter
+// contents of the swap file called name.
+func fuzzMedia(tb testing.TB, name string, img []byte) (*fs.FS, *mem.Pool, *sim.Clock) {
+	tb.Helper()
+	if len(img) > 1<<20 {
+		tb.Skip("image larger than the simulated platter budget")
+	}
+	clock := new(sim.Clock)
+	d, err := disk.New(disk.RZ57(), clock)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := mem.NewPool(64, 4096)
+	fsys, err := fs.New(fs.Options{BlockSize: 4096}, d, clock, pool)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(img) > 0 {
+		// Raw device transfers are block-granular; zero-pad the tail. The
+		// padding reads back as an unwritten region, like real media.
+		n := (len(img) + 4095) &^ 4095
+		buf := make([]byte, n)
+		copy(buf, img)
+		if err := fsys.Create(name).RawWrite(buf, 0, n); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return fsys, pool, clock
+}
+
 // FuzzRecoverLFS feeds arbitrary bytes to the mount-time log scan as the
 // swap file's platter contents. Whatever the media holds — valid images,
 // torn tails, bit flips, garbage — recovery must not panic, and any store it
 // does return must pass the paranoid consistency check.
 func FuzzRecoverLFS(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("not a log segment"))
-	valid := durableLFSImage(f, 24)
-	f.Add(valid)
-	torn := append([]byte(nil), valid...)
-	f.Add(torn[:len(torn)/2])
-	flipped := append([]byte(nil), valid...)
-	for i := 128; i < len(flipped); i += 997 {
-		flipped[i] ^= 0x40
+	for _, seed := range lfsSeeds(f) {
+		f.Add(seed.data)
 	}
-	f.Add(flipped)
-
 	f.Fuzz(func(t *testing.T, img []byte) {
-		if len(img) > 1<<20 {
-			t.Skip("image larger than the simulated platter budget")
-		}
-		var clock sim.Clock
-		d, err := disk.New(disk.RZ57(), &clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := mem.NewPool(64, 4096)
-		fsys, err := fs.New(fs.Options{BlockSize: 4096}, d, &clock, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(img) > 0 {
-			// Raw device transfers are block-granular; zero-pad the tail. The
-			// padding reads back as an unwritten region, like real media.
-			n := (len(img) + 4095) &^ 4095
-			buf := make([]byte, n)
-			copy(buf, img)
-			file := fsys.Create("swap.lfs")
-			if err := file.RawWrite(buf, 0, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l, rep, err := RecoverLFS(fuzzLFSConfig(), fsys, pool, nil, &clock)
+		fsys, pool, clock := fuzzMedia(t, "swap.lfs", img)
+		l, rep, err := RecoverLFS(fuzzLFSConfig(), fsys, pool, nil, clock)
 		if err != nil {
 			return // rejecting the image is a valid outcome; panicking is not
 		}
@@ -118,38 +139,142 @@ func FuzzRecoverLFS(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the checked-in seed corpus when
-// WRITE_FUZZ_CORPUS=1 is set; it only verifies the corpus exists otherwise.
-func TestWriteFuzzCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzRecoverLFS")
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		ents, err := os.ReadDir(dir)
-		if err != nil || len(ents) == 0 {
-			t.Fatalf("seed corpus missing at %s (regenerate with WRITE_FUZZ_CORPUS=1): %v", dir, err)
-		}
-		return
+// fuzzClusteredConfig is the geometry every clustered fuzz input is mounted
+// under: 4-page clusters of 1 KB fragments, commit records on.
+func fuzzClusteredConfig() ClusterConfig {
+	return ClusterConfig{PageSize: 4096, ClusterBytes: 4 * 4096, SpanBlocks: true, CommitRecords: true, Paranoid: true}
+}
+
+// durableClusteredImage builds a genuine clustered media image: batches of
+// raw and short (compressed) pages with rewrites and invalidations, so the
+// file holds superseded clusters, stale records and relocated copies.
+func durableClusteredImage(tb testing.TB, npages int) []byte {
+	tb.Helper()
+	fsys, _, _ := fuzzMedia(tb, "", nil)
+	c, err := NewClustered(fuzzClusteredConfig(), fsys)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	var batch []Item
+	for i := 0; i < npages; i++ {
+		it := Item{Key: PageKey{Seg: 1, Page: int32(i % (npages/2 + 1))}, Data: page(int64(i), 4096)} // overwrites
+		if i%3 == 1 {
+			it.Data, it.Compressed = it.Data[:700+100*i], true
+		}
+		it.Sum = crc32.ChecksumIEEE(it.Data)
+		if batch = append(batch, it); len(batch) == 3 {
+			if err := c.WriteCluster(batch, false); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+		if i%7 == 3 {
+			c.Invalidate(PageKey{Seg: 1, Page: int32(i % 3)})
+		}
+	}
+	file, err := fsys.Open("swap.clustered")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	img := make([]byte, file.Size())
+	if err := file.RawRead(img, 0, len(img)); err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+// wrappedExtentRecord is one block holding a checksum-valid commit record
+// whose only extent starts two fragments below MaxInt32 and is four long:
+// summed in int32 its end wraps negative and slips under any upper bound.
+func wrappedExtentRecord() []byte {
+	img := make([]byte, 4096)
+	ccrEncode(img, 1, math.MaxInt32-1, 1, []placement{{item: Item{Key: PageKey{Seg: 1}, Data: make([]byte, 100)}, nfrags: 4}})
+	return img
+}
+
+// clusteredSeeds is FuzzRecoverClustered's seed corpus.
+func clusteredSeeds(tb testing.TB) []fuzzSeed {
+	valid := durableClusteredImage(tb, 24)
+	torn, flipped := damaged(valid)
+	return []fuzzSeed{
+		{"empty", []byte{}},
+		{"garbage", []byte("not a commit record")},
+		{"valid-image", valid},
+		{"torn-half", torn},
+		{"bit-flipped", flipped},
+		{"wrapped-extent", wrappedExtentRecord()},
+	}
+}
+
+// FuzzRecoverClustered is FuzzRecoverLFS for the clustered store's mount
+// sweep: every fragment boundary of the image is probed for a commit record,
+// so the parser sees whatever a hostile page's contents spell. Recovery must
+// not panic, and a store it returns must pass the consistency check and
+// stay consistent through a compaction.
+func FuzzRecoverClustered(f *testing.F) {
+	for _, seed := range clusteredSeeds(f) {
+		f.Add(seed.data)
+	}
+	f.Fuzz(func(t *testing.T, img []byte) {
+		fsys, _, clock := fuzzMedia(t, "swap.clustered", img)
+		c, rep, err := RecoverClustered(fuzzClusteredConfig(), fsys, nil, clock)
+		if err != nil {
+			return // rejecting the image is a valid outcome; panicking is not
+		}
+		if c == nil || rep == nil {
+			t.Fatal("nil store or report without an error")
+		}
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatalf("recovered store inconsistent: %v", err)
+		}
+		if rep.RecoveredSegments > rep.ScannedSegments {
+			t.Fatalf("report claims %d recovered of %d scanned", rep.RecoveredSegments, rep.ScannedSegments)
+		}
+		if err := c.GC(); err != nil { // Paranoid re-checks after the pass
+			t.Fatalf("compaction of the recovered store: %v", err)
+		}
+	})
+}
+
+// TestRecoverClusteredRejectsWrappedExtent pins the crafted seed outside
+// the fuzz engine: the hostile record is skipped, not indexed.
+func TestRecoverClusteredRejectsWrappedExtent(t *testing.T) {
+	fsys, _, clock := fuzzMedia(t, "swap.clustered", wrappedExtentRecord())
+	c, rep, err := RecoverClustered(fuzzClusteredConfig(), fsys, nil, clock)
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := durableLFSImage(t, 24)
-	torn := valid[:len(valid)/2]
-	flipped := append([]byte(nil), valid...)
-	for i := 128; i < len(flipped); i += 997 {
-		flipped[i] ^= 0x40
+	if rep.ScannedSegments != 1 || rep.RecoveredPages != 0 || c.Has(PageKey{Seg: 1}) {
+		t.Fatalf("report %+v, page indexed %t; want the one record scanned and nothing recovered", rep, c.Has(PageKey{Seg: 1}))
 	}
-	seeds := map[string][]byte{
-		"empty":        {},
-		"garbage":      []byte("not a log segment"),
-		"valid-image":  valid,
-		"torn-half":    torn,
-		"bit-flipped":  flipped,
-		"short-header": valid[:100],
-	}
-	for name, data := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+}
+
+// TestWriteFuzzCorpus regenerates the checked-in seed corpora when
+// WRITE_FUZZ_CORPUS=1 is set; it only verifies they exist otherwise.
+func TestWriteFuzzCorpus(t *testing.T) {
+	for _, target := range []struct {
+		name  string
+		seeds func(testing.TB) []fuzzSeed
+	}{
+		{"FuzzRecoverLFS", lfsSeeds},
+		{"FuzzRecoverClustered", clusteredSeeds},
+	} {
+		dir := filepath.Join("testdata", "fuzz", target.name)
+		if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
+			ents, err := os.ReadDir(dir)
+			if err != nil || len(ents) == 0 {
+				t.Fatalf("seed corpus missing at %s (regenerate with WRITE_FUZZ_CORPUS=1): %v", dir, err)
+			}
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for _, seed := range target.seeds(t) {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.data)
+			if err := os.WriteFile(filepath.Join(dir, seed.name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
