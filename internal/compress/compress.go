@@ -31,6 +31,14 @@ import (
 // dst's backing array beyond len(dst). The machine's hot path hands every
 // codec a per-machine scratch buffer, so this is a load-bearing contract,
 // enforced by FuzzCompressDirtyScratch.
+//
+// Decompress(dst, src) is held to the same rule from the other side: it may
+// write dst[len(dst):cap(dst)] — all of it, as scratch, beyond what it
+// returns — but never reads a byte there that it has not itself written,
+// and never touches memory past cap(dst). The machine decompresses straight
+// into a pool frame, a three-index slice whose next byte belongs to another
+// page. FuzzDecompressDirtyScratch and TestDecompressStaysInsideCap enforce
+// both halves.
 type Codec interface {
 	// Name reports the registry name of the codec, e.g. "lzrw1".
 	Name() string

@@ -133,6 +133,25 @@ func TestLZRW1MatchAtMaxOffset(t *testing.T) {
 	roundTrip(t, c, src2)
 }
 
+// lzrw1BadBlocks are malformed LZRW1 blocks, one per error the decoder
+// reports.
+var lzrw1BadBlocks = []struct {
+	name  string
+	block []byte
+}{
+	{"bad flag", []byte{0xFF, 1, 2}},
+	{"truncated control word", []byte{flagCompress, 0x01}},
+	// Control word says "copy item" but only one byte follows.
+	{"truncated copy item", []byte{flagCompress, 0x01, 0x00, 0x12}},
+	// Copy item with offset pointing before the start of output.
+	{"out-of-range offset", []byte{flagCompress, 0x01, 0x00, 0x00, 0x10}},
+	// The same two offset errors in a block long enough for the
+	// group-at-a-time loop: a literal, then a copy from two bytes back, or
+	// from no bytes back.
+	{"out-of-range offset in a whole group", append([]byte{flagCompress, 0x02, 0x00, 'a', 0x00, 0x02}, make([]byte, 64)...)},
+	{"zero offset in a whole group", append([]byte{flagCompress, 0x02, 0x00, 'a', 0x00, 0x00}, make([]byte, 64)...)},
+}
+
 func TestDecompressErrors(t *testing.T) {
 	for _, c := range allCodecs(t) {
 		if _, err := c.Decompress(nil, nil); err == nil {
@@ -140,19 +159,10 @@ func TestDecompressErrors(t *testing.T) {
 		}
 	}
 	var lz LZRW1
-	if _, err := lz.Decompress(nil, []byte{0xFF, 1, 2}); err == nil {
-		t.Error("lzrw1: bad flag should error")
-	}
-	if _, err := lz.Decompress(nil, []byte{flagCompress, 0x01}); err == nil {
-		t.Error("lzrw1: truncated control word should error")
-	}
-	// Control word says "copy item" but only one byte follows.
-	if _, err := lz.Decompress(nil, []byte{flagCompress, 0x01, 0x00, 0x12}); err == nil {
-		t.Error("lzrw1: truncated copy item should error")
-	}
-	// Copy item with offset pointing before the start of output.
-	if _, err := lz.Decompress(nil, []byte{flagCompress, 0x01, 0x00, 0x00, 0x10}); err == nil {
-		t.Error("lzrw1: out-of-range offset should error")
+	for _, bad := range lzrw1BadBlocks {
+		if _, err := lz.Decompress(nil, bad.block); err == nil {
+			t.Errorf("lzrw1: %s should error", bad.name)
+		}
 	}
 	var rle RLE
 	if _, err := rle.Decompress(nil, []byte{0x7F}); err == nil {

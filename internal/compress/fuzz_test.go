@@ -3,6 +3,9 @@ package compress
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,19 +25,27 @@ import (
 
 const fuzzPageSize = 4096
 
-func fuzzSeeds(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte("a"))
-	f.Add([]byte(strings.Repeat("the compression cache extends physical memory ", 90)))
-	f.Add(bytes.Repeat([]byte{0}, fuzzPageSize))
-	f.Add(bytes.Repeat([]byte{0xAA, 0x55}, 2048))
+func seedPages() [][]byte {
 	// An incompressible-looking ramp.
 	ramp := make([]byte, fuzzPageSize)
 	for i := range ramp {
 		ramp[i] = byte(i*7 + i>>8)
 	}
-	f.Add(ramp)
+	return [][]byte{
+		{},
+		{0},
+		[]byte("a"),
+		[]byte(strings.Repeat("the compression cache extends physical memory ", 90)),
+		bytes.Repeat([]byte{0}, fuzzPageSize),
+		bytes.Repeat([]byte{0xAA, 0x55}, 2048),
+		ramp,
+	}
+}
+
+func fuzzSeeds(f *testing.F) {
+	for _, p := range seedPages() {
+		f.Add(p)
+	}
 }
 
 func fuzzRoundTrip(f *testing.F, c Codec) {
@@ -65,13 +76,22 @@ func fuzzRoundTrip(f *testing.F, c Codec) {
 	})
 }
 
-func fuzzCorrupt(f *testing.F, c Codec) {
-	fuzzSeeds(f)
-	// Valid blocks with a flipped byte are the interesting corruptions.
+// flippedBlocks returns valid blocks with one byte flipped, the interesting
+// corruptions.
+func flippedBlocks(c Codec) [][]byte {
 	good := c.Compress(nil, []byte(strings.Repeat("seed page content ", 64)))
+	var out [][]byte
 	for i := 0; i < len(good) && i < 8; i++ {
 		mut := bytes.Clone(good)
 		mut[i] ^= 0x80
+		out = append(out, mut)
+	}
+	return out
+}
+
+func fuzzCorrupt(f *testing.F, c Codec) {
+	fuzzSeeds(f)
+	for _, mut := range flippedBlocks(c) {
 		f.Add(mut)
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -130,4 +150,99 @@ func FuzzCompressDirtyScratch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecompressDirtyScratch is the decode half of the recycled-dst
+// contract: decompressing into a zero-length slice whose backing array is
+// full of garbage must give exactly the verdict and the bytes of a
+// decompression into a fresh buffer. The machine decompresses straight into
+// pool frames that still hold another page's contents.
+func FuzzDecompressDirtyScratch(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > fuzzPageSize {
+			p = p[:fuzzPageSize]
+		}
+		for _, c := range allCodecs(t) {
+			// Arbitrary bytes mostly fail to decode; the compressed form of
+			// the same bytes is the block that exercises the whole decoder.
+			for _, block := range [][]byte{p, c.Compress(nil, p)} {
+				clean, cleanErr := c.Decompress(nil, block)
+				scratch := bytes.Repeat([]byte{0xFF}, fuzzPageSize)
+				dirty, dirtyErr := c.Decompress(scratch[:0], block)
+				if (cleanErr == nil) != (dirtyErr == nil) {
+					t.Fatalf("%s: dirty-scratch decode error %v, clean %v", c.Name(), dirtyErr, cleanErr)
+				}
+				if cleanErr == nil && !bytes.Equal(clean, dirty) {
+					t.Fatalf("%s: dirty-scratch decompression differs: clean %d bytes, dirty %d bytes",
+						c.Name(), len(clean), len(dirty))
+				}
+			}
+		}
+	})
+}
+
+// corpusBlocks reads the checked-in seed corpus of one fuzz target.
+func corpusBlocks(t *testing.T, target string) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no seed corpus for %s: %v", target, err)
+	}
+	var out [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+		block, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, []byte(block))
+	}
+	return out
+}
+
+// TestDecompressStaysInsideCap decompresses into the middle frame of a
+// three-frame arena through a three-index slice, the way the machine hands
+// out mem.Pool frames: whatever the input — valid pages, the malformed
+// LZRW1 blocks of TestDecompressErrors, every FuzzLZRW1Corrupt seed — the
+// neighbouring frames must come out untouched. A decoder may use dst's spare
+// capacity as scratch, but one byte past cap(dst) is somebody else's page.
+func TestDecompressStaysInsideCap(t *testing.T) {
+	const canary = 0xC5
+	arena := make([]byte, 3*fuzzPageSize)
+	decode := func(c Codec, block []byte) ([]byte, error) {
+		for i := range arena {
+			arena[i] = canary
+		}
+		out, err := c.Decompress(arena[fuzzPageSize:fuzzPageSize:2*fuzzPageSize], block)
+		for i := 0; i < fuzzPageSize; i++ {
+			if arena[i] != canary || arena[2*fuzzPageSize+i] != canary {
+				t.Fatalf("%s: decoding a %d-byte block wrote outside cap(dst), at frame offset %d",
+					c.Name(), len(block), i)
+			}
+		}
+		return out, err
+	}
+	for _, c := range allCodecs(t) {
+		for _, page := range seedPages() {
+			out, err := decode(c, c.Compress(nil, page))
+			if err != nil || !bytes.Equal(out, page) {
+				t.Errorf("%s: %d-byte page came back as %d bytes (%v)", c.Name(), len(page), len(out), err)
+			}
+		}
+	}
+	var lz LZRW1
+	hostile := append(flippedBlocks(lz), seedPages()...)
+	hostile = append(hostile, corpusBlocks(t, "FuzzLZRW1Corrupt")...)
+	for _, bad := range lzrw1BadBlocks {
+		hostile = append(hostile, bad.block)
+	}
+	for _, block := range hostile {
+		decode(lz, block)
+	}
 }

@@ -116,17 +116,25 @@ type ccFrame struct {
 	id      mem.FrameID
 	used    int // bytes consumed, including the frame header
 	entries []*Entry
+	dirty   int // live dirty entries among entries; derived, see scanDirty
 }
 
 // reclaimable reports whether every entry overlapping the frame is clean or
 // dead.
-func (f *ccFrame) reclaimable() bool {
+func (f *ccFrame) reclaimable() bool { return f.dirty == 0 }
+
+// scanDirty counts the frame's live dirty entries the slow way. The cache
+// keeps f.dirty and Cache.reclaimable equal to what this scan finds — the
+// cleaner asks on every frame allocation — by counting at the transitions:
+// a dirty insert, markClean, and a frame entering or leaving the ring.
+func (f *ccFrame) scanDirty() int {
+	n := 0
 	for _, e := range f.entries {
 		if !e.dead && e.Dirty {
-			return false
+			n++
 		}
 	}
-	return true
+	return n
 }
 
 // FlushFunc persists a batch of dirty entries to the backing store (the
@@ -164,6 +172,11 @@ type Cache struct {
 
 	flush  FlushFunc
 	onDrop DropFunc
+
+	// reclaimable counts the ring frames with no live dirty entry. Like
+	// ccFrame.dirty it is derived from the replay state, so a snapshot does
+	// not carry it and a restore recounts it.
+	reclaimable int
 
 	bus *obs.Bus
 }
@@ -369,6 +382,7 @@ func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) 
 		f.entries = append(f.entries, e)
 		e.frames = append(e.frames, f)
 		c.frames = append(c.frames, f)
+		c.reclaimable++
 		left -= take
 		c.st.FrameGrows++
 	}
@@ -384,6 +398,11 @@ func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) 
 	c.liveBytes += need
 	if dirty {
 		c.dirtyBytes += need
+		for _, f := range e.frames {
+			if f.dirty++; f.dirty == 1 {
+				c.reclaimable--
+			}
+		}
 	}
 	c.st.Inserts++
 	if c.bus.Enabled(obs.ClassCCInsert) {
@@ -439,18 +458,11 @@ func (c *Cache) canAcquire(n int, protectTail bool) bool {
 		// flush hook installed every frame is eventually reclaimable.
 		return true
 	}
-	avail := 0
-	for i, f := range c.frames {
-		if protectTail && i == len(c.frames)-1 {
-			continue
-		}
-		if f.reclaimable() {
-			if avail++; avail >= recycles {
-				return true
-			}
-		}
+	avail := c.reclaimable
+	if protectTail && c.frames[len(c.frames)-1].reclaimable() {
+		avail--
 	}
-	return false
+	return avail >= recycles
 }
 
 // Fault returns the entry for key, satisfying a page fault from the cache.
@@ -516,13 +528,24 @@ func (c *Cache) kill(e *Entry) {
 	e.dead = true
 	c.liveBytes -= e.footprint(c.params)
 	if e.Dirty {
-		c.dirtyBytes -= e.footprint(c.params)
-		e.Dirty = false
+		c.markClean(e)
 	}
 	delete(c.entries, e.Key)
 	c.slabs = append(c.slabs, e.Data[:0])
 	e.Data = nil
 	c.order[e.oidx] = nil
+}
+
+// markClean records that a live dirty entry no longer holds the only copy of
+// its page (it was written back, or it is being killed).
+func (c *Cache) markClean(e *Entry) {
+	e.Dirty = false
+	c.dirtyBytes -= e.footprint(c.params)
+	for _, f := range e.frames {
+		if f.dirty--; f.dirty == 0 {
+			c.reclaimable++
+		}
+	}
 }
 
 // OldestAge reports the insertion time of the oldest live entry; ok is false
@@ -592,8 +615,7 @@ func (c *Cache) Clean() (int, error) {
 		return 0, err
 	}
 	for _, e := range batch {
-		e.Dirty = false
-		c.dirtyBytes -= e.footprint(c.params)
+		c.markClean(e)
 		c.st.CleanWrites++
 	}
 	if c.bus.Enabled(obs.ClassCleanPass) {
@@ -607,15 +629,7 @@ func (c *Cache) Clean() (int, error) {
 
 // ReclaimableFrames reports how many frames could be released right now
 // without any I/O.
-func (c *Cache) ReclaimableFrames() int {
-	n := 0
-	for _, f := range c.frames {
-		if f.reclaimable() {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) ReclaimableFrames() int { return c.reclaimable }
 
 // Prefill grows the cache to k empty frames, taking them from the pool.
 // Together with MinFrames == MaxFrames == k this reproduces the original
@@ -630,6 +644,7 @@ func (c *Cache) Prefill(k int) {
 			panic("core: Prefill exceeds available memory")
 		}
 		c.frames = append(c.frames, &ccFrame{id: id, used: c.params.FrameHeaderBytes})
+		c.reclaimable++
 		c.st.FrameGrows++
 	}
 }
@@ -689,6 +704,7 @@ func (c *Cache) reclaimFirstExcept(skip *ccFrame) bool {
 			}
 		}
 		c.frames = append(c.frames[:i], c.frames[i+1:]...)
+		c.reclaimable--
 		c.pool.Release(f.id)
 		// Every entry the frame held is now dead (live ones were killed just
 		// above). Dropping the frame's reference may free the Entry struct
@@ -739,14 +755,23 @@ func (c *Cache) CheckConsistency() error {
 	}
 	frameSet := make(map[*ccFrame]bool, len(c.frames))
 	claims := c.pool.Claims()
+	reclaimable := 0
 	for _, f := range c.frames {
 		frameSet[f] = true
+		if n := f.scanDirty(); n != f.dirty {
+			return fmt.Errorf("core: frame %d counts %d dirty entries, holds %d", f.id, f.dirty, n)
+		} else if n == 0 {
+			reclaimable++
+		}
 		if f.used < c.params.FrameHeaderBytes || f.used > c.pool.PageSize() {
 			return fmt.Errorf("core: frame %d occupancy %d out of range", f.id, f.used)
 		}
 		if err := claims.Claim(f.id, mem.CC); err != nil {
 			return fmt.Errorf("core: ring frame: %w", err)
 		}
+	}
+	if reclaimable != c.reclaimable {
+		return fmt.Errorf("core: reclaimable frames %d, recounted %d", c.reclaimable, reclaimable)
 	}
 	for key, e := range c.entries {
 		for _, f := range e.frames {

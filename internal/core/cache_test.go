@@ -8,6 +8,7 @@ import (
 
 	"compcache/internal/mem"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 	"compcache/internal/swap"
 )
 
@@ -379,6 +380,62 @@ func TestReclaimableFrames(t *testing.T) {
 	insert(t, c, key(1), blob(2, usable), true)
 	if got := c.ReclaimableFrames(); got != 1 {
 		t.Fatalf("ReclaimableFrames = %d, want 1", got)
+	}
+}
+
+// TestReclaimableCountMatchesScan drives every transition that moves the
+// per-frame dirty counts and the reclaimable-frame count — dirty and clean
+// inserts (spanning frames, superseding, recycling at the cap), cleaning,
+// drops, frame release from the head and from the middle, and a snapshot
+// restored into a fresh cache — and after each step has CheckConsistency
+// recount both by the full scan they replaced.
+func TestReclaimableCountMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		params := DefaultParams()
+		params.CleanBatchBytes = 4096
+		if seed%2 == 0 {
+			params.MaxFrames = 8
+		}
+		c, pool, clock := newTestCache(t, 12, params)
+		c.SetHooks(noFlush, nil)
+		rng := rand.New(rand.NewSource(seed))
+		restores := 0
+		for step := 0; step < 1500; step++ {
+			clock.Advance(sim.Duration(rng.Intn(1000)))
+			k := key(int32(rng.Intn(24)))
+			switch op := rng.Intn(20); {
+			case op < 9:
+				insert(t, c, k, blob(rng.Int63(), rng.Intn(3000)+1), rng.Intn(3) > 0)
+			case op < 12:
+				c.Drop(k)
+			case op < 15:
+				clean(t, c)
+			case op < 19:
+				releaseOldest(t, c)
+			default:
+				pool2 := mem.NewPool(12, 4096)
+				c2 := New(params, clock, pool2)
+				c2.SetHooks(noFlush, nil)
+				err := snap.RoundTrip(
+					func(sc *snap.Codec) { pool.Snap(sc); c.Snap(sc) },
+					func(sc *snap.Codec) { pool2.Snap(sc); c2.Snap(sc) })
+				if err != nil {
+					t.Fatalf("seed %d step %d: snapshot round trip: %v", seed, step, err)
+				}
+				if c2.ReclaimableFrames() != c.ReclaimableFrames() {
+					t.Fatalf("seed %d step %d: restored cache counts %d reclaimable frames, original %d",
+						seed, step, c2.ReclaimableFrames(), c.ReclaimableFrames())
+				}
+				c, pool = c2, pool2
+				restores++
+			}
+			if err := c.CheckConsistency(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
+		if st := c.Stats(); st.MidReclaims == 0 || st.FrameShrinks == st.MidReclaims || st.CleanWrites == 0 || restores == 0 {
+			t.Errorf("seed %d: run missed a transition: %+v, %d restores", seed, st, restores)
+		}
 	}
 }
 

@@ -113,6 +113,13 @@ func (c *Cache) Snap(sc *snap.Codec) {
 				c.entries[e.Key] = e
 			}
 		}
+		// The dirty counts are derived state: recount them.
+		c.reclaimable = 0
+		for _, f := range c.frames {
+			if f.dirty = f.scanDirty(); f.dirty == 0 {
+				c.reclaimable++
+			}
+		}
 		return c.CheckConsistency()
 	})
 }
