@@ -155,7 +155,7 @@ type Cache struct {
 	clock  *sim.Clock
 	pool   *mem.Pool
 
-	entries map[swap.PageKey]*Entry // index of the live entries in the ring
+	entries swap.PageTable[*Entry] // index of the live entries in the ring
 
 	// Recycling freelists: dead entries' slabs return at kill time; Entry
 	// and ccFrame structs return when the last reference (ring frame) lets
@@ -207,12 +207,7 @@ func New(params Params, clock *sim.Clock, pool *mem.Pool) *Cache {
 		// Invariant: construction-time configuration error (see above).
 		panic("core: frame header exceeds the page size")
 	}
-	return &Cache{
-		params:  params,
-		clock:   clock,
-		pool:    pool,
-		entries: make(map[swap.PageKey]*Entry),
-	}
+	return &Cache{params: params, clock: clock, pool: pool}
 }
 
 // SetHooks installs the backing-store flush and the drop notification.
@@ -238,13 +233,10 @@ func (c *Cache) LiveBytes() int { return c.liveBytes }
 func (c *Cache) DirtyBytes() int { return c.dirtyBytes }
 
 // Len reports the number of live entries.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.entries.Len() }
 
 // Has reports whether the cache holds a live entry for key.
-func (c *Cache) Has(key swap.PageKey) bool {
-	_, ok := c.entries[key]
-	return ok
-}
+func (c *Cache) Has(key swap.PageKey) bool { return c.entries.Has(key) }
 
 // frameCap is the usable bytes per frame.
 func (c *Cache) frameCap() int { return c.pool.PageSize() - c.params.FrameHeaderBytes }
@@ -355,7 +347,7 @@ func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) 
 		acquired = append(acquired, id)
 	}
 
-	if old, ok := c.entries[key]; ok {
+	if old, ok := c.entries.Get(key); ok {
 		// A stale copy exists (e.g. the page went out, came back, changed,
 		// and is going out again): supersede it now that success is assured.
 		c.kill(old)
@@ -392,7 +384,7 @@ func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) 
 	}
 	c.acqBuf = acquired[:0]
 	e.refs = len(e.frames)
-	c.entries[key] = e
+	c.entries.Set(key, e)
 	e.oidx = len(c.order)
 	c.order = append(c.order, e)
 	c.liveBytes += need
@@ -475,7 +467,7 @@ func (c *Cache) canAcquire(n int, protectTail bool) bool {
 // slab is recycled at that point); callers consume it before the next cache
 // mutation and must not retain it.
 func (c *Cache) Fault(key swap.PageKey) (data []byte, sum uint32, dirty bool, ok bool) {
-	e, found := c.entries[key]
+	e, found := c.entries.Get(key)
 	if !found {
 		c.st.Misses++
 		if c.bus.Enabled(obs.ClassCCMiss) {
@@ -505,7 +497,7 @@ func (c *Cache) Fault(key swap.PageKey) (data []byte, sum uint32, dirty bool, ok
 // Drop discards the entry for key if present (used when a stale copy must be
 // invalidated). It does not call the drop hook: the caller initiated it.
 func (c *Cache) Drop(key swap.PageKey) {
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries.Get(key); ok {
 		c.kill(e)
 		c.st.Dropped++
 		if c.bus.Enabled(obs.ClassCCEvict) {
@@ -530,7 +522,7 @@ func (c *Cache) kill(e *Entry) {
 	if e.Dirty {
 		c.markClean(e)
 	}
-	delete(c.entries, e.Key)
+	c.entries.Delete(e.Key)
 	c.slabs = append(c.slabs, e.Data[:0])
 	e.Data = nil
 	c.order[e.oidx] = nil
@@ -732,7 +724,9 @@ func (c *Cache) reclaimFirstExcept(skip *ccFrame) bool {
 // stressing the cache.
 func (c *Cache) CheckConsistency() error {
 	live, dirty := 0, 0
-	for key, e := range c.entries {
+	keys := c.entries.Keys()
+	for _, key := range keys {
+		e, _ := c.entries.Get(key)
 		if e.dead {
 			return fmt.Errorf("core: dead entry %v in live index", key)
 		}
@@ -773,16 +767,15 @@ func (c *Cache) CheckConsistency() error {
 	if reclaimable != c.reclaimable {
 		return fmt.Errorf("core: reclaimable frames %d, recounted %d", c.reclaimable, reclaimable)
 	}
-	for key, e := range c.entries {
+	for _, key := range keys {
+		e, _ := c.entries.Get(key)
 		for _, f := range e.frames {
 			if !frameSet[f] {
 				return fmt.Errorf("core: entry %v references a frame not in the ring", key)
 			}
 		}
-	}
-	// Every live entry must sit in its recorded order slot (dead entries'
-	// slots are nil).
-	for key, e := range c.entries {
+		// Every live entry must sit in its recorded order slot (dead
+		// entries' slots are nil).
 		if e.oidx < 0 || e.oidx >= len(c.order) || c.order[e.oidx] != e {
 			return fmt.Errorf("core: live entry %v not at its order slot", key)
 		}

@@ -505,7 +505,7 @@ func TestCacheChurn(t *testing.T) {
 				}
 				// Resync dirty flags from the cache's view.
 				for sk := range shadow {
-					if e, ok := c.entries[sk]; ok {
+					if e, ok := c.entries.Get(sk); ok {
 						shadowDirty[sk] = e.Dirty
 					}
 				}

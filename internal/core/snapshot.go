@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"compcache/internal/snap"
-	"compcache/internal/swap"
 )
 
 // Snap walks the cache's replay state exactly: an entry table (live and
@@ -29,7 +28,7 @@ func (c *Cache) Snap(sc *snap.Codec) {
 	idx := make(map[*Entry]int)
 	if !sc.Decoding() {
 		// (Index loops: f.entries is a slice, but shares its name with the
-		// cache's entry map.)
+		// cache's entry index.)
 		for fi := 0; fi < len(c.frames); fi++ {
 			f := c.frames[fi]
 			for ei := 0; ei < len(f.entries); ei++ {
@@ -105,13 +104,15 @@ func (c *Cache) Snap(sc *snap.Codec) {
 		for i, e := range live {
 			e.oidx = i
 		}
-		c.entries = make(map[swap.PageKey]*Entry, len(list))
+		c.entries.Clear()
 		for _, e := range list {
-			if _, dup := c.entries[e.Key]; dup && !e.dead {
-				return fmt.Errorf("core: snapshot holds two live entries for page %v", e.Key)
-			} else if !e.dead {
-				c.entries[e.Key] = e
+			if e.dead {
+				continue
 			}
+			if c.entries.Has(e.Key) {
+				return fmt.Errorf("core: snapshot holds two live entries for page %v", e.Key)
+			}
+			c.entries.Set(e.Key, e)
 		}
 		// The dirty counts are derived state: recount them.
 		c.reclaimable = 0

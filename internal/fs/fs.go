@@ -77,8 +77,10 @@ type Options struct {
 // machine package implements it on top of the compression cache.
 type CompressedBlockCache interface {
 	// Store offers an evicted block's (durable) contents; the cache may
-	// decline (incompressible, no memory). The error reports a failure of
-	// work the store triggered (e.g. flushing entries to make room).
+	// decline (incompressible, no memory). data is the evicted frame's own
+	// bytes, on loan until Store returns (mem.Pool.Lend): copy what is
+	// kept. The error reports a failure of work the store triggered (e.g.
+	// flushing entries to make room).
 	Store(fileID int32, block int64, data []byte) (bool, error)
 	// Load fetches a cached block into data, reporting whether it hit. A
 	// corrupt cached copy is reported as a miss, not an error: the block is
@@ -91,12 +93,11 @@ type CompressedBlockCache interface {
 // FS is a simulated block file system on one device.
 type FS struct {
 	fsState
-	opts    Options
-	disk    Device
-	clock   *sim.Clock
-	pool    *mem.Pool
-	ccb     CompressedBlockCache
-	scratch []byte // eviction copy buffer for the block cache
+	opts  Options
+	disk  Device
+	clock *sim.Clock
+	pool  *mem.Pool
+	ccb   CompressedBlockCache
 
 	// frameSource obtains a frame for the buffer cache, reclaiming one from
 	// some consumer if the pool is empty. The machine wires this to the
@@ -140,7 +141,7 @@ type File struct {
 	id      int32 // identity for the compressed block cache; changes on truncate
 	base    int64
 	size    int64
-	platter map[int64][]byte // authoritative block contents
+	platter [][]byte // authoritative block contents by block number, nil = never touched; at most fileExtent/BlockSize long
 }
 
 // New creates a file system on device d, drawing cache frames from pool.
@@ -197,7 +198,7 @@ func (fs *FS) CacheLen() int { return len(fs.cache) }
 // Create creates (or truncates) a file.
 func (fs *FS) Create(name string) *File {
 	if f, ok := fs.files[name]; ok {
-		f.platter = make(map[int64][]byte)
+		f.platter = nil
 		f.size = 0
 		fs.dropFileBlocks(f)
 		// A fresh identity orphans any compressed-cache entries for the old
@@ -207,11 +208,10 @@ func (fs *FS) Create(name string) *File {
 		return f
 	}
 	f := &File{ //cclint:ignore hotalloc -- file construction; paging reaches Create only on a swap segment's first touch
-		fs:      fs,
-		name:    name,
-		id:      fs.nextID,
-		base:    fs.nextBase,
-		platter: make(map[int64][]byte), //cclint:ignore hotalloc -- file construction; paging reaches Create only on a swap segment's first touch
+		fs:   fs,
+		name: name,
+		id:   fs.nextID,
+		base: fs.nextBase,
 	}
 	fs.nextID++
 	fs.nextBase += fileExtent
@@ -386,14 +386,10 @@ func (fs *FS) evict(cb *cacheBlock) error {
 	}
 	// The block is durable on the device now; keep a compressed copy in
 	// memory so a re-read can skip the device (§6). Release the frame first
-	// so the compressed cache can absorb it — the same ordering the VM
-	// eviction path uses.
-	if fs.scratch == nil {
-		fs.scratch = make([]byte, fs.opts.BlockSize)
-	}
-	copy(fs.scratch, fs.pool.Bytes(cb.frame))
-	fs.pool.Release(cb.frame)
-	_, err := fs.ccb.Store(cb.key.file.id, cb.key.block, fs.scratch)
+	// so the compressed cache can absorb it, and lend it the frame's bytes
+	// meanwhile — the same ordering and the same loan as VM.Evict.
+	_, err := fs.ccb.Store(cb.key.file.id, cb.key.block, fs.pool.Lend(cb.frame))
+	fs.pool.EndLoan()
 	return err
 }
 
@@ -456,7 +452,8 @@ func (fs *FS) getBlock(f *File, block int64, fill bool) (*cacheBlock, error) {
 // ---------------------------------------------------------------------------
 // Raw I/O (swap layers; bypasses the buffer cache)
 
-// checkRaw validates raw transfer geometry against the whole-block rule.
+// checkRaw validates raw transfer geometry against the whole-block rule and
+// the file's disk extent.
 func (fs *FS) checkRaw(off int64, n int) {
 	gran := int64(fs.opts.BlockSize)
 	if fs.opts.AllowPartialIO {
@@ -469,6 +466,12 @@ func (fs *FS) checkRaw(off int64, n int) {
 		// condition that can arise from workload data or injected faults.
 		panic(fmt.Sprintf("fs: raw I/O of %d bytes at %d violates %d-byte transfer granularity",
 			n, off, gran))
+	}
+	if off < 0 || n < 0 || off+int64(n) > fileExtent {
+		// Invariant: a swap file that outgrows its extent is an experiment
+		// sizing error; past the extent the transfer would land on the next
+		// file's disk addresses.
+		panic(fmt.Sprintf("fs: raw I/O of %d bytes at %d leaves the file's %d-byte extent", n, off, int64(fileExtent)))
 	}
 }
 
@@ -551,13 +554,23 @@ func (f *File) RawWriteStaged(off int64, n int) (sim.Time, error) {
 
 func (f *File) addr(block int64) int64 { return f.base + block*int64(f.fs.opts.BlockSize) }
 
+// platterBlock returns block's contents, materializing a zero block (and
+// the table up to it) on first touch.
 func (f *File) platterBlock(block int64) []byte {
-	b, ok := f.platter[block]
-	if !ok {
-		b = make([]byte, f.fs.opts.BlockSize) //cclint:ignore hotalloc -- first touch of a sparse platter block; allocated once per block over a run
-		f.platter[block] = b
+	if uint64(block) < uint64(len(f.platter)) && f.platter[block] != nil {
+		return f.platter[block]
 	}
-	return b
+	if block < 0 || block >= fileExtent/int64(f.fs.opts.BlockSize) {
+		// Invariant: checkRaw bounds raw transfers and snapshot/image loading
+		// rejects such blocks, so only a cached access past the extent —
+		// a workload bug — gets here.
+		panic(fmt.Sprintf("fs: block %d of %q lies outside the file's extent", block, f.name))
+	}
+	for int64(len(f.platter)) <= block {
+		f.platter = append(f.platter, nil)
+	}
+	f.platter[block] = make([]byte, f.fs.opts.BlockSize) // once per block over a run
+	return f.platter[block]
 }
 
 func (f *File) copyIn(p []byte, off int64, n int) {

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"compcache/internal/disk"
@@ -336,5 +337,71 @@ func TestStagingHelpers(t *testing.T) {
 	}
 	if d.Stats().BytesWritten != 8192 {
 		t.Fatalf("bytes written = %d", d.Stats().BytesWritten)
+	}
+}
+
+// storeSpy is a CompressedBlockCache that inspects what evict hands Store.
+type storeSpy struct {
+	store func(data []byte)
+}
+
+func (s storeSpy) Store(_ int32, _ int64, data []byte) (bool, error) { s.store(data); return true, nil }
+func (storeSpy) Load(int32, int64, []byte) (bool, error)             { return false, nil }
+func (storeSpy) Invalidate(int32, int64)                             {}
+
+// Evicting into the compressed block cache lends Store the frame's own bytes
+// — no copy — with the frame already free for the cache to take.
+func TestEvictLendsTheFrame(t *testing.T) {
+	fsys, _, _, pool := newTestFS(t, Options{})
+	block := bytes.Repeat([]byte{0x5A}, 4096)
+	fsys.Create("data").WriteAt(block, 0)
+	frame := fsys.lruHead.frame
+	stores := 0
+	fsys.SetCompressedBlockCache(storeSpy{func(data []byte) {
+		stores++
+		if &data[0] != &pool.Bytes(frame)[0] {
+			t.Error("Store got a copy, not the evicted frame's bytes")
+		}
+		id, ok := pool.Alloc(mem.CC)
+		if !ok || id != frame {
+			t.Errorf("Alloc(CC) mid-Store = %d, %t; want the evicted frame %d", id, ok, frame)
+		}
+		if !bytes.Equal(data, block) {
+			t.Error("the lent block changed when the cache took its frame")
+		}
+		pool.Release(id)
+	}})
+	if ok, err := fsys.ReleaseOldest(); !ok || err != nil {
+		t.Fatalf("ReleaseOldest = %t, %v", ok, err)
+	}
+	if stores != 1 {
+		t.Fatalf("Store ran %d times, want 1", stores)
+	}
+	if err := pool.CheckConservation(); err != nil { // also: the loan is closed
+		t.Fatal(err)
+	}
+}
+
+// A raw transfer past the file's disk extent would land on the next file's
+// addresses; a block number outside it in an image is refused.
+func TestExtentEnforced(t *testing.T) {
+	fsys, _, _, _ := newTestFS(t, Options{})
+	f := fsys.Create("swap")
+	for _, off := range []int64{fileExtent, fileExtent - 4096, -4096} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("raw write of two blocks at %d did not panic", off)
+				}
+			}()
+			f.RawWrite(make([]byte, 8192), off, 8192)
+		}()
+	}
+	for _, block := range []int64{-1, fileExtent / 4096, 1 << 40} {
+		fresh, _, _, _ := newTestFS(t, Options{})
+		img := &Image{Files: []FileImage{{Name: "swap", Blocks: []BlockImage{{Block: block, Data: make([]byte, 4096)}}}}}
+		if err := fresh.LoadImage(img); err == nil || !strings.Contains(err.Error(), "outside the file's extent") {
+			t.Errorf("image with block %d: err = %v, want the extent complaint", block, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -42,15 +43,10 @@ func (fs *FS) Image() *Image {
 	for _, name := range names {
 		f := fs.files[name]
 		fi := FileImage{Name: f.name, ID: f.id, Base: f.base, Size: f.size}
-		blocks := make([]int64, 0, len(f.platter))
-		for b := range f.platter {
-			blocks = append(blocks, b)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
-			data := make([]byte, len(f.platter[b]))
-			copy(data, f.platter[b])
-			fi.Blocks = append(fi.Blocks, BlockImage{Block: b, Data: data})
+		for b, data := range f.platter {
+			if data != nil {
+				fi.Blocks = append(fi.Blocks, BlockImage{Block: int64(b), Data: bytes.Clone(data)})
+			}
 		}
 		img.Files = append(img.Files, fi)
 	}
@@ -67,22 +63,16 @@ func (fs *FS) LoadImage(img *Image) error {
 	}
 	for i := range img.Files {
 		fi := &img.Files[i]
-		f := &File{
-			fs:      fs,
-			name:    fi.Name,
-			id:      fi.ID,
-			base:    fi.Base,
-			size:    fi.Size,
-			platter: make(map[int64][]byte, len(fi.Blocks)),
-		}
+		f := &File{fs: fs, name: fi.Name, id: fi.ID, base: fi.Base, size: fi.Size}
 		for _, b := range fi.Blocks {
 			if len(b.Data) != fs.opts.BlockSize {
 				return fmt.Errorf("fs: image block %d of %q is %d bytes, want the %d-byte block size",
 					b.Block, fi.Name, len(b.Data), fs.opts.BlockSize)
 			}
-			data := make([]byte, len(b.Data))
-			copy(data, b.Data)
-			f.platter[b.Block] = data
+			if b.Block < 0 || b.Block >= fileExtent/int64(fs.opts.BlockSize) {
+				return fmt.Errorf("fs: image block %d of %q lies outside the file's extent", b.Block, fi.Name)
+			}
+			copy(f.platterBlock(b.Block), b.Data)
 		}
 		fs.files[fi.Name] = f
 		if fi.ID >= fs.nextID {

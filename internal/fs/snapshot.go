@@ -32,7 +32,7 @@ func (fs *FS) Snap(c *snap.Codec) {
 		c.I32(&f.id)
 		c.I64(&f.base)
 		c.I64(&f.size)
-		snap.Map(c, &f.platter, 1<<24, "platter blocks", cmp.Less[int64], func(block *int64, data *[]byte) {
+		snap.Sparse(c, &f.platter, fileExtent/fs.opts.BlockSize, "platter blocks", func(b []byte) bool { return b != nil }, func(block *int64, data *[]byte) {
 			c.I64(block)
 			if c.Decoding() {
 				*data = make([]byte, fs.opts.BlockSize)

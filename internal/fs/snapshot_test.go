@@ -1,6 +1,9 @@
 package fs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -36,5 +39,34 @@ func TestSnapshotRejectsBlockCachedTwice(t *testing.T) {
 	fresh, _, _, _ := newTestFS(t, Options{})
 	if err := snap.RoundTrip(f.Snap, fresh.Snap); err == nil || !strings.Contains(err.Error(), "cached twice") {
 		t.Errorf("snapshot caching one block twice: err = %v, want the cached-twice complaint", err)
+	}
+}
+
+// TestSnapshotRejectsBlockOutsideExtent: the platter is a table by block
+// number, so a forged block number must be refused, not allocated up to.
+func TestSnapshotRejectsBlockOutsideExtent(t *testing.T) {
+	f, _, _, _ := newTestFS(t, Options{})
+	f.Create("data").WriteAt(make([]byte, 4096), 0)
+	w := snap.NewWriter()
+	f.Snap(snap.Encoder(w))
+	blob, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the file's name come id, base, size and the block count; then the
+	// first block number.
+	at := bytes.Index(blob, []byte("data")) + len("data") + 4 + 8 + 8 + 8
+	for _, block := range []int64{-1, fileExtent / 4096, 1 << 40} {
+		body := bytes.Clone(blob[:len(blob)-4])
+		binary.LittleEndian.PutUint64(body[at:], uint64(block))
+		r, err := snap.NewReader(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _, _, _ := newTestFS(t, Options{})
+		fresh.Snap(snap.Decoder(r))
+		if err := r.Close(); err == nil || !strings.Contains(err.Error(), "platter blocks: id") {
+			t.Errorf("snapshot with block %d: err = %v, want the block-id complaint", block, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"compcache/internal/compress"
 	"compcache/internal/core"
 	"compcache/internal/swap"
 )
@@ -28,7 +29,7 @@ func TestDecompressIntoCopiesBackNonAliasedResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seg = int32(7)
-	m.segCodec[seg] = growingCodec{}
+	m.segCodec = append(make([]compress.Codec, seg), growingCodec{})
 
 	want := make([]byte, m.Config().PageSize)
 	for i := range want {

@@ -46,8 +46,7 @@ type Machine struct {
 	faults      *fault.Injector      // nil when no fault config is given
 	recovery    *swap.RecoveryReport // mount-time recovery report (NewFromMedia only)
 
-	segByID map[int32]*vm.Segment // index of VM.Segments() by ID
-	err     error                 // first fatal error; see Err
+	err error // first fatal error; see Err
 
 	bus        *obs.Bus       // nil without WithObs
 	compHist   *obs.Histogram // machine.compress_page — per-page compression time
@@ -71,7 +70,7 @@ type Machine struct {
 // beyond the subsystems' state. A dead machine (err set) is never
 // snapshotted.
 type machineState struct {
-	segCodec    map[int32]compress.Codec // per-segment override (§3); stored by name
+	segCodec    []compress.Codec // per-segment override (§3) by segment id, nil = none; stored by name
 	comp        stats.Compression
 	fst         stats.Faults // machine-side detection/recovery counters; the injector owns the rest
 	start       sim.Time
@@ -107,13 +106,7 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 	for _, o := range opts {
 		o(&b)
 	}
-	m := &Machine{
-		cfg:     cfg,
-		Clock:   &sim.Clock{},
-		segByID: make(map[int32]*vm.Segment),
-
-		machineState: machineState{segCodec: make(map[int32]compress.Codec)},
-	}
+	m := &Machine{cfg: cfg, Clock: &sim.Clock{}}
 	if b.kernel != nil {
 		// Attach before any subsystem exists so construction-time charges land
 		// on the actor clock; see the WithKernel contract.
@@ -396,14 +389,17 @@ func (m *Machine) NewSegmentCodec(name string, bytes int64, codec string) (*Spac
 		return nil, err
 	}
 	sp := m.NewSegment(name, bytes)
+	for int(sp.seg.ID) >= len(m.segCodec) {
+		m.segCodec = append(m.segCodec, nil)
+	}
 	m.segCodec[sp.seg.ID] = c
 	return sp, nil
 }
 
 // codecFor returns the codec for a segment's pages.
 func (m *Machine) codecFor(seg int32) compress.Codec {
-	if c, ok := m.segCodec[seg]; ok {
-		return c
+	if uint(seg) < uint(len(m.segCodec)) && m.segCodec[seg] != nil {
+		return m.segCodec[seg]
 	}
 	return m.codec
 }
@@ -418,7 +414,6 @@ func (m *Machine) NewSegment(name string, bytes int64) *Space {
 	}
 	npages := int32((bytes + int64(m.cfg.PageSize) - 1) / int64(m.cfg.PageSize))
 	seg := m.VM.NewSegment(name, npages)
-	m.segByID[seg.ID] = seg
 	if m.cfg.CC.Enabled && m.cfg.CC.MetadataOverhead {
 		m.reserveKernelBytes(int(npages) * perPageOverheadBytes)
 	}
@@ -738,7 +733,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 		if !n.Compressed {
 			continue
 		}
-		seg := m.segByID[n.Key.Seg]
+		seg := m.VM.Segment(n.Key.Seg)
 		if seg == nil {
 			continue
 		}
@@ -858,7 +853,7 @@ func (f fsBlockCache) Invalidate(fileID int32, block int64) {
 // it is resident (the entry was a retained copy of an unmodified page), the
 // backing store still holds the same contents.
 func (m *Machine) entryDropped(key swap.PageKey) {
-	seg := m.segByID[key.Seg]
+	seg := m.VM.Segment(key.Seg)
 	if seg == nil {
 		return
 	}

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"cmp"
 	"fmt"
 
 	"compcache/internal/compress"
@@ -95,7 +94,7 @@ func (m *Machine) snap(c *snap.Codec) {
 	c.U64(&m.fst.TornWritesDiscarded)
 	snap.Int64(c, &m.start)
 	c.Bool(&m.startFrozen)
-	snap.Map(c, &m.segCodec, 1<<20, "segment codec overrides", cmp.Less[int32], func(seg *int32, codec *compress.Codec) {
+	snap.Sparse(c, &m.segCodec, 1<<20, "segment codec overrides", func(c compress.Codec) bool { return c != nil }, func(seg *int32, codec *compress.Codec) {
 		var name string
 		if !c.Decoding() {
 			name = (*codec).Name()
@@ -156,11 +155,7 @@ func Restore(cfg Config, data []byte, opts ...Option) (*Machine, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	// Re-derive the segment index and validate the assembled machine end to
-	// end before handing it back.
-	for _, seg := range m.VM.Segments() {
-		m.segByID[seg.ID] = seg
-	}
+	// Validate the assembled machine end to end before handing it back.
 	if err := m.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("machine: restored state fails invariants: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -441,6 +442,9 @@ func FuzzRestore(f *testing.F) {
 	for i, name := range names {
 		blob := snapshotBlobs(f)[name]
 		f.Add(uint8(i), blob[:len(blob)-4])
+		for _, body := range hostileKeyBodies(f, name, blob[:len(blob)-4]) {
+			f.Add(uint8(i), body)
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		tc := cases[names[int(which)%len(names)]]
@@ -455,4 +459,53 @@ func FuzzRestore(f *testing.F) {
 			drivePhase(m, &Space{m: m, seg: segs[0]}, 2)
 		}
 	})
+}
+
+// hostileKeyBodies returns copies of a snapshot body in which the first page
+// key of each page index the configuration carries — the backing store's,
+// and the compression cache's — names a page no run produces: the corners of
+// the key space and a page far past the end of its segment. The indexes are
+// dense tables; a forged key must cost them an error or a spill entry, not
+// memory in proportion to the key.
+func hostileKeyBodies(t testing.TB, config string, body []byte) [][]byte {
+	u64 := func(at int) int { return int(binary.LittleEndian.Uint64(body[at:])) }
+	after := func(marker string) int {
+		at := bytes.LastIndex(body, []byte(marker)) // the store's file carries the same name, earlier
+		if at < 0 {
+			t.Fatalf("%s snapshot has no %q section", config, marker)
+		}
+		return at + len(marker)
+	}
+	var keyAt []int
+	switch config {
+	case "direct": // swap files (segment, name), then the present set
+		at := after("swap.direct")
+		nfiles := u64(at)
+		at += 8
+		for i := 0; i < nfiles; i++ {
+			at += 4 + 4 + int(binary.LittleEndian.Uint32(body[at+4:]))
+		}
+		keyAt = append(keyAt, at+8)
+	case "lfs": // two geometry constants, the segment count, segment 0's flag and slot count
+		keyAt = append(keyAt, after("swap.lfs")+8+8+8+1+8)
+	case "cc": // the fragment bitmap, then the extents; the cache's entry table
+		keyAt = append(keyAt, after("core.cache")+8)
+		if at := after("swap.clustered"); u64(at+8+u64(at)) > 0 {
+			keyAt = append(keyAt, at+8+u64(at)+8)
+		}
+	}
+	var out [][]byte
+	for _, at := range keyAt {
+		for _, key := range []swap.PageKey{
+			{Seg: math.MaxInt32, Page: math.MaxInt32},
+			{Seg: math.MinInt32, Page: -1},
+			{Seg: 0, Page: 1 << 30},
+		} {
+			forged := bytes.Clone(body)
+			binary.LittleEndian.PutUint32(forged[at:], uint32(key.Seg))
+			binary.LittleEndian.PutUint32(forged[at+4:], uint32(key.Page))
+			out = append(out, forged)
+		}
+	}
+	return out
 }

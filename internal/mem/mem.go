@@ -54,6 +54,8 @@ type Pool struct {
 	poolState
 	pageSize int
 	counts   [numOwners]int // per-owner census of the owner table
+
+	lent FrameID // the one frame on loan, NoFrame when none; see Lend
 }
 
 // poolState is the pool's replay state: everything a snapshot carries.
@@ -70,7 +72,7 @@ func NewPool(n, pageSize int) *Pool {
 		// validation rejects bad geometry before reaching here.
 		panic(fmt.Sprintf("mem: invalid pool geometry %d x %d", n, pageSize))
 	}
-	p := &Pool{pageSize: pageSize, poolState: poolState{
+	p := &Pool{pageSize: pageSize, lent: NoFrame, poolState: poolState{
 		data:  make([]byte, n*pageSize),
 		owner: make([]Owner, n),
 		free:  make([]FrameID, 0, n),
@@ -111,6 +113,7 @@ func (p *Pool) Alloc(o Owner) (FrameID, bool) {
 		return NoFrame, false
 	}
 	id := p.free[len(p.free)-1]
+	p.checkLoan(id, o)
 	p.free = p.free[:len(p.free)-1]
 	p.owner[id] = o
 	p.counts[Free]--
@@ -147,9 +150,48 @@ func (p *Pool) Transfer(id FrameID, o Owner) {
 		// like a double release — fail loudly, never degrade.
 		panic(fmt.Sprintf("mem: Transfer of free frame %d", id))
 	}
+	p.checkLoan(id, o)
 	p.counts[cur]--
 	p.counts[o]++
 	p.owner[id] = o
+}
+
+// Lend releases frame id and opens a loan on its bytes, which it returns:
+// they still hold the page id's owner is evicting and stay intact until
+// EndLoan. Releasing first lets whoever absorbs the page take that very frame
+// (the compression cache growing by one to hold it), which is safe for CC and
+// Kernel: their frames are accounting only — the cache keeps entry bytes in
+// its own slabs. VM (a fault fills the frame) and FS (a buffer-cache block)
+// do write frame bytes, so checkLoan refuses them the frame meanwhile.
+func (p *Pool) Lend(id FrameID) []byte {
+	if p.lent != NoFrame {
+		// Invariant: a loan spans one PageOut or one compressed-block Store,
+		// and neither evicts; a nested loan is a reentrancy bug.
+		panic(fmt.Sprintf("mem: Lend of frame %d while frame %d is on loan", id, p.lent))
+	}
+	p.Release(id)
+	p.lent = id
+	return p.Bytes(id)
+}
+
+// EndLoan closes the loan Lend opened.
+func (p *Pool) EndLoan() {
+	if p.lent == NoFrame {
+		// Invariant: every EndLoan pairs with the Lend a few lines above it.
+		panic("mem: EndLoan with no frame on loan")
+	}
+	p.lent = NoFrame
+}
+
+// checkLoan guards Alloc and Transfer — once per fault, never per reference,
+// so Bytes and ownerOf stay free of it and inlineable.
+func (p *Pool) checkLoan(id FrameID, o Owner) {
+	if id == p.lent && (o == VM || o == FS) {
+		// Invariant: nothing reachable from PageOut or Store allocates for VM
+		// or FS; if that changed, the lent page would be overwritten while it
+		// is being compressed or written out.
+		panic(fmt.Sprintf("mem: frame %d is on loan and cannot go to %v, which writes frame bytes", id, o))
+	}
 }
 
 // Owner reports the current owner of a frame.
@@ -182,6 +224,9 @@ func (p *Pool) CheckConservation() error {
 	}
 	if counts[Free] != len(p.free) {
 		return fmt.Errorf("mem: free list length %d != free count %d", len(p.free), counts[Free])
+	}
+	if p.lent != NoFrame {
+		return fmt.Errorf("mem: frame %d is still on loan", p.lent)
 	}
 	return nil
 }

@@ -65,24 +65,25 @@ func TestFrameBytesAreDistinct(t *testing.T) {
 	}
 }
 
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	f()
+}
+
 func TestPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
 	p := NewPool(1, 64)
 	f, _ := p.Alloc(VM)
 	p.Release(f)
-	mustPanic("double release", func() { p.Release(f) })
-	mustPanic("alloc free owner", func() { p.Alloc(Free) })
-	mustPanic("bad frame id", func() { p.Bytes(99) })
-	mustPanic("transfer of free frame", func() { p.Transfer(f, CC) })
-	mustPanic("bad geometry", func() { NewPool(0, 64) })
+	mustPanic(t, "double release", func() { p.Release(f) })
+	mustPanic(t, "alloc free owner", func() { p.Alloc(Free) })
+	mustPanic(t, "bad frame id", func() { p.Bytes(99) })
+	mustPanic(t, "transfer of free frame", func() { p.Transfer(f, CC) })
+	mustPanic(t, "bad geometry", func() { NewPool(0, 64) })
 }
 
 func TestOwnerString(t *testing.T) {
@@ -133,5 +134,43 @@ func TestDeterministicAllocationOrder(t *testing.T) {
 	c, _ := p.Alloc(VM)
 	if a != 0 || b != 1 || c != 2 {
 		t.Fatalf("allocation order %d,%d,%d, want 0,1,2", a, b, c)
+	}
+}
+
+// A lent frame is free for CC and Kernel, which never write frame bytes, and
+// its bytes survive that; VM and FS may not have it until the loan closes.
+func TestLoan(t *testing.T) {
+	p := NewPool(2, 64)
+	f, _ := p.Alloc(VM)
+	other, _ := p.Alloc(VM)
+	copy(p.Bytes(f), "page")
+	data := p.Lend(f)
+	if &data[0] != &p.Bytes(f)[0] || p.Owner(f) != Free || p.FreeCount() != 1 {
+		t.Fatalf("Lend: bytes are a copy, or frame %d not released (owner %v)", f, p.Owner(f))
+	}
+	if err := p.CheckConservation(); err == nil {
+		t.Error("CheckConservation passes with a loan left open")
+	}
+	mustPanic(t, "second loan", func() { p.Lend(other) })
+	mustPanic(t, "lent frame to VM", func() { p.Alloc(VM) })
+	mustPanic(t, "lent frame to FS", func() { p.Alloc(FS) })
+	for _, o := range []Owner{CC, Kernel} {
+		got, ok := p.Alloc(o)
+		if !ok || got != f {
+			t.Fatalf("Alloc(%v) = %d, %t; want the lent frame %d", o, got, ok, f)
+		}
+		mustPanic(t, "lent frame transferred to VM", func() { p.Transfer(f, VM) })
+		p.Release(f)
+	}
+	if string(data[:4]) != "page" {
+		t.Errorf("lent bytes changed to %q", data[:4])
+	}
+	p.EndLoan()
+	mustPanic(t, "EndLoan without a loan", func() { p.EndLoan() })
+	if got, ok := p.Alloc(VM); !ok || got != f {
+		t.Fatalf("after EndLoan Alloc(VM) = %d, %t; want frame %d", got, ok, f)
+	}
+	if err := p.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }

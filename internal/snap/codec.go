@@ -256,29 +256,83 @@ func Slice[T any](c *Codec, s *[]T, max int, what string, elem func(*T)) {
 // pair through kv. Decoding replaces *m and fails on a repeated key.
 func Map[K comparable, V any](c *Codec, m *map[K]V, max int, what string, less func(a, b K) bool, kv func(*K, *V)) {
 	c.mark(m)
-	keys := make([]K, 0, len(*m))
-	for k := range *m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	n := c.Len(len(keys), max, what)
+	old := *m
 	if c.r != nil {
-		*m = make(map[K]V, n)
+		*m = make(map[K]V)
+	}
+	Keyed(c, len(old), max, what, func(visit func(K, V)) {
+		keys := make([]K, 0, len(old))
+		for k := range old {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+		for _, k := range keys {
+			visit(k, old[k])
+		}
+	}, kv, func(k K, v V) bool {
+		_, dup := (*m)[k]
+		(*m)[k] = v
+		return !dup
+	})
+}
+
+// Keyed visits a keyed collection that is not a Go map — a dense table, a
+// slice indexed by id — in the stream Map writes: the bounded size n, then
+// each pair through kv. each must hand visit every pair in ascending key
+// order, or the bytes stop being a pure function of the state; put installs a
+// decoded pair into the (emptied) collection and reports false for a key it
+// already holds, which fails the walk. The caller Marks the field.
+func Keyed[K, V any](c *Codec, n, max int, what string, each func(visit func(K, V)), kv func(*K, *V), put func(K, V) bool) {
+	n = c.Len(n, max, what)
+	if c.r == nil {
+		each(func(k K, v V) { kv(&k, &v) })
+		return
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		var k K
 		var v V
-		if c.r == nil {
-			k, v = keys[i], (*m)[keys[i]]
-		}
-		if kv(&k, &v); c.r == nil {
-			continue
-		}
-		if _, dup := (*m)[k]; dup {
+		if kv(&k, &v); c.Err() == nil && !put(k, v) {
 			c.Failf("snap: %s: key %v repeats", what, k)
 		}
-		(*m)[k] = v
 	}
+}
+
+// Sparse visits a slice indexed by a small id, some of whose elements are
+// absent (present says which are not), in the stream Map writes for a map
+// from id to element. max bounds the ids as well as the count, so a forged id
+// cannot size the decoded slice.
+func Sparse[I ~int32 | ~int64, V any](c *Codec, s *[]V, max int, what string, present func(V) bool, kv func(id *I, v *V)) {
+	c.mark(s)
+	old, n := *s, 0
+	for _, v := range old {
+		if present(v) {
+			n++
+		}
+	}
+	if c.r != nil {
+		*s = nil
+	}
+	Keyed(c, n, max, what, func(visit func(I, V)) {
+		for id, v := range old {
+			if present(v) {
+				visit(I(id), v)
+			}
+		}
+	}, kv, func(id I, v V) bool {
+		if id < 0 || int64(id) >= int64(max) {
+			c.Failf("snap: %s: id %d outside [0,%d)", what, id, max)
+			return true
+		}
+		for int(id) >= len(*s) {
+			var absent V
+			*s = append(*s, absent)
+		}
+		if present((*s)[id]) {
+			return false
+		}
+		(*s)[id] = v
+		return true
+	})
 }
 
 // Counters visits a flat counter block — a pointer to a struct of 64-bit

@@ -1,9 +1,7 @@
 package swap
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"compcache/internal/fault"
 	"compcache/internal/fs"
@@ -109,8 +107,11 @@ type Clustered struct {
 	blockSize int
 	fragsPerB int
 
-	byStart map[int32]PageKey // reverse index of extents by first fragment
-	inGC    bool              // true only inside a GC pass
+	// byStart is the reverse index of extents by first fragment, parallel to
+	// marked. Freeing an extent leaves its entry behind: byStart[f] names an
+	// extent starting at f only if extents still says that key starts there.
+	byStart []PageKey
+	inGC    bool // true only inside a GC pass
 
 	bus   *obs.Bus
 	clock *sim.Clock // event timestamps only; the fs layer charges the I/O
@@ -142,7 +143,7 @@ type clusteredState struct {
 	// marked[i] is true when fragment i is part of a live extent or is
 	// cluster padding; free (reusable) fragments are false.
 	marked  []bool
-	extents map[PageKey]extent
+	extents PageTable[extent]
 	liveFr  int // fragments covered by live extents
 	padFr   int // marked fragments belonging to no extent (padding)
 	hint    int // first-fit search start
@@ -152,7 +153,7 @@ type clusteredState struct {
 	// write, whose pages carry no durability promise (VerifyRecovery
 	// consults it).
 	seq       uint64
-	attempted map[PageKey]uint32
+	attempted PageTable[uint32]
 
 	st stats.Swap
 }
@@ -175,9 +176,6 @@ func makeClustered(cfg ClusterConfig, fsys *fs.FS, file *fs.File) *Clustered {
 		file:      file,
 		blockSize: fsys.BlockSize(),
 		fragsPerB: fsys.BlockSize() / cfg.FragSize,
-		byStart:   make(map[int32]PageKey),
-
-		clusteredState: clusteredState{extents: make(map[PageKey]extent)},
 	}
 	if cfg.CommitRecords {
 		c.seq = 1
@@ -204,15 +202,12 @@ func (c *Clustered) Stats() stats.Swap {
 }
 
 // Has reports whether the store holds a copy of the page.
-func (c *Clustered) Has(key PageKey) bool {
-	_, ok := c.extents[key]
-	return ok
-}
+func (c *Clustered) Has(key PageKey) bool { return c.extents.Has(key) }
 
 // Invalidate frees the page's fragments (the page was modified in memory, so
 // the stored copy is stale).
 func (c *Clustered) Invalidate(key PageKey) {
-	if e, ok := c.extents[key]; ok {
+	if e, ok := c.extents.Get(key); ok {
 		c.freeExtent(key, e)
 	}
 }
@@ -225,8 +220,7 @@ func (c *Clustered) freeExtent(key PageKey, e extent) {
 	if int(e.start) < c.hint {
 		c.hint = int(e.start)
 	}
-	delete(c.extents, key)
-	delete(c.byStart, e.start)
+	c.extents.Delete(key)
 }
 
 // fragsFor reports the padded fragment count for n bytes of data.
@@ -303,19 +297,21 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 
 	// Serialize the cluster and issue the device write before touching the
 	// page map, so a failed write leaves the old copies authoritative. The
-	// reused buffer is re-zeroed first: padding gaps between placements
-	// must hold deterministic zeroes on the platter, not stale bytes.
+	// buffer is reused, so what the placements leave alone (padding gaps, the
+	// record's fragments, the whole-block tail) is zeroed: the platter must
+	// hold deterministic zeroes there, not stale bytes.
 	n := int(total) * c.cfg.FragSize
 	if cap(c.writeBuf) < n {
 		c.writeBuf = make([]byte, n)
 	}
 	buf := c.writeBuf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	end := 0
 	for _, p := range placements {
-		copy(buf[int(p.rel)*c.cfg.FragSize:], p.item.Data)
+		off := int(p.rel) * c.cfg.FragSize
+		clear(buf[end:off])
+		end = off + copy(buf[off:], p.item.Data)
 	}
+	clear(buf[end:])
 	if c.cfg.CommitRecords {
 		ccrEncode(buf[int(recRel)*c.cfg.FragSize:], c.seq, start, recFrags, placements)
 	}
@@ -338,11 +334,8 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 			// The machine is dead; remember what was in flight so the
 			// recovery oracle knows these pages carry no durability promise
 			// (a fully-survived tear may still resurface them).
-			if c.attempted == nil {
-				c.attempted = make(map[PageKey]uint32, len(placements))
-			}
 			for _, p := range placements {
-				c.attempted[p.item.Key] = p.item.Sum
+				c.attempted.Set(p.item.Key, p.item.Sum)
 			}
 		}
 		return err
@@ -350,7 +343,7 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 
 	// Record the new locations, freeing any old copies.
 	for _, p := range placements {
-		if old, ok := c.extents[p.item.Key]; ok {
+		if old, ok := c.extents.Get(p.item.Key); ok {
 			c.freeExtent(p.item.Key, old)
 		}
 		e := extent{
@@ -360,7 +353,7 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 			compressed: p.item.Compressed,
 			sum:        p.item.Sum,
 		}
-		c.extents[p.item.Key] = e
+		c.extents.Set(p.item.Key, e)
 		c.byStart[e.start] = p.item.Key
 	}
 	c.liveFr += int(liveFrags)
@@ -390,6 +383,7 @@ func (c *Clustered) alloc(n int32, blockAligned bool) int32 {
 	for startAt := c.hint - c.hint%step; ; startAt += step {
 		for int(n) > len(c.marked)-startAt {
 			c.marked = append(c.marked, false)
+			c.byStart = append(c.byStart, PageKey{})
 		}
 		run := true
 		for i := 0; i < int(n); i++ {
@@ -424,7 +418,7 @@ func (c *Clustered) alloc(n int32, blockAligned bool) int32 {
 // they retain before reading again (they may mutate the views in place,
 // e.g. for fault injection, until then).
 func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool, neighbors []Item, ok bool, err error) {
-	e, found := c.extents[key]
+	e, found := c.extents.Get(key)
 	if !found {
 		return nil, 0, false, nil, false, nil
 	}
@@ -457,11 +451,10 @@ func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool,
 	firstFrag := int32(b0 * bs / int64(c.cfg.FragSize))
 	lastFrag := int32(b1 * bs / int64(c.cfg.FragSize))
 	for f := firstFrag; f < lastFrag; f++ {
-		nk, okk := c.byStart[f]
+		nk, ne, okk := c.startsAt(f)
 		if !okk || nk == key {
 			continue
 		}
-		ne := c.extents[nk]
 		if ne.start+ne.nfrags > lastFrag {
 			continue // partially outside the read
 		}
@@ -478,6 +471,14 @@ func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool,
 		neighbors = nil
 	}
 	return data, e.sum, e.compressed, neighbors, true, nil
+}
+
+// startsAt returns the live extent whose first fragment is f, if there is
+// one (see byStart).
+func (c *Clustered) startsAt(f int32) (PageKey, extent, bool) {
+	key := c.byStart[f]
+	e, ok := c.extents.Get(key)
+	return key, e, ok && e.start == f
 }
 
 // readBytes returns the reusable read buffer grown to n bytes.
@@ -569,13 +570,15 @@ func (c *Clustered) GC() error {
 func (c *Clustered) sweepLive() ([]gcPage, error) {
 	pages := c.gcPages[:0]
 	total := 0
-	for key, e := range c.extents {
-		pages = append(pages, gcPage{key: key, e: e})
-		_, n := c.sweepSpan(e)
-		total += n
+	for f := int32(0); int(f) < len(c.byStart); f++ {
+		if key, e, ok := c.startsAt(f); ok {
+			pages = append(pages, gcPage{key: key, e: e})
+			_, n := c.sweepSpan(e)
+			total += n
+			f += e.nfrags - 1
+		}
 	}
 	c.gcPages = pages
-	slices.SortFunc(pages, func(a, b gcPage) int { return cmp.Compare(a.e.start, b.e.start) })
 
 	if cap(c.gcArena) < total {
 		c.gcArena = make([]byte, total)
@@ -614,8 +617,8 @@ func (c *Clustered) sweepSpan(e extent) (off int64, n int) {
 // write everything back from fragment zero.
 func (c *Clustered) gcRewrite(pages []gcPage) error {
 	c.marked = c.marked[:0]
-	c.extents = make(map[PageKey]extent, len(pages))
-	c.byStart = make(map[int32]PageKey, len(pages))
+	c.byStart = c.byStart[:0]
+	c.extents.Clear()
 	c.liveFr = 0
 	c.padFr = 0
 	c.hint = 0
@@ -636,8 +639,8 @@ func (c *Clustered) gcRelocate(pages []gcPage) error {
 	}
 	covered := c.gcCovered[:len(c.marked)]
 	clear(covered)
-	for _, e := range c.extents {
-		for i := e.start; i < e.start+e.nfrags; i++ {
+	for _, p := range pages {
+		for i := p.e.start; i < p.e.start+p.e.nfrags; i++ {
 			covered[i] = true
 		}
 	}
@@ -684,23 +687,29 @@ func (c *Clustered) writeBack(pages []gcPage) error {
 // compares it with the incremental counters; tests call it after stressing
 // the store.
 func (c *Clustered) CheckConsistency() error {
-	liveSet := make(map[int32]bool) //cclint:ignore hotalloc -- the paranoid audit is opt-in debugging, not the steady-state hot path
-	for key, e := range c.extents {
+	live := make([]bool, len(c.marked)) //cclint:ignore hotalloc -- the paranoid audit is opt-in debugging, not the steady-state hot path
+	covered := 0
+	for _, key := range c.extents.Keys() {
+		e, _ := c.extents.Get(key)
+		if e.start < 0 || e.nfrags <= 0 || int(e.start)+int(e.nfrags) > len(c.marked) {
+			return fmt.Errorf("swap: extent %v [%d,+%d) lies outside the %d-fragment bitmap", key, e.start, e.nfrags, len(c.marked))
+		}
 		if got := c.byStart[e.start]; got != key {
 			return fmt.Errorf("swap: byStart[%d] = %v, want %v", e.start, got, key)
 		}
 		for i := e.start; i < e.start+e.nfrags; i++ {
-			if liveSet[i] {
+			if live[i] {
 				return fmt.Errorf("swap: fragment %d claimed by two extents", i)
 			}
-			liveSet[i] = true
-			if int(i) >= len(c.marked) || !c.marked[i] {
+			live[i] = true
+			covered++
+			if !c.marked[i] {
 				return fmt.Errorf("swap: extent %v covers unmarked fragment %d", key, i)
 			}
 		}
 	}
-	if len(liveSet) != c.liveFr {
-		return fmt.Errorf("swap: liveFr counter %d, extents cover %d", c.liveFr, len(liveSet))
+	if covered != c.liveFr {
+		return fmt.Errorf("swap: liveFr counter %d, extents cover %d", c.liveFr, covered)
 	}
 	marked := 0
 	for _, m := range c.marked {

@@ -195,6 +195,7 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 		return cands[i].frag < cands[j].frag
 	})
 	claimed := make([]bool, totalFrags)
+	c.byStart = make([]PageKey, totalFrags)
 	unclaimedRun := func(start, nfrags int32) bool {
 		// The end is summed in int: a checksum-valid hostile record with start
 		// near MaxInt32 would wrap an int32 sum negative and pass the bound.
@@ -226,7 +227,7 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 		claim(cand.frag, cand.recFrags) // tentative; reverted if nothing survives
 		accepted := 0
 		for _, it := range cand.items {
-			if _, ok := c.extents[it.key]; ok {
+			if c.extents.Has(it.key) {
 				rep.StalePages++ // a newer cluster already recovered this page
 				continue
 			}
@@ -241,7 +242,7 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 			}
 			claim(it.start, it.nfrags)
 			e := extent{start: it.start, nfrags: it.nfrags, length: it.length, compressed: it.compressed, sum: it.sum}
-			c.extents[it.key] = e
+			c.extents.Set(it.key, e)
 			c.byStart[e.start] = it.key
 			c.liveFr += int(it.nfrags)
 			accepted++
@@ -296,15 +297,10 @@ func (rec *Clustered) VerifyRecovery(pre *Clustered) error {
 	if !rec.cfg.CommitRecords || !pre.cfg.CommitRecords {
 		return fmt.Errorf("swap: VerifyRecovery requires CommitRecords stores")
 	}
-	keys := make([]PageKey, 0, len(pre.extents))
-	for k := range pre.extents {
-		keys = append(keys, k)
-	}
-	sortPageKeys(keys)
-	for _, key := range keys {
-		e := pre.extents[key]
-		re, ok := rec.extents[key]
-		if att, inflight := pre.attempted[key]; inflight {
+	for _, key := range pre.extents.Keys() {
+		e, _ := pre.extents.Get(key)
+		re, ok := rec.extents.Get(key)
+		if att, inflight := pre.attempted.Get(key); inflight {
 			if !ok {
 				return fmt.Errorf("swap: page %v (durable copy with an in-flight rewrite) lost in recovery", key)
 			}
@@ -322,12 +318,7 @@ func (rec *Clustered) VerifyRecovery(pre *Clustered) error {
 				key, re.sum, re.length, re.compressed, e.sum, e.length, e.compressed)
 		}
 	}
-	keys = keys[:0]
-	for k := range rec.extents {
-		keys = append(keys, k)
-	}
-	sortPageKeys(keys)
-	for _, key := range keys {
+	for _, key := range rec.extents.Keys() {
 		data, sum, _, _, ok, err := rec.Read(key)
 		if err != nil {
 			return fmt.Errorf("swap: recovered page %v unreadable: %w", key, err)
@@ -340,16 +331,4 @@ func (rec *Clustered) VerifyRecovery(pre *Clustered) error {
 		}
 	}
 	return nil
-}
-
-func sortPageKeys(keys []PageKey) {
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-}
-
-// lessKey orders page keys by segment, then page.
-func lessKey(a, b PageKey) bool {
-	if a.Seg != b.Seg {
-		return a.Seg < b.Seg
-	}
-	return a.Page < b.Page
 }

@@ -23,15 +23,19 @@ func fuzzLFSConfig() LFSConfig {
 // durableLFSImage builds a genuine post-crash media image: a durable LFS
 // populated with overwrites and invalidations (so the log holds stale and
 // dead records), flushed mid-stage, with the raw swap file bytes returned.
-func durableLFSImage(tb testing.TB, npages int) []byte {
+// Pages written under extra keys follow.
+func durableLFSImage(tb testing.TB, npages int, extra ...PageKey) []byte {
 	tb.Helper()
 	fsys, pool, _ := fuzzMedia(tb, "", nil)
 	l, err := NewLFS(fuzzLFSConfig(), fsys, pool)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < npages; i++ {
+	for i := 0; i < npages+len(extra); i++ {
 		key := PageKey{Seg: 1, Page: int32(i % (npages/2 + 1))} // overwrites
+		if i >= npages {
+			key = extra[i-npages]
+		}
 		if err := l.Write(key, page(int64(i), 4096)); err != nil {
 			tb.Fatal(err)
 		}
@@ -80,6 +84,7 @@ func lfsSeeds(tb testing.TB) []fuzzSeed {
 		{"torn-half", torn},
 		{"bit-flipped", flipped},
 		{"short-header", valid[:100]},
+		{"hostile-keys", durableLFSImage(tb, 6, hostileKeys...)},
 	}
 }
 
@@ -147,8 +152,9 @@ func fuzzClusteredConfig() ClusterConfig {
 
 // durableClusteredImage builds a genuine clustered media image: batches of
 // raw and short (compressed) pages with rewrites and invalidations, so the
-// file holds superseded clusters, stale records and relocated copies.
-func durableClusteredImage(tb testing.TB, npages int) []byte {
+// file holds superseded clusters, stale records and relocated copies. Pages
+// written under extra keys follow.
+func durableClusteredImage(tb testing.TB, npages int, extra ...PageKey) []byte {
 	tb.Helper()
 	fsys, _, _ := fuzzMedia(tb, "", nil)
 	c, err := NewClustered(fuzzClusteredConfig(), fsys)
@@ -156,8 +162,11 @@ func durableClusteredImage(tb testing.TB, npages int) []byte {
 		tb.Fatal(err)
 	}
 	var batch []Item
-	for i := 0; i < npages; i++ {
+	for i := 0; i < npages+len(extra); i++ {
 		it := Item{Key: PageKey{Seg: 1, Page: int32(i % (npages/2 + 1))}, Data: page(int64(i), 4096)} // overwrites
+		if i >= npages {
+			it.Key = extra[i-npages]
+		}
 		if i%3 == 1 {
 			it.Data, it.Compressed = it.Data[:700+100*i], true
 		}
@@ -203,6 +212,7 @@ func clusteredSeeds(tb testing.TB) []fuzzSeed {
 		{"torn-half", torn},
 		{"bit-flipped", flipped},
 		{"wrapped-extent", wrappedExtentRecord()},
+		{"hostile-keys", durableClusteredImage(tb, 6, hostileKeys...)},
 	}
 }
 
@@ -249,6 +259,27 @@ func TestRecoverClusteredRejectsWrappedExtent(t *testing.T) {
 	}
 }
 
+// TestRecoverIndexesHostileKeys pins the hostile-keys seeds outside the fuzz
+// engine: recovery accepts the records (their checksums are good) and indexes
+// the keys, which is what makes the seeds exercise the page table's spill.
+func TestRecoverIndexesHostileKeys(t *testing.T) {
+	fsys, pool, clock := fuzzMedia(t, "swap.lfs", durableLFSImage(t, 6, hostileKeys...))
+	l, _, err := RecoverLFS(fuzzLFSConfig(), fsys, pool, nil, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys, _, clock = fuzzMedia(t, "swap.clustered", durableClusteredImage(t, 6, hostileKeys...))
+	c, _, err := RecoverClustered(fuzzClusteredConfig(), fsys, nil, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range hostileKeys {
+		if !l.Has(key) || !c.Has(key) {
+			t.Errorf("%v recovered: lfs %t, clustered %t; want both", key, l.Has(key), c.Has(key))
+		}
+	}
+}
+
 // TestWriteFuzzCorpus regenerates the checked-in seed corpora when
 // WRITE_FUZZ_CORPUS=1 is set; it only verifies they exist otherwise.
 func TestWriteFuzzCorpus(t *testing.T) {
@@ -258,6 +289,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}{
 		{"FuzzRecoverLFS", lfsSeeds},
 		{"FuzzRecoverClustered", clusteredSeeds},
+		{"FuzzPageTable", pageTableSeeds},
 	} {
 		dir := filepath.Join("testdata", "fuzz", target.name)
 		if os.Getenv("WRITE_FUZZ_CORPUS") == "" {

@@ -129,8 +129,8 @@ type LFS struct {
 	headerBytes  int           // media bytes reserved for the segment header (durable format)
 	bufferFrames []mem.FrameID // pinned segment buffer
 
-	loc     map[PageKey]lfsLoc // index of the live slots in segs
-	inClean bool               // true only inside a cleaning pass
+	loc     PageTable[lfsLoc] // index of the live slots in segs
+	inClean bool              // true only inside a cleaning pass
 
 	// Cleaner scratch, reused across passes so steady-state cleaning
 	// allocates nothing: recycled segment bookkeeping objects and the
@@ -192,7 +192,6 @@ func makeLFS(cfg LFSConfig, fsys *fs.FS, pool *mem.Pool, file *fs.File) (*LFS, e
 		fsys: fsys,
 		file: file,
 		pool: pool,
-		loc:  make(map[PageKey]lfsLoc),
 	}
 	if cfg.Durable {
 		l.headerBytes = fsys.BlockSize()
@@ -330,7 +329,7 @@ func (l *LFS) Write(key PageKey, data []byte) error {
 	idx := int32(len(seg.pages))
 	seg.pages = append(seg.pages, key)
 	seg.live++
-	l.loc[key] = lfsLoc{seg: l.cur, idx: idx}
+	l.loc.Set(key, lfsLoc{seg: l.cur, idx: idx})
 	if l.durable() {
 		seg.sums = append(seg.sums, crc32.ChecksumIEEE(data))
 		copy(l.stage[l.headerBytes+int(idx)*l.cfg.PageSize:], data)
@@ -388,7 +387,7 @@ func (l *LFS) Flush() error {
 // memory (they have not left the machine yet); pages on disk cost one
 // whole-page read.
 func (l *LFS) Read(key PageKey, buf []byte) (bool, error) {
-	pos, ok := l.loc[key]
+	pos, ok := l.loc.Get(key)
 	if !ok {
 		return false, nil
 	}
@@ -410,21 +409,18 @@ func (l *LFS) Read(key PageKey, buf []byte) (bool, error) {
 }
 
 // Has reports whether the store holds a copy of the page.
-func (l *LFS) Has(key PageKey) bool {
-	_, ok := l.loc[key]
-	return ok
-}
+func (l *LFS) Has(key PageKey) bool { return l.loc.Has(key) }
 
 // Invalidate marks the page's copy dead.
 func (l *LFS) Invalidate(key PageKey) {
-	pos, ok := l.loc[key]
+	pos, ok := l.loc.Get(key)
 	if !ok {
 		return
 	}
 	seg := l.segs[pos.seg]
 	seg.pages[pos.idx] = lfsTombstone
 	seg.live--
-	delete(l.loc, key)
+	l.loc.Delete(key)
 }
 
 // maybeClean runs the segment cleaner when free segments run low.
@@ -554,7 +550,8 @@ func (l *LFS) dataOff(seg, idx int32) int64 {
 
 // CheckConsistency validates the location map against the segment tables.
 func (l *LFS) CheckConsistency() error {
-	for key, pos := range l.loc {
+	for _, key := range l.loc.Keys() {
+		pos, _ := l.loc.Get(key)
 		if int(pos.seg) >= len(l.segs) || l.segs[pos.seg] == nil {
 			return fmt.Errorf("swap: lfs %v points to freed segment %d", key, pos.seg)
 		}
@@ -579,7 +576,7 @@ func (l *LFS) CheckConsistency() error {
 				continue
 			}
 			live++
-			if pos, ok := l.loc[key]; !ok || pos.seg != int32(i) {
+			if pos, ok := l.loc.Get(key); !ok || pos.seg != int32(i) {
 				return fmt.Errorf("swap: lfs live slot for %v not in location map", key)
 			}
 		}

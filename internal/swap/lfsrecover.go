@@ -218,13 +218,13 @@ func RecoverLFS(cfg LFSConfig, fsys *fs.FS, pool *mem.Pool, bus *obs.Bus, clock 
 			if key == lfsTombstone {
 				continue
 			}
-			if old, ok := l.loc[key]; ok {
+			if old, ok := l.loc.Get(key); ok {
 				stale := l.segs[old.seg]
 				stale.pages[old.idx] = lfsTombstone
 				stale.live--
 				rep.StalePages++
 			}
-			l.loc[key] = lfsLoc{seg: c.region, idx: int32(i)}
+			l.loc.Set(key, lfsLoc{seg: c.region, idx: int32(i)})
 			c.seg.live++
 			pages++
 		}
@@ -272,14 +272,13 @@ func (rec *LFS) VerifyRecovery(pre *LFS) error {
 	if !rec.durable() || !pre.durable() {
 		return fmt.Errorf("swap: VerifyRecovery requires durable stores")
 	}
-	keys := sortedKeys(pre.loc)
-	for _, key := range keys {
-		pos := pre.loc[key]
+	for _, key := range pre.loc.Keys() {
+		pos, _ := pre.loc.Get(key)
 		if pos.seg == pre.cur {
 			continue // staged only: no durability promise
 		}
 		want := pre.segs[pos.seg].sums[pos.idx]
-		rpos, ok := rec.loc[key]
+		rpos, ok := rec.loc.Get(key)
 		if !ok {
 			return fmt.Errorf("swap: acknowledged-durable page %v lost in recovery", key)
 		}
@@ -287,9 +286,8 @@ func (rec *LFS) VerifyRecovery(pre *LFS) error {
 			return fmt.Errorf("swap: page %v recovered with checksum %08x, want durable copy %08x", key, got, want)
 		}
 	}
-	keys = sortedKeys(rec.loc)
 	buf := make([]byte, rec.cfg.PageSize)
-	for _, key := range keys {
+	for _, key := range rec.loc.Keys() {
 		ok, err := rec.Read(key, buf)
 		if err != nil {
 			return fmt.Errorf("swap: recovered page %v unreadable: %w", key, err)
@@ -297,25 +295,11 @@ func (rec *LFS) VerifyRecovery(pre *LFS) error {
 		if !ok {
 			return fmt.Errorf("swap: recovered page %v vanished from the index", key)
 		}
-		pos := rec.loc[key]
+		pos, _ := rec.loc.Get(key)
 		want := rec.segs[pos.seg].sums[pos.idx]
 		if sum := crc32.ChecksumIEEE(buf); sum != want {
 			return fmt.Errorf("swap: recovered page %v served with checksum %08x, recorded %08x", key, sum, want)
 		}
 	}
 	return nil
-}
-
-func sortedKeys(m map[PageKey]lfsLoc) []PageKey {
-	keys := make([]PageKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Seg != keys[j].Seg {
-			return keys[i].Seg < keys[j].Seg
-		}
-		return keys[i].Page < keys[j].Page
-	})
-	return keys
 }

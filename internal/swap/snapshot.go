@@ -1,8 +1,6 @@
 package swap
 
 import (
-	"cmp"
-
 	"compcache/internal/fs"
 	"compcache/internal/snap"
 )
@@ -56,14 +54,14 @@ func (l *LFS) Snap(c *snap.Codec) {
 	c.U64(&l.st.GCs)
 	c.U64(&l.st.GCBytesCopied)
 	c.Check(func() error {
-		l.loc = make(map[PageKey]lfsLoc, len(l.segs)*l.pagesPerSeg/2)
+		l.loc.Clear()
 		for i, s := range l.segs {
 			if s == nil {
 				continue
 			}
 			for idx, key := range s.pages {
 				if key != lfsTombstone {
-					l.loc[key] = lfsLoc{seg: int32(i), idx: int32(idx)}
+					l.loc.Set(key, lfsLoc{seg: int32(i), idx: int32(idx)})
 				}
 			}
 		}
@@ -78,7 +76,7 @@ func (l *LFS) Snap(c *snap.Codec) {
 func (c *Clustered) Snap(sc *snap.Codec) {
 	sc.Section("swap.clustered")
 	snap.Slice(sc, &c.marked, 1<<28, "clustered fragments", sc.Bool)
-	snap.Map(sc, &c.extents, 1<<24, "clustered extents", lessKey, func(key *PageKey, e *extent) {
+	c.extents.Snap(sc, 1<<24, "clustered extents", func(key *PageKey, e *extent) {
 		pageKey(sc, key)
 		sc.I32(&e.start)
 		sc.I32(&e.nfrags)
@@ -93,7 +91,7 @@ func (c *Clustered) Snap(sc *snap.Codec) {
 	sc.Int(&c.padFr)
 	sc.Int(&c.hint)
 	sc.U64(&c.seq)
-	snap.Map(sc, &c.attempted, 1<<24, "attempted pages", lessKey, func(key *PageKey, sum *uint32) {
+	c.attempted.Snap(sc, 1<<24, "attempted pages", func(key *PageKey, sum *uint32) {
 		pageKey(sc, key)
 		sc.U32(sum)
 	})
@@ -102,10 +100,8 @@ func (c *Clustered) Snap(sc *snap.Codec) {
 	sc.U64(&c.st.GCs)
 	sc.U64(&c.st.GCBytesCopied)
 	sc.Check(func() error {
-		c.byStart = make(map[int32]PageKey, len(c.extents))
-		for key, e := range c.extents {
-			c.byStart[e.start] = key
-		}
+		c.byStart = make([]PageKey, len(c.marked))
+		c.extents.Range(func(key PageKey, e extent) { c.byStart[e.start] = key })
 		return c.CheckConsistency()
 	})
 }
@@ -115,7 +111,7 @@ func (c *Clustered) Snap(sc *snap.Codec) {
 // name — the fs restore has already recreated them.
 func (d *Direct) Snap(c *snap.Codec) {
 	c.Section("swap.direct")
-	snap.Map(c, &d.files, 1<<20, "direct swap files", cmp.Less[int32], func(seg *int32, f **fs.File) {
+	snap.Sparse(c, &d.files, 1<<20, "direct swap files", func(f *fs.File) bool { return f != nil }, func(seg *int32, f **fs.File) {
 		var name string
 		if !c.Decoding() {
 			name = (*f).Name()
@@ -129,10 +125,7 @@ func (d *Direct) Snap(c *snap.Codec) {
 			}
 		}
 	})
-	snap.Map(c, &d.present, 1<<28, "present pages", lessKey, func(key *PageKey, present *bool) {
-		pageKey(c, key)
-		*present = true
-	})
+	d.present.Snap(c, 1<<28, "present pages", func(key *PageKey, _ *struct{}) { pageKey(c, key) })
 	c.U64(&d.st.PagesOut)
 	c.U64(&d.st.PagesIn)
 }

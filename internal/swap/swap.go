@@ -57,8 +57,8 @@ type Direct struct {
 
 // directState is the store's replay state: everything a snapshot carries.
 type directState struct {
-	files   map[int32]*fs.File // per-segment swap file; stored by name
-	present map[PageKey]bool
+	files   []*fs.File // per-segment swap file, by segment id; stored by name
+	present PageTable[struct{}]
 	st      stats.Swap
 }
 
@@ -68,19 +68,18 @@ func NewDirect(fsys *fs.FS, pageSize int) (*Direct, error) {
 		return nil, fmt.Errorf("swap: page size %d not a multiple of block size %d",
 			pageSize, fsys.BlockSize())
 	}
-	return &Direct{fsys: fsys, pageSize: pageSize, directState: directState{
-		files:   make(map[int32]*fs.File),
-		present: make(map[PageKey]bool),
-	}}, nil
+	return &Direct{fsys: fsys, pageSize: pageSize}, nil
 }
 
 func (d *Direct) file(seg int32) *fs.File {
-	f, ok := d.files[seg]
-	if !ok {
-		f = d.fsys.Create(fmt.Sprintf("swap.seg%d", seg)) //cclint:ignore hotalloc -- segment file named and created once per segment id (first touch)
-		d.files[seg] = f
+	if uint(seg) < uint(len(d.files)) && d.files[seg] != nil {
+		return d.files[seg]
 	}
-	return f
+	for int(seg) >= len(d.files) {
+		d.files = append(d.files, nil)
+	}
+	d.files[seg] = d.fsys.Create(fmt.Sprintf("swap.seg%d", seg)) //cclint:ignore hotalloc -- segment file named and created once per segment id (first touch)
+	return d.files[seg]
 }
 
 // Write stores a raw page. The write is queued asynchronously; the disk's
@@ -97,7 +96,7 @@ func (d *Direct) Write(key PageKey, data []byte) error {
 	if _, err := f.RawWriteAsync(data, int64(key.Page)*int64(d.pageSize), d.pageSize); err != nil {
 		return err
 	}
-	d.present[key] = true
+	d.present.Set(key, struct{}{})
 	d.st.PagesOut++
 	return nil
 }
@@ -105,7 +104,7 @@ func (d *Direct) Write(key PageKey, data []byte) error {
 // Read fetches a raw page into buf. It reports false if the page was never
 // written.
 func (d *Direct) Read(key PageKey, buf []byte) (bool, error) {
-	if !d.present[key] {
+	if !d.present.Has(key) {
 		return false, nil
 	}
 	if len(buf) != d.pageSize {
@@ -120,10 +119,10 @@ func (d *Direct) Read(key PageKey, buf []byte) (bool, error) {
 }
 
 // Has reports whether the store holds a copy of the page.
-func (d *Direct) Has(key PageKey) bool { return d.present[key] }
+func (d *Direct) Has(key PageKey) bool { return d.present.Has(key) }
 
 // Invalidate forgets the stored copy (the in-memory page was modified).
-func (d *Direct) Invalidate(key PageKey) { delete(d.present, key) }
+func (d *Direct) Invalidate(key PageKey) { d.present.Delete(key) }
 
 // Stats returns a snapshot of the store's counters.
 func (d *Direct) Stats() stats.Swap { return d.st }

@@ -311,13 +311,67 @@ func TestClusteredPartialIOReadsExactExtent(t *testing.T) {
 	}
 }
 
+// The cluster buffer is reused, so whatever a placement or the commit record
+// does not overwrite must be zeroed before the transfer: the platter holds
+// deterministic zeroes in the padding, not the previous cluster's bytes.
+func TestWriteClusterPadsWithZeroes(t *testing.T) {
+	c, _, _ := newClustered(t, fs.Options{}, ClusterConfig{CommitRecords: true})
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	// A large first cluster leaves the buffer full of 0xFF.
+	var first []Item
+	for i := int32(0); i < 10; i++ {
+		first = append(first, Item{Key: PageKey{1, i}, Data: fill(4096, 0xFF)})
+	}
+	writeCluster(t, c, first, false)
+	// Non-spanning placements that pad to the next block, short tails inside
+	// a fragment, a commit record, and whole-block rounding after it.
+	second := []Item{
+		{Key: PageKey{2, 0}, Data: fill(1500, 0xEE), Compressed: true},
+		{Key: PageKey{2, 1}, Data: fill(3000, 0xEE), Compressed: true},
+		{Key: PageKey{2, 2}, Data: fill(700, 0xEE), Compressed: true},
+		{Key: PageKey{2, 3}, Data: fill(2049, 0xEE), Compressed: true},
+	}
+	writeCluster(t, c, second, false)
+
+	frag := int64(c.cfg.FragSize)
+	e0, _ := c.extents.Get(second[0].Key)
+	from, to := int64(e0.start)*frag, (c.file.Size()+4095)&^4095
+	img := make([]byte, to-from)
+	if err := c.file.RawRead(img, from, len(img)); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, len(img)) // zero everywhere but the placements
+	for _, it := range second {
+		e, _ := c.extents.Get(it.Key)
+		copy(want[int64(e.start)*frag-from:], it.Data)
+	}
+	records := 0
+	for off := 0; off < len(img); off += int(frag) {
+		if _, _, items, ok := ccrDecode(img[off:], int(frag)); ok {
+			n := ccrFixed + ccrRecordBytes*len(items)
+			copy(want[off:], img[off:off+n]) // the record is whatever it is
+			records++
+		}
+	}
+	if records != 1 {
+		t.Fatalf("found %d commit records in the second cluster, want 1", records)
+	}
+	for i := range img {
+		if img[i] != want[i] {
+			t.Fatalf("platter byte %d of the second cluster is %#x, want %#x", i, img[i], want[i])
+		}
+	}
+}
+
 func TestClusteredRewriteRelocates(t *testing.T) {
 	c, _, _ := newClustered(t, fs.Options{}, ClusterConfig{})
 	key := PageKey{1, 0}
 	writeCluster(t, c, []Item{{Key: key, Data: page(1, 1024), Compressed: true}}, false)
-	first := c.extents[key].start
+	e, _ := c.extents.Get(key)
+	first := e.start
 	writeCluster(t, c, []Item{{Key: key, Data: page(2, 1024), Compressed: true}}, false)
-	second := c.extents[key].start
+	e, _ = c.extents.Get(key)
+	second := e.start
 	if first == second {
 		t.Fatal("rewrite stored page at the same location (would be a partial-block overwrite)")
 	}

@@ -18,7 +18,6 @@ func (v *VM) Snap(c *snap.Codec) {
 		return
 	}
 	c.I32(&v.nextSeg)
-	segByID := make(map[int32]*Segment)
 	snap.Slice(c, &v.segs, 1<<20, "segments", func(sp **Segment) {
 		if c.Decoding() {
 			*sp = &Segment{}
@@ -31,8 +30,10 @@ func (v *VM) Snap(c *snap.Codec) {
 			if s.NPages <= 0 {
 				c.Failf("vm: snapshot segment %q claims %d pages", s.Name, s.NPages)
 			}
+			if s != v.Segment(s.ID) {
+				c.Failf("vm: snapshot segment %q has id %d, which is not its position", s.Name, s.ID)
+			}
 			s.pages = make([]Page, c.Bound(int(s.NPages), 1<<24, "pages in a segment"))
-			segByID[s.ID] = s
 		}
 		for i := 0; i < len(s.pages) && c.Err() == nil; i++ {
 			p := &s.pages[i]
@@ -65,7 +66,7 @@ func (v *VM) Snap(c *snap.Codec) {
 			p = p.next
 			continue
 		}
-		s := segByID[key.Seg]
+		s := v.Segment(key.Seg)
 		if s == nil || key.Page < 0 || key.Page >= s.NPages {
 			c.Failf("vm: snapshot LRU entry %v does not name a page", key)
 			return

@@ -106,11 +106,15 @@ const (
 // hierarchy. The machine package implements it.
 type Pager interface {
 	// PageOut disposes of the contents of a page leaving Resident state.
-	// data is a scratch copy of the page (the frame itself has already been
-	// released so the pager can reuse it, e.g. to grow the compression
-	// cache). PageOut must set p.State to Compressed, Swapped or Untouched
-	// and maintain p.Dirty/p.SwapValid. On error the page's contents are
-	// lost (a device failure with no remaining copy).
+	// data is on loan: it is the evicted frame's own bytes, not a copy. The
+	// frame has already been released, so the pager may take it — the
+	// compression cache growing by one frame to absorb this very page — but
+	// only for an owner that never writes frame bytes (mem.CC, mem.Kernel);
+	// the pool panics if the frame goes to mem.VM or mem.FS before PageOut
+	// returns. The pager reads data, copies what it keeps, must not retain
+	// the slice, and must not evict. PageOut must set p.State to Compressed,
+	// Swapped or Untouched and maintain p.Dirty/p.SwapValid. On error the
+	// page's contents are lost (a device failure with no remaining copy).
 	PageOut(p *Page, data []byte) error
 
 	// PageIn produces the page's current contents into data (the new
@@ -170,8 +174,6 @@ type VM struct {
 	pageShift uint
 	pageMask  int64
 
-	scratch []byte // eviction copy buffer
-
 	// traceHook, when set, observes every simulated reference (segment,
 	// page, write); the trace package's Recorder plugs in here.
 	traceHook func(seg, page int32, write bool)
@@ -208,7 +210,6 @@ func New(clock *sim.Clock, pool *mem.Pool, cost sim.CostModel) *VM {
 		cost:      cost,
 		pageShift: uint(bits.TrailingZeros(uint(ps))),
 		pageMask:  int64(ps - 1),
-		scratch:   make([]byte, ps),
 	}
 	v.frameSource = func(o mem.Owner) (mem.FrameID, error) {
 		id, ok := pool.Alloc(o)
@@ -246,8 +247,16 @@ func (v *VM) ResidentPages() int { return v.resident }
 // PageSize reports the page size in bytes.
 func (v *VM) PageSize() int { return v.pool.PageSize() }
 
-// Segments returns the live segments.
+// Segments returns the live segments; segment id i is element i.
 func (v *VM) Segments() []*Segment { return v.segs }
+
+// Segment returns the segment with the given id, or nil when there is none.
+func (v *VM) Segment(id int32) *Segment {
+	if uint(id) >= uint(len(v.segs)) {
+		return nil
+	}
+	return v.segs[id]
+}
 
 // NewSegment creates a segment of npages pages.
 func (v *VM) NewSegment(name string, npages int32) *Segment {
@@ -437,22 +446,19 @@ func (v *VM) Evict(p *Page) error {
 	// Never-written page: contents are all zeros; recreate on demand.
 	zeros := !p.Dirty && !p.EverWritten && !p.SwapValid
 
-	// Copy the contents to scratch and release the frame first, so the
-	// pager can reuse it (for instance to grow the compression cache by one
-	// frame while absorbing this very page). The copy is a simulation
-	// convenience and is not charged: the kernel compresses straight out of
-	// the page frame.
-	if !zeros {
-		copy(v.scratch, v.pool.Bytes(p.Frame))
-	}
-	v.pool.Release(p.Frame)
+	frame := p.Frame
 	p.Frame = mem.NoFrame
-
 	if zeros {
+		v.pool.Release(frame)
 		p.State = Untouched
 		return nil
 	}
-	return v.pager.PageOut(p, v.scratch)
+	// The pager gets the frame's own bytes on loan, the frame already released
+	// so that it can reuse it: the kernel compresses straight out of the page
+	// frame, and so does the simulator (mem.Pool.Lend).
+	err := v.pager.PageOut(p, v.pool.Lend(frame))
+	v.pool.EndLoan()
+	return err
 }
 
 // lru plumbing ---------------------------------------------------------------
