@@ -25,8 +25,7 @@ func TestListNamesTheSuite(t *testing.T) {
 	}
 	want := []string{
 		"walltime", "globalrand", "maprange", "crosscredit", "errdrop",
-		"sharedwrite", "floatorder", "obscoverage", "hotalloc", "bufown",
-		"kernelproto",
+		"sharedwrite", "floatorder", "obscoverage", "kernelproto",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {
@@ -98,7 +97,7 @@ func TestExitStatus(t *testing.T) {
 	}
 
 	// A retired analyzer's name is an unknown name like any other.
-	for _, name := range []string{"wibble", "nondet"} {
+	for _, name := range []string{"wibble", "nondet", "hotalloc", "bufown"} {
 		status, _, errs := cclint(t, "-only", name, "./clean")
 		if status != 2 || !strings.Contains(errs, `unknown analyzer "`+name+`"`) {
 			t.Errorf("-only %s: exit %d, stderr %q; want 2 naming the analyzer", name, status, errs)

@@ -14,46 +14,64 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"compcache/internal/compress"
 )
 
-func main() {
-	codecName := flag.String("codec", "lzrw1", "codec: lzrw1, lzss, bdi, fpc, rle, null")
-	blockSize := flag.Int("block", 4096, "block size (the paper's page size)")
-	decompress := flag.Bool("d", false, "decompress stdin to stdout")
-	statsMode := flag.Bool("stats", false, "report per-page compression of the named files")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command and returns the exit status: 0 on success, 1 when
+// the codec, a file or the stream is bad, 2 on a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cczip", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	codecName := fs.String("codec", "lzrw1", "codec: lzrw1, lzss, bdi, fpc, rle, null")
+	blockSize := fs.Int("block", 4096, "block size (the paper's page size)")
+	decompress := fs.Bool("d", false, "decompress stdin to stdout")
+	statsMode := fs.Bool("stats", false, "report per-page compression of the named files")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cczip:", err)
+		return 1
+	}
 
 	codec, err := compress.Lookup(*codecName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	switch {
 	case *statsMode:
-		for _, name := range flag.Args() {
-			if err := report(codec, *blockSize, name); err != nil {
-				fatal(err)
+		for _, name := range fs.Args() {
+			if err := report(stdout, codec, *blockSize, name); err != nil {
+				return fail(err)
 			}
 		}
 	case *decompress:
-		if _, _, err := compress.DecompressStream(codec, os.Stdin, os.Stdout); err != nil {
-			fatal(err)
+		if _, _, err := compress.DecompressStream(codec, stdin, stdout); err != nil {
+			return fail(err)
 		}
 	default:
-		in, out, err := compress.CompressStream(codec, *blockSize, os.Stdin, os.Stdout)
+		in, out, err := compress.CompressStream(codec, *blockSize, stdin, stdout)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "cczip: %d -> %d bytes (%.2f)\n", in, out, ratio(in, out))
+		fmt.Fprintf(stderr, "cczip: %d -> %d bytes (%.2f)\n", in, out, ratio(in, out))
 	}
+	return 0
 }
 
-func report(codec compress.Codec, blockSize int, name string) error {
+func report(w io.Writer, codec compress.Codec, blockSize int, name string) error {
 	f, err := os.Open(name)
 	if err != nil {
 		return err
@@ -64,10 +82,10 @@ func report(codec compress.Codec, blockSize int, name string) error {
 		return err
 	}
 	if rep.Blocks == 0 {
-		fmt.Printf("%s: empty\n", name)
+		fmt.Fprintf(w, "%s: empty\n", name)
 		return nil
 	}
-	fmt.Printf("%s: %d pages, ratio %.2f (%.1f%% fail the 4:3 retention threshold)\n",
+	fmt.Fprintf(w, "%s: %d pages, ratio %.2f (%.1f%% fail the 4:3 retention threshold)\n",
 		name, rep.Blocks, rep.Ratio(), 100*rep.FailFrac())
 	return nil
 }
@@ -77,9 +95,4 @@ func ratio(in, out int64) float64 {
 		return 1
 	}
 	return float64(out) / float64(in)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cczip:", err)
-	os.Exit(1)
 }

@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"container/list"
 	"time"
 
 	"compcache/internal/sim"
@@ -54,10 +53,13 @@ type ServerStats struct {
 	Demotions uint64 // tier entries pushed to disk to make room
 }
 
-// tierEntry is one resident page of the server's compressed tier.
+// tierEntry is one resident page of the server's compressed tier, linked
+// into the LRU ring through the entry itself so that placing a page allocates
+// nothing once the freelist is warm.
 type tierEntry struct {
-	addr  int64
-	bytes int
+	addr       int64
+	bytes      int
+	prev, next *tierEntry
 }
 
 // Server is the shared remote page server: one serial service timeline (the
@@ -71,10 +73,10 @@ type tierEntry struct {
 // timeline is deterministic at any host parallelism.
 type Server struct {
 	cfg      ServerConfig
-	srvBusy  sim.Time // serial service timeline: the fleet queues here
-	diskBusy sim.Time // server-disk timeline behind the tier
-	lru      *list.List
-	byAddr   map[int64]*list.Element
+	srvBusy  sim.Time  // serial service timeline: the fleet queues here
+	diskBusy sim.Time  // server-disk timeline behind the tier
+	lru      tierEntry // ring sentinel: next is the most recent entry, prev the oldest
+	byAddr   map[int64]*tierEntry
 	free     []*tierEntry // demoted/released entries recycled by newTier
 	tierUsed int64
 	st       ServerStats
@@ -96,11 +98,20 @@ func (s *Server) newTier(addr int64, bytes int) *tierEntry {
 
 // NewServer builds an idle server.
 func NewServer(cfg ServerConfig) *Server {
-	return &Server{
-		cfg:    cfg,
-		lru:    list.New(),
-		byAddr: make(map[int64]*list.Element),
-	}
+	s := &Server{cfg: cfg, byAddr: make(map[int64]*tierEntry)}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
+}
+
+// unlink takes ent out of the LRU ring.
+func (s *Server) unlink(ent *tierEntry) {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+}
+
+// pushFront makes ent the most recently used entry.
+func (s *Server) pushFront(ent *tierEntry) {
+	ent.prev, ent.next = &s.lru, s.lru.next
+	ent.prev.next, ent.next.prev = ent, ent
 }
 
 // Stats reports the server counters.
@@ -132,9 +143,10 @@ func (s *Server) Admit(arrival sim.Time, addr int64, bytes int, write bool) sim.
 	case write:
 		s.tierInsert(addr, bytes, &done)
 	default:
-		if e, ok := s.byAddr[addr]; ok {
+		if ent, ok := s.byAddr[addr]; ok {
 			s.st.TierHits++
-			s.lru.MoveToFront(e)
+			s.unlink(ent)
+			s.pushFront(ent)
 		} else {
 			// Tier miss: the read serializes behind the server disk, then
 			// the page is promoted into the tier on its way out.
@@ -170,19 +182,21 @@ func (s *Server) tierInsert(addr int64, bytes int, done *sim.Time) {
 		*done = dst
 		return
 	}
-	if e, ok := s.byAddr[addr]; ok {
-		ent := e.Value.(*tierEntry)
+	ent, ok := s.byAddr[addr]
+	if ok {
 		s.tierUsed += int64(bytes) - int64(ent.bytes)
 		ent.bytes = bytes
-		s.lru.MoveToFront(e)
+		s.unlink(ent)
 	} else {
-		s.byAddr[addr] = s.lru.PushFront(s.newTier(addr, bytes))
+		ent = s.newTier(addr, bytes)
+		s.byAddr[addr] = ent
 		s.tierUsed += int64(bytes)
 	}
-	for s.tierUsed > s.cfg.TierBytes && s.lru.Len() > 1 {
-		oldest := s.lru.Back()
-		ent := oldest.Value.(*tierEntry)
-		s.lru.Remove(oldest)
+	s.pushFront(ent)
+	// The newest entry stays even when it alone exceeds the capacity.
+	for s.tierUsed > s.cfg.TierBytes && s.lru.prev != s.lru.next {
+		ent := s.lru.prev
+		s.unlink(ent)
 		delete(s.byAddr, ent.addr)
 		s.tierUsed -= int64(ent.bytes)
 		s.free = append(s.free, ent)
@@ -194,9 +208,8 @@ func (s *Server) tierInsert(addr int64, bytes int, done *sim.Time) {
 // Release drops a tier entry whose page was invalidated (no I/O: the entry
 // is simply forgotten).
 func (s *Server) Release(addr int64) {
-	if e, ok := s.byAddr[addr]; ok {
-		ent := e.Value.(*tierEntry)
-		s.lru.Remove(e)
+	if ent, ok := s.byAddr[addr]; ok {
+		s.unlink(ent)
 		delete(s.byAddr, addr)
 		s.tierUsed -= int64(ent.bytes)
 		s.free = append(s.free, ent)

@@ -260,7 +260,9 @@ func (c *Cache) newEntry() *Entry {
 		c.entryPool = c.entryPool[:k-1]
 		return e
 	}
-	return &Entry{}
+	// Sized once: a page and its header overlap at most the tail frame and
+	// two new ones.
+	return &Entry{frames: make([]*ccFrame, 0, 3)}
 }
 
 // newFrame returns an empty ccFrame for pool frame id, recycled when
@@ -273,7 +275,10 @@ func (c *Cache) newFrame(id mem.FrameID) *ccFrame {
 		f.used = c.params.FrameHeaderBytes
 		return f
 	}
-	return &ccFrame{id: id, used: c.params.FrameHeaderBytes}
+	// Sized once: a frame overlaps at most the entries whose headers fit in
+	// it, plus one spanning in and one spanning out.
+	most := c.pool.PageSize()/max(1, c.params.EntryHeaderBytes) + 2
+	return &ccFrame{id: id, used: c.params.FrameHeaderBytes, entries: make([]*Entry, 0, most)}
 }
 
 // Insert adds a compressed page to the tail of the ring. It reports false —
@@ -635,7 +640,7 @@ func (c *Cache) Prefill(k int) {
 			// freshly sized pool; exhaustion is a configuration error.
 			panic("core: Prefill exceeds available memory")
 		}
-		c.frames = append(c.frames, &ccFrame{id: id, used: c.params.FrameHeaderBytes})
+		c.frames = append(c.frames, c.newFrame(id))
 		c.reclaimable++
 		c.st.FrameGrows++
 	}

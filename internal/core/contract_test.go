@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"compcache/internal/swap"
@@ -176,6 +177,33 @@ func TestCleanSkipsDeadPrefix(t *testing.T) {
 	}
 	if len(c.order) >= total {
 		t.Fatalf("order deque not compacted: len %d", len(c.order))
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInsertCopiesAtTheBoundary: the machine hands Insert its one compression
+// scratch buffer and compresses the next page into it as soon as Insert
+// returns, so the cache must hold its own copy — in a fresh slab and in a
+// recycled one alike.
+func TestInsertCopiesAtTheBoundary(t *testing.T) {
+	c, _, _ := newTestCache(t, 4, DefaultParams())
+	scratch := make([]byte, 0, 4096)
+	for round, k := range []swap.PageKey{key(0), key(1), key(0)} {
+		want := blob(int64(round), 1000+round)
+		data := append(scratch[:0], want...)
+		if !insert(t, c, k, data, true) {
+			t.Fatalf("round %d: Insert failed with a free pool", round)
+		}
+		for i := range data {
+			data[i] = ^data[i]
+		}
+		got, sum, _, ok := c.Fault(k)
+		if !ok || !bytes.Equal(got, want) || sum != Checksum(want) {
+			t.Fatalf("round %d: the entry changed with the caller's buffer after Insert returned", round)
+		}
+		c.Drop(key(1)) // a no-op in round 0; frees a slab for round 2
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)

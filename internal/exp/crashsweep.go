@@ -51,12 +51,11 @@ func CrashSweep(ctx context.Context, memoryMB int, seed int64, workers int) (*Ta
 		cfg  machine.Config
 	}
 	base := machine.Default(int64(memoryMB) << 20)
-	legs := []leg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true, Paranoid: true})}}
+	legs := []leg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true})}}
 	for _, codec := range compress.Names() {
 		cfg := base.WithCC()
 		cfg.CC.Codec = codec
 		cfg.Swap.CommitRecords = true
-		cfg.Swap.Paranoid = true
 		legs = append(legs, leg{"cc/" + codec, cfg})
 	}
 	for _, l := range legs {

@@ -16,13 +16,12 @@ import (
 func tinyCrashLegs() map[string]machine.Config {
 	base := machine.Default(64 * 4096) // 64 frames
 	legs := map[string]machine.Config{
-		"lfs": base.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true, Paranoid: true}),
+		"lfs": base.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true}),
 	}
 	for _, codec := range compress.Names() {
 		cfg := base.WithCC()
 		cfg.CC.Codec = codec
 		cfg.Swap.CommitRecords = true
-		cfg.Swap.Paranoid = true
 		legs["cc/"+codec] = cfg
 	}
 	return legs
@@ -60,7 +59,6 @@ func TestCrashAtEveryPoint(t *testing.T) {
 func TestCrashSweepDeterministicAcrossWorkers(t *testing.T) {
 	cfg := machine.Default(64 * 4096).WithCC()
 	cfg.Swap.CommitRecords = true
-	cfg.Swap.Paranoid = true
 	w := &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
 
 	ctx := context.Background()

@@ -207,7 +207,7 @@ func (fs *FS) Create(name string) *File {
 		fs.nextID++
 		return f
 	}
-	f := &File{ //cclint:ignore hotalloc -- file construction; paging reaches Create only on a swap segment's first touch
+	f := &File{
 		fs:   fs,
 		name: name,
 		id:   fs.nextID,

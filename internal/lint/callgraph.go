@@ -53,20 +53,6 @@ type Node struct {
 	Pkg *Package
 	// Out lists the call edges in source order.
 	Out []Edge
-
-	bySite map[ast.Node][]Edge // Out indexed by call site, built on first EdgesAt
-}
-
-// EdgesAt returns the edges whose site is the given call expression, in
-// edge order — several when the call dispatches through an interface.
-func (n *Node) EdgesAt(site ast.Node) []Edge {
-	if n.bySite == nil {
-		n.bySite = make(map[ast.Node][]Edge, len(n.Out))
-		for _, e := range n.Out {
-			n.bySite[e.Site] = append(n.bySite[e.Site], e)
-		}
-	}
-	return n.bySite[site]
 }
 
 // Edge is one call site.

@@ -19,20 +19,6 @@ func objectOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// localVar resolves an assignment target to the local variable or
-// parameter it binds; nil for the blank identifier, fields, globals and
-// anything that is not a plain identifier. The result is a types.Object,
-// what the scanners key their maps by, so that a miss is a plain nil
-// rather than a nil *types.Var inside a non-nil interface.
-func localVar(info *types.Info, e ast.Expr) types.Object {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if v, ok := objectOf(info, id).(*types.Var); ok && !v.IsField() && !isGlobal(v) {
-			return v
-		}
-	}
-	return nil
-}
-
 func isGlobal(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
@@ -64,6 +50,16 @@ func builtinCall(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
+}
+
+// isString reports whether t is a string type (false for a nil, unknown
+// type).
+func isString(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // isMap reports whether t is a map type (false for a nil, unknown type).

@@ -68,8 +68,7 @@ type Analyzer interface {
 
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
-// map-ness, the five call-graph analyzers, the two analyzers on the
-// allocation-site scan (hotalloc, bufown), then the kernel-protocol
+// map-ness, the five call-graph analyzers, then the kernel-protocol
 // contract analyzer (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
@@ -81,8 +80,6 @@ func All() []Analyzer {
 		SharedWrite{},
 		FloatOrder{},
 		ObsCoverage{},
-		HotAlloc{},
-		BufOwn{},
 		KernelProto{},
 	}
 }

@@ -45,8 +45,7 @@ type Module struct {
 	byPath map[string]*Package
 	facts  map[string]map[*types.Func]bool
 
-	effects *EffectFacts // memoized allocation-site/parameter-flow scan
-	kproto  *kprotoFacts // memoized kernel-protocol facts
+	kproto *kprotoFacts // memoized kernel-protocol facts
 }
 
 // factSet memoizes Graph.Reaches computations under a key, so several

@@ -166,25 +166,6 @@ func TestGlobalRandMutationDroppedSeed(t *testing.T) {
 		"globalrand: rand.Intn uses the process-global source; thread a seeded *rand.Rand instead")
 }
 
-// TestHotAllocMutationInjectedMake: a make slipped into a helper the
-// codec calls on every page is one new finding, with the chain from its
-// root.
-func TestHotAllocMutationInjectedMake(t *testing.T) {
-	mutateFixture(t, "hotalloc/internal/compress/codec.go",
-		"func (c *Codec) check(n int) error {\n",
-		"func (c *Codec) check(n int) error {\n\tc.scratch = append(c.scratch[:0], make([]byte, n)...)\n",
-		"hotalloc: hot path Decompress → compress.check: make([]byte, n) allocates in steady state")
-}
-
-// TestBufOwnMutationRetainedBorrow: the contract-clean codec storing its
-// borrowed src into a field is one new finding.
-func TestBufOwnMutationRetainedBorrow(t *testing.T) {
-	mutateFixture(t, "bufown/internal/compress/codec.go",
-		"type RoundTrip struct{}\n\n// Compress is the contract-clean shape.\nfunc (RoundTrip) Compress(dst, src []byte) []byte {\n",
-		"type RoundTrip struct{ last []byte }\n\n// Compress is the contract-clean shape.\nfunc (r *RoundTrip) Compress(dst, src []byte) []byte {\n\tr.last = src\n",
-		"bufown: Compress retains borrowed buffer src past the call (must copy, not keep)")
-}
-
 // TestErrDropMutationDroppedCheck: delete the `if err != nil` between two
 // assignments to err and the first failure is lost to the second.
 func TestErrDropMutationDroppedCheck(t *testing.T) {

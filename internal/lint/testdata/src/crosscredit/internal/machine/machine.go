@@ -72,6 +72,17 @@ func (m *Machine) BadIface(c pipeline.Codec, p []byte) []byte { // want `BadIfac
 	return pipeline.Apply(c, p)
 }
 
+// BadEmbedded reaches it through a method promoted from an embedded
+// interface: the selection is on a struct, the edge is dynamic all the same.
+func (m *Machine) BadEmbedded(s pipeline.Stage, p []byte) []byte { // want `BadEmbedded does codec/device work \(BadEmbedded → pipeline\.ApplyStage → `
+	return pipeline.ApplyStage(s, p)
+}
+
+// BadCycle reaches it through mutual recursion, by the shortest way round.
+func (m *Machine) BadCycle(p []byte) []byte { // want `BadCycle does codec/device work \(BadCycle → pipeline\.Ping → pipeline\.Pong → pipeline\.Process → compress\.Compress\)`
+	return pipeline.Ping(p, 3)
+}
+
 // GoodKernelWait reaches the same cross-package codec work, but the
 // kernel-mediated wait is the credit: Kernel.Wait is how an attached
 // clock advances.

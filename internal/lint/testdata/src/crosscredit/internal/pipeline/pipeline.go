@@ -21,6 +21,34 @@ type Codec interface {
 // resolution connects it to compress.LZ.Compress.
 func Apply(c Codec, p []byte) []byte { return c.Compress(p) }
 
+// Stage embeds the seam, so s.Compress is a method promoted through the
+// embedded field: the selection's receiver is a struct, the dispatch is
+// dynamic all the same, and every implementation must stay in view.
+type Stage struct {
+	Codec
+	Name string
+}
+
+// ApplyStage runs the stage's codec through the promoted method.
+func ApplyStage(s Stage, p []byte) []byte { return s.Compress(p) }
+
+// Ping and Pong recurse into each other on the way to the codec: every walk
+// of the graph has to terminate on the cycle.
+func Ping(p []byte, n int) []byte {
+	if n == 0 {
+		return p
+	}
+	return Pong(p, n-1)
+}
+
+// Pong is the half of the cycle that does the work.
+func Pong(p []byte, n int) []byte {
+	if n == 0 {
+		return Process(p)
+	}
+	return Ping(p, n-1)
+}
+
 // Process does codec work with no clock credit anywhere on the chain.
 func Process(p []byte) []byte {
 	var z compress.LZ

@@ -2,7 +2,11 @@ package machine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"compcache/internal/stats"
+	"compcache/internal/swap"
 )
 
 // The compression cache's value proposition is that a compressed-memory hit
@@ -10,66 +14,203 @@ import (
 // On the host side that only holds if the steady-state PageOut/PageIn cycle
 // stays off the garbage collector: the machine compresses into a per-machine
 // scratch buffer, core.Cache copies into recycled slabs and recycles its
-// entry and frame bookkeeping, and the codecs pool their own scratch. These
-// tests pin that property with testing.AllocsPerRun so a regression shows up
-// as a test failure instead of a profile.
+// entry and frame bookkeeping, the stores clean and compact out of scratch
+// they own, and the codecs pool theirs. steadyRows pins that for every store
+// shape a machine pages through by running it. Nothing reads the source for
+// allocation sites, so a row sees only what it drives — and therefore proves,
+// from the machine's own counters over the measured touches, that the path
+// it names is the path it drove.
 
-// steadyMachine builds a CC machine whose working set does not fit in RAM
-// but compresses well enough to live entirely in the compression cache, then
-// cycles through it until compression-cache traffic is the steady state.
-// With a tier attached every fourth page is incompressible instead, so the
-// cycle also sends pages down the chain and faults them back from the tier.
-func steadyMachine(t *testing.T, writes bool, tier *fakeTier) (*Machine, *Space) {
-	t.Helper()
-	var opts []Option
-	if tier != nil {
-		opts = append(opts, WithRemote(tier))
-	}
-	m := newMachine(t, Default(mb).WithCC(), opts...)
-	s := m.NewSegment("heap", 400*4096) // 400 pages vs 256 frames
-	fillCompressible(s)
-	if tier != nil {
-		rng := rand.New(rand.NewSource(3))
-		page := make([]byte, 4096)
-		for p := int32(0); p < s.Pages(); p += 4 {
-			rng.Read(page)
-			s.Write(int64(p)*4096, page)
-		}
-	}
-	// Freelists and slabs take a few passes to reach their working size —
-	// longer when the cycle mixes cache and tier traffic.
-	for pass := 0; pass < 8; pass++ {
-		for p := int32(0); p < s.Pages(); p++ {
-			s.Touch(p, writes)
-		}
-	}
-	return m, s
+// counter is one monotonic reading of a machine's statistics.
+type counter struct {
+	name string
+	get  func(stats.Run) int64
 }
 
-// steadyCycle asserts that cycling through the working set allocates nothing
-// per touch, on the local chain and with a remote tier in front of it.
-func steadyCycle(t *testing.T, writes bool) {
-	for _, tier := range []*fakeTier{nil, newFakeTier()} {
-		name := "local"
-		if tier != nil {
-			name = "tier"
+var (
+	cacheHits = counter{"VM.CacheHits", func(r stats.Run) int64 { return int64(r.VM.CacheHits) }}
+	swapIns   = counter{"VM.SwapIns", func(r stats.Run) int64 { return int64(r.VM.SwapIns) }}
+	remoteIns = counter{"VM.RemoteIns", func(r stats.Run) int64 { return int64(r.VM.RemoteIns) }}
+	inserts   = counter{"CC.Inserts", func(r stats.Run) int64 { return int64(r.CC.Inserts) }}
+	spills    = counter{"CC.CleanWrites", func(r stats.Run) int64 { return int64(r.CC.CleanWrites) }}
+	storeGCs  = counter{"Swap.GCs", func(r stats.Run) int64 { return int64(r.Swap.GCs) }}
+	// Only insertNeighbors puts into the cache what compress never kept.
+	prefetched = counter{"CC.Inserts - (Comp.Compressions - Comp.Incompressible)", func(r stats.Run) int64 {
+		return int64(r.CC.Inserts) - int64(r.Comp.Compressions-r.Comp.Incompressible)
+	}}
+)
+
+// steadyRow is one store shape under an over-committed working set.
+type steadyRow struct {
+	name   string
+	writes int            // every writes-th pass dirties the pages it touches; 0: none does
+	cfg    func() Config  // 1 MB of memory, 256 frames
+	tier   bool           // a fake fleet-memory tier above the backing store
+	codec  string         // the segment's own codec, "" for the machine's
+	pages  int32          // working-set size
+	fill   func(s *Space) // page contents, written before warm-up
+	drove  []counter      // each must advance during the measured touches
+}
+
+func ccConfig() Config { return Default(mb).WithCC() }
+
+// steadyRows has the compression cache alone and under a tier, then the five
+// store configurations of the perf ledger's `stores` workload, then the
+// prefetch path with a per-segment codec.
+var steadyRows = []steadyRow{
+	// The working set does not fit in RAM but compresses well enough to live
+	// entirely in the cache.
+	{name: "local", cfg: ccConfig, pages: 400, fill: fillCompressible, drove: []counter{cacheHits}},
+	{name: "local", writes: 1, cfg: ccConfig, pages: 400, fill: fillCompressible, drove: []counter{cacheHits, inserts}},
+	// Every fourth page is incompressible, goes down the chain and is
+	// faulted back from the tier.
+	{name: "tier", tier: true, cfg: ccConfig, pages: 400, fill: fillEveryFourthRandom, drove: []counter{cacheHits, remoteIns}},
+	{name: "tier", tier: true, writes: 1, cfg: ccConfig, pages: 400, fill: fillEveryFourthRandom, drove: []counter{inserts, remoteIns}},
+	// The baseline machine on the direct swap file.
+	{name: "direct", cfg: func() Config { return Default(mb) }, pages: 1024, fill: fillCompressible, drove: []counter{swapIns}},
+	{name: "direct", writes: 1, cfg: func() Config { return Default(mb) }, pages: 1024, fill: fillCompressible, drove: []counter{swapIns}},
+	// The baseline on a log with eight segments to spare, so the cleaner
+	// copies live pages forward all the time.
+	{name: "lfs", writes: 1, pages: 1024, fill: fillCompressible, drove: []counter{swapIns, storeGCs},
+		cfg: func() Config {
+			return Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 16 * 4096, MaxSegments: 72})
+		}},
+	// The null codec: every page misses the 4:3 threshold and travels through
+	// the clustered store raw. A read-only pass leaves every page an extent
+	// and the rewriting pass after it frees most of them, so the file is more
+	// than half garbage once per two passes and compacts.
+	{name: "clustered-null", writes: 2, pages: 384, fill: fillCompressible, drove: []counter{swapIns, storeGCs},
+		cfg: func() Config {
+			cfg := Default(mb).WithCC()
+			cfg.CC.Codec = "null"
+			return cfg
+		}},
+	// The cache pinned below what the working set compresses to: the cleaner
+	// spills it into the clustered store, which compacts as above.
+	{name: "spill", writes: 2, pages: 384, fill: fillHalfRandom, drove: []counter{cacheHits, spills, swapIns, storeGCs},
+		cfg: func() Config {
+			cfg := Default(mb).WithCC()
+			cfg.CC.MaxFrames = 64
+			return cfg
+		}},
+	// The default cache over a segment with its own codec, read-only: pages
+	// come back from the clustered store a block at a time and what came
+	// along enters the cache without compressing.
+	{name: "prefetch", codec: "fpc", cfg: ccConfig, pages: 1024, fill: fillHalfRandom, drove: []counter{swapIns, prefetched}},
+}
+
+// fillHalfRandom makes every page 1.5 KB of noise over zeros: any codec
+// halves it, inside the 4:3 threshold but too big for the cache to hold the
+// working set.
+func fillHalfRandom(s *Space) {
+	rng := rand.New(rand.NewSource(11))
+	page := make([]byte, 4096)
+	for p := int32(0); p < s.Pages(); p++ {
+		rng.Read(page[:1536])
+		s.Write(int64(p)*4096, page)
+	}
+}
+
+// fillEveryFourthRandom mixes compressible pages, which live in the cache,
+// with incompressible ones, which go below it.
+func fillEveryFourthRandom(s *Space) {
+	fillCompressible(s)
+	rng := rand.New(rand.NewSource(3))
+	page := make([]byte, 4096)
+	for p := int32(0); p < s.Pages(); p += 4 {
+		rng.Read(page)
+		s.Write(int64(p)*4096, page)
+	}
+}
+
+// mallocs counts the heap allocations f makes the way testing.AllocsPerRun
+// does — one P, the runtime's own counter before and after — but undivided:
+// AllocsPerRun reports mallocs/runs in integers, so a cleaner or a compaction
+// pass that allocates once each time it runs, a few times in 2000 touches,
+// would read as zero. The price is that the runtime's own goroutines are
+// counted too and now and then allocate an object or two. Those do not
+// recur; an allocation on the paging path does, in every window that takes
+// the path. So f is run again when it counted some, three times at most, and
+// the last count is the answer.
+func mallocs(f func()) (n uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for try := 0; try < 3; try++ {
+		runtime.GC() // no collection left in flight behind f's back
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if n = after.Mallocs - before.Mallocs; n == 0 {
+			break
 		}
-		t.Run(name, func(t *testing.T) {
-			m, s := steadyMachine(t, writes, tier)
-			p := int32(0)
-			n := testing.AllocsPerRun(2000, func() {
-				s.Touch(p, writes)
-				p = (p + 1) % s.Pages()
+	}
+	return n
+}
+
+const (
+	// warmPasses lets freelists, slabs and store scratch reach their working
+	// size. The slowest to settle is the cache's order deque, which compacts
+	// once per 1024 kills and has to have done so twice.
+	warmPasses    = 16
+	steadyTouches = 2048
+)
+
+// steadyCycle runs the read-only or the rewriting rows: the measured touches
+// must allocate nothing and advance every counter the row names.
+func steadyCycle(t *testing.T, writes bool) {
+	for _, row := range steadyRows {
+		if (row.writes > 0) != writes {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			var opts []Option
+			if row.tier {
+				opts = append(opts, WithRemote(newFakeTier()))
+			}
+			m := newMachine(t, row.cfg(), opts...)
+			var s *Space
+			if bytes := int64(row.pages) * 4096; row.codec == "" {
+				s = m.NewSegment("heap", bytes)
+			} else {
+				var err error
+				if s, err = m.NewSegmentCodec("heap", bytes, row.codec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			row.fill(s)
+			p, pass := int32(0), 0
+			touch := func() {
+				s.Touch(p, writes && pass%row.writes == 0)
+				if p++; p == s.Pages() {
+					p, pass = 0, pass+1
+				}
+			}
+			for pass < warmPasses {
+				touch()
+			}
+			var before stats.Run
+			n := mallocs(func() {
+				before = m.Stats()
+				for i := 0; i < steadyTouches; i++ {
+					touch()
+				}
 			})
 			if n != 0 {
-				t.Errorf("steady-state cycle allocates %v times per touch", n)
+				t.Errorf("%d allocations in %d steady-state touches", n, steadyTouches)
 			}
-			if tier != nil && (m.Stats().VM.RemoteIns == 0 || len(tier.pages) == 0) {
-				t.Error("the cycle never reached the tier")
+			after := m.Stats()
+			for _, c := range row.drove {
+				if c.get(after) <= c.get(before) {
+					t.Errorf("the measured touches never took the row's path: %s stayed at %d", c.name, c.get(after))
+				}
+			}
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+			checkNoHeldFrames(t, m)
 		})
 	}
 }

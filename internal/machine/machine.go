@@ -521,11 +521,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		if p.Dirty {
 			if err := m.direct.Write(p.Key, data); err != nil {
 				// The frame is gone and the store refused the only copy.
-				return &fault.UnrecoverableError{
-					Page:   p.Key.String(),
-					Reason: "backing-store write failed for the only copy",
-					Err:    err,
-				}
+				return unrecoverable(p.Key, "backing-store write failed for the only copy", err)
 			}
 			p.Dirty = false
 			p.SwapValid = true
@@ -609,11 +605,12 @@ func (m *Machine) putBelow(it swap.Item, insErr error) error {
 			return nil
 		}
 	}
-	return &fault.UnrecoverableError{
-		Page:   it.Key.String(),
-		Reason: "backing-store write failed for the only copy",
-		Err:    errors.Join(insErr, err),
-	}
+	return unrecoverable(it.Key, "backing-store write failed for the only copy", errors.Join(insErr, err))
+}
+
+// unrecoverable reports that the only copy of a page is gone.
+func unrecoverable(key swap.PageKey, reason string, err error) error {
+	return &fault.UnrecoverableError{Page: key.String(), Reason: reason, Err: err}
 }
 
 // heldBelow reports whether any tier of the chain holds a current copy.
@@ -636,17 +633,10 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 	if m.CC == nil {
 		ok, err := m.direct.Read(p.Key, data)
 		if err != nil {
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: "backing-store read failed",
-				Err:    err,
-			}
+			return 0, unrecoverable(p.Key, "backing-store read failed", err)
 		}
 		if !ok {
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: fmt.Sprintf("page in state %v has no backing copy", p.State),
-			}
+			return 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
 		}
 		m.Clock.Advance(m.cfg.Cost.PageCopy)
 		p.Dirty = false
@@ -671,11 +661,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 		// that tier's usual cost.
 		m.CC.Drop(p.Key)
 		if entryDirty || !m.heldBelow(p.Key) {
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: "corrupt cache entry with no backing copy",
-				Err:    err,
-			}
+			return 0, unrecoverable(p.Key, "corrupt cache entry with no backing copy", err)
 		}
 		m.fst.Recoveries++
 		if m.bus.Enabled(obs.ClassRecovery) {
@@ -696,18 +682,10 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			continue
 		}
 		if err != nil {
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: l.name + " read failed",
-				Err:    err,
-			}
+			return 0, unrecoverable(p.Key, l.name+" read failed", err)
 		}
 		if err := m.restoreInto(data, it.Data, it.Compressed, it.Sum, p.Key); err != nil {
-			return 0, &fault.UnrecoverableError{
-				Page:   p.Key.String(),
-				Reason: "corrupt " + l.name + " copy",
-				Err:    err,
-			}
+			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		}
 		p.Dirty = false
 		p.SwapValid = true
@@ -716,10 +694,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 		}
 		return l.src, nil
 	}
-	return 0, &fault.UnrecoverableError{
-		Page:   p.Key.String(),
-		Reason: fmt.Sprintf("page in state %v has no backing copy", p.State),
-	}
+	return 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
 }
 
 // insertNeighbors caches pages that came along for free with a tier's
@@ -930,6 +905,11 @@ func (m *Machine) CheckInvariants() error {
 	}
 	if m.clustered != nil {
 		if err := m.clustered.CheckConsistency(); err != nil {
+			return err
+		}
+	}
+	if m.lfs != nil {
+		if err := m.lfs.CheckConsistency(); err != nil {
 			return err
 		}
 	}

@@ -786,6 +786,7 @@ func TestConfigMatrixIntegrity(t *testing.T) {
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+			checkNoHeldFrames(t, m)
 		})
 	}
 }

@@ -50,7 +50,7 @@ func snapshotConfigs() map[string]snapCase {
 	small := Default(40 * 4096) // 40 frames against a 96-page working set
 	return map[string]snapCase{
 		"direct": {cfg: small},
-		"lfs":    {cfg: small.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true, Paranoid: true})},
+		"lfs":    {cfg: small.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true})},
 		"cc": {
 			cfg:  small.WithCC().WithFaults(fault.Config{Seed: 7}),
 			opts: []Option{WithObs(obs.Options{})},
@@ -187,13 +187,12 @@ func TestSnapshotDeadMachineRefused(t *testing.T) {
 func TestCrashRebootFromMedia(t *testing.T) {
 	base := Default(40 * 4096)
 	cases := map[string]Config{
-		"lfs": base.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true, Paranoid: true}),
+		"lfs": base.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true}),
 		"cc":  base.WithCC(),
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg.Swap.CommitRecords = true
-			cfg.Swap.Paranoid = true
 			for _, k := range []uint64{1, 2, 5, 9} {
 				crashed := cfg.WithFaults(fault.Config{Seed: 3, CrashAtWrite: k})
 				m := newMachine(t, crashed)

@@ -33,9 +33,7 @@ type Tier interface {
 	Invalidate(key swap.PageKey)
 }
 
-// link is one tier of the chain with what the machine reports about it. The
-// tier sits in a named field on purpose: through an embedded one l.Put would
-// be a promoted method (DESIGN.md "Tier chain").
+// link is one tier of the chain with what the machine reports about it.
 type link struct {
 	tier Tier
 	name string    // names the tier in error reasons

@@ -50,10 +50,6 @@ type ClusterConfig struct {
 	// which is what the machine stores; recovery uses it to detect torn
 	// data.
 	CommitRecords bool
-
-	// Paranoid re-validates the fragment accounting after every garbage
-	// collection, turning silent drift into an immediate error.
-	Paranoid bool
 }
 
 func (c *ClusterConfig) setDefaults() {
@@ -243,6 +239,15 @@ type placement struct {
 // Callers should batch items to about ClusterBytes; WriteCluster itself
 // accepts any batch and issues one device operation per call.
 func (c *Clustered) WriteCluster(items []Item, async bool) error {
+	err := c.writeCluster(items, async)
+	// The layout scratch points at the callers' buffers — a frame on loan,
+	// the machine's compression buffer — which are theirs again now.
+	clear(c.placeBuf)
+	return err
+}
+
+// writeCluster is WriteCluster up to the point of letting go of the items.
+func (c *Clustered) writeCluster(items []Item, async bool) error {
 	if len(items) == 0 {
 		return nil
 	}
@@ -557,7 +562,9 @@ func (c *Clustered) GC() error {
 	if err != nil {
 		return err
 	}
-	if c.cfg.Paranoid {
+	if c.cfg.CommitRecords {
+		// The format that has to survive a crash audits its accounting after
+		// every pass, turning silent drift into an immediate error.
 		return c.CheckConsistency()
 	}
 	return nil
@@ -687,7 +694,7 @@ func (c *Clustered) writeBack(pages []gcPage) error {
 // compares it with the incremental counters; tests call it after stressing
 // the store.
 func (c *Clustered) CheckConsistency() error {
-	live := make([]bool, len(c.marked)) //cclint:ignore hotalloc -- the paranoid audit is opt-in debugging, not the steady-state hot path
+	live := make([]bool, len(c.marked))
 	covered := 0
 	for _, key := range c.extents.Keys() {
 		e, _ := c.extents.Get(key)

@@ -17,7 +17,7 @@ import (
 // fuzzLFSConfig is the geometry every fuzz input is mounted under: 4-page
 // segments keep images small enough for the fuzzer to mutate meaningfully.
 func fuzzLFSConfig() LFSConfig {
-	return LFSConfig{PageSize: 4096, SegmentBytes: 4 * 4096, Durable: true, Paranoid: true}
+	return LFSConfig{PageSize: 4096, SegmentBytes: 4 * 4096, Durable: true}
 }
 
 // durableLFSImage builds a genuine post-crash media image: a durable LFS
@@ -121,7 +121,7 @@ func fuzzMedia(tb testing.TB, name string, img []byte) (*fs.FS, *mem.Pool, *sim.
 // FuzzRecoverLFS feeds arbitrary bytes to the mount-time log scan as the
 // swap file's platter contents. Whatever the media holds — valid images,
 // torn tails, bit flips, garbage — recovery must not panic, and any store it
-// does return must pass the paranoid consistency check.
+// does return must pass CheckConsistency.
 func FuzzRecoverLFS(f *testing.F) {
 	for _, seed := range lfsSeeds(f) {
 		f.Add(seed.data)
@@ -147,7 +147,7 @@ func FuzzRecoverLFS(f *testing.F) {
 // fuzzClusteredConfig is the geometry every clustered fuzz input is mounted
 // under: 4-page clusters of 1 KB fragments, commit records on.
 func fuzzClusteredConfig() ClusterConfig {
-	return ClusterConfig{PageSize: 4096, ClusterBytes: 4 * 4096, SpanBlocks: true, CommitRecords: true, Paranoid: true}
+	return ClusterConfig{PageSize: 4096, ClusterBytes: 4 * 4096, SpanBlocks: true, CommitRecords: true}
 }
 
 // durableClusteredImage builds a genuine clustered media image: batches of
@@ -240,7 +240,7 @@ func FuzzRecoverClustered(f *testing.F) {
 		if rep.RecoveredSegments > rep.ScannedSegments {
 			t.Fatalf("report claims %d recovered of %d scanned", rep.RecoveredSegments, rep.ScannedSegments)
 		}
-		if err := c.GC(); err != nil { // Paranoid re-checks after the pass
+		if err := c.GC(); err != nil { // the recoverable format re-checks after the pass
 			t.Fatalf("compaction of the recovered store: %v", err)
 		}
 	})

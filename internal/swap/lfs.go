@@ -52,11 +52,6 @@ type LFSConfig struct {
 	// the format is off by default; the machine enables it automatically
 	// when crash injection is configured.
 	Durable bool
-
-	// Paranoid re-validates the full location-map ↔ segment-table
-	// consistency after every cleaner pass, turning silent accounting drift
-	// into an immediate error. Debug builds and the crash harness set it.
-	Paranoid bool
 }
 
 func (c *LFSConfig) setDefaults() {
@@ -528,8 +523,9 @@ func (l *LFS) clean() (bool, error) {
 	}
 	if l.durable() {
 		l.promote(l.seq - 1)
-	}
-	if l.cfg.Paranoid {
+		// The format that has to survive a crash audits the location map
+		// against the segment tables after every pass, turning silent drift
+		// into an immediate error.
 		if err := l.CheckConsistency(); err != nil {
 			return freed, err
 		}

@@ -78,7 +78,7 @@ func (d *Direct) file(seg int32) *fs.File {
 	for int(seg) >= len(d.files) {
 		d.files = append(d.files, nil)
 	}
-	d.files[seg] = d.fsys.Create(fmt.Sprintf("swap.seg%d", seg)) //cclint:ignore hotalloc -- segment file named and created once per segment id (first touch)
+	d.files[seg] = d.fsys.Create(fmt.Sprintf("swap.seg%d", seg))
 	return d.files[seg]
 }
 
