@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"compcache/internal/fault"
@@ -28,19 +30,35 @@ import (
 	"compcache/internal/workload"
 )
 
-func main() {
-	memMB := flag.Int("mem", 6, "user memory in MB")
-	useCC := flag.Bool("cc", false, "enable the compression cache")
-	codec := flag.String("codec", "lzrw1", "compression codec (lzrw1, lzss, rle, null)")
-	name := flag.String("workload", "thrasher_rw", "workload to run")
-	sizeMB := flag.Int("size", 12, "working-set size in MB (thrasher, sort, compare scale)")
-	passes := flag.Int("passes", 2, "thrasher passes")
-	seed := flag.Int64("seed", 1, "workload random seed")
-	partialIO := flag.Bool("partialio", false, "allow sub-block backing-store transfers (ablation)")
-	span := flag.Bool("span", false, "let compressed pages span file blocks (ablation)")
-	crashAt := flag.Uint64("crash-at-write", 0, "cut power at the Nth device write, reboot from the torn media and report recovery (arms the durable store formats)")
-	eventsOut := flag.String("events", "", "export the run's observability events as JSONL to this file ('-' = stdout); with -crash-at-write, exports the reboot's recovery events")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command and returns the exit status: 0 on success, 1 when
+// the workload is unknown, the run or the reboot fails or the recovery does
+// not verify, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	memMB := fs.Int("mem", 6, "user memory in MB")
+	useCC := fs.Bool("cc", false, "enable the compression cache")
+	codec := fs.String("codec", "lzrw1", "compression codec (lzrw1, lzss, rle, null)")
+	name := fs.String("workload", "thrasher_rw", "workload to run")
+	sizeMB := fs.Int("size", 12, "working-set size in MB (thrasher, sort, compare scale)")
+	passes := fs.Int("passes", 2, "thrasher passes")
+	seed := fs.Int64("seed", 1, "workload random seed")
+	partialIO := fs.Bool("partialio", false, "allow sub-block backing-store transfers (ablation)")
+	span := fs.Bool("span", false, "let compressed pages span file blocks (ablation)")
+	crashAt := fs.Uint64("crash-at-write", 0, "cut power at the Nth device write, reboot from the torn media and report recovery (arms the durable store formats)")
+	eventsOut := fs.String("events", "", "export the run's observability events as JSONL to this file ('-' = stdout); with -crash-at-write, exports the reboot's recovery events")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ccsim:", err)
+		return 1
+	}
 
 	cfg := machine.Default(int64(*memMB) << 20)
 	if *useCC {
@@ -93,8 +111,7 @@ func main() {
 		w = &workload.Gold{Messages: msgs, WordsPerMessage: 32, VocabWords: 16000,
 			Queries: msgs / 3, Phase: phase, Seed: *seed}
 	default:
-		fmt.Fprintf(os.Stderr, "ccsim: unknown workload %q\n", *name)
-		os.Exit(2)
+		return fail(fmt.Errorf("unknown workload %q", *name))
 	}
 
 	var opts []machine.Option
@@ -105,80 +122,61 @@ func main() {
 	if *useCC {
 		mode = fmt.Sprintf("compression cache on (%s)", *codec)
 	}
-	if *crashAt > 0 {
-		runCrash(cfg, w, *memMB, mode, *crashAt, *eventsOut, opts)
-		return
-	}
 
 	m, st, err := workload.MeasureMachine(cfg, w, opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccsim:", err)
-		os.Exit(1)
-	}
-	exportEvents(*eventsOut, m)
-	fmt.Printf("workload %s on %d MB, %s\n\n", w.Name(), *memMB, mode)
-	fmt.Print(st)
-}
-
-// exportEvents writes the machine's retained event window as JSONL; "" is
-// off, "-" is stdout.
-func exportEvents(path string, m *machine.Machine) {
-	if path == "" {
-		return
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
+	if *crashAt == 0 {
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		defer f.Close()
-		out = f
+		if err := exportEvents(*eventsOut, stdout, m); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "workload %s on %d MB, %s\n\n", w.Name(), *memMB, mode)
+		fmt.Fprint(stdout, st)
+		return 0
 	}
-	if err := obs.WriteEventsJSONL(out, m.Events()); err != nil {
-		fmt.Fprintln(os.Stderr, "ccsim:", err)
-		os.Exit(1)
-	}
-}
 
-// runCrash runs the workload until the armed power cut fires, reboots a
-// machine from the torn media image, verifies the recovery, and prints the
-// recovery report plus the rebooted machine's view of the store.
-func runCrash(cfg machine.Config, w workload.Workload, memMB int, mode string, crashAt uint64, eventsOut string, opts []machine.Option) {
-	m, _, err := workload.MeasureMachine(cfg, w, opts...)
+	// The armed power cut fires mid-run: reboot a machine from the torn media
+	// image, verify the recovery, and print the recovery report.
 	if err != nil && !fault.IsCrash(err) {
-		fmt.Fprintln(os.Stderr, "ccsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	if m == nil || m.Introspect().Injector == nil || !m.Introspect().Injector.Crashed() {
-		fmt.Fprintf(os.Stderr, "ccsim: the run finished before device write %d; crash earlier\n", crashAt)
-		os.Exit(1)
+	if m == nil || !m.Introspect().Injector.Crashed() {
+		return fail(fmt.Errorf("the run finished before device write %d; crash earlier", *crashAt))
 	}
-	fmt.Printf("workload %s on %d MB, %s\n", w.Name(), memMB, mode)
-	fmt.Printf("power cut at device write %d, %v into the run\n\n", crashAt, m.Elapsed())
+	fmt.Fprintf(stdout, "workload %s on %d MB, %s\n", w.Name(), *memMB, mode)
+	fmt.Fprintf(stdout, "power cut at device write %d, %v into the run\n\n", *crashAt, m.Elapsed())
 
 	reboot := cfg
 	reboot.Faults = nil
 	reborn, err := machine.NewFromMedia(reboot, m.FS.Image(), opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccsim: reboot failed:", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("reboot failed: %w", err))
 	}
-	exportEvents(eventsOut, reborn)
-	fmt.Println("reboot:", reborn.Introspect().Recovery)
-	stores, rebornStores := m.Introspect(), reborn.Introspect()
-	switch {
-	case stores.Clustered != nil:
-		err = rebornStores.Clustered.VerifyRecovery(stores.Clustered)
-	case stores.LFS != nil:
-		err = rebornStores.LFS.VerifyRecovery(stores.LFS)
-	default:
-		err = fmt.Errorf("no recoverable store")
+	if err := exportEvents(*eventsOut, stdout, reborn); err != nil {
+		return fail(err)
 	}
+	fmt.Fprintln(stdout, "reboot:", reborn.Introspect().Recovery)
+	if err := reborn.VerifyRecovery(m); err != nil {
+		return fail(fmt.Errorf("recovery verification FAILED: %w", err))
+	}
+	fmt.Fprintln(stdout, "recovery verified: no acknowledged-durable page lost, no torn fragment served")
+	return 0
+}
+
+// exportEvents writes the machine's retained event window as JSONL; "" is
+// off, "-" is stdout.
+func exportEvents(path string, stdout io.Writer, m *machine.Machine) error {
+	if path == "" {
+		return nil
+	}
+	if path == "-" {
+		return obs.WriteEventsJSONL(stdout, m.Events())
+	}
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccsim: recovery verification FAILED:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("recovery verified: no acknowledged-durable page lost, no torn fragment served")
+	defer f.Close()
+	return obs.WriteEventsJSONL(f, m.Events())
 }

@@ -270,15 +270,15 @@ func (r *remoteAdapter) Put(it swap.Item) error {
 // Get implements machine.Tier: bring a remotely held page back over the
 // network. Sibling copies are forwarded through the server at CPU speed;
 // spilled copies read from the server tier (or its disk, on a miss).
-func (r *remoteAdapter) Get(key swap.PageKey) (swap.Item, []swap.Item, bool, error) {
+func (r *remoteAdapter) Get(key swap.PageKey, _ []byte) ([]byte, bool, uint32, []swap.Item, bool, error) {
 	c := r.c
 	ent, ok := c.dir[remoteKey{owner: r.idx, key: key}]
 	if !ok {
-		return swap.Item{}, nil, false, nil
+		return nil, false, 0, nil, false, nil
 	}
 	// ent.addr is the spill address, or -1 for a sibling forward.
 	err := c.nets[r.idx].Read(ent.addr, len(ent.it.Data))
-	return ent.it, nil, true, err
+	return ent.it.Data, ent.it.Compressed, ent.it.Sum, nil, true, err
 }
 
 // Has implements machine.Tier.

@@ -136,20 +136,11 @@ func crashTrial(cfg machine.Config, w workload.Workload, seed int64, k uint64) (
 	if err != nil {
 		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: reboot failed: %w", k, err)
 	}
-	stores, rebornStores := m.Introspect(), reborn.Introspect()
-	switch {
-	case stores.Clustered != nil:
-		err = rebornStores.Clustered.VerifyRecovery(stores.Clustered)
-	case stores.LFS != nil:
-		err = rebornStores.LFS.VerifyRecovery(stores.LFS)
-	default:
-		err = fmt.Errorf("no recoverable store")
-	}
-	if err != nil {
+	if err := reborn.VerifyRecovery(m); err != nil {
 		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: %w", k, err)
 	}
 	if err := reborn.CheckInvariants(); err != nil {
 		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: rebooted machine fails invariants: %w", k, err)
 	}
-	return *rebornStores.Recovery, nil
+	return *reborn.Introspect().Recovery, nil
 }

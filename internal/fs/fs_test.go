@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -383,7 +384,7 @@ func TestEvictLendsTheFrame(t *testing.T) {
 }
 
 // A raw transfer past the file's disk extent would land on the next file's
-// addresses; a block number outside it in an image is refused.
+// addresses; a block number or a file size outside it in an image is refused.
 func TestExtentEnforced(t *testing.T) {
 	fsys, _, _, _ := newTestFS(t, Options{})
 	f := fsys.Create("swap")
@@ -402,6 +403,13 @@ func TestExtentEnforced(t *testing.T) {
 		img := &Image{Files: []FileImage{{Name: "swap", Blocks: []BlockImage{{Block: block, Data: make([]byte, 4096)}}}}}
 		if err := fresh.LoadImage(img); err == nil || !strings.Contains(err.Error(), "outside the file's extent") {
 			t.Errorf("image with block %d: err = %v, want the extent complaint", block, err)
+		}
+	}
+	for _, size := range []int64{-1, fileExtent + 1, 1 << 40} {
+		fresh, _, _, _ := newTestFS(t, Options{})
+		var se *SizeError
+		if err := fresh.LoadImage(&Image{Files: []FileImage{{Name: "swap", Size: size}}}); !errors.As(err, &se) || se.Size != size {
+			t.Errorf("image with size %d: err = %v, want a *SizeError", size, err)
 		}
 	}
 }

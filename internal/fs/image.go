@@ -30,6 +30,27 @@ type BlockImage struct {
 	Data  []byte
 }
 
+// SizeError reports a file size in an image or a snapshot that no write could
+// have produced: negative, or past the file's disk extent. Recovery sizes its
+// mount sweep from the file size, so a forged one is refused where it is
+// decoded.
+type SizeError struct {
+	File string
+	Size int64
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("fs: file %q has size %d, outside its %d-byte extent", e.File, e.Size, int64(fileExtent))
+}
+
+// checkSize validates a decoded file size.
+func checkSize(file string, size int64) error {
+	if size < 0 || size > fileExtent {
+		return &SizeError{File: file, Size: size}
+	}
+	return nil
+}
+
 // Image captures the current media state. The copy is deep: mutating the
 // source file system afterwards does not change the image, so a crashed
 // machine's image can outlive the machine.
@@ -63,6 +84,9 @@ func (fs *FS) LoadImage(img *Image) error {
 	}
 	for i := range img.Files {
 		fi := &img.Files[i]
+		if err := checkSize(fi.Name, fi.Size); err != nil {
+			return err
+		}
 		f := &File{fs: fs, name: fi.Name, id: fi.ID, base: fi.Base, size: fi.Size}
 		for _, b := range fi.Blocks {
 			if len(b.Data) != fs.opts.BlockSize {

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -43,7 +44,8 @@ func TestSnapshotRejectsBlockCachedTwice(t *testing.T) {
 }
 
 // TestSnapshotRejectsBlockOutsideExtent: the platter is a table by block
-// number, so a forged block number must be refused, not allocated up to.
+// number, so a forged block number must be refused, not allocated up to; and
+// recovery sweeps a file by its size, so a forged size must be refused too.
 func TestSnapshotRejectsBlockOutsideExtent(t *testing.T) {
 	f, _, _, _ := newTestFS(t, Options{})
 	f.Create("data").WriteAt(make([]byte, 4096), 0)
@@ -67,6 +69,20 @@ func TestSnapshotRejectsBlockOutsideExtent(t *testing.T) {
 		fresh.Snap(snap.Decoder(r))
 		if err := r.Close(); err == nil || !strings.Contains(err.Error(), "platter blocks: id") {
 			t.Errorf("snapshot with block %d: err = %v, want the block-id complaint", block, err)
+		}
+	}
+	for _, size := range []int64{-1, fileExtent + 1, 1 << 40} {
+		body := bytes.Clone(blob[:len(blob)-4])
+		binary.LittleEndian.PutUint64(body[at-16:], uint64(size))
+		r, err := snap.NewReader(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _, _, _ := newTestFS(t, Options{})
+		fresh.Snap(snap.Decoder(r))
+		var se *SizeError
+		if err := r.Close(); !errors.As(err, &se) || se.Size != size {
+			t.Errorf("snapshot with size %d: err = %v, want a *SizeError", size, err)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package machine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"compcache/internal/fault"
+	"compcache/internal/swap"
 	"compcache/internal/vm"
 )
 
@@ -174,5 +176,82 @@ func TestFaultFreeInjectorChangesNothing(t *testing.T) {
 	t1, f1 := run(true)
 	if t0 != t1 || f0 != f1 {
 		t.Fatalf("zero-rate injector changed the run: %v/%d vs %v/%d", t0, f0, t1, f1)
+	}
+}
+
+// TestBaselineStoreFailureIsTyped pins what a machine without a compression
+// cache reports when its backing store fails: the reason text, the typed
+// unrecoverable error, and the device error reachable through it.
+func TestBaselineStoreFailureIsTyped(t *testing.T) {
+	stores := []struct {
+		name string
+		cfg  Config
+	}{
+		{"direct", Default(mb)},
+		{"lfs", Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 16 * 4096})},
+	}
+	failures := []struct {
+		name   string
+		faults fault.Config
+		lose   func(m *Machine, s *Space, pg *vm.Page) // what the workload does inside the window
+		reason string
+		devOp  string // "" when no device error is behind the loss
+	}{
+		{name: "read", faults: fault.Config{Seed: 1, ReadErrorRate: 1},
+			lose:   func(_ *Machine, s *Space, pg *vm.Page) { s.ReadWord(int64(pg.Key.Page) * 4096) },
+			reason: "backing-store read failed", devOp: "read"},
+		{name: "write", faults: fault.Config{Seed: 1, WriteErrorRate: 1},
+			lose:   func(_ *Machine, s *Space, _ *vm.Page) { fillCompressible(s) },
+			reason: "backing-store write failed for the only copy", devOp: "write"},
+		{name: "no-copy", faults: fault.Config{Seed: 1},
+			lose: func(m *Machine, s *Space, pg *vm.Page) {
+				m.Dirtied(pg) // every copy below memory goes stale, and the page is not in memory
+				s.ReadWord(int64(pg.Key.Page) * 4096)
+			},
+			reason: "page in state swapped has no backing copy"},
+	}
+	for _, st := range stores {
+		for _, f := range failures {
+			t.Run(st.name+"/"+f.name, func(t *testing.T) {
+				f.faults.ActiveAfter = faultWindow
+				m := newMachine(t, st.cfg.WithFaults(f.faults))
+				s := m.NewSegment("heap", 4*mb)
+				fillCompressible(s)
+				if err := m.Err(); err != nil {
+					t.Fatalf("setup phase saw an error: %v", err)
+				}
+				pg := s.seg.Page(0) // written first: long out of memory and of any store buffer
+				if pg.State != vm.Swapped {
+					t.Fatalf("page 0 is %v, want it swapped out", pg.State)
+				}
+				m.Clock.Advance(faultWindow)
+				f.lose(m, s, pg)
+
+				err := m.Err()
+				var ue *fault.UnrecoverableError
+				if !errors.As(err, &ue) || !fault.IsUnrecoverable(err) {
+					t.Fatalf("got %v, want *fault.UnrecoverableError", err)
+				}
+				if ue.Reason != f.reason {
+					t.Fatalf("Reason = %q, want %q", ue.Reason, f.reason)
+				}
+				var de *fault.DeviceError
+				if f.devOp == "" {
+					if ue.Err != nil {
+						t.Fatalf("a page with no copy reports a cause: %v", ue.Err)
+					}
+					return
+				}
+				if !errors.As(err, &de) || de.Op != f.devOp {
+					t.Fatalf("no injected device %s error behind %v", f.devOp, err)
+				}
+				if !errors.Is(err, de) {
+					t.Fatalf("errors.Is does not reach the device error through %v", err)
+				}
+				if !strings.HasSuffix(err.Error(), " unrecoverable ("+f.reason+"): "+de.Error()) {
+					t.Fatalf("Error() = %q, want the reason and then the device error, nothing between", err.Error())
+				}
+			})
+		}
 	}
 }

@@ -37,14 +37,12 @@ type Machine struct {
 	VM     *vm.VM
 	CC     *core.Cache // nil when the compression cache is disabled
 
-	direct      rawStore        // baseline backing store (direct or LFS)
-	directPlain *swap.Direct    // concrete direct store when that is the baseline
-	lfs         *swap.LFS       // concrete LFS store when that is the baseline
-	clustered   *swap.Clustered // compressed backing store
-	alloc       *policy.Allocator
-	codec       compress.Codec
-	faults      *fault.Injector      // nil when no fault config is given
-	recovery    *swap.RecoveryReport // mount-time recovery report (NewFromMedia only)
+	store     store // the machine's own backing store: the last link of below
+	storeKind uint8 // its tag in the snapshot stream
+	alloc     *policy.Allocator
+	codec     compress.Codec
+	faults    *fault.Injector      // nil when no fault config is given
+	recovery  *swap.RecoveryReport // mount-time recovery report (NewFromMedia only)
 
 	err error // first fatal error; see Err
 
@@ -52,9 +50,9 @@ type Machine struct {
 	compHist   *obs.Histogram // machine.compress_page — per-page compression time
 	decompHist *obs.Histogram // machine.decompress_page — per-page decompression time
 
-	// below is the tier chain under the compression cache, in the order
-	// PageOut offers and PageIn asks: fleet memory when WithRemote attached
-	// it, then the clustered store. Empty on a baseline machine.
+	// below is the tier chain under memory, in the order PageOut offers and
+	// PageIn asks: fleet memory when WithRemote attached it (compression-cache
+	// machines only), then — always — the machine's own store.
 	below []link
 
 	// Hot-path scratch. The machine is single-goroutine, and every consumer
@@ -105,6 +103,9 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 	var b buildOpts
 	for _, o := range opts {
 		o(&b)
+	}
+	if b.remote != nil && !cfg.CC.Enabled {
+		return nil, fmt.Errorf("machine: WithRemote needs a compression cache: fleet memory holds pages in the checksummed travel form only that machine produces")
 	}
 	m := &Machine{cfg: cfg, Clock: &sim.Clock{}}
 	if b.kernel != nil {
@@ -174,40 +175,36 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 	m.alloc.Register(m.FS, bias("fs"))
 	m.alloc.Register(m.VM, bias("vm"))
 
-	if cfg.CC.Enabled {
+	switch {
+	case cfg.CC.Enabled:
 		m.codec, err = compress.Lookup(cfg.CC.Codec)
 		if err != nil {
 			return nil, err
 		}
 		m.compBuf = make([]byte, 0, m.codec.MaxCompressedSize(cfg.PageSize))
 		m.CC = core.New(cfg.CC.Core, m.Clock, m.Pool)
-		m.CC.SetHooks(m.flushEntries, m.entryDropped)
 		m.CC.SetObserver(m.bus)
 		m.alloc.Register(ccConsumer{m.CC}, bias("cc"))
+		var clustered *swap.Clustered
 		if img != nil {
 			if !cfg.Swap.CommitRecords {
 				return nil, fmt.Errorf("machine: NewFromMedia on a compressed machine requires Swap.CommitRecords")
 			}
-			var rep *swap.RecoveryReport
-			m.clustered, rep, err = swap.RecoverClustered(cfg.Swap, m.FS, m.bus, m.Clock)
-			if err != nil {
-				return nil, err
-			}
-			m.recordRecovery(rep)
+			clustered, m.recovery, err = swap.RecoverClustered(cfg.Swap, m.FS, m.bus, m.Clock)
 		} else {
-			m.clustered, err = swap.NewClustered(cfg.Swap, m.FS)
-			if err != nil {
-				return nil, err
-			}
+			clustered, err = swap.NewClustered(cfg.Swap, m.FS)
 		}
-		m.clustered.SetObserver(m.bus, m.Clock)
+		if err != nil {
+			return nil, err
+		}
+		clustered.SetObserver(m.bus, m.Clock)
+		// The cleaner batches straight into the store, it does not walk the
+		// chain; on error the batch stays dirty in the cache and is retried.
+		m.CC.SetHooks(func(items []swap.Item) error { return clustered.WriteCluster(items, true) }, m.entryDropped)
+		m.store, m.storeKind = &clusteredTier{Clustered: clustered, faults: m.faults}, storeClustered
 		if b.remote != nil {
 			m.below = append(m.below, link{tier: b.remote, name: "remote", src: vm.SrcRemote})
 		}
-		m.below = append(m.below, link{
-			tier: &clusteredTier{Clustered: m.clustered, faults: m.faults},
-			name: "backing-store", src: vm.SrcSwap,
-		})
 		if cfg.CC.FixedFrames > 0 {
 			m.CC.Prefill(cfg.CC.FixedFrames)
 		}
@@ -217,54 +214,43 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		if cfg.CC.MetadataOverhead {
 			m.reserveKernelBytes(staticOverheadBytes)
 		}
-	} else if cfg.LFSSwap != nil {
+	case cfg.LFSSwap != nil:
 		lfsCfg := *cfg.LFSSwap
 		if lfsCfg.PageSize == 0 {
 			lfsCfg.PageSize = cfg.PageSize
 		}
+		var lfs *swap.LFS
 		if img != nil {
 			if !lfsCfg.Durable {
 				return nil, fmt.Errorf("machine: NewFromMedia on an LFS machine requires LFSSwap.Durable")
 			}
-			var rep *swap.RecoveryReport
-			m.lfs, rep, err = swap.RecoverLFS(lfsCfg, m.FS, m.Pool, m.bus, m.Clock)
-			if err != nil {
-				return nil, err
-			}
-			m.recordRecovery(rep)
+			lfs, m.recovery, err = swap.RecoverLFS(lfsCfg, m.FS, m.Pool, m.bus, m.Clock)
 		} else {
-			m.lfs, err = swap.NewLFS(lfsCfg, m.FS, m.Pool)
-			if err != nil {
-				return nil, err
-			}
+			lfs, err = swap.NewLFS(lfsCfg, m.FS, m.Pool)
 		}
-		m.direct = m.lfs
-	} else {
-		if img != nil {
-			return nil, fmt.Errorf("machine: NewFromMedia requires a recoverable backing store (Swap.CommitRecords or a durable LFS)")
-		}
-		m.directPlain, err = swap.NewDirect(m.FS, cfg.PageSize)
 		if err != nil {
 			return nil, err
 		}
-		m.direct = m.directPlain
+		m.store, m.storeKind = lfsTier{lfs}, storeLFS
+	default:
+		if img != nil {
+			return nil, fmt.Errorf("machine: NewFromMedia requires a recoverable backing store (Swap.CommitRecords or a durable LFS)")
+		}
+		direct, err := swap.NewDirect(m.FS, cfg.PageSize)
+		if err != nil {
+			return nil, err
+		}
+		m.store, m.storeKind = directTier{direct}, storeDirect
+	}
+	m.below = append(m.below, link{tier: m.store, name: "backing-store", src: vm.SrcSwap, raw: m.storeKind != storeClustered})
+	if rep := m.recovery; rep != nil {
+		m.fst.RecoveredSegments += uint64(rep.RecoveredSegments)
+		m.fst.TornWritesDiscarded += uint64(rep.TornDiscarded)
 	}
 
 	m.VM.SetFrameSource(m.allocFrame)
 	m.FS.SetFrameSource(m.allocFrame)
 	return m, nil
-}
-
-// rawStore is the baseline machine's backing store: whole uncompressed
-// pages in, whole pages out. *swap.Direct implements it (the unmodified
-// Sprite arrangement); *swap.LFS implements it for the §5.1 log-structured
-// alternative.
-type rawStore interface {
-	Write(key swap.PageKey, data []byte) error
-	Read(key swap.PageKey, buf []byte) (bool, error)
-	Has(key swap.PageKey) bool
-	Invalidate(key swap.PageKey)
-	Stats() stats.Swap
 }
 
 // ccConsumer adapts the compression cache to the policy interface with its
@@ -299,14 +285,6 @@ func (m *Machine) Faults() stats.Faults {
 	f.RecoveredSegments = m.fst.RecoveredSegments
 	f.TornWritesDiscarded = m.fst.TornWritesDiscarded
 	return f
-}
-
-// recordRecovery folds a mount-time recovery report into the machine's fault
-// counters and keeps it for RecoveryReport.
-func (m *Machine) recordRecovery(rep *swap.RecoveryReport) {
-	m.recovery = rep
-	m.fst.RecoveredSegments += uint64(rep.RecoveredSegments)
-	m.fst.TornWritesDiscarded += uint64(rep.TornDiscarded)
 }
 
 // Events returns the retained event window in emission order (nil when
@@ -481,16 +459,12 @@ func (m *Machine) Stats() stats.Run {
 		VM:     m.VM.Stats(),
 		Comp:   m.comp,
 		Disk:   m.Device.Stats(),
+		Swap:   m.store.Stats(),
 		Faults: m.Faults(),
 		Time:   m.Elapsed(),
 	}
 	if m.CC != nil {
 		r.CC = m.CC.Stats()
-	}
-	if m.clustered != nil {
-		r.Swap = m.clustered.Stats()
-	} else if m.direct != nil {
-		r.Swap = m.direct.Stats()
 	}
 	if m.bus != nil {
 		// Gauges are levels, sampled at snapshot time rather than maintained
@@ -515,54 +489,43 @@ func (m *Machine) Stats() stats.Run {
 // extent) degrade silently and are retried later; a failure that loses the
 // only copy returns fault.UnrecoverableError.
 func (m *Machine) PageOut(p *vm.Page, data []byte) error {
-	if m.CC == nil {
-		// Baseline system: dirty pages go to the direct swap file; clean
-		// pages with a valid backing copy are simply discarded.
-		if p.Dirty {
-			if err := m.direct.Write(p.Key, data); err != nil {
-				// The frame is gone and the store refused the only copy.
-				return unrecoverable(p.Key, "backing-store write failed for the only copy", err)
-			}
-			p.Dirty = false
-			p.SwapValid = true
-		}
-		p.State = vm.Swapped
-		return nil
-	}
-
-	// Fast path: the page was faulted out of the cache and never modified,
-	// so its compressed copy is still valid — re-entering the cache is just
-	// a page-table update, no compression (§4.1's retained compressed
-	// copies; this is what keeps read-mostly working sets cheap).
-	if !p.Dirty && m.CC.Has(p.Key) {
-		p.State = vm.Compressed
-		return nil
-	}
-
-	// Compress once, then decide the page's fate: the cache keeps it if it
-	// fits, otherwise it goes to the first tier below that takes it — raw
-	// when it missed the 4:3 threshold and the compression effort was wasted
-	// (§5.2).
-	cdata, keep := m.compress(p.Key, data)
 	it := swap.Item{Key: p.Key, Data: data}
 	var insErr error
-	if keep {
-		var ok bool
-		if ok, insErr = m.CC.Insert(p.Key, cdata, p.Dirty); ok {
+	if m.CC != nil {
+		// Fast path: the page was faulted out of the cache and never
+		// modified, so its compressed copy is still valid — re-entering the
+		// cache is just a page-table update, no compression (§4.1's retained
+		// compressed copies; this is what keeps read-mostly working sets
+		// cheap).
+		if !p.Dirty && m.CC.Has(p.Key) {
 			p.State = vm.Compressed
-			p.Dirty = false // dirtiness now tracked by the cache entry
-			m.maybeClean()
 			return nil
 		}
-		// The cache could not take the page: no memory, or the flush that
-		// would have made room failed (insErr — the flushed batch stays
-		// dirty in the cache and is retried later, so insErr alone loses
-		// nothing). The page goes below compressed, still benefiting from
-		// the reduced transfer size.
-		it.Data, it.Compressed = cdata, true
+
+		// Compress once, then decide the page's fate: the cache keeps it if
+		// it fits, otherwise it goes to the first tier below that takes it —
+		// raw when it missed the 4:3 threshold and the compression effort was
+		// wasted (§5.2).
+		cdata, keep := m.compress(p.Key, data)
+		if keep {
+			var ok bool
+			if ok, insErr = m.CC.Insert(p.Key, cdata, p.Dirty); ok {
+				p.State = vm.Compressed
+				p.Dirty = false // dirtiness now tracked by the cache entry
+				m.maybeClean()
+				return nil
+			}
+			// The cache could not take the page: no memory, or the flush
+			// that would have made room failed (insErr — the flushed batch
+			// stays dirty in the cache and is retried later, so insErr alone
+			// loses nothing). The page goes below compressed, still
+			// benefiting from the reduced transfer size.
+			it.Data, it.Compressed = cdata, true
+		}
 	}
+	// A clean page with a valid copy below is simply discarded (on a baseline
+	// machine every clean page the VM hands over has one: PageIn said so).
 	if p.Dirty || !p.SwapValid {
-		it.Sum = core.Checksum(it.Data)
 		if err := m.putBelow(it, insErr); err != nil {
 			return err
 		}
@@ -595,12 +558,18 @@ func (m *Machine) compress(key swap.PageKey, data []byte) (cdata []byte, keep bo
 	return cdata, true
 }
 
-// putBelow offers a page leaving the cache level to each tier in order —
-// fleet memory is faster than the local backing store — until one takes it.
-// If none does the frame is gone and the only copy with it.
+// putBelow offers a page leaving memory to each tier in order — fleet memory
+// is faster than the local backing store — until one takes it. The travel
+// form is summed once, for the first tier whose format carries a checksum.
+// If no tier takes the page the frame is gone and the only copy with it.
 func (m *Machine) putBelow(it swap.Item, insErr error) error {
 	var err error
-	for _, l := range m.below {
+	summed := false
+	for i := range m.below {
+		l := &m.below[i]
+		if !l.raw && !summed {
+			it.Sum, summed = core.Checksum(it.Data), true
+		}
 		if err = l.tier.Put(it); err == nil {
 			return nil
 		}
@@ -615,8 +584,8 @@ func unrecoverable(key swap.PageKey, reason string, err error) error {
 
 // heldBelow reports whether any tier of the chain holds a current copy.
 func (m *Machine) heldBelow(key swap.PageKey) bool {
-	for _, l := range m.below {
-		if l.tier.Has(key) {
+	for i := range m.below {
+		if m.below[i].tier.Has(key) {
 			return true
 		}
 	}
@@ -630,66 +599,57 @@ func (m *Machine) heldBelow(key swap.PageKey) bool {
 // is counted); a corrupt or unreadable fragment with no lower-level copy
 // returns fault.UnrecoverableError.
 func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
-	if m.CC == nil {
-		ok, err := m.direct.Read(p.Key, data)
-		if err != nil {
-			return 0, unrecoverable(p.Key, "backing-store read failed", err)
-		}
-		if !ok {
-			return 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
-		}
-		m.Clock.Advance(m.cfg.Cost.PageCopy)
-		p.Dirty = false
-		p.SwapValid = true
-		return vm.SrcSwap, nil
-	}
-
-	if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
-		m.faults.CorruptCache(cdata)
-		err := m.restoreInto(data, cdata, true, sum, p.Key)
-		if err == nil {
-			// The entry is retained and backs the resident copy, so the
-			// page itself is clean; SwapValid tracks whether the entry
-			// has been persisted. Modifying the page invalidates the
-			// entry (see Dirtied).
-			p.Dirty = false
-			p.SwapValid = !entryDirty
-			return vm.SrcCC, nil
-		}
-		// The in-memory fragment is corrupt. Drop the entry; if a tier
-		// below has a clean copy of the same contents, recover from it at
-		// that tier's usual cost.
-		m.CC.Drop(p.Key)
-		if entryDirty || !m.heldBelow(p.Key) {
-			return 0, unrecoverable(p.Key, "corrupt cache entry with no backing copy", err)
-		}
-		m.fst.Recoveries++
-		if m.bus.Enabled(obs.ClassRecovery) {
-			m.bus.Emit(obs.Event{
-				T: m.Clock.Now(), Class: obs.ClassRecovery, Sub: obs.SubMachine,
-				Seg: p.Key.Seg, Page: p.Key.Page,
-			})
+	if m.CC != nil {
+		if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
+			m.faults.CorruptCache(cdata)
+			err := m.restoreInto(data, cdata, true, sum, p.Key)
+			if err == nil {
+				// The entry is retained and backs the resident copy, so the
+				// page itself is clean; SwapValid tracks whether the entry
+				// has been persisted. Modifying the page invalidates the
+				// entry (see Dirtied).
+				p.Dirty = false
+				p.SwapValid = !entryDirty
+				return vm.SrcCC, nil
+			}
+			// The in-memory fragment is corrupt. Drop the entry; if a tier
+			// below has a clean copy of the same contents, recover from it
+			// at that tier's usual cost.
+			m.CC.Drop(p.Key)
+			if entryDirty || !m.heldBelow(p.Key) {
+				return 0, unrecoverable(p.Key, "corrupt cache entry with no backing copy", err)
+			}
+			m.fst.Recoveries++
+			if m.bus.Enabled(obs.ClassRecovery) {
+				m.bus.Emit(obs.Event{
+					T: m.Clock.Now(), Class: obs.ClassRecovery, Sub: obs.SubMachine,
+					Seg: p.Key.Seg, Page: p.Key.Page,
+				})
+			}
 		}
 	}
 
 	// The first tier that holds the page serves the fault. Dirtied
-	// invalidates every tier, so whatever one holds is current; below the
-	// cache there is no further fallback — a tier that fails to deliver what
-	// it holds had the only remaining copy.
-	for _, l := range m.below {
-		it, along, ok, err := l.tier.Get(p.Key)
+	// invalidates every tier, so whatever one holds is current; below memory
+	// and its cache there is no further fallback — a tier that fails to
+	// deliver what it holds had the only remaining copy.
+	for i := range m.below {
+		l := &m.below[i]
+		payload, compressed, sum, along, ok, err := l.tier.Get(p.Key, data)
 		if !ok {
 			continue
 		}
 		if err != nil {
 			return 0, unrecoverable(p.Key, l.name+" read failed", err)
 		}
-		if err := m.restoreInto(data, it.Data, it.Compressed, it.Sum, p.Key); err != nil {
+		if l.raw {
+			m.Clock.Advance(m.cfg.Cost.PageCopy) // the tier filled the frame
+		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key); err != nil {
 			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		}
 		p.Dirty = false
 		p.SwapValid = true
-		if !m.cfg.CC.DisablePrefetch {
+		if len(along) > 0 && !m.cfg.CC.DisablePrefetch {
 			m.insertNeighbors(along)
 		}
 		return l.src, nil
@@ -754,19 +714,9 @@ func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
 	}
-	for _, l := range m.below {
-		l.tier.Invalidate(p.Key)
+	for i := range m.below {
+		m.below[i].tier.Invalidate(p.Key)
 	}
-	if m.direct != nil {
-		m.direct.Invalidate(p.Key)
-	}
-}
-
-// flushEntries is the cleaner's flush hook: persist dirty cache entries with
-// one clustered asynchronous write. On error the cache keeps the batch
-// dirty, so nothing is lost — the flush is retried by a later clean.
-func (m *Machine) flushEntries(items []swap.Item) error {
-	return m.clustered.WriteCluster(items, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -903,15 +853,8 @@ func (m *Machine) CheckInvariants() error {
 			return err
 		}
 	}
-	if m.clustered != nil {
-		if err := m.clustered.CheckConsistency(); err != nil {
-			return err
-		}
-	}
-	if m.lfs != nil {
-		if err := m.lfs.CheckConsistency(); err != nil {
-			return err
-		}
+	if err := m.store.CheckConsistency(); err != nil {
+		return err
 	}
 	// Every page's state must agree with the subsystem actually holding it,
 	// and every frame a subsystem holds must be its own in the pool, once.
@@ -928,7 +871,7 @@ func (m *Machine) CheckInvariants() error {
 					return fmt.Errorf("machine: page %v marked compressed but absent from cache", p.Key)
 				}
 			case vm.Swapped:
-				if !(m.direct != nil && m.direct.Has(p.Key)) && !m.heldBelow(p.Key) {
+				if !m.heldBelow(p.Key) {
 					return fmt.Errorf("machine: page %v marked swapped but absent from backing store", p.Key)
 				}
 			case vm.Resident:

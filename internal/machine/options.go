@@ -58,19 +58,18 @@ func WithKernel(k *sim.Kernel, id sim.ActorID) Option {
 // WithRemote attaches fleet-level memory as the first tier below the
 // compression cache: evicted pages are offered to it before the local backing
 // store, and faults consult it first. The cluster package implements it with
-// sibling-machine memory and a shared page server. Only a compression-cache
-// machine has a chain; the baseline machine pages straight to its store.
+// sibling-machine memory and a shared page server. Fleet memory holds pages
+// in the checksummed travel form a compression-cache machine produces, so New
+// refuses the option on a machine without one.
 func WithRemote(t Tier) Option {
 	return func(b *buildOpts) { b.remote = t }
 }
 
 // Introspection bundles the read-only wiring handles a harness occasionally
-// needs after construction — the event bus, the fault injector, the concrete
-// backing stores, and the mount-time recovery report. Each field is nil when
-// the corresponding subsystem is absent. Machine.Introspect replaces the
-// former per-handle accessor sprawl (Bus, Injector, LFSStore,
-// ClusteredStore, RecoveryReport) with one documented view; the measurement
-// API (Stats, Events, Metrics, Faults, Err) stays on Machine itself.
+// needs after construction — the event bus, the fault injector and the
+// mount-time recovery report. Each field is nil when the corresponding
+// subsystem is absent. The measurement API (Stats, Events, Metrics, Faults,
+// Err) and the reboot check (VerifyRecovery) stay on Machine itself.
 type Introspection struct {
 	// Bus is the machine's event bus (nil without WithObs).
 	Bus *obs.Bus
@@ -78,12 +77,6 @@ type Introspection struct {
 	// Config.Faults). Harnesses use it to schedule crashes dynamically
 	// (Injector.CrashAt) and to read injection counters.
 	Injector *fault.Injector
-	// LFS is the log-structured backing store, when the machine pages into
-	// one.
-	LFS *swap.LFS
-	// Clustered is the compressed clustered backing store, when the
-	// compression cache is enabled.
-	Clustered *swap.Clustered
 	// Recovery is the mount-time recovery report for machines booted with
 	// NewFromMedia.
 	Recovery *swap.RecoveryReport
@@ -91,11 +84,5 @@ type Introspection struct {
 
 // Introspect returns the machine's wiring handles. See Introspection.
 func (m *Machine) Introspect() Introspection {
-	return Introspection{
-		Bus:       m.bus,
-		Injector:  m.faults,
-		LFS:       m.lfs,
-		Clustered: m.clustered,
-		Recovery:  m.recovery,
-	}
+	return Introspection{Bus: m.bus, Injector: m.faults, Recovery: m.recovery}
 }

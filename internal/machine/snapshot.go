@@ -76,14 +76,8 @@ func (m *Machine) snap(c *snap.Codec) {
 	if snap.Const(c, c.Bool, m.CC != nil, "machine: compression cache"); m.CC != nil {
 		m.CC.Snap(c)
 	}
-	store, kind := m.directPlain.Snap, storeDirect
-	if m.clustered != nil {
-		store, kind = m.clustered.Snap, storeClustered
-	} else if m.lfs != nil {
-		store, kind = m.lfs.Snap, storeLFS
-	}
-	snap.Const(c, func(p *uint8) { snap.Byte(c, p) }, kind, "machine: backing store kind")
-	store(c)
+	snap.Const(c, func(p *uint8) { snap.Byte(c, p) }, m.storeKind, "machine: backing store kind")
+	m.store.Snap(c)
 	m.bus.Snap(c)
 
 	c.Section("machine.tail")

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"hash/crc32"
 	"math"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"unsafe"
 
 	"compcache/internal/fault"
+	"compcache/internal/fs"
 	"compcache/internal/mem"
 	"compcache/internal/obs"
 	"compcache/internal/snap"
@@ -205,19 +207,10 @@ func TestCrashRebootFromMedia(t *testing.T) {
 				if err != nil {
 					t.Fatalf("crash point %d: reboot: %v", k, err)
 				}
-				stores, rebornStores := m.Introspect(), reborn.Introspect()
-				switch {
-				case stores.Clustered != nil:
-					err = rebornStores.Clustered.VerifyRecovery(stores.Clustered)
-				case stores.LFS != nil:
-					err = rebornStores.LFS.VerifyRecovery(stores.LFS)
-				default:
-					t.Fatal("no recoverable store")
-				}
-				if err != nil {
+				if err := reborn.VerifyRecovery(m); err != nil {
 					t.Errorf("crash point %d: %v", k, err)
 				}
-				if rebornStores.Recovery == nil {
+				if reborn.Introspect().Recovery == nil {
 					t.Errorf("crash point %d: reboot recorded no recovery report", k)
 				}
 				if err := reborn.CheckInvariants(); err != nil {
@@ -225,6 +218,22 @@ func TestCrashRebootFromMedia(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVerifyRecoveryRefusals: the direct swap file has no recoverable layout
+// to verify, and a store is only ever verified against one of its own kind.
+func TestVerifyRecoveryRefusals(t *testing.T) {
+	direct := newMachine(t, Default(mb))
+	lfs := newMachine(t, Default(mb).WithLFS(swap.LFSConfig{Durable: true}))
+	cc := newMachine(t, Default(mb).WithCC())
+	if err := direct.VerifyRecovery(newMachine(t, Default(mb))); err == nil || err.Error() != "no recoverable store" {
+		t.Errorf("two direct-swap machines: %v, want \"no recoverable store\"", err)
+	}
+	for _, pair := range [][2]*Machine{{lfs, cc}, {cc, lfs}, {lfs, direct}, {cc, direct}} {
+		if err := pair[0].VerifyRecovery(pair[1]); err == nil || !strings.Contains(err.Error(), "cannot be verified against") {
+			t.Errorf("%T against %T: %v, want a refusal", pair[0].store, pair[1].store, err)
+		}
 	}
 }
 
@@ -418,6 +427,11 @@ func TestSnapshotRejectsForgedState(t *testing.T) {
 	if _, err := Restore(tc.cfg, patched("\x02\x00\x00\x00vm", 4+8+4+8+4, 9), tc.opts...); err == nil || !strings.Contains(err.Error(), "unknown state 9") {
 		t.Errorf("forged page state: err = %v, want the unknown-state complaint", err)
 	}
+	// The swap file's name is followed by its id, base and size.
+	var se *fs.SizeError
+	if _, err := Restore(tc.cfg, patched("swap.clustered", 4+8, binary.LittleEndian.AppendUint64(nil, 1<<40)...), tc.opts...); !errors.As(err, &se) || se.Size != 1<<40 {
+		t.Errorf("forged file size: err = %v, want a *fs.SizeError", err)
+	}
 }
 
 // cacheFrame returns a frame the pool records as owned by the compression
@@ -438,12 +452,22 @@ func cacheFrame(t *testing.T, m *Machine) mem.FrameID {
 func FuzzRestore(f *testing.F) {
 	cases := snapshotConfigs()
 	names := []string{"cc", "direct", "lfs"}
+	files := []string{"swap.clustered", "swap.seg0", "swap.lfs"} // each configuration's swap file
 	for i, name := range names {
 		blob := snapshotBlobs(f)[name]
 		f.Add(uint8(i), blob[:len(blob)-4])
 		for _, body := range hostileKeyBodies(f, name, blob[:len(blob)-4]) {
 			f.Add(uint8(i), body)
 		}
+		// The swap file claims a size past its extent; recovery and
+		// compaction size their sweeps from it.
+		forged := bytes.Clone(blob[:len(blob)-4])
+		at := bytes.Index(forged, []byte(files[i]))
+		if at < 0 {
+			f.Fatalf("%s snapshot names no file %q", name, files[i])
+		}
+		binary.LittleEndian.PutUint64(forged[at+len(files[i])+4+8:], 1<<40) // past the file's id and base
+		f.Add(uint8(i), forged)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		tc := cases[names[int(which)%len(names)]]

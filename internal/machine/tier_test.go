@@ -15,9 +15,10 @@ import (
 
 // fakeTier is an in-memory Tier that honours the contract the machine relies
 // on — it copies what it keeps, returns Sum untouched — and lets a test reach
-// behind the machine's back: refuse every Put, edit or drop a held payload,
-// attach pages that come along with a Get. Buffers are recycled so the
-// steady-state allocation tests can run with it attached.
+// behind the machine's back: refuse every Put (and fail every transfer of a
+// page it holds), edit or drop a held payload, attach pages that come along
+// with a Get. Buffers are recycled so the steady-state allocation tests can
+// run with it attached.
 type fakeTier struct {
 	pages  map[swap.PageKey]swap.Item
 	along  map[swap.PageKey][]swap.Item
@@ -44,9 +45,12 @@ func (f *fakeTier) Put(it swap.Item) error {
 	return nil
 }
 
-func (f *fakeTier) Get(key swap.PageKey) (swap.Item, []swap.Item, bool, error) {
+func (f *fakeTier) Get(key swap.PageKey, _ []byte) ([]byte, bool, uint32, []swap.Item, bool, error) {
 	it, ok := f.pages[key]
-	return it, f.along[key], ok, nil
+	if ok && f.refuse {
+		return nil, false, 0, nil, true, errRefused
+	}
+	return it.Data, it.Compressed, it.Sum, f.along[key], ok, nil
 }
 
 func (f *fakeTier) Has(key swap.PageKey) bool {
@@ -239,11 +243,11 @@ func TestTierChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.read(pg.Key.Page)
-			if !r.fake.Has(pg.Key) || !r.m.clustered.Has(pg.Key) {
+			if !r.fake.Has(pg.Key) || !r.m.store.Has(pg.Key) {
 				t.Fatal("a clean fault dropped a copy below")
 			}
 			r.s.WriteWord(int64(pg.Key.Page)*4096, 42)
-			if r.fake.Has(pg.Key) || r.m.clustered.Has(pg.Key) {
+			if r.fake.Has(pg.Key) || r.m.store.Has(pg.Key) {
 				t.Fatal("a stale copy survived the first modification")
 			}
 		}},
@@ -270,6 +274,139 @@ func TestTierChain(t *testing.T) {
 	}
 }
 
+// tierRows builds every Tier in the package the way a machine gets it: the
+// three stores from a machine of their own (idle — no segment ever pages
+// through it), the fake as tests attach it. broke makes every device transfer
+// from then on fail, so a Put is refused and a held page cannot be delivered.
+var tierRows = []struct {
+	name string
+	raw  bool // keeps whole pages with no sum and delivers into the frame
+	new  func(t *testing.T) (tier Tier, broke func())
+}{
+	{"direct", true, storeOf(Default(mb))},
+	{"lfs", true, storeOf(Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 4 * 4096}))},
+	{"clustered", false, storeOf(Default(mb).WithCC())},
+	{"fake", false, func(*testing.T) (Tier, func()) {
+		f := newFakeTier()
+		return f, func() { f.refuse = true }
+	}},
+}
+
+func storeOf(cfg Config) func(t *testing.T) (Tier, func()) {
+	return func(t *testing.T) (Tier, func()) {
+		m := newMachine(t, cfg.WithFaults(fault.Config{Seed: 1, ReadErrorRate: 1, WriteErrorRate: 1, ActiveAfter: faultWindow}))
+		t.Cleanup(func() {
+			if err := m.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+		return m.store, func() { m.Drain(); m.Clock.Advance(faultWindow) }
+	}
+}
+
+// TestTierContract holds every Tier to what the chain relies on. A random
+// stream of Put, Get and Invalidate over a few keys runs against the tier and
+// a plain map of the items last put: after every step Has agrees with the map
+// and Get returns the item — the bytes, and for a tier that carries one the
+// flag and the sum exactly as given, which is never a real checksum here. A
+// raw tier's bytes arrive in the frame it was handed, with no staging copy;
+// no other tier touches that frame. Then the device breaks: a held page is
+// still held but cannot be delivered, a page never put is still a clean miss,
+// and a refused Put leaves nothing behind.
+func TestTierContract(t *testing.T) {
+	for _, row := range tierRows {
+		t.Run(row.name, func(t *testing.T) {
+			tier, broke := row.new(t)
+			rng := rand.New(rand.NewSource(5))
+			model := map[swap.PageKey]swap.Item{}
+			frame := make([]byte, 4096)
+			get := func(key swap.PageKey) (swap.Item, bool, error) {
+				for i := range frame {
+					frame[i] = 0xEE
+				}
+				it := swap.Item{Key: key}
+				var ok bool
+				var err error
+				it.Data, it.Compressed, it.Sum, _, ok, err = tier.Get(key, frame)
+				if row.raw && ok && err == nil && &it.Data[0] != &frame[0] {
+					t.Fatalf("Get(%v) staged the page instead of filling the frame", key)
+				}
+				if !row.raw && bytes.Count(frame, []byte{0xEE}) != len(frame) {
+					t.Fatalf("Get(%v) wrote into the frame", key)
+				}
+				return it, ok, err
+			}
+			newItem := func(key swap.PageKey) swap.Item {
+				it := swap.Item{Key: key, Data: make([]byte, 4096)}
+				if !row.raw {
+					it.Sum = rng.Uint32()
+					if it.Compressed = rng.Intn(2) == 0; it.Compressed {
+						it.Data = it.Data[:16+rng.Intn(3000)]
+					}
+				}
+				rng.Read(it.Data)
+				return it
+			}
+			for step := 0; step < 600; step++ {
+				key := swap.PageKey{Seg: int32(rng.Intn(2)), Page: int32(rng.Intn(24))}
+				switch rng.Intn(4) {
+				case 0, 1:
+					it := newItem(key)
+					if err := tier.Put(it); err != nil {
+						t.Fatalf("step %d: Put(%v): %v", step, key, err)
+					}
+					model[key] = it
+				case 2:
+					tier.Invalidate(key)
+					delete(model, key)
+				}
+				want, held := model[key]
+				if tier.Has(key) != held {
+					t.Fatalf("step %d: Has(%v) = %t, want %t", step, key, !held, held)
+				}
+				got, ok, err := get(key)
+				if ok != held || err != nil {
+					t.Fatalf("step %d: Get(%v) = %t, %v; want %t, nil", step, key, ok, err, held)
+				}
+				if held && (!bytes.Equal(got.Data, want.Data) || got.Compressed != want.Compressed || got.Sum != want.Sum) {
+					t.Fatalf("step %d: Get(%v) returned %d bytes, compressed %t, sum %08x; put %d bytes, %t, %08x",
+						step, key, len(got.Data), got.Compressed, got.Sum, len(want.Data), want.Compressed, want.Sum)
+				}
+			}
+
+			var old swap.PageKey // held since before the last 16 puts: on the device, not in a store buffer
+			for key := range model {
+				old = key
+				break
+			}
+			for page := int32(100); page < 116; page++ {
+				if err := tier.Put(newItem(swap.PageKey{Seg: 2, Page: page})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			broke()
+			if _, ok, err := get(old); !ok || err == nil {
+				t.Errorf("broken Get of a held page = %t, %v; want true and the failure", ok, err)
+			}
+			if _, ok, err := get(swap.PageKey{Seg: 3}); ok || err != nil {
+				t.Errorf("broken Get of a page never put = %t, %v; want a clean miss", ok, err)
+			}
+			// A log takes pages into its buffer until the segment is due.
+			for page := int32(200); ; page++ {
+				key := swap.PageKey{Seg: 2, Page: page}
+				if err := tier.Put(newItem(key)); err != nil {
+					if tier.Has(key) {
+						t.Errorf("Put(%v) was refused (%v) and the tier holds the page", key, err)
+					}
+					break
+				} else if !tier.Has(key) || page == 216 {
+					t.Fatalf("Put(%v) on a broken device: no error, Has = %t", key, tier.Has(key))
+				}
+			}
+		})
+	}
+}
+
 // TestSnapshotRefusesRemoteTier: pages only the remote tier holds are not in
 // a snapshot, so both directions refuse up front and say why — instead of
 // Restore failing late on "restored state fails invariants".
@@ -288,5 +425,16 @@ func TestSnapshotRefusesRemoteTier(t *testing.T) {
 	}
 	if _, err := Restore(cfg, blob); err != nil {
 		t.Fatalf("Restore without the tier: %v", err)
+	}
+}
+
+// TestRemoteTierNeedsACompressionCache: fleet memory holds summed travel-form
+// items, which only a compression-cache machine produces; New says so rather
+// than drop the option.
+func TestRemoteTierNeedsACompressionCache(t *testing.T) {
+	for _, cfg := range []Config{Default(mb), Default(mb).WithLFS(swap.LFSConfig{})} {
+		if _, err := New(cfg, WithRemote(newFakeTier())); err == nil || !strings.Contains(err.Error(), "WithRemote needs a compression cache") {
+			t.Errorf("New(baseline, WithRemote) = %v, want a refusal", err)
+		}
 	}
 }

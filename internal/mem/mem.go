@@ -113,7 +113,13 @@ func (p *Pool) Alloc(o Owner) (FrameID, bool) {
 		return NoFrame, false
 	}
 	id := p.free[len(p.free)-1]
-	p.checkLoan(id, o)
+	if id == p.lent && (o == VM || o == FS) {
+		// Invariant: nothing reachable from PageOut or Store allocates for VM
+		// or FS; if that changed, the lent page would be overwritten while it
+		// is being compressed or written out. Checked here — once per fault,
+		// never per reference — so Bytes and ownerOf stay inlineable.
+		panic(fmt.Sprintf("mem: frame %d is on loan and cannot go to %v, which writes frame bytes", id, o))
+	}
 	p.free = p.free[:len(p.free)-1]
 	p.owner[id] = o
 	p.counts[Free]--
@@ -136,33 +142,13 @@ func (p *Pool) Release(id FrameID) {
 	p.free = append(p.free, id)
 }
 
-// Transfer reassigns a frame from its current owner to o without it passing
-// through the free list. The eviction path uses this when a frame moves
-// between the VM system and the compression cache in one step.
-func (p *Pool) Transfer(id FrameID, o Owner) {
-	if o == Free || o >= numOwners {
-		// Invariant: owners are compile-time constants (see Alloc).
-		panic(fmt.Sprintf("mem: Transfer to invalid owner %v", o))
-	}
-	cur := p.ownerOf(id)
-	if cur == Free {
-		// Invariant: transferring a free frame is accounting corruption,
-		// like a double release — fail loudly, never degrade.
-		panic(fmt.Sprintf("mem: Transfer of free frame %d", id))
-	}
-	p.checkLoan(id, o)
-	p.counts[cur]--
-	p.counts[o]++
-	p.owner[id] = o
-}
-
 // Lend releases frame id and opens a loan on its bytes, which it returns:
 // they still hold the page id's owner is evicting and stay intact until
 // EndLoan. Releasing first lets whoever absorbs the page take that very frame
 // (the compression cache growing by one to hold it), which is safe for CC and
 // Kernel: their frames are accounting only — the cache keeps entry bytes in
 // its own slabs. VM (a fault fills the frame) and FS (a buffer-cache block)
-// do write frame bytes, so checkLoan refuses them the frame meanwhile.
+// do write frame bytes, so Alloc refuses them the frame meanwhile.
 func (p *Pool) Lend(id FrameID) []byte {
 	if p.lent != NoFrame {
 		// Invariant: a loan spans one PageOut or one compressed-block Store,
@@ -181,17 +167,6 @@ func (p *Pool) EndLoan() {
 		panic("mem: EndLoan with no frame on loan")
 	}
 	p.lent = NoFrame
-}
-
-// checkLoan guards Alloc and Transfer — once per fault, never per reference,
-// so Bytes and ownerOf stay free of it and inlineable.
-func (p *Pool) checkLoan(id FrameID, o Owner) {
-	if id == p.lent && (o == VM || o == FS) {
-		// Invariant: nothing reachable from PageOut or Store allocates for VM
-		// or FS; if that changed, the lent page would be overwritten while it
-		// is being compressed or written out.
-		panic(fmt.Sprintf("mem: frame %d is on loan and cannot go to %v, which writes frame bytes", id, o))
-	}
 }
 
 // Owner reports the current owner of a frame.

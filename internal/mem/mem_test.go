@@ -42,18 +42,6 @@ func TestPoolExhaustion(t *testing.T) {
 	}
 }
 
-func TestTransfer(t *testing.T) {
-	p := NewPool(2, 512)
-	f, _ := p.Alloc(VM)
-	p.Transfer(f, CC)
-	if p.Owner(f) != CC || p.OwnedBy(VM) != 0 || p.OwnedBy(CC) != 1 {
-		t.Fatalf("transfer bookkeeping wrong: %v", p.Owner(f))
-	}
-	if err := p.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFrameBytesAreDistinct(t *testing.T) {
 	p := NewPool(3, 64)
 	a, _ := p.Alloc(VM)
@@ -82,7 +70,6 @@ func TestPanics(t *testing.T) {
 	mustPanic(t, "double release", func() { p.Release(f) })
 	mustPanic(t, "alloc free owner", func() { p.Alloc(Free) })
 	mustPanic(t, "bad frame id", func() { p.Bytes(99) })
-	mustPanic(t, "transfer of free frame", func() { p.Transfer(f, CC) })
 	mustPanic(t, "bad geometry", func() { NewPool(0, 64) })
 }
 
@@ -95,14 +82,14 @@ func TestOwnerString(t *testing.T) {
 	}
 }
 
-// Random alloc/release/transfer churn must preserve conservation.
+// Random alloc/release churn must preserve conservation.
 func TestConservationUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := NewPool(64, 128)
 	var held []FrameID
 	owners := []Owner{VM, CC, FS}
 	for i := 0; i < 10000; i++ {
-		switch rng.Intn(3) {
+		switch rng.Intn(2) {
 		case 0:
 			if f, ok := p.Alloc(owners[rng.Intn(3)]); ok {
 				held = append(held, f)
@@ -112,10 +99,6 @@ func TestConservationUnderChurn(t *testing.T) {
 				i := rng.Intn(len(held))
 				p.Release(held[i])
 				held = append(held[:i], held[i+1:]...)
-			}
-		case 2:
-			if len(held) > 0 {
-				p.Transfer(held[rng.Intn(len(held))], owners[rng.Intn(3)])
 			}
 		}
 	}
@@ -159,8 +142,8 @@ func TestLoan(t *testing.T) {
 		if !ok || got != f {
 			t.Fatalf("Alloc(%v) = %d, %t; want the lent frame %d", o, got, ok, f)
 		}
-		mustPanic(t, "lent frame transferred to VM", func() { p.Transfer(f, VM) })
 		p.Release(f)
+		mustPanic(t, "lent frame to VM once "+o.String()+" has given it back", func() { p.Alloc(VM) })
 	}
 	if string(data[:4]) != "page" {
 		t.Errorf("lent bytes changed to %q", data[:4])

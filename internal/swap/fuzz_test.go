@@ -67,33 +67,62 @@ func damaged(valid []byte) (torn, flipped []byte) {
 	return valid[:len(valid)/2], flipped
 }
 
-// fuzzSeed is one seed input and the name of its checked-in corpus file.
+// fuzzSeed is one seed input and the name of its checked-in corpus file. The
+// recovery targets take the swap file's platter contents and the size the
+// media image claims for the file.
 type fuzzSeed struct {
 	name string
 	data []byte
+	size int64
 }
+
+// mediaSeeds gives each image the size writing it would have left, and adds
+// the sizes only a forged image carries: negative, past the file's extent,
+// and inside the extent but beyond anything written.
+func mediaSeeds(valid []byte, seeds ...fuzzSeed) []fuzzSeed {
+	for i := range seeds {
+		seeds[i].size = blockCeil(len(seeds[i].data))
+	}
+	return append(seeds,
+		fuzzSeed{"size-negative", valid, -1},
+		fuzzSeed{"size-past-extent", valid, 1 << 40},
+		fuzzSeed{"size-beyond-contents", valid, blockCeil(len(valid)) + 64<<10})
+}
+
+func blockCeil(n int) int64 { return int64(n+4095) &^ 4095 }
 
 // lfsSeeds is FuzzRecoverLFS's seed corpus.
 func lfsSeeds(tb testing.TB) []fuzzSeed {
 	valid := durableLFSImage(tb, 24)
 	torn, flipped := damaged(valid)
-	return []fuzzSeed{
-		{"empty", []byte{}},
-		{"garbage", []byte("not a log segment")},
-		{"valid-image", valid},
-		{"torn-half", torn},
-		{"bit-flipped", flipped},
-		{"short-header", valid[:100]},
-		{"hostile-keys", durableLFSImage(tb, 6, hostileKeys...)},
-	}
+	return mediaSeeds(valid,
+		fuzzSeed{name: "empty", data: []byte{}},
+		fuzzSeed{name: "garbage", data: []byte("not a log segment")},
+		fuzzSeed{name: "valid-image", data: valid},
+		fuzzSeed{name: "torn-half", data: torn},
+		fuzzSeed{name: "bit-flipped", data: flipped},
+		fuzzSeed{name: "short-header", data: valid[:100]},
+		fuzzSeed{name: "hostile-keys", data: durableLFSImage(tb, 6, hostileKeys...)})
 }
 
 // fuzzMedia builds a fresh file system; a non-empty img becomes the platter
 // contents of the swap file called name.
 func fuzzMedia(tb testing.TB, name string, img []byte) (*fs.FS, *mem.Pool, *sim.Clock) {
 	tb.Helper()
-	if len(img) > 1<<20 {
-		tb.Skip("image larger than the simulated platter budget")
+	fsys, pool, clock, err := imageMedia(tb, name, img, blockCeil(len(img)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fsys, pool, clock
+}
+
+// imageMedia boots a fresh file system from a media image whose one file is
+// called name, holds img and claims to be size bytes long; with neither
+// contents nor a size the media has no file at all. The error is LoadImage's.
+func imageMedia(tb testing.TB, name string, img []byte, size int64) (*fs.FS, *mem.Pool, *sim.Clock, error) {
+	tb.Helper()
+	if len(img) > 1<<20 || (size > 1<<20 && size <= 1<<30) {
+		tb.Skip("image larger than the simulated platter budget (recovery sweeps every byte a valid size claims)")
 	}
 	clock := new(sim.Clock)
 	d, err := disk.New(disk.RZ57(), clock)
@@ -105,29 +134,34 @@ func fuzzMedia(tb testing.TB, name string, img []byte) (*fs.FS, *mem.Pool, *sim.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if len(img) > 0 {
-		// Raw device transfers are block-granular; zero-pad the tail. The
-		// padding reads back as an unwritten region, like real media.
-		n := (len(img) + 4095) &^ 4095
-		buf := make([]byte, n)
-		copy(buf, img)
-		if err := fsys.Create(name).RawWrite(buf, 0, n); err != nil {
-			tb.Fatal(err)
-		}
+	if len(img) == 0 && size == 0 {
+		return fsys, pool, clock, nil
 	}
-	return fsys, pool, clock
+	// Platter blocks are whole; zero-pad the tail. The padding reads back as
+	// an unwritten region, like real media.
+	file := fs.FileImage{Name: name, Size: size}
+	for off := 0; off < len(img); off += 4096 {
+		block := make([]byte, 4096)
+		copy(block, img[off:])
+		file.Blocks = append(file.Blocks, fs.BlockImage{Block: int64(off / 4096), Data: block})
+	}
+	return fsys, pool, clock, fsys.LoadImage(&fs.Image{Files: []fs.FileImage{file}})
 }
 
 // FuzzRecoverLFS feeds arbitrary bytes to the mount-time log scan as the
-// swap file's platter contents. Whatever the media holds — valid images,
-// torn tails, bit flips, garbage — recovery must not panic, and any store it
-// does return must pass CheckConsistency.
+// swap file's platter contents, under an arbitrary file size. Whatever the
+// media holds — valid images, torn tails, bit flips, garbage, a forged size —
+// the reboot must not panic, and any store it does return must pass
+// CheckConsistency.
 func FuzzRecoverLFS(f *testing.F) {
 	for _, seed := range lfsSeeds(f) {
-		f.Add(seed.data)
+		f.Add(seed.data, seed.size)
 	}
-	f.Fuzz(func(t *testing.T, img []byte) {
-		fsys, pool, clock := fuzzMedia(t, "swap.lfs", img)
+	f.Fuzz(func(t *testing.T, img []byte, size int64) {
+		fsys, pool, clock, err := imageMedia(t, "swap.lfs", img, size)
+		if err != nil {
+			return
+		}
 		l, rep, err := RecoverLFS(fuzzLFSConfig(), fsys, pool, nil, clock)
 		if err != nil {
 			return // rejecting the image is a valid outcome; panicking is not
@@ -205,15 +239,14 @@ func wrappedExtentRecord() []byte {
 func clusteredSeeds(tb testing.TB) []fuzzSeed {
 	valid := durableClusteredImage(tb, 24)
 	torn, flipped := damaged(valid)
-	return []fuzzSeed{
-		{"empty", []byte{}},
-		{"garbage", []byte("not a commit record")},
-		{"valid-image", valid},
-		{"torn-half", torn},
-		{"bit-flipped", flipped},
-		{"wrapped-extent", wrappedExtentRecord()},
-		{"hostile-keys", durableClusteredImage(tb, 6, hostileKeys...)},
-	}
+	return mediaSeeds(valid,
+		fuzzSeed{name: "empty", data: []byte{}},
+		fuzzSeed{name: "garbage", data: []byte("not a commit record")},
+		fuzzSeed{name: "valid-image", data: valid},
+		fuzzSeed{name: "torn-half", data: torn},
+		fuzzSeed{name: "bit-flipped", data: flipped},
+		fuzzSeed{name: "wrapped-extent", data: wrappedExtentRecord()},
+		fuzzSeed{name: "hostile-keys", data: durableClusteredImage(tb, 6, hostileKeys...)})
 }
 
 // FuzzRecoverClustered is FuzzRecoverLFS for the clustered store's mount
@@ -223,10 +256,13 @@ func clusteredSeeds(tb testing.TB) []fuzzSeed {
 // stay consistent through a compaction.
 func FuzzRecoverClustered(f *testing.F) {
 	for _, seed := range clusteredSeeds(f) {
-		f.Add(seed.data)
+		f.Add(seed.data, seed.size)
 	}
-	f.Fuzz(func(t *testing.T, img []byte) {
-		fsys, _, clock := fuzzMedia(t, "swap.clustered", img)
+	f.Fuzz(func(t *testing.T, img []byte, size int64) {
+		fsys, _, clock, err := imageMedia(t, "swap.clustered", img, size)
+		if err != nil {
+			return
+		}
 		c, rep, err := RecoverClustered(fuzzClusteredConfig(), fsys, nil, clock)
 		if err != nil {
 			return // rejecting the image is a valid outcome; panicking is not
@@ -286,10 +322,11 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for _, target := range []struct {
 		name  string
 		seeds func(testing.TB) []fuzzSeed
+		sized bool // the target takes the file size after the bytes
 	}{
-		{"FuzzRecoverLFS", lfsSeeds},
-		{"FuzzRecoverClustered", clusteredSeeds},
-		{"FuzzPageTable", pageTableSeeds},
+		{"FuzzRecoverLFS", lfsSeeds, true},
+		{"FuzzRecoverClustered", clusteredSeeds, true},
+		{"FuzzPageTable", pageTableSeeds, false},
 	} {
 		dir := filepath.Join("testdata", "fuzz", target.name)
 		if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
@@ -304,6 +341,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 		for _, seed := range target.seeds(t) {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.data)
+			if target.sized {
+				body += fmt.Sprintf("int64(%d)\n", seed.size)
+			}
 			if err := os.WriteFile(filepath.Join(dir, seed.name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}

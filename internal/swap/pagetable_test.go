@@ -111,7 +111,7 @@ func pageTableSeeds(testing.TB) []fuzzSeed {
 		edge = append(edge, op(0, 0, i<<2|2)...)
 		edge = append(edge, op(0, 0, (i*1000)<<2|1)...)
 	}
-	return []fuzzSeed{{"empty", nil}, {"dense", dense}, {"hostile-keys", hostile}, {"edge", edge}}
+	return []fuzzSeed{{name: "empty"}, {name: "dense", data: dense}, {name: "hostile-keys", data: hostile}, {name: "edge", data: edge}}
 }
 
 func FuzzPageTable(f *testing.F) {

@@ -126,3 +126,15 @@ func (d *Direct) Invalidate(key PageKey) { d.present.Delete(key) }
 
 // Stats returns a snapshot of the store's counters.
 func (d *Direct) Stats() stats.Swap { return d.st }
+
+// CheckConsistency validates the present set against the swap files: every
+// page the store claims to hold was written into its segment's file.
+func (d *Direct) CheckConsistency() (err error) {
+	d.present.Range(func(key PageKey, _ struct{}) {
+		if uint(key.Seg) >= uint(len(d.files)) || d.files[key.Seg] == nil || key.Page < 0 ||
+			(int64(key.Page)+1)*int64(d.pageSize) > d.files[key.Seg].Size() {
+			err = fmt.Errorf("swap: direct holds %v, which was never written to a swap file", key)
+		}
+	})
+	return err
+}

@@ -126,6 +126,25 @@ func TestDirectSegmentsIsolated(t *testing.T) {
 	}
 }
 
+// A present page with no swap file behind it, or past what was written of
+// one, is what a forged snapshot leaves; reading it would create the file or
+// leave its extent.
+func TestDirectCheckConsistency(t *testing.T) {
+	fsys, _, _ := newFS(t, fs.Options{})
+	d, _ := NewDirect(fsys, 4096)
+	d.Write(PageKey{1, 7}, page(1, 4096))
+	if err := d.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range append([]PageKey{{Seg: 1, Page: 8}, {Seg: 0, Page: 0}, {Seg: 2, Page: 0}}, hostileKeys...) {
+		d.present.Set(key, struct{}{})
+		if err := d.CheckConsistency(); err == nil {
+			t.Errorf("present set names %v, never written: no complaint", key)
+		}
+		d.present.Delete(key)
+	}
+}
+
 func TestDirectBadGeometry(t *testing.T) {
 	fsys, _, _ := newFS(t, fs.Options{})
 	if _, err := NewDirect(fsys, 1000); err == nil {
