@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"compcache/internal/cluster"
+	"compcache/internal/compress"
 	"compcache/internal/machine"
 	"compcache/internal/netdev"
 	"compcache/internal/sim"
@@ -20,7 +22,9 @@ import (
 // fault brings a page back over the network. Once the directory entries, the
 // tier entries and the kernel's event heap have reached their working size,
 // a fleet of one and a fleet of four allocate nothing, and the window's own
-// counters show that fleet memory and the server tier are what it drove.
+// counters show that fleet memory and the server tier are what it drove —
+// and, every touch being a write, that the codec ran for every compression
+// the members were charged (the compress memo serves clean pages only).
 func TestFleetSteadyStateZeroAllocs(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("machines=%d", n), func(t *testing.T) {
@@ -45,6 +49,9 @@ func TestFleetSteadyStateZeroAllocs(t *testing.T) {
 			if w.tier == 0 {
 				t.Error("the measured touches never used the server tier (TierHits+Demotions)")
 			}
+			if w.ran == 0 || w.ran != w.compressions {
+				t.Errorf("%d compressions of rewritten pages and the codec ran %d times; want them equal", w.compressions, w.ran)
+			}
 		})
 	}
 }
@@ -52,16 +59,18 @@ func TestFleetSteadyStateZeroAllocs(t *testing.T) {
 const steadyTouches = 2048
 
 // fleetWindow is what the measured touches of every member added up to.
-type fleetWindow struct{ mallocs, remoteIns, tier uint64 }
+type fleetWindow struct{ mallocs, remoteIns, tier, compressions, ran uint64 }
 
 // count reads the counters that show a fleet paged through fleet memory and
 // the server's tier.
 func (w *fleetWindow) count(c *cluster.Cluster, ms *runtime.MemStats) {
 	runtime.ReadMemStats(ms)
 	st := c.Server().Stats()
-	*w = fleetWindow{mallocs: ms.Mallocs, tier: st.TierHits + st.Demotions}
+	*w = fleetWindow{mallocs: ms.Mallocs, tier: st.TierHits + st.Demotions, ran: counted.calls.Load()}
 	for i := 0; i < c.Size(); i++ {
-		w.remoteIns += c.Machine(i).Stats().VM.RemoteIns
+		run := c.Machine(i).Stats()
+		w.remoteIns += run.VM.RemoteIns
+		w.compressions += run.Comp.Compressions
 	}
 }
 
@@ -82,6 +91,7 @@ func steadyFleet(t *testing.T, n int) fleetWindow {
 		MemoryBytes:    32 * 4096,
 		Link:           netdev.Ethernet10(),
 		Server:         srv,
+		Codec:          counted.Name(),
 		Seed:           17,
 		DonationFrames: 4,
 	})
@@ -140,5 +150,26 @@ func steadyFleet(t *testing.T, n int) fleetWindow {
 		mallocs:   after.mallocs - before.mallocs,
 		remoteIns: after.remoteIns - before.remoteIns,
 		tier:      after.tier - before.tier,
+
+		compressions: after.compressions - before.compressions,
+		ran:          after.ran - before.ran,
 	}
 }
+
+// countedCodec is the default codec counting its Compress calls, the twin of
+// the one the machine package's rows register.
+type countedCodec struct {
+	compress.LZRW1
+	calls atomic.Uint64
+}
+
+func (c *countedCodec) Name() string { return "counted-lzrw1" }
+
+func (c *countedCodec) Compress(dst, src []byte) []byte {
+	c.calls.Add(1)
+	return c.LZRW1.Compress(dst, src)
+}
+
+var counted = new(countedCodec)
+
+func init() { compress.Register(counted) }

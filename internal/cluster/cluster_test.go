@@ -14,9 +14,10 @@ import (
 	"compcache/internal/runner"
 )
 
-// fleetPopulate is phase 1 of each member's program: write an incompressible
-// working set several times physical memory (every eviction must leave the
-// machine), tagging every page.
+// fleetPopulate is phase 1 of each member's program: write a working set
+// several times physical memory, tagging every page. Three pages in four are
+// incompressible (every eviction of one must leave the machine); the fourth
+// is noise over zeros and goes through the member's own compression cache.
 func fleetPopulate(m *machine.Machine, pages int32, seed int64) (*machine.Space, *rand.Rand) {
 	ps := int64(m.Config().PageSize)
 	s := m.NewSegment("fleet", int64(pages)*ps)
@@ -24,6 +25,9 @@ func fleetPopulate(m *machine.Machine, pages int32, seed int64) (*machine.Space,
 	buf := make([]byte, ps)
 	for p := int32(0); p < pages; p++ {
 		rng.Read(buf)
+		if p%4 == 3 {
+			clear(buf[ps/4:])
+		}
 		s.Write(int64(p)*ps, buf)
 		s.WriteWord(int64(p)*ps, tag(seed, p))
 	}
@@ -91,6 +95,13 @@ func runFleet(cfg cluster.Config, pages int32, cycle bool) (*cluster.Cluster, er
 	}
 	if err := c.CheckInvariants(); err != nil {
 		return nil, err
+	}
+	// The verify sweeps leave each member full of clean pages; the ones that
+	// came back compressed are remembered that way (machine/memo.go).
+	for i := 0; i < c.Size(); i++ {
+		if err := c.Machine(i).VerifyCompressMemo(); err != nil {
+			return nil, fmt.Errorf("machine %d: %w", i, err)
+		}
 	}
 	return c, nil
 }

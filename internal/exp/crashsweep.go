@@ -131,6 +131,11 @@ func crashTrial(cfg machine.Config, w workload.Workload, seed int64, k uint64) (
 	if merr := m.Err(); merr != nil && !fault.IsCrash(merr) {
 		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: machine died of a non-crash error: %w", k, merr)
 	}
+	// Wherever the cut fell, what the dead machine remembers of its clean
+	// pages' compressed forms is what the codec makes of them.
+	if err := m.VerifyCompressMemo(); err != nil {
+		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: %w", k, err)
+	}
 
 	reborn, err := machine.NewFromMedia(cfg, m.FS.Image())
 	if err != nil {

@@ -99,6 +99,12 @@ type FS struct {
 	pool  *mem.Pool
 	ccb   CompressedBlockCache
 
+	// rawGran is the raw transfer granularity, fixed at New: BlockSize, or
+	// the device's under AllowPartialIO. When it is a power of two — it always
+	// is today — rawMask is rawGran-1 and checkRaw's alignment test is one AND;
+	// otherwise rawMask is -1 and checkRaw divides.
+	rawGran, rawMask int64
+
 	// frameSource obtains a frame for the buffer cache, reclaiming one from
 	// some consumer if the pool is empty. The machine wires this to the
 	// replacement policy after construction.
@@ -162,6 +168,13 @@ func New(opts Options, d Device, clock *sim.Clock, pool *mem.Pool) (*FS, error) 
 			files: make(map[string]*File),
 			cache: make(map[blockKey]*cacheBlock),
 		},
+	}
+	f.rawGran, f.rawMask = int64(opts.BlockSize), -1
+	if opts.AllowPartialIO {
+		f.rawGran = int64(d.Granularity())
+	}
+	if f.rawGran&(f.rawGran-1) == 0 {
+		f.rawMask = f.rawGran - 1
 	}
 	f.frameSource = func(o mem.Owner) (mem.FrameID, error) {
 		id, ok := pool.Alloc(o)
@@ -455,11 +468,12 @@ func (fs *FS) getBlock(f *File, block int64, fill bool) (*cacheBlock, error) {
 // checkRaw validates raw transfer geometry against the whole-block rule and
 // the file's disk extent.
 func (fs *FS) checkRaw(off int64, n int) {
-	gran := int64(fs.opts.BlockSize)
-	if fs.opts.AllowPartialIO {
-		gran = int64(fs.disk.Granularity())
+	gran := fs.rawGran
+	misaligned := (off|int64(n))&fs.rawMask != 0
+	if fs.rawMask < 0 {
+		misaligned = off%gran != 0 || int64(n)%gran != 0
 	}
-	if off%gran != 0 || int64(n)%gran != 0 {
+	if misaligned {
 		// Invariant: the swap layers size every raw transfer from BlockSize
 		// (or sector size under AllowPartialIO) at construction time, so a
 		// misaligned transfer is a programming error in a swap layer, not a

@@ -231,6 +231,40 @@ func TestRawGranularityEnforced(t *testing.T) {
 	f.RawWrite(make([]byte, 1024), 0, 1024)
 }
 
+// checkRaw tests alignment with a mask when the granularity is a power of two
+// and by division when it is not; both refuse the same transfers, for the
+// same reason, negative geometry included.
+func TestRawGeometryMaskAndModuloAgree(t *testing.T) {
+	for _, bs := range []int64{4096, 1536} {
+		fsys, _, _, _ := newTestFS(t, Options{BlockSize: int(bs)})
+		if masked := fsys.rawMask >= 0; masked != (bs == 4096) {
+			t.Fatalf("block size %d: rawMask %d", bs, fsys.rawMask)
+		}
+		for _, c := range []struct {
+			off, n int64
+			want   string // what the panic says, "" for none
+		}{
+			{0, bs, ""}, {3 * bs, 2 * bs, ""}, {0, 0, ""},
+			{1, bs, "granularity"}, {bs, bs - 1, "granularity"}, {bs / 2, bs, "granularity"},
+			{-1, bs, "granularity"}, {0, -1, "granularity"},
+			{-bs, bs, "extent"}, {0, -bs, "extent"}, {fileExtent / bs * bs, bs, "extent"},
+		} {
+			got := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = r.(string)
+					}
+				}()
+				fsys.checkRaw(c.off, int(c.n))
+				return ""
+			}()
+			if (c.want == "") != (got == "") || !strings.Contains(got, c.want) {
+				t.Errorf("block size %d: raw I/O of %d at %d: panic %q, want one about %q", bs, c.n, c.off, got, c.want)
+			}
+		}
+	}
+}
+
 func TestRawPartialIOAllowed(t *testing.T) {
 	fsys, _, _, _ := newTestFS(t, Options{AllowPartialIO: true})
 	f := fsys.Create("loose")

@@ -3,8 +3,10 @@ package machine
 import (
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"compcache/internal/compress"
 	"compcache/internal/stats"
 	"compcache/internal/swap"
 )
@@ -15,11 +17,11 @@ import (
 // stays off the garbage collector: the machine compresses into a per-machine
 // scratch buffer, core.Cache copies into recycled slabs and recycles its
 // entry and frame bookkeeping, the stores clean and compact out of scratch
-// they own, and the codecs pool theirs. steadyRows pins that for every store
-// shape a machine pages through by running it. Nothing reads the source for
-// allocation sites, so a row sees only what it drives — and therefore proves,
-// from the machine's own counters over the measured touches, that the path
-// it names is the path it drove.
+// they own, the codecs pool theirs, and the compress memo is one slab.
+// steadyRows pins that for every store shape a machine pages through by
+// running it. Nothing reads the source for allocation sites, so a row sees
+// only what it drives — and therefore proves, from the machine's own counters
+// over the measured touches, that the path it names is the path it drove.
 
 // counter is one monotonic reading of a machine's statistics.
 type counter struct {
@@ -167,13 +169,20 @@ func steadyCycle(t *testing.T, writes bool) {
 			if row.tier {
 				opts = append(opts, WithRemote(newFakeTier()))
 			}
-			m := newMachine(t, row.cfg(), opts...)
+			cfg := row.cfg()
+			var cc, sc *countedCodec
+			if cfg.CC.Enabled {
+				cc = counted(cfg.CC.Codec)
+				cfg.CC.Codec = cc.Name()
+			}
+			m := newMachine(t, cfg, opts...)
 			var s *Space
 			if bytes := int64(row.pages) * 4096; row.codec == "" {
 				s = m.NewSegment("heap", bytes)
 			} else {
 				var err error
-				if s, err = m.NewSegmentCodec("heap", bytes, row.codec); err != nil {
+				sc = counted(row.codec)
+				if s, err = m.NewSegmentCodec("heap", bytes, sc.Name()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -189,8 +198,10 @@ func steadyCycle(t *testing.T, writes bool) {
 				touch()
 			}
 			var before stats.Run
+			var ranBefore uint64
 			n := mallocs(func() {
 				before = m.Stats()
+				ranBefore = cc.Calls() + sc.Calls()
 				for i := 0; i < steadyTouches; i++ {
 					touch()
 				}
@@ -199,6 +210,28 @@ func steadyCycle(t *testing.T, writes bool) {
 				t.Errorf("%d allocations in %d steady-state touches", n, steadyTouches)
 			}
 			after := m.Stats()
+			// What the simulated machine compressed against what the host's
+			// codec ran. A page nobody has written since it was restored from
+			// a compressed form re-enters the cache with that form (memo.go),
+			// so a read-only row runs the codec only for pages that have none:
+			// the ones that miss the keep threshold and travel raw. A row that
+			// dirties every page it touches runs it for every compression.
+			comps := after.Comp.Compressions - before.Comp.Compressions
+			raw := after.Comp.Incompressible - before.Comp.Incompressible
+			ran := cc.Calls() + sc.Calls() - ranBefore
+			switch {
+			case !cfg.CC.Enabled:
+			case row.writes == 0:
+				if comps == raw || ran != raw {
+					t.Errorf("read-only: %d compressions, %d of them incompressible, and the codec ran %d times; want it run for those alone", comps, raw, ran)
+				}
+			case row.writes == 1:
+				if ran == 0 || ran != comps {
+					t.Errorf("rewriting: %d compressions and the codec ran %d times; want them equal", comps, ran)
+				}
+			case ran == 0:
+				t.Errorf("rewriting every other pass: %d compressions and the codec never ran", comps)
+			}
 			for _, c := range row.drove {
 				if c.get(after) <= c.get(before) {
 					t.Errorf("the measured touches never took the row's path: %s stayed at %d", c.name, c.get(after))
@@ -217,3 +250,47 @@ func steadyCycle(t *testing.T, writes bool) {
 
 func TestSteadyStateReadCycleZeroAllocs(t *testing.T)    { steadyCycle(t, false) }
 func TestSteadyStateDirtyRewriteZeroAllocs(t *testing.T) { steadyCycle(t, true) }
+
+// countedCodec is a registered codec that counts its Compress calls, so a
+// row can tell the compressions the simulated machine was charged for
+// (Comp.Compressions) from the ones the host's codec actually ran.
+type countedCodec struct {
+	compress.Codec
+	calls atomic.Uint64
+}
+
+func (c *countedCodec) Name() string { return "counted-" + c.Codec.Name() }
+
+func (c *countedCodec) Compress(dst, src []byte) []byte {
+	c.calls.Add(1)
+	return c.Codec.Compress(dst, src)
+}
+
+// Calls reports the Compress calls so far; a nil codec has made none.
+func (c *countedCodec) Calls() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.calls.Load()
+}
+
+var countedCodecs = map[string]*countedCodec{}
+
+// counted returns the counting wrapper of a registered codec, registering
+// the wrapper on first use ("" is the machine's default, as in Config).
+func counted(name string) *countedCodec {
+	if name == "" {
+		name = "lzrw1"
+	}
+	if c, ok := countedCodecs[name]; ok {
+		return c
+	}
+	inner, err := compress.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	c := &countedCodec{Codec: inner}
+	compress.Register(c)
+	countedCodecs[name] = c
+	return c
+}

@@ -1,0 +1,82 @@
+package machine_test
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"compcache/internal/machine"
+	"compcache/internal/obs"
+	"compcache/internal/workload"
+)
+
+// TestCompressMemoIsInvisible runs the workloads the memo helps most — a
+// read-only thrash several times the size of memory, then gold's warm phase —
+// on a machine as built and on one that forgets every remembered form before
+// each eviction, and so runs the codec for every compression. Nothing the
+// simulated machine can report may tell them apart: the statistics with the
+// metrics registry in them, the virtual clock, the snapshot bytes. The host
+// can: the first machine's codec has to have run less.
+func TestCompressMemoIsInvisible(t *testing.T) {
+	codec := machine.Counted("")
+	cfg := machine.Default(64 * 4096).WithCC()
+	cfg.CC.Codec = codec.Name()
+	build := func() *machine.Machine {
+		m, err := machine.New(cfg, machine.WithObs(obs.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	asBuilt, forgetful := build(), build()
+	forgetful.ForgetCompressMemo()
+
+	phases := []func() workload.Workload{
+		func() workload.Workload {
+			return &workload.Thrasher{Pages: 512, Passes: 4, CompressTarget: 0.5, Seed: 3}
+		},
+		func() workload.Workload {
+			return &workload.Gold{Messages: 400, WordsPerMessage: 16, VocabWords: 300, Queries: 300,
+				Phase: workload.GoldWarm, Seed: 3}
+		},
+	}
+	var ran [2]uint64
+	for _, phase := range phases {
+		name := phase().Name()
+		for i, m := range []*machine.Machine{asBuilt, forgetful} {
+			before := codec.Calls()
+			if err := phase().Run(m); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := m.Err(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ran[i] += codec.Calls() - before
+		}
+		if a, b := asBuilt.Stats(), forgetful.Stats(); !reflect.DeepEqual(a, b) {
+			t.Errorf("after %s the statistics differ:\nas built:\n%v\nforgetful:\n%v", name, a, b)
+		}
+		if a, b := asBuilt.Elapsed(), forgetful.Elapsed(); a != b {
+			t.Errorf("after %s the virtual clocks differ: %v as built, %v forgetful", name, a, b)
+		}
+		a, err := asBuilt.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := forgetful.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("after %s the snapshots differ (%d and %d bytes)", name, len(a), len(b))
+		}
+	}
+	if err := asBuilt.VerifyCompressMemo(); err != nil {
+		t.Error(err)
+	}
+	if comps := forgetful.Stats().Comp.Compressions; ran[1] != comps || ran[0] >= ran[1] {
+		t.Errorf("%d compressions: the codec ran %d times on the forgetful machine (want all of them) and %d times on the machine as built (want fewer)",
+			comps, ran[1], ran[0])
+	}
+	t.Logf("codec ran %d times as built, %d forgetful", ran[0], ran[1])
+}

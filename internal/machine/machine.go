@@ -62,6 +62,8 @@ type Machine struct {
 	// PageOut/PageIn/Store without per-call allocation.
 	compBuf []byte // codec.Compress destination, reused across calls
 	nbrBuf  []byte // neighbor staging (corrupt+verify)
+
+	memo compressMemo // compressed forms of clean resident pages; see memo.go
 }
 
 // machineState is the machine's own replay state — what a snapshot carries
@@ -492,6 +494,10 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	it := swap.Item{Key: p.Key, Data: data}
 	var insErr error
 	if m.CC != nil {
+		// The page is leaving memory, so its remembered compressed form goes
+		// whichever way it leaves; only a page still clean may use it.
+		memo := m.recall(p.Key)
+
 		// Fast path: the page was faulted out of the cache and never
 		// modified, so its compressed copy is still valid — re-entering the
 		// cache is just a page-table update, no compression (§4.1's retained
@@ -501,12 +507,15 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			p.State = vm.Compressed
 			return nil
 		}
+		if p.Dirty {
+			memo = nil
+		}
 
 		// Compress once, then decide the page's fate: the cache keeps it if
 		// it fits, otherwise it goes to the first tier below that takes it —
 		// raw when it missed the 4:3 threshold and the compression effort was
 		// wasted (§5.2).
-		cdata, keep := m.compress(p.Key, data)
+		cdata, keep := m.compress(p.Key, data, memo)
 		if keep {
 			var ok bool
 			if ok, insErr = m.CC.Insert(p.Key, cdata, p.Dirty); ok {
@@ -540,14 +549,18 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 // scratch buffer, charging the cost model, and reports whether the result
 // clears the keep threshold. Insert copies into a cache-owned slab and a
 // Tier copies what it keeps, so the buffer is free again by the time the
-// caller returns.
-func (m *Machine) compress(key swap.PageKey, data []byte) (cdata []byte, keep bool) {
+// caller returns. A non-nil memo is what the codec would make of data (see
+// compressMemo): the simulated machine compresses all the same — every charge
+// and counter below — and only the host skips the work.
+func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, keep bool) {
 	m.Clock.Advance(m.cfg.Cost.CompressCost(len(data)))
 	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
 	m.comp.Compressions++
 	m.comp.BytesIn += uint64(len(data))
-	cdata = m.codecFor(key.Seg).Compress(m.compBuf[:0], data)
-	m.compBuf = cdata[:0]
+	if cdata = memo; cdata == nil {
+		cdata = m.codecFor(key.Seg).Compress(m.compBuf[:0], data)
+		m.compBuf = cdata[:0]
+	}
 	m.comp.BytesOut += uint64(len(cdata))
 	if len(cdata) > m.cfg.keepThreshold() {
 		m.comp.Incompressible++
@@ -604,6 +617,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			m.faults.CorruptCache(cdata)
 			err := m.restoreInto(data, cdata, true, sum, p.Key)
 			if err == nil {
+				m.remember(p.Key, cdata)
 				// The entry is retained and backs the resident copy, so the
 				// page itself is clean; SwapValid tracks whether the entry
 				// has been persisted. Modifying the page invalidates the
@@ -646,6 +660,8 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			m.Clock.Advance(m.cfg.Cost.PageCopy) // the tier filled the frame
 		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key); err != nil {
 			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
+		} else if compressed {
+			m.remember(p.Key, payload)
 		}
 		p.Dirty = false
 		p.SwapValid = true
@@ -709,10 +725,12 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 
 // Dirtied invalidates stale lower-level copies when a clean resident page is
 // first modified: the retained compression-cache entry and the copy in any
-// tier below both go stale at that moment.
+// tier below both go stale at that moment, and so does the remembered
+// compressed form.
 func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
+		m.recall(p.Key)
 	}
 	for i := range m.below {
 		m.below[i].tier.Invalidate(p.Key)
@@ -741,7 +759,7 @@ func (f fsBlockCache) Store(fileID int32, block int64, data []byte) (bool, error
 	if m.CC.Has(key) {
 		return true, nil // still-valid compressed copy from an earlier eviction
 	}
-	cdata, keep := m.compress(key, data)
+	cdata, keep := m.compress(key, data, nil)
 	if !keep {
 		return false, nil
 	}
