@@ -7,9 +7,9 @@
 //
 // Packages default to ./... . Patterns follow the go tool's shape
 // ("./...", "./internal/...", or plain directories); whatever the
-// patterns, the whole module is loaded and type-checked so cross-package
-// analyses (crosscredit, obscoverage) see every call path — patterns only
-// select which packages' findings are reported. cclint reads the source
+// patterns, the whole module is loaded and type-checked so the cross-package
+// analysis (kernelproto) sees every call path — patterns only select which
+// packages' findings are reported. cclint reads the source
 // tree and nothing else. Exit status is 0 when the tree is clean, 1 when
 // any finding survives, and 2 on usage or load errors.
 //

@@ -24,8 +24,8 @@ func TestListNamesTheSuite(t *testing.T) {
 		t.Fatalf("-list exited %d, want 0", status)
 	}
 	want := []string{
-		"walltime", "globalrand", "maprange", "crosscredit", "errdrop",
-		"sharedwrite", "floatorder", "obscoverage", "kernelproto",
+		"walltime", "globalrand", "maprange", "errdrop",
+		"sharedwrite", "floatorder", "kernelproto",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {
@@ -97,7 +97,7 @@ func TestExitStatus(t *testing.T) {
 	}
 
 	// A retired analyzer's name is an unknown name like any other.
-	for _, name := range []string{"wibble", "nondet", "hotalloc", "bufown"} {
+	for _, name := range []string{"wibble", "nondet", "hotalloc", "bufown", "crosscredit", "obscoverage"} {
 		status, _, errs := cclint(t, "-only", name, "./clean")
 		if status != 2 || !strings.Contains(errs, `unknown analyzer "`+name+`"`) {
 			t.Errorf("-only %s: exit %d, stderr %q; want 2 naming the analyzer", name, status, errs)

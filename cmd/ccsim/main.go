@@ -1,6 +1,6 @@
 // Command ccsim runs one workload on a configurable simulated machine and
-// prints the statistics block — the interactive way to explore the
-// compression cache's behaviour.
+// prints the statistics block and where the virtual time went, by cause — the
+// interactive way to explore the compression cache's behaviour.
 //
 // Usage:
 //
@@ -128,11 +128,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		if err := exportEvents(*eventsOut, stdout, m); err != nil {
+		if err := obs.ExportEventsJSONL(*eventsOut, stdout, m.Events()); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "workload %s on %d MB, %s\n\n", w.Name(), *memMB, mode)
 		fmt.Fprint(stdout, st)
+		fmt.Fprintf(stdout, "\n%v", m.TimeBreakdown())
 		return 0
 	}
 
@@ -153,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(fmt.Errorf("reboot failed: %w", err))
 	}
-	if err := exportEvents(*eventsOut, stdout, reborn); err != nil {
+	if err := obs.ExportEventsJSONL(*eventsOut, stdout, reborn.Events()); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintln(stdout, "reboot:", reborn.Introspect().Recovery)
@@ -162,21 +163,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "recovery verified: no acknowledged-durable page lost, no torn fragment served")
 	return 0
-}
-
-// exportEvents writes the machine's retained event window as JSONL; "" is
-// off, "-" is stdout.
-func exportEvents(path string, stdout io.Writer, m *machine.Machine) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return obs.WriteEventsJSONL(stdout, m.Events())
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return obs.WriteEventsJSONL(f, m.Events())
 }

@@ -15,13 +15,14 @@ func ccsim(args ...string) (status int, stdout, stderr string) {
 }
 
 // TestPlainRunPrintsTheStatisticsBlock: the baseline pages through its swap
-// file and says so.
+// file and says so, and the breakdown after the block says what that cost.
 func TestPlainRunPrintsTheStatisticsBlock(t *testing.T) {
 	status, out, errs := ccsim()
 	if status != 0 || errs != "" {
 		t.Fatalf("exited %d, stderr %q", status, errs)
 	}
-	for _, want := range []string{"workload thrasher_rw on 2 MB, baseline (no compression cache)", "swap-in 2048", "2560 pages out / 2048 pages in"} {
+	for _, want := range []string{"workload thrasher_rw on 2 MB, baseline (no compression cache)", "swap-in 2048", "2560 pages out / 2048 pages in",
+		"\nwhere the time went (1m53.736832s virtual):\n  reference ", "  device         1m51.789952s  98.3%\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}

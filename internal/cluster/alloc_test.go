@@ -123,7 +123,7 @@ func steadyFleet(t *testing.T, n int) fleetWindow {
 				touch()
 			}
 			late = late || m.Clock.Now() >= barrier
-			m.Clock.AdvanceTo(barrier)
+			m.Clock.ChargeTo(sim.CauseIdle, barrier)
 			if entered++; entered == 1 {
 				before.count(c, &ms)
 			}

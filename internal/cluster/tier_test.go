@@ -9,6 +9,7 @@ import (
 	"compcache/internal/fault"
 	"compcache/internal/machine"
 	"compcache/internal/netdev"
+	"compcache/internal/sim"
 	"compcache/internal/swap"
 )
 
@@ -81,7 +82,7 @@ func TestRemoteAdapterTierContract(t *testing.T) {
 		for held = range model {
 			break
 		}
-		m.Clock.Advance(time.Hour) // the link is dead from here on
+		m.Clock.Charge(sim.CauseIdle, time.Hour) // the link is dead from here on
 		if _, _, _, _, ok, err := tier.Get(held, frame); !ok || err == nil {
 			t.Errorf("Get of a held page over a dead link = %t, %v; want true and the failure", ok, err)
 		}

@@ -213,7 +213,7 @@ func (d *Disk) op(addr int64, n int, write, sync bool) (sim.Time, error) {
 	}
 	d.observe(class, n, wait, svc, done)
 	if sync {
-		d.clock.AdvanceTo(done)
+		d.clock.ChargeTo(sim.CauseDevice, done)
 	}
 	if !write {
 		return done, d.faults.DiskRead()
@@ -248,8 +248,6 @@ func (d *Disk) WriteAsync(addr int64, n int) (sim.Time, error) {
 
 // Drain advances the clock until all queued operations complete. Tests and
 // end-of-run accounting use it so asynchronous work is not silently free.
-//
-//cclint:ignore obscoverage -- drain only retires the busy timeline; every waited-out op was probed when it was issued
 func (d *Disk) Drain() {
-	d.clock.AdvanceTo(d.busyAt)
+	d.clock.ChargeTo(sim.CauseDrain, d.busyAt)
 }

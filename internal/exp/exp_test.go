@@ -3,6 +3,7 @@ package exp
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"compcache/internal/workload"
@@ -99,8 +100,16 @@ func TestFig3SmallScale(t *testing.T) {
 	}
 }
 
+// serialTable1 is the small-scale Table 1 at -j 1: the package's slowest
+// run, made once for every test that reads it.
+var serialTable1 = sync.OnceValues(func() (*Table1Result, error) {
+	opts := DefaultTable1Options(Small)
+	opts.Parallelism = 1
+	return Table1(opts)
+})
+
 func TestTable1SmallScale(t *testing.T) {
-	res, err := Table1(DefaultTable1Options(Small))
+	res, err := serialTable1()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,21 +15,21 @@ import (
 // host-side scheduling must be invisible in the results.
 
 func TestTable1ParallelMatchesSerial(t *testing.T) {
-	render := func(parallelism int) string {
-		opts := DefaultTable1Options(Small)
-		// Trim to three rows to keep the doubled run affordable; the three
-		// cover all mutable-receiver workload kinds (Compare, CacheSim, Sort).
-		opts.Workloads = opts.Workloads[:3]
-		opts.Parallelism = parallelism
-		res, err := Table1(opts)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return res.Table().String()
+	full, err := serialTable1()
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := render(1)
-	parallel := render(4)
-	if serial != parallel {
+	// Three rows keep the second run affordable; they cover all
+	// mutable-receiver workload kinds (Compare, CacheSim, Sort).
+	opts := DefaultTable1Options(Small)
+	opts.Workloads = opts.Workloads[:3]
+	opts.Parallelism = 4
+	res, err := Table1(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := (&Table1Result{MemoryMB: full.MemoryMB, Rows: full.Rows[:3]}).Table().String()
+	if parallel := res.Table().String(); serial != parallel {
 		t.Fatalf("Table 1 differs between -j 1 and -j 4:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
@@ -79,10 +79,13 @@ func TestRunBothNMatchesRunBoth(t *testing.T) {
 	w := opts.Workloads[0]
 	cfgStd := machine.Default(int64(opts.MemoryMB) << 20)
 	cfgCC := cfgStd.WithCC()
-	serial, err := workload.RunBoth(cfgStd, cfgCC, workload.Clone(w))
+	// Table 1 at -j 1 measures each row exactly as RunBoth does: Measure on a
+	// Clone, baseline then compression cache.
+	full, err := serialTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial := full.Rows[0].Cmp
 	parallel, err := workload.RunBothN(context.Background(), cfgStd, cfgCC, workload.Clone(w), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"compcache/internal/disk"
+	"compcache/internal/fault"
 	"compcache/internal/mem"
 	"compcache/internal/sim"
 )
@@ -445,5 +446,52 @@ func TestExtentEnforced(t *testing.T) {
 		if err := fresh.LoadImage(&Image{Files: []FileImage{{Name: "swap", Size: size}}}); !errors.As(err, &se) || se.Size != size {
 			t.Errorf("image with size %d: err = %v, want a *SizeError", size, err)
 		}
+	}
+}
+
+// TestImageSizeBoundedByWrittenExtent: recovery allocates and sweeps what a
+// file's size claims, so an image may claim no more than the end of the
+// highest block it brings — which every honest image satisfies, because the
+// write that grows a file writes the block it grows into.
+func TestImageSizeBoundedByWrittenExtent(t *testing.T) {
+	block := func(n int64) BlockImage { return BlockImage{Block: n, Data: make([]byte, 4096)} }
+	for _, tc := range []struct {
+		blocks []BlockImage
+		size   int64
+		ok     bool
+	}{
+		{nil, 0, true},
+		{nil, 1, false},
+		{[]BlockImage{block(0), block(1)}, 8192, true},
+		{[]BlockImage{block(0), block(1)}, 8193, false},
+		{[]BlockImage{block(1)}, 8192, true}, // block 0 never written: a hole, still inside the written extent
+		{[]BlockImage{block(1)}, 8193, false},
+		{[]BlockImage{block(0)}, fileExtent, false}, // inside the disk extent, a gigabyte past the contents
+	} {
+		fresh, _, _, _ := newTestFS(t, Options{})
+		err := fresh.LoadImage(&Image{Files: []FileImage{{Name: "swap", Size: tc.size, Blocks: tc.blocks}}})
+		var se *SizeError
+		if tc.ok && err != nil || !tc.ok && (!errors.As(err, &se) || se.Size != tc.size) {
+			t.Errorf("%d block(s), size %d: err = %v; accepted should be %t", len(tc.blocks), tc.size, err, tc.ok)
+		}
+	}
+
+	// An honest image passes whatever wrote it: cached, raw, staged, torn.
+	fsys, _, _, _ := newTestFS(t, Options{})
+	f := fsys.Create("swap")
+	if err := f.WriteAt(make([]byte, 5000), 3000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RawWrite(make([]byte, 8192), 16384, 8192); err != nil {
+		t.Fatal(err)
+	}
+	f.WriteStage(40960, make([]byte, 100))
+	f.applyTorn(make([]byte, 4096), 65536, &fault.CrashError{Survived: 512})
+	if f.Size() != 65536+512 {
+		t.Fatalf("size %d after the torn write, want its surviving prefix counted", f.Size())
+	}
+	fresh, _, _, _ := newTestFS(t, Options{})
+	if err := fresh.LoadImage(fsys.Image()); err != nil {
+		t.Errorf("honest image refused: %v", err)
 	}
 }

@@ -31,22 +31,25 @@ type BlockImage struct {
 }
 
 // SizeError reports a file size in an image or a snapshot that no write could
-// have produced: negative, or past the file's disk extent. Recovery sizes its
-// mount sweep from the file size, so a forged one is refused where it is
-// decoded.
+// have produced: negative, or past the end of the file's highest platter
+// block (every write that grows a file materialises the blocks it grows
+// into, and the platter never reaches past the file's disk extent). Recovery
+// sizes its mount sweep — and what it allocates — from the file size, so a
+// forged one is refused where it is decoded.
 type SizeError struct {
-	File string
-	Size int64
+	File    string
+	Size    int64
+	Written int64 // the end of the highest platter block the file came with
 }
 
 func (e *SizeError) Error() string {
-	return fmt.Sprintf("fs: file %q has size %d, outside its %d-byte extent", e.File, e.Size, int64(fileExtent))
+	return fmt.Sprintf("fs: file %q has size %d, but its media holds bytes 0 to %d", e.File, e.Size, e.Written)
 }
 
-// checkSize validates a decoded file size.
-func checkSize(file string, size int64) error {
-	if size < 0 || size > fileExtent {
-		return &SizeError{File: file, Size: size}
+// checkSize validates a decoded file's size against its decoded platter.
+func (f *File) checkSize() error {
+	if written := int64(len(f.platter)) * int64(f.fs.opts.BlockSize); f.size < 0 || f.size > written {
+		return &SizeError{File: f.name, Size: f.size, Written: written}
 	}
 	return nil
 }
@@ -84,9 +87,6 @@ func (fs *FS) LoadImage(img *Image) error {
 	}
 	for i := range img.Files {
 		fi := &img.Files[i]
-		if err := checkSize(fi.Name, fi.Size); err != nil {
-			return err
-		}
 		f := &File{fs: fs, name: fi.Name, id: fi.ID, base: fi.Base, size: fi.Size}
 		for _, b := range fi.Blocks {
 			if len(b.Data) != fs.opts.BlockSize {
@@ -97,6 +97,9 @@ func (fs *FS) LoadImage(img *Image) error {
 				return fmt.Errorf("fs: image block %d of %q lies outside the file's extent", b.Block, fi.Name)
 			}
 			copy(f.platterBlock(b.Block), b.Data)
+		}
+		if err := f.checkSize(); err != nil {
+			return err
 		}
 		fs.files[fi.Name] = f
 		if fi.ID >= fs.nextID {

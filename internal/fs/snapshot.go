@@ -32,9 +32,6 @@ func (fs *FS) Snap(c *snap.Codec) {
 		c.I32(&f.id)
 		c.I64(&f.base)
 		c.I64(&f.size)
-		if err := checkSize(f.name, f.size); err != nil {
-			c.Failf("%w", err)
-		}
 		snap.Sparse(c, &f.platter, fileExtent/fs.opts.BlockSize, "platter blocks", func(b []byte) bool { return b != nil }, func(block *int64, data *[]byte) {
 			c.I64(block)
 			if c.Decoding() {
@@ -42,6 +39,9 @@ func (fs *FS) Snap(c *snap.Codec) {
 			}
 			c.Fixed(data, "fs: platter block")
 		})
+		if err := f.checkSize(); err != nil {
+			c.Failf("%w", err)
+		}
 	})
 
 	c.Mark(&fs.cache, &fs.lruHead, &fs.lruTail)

@@ -71,7 +71,9 @@ func TestSnapshotRejectsBlockOutsideExtent(t *testing.T) {
 			t.Errorf("snapshot with block %d: err = %v, want the block-id complaint", block, err)
 		}
 	}
-	for _, size := range []int64{-1, fileExtent + 1, 1 << 40} {
+	// The file came with one block, so a size up to 4096 is one a write could
+	// have left and the next byte is not.
+	for _, size := range []int64{-1, 4097, fileExtent, fileExtent + 1, 1 << 40} {
 		body := bytes.Clone(blob[:len(blob)-4])
 		binary.LittleEndian.PutUint64(body[at-16:], uint64(size))
 		r, err := snap.NewReader(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
@@ -81,8 +83,19 @@ func TestSnapshotRejectsBlockOutsideExtent(t *testing.T) {
 		fresh, _, _, _ := newTestFS(t, Options{})
 		fresh.Snap(snap.Decoder(r))
 		var se *SizeError
-		if err := r.Close(); !errors.As(err, &se) || se.Size != size {
+		if err := r.Close(); !errors.As(err, &se) || se.Size != size || se.Written != 4096 {
 			t.Errorf("snapshot with size %d: err = %v, want a *SizeError", size, err)
 		}
+	}
+	body := bytes.Clone(blob[:len(blob)-4])
+	binary.LittleEndian.PutUint64(body[at-16:], 100)
+	r, err := snap.NewReader(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, _, _ := newTestFS(t, Options{})
+	fresh.Snap(snap.Decoder(r))
+	if err := r.Close(); err != nil || fresh.files["data"].Size() != 100 {
+		t.Errorf("snapshot with a size inside the written block: err = %v", err)
 	}
 }

@@ -20,8 +20,7 @@ import (
 //     method-set resolution: an edge is added to the interface method
 //     itself and to the matching concrete method of every module type
 //     that implements the interface. This over-approximates the callees,
-//     which makes "reaches a clock advance" facts easier to earn and
-//     "does work without credit" findings harder to fake.
+//     so nothing an actor body can run stays out of kernelproto's view.
 //   - A call through a plain func value is dropped (no edge).
 //   - Calls into other modules (the standard library) appear as edges to
 //     body-less external nodes, so predicates can still match them by
@@ -207,40 +206,6 @@ func (g *CallGraph) implementations(recv types.Type, m *types.Func) []*types.Fun
 	return out
 }
 
-// Reaches computes the set of functions that satisfy pred themselves or
-// can reach, through any chain of call edges, a callee satisfying pred.
-func (g *CallGraph) Reaches(pred func(*types.Func) bool) map[*types.Func]bool {
-	// Reverse adjacency over every callee (including external ones).
-	rev := make(map[*types.Func][]*types.Func)
-	reached := make(map[*types.Func]bool)
-	var queue []*types.Func
-	mark := func(fn *types.Func) {
-		if !reached[fn] {
-			reached[fn] = true
-			queue = append(queue, fn)
-		}
-	}
-	for _, node := range g.order {
-		if pred(node.Fn) {
-			mark(node.Fn)
-		}
-		for _, e := range node.Out {
-			rev[e.Callee] = append(rev[e.Callee], node.Fn)
-			if pred(e.Callee) {
-				mark(e.Callee)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, caller := range rev[fn] {
-			mark(caller)
-		}
-	}
-	return reached
-}
-
 // Walk is the module's one forward traversal: breadth-first from seeds,
 // level-synchronized, each level's frontier visited in declaration order
 // (g.before) and each function's edges in source order, so the link
@@ -286,32 +251,6 @@ func chainTo(prev map[*types.Func]*types.Func, fn *types.Func) []*types.Func {
 	return chain
 }
 
-// Path returns a shortest call chain from `from` to a callee satisfying
-// pred: [from, ..., target]. It returns nil if no chain exists. Ties
-// between same-length chains are broken by Walk's order: the first caller
-// in its level with a matching callee wins, and among that caller's
-// matches the earliest declared.
-func (g *CallGraph) Path(from *types.Func, pred func(*types.Func) bool) []*types.Func {
-	if pred(from) {
-		return []*types.Func{from}
-	}
-	var target *types.Func
-	var caller *Node
-	prev := g.Walk([]*types.Func{from}, func(n *Node, e Edge) bool {
-		if caller != nil && n != caller {
-			return false // a chain is found; take nothing more and the walk runs dry
-		}
-		if pred(e.Callee) && (target == nil || g.before(e.Callee, target)) {
-			target, caller = e.Callee, n
-		}
-		return true
-	})
-	if target == nil {
-		return nil
-	}
-	return chainTo(prev, target)
-}
-
 // pkgPath returns a function's package path, "" for builtins.
 func pkgPath(fn *types.Func) string {
 	if fn.Pkg() == nil {
@@ -325,12 +264,6 @@ func pkgPath(fn *types.Func) string {
 // "compcache/internal/sim" and a fixture's "compcache/x/internal/sim").
 func pathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// fnIn reports whether fn is declared in a package whose path ends with
-// suffix and has one of the given names.
-func fnIn(fn *types.Func, suffix string, names map[string]bool) bool {
-	return fn != nil && names[fn.Name()] && pathHasSuffix(pkgPath(fn), suffix)
 }
 
 // chainString renders a call chain for a diagnostic message, e.g.

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // ErrDrop polices error propagation on the paged-data paths.
@@ -46,7 +47,7 @@ var errDropScopes = []string{
 
 // Check implements Analyzer.
 func (e ErrDrop) Check(pkg *Package) []Diagnostic {
-	if !inScopes(pkg.Path, errDropScopes) {
+	if !slices.ContainsFunc(errDropScopes, func(s string) bool { return pathHasSuffix(pkg.Path, s) }) {
 		return nil
 	}
 	info := pkg.Mod.Info

@@ -29,8 +29,8 @@ func FuzzIgnoreDirective(f *testing.F) {
 		" walltime,maprange,errdrop -- several analyzers at once",
 		" walltime --",
 		" -- reason with no analyzer",
-		" crosscredit - - broken separator",
-		" obscoverage — em dash is not a separator",
+		" kernelproto - - broken separator",
+		" floatorder — em dash is not a separator",
 		" cclint -- the hygiene pseudo-analyzer cannot be named",
 		" , ,sharedwrite , -- ragged list",
 		" unknownanalyzer -- not an analyzer",

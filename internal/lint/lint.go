@@ -16,9 +16,9 @@
 // whole module at once, type-checks it with go/types (one shared
 // types.Info across packages, stdlib resolved from GOROOT source) and
 // builds an approximate static call graph with type-informed method-set
-// resolution — so invariants that cross package boundaries (clock credit
-// earned two calls deep in another package, probes emitted by a callee)
-// are enforced too, and every analyzer asks the type checker what an
+// resolution — so an invariant that crosses package boundaries (what an
+// actor body can reach, three packages away and through an interface) is
+// enforced too, and every analyzer asks the type checker what an
 // identifier is instead of guessing from its spelling (facts.go).
 //
 // Findings can be suppressed, one line at a time, with a written reason:
@@ -68,18 +68,16 @@ type Analyzer interface {
 
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
-// map-ness, the five call-graph analyzers, then the kernel-protocol
-// contract analyzer (kernelproto).
+// map-ness, the three per-function analyzers, then the one that walks the
+// call graph: the kernel-protocol contract analyzer (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
 		GlobalRand{},
 		MapRange{},
-		CrossCredit{},
 		ErrDrop{},
 		SharedWrite{},
 		FloatOrder{},
-		ObsCoverage{},
 		KernelProto{},
 	}
 }

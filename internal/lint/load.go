@@ -16,9 +16,9 @@ import (
 // Module is the unit cclint analyzes: every package of one Go module,
 // parsed and type-checked together with a single shared types.Info, plus
 // the approximate static call graph built over the whole set. Analyzers
-// reach cross-package facts (does this method transitively advance the
-// virtual clock two packages away?) through Module, while per-package
-// syntax stays on Package exactly as before.
+// reach cross-package facts (can this actor body reach a channel send two
+// packages away?) through Module, while per-package syntax stays on Package
+// exactly as before.
 type Module struct {
 	// Root is the directory the tree was loaded from (the go.mod
 	// directory for LoadModule, the fixture root for LoadTree).
@@ -43,24 +43,8 @@ type Module struct {
 	TypeErrors []error
 
 	byPath map[string]*Package
-	facts  map[string]map[*types.Func]bool
 
 	kproto *kprotoFacts // memoized kernel-protocol facts
-}
-
-// factSet memoizes Graph.Reaches computations under a key, so several
-// analyzers (and several packages within one analyzer) share one
-// propagation pass over the graph.
-func (m *Module) factSet(key string, pred func(*types.Func) bool) map[*types.Func]bool {
-	if m.facts == nil {
-		m.facts = make(map[string]map[*types.Func]bool)
-	}
-	if s, ok := m.facts[key]; ok {
-		return s
-	}
-	s := m.Graph.Reaches(pred)
-	m.facts[key] = s
-	return s
 }
 
 // Package is one parsed Go package as the analyzers see it. Syntax (Files,
@@ -113,8 +97,8 @@ func LoadModule(dir string) (*Module, error) {
 // LoadTree loads the directory tree rooted at root as if it were a module
 // named modulePath. The golden tests use it to mount
 // internal/lint/testdata/src as a pretend module, so fixture packages get
-// import paths like "compcache/crosscredit/internal/machine" and can
-// import each other, while real loads (LoadModule) can never reach them.
+// import paths like "compcache/errdrop/internal/vm" and can import each
+// other, while real loads (LoadModule) can never reach them.
 func LoadTree(root, modulePath string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {

@@ -129,16 +129,6 @@ func TestKernelProtoMutationRawGoroutine(t *testing.T) {
 		"kernelproto: actor body armed in Good: spawns a raw goroutine outside the kernel baton (Good); fleet determinism needs the single-actor discipline")
 }
 
-// TestCrossCreditMutationSamePackageHelper: crosscredit alone owns "work
-// advances the clock", same-package chains included. Deleting the Advance
-// from a helper that charges for a device read in its own package must
-// surface the exported caller, and nothing else.
-func TestCrossCreditMutationSamePackageHelper(t *testing.T) {
-	mutateFixture(t, "crosscredit/internal/disk/disk.go",
-		"\td.clock.Advance(1)\n", "",
-		"crosscredit: Verify does codec/device work (Verify → disk.chargedRead → disk.Read) but no call path ever advances the virtual clock; this cost is uncharged")
-}
-
 // TestWalltimeMutationRenamedImport: a host-clock read through the
 // renamed import, slipped into the clean function, is one new finding —
 // the callee is time.Now whatever the file calls the package.
@@ -189,14 +179,6 @@ func TestFloatOrderMutationMovedIntoMapRange(t *testing.T) {
 	mutateFixture(t, "floatorder/floatorder.go",
 		"\tfor _, k := range keys {\n\t\ttotal += m[k]", "\tfor k := range m {\n\t\ttotal += m[k]",
 		"floatorder: float accumulation inside map iteration; map order is random per run — sort the keys first")
-}
-
-// TestObsCoverageMutationDeletedProbe: an exported method that still
-// advances the clock after its probe call is deleted goes dark.
-func TestObsCoverageMutationDeletedProbe(t *testing.T) {
-	mutateFixture(t, "obscoverage/internal/vm/vm.go",
-		"\tv.hits.Inc()\n", "",
-		"obscoverage: GoodTouch advances the virtual clock but no call path reaches an obs probe; traced runs under-report this work")
 }
 
 // TestRunDeterministic: cclint's own output is a byte-identical artifact.

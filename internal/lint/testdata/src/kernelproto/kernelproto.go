@@ -80,3 +80,70 @@ func Good(k *sim.Kernel, pool *sync.Pool) {
 		pool.Put(buf[:0])
 	})
 }
+
+// Worker is a dispatch seam: an actor body that calls through it can run any
+// implementation in the module, so method-set resolution has to keep every
+// one of them in view.
+type Worker interface{ Work(ch chan int) }
+
+// sender implements Worker by touching the channel itself.
+type sender struct{}
+
+func (sender) Work(ch chan int) {
+	ch <- 1 // want `actor body armed in BadIface: sends on a channel outside the kernel baton \(BadIface → kp\.Apply → kp\.Work\)`
+}
+
+// Apply runs a worker through the interface.
+func Apply(w Worker, ch chan int) { w.Work(ch) }
+
+// BadIface reaches sender.Work through interface dispatch alone.
+func BadIface(k *sim.Kernel, w Worker, ch chan int) {
+	k.Go(6, func() { Apply(w, ch) })
+}
+
+// Closer is a second seam, so the embedded shape below reports on its own.
+type Closer interface{ Shut(done chan struct{}) }
+
+type closer struct{}
+
+func (closer) Shut(done chan struct{}) {
+	close(done) // want `actor body armed in BadEmbedded: closes a channel outside the kernel baton \(BadEmbedded → kp\.ApplyStage → kp\.Shut\)`
+}
+
+// Stage embeds the seam, so s.Shut is a method promoted through the embedded
+// field: the selection's receiver is a struct, the dispatch is dynamic all
+// the same.
+type Stage struct {
+	Closer
+	Name string
+}
+
+// ApplyStage runs the stage's closer through the promoted method.
+func ApplyStage(s Stage, done chan struct{}) { s.Shut(done) }
+
+// BadEmbedded reaches closer.Shut through the promoted method.
+func BadEmbedded(k *sim.Kernel, s Stage, done chan struct{}) {
+	k.Go(7, func() { ApplyStage(s, done) })
+}
+
+// Ping and Pong recurse into each other: the walk from an actor body has to
+// terminate on the cycle, and report what is on it once.
+func Ping(ch chan int, n int) {
+	if n > 0 {
+		Pong(ch, n-1)
+	}
+}
+
+// Pong is the half of the cycle that breaks the protocol.
+func Pong(ch chan int, n int) {
+	if n == 0 {
+		ch <- n // want `actor body armed in BadCycle: sends on a channel outside the kernel baton \(BadCycle → kp\.Ping → kp\.Pong\)`
+		return
+	}
+	Ping(ch, n-1)
+}
+
+// BadCycle reaches the send through the mutual recursion.
+func BadCycle(k *sim.Kernel, ch chan int) {
+	k.Go(8, func() { Ping(ch, 3) })
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"compcache/internal/fault"
+	"compcache/internal/sim"
 	"compcache/internal/swap"
 	"compcache/internal/vm"
 )
@@ -62,7 +63,7 @@ func TestCorruptCleanEntryRecoversFromSwap(t *testing.T) {
 	m.Drain()
 
 	// Step into the injection window: the next cache read is corrupted.
-	m.Clock.Advance(faultWindow)
+	m.Clock.Charge(sim.CauseIdle, faultWindow)
 	reads := m.Device.Stats().Reads
 	before := m.Clock.Now()
 	if got := s.ReadWord(int64(page) * 4096); got != uint64(page)+1 {
@@ -111,7 +112,7 @@ func TestCorruptOnlyCopyYieldsTypedError(t *testing.T) {
 	if page < 0 {
 		t.Fatal("no dirty cache entry to corrupt")
 	}
-	m.Clock.Advance(faultWindow)
+	m.Clock.Charge(sim.CauseIdle, faultWindow)
 	s.ReadWord(int64(page) * 4096)
 	err := m.Err()
 	if err == nil {
@@ -145,7 +146,7 @@ func TestSwapCorruptionIsUnrecoverable(t *testing.T) {
 	if err := m.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	m.Clock.Advance(faultWindow)
+	m.Clock.Charge(sim.CauseIdle, faultWindow)
 	s.ReadWord(int64(page) * 4096)
 	if err := m.Err(); !fault.IsUnrecoverable(err) {
 		t.Fatalf("swap corruption produced %v, want typed unrecoverable error", err)
@@ -224,7 +225,7 @@ func TestBaselineStoreFailureIsTyped(t *testing.T) {
 				if pg.State != vm.Swapped {
 					t.Fatalf("page 0 is %v, want it swapped out", pg.State)
 				}
-				m.Clock.Advance(faultWindow)
+				m.Clock.Charge(sim.CauseIdle, faultWindow)
 				f.lose(m, s, pg)
 
 				err := m.Err()

@@ -64,6 +64,9 @@ type Machine struct {
 	nbrBuf  []byte // neighbor staging (corrupt+verify)
 
 	memo compressMemo // compressed forms of clean resident pages; see memo.go
+
+	base       books      // where the conservation equations start; see time.go
+	startSpent sim.Ledger // the clock's ledger at the Elapsed() origin
 }
 
 // machineState is the machine's own replay state — what a snapshot carries
@@ -115,6 +118,8 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		// on the actor clock; see the WithKernel contract.
 		b.kernel.Attach(m.Clock, b.actor)
 	}
+	// The books open with the clock: nothing counted yet, nothing booked.
+	m.base.now = m.Clock.Now()
 
 	frames := int(cfg.MemoryBytes / int64(cfg.PageSize))
 	m.Pool = mem.NewPool(frames, cfg.PageSize)
@@ -308,7 +313,7 @@ func (m *Machine) MarkStart() {
 	if m.startFrozen {
 		return
 	}
-	m.start = m.Clock.Now()
+	m.start, m.startSpent = m.Clock.Now(), m.Clock.Spent()
 }
 
 // FreezeStart pins the Elapsed() origin at the current instant and makes
@@ -316,14 +321,12 @@ func (m *Machine) MarkStart() {
 // member workloads' own MarkStart calls cannot reset the shared clock
 // origin.
 func (m *Machine) FreezeStart() {
-	m.start = m.Clock.Now()
+	m.start, m.startSpent = m.Clock.Now(), m.Clock.Spent()
 	m.startFrozen = true
 }
 
 // Drain waits for all queued asynchronous backing-store writes to finish,
 // so that end-of-run timings include background cleaning.
-//
-//cclint:ignore obscoverage -- drain only retires the device's busy timeline; the drained writes were probed when issued
 func (m *Machine) Drain() { m.Device.Drain() }
 
 // EvictAll pushes every resident page out of memory, empties the compression
@@ -553,7 +556,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 // compressMemo): the simulated machine compresses all the same — every charge
 // and counter below — and only the host skips the work.
 func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, keep bool) {
-	m.Clock.Advance(m.cfg.Cost.CompressCost(len(data)))
+	m.Clock.Charge(sim.CauseCompress, m.cfg.Cost.CompressCost(len(data)))
 	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
 	m.comp.Compressions++
 	m.comp.BytesIn += uint64(len(data))
@@ -657,7 +660,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			return 0, unrecoverable(p.Key, l.name+" read failed", err)
 		}
 		if l.raw {
-			m.Clock.Advance(m.cfg.Cost.PageCopy) // the tier filled the frame
+			m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy) // the tier filled the frame
 		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key); err != nil {
 			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		} else if compressed {
@@ -702,7 +705,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 			m.fst.CorruptionsDetected++
 			continue
 		}
-		m.Clock.Advance(m.cfg.Cost.PageCopy / 4) // short memcpy of compressed bytes
+		m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy/4) // short memcpy of compressed bytes
 		ok, err := m.CC.Insert(n.Key, cdata, false)
 		if err != nil {
 			continue // flush failure: skip the opportunistic insert
@@ -822,11 +825,11 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 // a fallback copy exists.
 func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey) error {
 	if compressed {
-		m.Clock.Advance(m.cfg.Cost.DecompressCost(len(data)))
+		m.Clock.Charge(sim.CauseDecompress, m.cfg.Cost.DecompressCost(len(data)))
 		m.decompHist.Observe(m.cfg.Cost.DecompressCost(len(data)))
 		m.comp.Decompressions++
 	} else {
-		m.Clock.Advance(m.cfg.Cost.PageCopy)
+		m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy)
 	}
 	if core.Checksum(payload) != sum {
 		m.fst.CorruptionsDetected++
@@ -872,6 +875,9 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 	if err := m.store.CheckConsistency(); err != nil {
+		return err
+	}
+	if err := m.checkBooks(); err != nil {
 		return err
 	}
 	// Every page's state must agree with the subsystem actually holding it,

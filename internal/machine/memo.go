@@ -73,8 +73,6 @@ func (m *Machine) recall(key swap.PageKey) []byte {
 // would cost the fleet workload about 4 % — tests call it directly. Nor does
 // it charge the machine for them: an audit that moved the clock would change
 // the run it audits.
-//
-//cclint:ignore crosscredit -- host-side audit, not simulated work: it recompresses to check the memo and must leave the machine's clock where it found it
 func (m *Machine) VerifyCompressMemo() error {
 	mm := &m.memo
 	if mm.slab == nil && mm.slot.Len()+len(mm.free) == 0 {

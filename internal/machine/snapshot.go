@@ -149,6 +149,7 @@ func Restore(cfg Config, data []byte, opts ...Option) (*Machine, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
+	m.openBooks()
 	// Validate the assembled machine end to end before handing it back.
 	if err := m.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("machine: restored state fails invariants: %w", err)

@@ -427,10 +427,13 @@ func TestSnapshotRejectsForgedState(t *testing.T) {
 	if _, err := Restore(tc.cfg, patched("\x02\x00\x00\x00vm", 4+8+4+8+4, 9), tc.opts...); err == nil || !strings.Contains(err.Error(), "unknown state 9") {
 		t.Errorf("forged page state: err = %v, want the unknown-state complaint", err)
 	}
-	// The swap file's name is followed by its id, base and size.
-	var se *fs.SizeError
-	if _, err := Restore(tc.cfg, patched("swap.clustered", 4+8, binary.LittleEndian.AppendUint64(nil, 1<<40)...), tc.opts...); !errors.As(err, &se) || se.Size != 1<<40 {
-		t.Errorf("forged file size: err = %v, want a *fs.SizeError", err)
+	// The swap file's name is followed by its id, base and size: one past its
+	// extent, and one inside the extent but a gigabyte past what was written.
+	for _, size := range forgedSizes {
+		var se *fs.SizeError
+		if _, err := Restore(tc.cfg, patched("swap.clustered", 4+8, binary.LittleEndian.AppendUint64(nil, size)...), tc.opts...); !errors.As(err, &se) || se.Size != int64(size) {
+			t.Errorf("forged file size %d: err = %v, want a *fs.SizeError", size, err)
+		}
 	}
 }
 
@@ -446,6 +449,11 @@ func cacheFrame(t *testing.T, m *Machine) mem.FrameID {
 	return mem.NoFrame
 }
 
+// forgedSizes are the file sizes no write leaves behind that the restore
+// tests plant: past the file's extent, and inside it but a gigabyte past the
+// last block the snapshot carries.
+var forgedSizes = []uint64{1 << 40, 1 << 30}
+
 // FuzzRestore mutates snapshot bodies and reseals them, so every input gets
 // past the checksum: Restore must return an error or a machine that passes
 // its invariants and survives a drive phase without panicking or hanging.
@@ -459,15 +467,17 @@ func FuzzRestore(f *testing.F) {
 		for _, body := range hostileKeyBodies(f, name, blob[:len(blob)-4]) {
 			f.Add(uint8(i), body)
 		}
-		// The swap file claims a size past its extent; recovery and
+		// The swap file claims a size it was never written to; recovery and
 		// compaction size their sweeps from it.
-		forged := bytes.Clone(blob[:len(blob)-4])
-		at := bytes.Index(forged, []byte(files[i]))
+		at := bytes.Index(blob, []byte(files[i]))
 		if at < 0 {
 			f.Fatalf("%s snapshot names no file %q", name, files[i])
 		}
-		binary.LittleEndian.PutUint64(forged[at+len(files[i])+4+8:], 1<<40) // past the file's id and base
-		f.Add(uint8(i), forged)
+		for _, size := range forgedSizes {
+			forged := bytes.Clone(blob[:len(blob)-4])
+			binary.LittleEndian.PutUint64(forged[at+len(files[i])+4+8:], size) // past the file's id and base
+			f.Add(uint8(i), forged)
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		tc := cases[names[int(which)%len(names)]]

@@ -9,6 +9,7 @@ import (
 
 	"compcache/internal/core"
 	"compcache/internal/fault"
+	"compcache/internal/sim"
 	"compcache/internal/swap"
 	"compcache/internal/vm"
 )
@@ -220,7 +221,7 @@ func TestTierChain(t *testing.T) {
 				// b's cache entry is clean and its only other copy is in the
 				// tier. Step into the injection window: the cache read is
 				// corrupted, the ladder finds the tier's copy and serves it.
-				r.m.Clock.Advance(faultWindow)
+				r.m.Clock.Charge(sim.CauseIdle, faultWindow)
 				before, remoteIns := r.m.Faults(), r.m.VM.Stats().RemoteIns
 				if !bytes.Equal(r.read(b.Key.Page), r.want[b.Key.Page]) {
 					t.Fatal("recovered page has the wrong contents")
@@ -300,7 +301,7 @@ func storeOf(cfg Config) func(t *testing.T) (Tier, func()) {
 				t.Error(err)
 			}
 		})
-		return m.store, func() { m.Drain(); m.Clock.Advance(faultWindow) }
+		return m.store, func() { m.Drain(); m.Clock.Charge(sim.CauseIdle, faultWindow) }
 	}
 }
 

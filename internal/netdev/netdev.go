@@ -245,7 +245,7 @@ func (n *Net) attempt(addr int64, bytes int, write bool, sync bool) error {
 		})
 	}
 	if sync {
-		n.clock.AdvanceTo(done)
+		n.clock.ChargeTo(sim.CauseDevice, done)
 	}
 	if write {
 		return n.faults.DiskWrite()
@@ -269,7 +269,7 @@ func (n *Net) transfer(addr int64, bytes int, write bool, sync bool) error {
 			})
 		}
 		if sync {
-			n.clock.Advance(wait)
+			n.clock.Charge(sim.CauseBackoff, wait)
 		} else {
 			// Queued transfer: the backoff elapses on the device timeline,
 			// delaying everything queued behind it, not the caller.
@@ -308,8 +308,6 @@ func (n *Net) WriteAsync(addr int64, bytes int) (sim.Time, error) {
 }
 
 // Drain advances the clock until the send queue empties.
-//
-//cclint:ignore obscoverage -- drain only retires the busy timeline; each send was probed when it was issued
 func (n *Net) Drain() {
-	n.clock.AdvanceTo(n.busyAt)
+	n.clock.ChargeTo(sim.CauseDrain, n.busyAt)
 }

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"time"
 )
@@ -46,6 +49,23 @@ func WriteEventsJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
+}
+
+// ExportEventsJSONL is the commands' -events flag: WriteEventsJSONL to the
+// file at path, to stdout when path is "-", nowhere when it is empty.
+func ExportEventsJSONL(path string, stdout io.Writer, events []Event) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return WriteEventsJSONL(stdout, events)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	return errors.Join(WriteEventsJSONL(w, events), w.Flush(), f.Close())
 }
 
 // WriteEventsCSV renders events as CSV with a header row, same field order

@@ -48,10 +48,20 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // actor blocks until the shared time line reaches the target instant while
 // globally earlier actors run. Callers cannot tell the difference — both
 // flavours return the same instants for the same call sequence.
+//
+// The clock also keeps the books on where its time went: Charge and ChargeTo
+// advance exactly as Advance and AdvanceTo do and add the time that passed to
+// one Cause of a fixed ledger. Time moved by a bare Advance is in no entry,
+// which is how the per-reference path stays one add: the machine recovers
+// reference time as what is left over and checks it against the reference
+// count (machine.CheckInvariants).
 type Clock struct {
+	// now and kernel are all the per-reference Advance reads; they stay
+	// adjacent and ahead of the ledger so that path touches one cache line.
 	clockState
 	kernel *Kernel // nil for a free-running clock
 	actor  ActorID
+	spent  Ledger
 }
 
 // clockState is the clock's replay state: everything a snapshot carries.
@@ -109,3 +119,67 @@ func (c *Clock) AdvanceTo(t Time) Time {
 
 // Elapsed reports the duration since instant t.
 func (c *Clock) Elapsed(t Time) Duration { return c.now.Sub(t) }
+
+// Cause names what a stretch of virtual time was spent on.
+type Cause uint8
+
+// The causes, in the order a breakdown prints them. A reference's own cost has
+// no entry: it is the one advance that is not a charge (see Clock).
+const (
+	CauseFault      Cause = iota // page-fault software overhead
+	CauseCompress                // the codec, compressing
+	CauseDecompress              // the codec, decompressing
+	CauseCopy                    // page and fragment copies
+	CauseDevice                  // waiting for a synchronous disk or network transfer, queueing included
+	CauseBackoff                 // waiting out a network retry backoff
+	CauseDrain                   // waiting for queued asynchronous writes to finish
+	CauseIdle                    // time no simulated component spent: a harness moved the clock
+	NumCauses
+)
+
+var causeNames = [NumCauses]string{"fault", "compress", "decompress", "copy", "device", "backoff", "drain", "idle"}
+
+// String returns the cause's short name.
+func (c Cause) String() string { return causeNames[c] }
+
+// Ledger holds the virtual time booked to each cause.
+type Ledger [NumCauses]Duration
+
+// Total is the time booked to all causes together.
+func (l Ledger) Total() Duration {
+	var sum Duration
+	for _, d := range l {
+		sum += d
+	}
+	return sum
+}
+
+// Sub returns the time booked since the earlier reading base.
+func (l Ledger) Sub(base Ledger) Ledger {
+	for i := range l {
+		l[i] -= base[i]
+	}
+	return l
+}
+
+// Charge advances the clock by d, as Advance does, and books the time that
+// passed to cause.
+func (c *Clock) Charge(cause Cause, d Duration) Time {
+	t0 := c.now
+	t := c.Advance(d)
+	c.spent[cause] += t.Sub(t0)
+	return t
+}
+
+// ChargeTo advances the clock to instant t, as AdvanceTo does, and books the
+// time that passed — none, if t is not in the future — to cause.
+func (c *Clock) ChargeTo(cause Cause, t Time) Time {
+	t0 := c.now
+	t = c.AdvanceTo(t)
+	c.spent[cause] += t.Sub(t0)
+	return t
+}
+
+// Spent returns the ledger: the time booked to each cause since the clock was
+// created. It is not part of the clock's snapshot.
+func (c *Clock) Spent() Ledger { return c.spent }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestClockZeroValue(t *testing.T) {
@@ -46,6 +47,48 @@ func TestClockAdvanceTo(t *testing.T) {
 	c.AdvanceTo(Time(25 * time.Millisecond))
 	if got := c.Now(); got != Time(25*time.Millisecond) {
 		t.Fatalf("AdvanceTo(future) = %v, want 25ms", got)
+	}
+}
+
+// TestChargeBooksWhatPassed: Charge and ChargeTo move the clock exactly as
+// Advance and AdvanceTo do, free-running or attached, and the ledger gains
+// the time that actually passed — nothing for a ChargeTo into the past, and
+// nothing at all for a bare Advance.
+func TestChargeBooksWhatPassed(t *testing.T) {
+	for name, c := range map[string]*Clock{"free": {}, "attached": NewKernel().NewClock(0)} {
+		plain := &Clock{}
+		step := func(got, want Time) {
+			t.Helper()
+			if got != want || c.Now() != plain.Now() {
+				t.Fatalf("%s: charge returned %v with the clock at %v; the plain advance returned %v with it at %v", name, got, c.Now(), want, plain.Now())
+			}
+		}
+		step(c.Charge(CauseCompress, 5*time.Millisecond), plain.Advance(5*time.Millisecond))
+		step(c.Advance(time.Millisecond), plain.Advance(time.Millisecond))
+		step(c.ChargeTo(CauseDevice, Time(3*time.Millisecond)), plain.AdvanceTo(Time(3*time.Millisecond)))
+		step(c.ChargeTo(CauseDevice, Time(10*time.Millisecond)), plain.AdvanceTo(Time(10*time.Millisecond)))
+		step(c.Charge(CauseCompress, 0), plain.Advance(0))
+		want := Ledger{CauseCompress: 5 * time.Millisecond, CauseDevice: 4 * time.Millisecond}
+		if got := c.Spent(); got != want || got.Total() != 9*time.Millisecond {
+			t.Errorf("%s: ledger %v (total %v), want %v", name, got, got.Total(), want)
+		}
+		if got := c.Spent().Sub(Ledger{CauseDevice: time.Millisecond}); got[CauseDevice] != 3*time.Millisecond || got[CauseCompress] != 5*time.Millisecond {
+			t.Errorf("%s: Sub gave %v", name, got)
+		}
+	}
+	for c := Cause(0); c < NumCauses; c++ {
+		if c.String() == "" {
+			t.Errorf("cause %d has no name", c)
+		}
+	}
+}
+
+// TestClockReferencePathIsOneCacheLine: the per-reference Advance reads now
+// and kernel; the ledger must sit behind both, not between them.
+func TestClockReferencePathIsOneCacheLine(t *testing.T) {
+	var c Clock
+	if now, kernel, spent := unsafe.Offsetof(c.now), unsafe.Offsetof(c.kernel), unsafe.Offsetof(c.spent); kernel+unsafe.Sizeof(c.kernel) > 64 || spent < kernel || spent < now {
+		t.Errorf("now at %d, kernel at %d, ledger at %d: want the first two inside the first 64 bytes and the ledger after them", now, kernel, spent)
 	}
 }
 

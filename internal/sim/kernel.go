@@ -334,8 +334,10 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Wait blocks actor id until global time reaches until, running other actors
 // meanwhile, and returns the (unchanged) target instant. Outside Run the
 // clock simply jumps — construction-time charges accrue before the kernel
-// starts dispatching. Wait is the one operation crosscredit counts
-// as crediting the clock, exactly like Clock.Advance.
+// starts dispatching. An attached clock's Advance, AdvanceTo, Charge and
+// ChargeTo each make one Wait when they move it; a charge books the difference
+// between the clock's readings around that, so the ledger needs nothing from
+// the kernel.
 func (k *Kernel) Wait(id ActorID, until Time) Time {
 	st := k.state(id)
 	if until < st.clock.now {

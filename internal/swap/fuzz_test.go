@@ -1,6 +1,7 @@
 package swap
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -78,7 +79,9 @@ type fuzzSeed struct {
 
 // mediaSeeds gives each image the size writing it would have left, and adds
 // the sizes only a forged image carries: negative, past the file's extent,
-// and inside the extent but beyond anything written.
+// and inside the extent but beyond anything written. LoadImage refuses all
+// three (TestForgedSizeSeedsAreRefused), so recovery never sizes a sweep or
+// an allocation from them.
 func mediaSeeds(valid []byte, seeds ...fuzzSeed) []fuzzSeed {
 	for i := range seeds {
 		seeds[i].size = blockCeil(len(seeds[i].data))
@@ -121,8 +124,8 @@ func fuzzMedia(tb testing.TB, name string, img []byte) (*fs.FS, *mem.Pool, *sim.
 // contents nor a size the media has no file at all. The error is LoadImage's.
 func imageMedia(tb testing.TB, name string, img []byte, size int64) (*fs.FS, *mem.Pool, *sim.Clock, error) {
 	tb.Helper()
-	if len(img) > 1<<20 || (size > 1<<20 && size <= 1<<30) {
-		tb.Skip("image larger than the simulated platter budget (recovery sweeps every byte a valid size claims)")
+	if len(img) > 1<<20 {
+		tb.Skip("image larger than the simulated platter budget (a valid size claims no more than the image holds)")
 	}
 	clock := new(sim.Clock)
 	d, err := disk.New(disk.RZ57(), clock)
@@ -280,6 +283,31 @@ func FuzzRecoverClustered(f *testing.F) {
 			t.Fatalf("compaction of the recovered store: %v", err)
 		}
 	})
+}
+
+// TestForgedSizeSeedsAreRefused pins the size-* seeds outside the fuzz
+// engine: the media never mounts, so neither recovery gets to allocate or
+// sweep what the size claims, and the size one byte short of the refusal —
+// all of the last block the image brings — mounts and recovers.
+func TestForgedSizeSeedsAreRefused(t *testing.T) {
+	for _, seed := range mediaSeeds(durableClusteredImage(t, 24)) {
+		_, _, _, err := imageMedia(t, "swap.clustered", seed.data, seed.size)
+		var se *fs.SizeError
+		if !errors.As(err, &se) || se.Size != seed.size {
+			t.Errorf("%s: LoadImage = %v, want a *fs.SizeError for size %d", seed.name, err, seed.size)
+		}
+	}
+	valid := durableLFSImage(t, 24)
+	if _, _, _, err := imageMedia(t, "swap.lfs", valid, blockCeil(len(valid))+1); err == nil {
+		t.Error("a size one byte past the image's last block mounted")
+	}
+	fsys, pool, clock, err := imageMedia(t, "swap.lfs", valid, blockCeil(len(valid)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, rep, err := RecoverLFS(fuzzLFSConfig(), fsys, pool, nil, clock); err != nil || rep.RecoveredPages == 0 {
+		t.Errorf("recovery at exactly the written extent: %+v, %v", rep, err)
+	}
 }
 
 // TestRecoverClusteredRejectsWrappedExtent pins the crafted seed outside

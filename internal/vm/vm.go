@@ -320,7 +320,7 @@ func (v *VM) fault(p *Page) error {
 	}
 	v.st.Faults++
 	t0 := v.clock.Now()
-	v.clock.Advance(v.cost.FaultOverhead)
+	v.clock.Charge(sim.CauseFault, v.cost.FaultOverhead)
 
 	frame, err := v.frameSource(mem.VM)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"compcache/internal/machine"
 	"compcache/internal/trace"
@@ -353,12 +354,18 @@ func TestMultiRunsAllMembers(t *testing.T) {
 	s1 := &Thrasher{Pages: 512, Write: true, Passes: 1, Seed: 1}
 	s2 := &Sort{Bytes: mb / 2, Mode: SortPartial, VocabWords: 300, Seed: 2}
 	w := &Multi{Workloads: []Workload{s1, s2}, QuantumRefs: 500}
-	st, err := Measure(ccCfg(), w)
+	m, st, err := MeasureMachine(ccCfg(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.VM.Refs == 0 {
 		t.Fatal("no references")
+	}
+	// The runner froze the Elapsed() origin before the first reference, so the
+	// members' own MarkStart calls moved neither it nor the time breakdown's.
+	b := m.TimeBreakdown()
+	if want := time.Duration(st.VM.Refs) * m.Config().Cost.MemRef; b.Elapsed() != st.Time || b.Reference != want {
+		t.Errorf("breakdown sums to %v with %v of references; want %v with %v", b.Elapsed(), b.Reference, st.Time, want)
 	}
 	// The sort member must still have produced correct output despite
 	// interleaving.
