@@ -7,8 +7,8 @@
 //
 // Packages default to ./... . Patterns follow the go tool's shape
 // ("./...", "./internal/...", or plain directories); whatever the
-// patterns, the whole module is loaded and type-checked so the cross-package
-// analysis (kernelproto) sees every call path — patterns only select which
+// patterns, the whole module is loaded and type-checked so every identifier
+// resolves to the same object everywhere — patterns only select which
 // packages' findings are reported. cclint reads the source
 // tree and nothing else. Exit status is 0 when the tree is clean, 1 when
 // any finding survives, and 2 on usage or load errors.
@@ -26,7 +26,7 @@
 //	start := time.Now() //cclint:ignore walltime -- host-time progress line
 //
 // See internal/lint for the analyzers and DESIGN.md ("Static analysis
-// engine") for the call-graph machinery and why each rule exists.
+// engine") for the typed fact layer and why each rule exists.
 package main
 
 import (

@@ -12,6 +12,7 @@ import (
 	"compcache/internal/netdev"
 	"compcache/internal/obs"
 	"compcache/internal/runner"
+	"compcache/internal/workload"
 )
 
 // fleetPopulate is phase 1 of each member's program: write a working set
@@ -262,5 +263,52 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 	if serial[0] == serial[1] {
 		t.Fatal("different fleet seeds produced identical traces")
+	}
+}
+
+// TestMultiInsideFleetActor composes the two clients of sim.Kernel: each fleet
+// machine is an actor of the fleet's kernel, and its program is a
+// workload.Multi, whose two members are actors of a kernel of Multi's own.
+// The members' references advance the machine's clock, so a member goroutine
+// blocks in the fleet kernel's Wait while its machine's actor goroutine sits in
+// the inner kernel's Run. Two runs must agree on every machine's final clock
+// and counters, with the time ledger balanced; CI runs this under -race.
+func TestMultiInsideFleetActor(t *testing.T) {
+	run := func() string {
+		c, err := cluster.New(cluster.Config{
+			Machines: 2, MemoryBytes: 48 * 4096, Link: netdev.Ethernet10(), Seed: 11, DonationFrames: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, c.Size())
+		for i := 0; i < c.Size(); i++ {
+			mix := &workload.Multi{QuantumRefs: 16, Workloads: []workload.Workload{
+				&workload.Thrasher{Pages: 40, Write: true, Passes: 2, Seed: c.SeedFor(i)},
+				&workload.Thrasher{Pages: 24 + 8*int32(i), Write: false, Passes: 3, CompressTarget: 0.95, Seed: c.SeedFor(i) + 1},
+			}}
+			c.Go(i, func(m *machine.Machine) { errs[i] = mix.Run(m) })
+		}
+		c.Run()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("machine %d: %v", i, err)
+			}
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for i := 0; i < c.Size(); i++ {
+			m := c.Machine(i)
+			if m.Stats().VM.RemoteIns == 0 {
+				t.Fatalf("machine %d never paged from fleet memory: the mix does not exercise the fleet kernel", i)
+			}
+			fmt.Fprintf(&sb, "== machine %d @ %d ==\n%s\n", i, m.Clock.Now(), m.Stats().String())
+		}
+		return sb.String()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("a Multi inside a fleet actor is not reproducible:\n%s\nvs\n%s", a, b)
 	}
 }

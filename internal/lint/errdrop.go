@@ -53,7 +53,7 @@ func (e ErrDrop) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info
 	var out []Diagnostic
 	for _, fn := range pkg.funcs {
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {

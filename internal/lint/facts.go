@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // The typed fact helpers every analyzer and per-function scanner shares.
@@ -17,10 +18,6 @@ func objectOf(info *types.Info, id *ast.Ident) types.Object {
 		return u
 	}
 	return info.Defs[id]
-}
-
-func isGlobal(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // funcValueOf resolves an expression naming a function — f, pkg.f under
@@ -38,6 +35,21 @@ func funcValueOf(info *types.Info, e ast.Expr) *types.Func {
 		return fn
 	}
 	return nil
+}
+
+// pkgPath returns a function's package path, "" for builtins.
+func pkgPath(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return ""
+	}
+	return fn.Pkg().Path()
+}
+
+// pathHasSuffix reports whether an import path is, or ends with, the
+// given slash-separated suffix ("internal/sim" matches both
+// "compcache/internal/sim" and a fixture's "compcache/x/internal/sim").
+func pathHasSuffix(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // builtinCall returns the name of the builtin a call invokes ("append",

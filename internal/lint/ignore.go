@@ -1,8 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -110,11 +110,8 @@ func (ds *directives) suppress(d Diagnostic) bool {
 		if dir.noReason || len(dir.badNames) > 0 {
 			continue // malformed directives never suppress
 		}
-		for _, name := range dir.analyzers {
-			if name == d.Analyzer {
-				dir.used = true
-				hit = true
-			}
+		if slices.Contains(dir.analyzers, d.Analyzer) {
+			dir.used, hit = true, true
 		}
 	}
 	return hit
@@ -128,14 +125,7 @@ func (ds *directives) suppress(d Diagnostic) bool {
 func (ds *directives) hygiene(reportUnused bool) []Diagnostic {
 	var out []Diagnostic
 	emit := func(dir *directive, format string, args ...any) {
-		out = append(out, Diagnostic{
-			Analyzer: hygieneName,
-			Pos:      dir.pos,
-			File:     dir.pos.Filename,
-			Line:     dir.pos.Line,
-			Col:      dir.pos.Column,
-			Message:  fmt.Sprintf(format, args...),
-		})
+		out = append(out, diagAt(hygieneName, dir.pos, format, args...))
 	}
 	for _, dir := range ds.all {
 		switch {

@@ -13,13 +13,12 @@
 // cclint turns those tribal rules into CI-enforced law. The framework is
 // deliberately stdlib-only: the build environment has no network, so
 // golang.org/x/tools is off the table. Since PR 5 the engine loads the
-// whole module at once, type-checks it with go/types (one shared
-// types.Info across packages, stdlib resolved from GOROOT source) and
-// builds an approximate static call graph with type-informed method-set
-// resolution — so an invariant that crosses package boundaries (what an
-// actor body can reach, three packages away and through an interface) is
-// enforced too, and every analyzer asks the type checker what an
-// identifier is instead of guessing from its spelling (facts.go).
+// whole module at once and type-checks it with go/types (one shared
+// types.Info across packages, stdlib resolved from GOROOT source), so
+// every analyzer asks the type checker what an identifier is instead of
+// guessing from its spelling (facts.go). There is no call graph: the one
+// invariant that used to need one — who may touch the host scheduler — is
+// a fact about packages, not call chains (kernelproto.go).
 //
 // Findings can be suppressed, one line at a time, with a written reason:
 //
@@ -33,10 +32,11 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 )
 
 // Diagnostic is one finding, positioned at file:line:col.
@@ -55,8 +55,8 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one named check. Check is called once per selected package;
-// module-wide context (the call graph, other packages, type info) is
-// reached through pkg.Mod.
+// module-wide context (other packages, type info) is reached through
+// pkg.Mod.
 type Analyzer interface {
 	// Name is the identifier used in output and in ignore directives.
 	Name() string
@@ -68,8 +68,9 @@ type Analyzer interface {
 
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
-// map-ness, the three per-function analyzers, then the one that walks the
-// call graph: the kernel-protocol contract analyzer (kernelproto).
+// map-ness, the three per-function analyzers, then the package rule:
+// scheduler-visible primitives outside internal/sim and internal/runner
+// (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
@@ -84,7 +85,11 @@ func All() []Analyzer {
 
 // diag builds a Diagnostic at a node's position.
 func diag(pkg *Package, name string, n ast.Node, format string, args ...any) Diagnostic {
-	pos := pkg.Fset.Position(n.Pos())
+	return diagAt(name, pkg.Fset.Position(n.Pos()), format, args...)
+}
+
+// diagAt builds a Diagnostic at a resolved position.
+func diagAt(name string, pos token.Position, format string, args ...any) Diagnostic {
 	return Diagnostic{
 		Analyzer: name,
 		Pos:      pos,
@@ -146,18 +151,9 @@ func run(pkgs []*Package, suite, selected []Analyzer, fullSuite bool) []Diagnost
 		}
 		out = append(out, dirs.hygiene(fullSuite)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortStableFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
 	return out
 }

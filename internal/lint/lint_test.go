@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -177,70 +176,6 @@ func TestRunOnlyFilters(t *testing.T) {
 	}
 }
 
-// findFn resolves a function or method by fixture package path suffix and
-// name, through the call graph's deterministic node order.
-func findFn(t *testing.T, mod *Module, pkgSuffix, name string) *types.Func {
-	t.Helper()
-	for _, node := range mod.Graph.order {
-		if node.Fn.Name() == name && node.Pkg != nil && pathHasSuffix(node.Pkg.Path, pkgSuffix) {
-			return node.Fn
-		}
-	}
-	t.Fatalf("function %s not found in package %s", name, pkgSuffix)
-	return nil
-}
-
-// TestCallGraphInterfaceResolution pins the engine property kernelproto's
-// BadIface and BadEmbedded cases rest on: a call through an interface gets
-// dynamic edges to the interface method and to the concrete method of every
-// implementing module type, whether the method is selected on the interface
-// (Apply) or promoted through a struct that embeds it (ApplyStage) — there
-// the selection's receiver is a struct, and the method's own receiver decides.
-func TestCallGraphInterfaceResolution(t *testing.T) {
-	mod := fixtureModule(t)
-	for _, tc := range []struct{ caller, method string }{{"Apply", "Work"}, {"ApplyStage", "Shut"}} {
-		node := mod.Graph.Node(findFn(t, mod, "kernelproto", tc.caller))
-		if node == nil {
-			t.Fatalf("no graph node for kp.%s", tc.caller)
-		}
-		var iface, concrete bool
-		for _, e := range node.Out {
-			if !e.Dynamic || e.Callee.Name() != tc.method {
-				continue
-			}
-			if types.IsInterface(e.Callee.Type().(*types.Signature).Recv().Type()) {
-				iface = true
-			} else {
-				concrete = true
-			}
-		}
-		if !iface {
-			t.Errorf("%s has no dynamic edge to the interface method %s", tc.caller, tc.method)
-		}
-		if !concrete {
-			t.Errorf("%s has no dynamic edge to the implementation of %s", tc.caller, tc.method)
-		}
-	}
-}
-
-// TestCallGraphCycleTerminates: Walk over the mutually recursive Ping↔Pong of
-// the kernelproto fixture must terminate, keep the seed a seed when the cycle
-// comes back round to it, and record the same chain on every run.
-func TestCallGraphCycleTerminates(t *testing.T) {
-	mod := fixtureModule(t)
-	const pkg = "kernelproto"
-	ping, pong := findFn(t, mod, pkg, "Ping"), findFn(t, mod, pkg, "Pong")
-	for i := 0; i < 3; i++ {
-		prev := mod.Graph.Walk([]*types.Func{ping}, func(*Node, Edge) bool { return true })
-		if from, ok := prev[ping]; !ok || from != nil {
-			t.Fatalf("Pong → Ping re-linked the seed to %v", from)
-		}
-		if chain := chainTo(prev, pong); len(chain) != 2 || chain[0] != ping || chain[1] != pong {
-			t.Fatalf("Walk(Ping) reached Pong by %s, want the direct 2-hop chain", chainString(chain))
-		}
-	}
-}
-
 // TestMachineFixtureScope pins the two properties the acceptance criteria
 // name: the fixture directory resolves to an import path ending in
 // internal/machine (so walltime provably rejects a time.Now() injected
@@ -333,7 +268,7 @@ func TestRealTreeClean(t *testing.T) {
 }
 
 // BenchmarkLintModule measures full-module cclint wall time: load,
-// type-check, call graph and all seven analyzers — the pass the CI wall-time
+// type-check and all seven analyzers — the pass the CI wall-time
 // budget gate times against .cclint-lint-budget.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -9,16 +9,17 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Module is the unit cclint analyzes: every package of one Go module,
-// parsed and type-checked together with a single shared types.Info, plus
-// the approximate static call graph built over the whole set. Analyzers
-// reach cross-package facts (can this actor body reach a channel send two
-// packages away?) through Module, while per-package syntax stays on Package
-// exactly as before.
+// parsed and type-checked together with a single shared types.Info.
+// Analyzers reach cross-package facts (which function, in which package, does
+// this identifier name?) through Module, while per-package syntax stays on
+// Package.
 type Module struct {
 	// Root is the directory the tree was loaded from (the go.mod
 	// directory for LoadModule, the fixture root for LoadTree).
@@ -35,16 +36,12 @@ type Module struct {
 	// type-check (TypeErrors records why), and analyzers must treat a
 	// nil lookup as "unknown", never as proof.
 	Info *types.Info
-	// Graph is the module-wide approximate call graph.
-	Graph *CallGraph
 	// TypeErrors collects type-check errors. A broken tree still loads —
 	// cclint has to be able to point at code the compiler also rejects —
 	// but analyses degrade to syntax where type facts are missing.
 	TypeErrors []error
 
 	byPath map[string]*Package
-
-	kproto *kprotoFacts // memoized kernel-protocol facts
 }
 
 // Package is one parsed Go package as the analyzers see it. Syntax (Files,
@@ -67,21 +64,17 @@ type Package struct {
 	// Types is the type-checked package (never nil after loading, but
 	// possibly incomplete if TypeErrors is non-empty for the module).
 	Types *types.Package
-	// Mod is the module this package belongs to (set by the loader, as is
-	// Mod.Graph: a Package never reaches an analyzer without them).
+	// Mod is the module this package belongs to (set by the loader: a
+	// Package never reaches an analyzer without it).
 	Mod *Module
 
-	imports []string // module-internal import paths, for topo-sorting
-	funcs   []*Node  // the declared functions with a body, in source order (the call graph's nodes)
+	imports []string        // module-internal import paths, for topo-sorting
+	funcs   []*ast.FuncDecl // the declared functions with a body, in source order
 }
 
-// Lookup returns the package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
-
 // LoadModule locates the module containing dir (by walking up to go.mod)
-// and loads every package in it: the whole tree is parsed, type-checked
-// in dependency order with one shared types.Info, and the call graph is
-// built. Test files (_test.go) are not loaded — the invariants cclint
+// and loads every package in it: the whole tree is parsed and type-checked
+// in dependency order with one shared types.Info. Test files (_test.go) are not loaded — the invariants cclint
 // enforces are about simulation code, and tests routinely hold golden
 // host-time or shuffled fixtures — and testdata, vendor and hidden
 // directories are always skipped, so fixture packages can never leak into
@@ -151,7 +144,6 @@ func LoadTree(root, modulePath string) (*Module, error) {
 		return nil, err
 	}
 	check(mod, order)
-	mod.Graph = buildCallGraph(mod)
 	return mod, nil
 }
 
@@ -165,20 +157,10 @@ func (m *Module) Select(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[*Package]bool)
 	var out []*Package
-	add := func(p *Package) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
 	for _, pat := range patterns {
-		rec := false
-		if strings.HasSuffix(pat, "/...") {
-			rec = true
-			pat = strings.TrimSuffix(pat, "/...")
-		} else if pat == "..." {
+		pat, rec := strings.CutSuffix(pat, "/...")
+		if pat == "..." {
 			rec, pat = true, "."
 		}
 		base := pat
@@ -191,8 +173,8 @@ func (m *Module) Select(dir string, patterns []string) ([]*Package, error) {
 			if err != nil {
 				continue
 			}
-			if pdir == base || (rec && strings.HasPrefix(pdir+string(filepath.Separator), base+string(filepath.Separator))) {
-				add(p)
+			if (pdir == base || (rec && strings.HasPrefix(pdir+string(filepath.Separator), base+string(filepath.Separator)))) && !slices.Contains(out, p) {
+				out = append(out, p)
 			}
 		}
 	}
@@ -265,6 +247,11 @@ func parsePackage(mod *Module, dir string) (*Package, error) {
 			return nil, fmt.Errorf("lint: %v", err)
 		}
 		pkg.Files = append(pkg.Files, f)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				pkg.funcs = append(pkg.funcs, fd)
+			}
+		}
 		pkg.Lines[path] = strings.Split(string(src), "\n")
 		for _, imp := range f.Imports {
 			if p := importLiteral(imp); p == mod.Path || strings.HasPrefix(p, mod.Path+"/") {
@@ -281,10 +268,7 @@ func parsePackage(mod *Module, dir string) (*Package, error) {
 
 // importLiteral unquotes an import spec's path, returning "" on error.
 func importLiteral(imp *ast.ImportSpec) string {
-	p := imp.Path.Value
-	if len(p) >= 2 && p[0] == '"' {
-		p = p[1 : len(p)-1]
-	}
+	p, _ := strconv.Unquote(imp.Path.Value)
 	return p
 }
 

@@ -42,13 +42,13 @@ func (m MapRange) Check(pkg *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, fn := range pkg.funcs {
 		var sorted map[types.Object]bool // fn's sorted variables, found at its first map range
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok || !isMap(info.TypeOf(rs.X)) {
 				return true
 			}
 			if sorted == nil {
-				sorted = sortedObjects(info, fn.Decl.Body)
+				sorted = sortedObjects(info, fn.Body)
 			}
 			out = append(out, m.checkLoop(pkg, rs, sorted)...)
 			return true

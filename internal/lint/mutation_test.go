@@ -120,13 +120,29 @@ func mutateFixture(t *testing.T, file, old, new string, wantNew ...string) {
 	assertExactlyNew(t, base, lintTree(t, root), wantNew)
 }
 
+// kpMessage is the kernelproto finding for one primitive.
+func kpMessage(what string) string {
+	return "kernelproto: " + what + " outside internal/sim and internal/runner; only the kernel baton and the runner fan-out may touch the host scheduler"
+}
+
 // TestKernelProtoMutationRawGoroutine: a raw go statement slipped into
-// the clean actor body must be reported with its actor chain.
+// the clean actor body must be reported.
 func TestKernelProtoMutationRawGoroutine(t *testing.T) {
 	mutateFixture(t, "kernelproto/kernelproto.go",
 		"buf := pool.Get().([]byte)",
 		"buf := pool.Get().([]byte)\n\t\tgo func() { _ = buf }()",
-		"kernelproto: actor body armed in Good: spawns a raw goroutine outside the kernel baton (Good); fleet determinism needs the single-actor discipline")
+		kpMessage("spawns a raw goroutine"))
+}
+
+// TestKernelProtoMutationFuncValueHook: a lock taken inside a closure that is
+// stored in a hook and only ever called through the func value — the shape
+// the cleaner's flush closure and vm's frame source have in the real tree,
+// and the one a call graph that drops func-value calls cannot see.
+func TestKernelProtoMutationFuncValueHook(t *testing.T) {
+	mutateFixture(t, "kernelproto/kernelproto.go",
+		"func Build(c *Cache) {\n\tc.SetHooks(func(n int) {",
+		"func Build(c *Cache) {\n\tvar mu sync.Mutex\n\tc.SetHooks(func(n int) {\n\t\tmu.Lock()",
+		kpMessage("takes sync.Mutex.Lock"))
 }
 
 // TestWalltimeMutationRenamedImport: a host-clock read through the
@@ -168,7 +184,7 @@ func TestErrDropMutationDroppedCheck(t *testing.T) {
 // TestSharedWriteMutationCapturedAppend: the index-slotted write turned
 // into an append races on the captured slice header.
 func TestSharedWriteMutationCapturedAppend(t *testing.T) {
-	mutateFixture(t, "sharedwrite/sharedwrite.go",
+	mutateFixture(t, "sharedwrite/internal/runner/sharedwrite.go",
 		"results[i] = 2 * i", "results = append(results, 2*i)",
 		"sharedwrite: goroutine writes captured variable results; concurrent writes are scheduler-ordered — use an index-slotted slice or a channel")
 }
@@ -183,8 +199,7 @@ func TestFloatOrderMutationMovedIntoMapRange(t *testing.T) {
 
 // TestRunDeterministic: cclint's own output is a byte-identical artifact.
 // Five fresh loads of the whole fixture module, full suite each time, must
-// produce deep-equal diagnostics — positions, order and messages (which
-// carry call chains picked among equal-length alternatives).
+// produce deep-equal diagnostics — positions, order and messages.
 func TestRunDeterministic(t *testing.T) {
 	first := lintTree(t, filepath.Join("testdata", "src"))
 	if len(first) == 0 {

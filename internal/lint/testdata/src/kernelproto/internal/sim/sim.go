@@ -1,7 +1,13 @@
-// Package sim is a minimal stand-in for the discrete-event kernel,
-// matched by kernelproto's internal/sim suffix rule. Bodies here are
-// exempt from scanning: the kernel IS the baton implementation.
+// Package sim is a minimal stand-in for the discrete-event kernel, matched
+// by kernelproto's internal/sim suffix rule. The kernel IS the baton
+// implementation: every primitive the analyzer knows appears here, and none
+// is a finding.
 package sim
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Time is virtual time.
 type Time int64
@@ -9,28 +15,47 @@ type Time int64
 // ActorID names an actor.
 type ActorID int32
 
-// Kernel mirrors the spawn primitives the analyzer seeds on.
+// Kernel hands a baton around its actors.
 type Kernel struct {
-	now  Time
-	runq []func()
+	mu     sync.Mutex
+	once   sync.Once
+	now    Time
+	events atomic.Int64
+	yield  chan ActorID
+	resume chan Time
 }
 
-// Go arms fn as an actor body.
-func (k *Kernel) Go(id ActorID, fn func()) { k.runq = append(k.runq, fn) }
-
-// Bind re-arms an existing actor with a fresh body.
-func (k *Kernel) Bind(id ActorID, fn func()) { k.runq = append(k.runq, fn) }
-
-// Schedule arms fn to run at a virtual instant.
-func (k *Kernel) Schedule(at Time, id ActorID, fn func(Time)) {
-	k.runq = append(k.runq, func() { fn(at) })
+// Go starts fn as an actor body on a goroutine of its own.
+func (k *Kernel) Go(id ActorID, fn func()) {
+	k.once.Do(func() { k.yield, k.resume = make(chan ActorID), make(chan Time) })
+	go func() {
+		fn()
+		k.yield <- id
+	}()
 }
+
+// Run dispatches until the yield channel is closed.
+func (k *Kernel) Run() {
+	for range k.yield {
+		k.events.Add(1)
+		select {
+		case k.resume <- k.now:
+		default:
+		}
+	}
+}
+
+// Stop ends Run.
+func (k *Kernel) Stop() { close(k.yield) }
 
 // Wait parks the calling actor until the virtual instant; it is the
 // baton-sanctioned way an actor body blocks.
 func (k *Kernel) Wait(id ActorID, until Time) Time {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	if until > k.now {
 		k.now = until
 	}
-	return k.now
+	k.yield <- id
+	return <-k.resume
 }

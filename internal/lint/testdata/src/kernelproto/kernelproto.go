@@ -1,149 +1,103 @@
-// Package kp is a golden fixture for the kernelproto analyzer: actor
-// bodies armed through Kernel.Go/Bind/Schedule (and wrappers over them)
-// must not touch the host scheduler, and the clean case shows the
-// baton-respecting idiom.
+// Package kp is a golden fixture for the kernelproto analyzer: outside
+// internal/sim and internal/runner every scheduler-visible primitive is a
+// finding where it stands — called or not, in a declared function, a stored
+// closure or a package-level initialiser — and the clean cases show what
+// simulator code may still do.
 package kp
 
 import (
 	"sync"
 	"sync/atomic"
 
+	"compcache/kernelproto/internal/runner"
 	"compcache/kernelproto/internal/sim"
 )
 
-// BadDirect arms a literal that spawns a raw goroutine and touches a
-// channel right in the body.
-func BadDirect(k *sim.Kernel, ch chan int) {
-	k.Go(1, func() {
-		go drain(ch) // want `actor body armed in BadDirect: spawns a raw goroutine outside the kernel baton \(BadDirect\)`
-		ch <- 1      // want `actor body armed in BadDirect: sends on a channel outside the kernel baton \(BadDirect\)`
-	})
+// Channels holds one finding per channel primitive.
+func Channels(ch chan int, done chan struct{}) int {
+	go drain(ch) // want `spawns a raw goroutine outside internal/sim and internal/runner`
+	ch <- 1      // want `sends on a channel outside internal/sim`
+	v := <-ch    // want `receives from a channel outside internal/sim`
+	select {     // want `selects on channels outside internal/sim`
+	default:
+	}
+	close(done) // want `closes a channel outside internal/sim`
+	return v
 }
 
-// drain is reachable from the armed literal; its channel range is
-// reported with the actor→violation chain.
+// drain is called by nothing the analyzer needs to know about: the range is
+// a finding because of the file it is in.
 func drain(ch chan int) {
-	for range ch { // want `actor body armed in BadDirect: ranges over a channel outside the kernel baton \(BadDirect → kp\.drain\)`
+	for range ch { // want `ranges over a channel outside internal/sim`
 	}
 }
 
-// BadNamed arms a declared function; the BFS roots at the function
-// itself, and the root name in the message is still the armer caller.
-func BadNamed(k *sim.Kernel) {
-	k.Bind(2, lockStep)
+// state holds one of each forbidden sync type.
+type state struct {
+	mu   sync.Mutex
+	rw   sync.RWMutex
+	wg   sync.WaitGroup
+	once sync.Once
+	n    atomic.Int64
 }
 
-// lockStep takes a mutex: the host scheduler leaks back in.
-func lockStep() {
-	var mu sync.Mutex
-	mu.Lock()         // want `actor body armed in BadNamed: takes sync\.Mutex\.Lock outside the kernel baton \(lockStep\)`
-	defer mu.Unlock() // want `actor body armed in BadNamed: takes sync\.Mutex\.Unlock outside the kernel baton \(lockStep\)`
-}
-
-// Cluster is the wrapper shape: Go forwards fn into the kernel from
-// inside a closure, so the armer fixed point must absorb it even though
-// the call graph drops the plain func-value call.
-type Cluster struct{ k *sim.Kernel }
-
-// Go arms fn through the kernel on the cluster's behalf.
-func (c *Cluster) Go(id sim.ActorID, fn func()) {
-	c.k.Go(id, func() { fn() })
-}
-
-// BadWrapped arms a body through the wrapper; the violation is found
-// even though sim.Kernel.Go never sees this literal directly.
-func BadWrapped(c *Cluster, done chan struct{}) {
-	c.Go(3, func() {
-		close(done) // want `actor body armed in BadWrapped: closes a channel outside the kernel baton \(BadWrapped\)`
-	})
-}
+// guarded embeds its lock, so Lock is a promoted method selected on a type of
+// this package.
+type guarded struct{ sync.Mutex }
 
 var ticks int64
 
-// BadScheduled arms a timer body; the atomic in the callee is the
-// violation.
-func BadScheduled(k *sim.Kernel) {
-	k.Schedule(10, 4, tick)
+// Locks holds one finding per sync and sync/atomic primitive.
+func Locks(s *state) {
+	s.mu.Lock()                // want `takes sync\.Mutex\.Lock outside internal/sim`
+	defer s.mu.Unlock()        // want `takes sync\.Mutex\.Unlock outside internal/sim`
+	s.rw.RLock()               // want `takes sync\.RWMutex\.RLock outside internal/sim`
+	s.wg.Wait()                // want `takes sync\.WaitGroup\.Wait outside internal/sim`
+	sync.NewCond(&s.mu).Wait() // want `takes sync\.Cond\.Wait outside internal/sim`
+	s.once.Do(func() {})       // want `takes sync\.Once\.Do outside internal/sim`
+	atomic.AddInt64(&ticks, 1) // want `performs atomic AddInt64 outside internal/sim`
+	s.n.Add(1)                 // want `performs atomic Int64\.Add outside internal/sim`
+	new(guarded).Lock()        // want `takes sync\.Mutex\.Lock outside internal/sim`
 }
 
-// tick bumps a counter with sync/atomic.
-func tick(now sim.Time) {
-	atomic.AddInt64(&ticks, 1) // want `actor body armed in BadScheduled: performs atomic AddInt64 outside the kernel baton \(tick\)`
+// Cache is the hook shape: the flush closure is stored at construction and
+// only ever invoked through the func value, which no static call graph
+// follows.
+type Cache struct{ flush func(n int) }
+
+// SetHooks stores the closure.
+func (c *Cache) SetHooks(flush func(n int)) { c.flush = flush }
+
+// Evict runs the stored hook through the func value.
+func (c *Cache) Evict(n int) { c.flush(n) }
+
+// Build wires the hook the way a machine builder does; the goroutine inside
+// the closure runs on every eviction.
+func Build(c *Cache) {
+	c.SetHooks(func(n int) {
+		go func() {}() // want `spawns a raw goroutine outside internal/sim`
+	})
 }
 
-// Good arms a body that stays on the baton: kernel waits and pooled
-// scratch (sync.Pool never blocks) are the allowed primitives.
+// Run evicts from inside an actor body, so the hook's goroutine runs while an
+// actor holds the baton — by a route with a func-value call in the middle.
+func Run(k *sim.Kernel, c *Cache) {
+	k.Go(6, func() { c.Evict(1) })
+}
+
+// onExit is a construction-time closure: it runs from a package-level
+// initialiser, inside no declared function at all.
+var onExit = func(done chan struct{}) {
+	close(done) // want `closes a channel outside internal/sim`
+}
+
+// Good stays on the baton: kernel waits, the runner's fan-out, and pooled
+// scratch (sync.Pool never blocks) are what simulator code uses instead.
 func Good(k *sim.Kernel, pool *sync.Pool) {
 	k.Go(5, func() {
 		buf := pool.Get().([]byte)
 		k.Wait(5, 100)
 		pool.Put(buf[:0])
 	})
-}
-
-// Worker is a dispatch seam: an actor body that calls through it can run any
-// implementation in the module, so method-set resolution has to keep every
-// one of them in view.
-type Worker interface{ Work(ch chan int) }
-
-// sender implements Worker by touching the channel itself.
-type sender struct{}
-
-func (sender) Work(ch chan int) {
-	ch <- 1 // want `actor body armed in BadIface: sends on a channel outside the kernel baton \(BadIface → kp\.Apply → kp\.Work\)`
-}
-
-// Apply runs a worker through the interface.
-func Apply(w Worker, ch chan int) { w.Work(ch) }
-
-// BadIface reaches sender.Work through interface dispatch alone.
-func BadIface(k *sim.Kernel, w Worker, ch chan int) {
-	k.Go(6, func() { Apply(w, ch) })
-}
-
-// Closer is a second seam, so the embedded shape below reports on its own.
-type Closer interface{ Shut(done chan struct{}) }
-
-type closer struct{}
-
-func (closer) Shut(done chan struct{}) {
-	close(done) // want `actor body armed in BadEmbedded: closes a channel outside the kernel baton \(BadEmbedded → kp\.ApplyStage → kp\.Shut\)`
-}
-
-// Stage embeds the seam, so s.Shut is a method promoted through the embedded
-// field: the selection's receiver is a struct, the dispatch is dynamic all
-// the same.
-type Stage struct {
-	Closer
-	Name string
-}
-
-// ApplyStage runs the stage's closer through the promoted method.
-func ApplyStage(s Stage, done chan struct{}) { s.Shut(done) }
-
-// BadEmbedded reaches closer.Shut through the promoted method.
-func BadEmbedded(k *sim.Kernel, s Stage, done chan struct{}) {
-	k.Go(7, func() { ApplyStage(s, done) })
-}
-
-// Ping and Pong recurse into each other: the walk from an actor body has to
-// terminate on the cycle, and report what is on it once.
-func Ping(ch chan int, n int) {
-	if n > 0 {
-		Pong(ch, n-1)
-	}
-}
-
-// Pong is the half of the cycle that breaks the protocol.
-func Pong(ch chan int, n int) {
-	if n == 0 {
-		ch <- n // want `actor body armed in BadCycle: sends on a channel outside the kernel baton \(BadCycle → kp\.Ping → kp\.Pong\)`
-		return
-	}
-	Ping(ch, n-1)
-}
-
-// BadCycle reaches the send through the mutual recursion.
-func BadCycle(k *sim.Kernel, ch chan int) {
-	k.Go(8, func() { Ping(ch, 3) })
+	runner.Map(2, 4, func(i int) { k.Wait(sim.ActorID(i), 1) })
 }

@@ -1,5 +1,6 @@
 // Package sw is the sharedwrite golden fixture: every write shape a go
-// closure can make to captured state, sanctioned and not.
+// closure can make to captured state, sanctioned and not. It sits under an
+// internal/runner path because that is where kernelproto lets a goroutine be.
 package sw
 
 // counters is shared state for the field-write case.

@@ -131,6 +131,18 @@ type actorState struct {
 // channels), so execution order is a pure function of the event keys and the
 // simulation is reproducible — and race-clean — at any GOMAXPROCS.
 //
+// The processes of one machine are the second kind of client: workload.Multi
+// makes each member workload an actor of a kernel of its own, whose time line
+// counts scheduling quanta rather than nanoseconds, so the event order is
+// round-robin over the unfinished members. That kernel nests: inside a fleet
+// actor, a member's references advance the machine's clock, and the member
+// goroutine that holds the inner baton blocks in the outer kernel's Wait while
+// the machine's own goroutine sits in the inner Run. Nothing in Wait depends
+// on which goroutine calls it, only on the caller holding the baton. This is
+// the one baton implementation in the tree; goroutines, channels and locks
+// appear in this package and in internal/runner and nowhere else (cclint's
+// kernelproto).
+//
 // A Clock that is never attached to a Kernel behaves exactly as before: a
 // private free-running counter. Single-machine runs therefore stay
 // byte-identical to the pre-kernel code.

@@ -227,9 +227,14 @@ func (v *VM) SetPager(p Pager) { v.pager = p }
 // SetFrameSource installs the policy-backed frame allocator.
 func (v *VM) SetFrameSource(f func(mem.Owner) (mem.FrameID, error)) { v.frameSource = f }
 
-// SetTraceHook installs an observer called on every simulated reference;
-// nil disables tracing.
-func (v *VM) SetTraceHook(f func(seg, page int32, write bool)) { v.traceHook = f }
+// SetTraceHook installs an observer called on every simulated reference and
+// returns the one it replaces; nil disables tracing. A caller that installs a
+// hook for a while (workload.Multi) chains to the hook it got back and
+// reinstalls it when done.
+func (v *VM) SetTraceHook(f func(seg, page int32, write bool)) (prev func(seg, page int32, write bool)) {
+	prev, v.traceHook = v.traceHook, f
+	return prev
+}
 
 // SetObserver wires the VM to a machine's event bus; nil disables emission.
 // Probe handles are cached here so the fault path never touches registry maps.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"compcache/internal/machine"
+	"compcache/internal/sim"
 )
 
 // Multi runs several workloads as concurrent processes on one machine,
@@ -12,8 +13,11 @@ import (
 // Multi is how that situation is created: each member gets its own segments,
 // and the three-way policy arbitrates the shared frames among all of them.
 //
-// Scheduling is deterministic round-robin. Each member runs in its own
-// goroutine, but a baton guarantees exactly one touches the machine at a
+// Scheduling is deterministic round-robin, and the scheduler is a sim.Kernel
+// of Multi's own: every member is an actor whose clock counts the quanta it
+// has used, a member that reaches the end of its quantum advances that clock
+// by one, and the kernel's (time, actor, seq) order then hands the baton to
+// the next unfinished member. Exactly one member touches the machine at a
 // time, so the simulation stays single-threaded and reproducible.
 type Multi struct {
 	// Workloads are the member processes.
@@ -33,59 +37,6 @@ func (mw *Multi) Name() string {
 	return name
 }
 
-// mpScheduler hands a baton around the member goroutines.
-type mpScheduler struct {
-	turn    []chan struct{}
-	done    []bool
-	cur     int
-	refs    int
-	quantum int
-}
-
-// tick is installed as the VM trace hook; it yields the baton when the
-// current process's quantum expires.
-func (s *mpScheduler) tick(seg, page int32, write bool) {
-	s.refs++
-	if s.refs >= s.quantum {
-		s.refs = 0
-		s.yield()
-	}
-}
-
-// yield passes the baton to the next unfinished process and blocks until it
-// comes back.
-func (s *mpScheduler) yield() {
-	next := s.next(s.cur)
-	if next == s.cur || next < 0 {
-		return // nobody else runnable
-	}
-	me := s.cur
-	s.cur = next
-	s.turn[next] <- struct{}{}
-	<-s.turn[me]
-}
-
-// finish marks the current process done and passes the baton on for good.
-func (s *mpScheduler) finish(idx int) {
-	s.done[idx] = true
-	if next := s.next(idx); next >= 0 && next != idx {
-		s.cur = next
-		s.turn[next] <- struct{}{}
-	}
-}
-
-// next returns the next unfinished index after from (round-robin), or -1.
-func (s *mpScheduler) next(from int) int {
-	n := len(s.turn)
-	for i := 1; i <= n; i++ {
-		idx := (from + i) % n
-		if !s.done[idx] {
-			return idx
-		}
-	}
-	return -1
-}
-
 // Run implements Workload.
 func (mw *Multi) Run(m *machine.Machine) error {
 	if len(mw.Workloads) == 0 {
@@ -97,33 +48,35 @@ func (mw *Multi) Run(m *machine.Machine) error {
 	}
 	m.FreezeStart()
 
-	sched := &mpScheduler{
-		turn:    make([]chan struct{}, len(mw.Workloads)),
-		done:    make([]bool, len(mw.Workloads)),
-		quantum: quantum,
-	}
-	for i := range sched.turn {
-		sched.turn[i] = make(chan struct{}, 1)
-	}
-	m.VM.SetTraceHook(sched.tick)
-	defer m.VM.SetTraceHook(nil)
-
+	k := sim.NewKernel()
+	turns := make([]*sim.Clock, len(mw.Workloads))
 	errs := make([]error, len(mw.Workloads))
-	finished := make(chan int, len(mw.Workloads))
+	cur, refs := 0, 0
 	for i, w := range mw.Workloads {
-		i, w := i, w
-		go func() {
-			<-sched.turn[i] // wait for the baton
+		turns[i] = k.NewClock(sim.ActorID(i))
+		k.Go(sim.ActorID(i), func() {
+			cur = i
 			errs[i] = w.Run(m)
-			sched.finish(i)
-			finished <- i
-		}()
+		})
 	}
-	sched.cur = 0
-	sched.turn[0] <- struct{}{}
-	for range mw.Workloads {
-		<-finished
-	}
+	// The reference count runs across members: one that finishes mid-quantum
+	// leaves its successor the rest of the slice. A lone survivor's advance
+	// finds the kernel's heap empty and returns without a switch.
+	var prev func(seg, page int32, write bool)
+	prev = m.VM.SetTraceHook(func(seg, page int32, write bool) {
+		if prev != nil {
+			prev(seg, page, write)
+		}
+		if refs++; refs >= quantum {
+			refs = 0
+			me := cur
+			turns[me].Advance(1)
+			cur = me
+		}
+	})
+	defer m.VM.SetTraceHook(prev)
+	k.Run()
+
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("multi: %s: %w", mw.Workloads[i].Name(), err)

@@ -392,6 +392,99 @@ func TestMultiDeterministic(t *testing.T) {
 	}
 }
 
+// recordRun runs w on a fresh machine with a recorder on the trace hook and
+// returns the machine and what the recorder saw.
+func recordRun(t *testing.T, w Workload) (*machine.Machine, *trace.Recorder) {
+	t.Helper()
+	m, err := machine.New(ccCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &trace.Recorder{}
+	m.VM.SetTraceHook(rec.Note)
+	if err := w.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	return m, rec
+}
+
+// TestMultiScheduleMatchesModel pins the interleaving itself: the reference
+// stream of three replayed traces of unequal length equals a plain
+// round-robin model's over the streams the members produce alone. The model
+// keeps the two corners of the schedule: the reference counter is shared and
+// is not reset when a member finishes mid-quantum, so its successor's first
+// slice is short, and the longest member ends alone.
+func TestMultiScheduleMatchesModel(t *testing.T) {
+	const quantum = 4
+	lengths := []int{3, 17, 6} // member 0 finishes inside its first quantum, member 1 ends alone
+	members := make([]Workload, len(lengths))
+	streams := make([][]trace.PageRef, len(lengths))
+	for i, n := range lengths {
+		refs := make([]trace.PageRef, n)
+		for j := range refs {
+			// Page 0 is never first: Replay makes a segment for every leading
+			// reference to it, and member i must own segment i alone.
+			refs[j] = trace.PageRef{Page: int32((1 + j*(i+2)) % 5), Write: j%3 == 0}
+		}
+		members[i] = &Replay{Refs: refs, Seed: int64(i)}
+		_, rec := recordRun(t, members[i])
+		streams[i] = rec.Refs // setup writes, then the trace, all in segment 0
+		for j := range streams[i] {
+			streams[i][j].Seg = int32(i) // in the mix, member i makes the i-th segment
+		}
+	}
+
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	var want []trace.PageRef
+	pos := make([]int, len(streams))
+	shortSlice := false
+	for cur, refs := 0, 0; len(want) < total; cur = (cur + 1) % len(streams) {
+		for pos[cur] < len(streams[cur]) {
+			want = append(want, streams[cur][pos[cur]])
+			pos[cur]++
+			if refs++; refs >= quantum {
+				refs = 0
+				break
+			}
+		}
+		shortSlice = shortSlice || (refs != 0 && len(want) < total)
+	}
+	if !shortSlice {
+		t.Fatal("no member finished mid-quantum ahead of another; the test lost its corner")
+	}
+
+	_, rec := recordRun(t, &Multi{Workloads: members, QuantumRefs: quantum})
+	if len(rec.Refs) != len(want) {
+		t.Fatalf("recorded %d references, the model makes %d", len(rec.Refs), len(want))
+	}
+	for i := range want {
+		if rec.Refs[i] != want[i] {
+			t.Fatalf("reference %d is %+v, the round-robin model says %+v", i, rec.Refs[i], want[i])
+		}
+	}
+}
+
+// TestMultiKeepsCallersTraceHook: Multi schedules from the trace hook, and a
+// hook the caller installed first keeps seeing every reference during the run
+// and is the installed hook again after it.
+func TestMultiKeepsCallersTraceHook(t *testing.T) {
+	m, rec := recordRun(t, &Multi{Workloads: []Workload{
+		&Thrasher{Pages: 400, Write: true, Passes: 1, Seed: 3},
+		&Thrasher{Pages: 300, Write: false, Passes: 1, Seed: 4},
+	}, QuantumRefs: 50})
+	refs := m.Stats().VM.Refs
+	if refs == 0 || int64(len(rec.Refs)) != int64(refs) {
+		t.Fatalf("recorder saw %d references, the VM counted %d", len(rec.Refs), refs)
+	}
+	m.NewSegment("after", int64(m.Config().PageSize)).Touch(0, false)
+	if got := len(rec.Refs); int64(got) != int64(refs)+1 {
+		t.Fatalf("recorder saw %d references after the run, want %d: the hook was not restored", got, refs+1)
+	}
+}
+
 func TestMultiValidation(t *testing.T) {
 	if _, err := Measure(baseCfg(), &Multi{}); err == nil {
 		t.Fatal("empty multi accepted")
