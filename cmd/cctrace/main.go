@@ -23,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -231,25 +232,21 @@ func doInfo(stdout io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	segs := map[int32]int32{}
+	segs, err := trace.Segments(refs)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	writes := 0
 	for _, r := range refs {
-		if r.Page >= segs[r.Seg] {
-			segs[r.Seg] = r.Page + 1
-		}
 		if r.Write {
 			writes++
 		}
 	}
 	fmt.Fprintf(stdout, "%s: %d references, %d segment(s), %.1f%% writes\n",
 		path, len(refs), len(segs), 100*float64(writes)/float64(max(len(refs), 1)))
-	ids := make([]int32, 0, len(segs))
-	for seg := range segs {
-		ids = append(ids, seg)
-	}
-	slices.Sort(ids)
-	for _, seg := range ids {
-		fmt.Fprintf(stdout, "  segment %d: %d pages (%.1f MB)\n", seg, segs[seg], float64(segs[seg])*4096/(1<<20))
+	slices.SortFunc(segs, func(a, b trace.Segment) int { return cmp.Compare(a.ID, b.ID) })
+	for _, seg := range segs {
+		fmt.Fprintf(stdout, "  segment %d: %d pages (%.1f MB)\n", seg.ID, seg.Pages, float64(seg.Pages)*4096/(1<<20))
 	}
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"compcache/internal/trace"
 )
 
 // cctrace drives run directly and returns its exit status and streams.
@@ -93,15 +95,27 @@ func TestEventsToStdoutIsJSONL(t *testing.T) {
 }
 
 // TestFailuresExitOneWithAMessage: a workload that does not exist, a trace
-// that is not there, and one cut off mid-reference.
+// that is not there, one cut off mid-reference, and one naming a negative
+// page.
 func TestFailuresExitOneWithAMessage(t *testing.T) {
 	dir := t.TempDir()
-	trace, err := os.ReadFile(recordTrace(t))
+	recorded, err := os.ReadFile(recordTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cut := filepath.Join(dir, "cut.cct")
-	if err := os.WriteFile(cut, trace[:100], 0o644); err != nil {
+	if err := os.WriteFile(cut, recorded[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var rec trace.Recorder
+	rec.Note(0, 3, false)
+	rec.Note(0, -2, true)
+	var negative bytes.Buffer
+	if _, err := rec.WriteTo(&negative); err != nil {
+		t.Fatal(err)
+	}
+	neg := filepath.Join(dir, "negative.cct")
+	if err := os.WriteFile(neg, negative.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(dir, "missing.cct")
@@ -114,6 +128,8 @@ func TestFailuresExitOneWithAMessage(t *testing.T) {
 		{[]string{"-info", missing}, "cctrace: open " + missing + ": no such file or directory\n"},
 		{[]string{"-replay", cut}, "cctrace: " + cut + ": trace: truncated at reference 9: unexpected EOF\n"},
 		{[]string{"-info", cut}, "cctrace: " + cut + ": trace: truncated at reference 9: unexpected EOF\n"},
+		{[]string{"-info", neg}, "cctrace: " + neg + ": trace: reference 1 names segment 0 page -2; ids are never negative\n"},
+		{[]string{"-replay", neg}, "cctrace: workload replay: trace: reference 1 names segment 0 page -2; ids are never negative\n"},
 	} {
 		if status, out, errs := cctrace(tc.args...); status != 1 || out != "" || errs != tc.want {
 			t.Errorf("%v: exited %d, stdout %q, stderr %q; want 1 and %q", tc.args, status, out, errs, tc.want)

@@ -73,31 +73,20 @@ type Config struct {
 	// until the run ends.
 	ActiveFor time.Duration
 
-	// CrashRate is the probability a device write is a crash point: the
-	// machine loses power mid-transfer, the write is torn at sector
-	// granularity (a prefix reaches the media), and every later device
-	// operation fails with a *CrashError. Rate draws respect the activity
-	// window, like every other rate.
-	CrashRate float64
-
-	// CrashAtWrite crashes deterministically on the k-th device write of the
-	// run (1-based; 0 disables). This is the exhaustive-sweep knob: iterating
-	// k over every write of a workload visits every crash point exactly once.
-	// Deterministic crash points ignore the activity window.
+	// CrashAtWrite is the crash point: the machine loses power on the k-th
+	// device write of the run (1-based; 0 disables), the write is torn at
+	// sector granularity (a prefix reaches the media), and every later device
+	// operation fails with a *CrashError. This is the exhaustive-sweep knob:
+	// iterating k over every write of a workload visits every crash point
+	// exactly once. The crash point ignores the activity window.
+	// Injector.CrashAt schedules a crash at a virtual instant instead.
 	CrashAtWrite uint64
-
-	// CrashAtTime crashes on the first device write at or after this virtual
-	// instant (0 disables). Injector.CrashAt schedules the same thing
-	// dynamically.
-	CrashAtTime time.Duration
 }
 
-// CrashConfigured reports whether any crash mode is armed. The machine uses
+// CrashConfigured reports whether a crash point is armed. The machine uses
 // it to auto-enable the recoverable on-media swap formats: crashing a store
 // whose layout cannot be recovered only proves the layout is unrecoverable.
-func (c Config) CrashConfigured() bool {
-	return c.CrashRate > 0 || c.CrashAtWrite > 0 || c.CrashAtTime > 0
-}
+func (c Config) CrashConfigured() bool { return c.CrashAtWrite > 0 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -110,7 +99,6 @@ func (c Config) Validate() error {
 		{"CacheCorruptionRate", c.CacheCorruptionRate},
 		{"SwapCorruptionRate", c.SwapCorruptionRate},
 		{"LatencySpikeRate", c.LatencySpikeRate},
-		{"CrashRate", c.CrashRate},
 	}
 	for _, r := range rates {
 		if math.IsNaN(r.v) || r.v < 0 || r.v > 1 {
@@ -125,9 +113,6 @@ func (c Config) Validate() error {
 	}
 	if c.ActiveAfter < 0 || c.ActiveFor < 0 {
 		return fmt.Errorf("fault: negative activity window (after %v, for %v)", c.ActiveAfter, c.ActiveFor)
-	}
-	if c.CrashAtTime < 0 {
-		return fmt.Errorf("fault: negative CrashAtTime %v", c.CrashAtTime)
 	}
 	return nil
 }
@@ -268,7 +253,7 @@ func (in *Injector) DiskWrite() error {
 }
 
 // CrashAt schedules a crash at the first device write at or after virtual
-// instant t, overriding any Config.CrashAtTime. Zero cancels the schedule.
+// instant t. Zero cancels the schedule.
 func (in *Injector) CrashAt(t sim.Time) {
 	if in != nil {
 		in.crashAt = t
@@ -279,13 +264,15 @@ func (in *Injector) CrashAt(t sim.Time) {
 func (in *Injector) Crashed() bool { return in != nil && in.crashed }
 
 // CrashWrite is the crash-point decision, made once per device write before
-// the write's own error draw. When the crash fires, the in-flight write is
-// torn: a whole-sector prefix of Survived bytes reaches the media (possibly
-// none, possibly all n), the injector goes sticky-crashed, and the returned
-// *CrashError reports the tear so the file system can apply exactly that
-// prefix. When no crash mode is configured the decision consumes no
-// randomness, so crash-capable runs are byte-identical to plain ones right
-// up to the crash point.
+// the write's own error draw: it fires on write Config.CrashAtWrite or on the
+// first write at or after the CrashAt instant. When the crash fires, the
+// in-flight write is torn: a whole-sector prefix of Survived bytes reaches
+// the media (possibly none, possibly all n), the injector goes
+// sticky-crashed, and the returned *CrashError reports the tear so the file
+// system can apply exactly that prefix. sectorSize is the device's
+// addressing granularity — a disk sector, a network packet. Only the tear
+// consumes randomness, so crash-capable runs are byte-identical to plain
+// ones right up to the crash point.
 func (in *Injector) CrashWrite(n, sectorSize int) error {
 	if in == nil {
 		return nil
@@ -297,14 +284,9 @@ func (in *Injector) CrashWrite(n, sectorSize int) error {
 		return nil
 	}
 	in.writeSeq++
-	fire := in.cfg.CrashAtWrite > 0 && in.writeSeq == in.cfg.CrashAtWrite
-	if !fire && in.cfg.CrashAtTime > 0 && time.Duration(in.clock.Now()) >= in.cfg.CrashAtTime {
-		fire = true
-	}
-	if !fire && in.crashAt > 0 && in.clock.Now() >= in.crashAt {
-		fire = true
-	}
-	if !fire && !in.draw(in.cfg.CrashRate) {
+	fire := in.writeSeq == in.cfg.CrashAtWrite ||
+		in.crashAt > 0 && in.clock.Now() >= in.crashAt
+	if !fire {
 		return nil
 	}
 	sectors := 0

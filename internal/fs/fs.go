@@ -65,10 +65,6 @@ type Options struct {
 	// AllowPartialIO permits raw transfers at sector granularity instead of
 	// whole blocks (ablation of the paper's §4.3 constraint).
 	AllowPartialIO bool
-
-	// CacheCapacity caps the number of buffer-cache frames (0 = no cap
-	// beyond pool pressure).
-	CacheCapacity int
 }
 
 // CompressedBlockCache holds evicted file-cache blocks in compressed form,
@@ -428,11 +424,6 @@ func (fs *FS) getBlock(f *File, block int64, fill bool) (*cacheBlock, error) {
 		return cb, nil
 	}
 	fs.misses++
-	if fs.opts.CacheCapacity > 0 && len(fs.cache) >= fs.opts.CacheCapacity {
-		if _, err := fs.ReleaseOldest(); err != nil {
-			return nil, err
-		}
-	}
 	frame, err := fs.frameSource(mem.FS)
 	if err != nil {
 		return nil, err

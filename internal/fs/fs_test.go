@@ -192,18 +192,6 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-func TestCacheCapacity(t *testing.T) {
-	fsys, _, _, _ := newTestFS(t, Options{CacheCapacity: 2})
-	f := fsys.Create("cap")
-	buf := make([]byte, 1)
-	for i := int64(0); i < 5; i++ {
-		f.ReadAt(buf, i*4096)
-	}
-	if fsys.CacheLen() > 2 {
-		t.Fatalf("cache grew to %d blocks, cap 2", fsys.CacheLen())
-	}
-}
-
 func TestRawIO(t *testing.T) {
 	fsys, d, _, _ := newTestFS(t, Options{})
 	f := fsys.Create("swap")

@@ -20,7 +20,9 @@ import (
 	"compcache/internal/swap"
 )
 
-// CCConfig configures the compression cache.
+// CCConfig configures the compression cache. The cache's geometry is the
+// paper's (core.DefaultParams: 24-byte frame headers, 36-byte entry headers,
+// 32-KByte clean batches); what varies per machine is below.
 type CCConfig struct {
 	// Enabled turns the compression cache on. When false the machine is the
 	// unmodified baseline system: dirty evictions go straight to a direct
@@ -42,11 +44,8 @@ type CCConfig struct {
 	// FixedFrames, when positive, reproduces the paper's original
 	// fixed-size compression cache (§4.2's rejected first design): the
 	// cache is pre-grown to exactly this many frames and never shrinks or
-	// grows. Used by the ablation study.
+	// grows; it overrides MaxFrames. Used by the ablation study.
 	FixedFrames int
-
-	// Core carries the low-level cache parameters (headers, clean batch).
-	Core core.Params
 
 	// CleanReserve is the number of free-or-reclaimable frames the cleaner
 	// tries to keep ahead of demand. 0 selects a default proportional to
@@ -100,13 +99,14 @@ type Config struct {
 	FS fs.Options
 
 	// Swap configures the clustered backing store used when the compression
-	// cache is enabled.
+	// cache is enabled. Its PageSize, if set, must equal PageSize.
 	Swap swap.ClusterConfig
 
 	// LFSSwap, when non-nil, replaces the baseline machine's direct
 	// (page-per-block) swap with a log-structured store — the "paging into
-	// Sprite LFS" alternative §5.1 discusses. Ignored when the compression
-	// cache is enabled (the cache brings its own clustered store).
+	// Sprite LFS" alternative §5.1 discusses. New refuses it on a
+	// compression-cache machine (the cache brings its own clustered store),
+	// and refuses a PageSize other than 0 or PageSize.
 	LFSSwap *swap.LFSConfig
 
 	// CC configures the compression cache.
@@ -119,12 +119,9 @@ type Config struct {
 	Faults *fault.Config
 
 	// Biases configures the three-way memory trade; keys "vm", "fs", "cc".
-	// Defaults to policy.DefaultBiases.
+	// A consumer the map does not name takes its policy.DefaultBiases entry;
+	// any other key is an error from New.
 	Biases map[string]policy.Bias
-
-	// ReserveFrames keeps this many frames free as fault-path headroom;
-	// 0 selects a small default.
-	ReserveFrames int
 }
 
 // Default returns the paper's baseline configuration: a DECstation-class
@@ -192,6 +189,17 @@ func (c *Config) setDefaults() error {
 	if c.Swap.PageSize == 0 {
 		c.Swap.PageSize = c.PageSize
 	}
+	if c.Swap.PageSize != c.PageSize {
+		return fmt.Errorf("machine: Swap.PageSize %d differs from PageSize %d", c.Swap.PageSize, c.PageSize)
+	}
+	if c.LFSSwap != nil {
+		if c.CC.Enabled {
+			return fmt.Errorf("machine: LFSSwap replaces the baseline's swap; a compression-cache machine pages into its clustered store")
+		}
+		if ps := c.LFSSwap.PageSize; ps != 0 && ps != c.PageSize {
+			return fmt.Errorf("machine: LFSSwap.PageSize %d differs from PageSize %d", ps, c.PageSize)
+		}
+	}
 	if c.CC.Codec == "" {
 		c.CC.Codec = "lzrw1"
 	}
@@ -200,9 +208,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.CC.KeepNum < 0 || c.CC.KeepDen <= 0 || c.CC.KeepNum > c.CC.KeepDen {
 		return fmt.Errorf("machine: bad retention threshold %d/%d", c.CC.KeepNum, c.CC.KeepDen)
-	}
-	if c.CC.Core == (core.Params{}) {
-		c.CC.Core = core.DefaultParams()
 	}
 	if c.CC.FileCache {
 		if !c.CC.Enabled {
@@ -213,24 +218,23 @@ func (c *Config) setDefaults() error {
 				c.FS.BlockSize, c.PageSize)
 		}
 	}
-	c.CC.Core.MaxFrames = c.CC.MaxFrames
-	if c.CC.RefreshOnFault {
-		c.CC.Core.RefreshOnFault = true
-	}
-	if c.CC.FixedFrames > 0 {
-		c.CC.Core.MaxFrames = c.CC.FixedFrames
-		c.CC.Core.MinFrames = c.CC.FixedFrames
-	}
 	frames := int(c.MemoryBytes / int64(c.PageSize))
 	if c.CC.CleanReserve == 0 {
 		c.CC.CleanReserve = max(4, frames/64)
 	}
-	if c.ReserveFrames == 0 {
-		c.ReserveFrames = max(2, frames/256)
+	// A fresh map: the caller's is shared, and a consumer it leaves out keeps
+	// the paper's bias rather than turning neutral.
+	biases, named := policy.DefaultBiases(), 0
+	for name := range biases {
+		if b, ok := c.Biases[name]; ok {
+			biases[name] = b
+			named++
+		}
 	}
-	if c.Biases == nil {
-		c.Biases = policy.DefaultBiases()
+	if named != len(c.Biases) {
+		return fmt.Errorf("machine: Biases names a consumer other than vm, fs and cc")
 	}
+	c.Biases = biases
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return err
@@ -261,6 +265,17 @@ func (c Config) WithFaults(f fault.Config) Config {
 // keepThreshold is the largest compressed size retained, in bytes.
 func (c *Config) keepThreshold() int {
 	return c.PageSize * c.CC.KeepNum / c.CC.KeepDen
+}
+
+// coreParams is the compression cache's configuration: the paper's geometry
+// with this machine's size limits and aging.
+func (c *Config) coreParams() core.Params {
+	p := core.DefaultParams()
+	p.MaxFrames, p.RefreshOnFault = c.CC.MaxFrames, c.CC.RefreshOnFault
+	if c.CC.FixedFrames > 0 {
+		p.MaxFrames, p.MinFrames = c.CC.FixedFrames, c.CC.FixedFrames
+	}
+	return p
 }
 
 // staticOverheadBytes is the §4.4 fixed metadata cost.

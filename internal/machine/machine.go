@@ -172,15 +172,8 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 	m.VM.SetObserver(m.bus)
 
 	m.alloc = policy.NewAllocator(m.Pool, m.Clock)
-	m.alloc.Reserve = cfg.ReserveFrames
-	bias := func(name string) policy.Bias {
-		if b, ok := cfg.Biases[name]; ok {
-			return b
-		}
-		return policy.Neutral
-	}
-	m.alloc.Register(m.FS, bias("fs"))
-	m.alloc.Register(m.VM, bias("vm"))
+	m.alloc.Register(m.FS, cfg.Biases["fs"])
+	m.alloc.Register(m.VM, cfg.Biases["vm"])
 
 	switch {
 	case cfg.CC.Enabled:
@@ -189,9 +182,9 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 			return nil, err
 		}
 		m.compBuf = make([]byte, 0, m.codec.MaxCompressedSize(cfg.PageSize))
-		m.CC = core.New(cfg.CC.Core, m.Clock, m.Pool)
+		m.CC = core.New(cfg.coreParams(), m.Clock, m.Pool)
 		m.CC.SetObserver(m.bus)
-		m.alloc.Register(ccConsumer{m.CC}, bias("cc"))
+		m.alloc.Register(ccConsumer{m.CC}, cfg.Biases["cc"])
 		var clustered *swap.Clustered
 		if img != nil {
 			if !cfg.Swap.CommitRecords {

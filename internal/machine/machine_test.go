@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"compcache/internal/mem"
 	"compcache/internal/netdev"
+	"compcache/internal/policy"
 	"compcache/internal/swap"
 	"compcache/internal/vm"
 )
@@ -78,6 +81,60 @@ func TestConfigValidation(t *testing.T) {
 	cfg.CC.KeepNum, cfg.CC.KeepDen = 5, 4
 	if _, err := New(cfg); err == nil {
 		t.Error("threshold > 1 accepted")
+	}
+}
+
+// TestNewRefusesSettingsItCannotHonour: a setting the machine would ignore
+// or trip over mid-run is an error from New, not a silent no-op or a panic
+// at the first pageout.
+func TestNewRefusesSettingsItCannotHonour(t *testing.T) {
+	swapPage := Default(mb).WithCC()
+	swapPage.Swap.PageSize = 8192
+	typo := Default(mb).WithCC()
+	typo.Biases = map[string]policy.Bias{"CC": {Scale: 0.5}}
+	for name, c := range map[string]struct {
+		cfg  Config
+		want string
+	}{
+		"LFSSwap on a cc machine":   {Default(mb).WithCC().WithLFS(swap.LFSConfig{}), "LFSSwap"},
+		"Swap.PageSize != PageSize": {swapPage, "Swap.PageSize 8192"},
+		"LFS PageSize != PageSize":  {Default(mb).WithLFS(swap.LFSConfig{PageSize: 8192}), "LFSSwap.PageSize 8192"},
+		"unknown Biases key":        {typo, "vm, fs and cc"},
+	} {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, c.want)
+		}
+	}
+}
+
+// TestBiasesDefaultWhatTheyOmit: a Biases map naming some consumers leaves
+// the others at the paper's biases, so naming a consumer with its default is
+// the same machine as not naming it.
+func TestBiasesDefaultWhatTheyOmit(t *testing.T) {
+	run := func(biases map[string]policy.Bias) time.Duration {
+		cfg := Default(mb).WithCC()
+		cfg.Biases = biases
+		m := newMachine(t, cfg)
+		s := m.NewSegment("heap", 512*4096)
+		fillCompressible(s)
+		for pass := 0; pass < 2; pass++ {
+			for p := int32(0); p < s.Pages(); p++ {
+				s.Touch(p, true)
+			}
+		}
+		m.Drain()
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Elapsed()
+	}
+	def := policy.DefaultBiases()
+	want := run(nil)
+	if got := run(map[string]policy.Bias{"fs": def["fs"], "vm": def["vm"]}); got != want {
+		t.Errorf("omitting cc: %v, want the default machine's %v", got, want)
+	}
+	if got := run(map[string]policy.Bias{"cc": policy.Neutral}); got == want {
+		t.Errorf("a neutral cc bias ran in the default machine's %v: the sweep would measure nothing", got)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"compcache/internal/fault"
 	"compcache/internal/fs"
 	"compcache/internal/mem"
+	"compcache/internal/netdev"
 	"compcache/internal/obs"
 	"compcache/internal/snap"
 	"compcache/internal/swap"
@@ -218,6 +219,32 @@ func TestCrashRebootFromMedia(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrashOnNetworkBackedMachineRecovers cuts power at a write to a network
+// page server: the write is a crash point like a disk's, the run dies of it,
+// and the media image reboots clean.
+func TestCrashOnNetworkBackedMachineRecovers(t *testing.T) {
+	cfg := Default(40 * 4096).WithCC().WithNetwork(netdev.Ethernet10())
+	cfg.Swap.CommitRecords = true
+	m := newMachine(t, cfg.WithFaults(fault.Config{Seed: 3, CrashAtWrite: 5}))
+	s := m.NewSegment("snap", 96*4096)
+	fillRandom(s, 6) // incompressible: pages leave memory through the link
+	drivePhase(m, s, 6)
+	if err := m.Err(); !fault.IsCrash(err) {
+		t.Fatalf("run ended with %v (%d device writes, crashed %v), want a crash at write 5",
+			err, m.Stats().Disk.Writes, m.Introspect().Injector.Crashed())
+	}
+	reborn, err := NewFromMedia(cfg, m.FS.Image())
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	if err := reborn.VerifyRecovery(m); err != nil {
+		t.Error(err)
+	}
+	if err := reborn.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

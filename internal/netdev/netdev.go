@@ -217,7 +217,8 @@ func (p Params) backoff(attempt int) time.Duration {
 
 // attempt performs one transfer attempt: charge service time on the busy
 // timeline, let the remote endpoint delay the reply, and draw the
-// injected-failure decision.
+// injected-failure decision. A write is a crash point like a disk's, torn
+// at packet granularity.
 func (n *Net) attempt(addr int64, bytes int, write bool, sync bool) error {
 	svc := n.opTime(bytes) + n.faults.Latency()
 	st := n.start()
@@ -247,19 +248,24 @@ func (n *Net) attempt(addr int64, bytes int, write bool, sync bool) error {
 	if sync {
 		n.clock.ChargeTo(sim.CauseDevice, done)
 	}
-	if write {
-		return n.faults.DiskWrite()
+	if !write {
+		return n.faults.DiskRead()
 	}
-	return n.faults.DiskRead()
+	if err := n.faults.CrashWrite(bytes, n.params.PacketBytes); err != nil {
+		return err
+	}
+	return n.faults.DiskWrite()
 }
 
 // transfer runs the attempt/backoff loop: each failed attempt backs off in
 // virtual time (doubling, capped) and reissues the whole transfer. Failures
 // only occur under injection, so in a fault-free run exactly one attempt is
-// made and the cost model is unchanged.
+// made and the cost model is unchanged. A crash ends the loop: a dead
+// machine does not back off, and the first CrashError is the one that
+// carries the tear.
 func (n *Net) transfer(addr int64, bytes int, write bool, sync bool) error {
 	err := n.attempt(addr, bytes, write, sync)
-	for retry := 1; err != nil && retry <= n.params.Retries; retry++ {
+	for retry := 1; err != nil && !n.faults.Crashed() && retry <= n.params.Retries; retry++ {
 		n.st.Retries++
 		wait := n.params.backoff(retry)
 		if n.bus.Enabled(obs.ClassRetry) {

@@ -1,11 +1,13 @@
 package netdev
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"compcache/internal/fault"
+	"compcache/internal/obs"
 	"compcache/internal/sim"
 )
 
@@ -236,6 +238,34 @@ func TestAsyncRetryBackoffDelaysQueueNotCaller(t *testing.T) {
 	want := sim.Time(0).Add(3*svc + 3*time.Millisecond + 6*time.Millisecond)
 	if n.BusyUntil() != want {
 		t.Fatalf("BusyUntil = %v, want %v (3 attempts + backoffs on the queue timeline)", n.BusyUntil(), want)
+	}
+}
+
+func TestCrashOnFirstWriteTearsAtPacketsAndNeverRetries(t *testing.T) {
+	p := Ethernet10() // three retries: none may be spent on a dead machine
+	for seed := int64(1); seed <= 8; seed++ {
+		n, clock := injectorOn(t, p, fault.Config{Seed: seed, CrashAtWrite: 1})
+		bus := obs.NewBus(obs.Options{})
+		n.SetObserver(bus)
+		err := n.Write(0, 4096)
+		var ce *fault.CrashError
+		if !errors.As(err, &ce) {
+			t.Fatalf("seed %d: first write returned %v, want a *fault.CrashError", seed, err)
+		}
+		if ce.Survived%p.PacketBytes != 0 || ce.Survived < 0 || ce.Survived > 4096 {
+			t.Errorf("seed %d: %d bytes survived, want whole %d-byte packets of 4096", seed, ce.Survived, p.PacketBytes)
+		}
+		if got := n.Stats().Retries; got != 0 {
+			t.Errorf("seed %d: %d retries after the crash", seed, got)
+		}
+		for _, ev := range bus.Events() {
+			if ev.Class == obs.ClassRetry {
+				t.Errorf("seed %d: retry event emitted after the crash: %+v", seed, ev)
+			}
+		}
+		if want := p.PerOp + p.RTT + p.TransferTime(4096); time.Duration(clock.Now()) != want {
+			t.Errorf("seed %d: crashed write took %v, want one attempt's %v", seed, time.Duration(clock.Now()), want)
+		}
 	}
 }
 

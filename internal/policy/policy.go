@@ -73,7 +73,9 @@ var Neutral = Bias{Scale: 1}
 // DefaultBiases reproduces the paper's preference order: the file cache is
 // penalized (reclaimed first), uncompressed VM pages are neutral, and
 // compressed pages are favored so the compression cache can grow during
-// heavy paging.
+// heavy paging. Its keys, "fs", "vm" and "cc", are the consumers a machine
+// registers; a machine takes the bias of any consumer its configuration
+// does not name from here.
 func DefaultBiases() map[string]Bias {
 	return map[string]Bias{
 		"fs": {Scale: 1.0, Offset: 2 * time.Second},
@@ -90,15 +92,9 @@ type Allocator struct {
 	consumers []Consumer
 	biases    []Bias
 
-	// Reserve is a number of frames kept free for the fault path; the
-	// allocator starts reclaiming before the pool is bone dry so that
-	// interleaved allocations (e.g. the compression cache growing while a
-	// page is mid-eviction) cannot deadlock. Zero disables the reserve.
-	Reserve int
-
 	// Per-call scratch, reused so the fault path does not allocate. The
 	// allocator is single-goroutine like the machine that owns it, and
-	// AllocFrame/Rebalance/FreeOne never recurse into each other.
+	// AllocFrame and FreeOne never recurse into each other.
 	excluded   []bool
 	noProgress []int
 }
@@ -175,39 +171,6 @@ func (a *Allocator) AllocFrame(owner mem.Owner) (mem.FrameID, error) {
 	}
 	return 0, fmt.Errorf("%w allocating for %v: pool %d frames, no consumer can free one",
 		ErrOutOfMemory, owner, a.pool.Total())
-}
-
-// Rebalance releases frames until the pool holds at least the reserve,
-// giving the fault path headroom. The machine calls it after servicing each
-// fault.
-func (a *Allocator) Rebalance() error {
-	if a.Reserve <= 0 {
-		return nil
-	}
-	excluded, noProgress := a.scratch()
-	guard := 4*a.pool.Total() + 16
-	for a.pool.FreeCount() < a.Reserve && guard > 0 {
-		guard--
-		idx := a.pick(excluded)
-		if idx < 0 {
-			return nil
-		}
-		freeBefore := a.pool.FreeCount()
-		released, err := a.consumers[idx].ReleaseOldest()
-		if err != nil {
-			return err
-		}
-		if !released {
-			excluded[idx] = true
-			continue
-		}
-		if a.pool.FreeCount() > freeBefore {
-			noProgress[idx] = 0
-		} else if noProgress[idx]++; noProgress[idx] >= noProgressLimit {
-			excluded[idx] = true
-		}
-	}
-	return nil
 }
 
 // FreeOne performs a single policy-guided reclamation (the consumer with the

@@ -182,35 +182,6 @@ func TestOOMReturnsTypedError(t *testing.T) {
 	}
 }
 
-func TestRebalanceKeepsReserve(t *testing.T) {
-	a, pool, _ := setup(t, 8)
-	c := &fakeConsumer{name: "fs", pool: pool, oldest: 0}
-	c.grab(t, mem.FS, 8)
-	a.Register(c, Neutral)
-	a.Reserve = 3
-	a.Rebalance()
-	if pool.FreeCount() != 3 {
-		t.Fatalf("free after rebalance = %d, want 3", pool.FreeCount())
-	}
-	// Idempotent when satisfied.
-	rel := c.releases
-	a.Rebalance()
-	if c.releases != rel {
-		t.Fatal("rebalance released more than needed")
-	}
-}
-
-func TestRebalanceDisabledByDefault(t *testing.T) {
-	a, pool, _ := setup(t, 4)
-	c := &fakeConsumer{name: "fs", pool: pool, oldest: 0}
-	c.grab(t, mem.FS, 4)
-	a.Register(c, Neutral)
-	a.Rebalance()
-	if c.releases != 0 {
-		t.Fatal("rebalance with zero reserve did work")
-	}
-}
-
 func TestDefaultBiasesShape(t *testing.T) {
 	b := DefaultBiases()
 	if b["fs"].Offset <= b["vm"].Offset {

@@ -28,6 +28,34 @@ func (r *Recorder) Note(seg, page int32, write bool) {
 	r.Refs = append(r.Refs, PageRef{Seg: seg, Page: page, Write: write})
 }
 
+// Segment is one segment a trace references, sized by the highest page of
+// it the trace references.
+type Segment struct {
+	ID    int32
+	Pages int64
+}
+
+// Segments lists the segments refs references, in the order each is first
+// referenced. A negative segment or page id is an error: no machine makes
+// one.
+func Segments(refs []PageRef) ([]Segment, error) {
+	var segs []Segment
+	index := map[int32]int{}
+	for i, r := range refs {
+		if r.Seg < 0 || r.Page < 0 {
+			return nil, fmt.Errorf("trace: reference %d names segment %d page %d; ids are never negative", i, r.Seg, r.Page)
+		}
+		j, ok := index[r.Seg]
+		if !ok {
+			j = len(segs)
+			index[r.Seg] = j
+			segs = append(segs, Segment{ID: r.Seg})
+		}
+		segs[j].Pages = max(segs[j].Pages, int64(r.Page)+1)
+	}
+	return segs, nil
+}
+
 // traceMagic identifies the on-disk format.
 var traceMagic = [4]byte{'c', 'c', 't', '1'}
 

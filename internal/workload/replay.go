@@ -35,24 +35,14 @@ func (r *Replay) Run(m *machine.Machine) error {
 		target = 0.25
 	}
 	// Size one space per segment seen in the trace.
-	maxPage := map[int32]int32{}
-	var order []int32
-	for _, ref := range r.Refs {
-		if ref.Seg < 0 || ref.Page < 0 {
-			return fmt.Errorf("replay: negative segment or page in trace")
-		}
-		if _, seen := maxPage[ref.Seg]; !seen {
-			order = append(order, ref.Seg)
-		}
-		if ref.Page > maxPage[ref.Seg] {
-			maxPage[ref.Seg] = ref.Page
-		}
+	segs, err := trace.Segments(r.Refs)
+	if err != nil {
+		return err
 	}
 	pageSize := int64(m.Config().PageSize)
 	spaces := map[int32]*machine.Space{}
-	for _, seg := range order {
-		spaces[seg] = m.NewSegment(fmt.Sprintf("replay.seg%d", seg),
-			(int64(maxPage[seg])+1)*pageSize)
+	for _, seg := range segs {
+		spaces[seg.ID] = m.NewSegment(fmt.Sprintf("replay.seg%d", seg.ID), seg.Pages*pageSize)
 	}
 	// Populate every referenced page with synthesized contents (setup).
 	rng := newPageFiller(r.Seed, int(pageSize), target)

@@ -350,6 +350,20 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
+// TestReplayLeadingPageZeroMakesOneSegment: a trace that opens on page 0 of
+// its segment replays into exactly one segment, sized by its highest page.
+func TestReplayLeadingPageZeroMakesOneSegment(t *testing.T) {
+	refs := []trace.PageRef{{Seg: 0, Page: 0}, {Seg: 0, Page: 0, Write: true}, {Seg: 0, Page: 5}}
+	m, _, err := MeasureMachine(baseCfg(), &Replay{Refs: refs, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := m.VM.Segments()
+	if len(segs) != 1 || segs[0].NPages != 6 {
+		t.Fatalf("replay made %d segment(s), want one of 6 pages", len(segs))
+	}
+}
+
 func TestMultiRunsAllMembers(t *testing.T) {
 	s1 := &Thrasher{Pages: 512, Write: true, Passes: 1, Seed: 1}
 	s2 := &Sort{Bytes: mb / 2, Mode: SortPartial, VocabWords: 300, Seed: 2}
@@ -422,9 +436,9 @@ func TestMultiScheduleMatchesModel(t *testing.T) {
 	for i, n := range lengths {
 		refs := make([]trace.PageRef, n)
 		for j := range refs {
-			// Page 0 is never first: Replay makes a segment for every leading
-			// reference to it, and member i must own segment i alone.
-			refs[j] = trace.PageRef{Page: int32((1 + j*(i+2)) % 5), Write: j%3 == 0}
+			// Every trace opens on page 0, and member i still owns segment i
+			// alone.
+			refs[j] = trace.PageRef{Page: int32((j * (i + 2)) % 5), Write: j%3 == 0}
 		}
 		members[i] = &Replay{Refs: refs, Seed: int64(i)}
 		_, rec := recordRun(t, members[i])
