@@ -28,12 +28,14 @@ import (
 func TestFleetSteadyStateZeroAllocs(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("machines=%d", n), func(t *testing.T) {
-			// Mallocs counts the runtime's own goroutines too, and with
-			// actors parking on every hand-off they get to run: about one
-			// fleet in ten sees two objects that no profile attributes to
-			// the simulator. Those do not recur; an allocation on the paging
-			// path does, every time. So a fleet that counted some is built
-			// and measured again, and the row fails only if three did.
+			// Mallocs counts the whole process. A single build-and-measure
+			// sees two objects now and then: 5 of 200 fleets of one and 14
+			// of 200 fleets of four, with no GC cycle in the window, with
+			// actors switching as coroutines (so nothing parks on the
+			// scheduler) and with asynchronous preemption off. Those do not
+			// recur; an allocation on the paging path does, every time. So
+			// a fleet that counted some is built and measured again, and
+			// the row fails only if three did.
 			var w fleetWindow
 			for try := 0; try < 3; try++ {
 				if w = steadyFleet(t, n); w.mallocs == 0 {

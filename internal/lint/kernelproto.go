@@ -3,10 +3,10 @@ package lint
 // kernelproto: goroutines, channels and locks live in internal/sim and
 // internal/runner and nowhere else. The byte-identical contract rests on a
 // single-actor discipline: exactly one simulated activity runs at a time,
-// handed the baton by sim.Kernel's own channel choreography. Simulator code
-// that spawns a goroutine, touches a channel or takes a mutex/atomic makes the
-// host scheduler a hidden input, in exactly the way -race cannot reliably
-// catch.
+// resumed by sim.Kernel as a coroutine and handing the baton back when it
+// waits. Simulator code that spawns a goroutine, touches a channel or takes a
+// mutex/atomic makes the host scheduler a hidden input, in exactly the way
+// -race cannot reliably catch.
 //
 // The rule is the package boundary. internal/sim is the baton (fleet machines
 // and workload.Multi's processes are both clients of sim.Kernel) and

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"iter"
 )
 
 // ActorID names one actor (one machine, one device owner) on a Kernel. IDs
@@ -109,15 +109,30 @@ func (h eventHeap) peek() (event, bool) {
 	return h[0], true
 }
 
+// maxActors bounds actor IDs: the kernel indexes its actors by ID, so an ID is
+// a slot in a dense table, and a snapshot cannot name one past it.
+const maxActors = 1 << 16
+
 // actorState is the kernel's bookkeeping for one attached clock.
 type actorState struct {
-	id     ActorID
-	clock  *Clock
-	body   func()    // bound program, consumed by the first resume
-	resume chan Time // hand-off into a blocked Wait
-	live   bool      // goroutine exists and is blocked in Wait
-	done   bool      // body returned
-	save   Time      // restored clock instant, adopted on Attach
+	clock *Clock
+	body  func() // bound program, consumed by the first resume
+	// next resumes the coroutine running the body until it yields from Wait
+	// or, reporting !ok, returns; yield is the coroutine's way back into
+	// Run. Both are nil unless the actor is live.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	save  Time // restored clock instant, adopted on Attach
+}
+
+// start makes the coroutine that runs the bound body.
+func (st *actorState) start() {
+	body := st.body
+	st.body = nil
+	st.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		st.yield = yield
+		body()
+	})
 }
 
 // Kernel is a deterministic discrete-event scheduler that co-advances many
@@ -126,33 +141,32 @@ type actorState struct {
 // Machines become actors: each attaches its Clock to the kernel, and every
 // Clock.Advance/AdvanceTo turns into a Wait — the actor blocks until the
 // kernel's global time reaches the target instant, and meanwhile the actor
-// that is globally earliest runs. Exactly one actor goroutine executes at any
-// moment (the scheduler and the actors pass a baton over unbuffered
-// channels), so execution order is a pure function of the event keys and the
-// simulation is reproducible — and race-clean — at any GOMAXPROCS.
+// that is globally earliest runs. Each actor body runs as a coroutine
+// (iter.Pull): Run resumes the actor an event names and gets control back
+// when the actor yields from Wait or returns, so exactly one actor executes
+// at any moment, execution order is a pure function of the event keys, and
+// the simulation is reproducible — and race-clean — at any GOMAXPROCS. A
+// hand-off is a coroutine switch, which passes through no scheduler queue.
+// A panic in an actor body surfaces from Run.
 //
 // The processes of one machine are the second kind of client: workload.Multi
 // makes each member workload an actor of a kernel of its own, whose time line
 // counts scheduling quanta rather than nanoseconds, so the event order is
 // round-robin over the unfinished members. That kernel nests: inside a fleet
-// actor, a member's references advance the machine's clock, and the member
-// goroutine that holds the inner baton blocks in the outer kernel's Wait while
-// the machine's own goroutine sits in the inner Run. Nothing in Wait depends
-// on which goroutine calls it, only on the caller holding the baton. This is
-// the one baton implementation in the tree; goroutines, channels and locks
-// appear in this package and in internal/runner and nowhere else (cclint's
-// kernelproto).
+// actor, a member's references advance the machine's clock, so the member's
+// coroutine calls the fleet actor's yield and is what the outer Run resumes
+// at that actor's next event, while the machine's own coroutine sits in the
+// inner Run. Nothing in Wait depends on which coroutine calls it, only on the
+// caller holding the baton; iter.Pull does not document yielding from another
+// coroutine, so TestKernelNestsInsideActor pins it. This is the one baton
+// implementation in the tree; goroutines, channels and locks appear in this
+// package and in internal/runner and nowhere else (cclint's kernelproto).
 //
 // A Clock that is never attached to a Kernel behaves exactly as before: a
 // private free-running counter. Single-machine runs therefore stay
 // byte-identical to the pre-kernel code.
 type Kernel struct {
 	kernelState
-	// yield returns the baton to the scheduler: the yielding actor reports
-	// whether its body returned (done) or it blocked in Wait. All actor
-	// bookkeeping is written on the scheduler side of this hand-off, so
-	// every field access is ordered by the channel.
-	yield   chan yieldMsg
 	running bool
 	stopped bool
 	current ActorID
@@ -165,23 +179,12 @@ type kernelState struct {
 	heap   eventHeap
 	seq    uint64
 	now    Time
-	actors map[ActorID]*actorState
-	ids    []ActorID // sorted attach order view for deterministic snapshots
-}
-
-// yieldMsg is the baton an actor hands back to the scheduler.
-type yieldMsg struct {
-	id   ActorID
-	done bool // body returned (vs blocked in Wait)
+	actors []*actorState // indexed by ActorID; nil where none is attached
 }
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		kernelState: kernelState{actors: make(map[ActorID]*actorState)},
-		yield:       make(chan yieldMsg),
-		current:     -1,
-	}
+	return &Kernel{current: -1}
 }
 
 // Now reports the kernel's global virtual time: the timestamp of the most
@@ -200,19 +203,16 @@ func (k *Kernel) Attach(c *Clock, id ActorID) {
 	if c == nil {
 		panic("sim: Attach of nil clock")
 	}
-	if id < 0 {
-		panic(fmt.Sprintf("sim: actor id %d must be non-negative", id))
+	if id < 0 || id >= maxActors {
+		panic(fmt.Sprintf("sim: actor id %d outside [0, %d)", id, maxActors))
 	}
-	st, restored := k.actors[id]
-	if restored && st.clock != nil {
+	st := k.lookup(id)
+	switch {
+	case st == nil:
+		st = k.add(id)
+	case st.clock != nil:
 		panic(fmt.Sprintf("sim: duplicate actor %d", id))
-	}
-	if !restored {
-		st = &actorState{id: id, resume: make(chan Time)}
-		k.actors[id] = st
-		k.ids = append(k.ids, id)
-		sort.Slice(k.ids, func(i, j int) bool { return k.ids[i] < k.ids[j] })
-	} else {
+	default:
 		// Restored actor: the snapshot recorded where its clock stood.
 		c.now = st.save
 	}
@@ -235,11 +235,10 @@ func (k *Kernel) NewClock(id ActorID) *Clock {
 // returns, which is how multi-phase runs reuse one kernel.
 func (k *Kernel) Go(id ActorID, fn func()) {
 	st := k.state(id)
-	if st.live {
+	if st.next != nil {
 		panic(fmt.Sprintf("sim: Go on live actor %d", id))
 	}
 	st.body = fn
-	st.done = false
 	k.push(event{at: st.clock.now, id: id, kind: evResume})
 }
 
@@ -249,16 +248,15 @@ func (k *Kernel) Go(id ActorID, fn func()) {
 // before Run, and the restored events themselves provide the wake-ups.
 func (k *Kernel) Bind(id ActorID, fn func()) {
 	st := k.state(id)
-	if st.live {
+	if st.next != nil {
 		panic(fmt.Sprintf("sim: Bind on live actor %d", id))
 	}
 	st.body = fn
-	st.done = false
 }
 
 // Schedule runs fn on the scheduler at instant at, attributed to actor id
 // for tie-breaking. The callback runs outside any actor and must not call
-// Wait (it has no goroutine to block); it may Schedule further events.
+// Wait (it has no coroutine to suspend); it may Schedule further events.
 // Timer callbacks cannot be serialized, so a kernel with pending timers
 // refuses to snapshot.
 func (k *Kernel) Schedule(at Time, id ActorID, fn func(Time)) {
@@ -274,7 +272,8 @@ func (k *Kernel) Schedule(at Time, id ActorID, fn func(Time)) {
 // Run dispatches events in (time, actorID, seq) order until the heap is
 // empty and every started actor has either returned or is blocked with no
 // wake-up pending (which would be a deadlock and panics). Run returns the
-// final kernel time.
+// final kernel time. A panic in an actor body propagates out of Run with its
+// original value.
 func (k *Kernel) Run() Time {
 	if k.running {
 		panic("sim: Run re-entered")
@@ -286,47 +285,34 @@ func (k *Kernel) Run() Time {
 		ev := k.heap.pop()
 		k.now = ev.at
 		if ev.kind == evTimer {
-			k.current = -1
 			ev.fn(ev.at)
 			continue
 		}
-		st := k.actors[ev.id]
+		st := k.lookup(ev.id)
 		if st == nil {
 			panic(fmt.Sprintf("sim: resume event for unknown actor %d", ev.id))
 		}
-		k.current = ev.id
-		if st.live {
-			st.resume <- ev.at
-		} else {
-			if st.body == nil || st.done {
+		if st.next == nil {
+			if st.body == nil {
 				panic(fmt.Sprintf("sim: resume event for actor %d with no program", ev.id))
 			}
-			st.live = true
-			body := st.body
-			st.body = nil
-			id := ev.id
-			go func() {
-				body()
-				k.yield <- yieldMsg{id: id, done: true}
-			}()
+			st.start()
 		}
-		msg := <-k.yield
-		if msg.done {
-			fin := k.actors[msg.id]
-			fin.live = false
-			fin.done = true
+		k.current = ev.id
+		if _, ok := st.next(); !ok {
+			st.next, st.yield = nil, nil
 		}
 		k.current = -1
 	}
 	if k.stopped {
 		// Paused mid-run: pending events stay on the heap and blocked
-		// actors stay parked on their resume channels. A later Run picks
-		// up exactly where this one left off; alternatively the kernel can
-		// be snapshotted now and restored elsewhere.
+		// actors stay suspended in their coroutines. A later Run picks up
+		// exactly where this one left off; alternatively the kernel can be
+		// snapshotted now and restored elsewhere.
 		return k.now
 	}
-	for _, id := range k.ids {
-		if st := k.actors[id]; st.live {
+	for id, st := range k.actors {
+		if st != nil && st.next != nil {
 			// Invariant: a live actor always has a resume event pending
 			// (Wait pushes before yielding), so an empty heap with a live
 			// actor means the kernel lost an event.
@@ -376,10 +362,10 @@ func (k *Kernel) Wait(id ActorID, until Time) Time {
 		return until
 	}
 	k.push(event{at: until, id: id, kind: evResume})
-	k.yield <- yieldMsg{id: id}
-	t := <-st.resume
-	st.clock.now = t
-	return t
+	st.yield(struct{}{})
+	// Run set the kernel's time to the resume event's before resuming.
+	st.clock.now = k.now
+	return k.now
 }
 
 // less reports whether the prospective key (at, id, seq) orders before event e.
@@ -395,10 +381,27 @@ func less(at Time, id ActorID, seq uint64, e event) bool {
 
 // state looks up an attached actor or panics.
 func (k *Kernel) state(id ActorID) *actorState {
-	st := k.actors[id]
-	if st == nil || st.clock == nil {
-		panic(fmt.Sprintf("sim: actor %d not attached", id))
+	if st := k.lookup(id); st != nil && st.clock != nil {
+		return st
 	}
+	panic(fmt.Sprintf("sim: actor %d not attached", id))
+}
+
+// lookup returns actor id's slot, or nil if it has none.
+func (k *Kernel) lookup(id ActorID) *actorState {
+	if uint(id) < uint(len(k.actors)) {
+		return k.actors[id]
+	}
+	return nil
+}
+
+// add gives actor id a slot, growing the table to reach it.
+func (k *Kernel) add(id ActorID) *actorState {
+	if n := int(id) + 1; n > len(k.actors) {
+		k.actors = append(k.actors, make([]*actorState, n-len(k.actors))...)
+	}
+	st := &actorState{}
+	k.actors[id] = st
 	return st
 }
 

@@ -244,3 +244,73 @@ func TestKernelWaitBackwardPanics(t *testing.T) {
 	k.Wait(0, 50)
 	_ = c
 }
+
+// TestKernelNestsInsideActor runs a kernel inside an actor of another, the
+// way workload.Multi runs inside a fleet machine: two inner actors take turns
+// (each step ends on an advance of its own inner clock) and every step first
+// advances the host actor's outer clock, beside a second outer actor. Each
+// outer advance suspends the host from inside an inner actor, so the log
+// must be the merge of the host's steps and the sibling's by (time, outer
+// actor), with the inner actors alternating within the host's share.
+func TestKernelNestsInsideActor(t *testing.T) {
+	outer := NewKernel()
+	host, sibling := outer.NewClock(0), outer.NewClock(1)
+	var log []string
+	outer.Go(0, func() {
+		inner := NewKernel()
+		for id := ActorID(0); id < 2; id++ {
+			turn := inner.NewClock(id)
+			inner.Go(id, func() {
+				for s := 0; s < 3; s++ {
+					host.Advance(10)
+					log = append(log, fmt.Sprintf("m%d@%v", id, host.Now()))
+					turn.Advance(1)
+				}
+			})
+		}
+		inner.Run()
+		log = append(log, fmt.Sprintf("inner done@%v", host.Now()))
+	})
+	outer.Go(1, func() {
+		for s := 0; s < 4; s++ {
+			sibling.Advance(15)
+			log = append(log, fmt.Sprintf("s@%v", sibling.Now()))
+		}
+	})
+	outer.Run()
+	want := []string{
+		"m0@10ns", "s@15ns", "m1@20ns", "m0@30ns", "s@30ns", "m1@40ns",
+		"s@45ns", "m0@50ns", "m1@60ns", "inner done@60ns", "s@60ns",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("nested dispatch log:\n%v\nwant\n%v", log, want)
+	}
+	if outer.Now() != 60 {
+		t.Fatalf("outer kernel finished at %v, want 60ns", outer.Now())
+	}
+}
+
+// TestKernelActorPanicReachesRun: a panic in an actor body — here one that
+// was suspended and resumed first — is recovered by Run's caller with the
+// value the body panicked with.
+func TestKernelActorPanicReachesRun(t *testing.T) {
+	k := NewKernel()
+	c := k.NewClock(0)
+	other := k.NewClock(1)
+	boom := fmt.Errorf("boom")
+	k.Go(0, func() {
+		c.Advance(10)
+		panic(boom)
+	})
+	k.Go(1, func() { other.Advance(5) })
+	defer func() {
+		if got := recover(); got != boom {
+			t.Fatalf("Run's caller recovered %v, want the body's %v", got, boom)
+		}
+		if k.Now() != 10 {
+			t.Fatalf("kernel at %v when the body panicked, want 10ns", k.Now())
+		}
+	}()
+	k.Run()
+	t.Fatal("Run returned after an actor body panicked")
+}

@@ -45,15 +45,21 @@ func (k *Kernel) Snap(c *snap.Codec) {
 	snap.Int64(c, &k.now)
 	c.U64(&k.seq)
 	c.Mark(&k.actors, &k.heap)
-	snap.Slice(c, &k.ids, 1<<20, "kernel actors", func(id *ActorID) {
+	var ids []ActorID
+	for id, st := range k.actors {
+		if st != nil {
+			ids = append(ids, ActorID(id))
+		}
+	}
+	snap.Slice(c, &ids, maxActors, "kernel actors", func(id *ActorID) {
 		snap.Int32(c, id)
-		st := k.actors[*id]
+		st := k.lookup(*id)
 		if c.Decoding() {
-			if st != nil {
-				c.Failf("sim: duplicate actor %d in kernel snapshot", *id)
+			if st != nil || *id < 0 || *id >= maxActors {
+				c.Failf("sim: actor %d in kernel snapshot repeats or lies outside [0, %d)", *id, maxActors)
+				return
 			}
-			st = &actorState{id: *id, resume: make(chan Time)}
-			k.actors[*id] = st
+			st = k.add(*id)
 		} else if st.clock != nil {
 			st.save = st.clock.now // save is read only by Attach on a restored actor
 		}
@@ -66,7 +72,6 @@ func (k *Kernel) Snap(c *snap.Codec) {
 		e.kind = evResume
 	})
 	c.Check(func() error {
-		sort.Slice(k.ids, func(i, j int) bool { return k.ids[i] < k.ids[j] })
 		// The events were written in dispatch order, which is a valid heap
 		// layout already, but establish the invariant explicitly.
 		k.heap = evs

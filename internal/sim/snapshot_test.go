@@ -24,3 +24,38 @@ func TestSnapshotCoversState(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelRestoreRefusesOutOfRangeActor: actor IDs index the kernel's
+// table, so a snapshot naming one outside it is refused, not sized for.
+func TestKernelRestoreRefusesOutOfRangeActor(t *testing.T) {
+	for _, bad := range []ActorID{-1, maxActors} {
+		w := snap.NewWriter()
+		c := snap.Encoder(w)
+		var now, save Time
+		var seq uint64
+		actors, events := 1, 0
+		c.Section("sim.kernel")
+		snap.Int64(c, &now)
+		c.U64(&seq)
+		c.Int(&actors)
+		snap.Int32(c, &bad)
+		snap.Int64(c, &save)
+		c.Int(&events)
+		img, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := snap.NewReader(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := NewKernel()
+		k.Snap(snap.Decoder(r))
+		if err := r.Close(); err == nil {
+			t.Errorf("restore accepted actor %d", bad)
+		}
+		if len(k.actors) != 0 {
+			t.Errorf("restore of actor %d grew the table to %d slots", bad, len(k.actors))
+		}
+	}
+}
