@@ -19,6 +19,7 @@ func TestCodecZeroAllocs(t *testing.T) {
 		"zero":   make([]byte, pageSize),
 		"text":   bytes.Repeat([]byte("page table entry walk "), pageSize/22+1)[:pageSize],
 		"random": make([]byte, pageSize),
+		"mixed":  mixedPage(),
 	}
 	rng.Read(pages["random"])
 

@@ -2,6 +2,9 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -133,12 +136,15 @@ func TestLZRW1MatchAtMaxOffset(t *testing.T) {
 	roundTrip(t, c, src2)
 }
 
-// lzrw1BadBlocks are malformed LZRW1 blocks, one per error the decoder
-// reports.
-var lzrw1BadBlocks = []struct {
+// badBlock is a malformed compressed block, named for what is wrong with it.
+type badBlock struct {
 	name  string
 	block []byte
-}{
+}
+
+// lzrw1BadBlocks are malformed LZRW1 blocks, one per error the decoder
+// reports.
+var lzrw1BadBlocks = []badBlock{
 	{"bad flag", []byte{0xFF, 1, 2}},
 	{"truncated control word", []byte{flagCompress, 0x01}},
 	// Control word says "copy item" but only one byte follows.
@@ -152,16 +158,72 @@ var lzrw1BadBlocks = []struct {
 	{"zero offset in a whole group", append([]byte{flagCompress, 0x02, 0x00, 'a', 0x00, 0x00}, make([]byte, 64)...)},
 }
 
+// fpcBadBlocks are malformed FPC blocks, one per error the decoder reports
+// (and one per invalid code). Each block past the header comes twice: as
+// the whole body, where only the careful loop runs, and behind 32 raw words
+// with eight spare bytes after it, so that with room in dst the fast loop
+// decodes the prefix and hands the error to the careful loop — at a control
+// byte, or between its two codes.
+var fpcBadBlocks = func() []badBlock {
+	block := func(n int, body ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte{flagCompress}, uint32(n)), body...)
+	}
+	out := []badBlock{
+		{"bad flag", []byte{0xFF, 1, 2, 3, 4}},
+		{"truncated header", []byte{flagCompress, 8, 0, 0}},
+	}
+	// Each case is a byte count and a body; the prefixed twin adds 32 words
+	// to the count and puts 16 raw pairs in front of the body.
+	type bodyCase struct {
+		name string
+		n    int
+		body []byte
+	}
+	spare := make([]byte, 8)
+	cases := []bodyCase{
+		{"input exhausted", 8, nil},
+		{"truncated payload", 4, []byte{fpcRaw, 1, 2}},
+		{"zero run of 0", 16, append([]byte{fpcZeroRun, 0}, spare...)},
+		{"zero run of 1", 16, append([]byte{fpcZeroRun, 1}, spare...)},
+		{"zero run past the word count", 16, append([]byte{fpcZeroRun, 5}, spare...)},
+		{"bad code in the high nibble", 16, append([]byte{0x90 | fpcSE8, 7}, spare...)},
+		{"nonzero dangling nibble", 4, []byte{fpcZeroRun<<4 | fpcSE8, 7}},
+		{"nonzero dangling nibble after a zero run", 16, append([]byte{fpcSE8<<4 | fpcZeroRun, 4}, spare...)},
+		{"wrong tail length", 6, []byte{fpcSE8, 7, 'a'}},
+	}
+	for code := fpcRaw + 1; code <= 0x0F; code++ {
+		cases = append(cases, bodyCase{fmt.Sprintf("bad code %d", code), 16, append([]byte{byte(code)}, spare...)})
+	}
+	var prefix []byte
+	for i := 0; i < 16; i++ {
+		prefix = append(prefix, fpcRaw<<4|fpcRaw, 1, 2, 3, 4, 5, 6, 7, byte(i))
+	}
+	for _, bc := range cases {
+		out = append(out,
+			badBlock{bc.name, block(bc.n, bc.body...)},
+			badBlock{bc.name + " after 32 words", block(bc.n+32*4, append(bytes.Clone(prefix), bc.body...)...)})
+	}
+	return out
+}()
+
 func TestDecompressErrors(t *testing.T) {
 	for _, c := range allCodecs(t) {
 		if _, err := c.Decompress(nil, nil); err == nil {
 			t.Errorf("%s: empty input should error", c.Name())
 		}
 	}
-	var lz LZRW1
-	for _, bad := range lzrw1BadBlocks {
-		if _, err := lz.Decompress(nil, bad.block); err == nil {
-			t.Errorf("lzrw1: %s should error", bad.name)
+	// Into nil, only the careful loops run; into a page's capacity, the fast
+	// loops run first wherever the block is long enough.
+	for _, tc := range []struct {
+		c   Codec
+		bad []badBlock
+	}{{LZRW1{}, lzrw1BadBlocks}, {FPC{}, fpcBadBlocks}} {
+		for _, bad := range tc.bad {
+			for _, dst := range [][]byte{nil, make([]byte, 0, fuzzPageSize)} {
+				if _, err := tc.c.Decompress(dst, bad.block); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: %s into a dst of capacity %d: error %v, want ErrCorrupt", tc.c.Name(), bad.name, cap(dst), err)
+				}
+			}
 		}
 	}
 	var rle RLE
@@ -324,6 +386,40 @@ func BenchmarkLZRW1DecompressText(b *testing.B) {
 		dst, err = c.Decompress(dst[:0], comp)
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFPCDecompress decodes into a page-capacity dst, against the
+// reference decoder: a mixed page (raw pairs and zero runs, the fast loop's
+// best case), a page of small integers (sign-extended 8- and 16-bit codes,
+// decoded through the switch) and a text page (whose words do not compress,
+// so the block is stored).
+func BenchmarkFPCDecompress(b *testing.B) {
+	ints := make([]byte, 4096)
+	for i := 0; i < len(ints); i += 4 {
+		binary.LittleEndian.PutUint32(ints[i:], uint32(i*37%1000-500))
+	}
+	text := []byte(strings.Repeat("memory compression cache paging sprite kernel ", 100))[:4096]
+	for _, page := range []struct {
+		name string
+		data []byte
+	}{{"mixed", mixedPage()}, {"ints", ints}, {"text", text}} {
+		comp := FPC{}.Compress(nil, page.data)
+		for _, dec := range []struct {
+			name string
+			c    decoder
+		}{{"fpc", FPC{}}, {"ref", refFPC{}}} {
+			b.Run(page.name+"/"+dec.name, func(b *testing.B) {
+				b.SetBytes(int64(len(page.data)))
+				dst := make([]byte, 0, len(page.data))
+				for i := 0; i < b.N; i++ {
+					var err error
+					if dst, err = dec.c.Decompress(dst[:0], comp); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -6,6 +6,9 @@ package compress
 // RefLZRW1 is the reference LZRW1.
 var RefLZRW1 = refLZRW1{}
 
+// RefFPC is the reference FPC decoder.
+var RefFPC = refFPC{}
+
 // Unregister removes a codec a test registered, so the registry the other
 // tests enumerate is left as it was.
 func Unregister(name string) {

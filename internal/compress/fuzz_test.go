@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,7 +40,20 @@ func seedPages() [][]byte {
 		bytes.Repeat([]byte{0}, fuzzPageSize),
 		bytes.Repeat([]byte{0xAA, 0x55}, 2048),
 		ramp,
+		mixedPage(),
 	}
+}
+
+// mixedPage alternates 64-byte blocks of seeded random bytes with zero
+// blocks, a page of the shape the fleet benchmark writes: FPC codes it as
+// pairs of raw words and zero runs, on both sides of a control byte.
+func mixedPage() []byte {
+	rng := rand.New(rand.NewSource(27))
+	page := make([]byte, fuzzPageSize)
+	for blk := 0; blk < len(page); blk += 128 {
+		rng.Read(page[blk : blk+64])
+	}
+	return page
 }
 
 func fuzzSeeds(f *testing.F) {
@@ -208,8 +222,9 @@ func corpusBlocks(t *testing.T, target string) [][]byte {
 
 // TestDecompressStaysInsideCap decompresses into the middle frame of a
 // three-frame arena through a three-index slice, the way the machine hands
-// out mem.Pool frames: whatever the input — valid pages, the malformed
-// LZRW1 blocks of TestDecompressErrors, every FuzzLZRW1Corrupt seed — the
+// out mem.Pool frames: whatever the input — valid pages, and for the two
+// codecs with a fast loop the malformed blocks of TestDecompressErrors, the
+// flipped blocks and every seed of their Corrupt fuzz target — the
 // neighbouring frames must come out untouched. A decoder may use dst's spare
 // capacity as scratch, but one byte past cap(dst) is somebody else's page.
 func TestDecompressStaysInsideCap(t *testing.T) {
@@ -236,13 +251,21 @@ func TestDecompressStaysInsideCap(t *testing.T) {
 			}
 		}
 	}
-	var lz LZRW1
-	hostile := append(flippedBlocks(lz), seedPages()...)
-	hostile = append(hostile, corpusBlocks(t, "FuzzLZRW1Corrupt")...)
-	for _, bad := range lzrw1BadBlocks {
-		hostile = append(hostile, bad.block)
-	}
-	for _, block := range hostile {
-		decode(lz, block)
+	for _, tc := range []struct {
+		c      Codec
+		corpus string
+		bad    []badBlock
+	}{
+		{LZRW1{}, "FuzzLZRW1Corrupt", lzrw1BadBlocks},
+		{FPC{}, "FuzzFPCCorrupt", fpcBadBlocks},
+	} {
+		hostile := append(flippedBlocks(tc.c), seedPages()...)
+		hostile = append(hostile, corpusBlocks(t, tc.corpus)...)
+		for _, bad := range tc.bad {
+			hostile = append(hostile, bad.block)
+		}
+		for _, block := range hostile {
+			decode(tc.c, block)
+		}
 	}
 }

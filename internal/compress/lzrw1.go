@@ -68,6 +68,7 @@ const (
 
 // lzZero is what Decompress extends dst from to claim its spare capacity.
 // Output beyond len(lzZero) bytes is still decoded, by the careful loop.
+// FPC's careful loop appends its zero runs from it too.
 var lzZero [1 << 16]byte
 
 // Name reports "lzrw1".

@@ -198,32 +198,53 @@ func checkLZRW1MatchesReference(t testing.TB, data []byte) {
 	}
 
 	for _, block := range [][]byte{data, ref.Compress(nil, data)} {
-		for _, tc := range []struct {
-			name string
-			dst  []byte
-		}{
-			{"nil dst", nil},
-			{"page-capacity dst", make([]byte, 0, fuzzPageSize)},
-			{"oversize dst", make([]byte, 0, 3*fuzzPageSize)},
-			{"recycled dst", recycled(2 * fuzzPageSize)},
-			{"prefixed dst", append(make([]byte, 0, fuzzPageSize), prefix...)},
-		} {
-			want, wantErr := ref.Decompress(bytes.Clone(tc.dst), block)
-			got, err := lz.Decompress(tc.dst, block)
-			if errText(err) != errText(wantErr) {
-				t.Fatalf("Decompress of %d bytes into a %s: error %v, reference %v", len(block), tc.name, err, wantErr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("Decompress of %d bytes into a %s: %d bytes, reference %d", len(block), tc.name, len(got), len(want))
-			}
+		checkDecompressMatchesReference(t, lz, ref, block)
+	}
+}
+
+// decoder is the half of a codec a reference has to match.
+type decoder interface {
+	Decompress(dst, src []byte) ([]byte, error)
+}
+
+// checkDecompressMatchesReference holds a decoder to its reference on one
+// block, into every destination shape the buffer contract names: none, a
+// page's capacity, more, a recycled buffer full of 0xFF, and one holding a
+// prefix. The reference always gets a clean copy of what dst holds up to its
+// length.
+func checkDecompressMatchesReference(t testing.TB, c, ref decoder, block []byte) {
+	t.Helper()
+	prefix := []byte("prefix kept")
+	for _, tc := range []struct {
+		name string
+		dst  []byte
+	}{
+		{"nil dst", nil},
+		{"page-capacity dst", make([]byte, 0, fuzzPageSize)},
+		{"oversize dst", make([]byte, 0, 3*fuzzPageSize)},
+		{"recycled dst", bytes.Repeat([]byte{0xFF}, 2*fuzzPageSize)[:0]},
+		{"prefixed dst", append(make([]byte, 0, fuzzPageSize), prefix...)},
+	} {
+		want, wantErr := ref.Decompress(bytes.Clone(tc.dst), block)
+		got, err := c.Decompress(tc.dst, block)
+		if errText(err) != errText(wantErr) {
+			t.Fatalf("Decompress of %d bytes into a %s: error %v, reference %v", len(block), tc.name, err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Decompress of %d bytes into a %s: %d bytes, reference %d", len(block), tc.name, len(got), len(want))
 		}
 	}
 }
 
 // FuzzLZRW1MatchesReference is the byte-identity contract: same compressed
 // bytes, same decoded bytes and the same errors as the reference, whatever
-// the destination buffer looked like.
+// the destination buffer looked like. The malformed blocks of
+// lzrw1BadBlocks are seeds, so every error's text is compared on each run of
+// the test.
 func FuzzLZRW1MatchesReference(f *testing.F) {
 	fuzzSeeds(f)
+	for _, bad := range lzrw1BadBlocks {
+		f.Add(bad.block)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkLZRW1MatchesReference(t, data) })
 }
