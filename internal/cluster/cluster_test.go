@@ -98,9 +98,13 @@ func runFleet(cfg cluster.Config, pages int32, cycle bool) (*cluster.Cluster, er
 		return nil, err
 	}
 	// The verify sweeps leave each member full of clean pages; the ones that
-	// came back compressed are remembered that way (machine/memo.go).
+	// came back compressed are remembered that way, and the ones that left
+	// have records in the plaintext ring (machine/memo.go).
 	for i := 0; i < c.Size(); i++ {
 		if err := c.Machine(i).VerifyCompressMemo(); err != nil {
+			return nil, fmt.Errorf("machine %d: %w", i, err)
+		}
+		if err := c.Machine(i).VerifyPlainMemo(); err != nil {
 			return nil, fmt.Errorf("machine %d: %w", i, err)
 		}
 	}

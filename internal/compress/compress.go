@@ -63,8 +63,8 @@ type Codec interface {
 // not a valid compressed block.
 var ErrCorrupt = errors.New("compress: corrupt block")
 
-// regMu guards registry. It is the one lock outside internal/sim and
-// internal/runner, and it is real synchronisation: runner workers build
+// regMu guards registry. It is the one lock outside internal/runner, and it
+// is real synchronisation: runner workers build
 // machines, and so call Lookup, concurrently, and start-up code (the bench
 // harness) may Register a codec of its own meanwhile. Which of them gets the
 // lock first changes no simulated result, and every line that takes it tells

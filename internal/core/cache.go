@@ -293,6 +293,14 @@ func (c *Cache) newFrame(id mem.FrameID) *ccFrame {
 // reports a flush failure during at-cap recycling; the insert is abandoned
 // with any newly acquired frames returned to the pool.
 func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) {
+	return c.InsertSummed(key, data, Checksum(data), dirty)
+}
+
+// InsertSummed is Insert for a caller that already holds the data's
+// checksum — bytes it has just verified or summed for another reason — so the
+// fragment is not summed twice. sum must be Checksum(data): the cache stores
+// it as the fragment's integrity checksum without looking.
+func (c *Cache) InsertSummed(key swap.PageKey, data []byte, sum uint32, dirty bool) (bool, error) {
 	if len(data) > c.pool.PageSize() {
 		// Invariant: the machine stores a page raw when compression does not
 		// shrink it, so an entry can never exceed the page size.
@@ -361,7 +369,7 @@ func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) 
 	buf := c.slabGet(len(data))
 	copy(buf, data)
 	e := c.newEntry()
-	*e = Entry{Key: key, Data: buf, Dirty: dirty, Sum: Checksum(buf),
+	*e = Entry{Key: key, Data: buf, Dirty: dirty, Sum: sum,
 		insert: c.clock.Now(), frames: e.frames[:0]}
 	left := need
 	if rem > 0 {
@@ -497,6 +505,17 @@ func (c *Cache) Fault(key swap.PageKey) (data []byte, sum uint32, dirty bool, ok
 		e.insert = c.clock.Now()
 	}
 	return e.Data, e.Sum, e.Dirty, true
+}
+
+// Peek returns the entry for key the way Fault does, but counts no hit or
+// miss, emits nothing and leaves the entry's age alone: it is for audits that
+// must not change the run they audit. The data is cache-owned, as Fault's.
+func (c *Cache) Peek(key swap.PageKey) (data []byte, sum uint32, ok bool) {
+	e, found := c.entries.Get(key)
+	if !found {
+		return nil, 0, false
+	}
+	return e.Data, e.Sum, true
 }
 
 // Drop discards the entry for key if present (used when a stale copy must be

@@ -132,8 +132,12 @@ func crashTrial(cfg machine.Config, w workload.Workload, seed int64, k uint64) (
 		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: machine died of a non-crash error: %w", k, merr)
 	}
 	// Wherever the cut fell, what the dead machine remembers of its clean
-	// pages' compressed forms is what the codec makes of them.
+	// pages' compressed forms is what the codec makes of them, and of its
+	// evicted pages' plaintext what the codec makes of their cache entries.
 	if err := m.VerifyCompressMemo(); err != nil {
+		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: %w", k, err)
+	}
+	if err := m.VerifyPlainMemo(); err != nil {
 		return swap.RecoveryReport{}, fmt.Errorf("crash point %d: %w", k, err)
 	}
 

@@ -1,17 +1,18 @@
 package lint
 
-// kernelproto: goroutines, channels and locks live in internal/sim and
-// internal/runner and nowhere else. The byte-identical contract rests on a
-// single-actor discipline: exactly one simulated activity runs at a time,
-// resumed by sim.Kernel as a coroutine and handing the baton back when it
-// waits. Simulator code that spawns a goroutine, touches a channel or takes a
+// kernelproto: goroutines, channels and locks live in internal/runner and
+// nowhere else. The byte-identical contract rests on a single-actor
+// discipline: exactly one simulated activity runs at a time, resumed by
+// sim.Kernel as a coroutine and handing the baton back when it waits.
+// Simulator code that spawns a goroutine, touches a channel or takes a
 // mutex/atomic makes the host scheduler a hidden input, in exactly the way
 // -race cannot reliably catch.
 //
-// The rule is the package boundary. internal/sim is the baton (fleet machines
-// and workload.Multi's processes are both clients of sim.Kernel) and
-// internal/runner is the host fan-out that builds whole machines on worker
-// goroutines, above every kernel; both are exempt by package. Every file of
+// The rule is the package boundary. internal/runner is the host fan-out that
+// builds whole machines on worker goroutines, above every kernel, and is
+// exempt by package. The kernel itself is not: its actors are iter.Pull
+// coroutines, so internal/sim needs no goroutine, channel or lock and is
+// scanned like everything else. Every file of
 // every other package is scanned, and each primitive in it is a finding
 // whether or not anything is known to call it. That is stronger than
 // reachability from an actor body, which a static call graph only
@@ -39,11 +40,11 @@ func (KernelProto) Name() string { return "kernelproto" }
 
 // Doc implements Analyzer.
 func (KernelProto) Doc() string {
-	return "goroutines, channels, locks and atomics live in internal/sim and internal/runner and nowhere else"
+	return "goroutines, channels, locks and atomics live in internal/runner and nowhere else"
 }
 
 // schedulerOwners are the packages allowed to touch the host scheduler.
-var schedulerOwners = []string{"internal/sim", "internal/runner"}
+var schedulerOwners = []string{"internal/runner"}
 
 // Check implements Analyzer.
 func (kp KernelProto) Check(pkg *Package) []Diagnostic {
@@ -54,7 +55,7 @@ func (kp KernelProto) Check(pkg *Package) []Diagnostic {
 	for _, f := range pkg.Files {
 		for _, v := range scanKernelViolations(pkg.Mod, f) {
 			out = append(out, diag(pkg, kp.Name(), v.node,
-				"%s outside internal/sim and internal/runner; only the kernel baton and the runner fan-out may touch the host scheduler", v.what))
+				"%s outside internal/runner; only the runner fan-out may touch the host scheduler", v.what))
 		}
 	}
 	return out

@@ -69,8 +69,7 @@ type Analyzer interface {
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
 // map-ness, the three per-function analyzers, then the package rule:
-// scheduler-visible primitives outside internal/sim and internal/runner
-// (kernelproto).
+// scheduler-visible primitives outside internal/runner (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},

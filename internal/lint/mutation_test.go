@@ -122,7 +122,7 @@ func mutateFixture(t *testing.T, file, old, new string, wantNew ...string) {
 
 // kpMessage is the kernelproto finding for one primitive.
 func kpMessage(what string) string {
-	return "kernelproto: " + what + " outside internal/sim and internal/runner; only the kernel baton and the runner fan-out may touch the host scheduler"
+	return "kernelproto: " + what + " outside internal/runner; only the runner fan-out may touch the host scheduler"
 }
 
 // TestKernelProtoMutationRawGoroutine: a raw go statement slipped into
@@ -131,6 +131,16 @@ func TestKernelProtoMutationRawGoroutine(t *testing.T) {
 	mutateFixture(t, "kernelproto/kernelproto.go",
 		"buf := pool.Get().([]byte)",
 		"buf := pool.Get().([]byte)\n\t\tgo func() { _ = buf }()",
+		kpMessage("spawns a raw goroutine"))
+}
+
+// TestKernelProtoMutationSimIsScanned: the kernel runs its actors as
+// coroutines, so internal/sim is exempt from nothing — a goroutine slipped
+// into the stand-in kernel is a finding like any other.
+func TestKernelProtoMutationSimIsScanned(t *testing.T) {
+	mutateFixture(t, "kernelproto/internal/sim/sim.go",
+		"\t\tk.events++",
+		"\t\tk.events++\n\t\tgo fn()",
 		kpMessage("spawns a raw goroutine"))
 }
 

@@ -99,7 +99,7 @@ func (p *Pager) badDeferDiscard(addr int) {
 
 // badGoDiscard drops the error of a spawned call the same way.
 func (p *Pager) badGoDiscard(addr int) {
-	go p.write(addr) // want `p\.write returns an error that is silently discarded` `spawns a raw goroutine outside internal/sim`
+	go p.write(addr) // want `p\.write returns an error that is silently discarded` `spawns a raw goroutine outside internal/runner`
 }
 
 // badDeferBlank blanks the error inside a defer closure — the cleanup

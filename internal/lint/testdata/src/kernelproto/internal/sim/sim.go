@@ -1,13 +1,8 @@
-// Package sim is a minimal stand-in for the discrete-event kernel, matched
-// by kernelproto's internal/sim suffix rule. The kernel IS the baton
-// implementation: every primitive the analyzer knows appears here, and none
-// is a finding.
+// Package sim is a minimal stand-in for the discrete-event kernel. Its actors
+// are coroutines resumed by plain calls, so it needs no goroutine, channel or
+// lock, and kernelproto scans it like any other package: none of what is here
+// is a finding, and a primitive slipped into it would be.
 package sim
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // Time is virtual time.
 type Time int64
@@ -17,45 +12,29 @@ type ActorID int32
 
 // Kernel hands a baton around its actors.
 type Kernel struct {
-	mu     sync.Mutex
-	once   sync.Once
 	now    Time
-	events atomic.Int64
-	yield  chan ActorID
-	resume chan Time
+	events int64
+	ready  []func()
 }
 
-// Go starts fn as an actor body on a goroutine of its own.
-func (k *Kernel) Go(id ActorID, fn func()) {
-	k.once.Do(func() { k.yield, k.resume = make(chan ActorID), make(chan Time) })
-	go func() {
-		fn()
-		k.yield <- id
-	}()
-}
+// Go queues fn as an actor body; Run resumes it.
+func (k *Kernel) Go(id ActorID, fn func()) { k.ready = append(k.ready, fn) }
 
-// Run dispatches until the yield channel is closed.
+// Run resumes queued actor bodies until none is left.
 func (k *Kernel) Run() {
-	for range k.yield {
-		k.events.Add(1)
-		select {
-		case k.resume <- k.now:
-		default:
-		}
+	for len(k.ready) > 0 {
+		fn := k.ready[0]
+		k.ready = k.ready[1:]
+		k.events++
+		fn()
 	}
 }
 
-// Stop ends Run.
-func (k *Kernel) Stop() { close(k.yield) }
-
-// Wait parks the calling actor until the virtual instant; it is the
+// Wait moves the calling actor to the virtual instant; it is the
 // baton-sanctioned way an actor body blocks.
 func (k *Kernel) Wait(id ActorID, until Time) Time {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if until > k.now {
 		k.now = until
 	}
-	k.yield <- id
-	return <-k.resume
+	return k.now
 }

@@ -1,5 +1,5 @@
 // Package kp is a golden fixture for the kernelproto analyzer: outside
-// internal/sim and internal/runner every scheduler-visible primitive is a
+// internal/runner every scheduler-visible primitive is a
 // finding where it stands — called or not, in a declared function, a stored
 // closure or a package-level initialiser — and the clean cases show what
 // simulator code may still do.
@@ -15,20 +15,20 @@ import (
 
 // Channels holds one finding per channel primitive.
 func Channels(ch chan int, done chan struct{}) int {
-	go drain(ch) // want `spawns a raw goroutine outside internal/sim and internal/runner`
-	ch <- 1      // want `sends on a channel outside internal/sim`
-	v := <-ch    // want `receives from a channel outside internal/sim`
-	select {     // want `selects on channels outside internal/sim`
+	go drain(ch) // want `spawns a raw goroutine outside internal/runner`
+	ch <- 1      // want `sends on a channel outside internal/runner`
+	v := <-ch    // want `receives from a channel outside internal/runner`
+	select {     // want `selects on channels outside internal/runner`
 	default:
 	}
-	close(done) // want `closes a channel outside internal/sim`
+	close(done) // want `closes a channel outside internal/runner`
 	return v
 }
 
 // drain is called by nothing the analyzer needs to know about: the range is
 // a finding because of the file it is in.
 func drain(ch chan int) {
-	for range ch { // want `ranges over a channel outside internal/sim`
+	for range ch { // want `ranges over a channel outside internal/runner`
 	}
 }
 
@@ -49,15 +49,15 @@ var ticks int64
 
 // Locks holds one finding per sync and sync/atomic primitive.
 func Locks(s *state) {
-	s.mu.Lock()                // want `takes sync\.Mutex\.Lock outside internal/sim`
-	defer s.mu.Unlock()        // want `takes sync\.Mutex\.Unlock outside internal/sim`
-	s.rw.RLock()               // want `takes sync\.RWMutex\.RLock outside internal/sim`
-	s.wg.Wait()                // want `takes sync\.WaitGroup\.Wait outside internal/sim`
-	sync.NewCond(&s.mu).Wait() // want `takes sync\.Cond\.Wait outside internal/sim`
-	s.once.Do(func() {})       // want `takes sync\.Once\.Do outside internal/sim`
-	atomic.AddInt64(&ticks, 1) // want `performs atomic AddInt64 outside internal/sim`
-	s.n.Add(1)                 // want `performs atomic Int64\.Add outside internal/sim`
-	new(guarded).Lock()        // want `takes sync\.Mutex\.Lock outside internal/sim`
+	s.mu.Lock()                // want `takes sync\.Mutex\.Lock outside internal/runner`
+	defer s.mu.Unlock()        // want `takes sync\.Mutex\.Unlock outside internal/runner`
+	s.rw.RLock()               // want `takes sync\.RWMutex\.RLock outside internal/runner`
+	s.wg.Wait()                // want `takes sync\.WaitGroup\.Wait outside internal/runner`
+	sync.NewCond(&s.mu).Wait() // want `takes sync\.Cond\.Wait outside internal/runner`
+	s.once.Do(func() {})       // want `takes sync\.Once\.Do outside internal/runner`
+	atomic.AddInt64(&ticks, 1) // want `performs atomic AddInt64 outside internal/runner`
+	s.n.Add(1)                 // want `performs atomic Int64\.Add outside internal/runner`
+	new(guarded).Lock()        // want `takes sync\.Mutex\.Lock outside internal/runner`
 }
 
 // Cache is the hook shape: the flush closure is stored at construction and
@@ -75,7 +75,7 @@ func (c *Cache) Evict(n int) { c.flush(n) }
 // the closure runs on every eviction.
 func Build(c *Cache) {
 	c.SetHooks(func(n int) {
-		go func() {}() // want `spawns a raw goroutine outside internal/sim`
+		go func() {}() // want `spawns a raw goroutine outside internal/runner`
 	})
 }
 
@@ -88,7 +88,7 @@ func Run(k *sim.Kernel, c *Cache) {
 // onExit is a construction-time closure: it runs from a package-level
 // initialiser, inside no declared function at all.
 var onExit = func(done chan struct{}) {
-	close(done) // want `closes a channel outside internal/sim`
+	close(done) // want `closes a channel outside internal/runner`
 }
 
 // Good stays on the baton: kernel waits, the runner's fan-out, and pooled

@@ -17,8 +17,9 @@ import (
 // stays off the garbage collector: the machine compresses into a per-machine
 // scratch buffer, core.Cache copies into recycled slabs and recycles its
 // entry and frame bookkeeping, the stores clean and compact out of scratch
-// they own, the codecs pool theirs, and the compress memo is one slab.
-// steadyRows pins that for every store shape a machine pages through by
+// they own, the codecs pool theirs, the compress memo is one slab, and the
+// plaintext memo's chunks stop growing once the hot pages have each had one
+// (during warm-up). steadyRows pins that for every store shape a machine pages through by
 // running it. Nothing reads the source for allocation sites, so a row sees
 // only what it drives — and therefore proves, from the machine's own counters
 // over the measured touches, that the path it names is the path it drove.
@@ -52,6 +53,7 @@ type steadyRow struct {
 	pages  int32          // working-set size
 	fill   func(s *Space) // page contents, written before warm-up
 	drove  []counter      // each must advance during the measured touches
+	plain  bool           // the plaintext memo must serve some of the decompressions
 }
 
 func ccConfig() Config { return Default(mb).WithCC() }
@@ -62,11 +64,11 @@ func ccConfig() Config { return Default(mb).WithCC() }
 var steadyRows = []steadyRow{
 	// The working set does not fit in RAM but compresses well enough to live
 	// entirely in the cache.
-	{name: "local", cfg: ccConfig, pages: 400, fill: fillCompressible, drove: []counter{cacheHits}},
+	{name: "local", cfg: ccConfig, pages: 400, fill: fillCompressible, drove: []counter{cacheHits}, plain: true},
 	{name: "local", writes: 1, cfg: ccConfig, pages: 400, fill: fillCompressible, drove: []counter{cacheHits, inserts}},
 	// Every fourth page is incompressible, goes down the chain and is
 	// faulted back from the tier.
-	{name: "tier", tier: true, cfg: ccConfig, pages: 400, fill: fillEveryFourthRandom, drove: []counter{cacheHits, remoteIns}},
+	{name: "tier", tier: true, cfg: ccConfig, pages: 400, fill: fillEveryFourthRandom, drove: []counter{cacheHits, remoteIns}, plain: true},
 	{name: "tier", tier: true, writes: 1, cfg: ccConfig, pages: 400, fill: fillEveryFourthRandom, drove: []counter{inserts, remoteIns}},
 	// The baseline machine on the direct swap file.
 	{name: "direct", cfg: func() Config { return Default(mb) }, pages: 1024, fill: fillCompressible, drove: []counter{swapIns}},
@@ -97,8 +99,12 @@ var steadyRows = []steadyRow{
 		}},
 	// The default cache over a segment with its own codec, read-only: pages
 	// come back from the clustered store a block at a time and what came
-	// along enters the cache without compressing.
+	// along enters the cache without compressing. A page returns four memories
+	// of evictions after it left, too late for the plaintext memo, so every
+	// decompression decodes; over a working set that returns within one, none
+	// does.
 	{name: "prefetch", codec: "fpc", cfg: ccConfig, pages: 1024, fill: fillHalfRandom, drove: []counter{swapIns, prefetched}},
+	{name: "prefetch-recent", codec: "fpc", cfg: ccConfig, pages: 320, fill: fillHalfRandom, drove: []counter{swapIns, prefetched}, plain: true},
 }
 
 // fillHalfRandom makes every page 1.5 KB of noise over zeros: any codec
@@ -198,10 +204,11 @@ func steadyCycle(t *testing.T, writes bool) {
 				touch()
 			}
 			var before stats.Run
-			var ranBefore uint64
+			var ranBefore, decBefore uint64
 			n := mallocs(func() {
 				before = m.Stats()
 				ranBefore = cc.Calls() + sc.Calls()
+				decBefore = cc.Decodes() + sc.Decodes()
 				for i := 0; i < steadyTouches; i++ {
 					touch()
 				}
@@ -216,6 +223,12 @@ func steadyCycle(t *testing.T, writes bool) {
 			// so a read-only row runs the codec only for pages that have none:
 			// the ones that miss the keep threshold and travel raw. A row that
 			// dirties every page it touches runs it for every compression.
+			// A row whose pages come back within one memory's worth of
+			// evictions is copied in from the plaintext memo, not decoded.
+			decomps := after.Comp.Decompressions - before.Comp.Decompressions
+			if decoded := cc.Decodes() + sc.Decodes() - decBefore; row.plain && decoded >= decomps {
+				t.Errorf("%d decompressions and the codec decoded %d times: the plaintext memo served none", decomps, decoded)
+			}
 			comps := after.Comp.Compressions - before.Comp.Compressions
 			raw := after.Comp.Incompressible - before.Comp.Incompressible
 			ran := cc.Calls() + sc.Calls() - ranBefore
@@ -251,12 +264,13 @@ func steadyCycle(t *testing.T, writes bool) {
 func TestSteadyStateReadCycleZeroAllocs(t *testing.T)    { steadyCycle(t, false) }
 func TestSteadyStateDirtyRewriteZeroAllocs(t *testing.T) { steadyCycle(t, true) }
 
-// countedCodec is a registered codec that counts its Compress calls, so a
-// row can tell the compressions the simulated machine was charged for
-// (Comp.Compressions) from the ones the host's codec actually ran.
+// countedCodec is a registered codec that counts its Compress and
+// Decompress calls, so a row can tell the compressions and decompressions the
+// simulated machine was charged for (Comp.Compressions, Comp.Decompressions)
+// from the ones the host's codec actually ran.
 type countedCodec struct {
 	compress.Codec
-	calls atomic.Uint64
+	calls, decodes atomic.Uint64
 }
 
 func (c *countedCodec) Name() string { return "counted-" + c.Codec.Name() }
@@ -266,12 +280,25 @@ func (c *countedCodec) Compress(dst, src []byte) []byte {
 	return c.Codec.Compress(dst, src)
 }
 
+func (c *countedCodec) Decompress(dst, src []byte) ([]byte, error) {
+	c.decodes.Add(1)
+	return c.Codec.Decompress(dst, src)
+}
+
 // Calls reports the Compress calls so far; a nil codec has made none.
 func (c *countedCodec) Calls() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.calls.Load()
+}
+
+// Decodes reports the Decompress calls so far; a nil codec has made none.
+func (c *countedCodec) Decodes() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.decodes.Load()
 }
 
 var countedCodecs = map[string]*countedCodec{}

@@ -10,13 +10,14 @@ import (
 	"compcache/internal/workload"
 )
 
-// TestCompressMemoIsInvisible runs the workloads the memo helps most — a
+// TestCompressMemoIsInvisible runs the workloads the memos help most — a
 // read-only thrash several times the size of memory, then gold's warm phase —
-// on a machine as built and on one that forgets every remembered form before
-// each eviction, and so runs the codec for every compression. Nothing the
-// simulated machine can report may tell them apart: the statistics with the
-// metrics registry in them, the virtual clock, the snapshot bytes. The host
-// can: the first machine's codec has to have run less.
+// on a machine as built and on one that forgets every remembered form, in
+// both directions, before each page-in and each eviction, and so runs the
+// codec for every compression and every decompression. Nothing the simulated
+// machine can report may tell them apart: the statistics with the metrics
+// registry in them, the virtual clock, the snapshot bytes. The host can: the
+// first machine's codec has to have compressed and decoded less.
 func TestCompressMemoIsInvisible(t *testing.T) {
 	codec := machine.Counted("")
 	cfg := machine.Default(64 * 4096).WithCC()
@@ -29,7 +30,7 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 		return m
 	}
 	asBuilt, forgetful := build(), build()
-	forgetful.ForgetCompressMemo()
+	forgetful.ForgetMemos()
 
 	phases := []func() workload.Workload{
 		func() workload.Workload {
@@ -40,11 +41,11 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 				Phase: workload.GoldWarm, Seed: 3}
 		},
 	}
-	var ran [2]uint64
+	var ran, decoded [2]uint64
 	for _, phase := range phases {
 		name := phase().Name()
 		for i, m := range []*machine.Machine{asBuilt, forgetful} {
-			before := codec.Calls()
+			before, decodes := codec.Calls(), codec.Decodes()
 			if err := phase().Run(m); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -52,6 +53,7 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			ran[i] += codec.Calls() - before
+			decoded[i] += codec.Decodes() - decodes
 		}
 		if a, b := asBuilt.Stats(), forgetful.Stats(); !reflect.DeepEqual(a, b) {
 			t.Errorf("after %s the statistics differ:\nas built:\n%v\nforgetful:\n%v", name, a, b)
@@ -74,9 +76,17 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 	if err := asBuilt.VerifyCompressMemo(); err != nil {
 		t.Error(err)
 	}
-	if comps := forgetful.Stats().Comp.Compressions; ran[1] != comps || ran[0] >= ran[1] {
-		t.Errorf("%d compressions: the codec ran %d times on the forgetful machine (want all of them) and %d times on the machine as built (want fewer)",
-			comps, ran[1], ran[0])
+	if err := asBuilt.VerifyPlainMemo(); err != nil {
+		t.Error(err)
 	}
-	t.Logf("codec ran %d times as built, %d forgetful", ran[0], ran[1])
+	comp := forgetful.Stats().Comp
+	if ran[1] != comp.Compressions || ran[0] >= ran[1] {
+		t.Errorf("%d compressions: the codec ran %d times on the forgetful machine (want all of them) and %d times on the machine as built (want fewer)",
+			comp.Compressions, ran[1], ran[0])
+	}
+	if decoded[1] != comp.Decompressions || decoded[0] >= decoded[1] {
+		t.Errorf("%d decompressions: the codec decoded %d times on the forgetful machine (want all of them) and %d times on the machine as built (want fewer)",
+			comp.Decompressions, decoded[1], decoded[0])
+	}
+	t.Logf("codec compressed %d times as built, %d forgetful; decoded %d times as built, %d forgetful", ran[0], ran[1], decoded[0], decoded[1])
 }

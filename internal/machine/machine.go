@@ -63,7 +63,8 @@ type Machine struct {
 	compBuf []byte // codec.Compress destination, reused across calls
 	nbrBuf  []byte // neighbor staging (corrupt+verify)
 
-	memo compressMemo // compressed forms of clean resident pages; see memo.go
+	memo  compressMemo // compressed forms of clean resident pages; see memo.go
+	plain plainMemo    // plaintext of recently evicted pages; see memo.go
 
 	base       books      // where the conservation equations start; see time.go
 	startSpent sim.Ledger // the clock's ledger at the Elapsed() origin
@@ -489,10 +490,13 @@ func (m *Machine) Stats() stats.Run {
 func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	it := swap.Item{Key: p.Key, Data: data}
 	var insErr error
+	var heat int32
 	if m.CC != nil {
 		// The page is leaving memory, so its remembered compressed form goes
-		// whichever way it leaves; only a page still clean may use it.
-		memo := m.recall(p.Key)
+		// whichever way it leaves; only a page still clean may use it. Its
+		// plaintext is remembered on the way out if it is hot.
+		memo, sum := m.recall(p)
+		heat, p.Memo = p.Memo, 0
 
 		// Fast path: the page was faulted out of the cache and never
 		// modified, so its compressed copy is still valid — re-entering the
@@ -501,6 +505,9 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		// cheap).
 		if !p.Dirty && m.CC.Has(p.Key) {
 			p.State = vm.Compressed
+			if memo != nil { // the entry is the one the page and its sum came from
+				m.departPlain(p, data, sum, heat)
+			}
 			return nil
 		}
 		if p.Dirty {
@@ -513,10 +520,14 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		// wasted (§5.2).
 		cdata, keep := m.compress(p.Key, data, memo)
 		if keep {
+			if memo == nil {
+				sum = core.Checksum(cdata)
+			}
 			var ok bool
-			if ok, insErr = m.CC.Insert(p.Key, cdata, p.Dirty); ok {
+			if ok, insErr = m.CC.InsertSummed(p.Key, cdata, sum, p.Dirty); ok {
 				p.State = vm.Compressed
 				p.Dirty = false // dirtiness now tracked by the cache entry
+				m.departPlain(p, data, sum, heat)
 				m.maybeClean()
 				return nil
 			}
@@ -525,7 +536,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			// stays dirty in the cache and is retried later, so insErr alone
 			// loses nothing). The page goes below compressed, still
 			// benefiting from the reduced transfer size.
-			it.Data, it.Compressed = cdata, true
+			it.Data, it.Compressed, it.Sum = cdata, true, sum
 		}
 	}
 	// A clean page with a valid copy below is simply discarded (on a baseline
@@ -538,6 +549,9 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	}
 	p.Dirty = false
 	p.State = vm.Swapped
+	if it.Compressed {
+		m.departPlain(p, data, it.Sum, heat)
+	}
 	return nil
 }
 
@@ -568,12 +582,13 @@ func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, k
 }
 
 // putBelow offers a page leaving memory to each tier in order — fleet memory
-// is faster than the local backing store — until one takes it. The travel
-// form is summed once, for the first tier whose format carries a checksum.
-// If no tier takes the page the frame is gone and the only copy with it.
+// is faster than the local backing store — until one takes it. A compressed
+// item arrives summed; a raw one is summed once, for the first tier whose
+// format carries a checksum. If no tier takes the page the frame is gone and
+// the only copy with it.
 func (m *Machine) putBelow(it swap.Item, insErr error) error {
 	var err error
-	summed := false
+	summed := it.Compressed
 	for i := range m.below {
 		l := &m.below[i]
 		if !l.raw && !summed {
@@ -608,12 +623,13 @@ func (m *Machine) heldBelow(key swap.PageKey) bool {
 // is counted); a corrupt or unreadable fragment with no lower-level copy
 // returns fault.UnrecoverableError.
 func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
+	known, heat := m.returnPlain(p)
 	if m.CC != nil {
 		if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
 			m.faults.CorruptCache(cdata)
-			err := m.restoreInto(data, cdata, true, sum, p.Key)
+			err := m.restoreInto(data, cdata, true, sum, p.Key, known)
 			if err == nil {
-				m.remember(p.Key, cdata)
+				m.remember(p, cdata, sum, heat)
 				// The entry is retained and backs the resident copy, so the
 				// page itself is clean; SwapValid tracks whether the entry
 				// has been persisted. Modifying the page invalidates the
@@ -654,10 +670,10 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 		}
 		if l.raw {
 			m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy) // the tier filled the frame
-		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key); err != nil {
+		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key, known); err != nil {
 			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		} else if compressed {
-			m.remember(p.Key, payload)
+			m.remember(p, payload, sum, heat)
 		}
 		p.Dirty = false
 		p.SwapValid = true
@@ -699,7 +715,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 			continue
 		}
 		m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy/4) // short memcpy of compressed bytes
-		ok, err := m.CC.Insert(n.Key, cdata, false)
+		ok, err := m.CC.InsertSummed(n.Key, cdata, n.Sum, false)
 		if err != nil {
 			continue // flush failure: skip the opportunistic insert
 		}
@@ -711,7 +727,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 			if ferr != nil || !freed {
 				continue
 			}
-			if ok, err = m.CC.Insert(n.Key, cdata, false); err != nil || !ok {
+			if ok, err = m.CC.InsertSummed(n.Key, cdata, n.Sum, false); err != nil || !ok {
 				continue
 			}
 		}
@@ -726,7 +742,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
-		m.recall(p.Key)
+		m.recall(p)
 	}
 	for i := range m.below {
 		m.below[i].tier.Invalidate(p.Key)
@@ -775,7 +791,7 @@ func (f fsBlockCache) Load(fileID int32, block int64, data []byte) (bool, error)
 		return false, nil
 	}
 	m.faults.CorruptCache(cdata)
-	if err := m.restoreInto(data, cdata, true, sum, key); err != nil {
+	if err := m.restoreInto(data, cdata, true, sum, key, plainForm{}); err != nil {
 		m.CC.Drop(key)
 		return false, nil
 	}
@@ -815,8 +831,11 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 // memory; verification runs before the codec so a flipped bit can never
 // decompress to a silently wrong page. A checksum mismatch, codec rejection,
 // or length mismatch returns a *fault.CorruptionError; callers decide whether
-// a fallback copy exists.
-func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey) error {
+// a fallback copy exists. known is the page's remembered plaintext (see
+// plainMemo): when it belongs to the very travel form just verified, it is
+// copied in instead of decoded — the simulated machine decompresses all the
+// same, and only the host skips the work.
+func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey, known plainForm) error {
 	if compressed {
 		m.Clock.Charge(sim.CauseDecompress, m.cfg.Cost.DecompressCost(len(data)))
 		m.decompHist.Observe(m.cfg.Cost.DecompressCost(len(data)))
@@ -830,6 +849,10 @@ func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32,
 	}
 	if !compressed {
 		copy(data, payload)
+		return nil
+	}
+	if known.data != nil && known.sum == sum {
+		copy(data, known.data)
 		return nil
 	}
 	out, err := m.codecFor(key.Seg).Decompress(data[:0], payload)

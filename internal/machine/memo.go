@@ -4,38 +4,66 @@ import (
 	"bytes"
 	"fmt"
 
-	"compcache/internal/swap"
+	"compcache/internal/core"
 	"compcache/internal/vm"
 )
 
+// The machine remembers forms of pages in both directions, so that bytes the
+// host has just produced are not produced again (DESIGN.md "Remembered forms,
+// both directions"). Both memos are host-side state only: the simulated
+// machine is charged for every compression and decompression either way, and
+// a snapshot carries neither.
+//
+// One field of each page, vm.Page.Memo, indexes both, and what it names
+// depends on where the page is:
+//
+//   - resident: its slot in the compressed-form memo plus one (0: none),
+//     memoQuick when the page came back while its plaintext record was
+//     still in the ring, and memoHot when the return before was quick too;
+//   - not resident: its record in the plaintext ring plus one (0: none),
+//     and memoQuick when the return that began its last stay was quick.
+//
+// A page only moves between the two through PageIn and PageOut, which
+// rewrite the field on the way.
+const (
+	memoQuick = 1 << 29
+	memoHot   = 1 << 30
+	memoIndex = memoQuick - 1
+)
+
 // compressMemo remembers, for resident pages not modified since PageIn
-// restored them, the compressed payload they were restored from. Compress is
-// a pure function of a page's bytes, so while the bytes cannot change that
-// payload is what the codec would produce again, and PageOut takes it from
-// here instead of running the codec (DESIGN.md "Remembered compressed forms").
-// It is host-side state only: the simulated machine is charged for the
-// compression either way, and a snapshot does not carry it.
+// restored them, the compressed payload they were restored from and its
+// verified checksum. Compress is a pure function of a page's bytes, so while
+// the bytes cannot change that payload is what the codec would produce again,
+// and PageOut takes it from here instead of running the codec — and the sum
+// instead of running the CRC.
 type compressMemo struct {
-	slot swap.PageTable[memoSlot] // page → its slot; keyed by page because Evict clears p.Frame before PageOut
-	free []int32                  // slot numbers not in use
-	slab []byte                   // frames × keepThreshold bytes, allocated by the first remember
+	slots []memoSlot // frames of them
+	free  []int32    // slot numbers not in use
+	slab  []byte     // frames × keepThreshold bytes, allocated by the first remember
 }
 
-// memoSlot names one slot of the slab and how much of it the payload fills.
-type memoSlot struct{ at, n int32 }
+// memoSlot is how much of a slot the payload fills and the payload's sum.
+type memoSlot struct {
+	n   int32
+	sum uint32
+}
 
-// remember copies the compressed payload PageIn has just verified and decoded
-// into a slot for the page. PageIn runs for non-resident pages only and every
+// remember copies the compressed payload PageIn has just verified against sum
+// and decoded into a slot for the page, and gives the page the heat
+// returnPlain measured. PageIn runs for non-resident pages only and every
 // PageOut gives the page's slot back, so the page has none yet and, at a slot
 // per frame, one is free. A payload longer than a slot never entered the
-// cache or a tier compressed. A page left without a slot is simply compressed
-// again.
-func (m *Machine) remember(key swap.PageKey, payload []byte) {
+// cache or a tier compressed. A page left without a slot is simply
+// compressed again.
+func (m *Machine) remember(p *vm.Page, payload []byte, sum uint32, heat int32) {
+	p.Memo = heat
 	mm := &m.memo
 	size := m.cfg.keepThreshold()
 	if mm.slab == nil {
 		frames := m.Pool.Total()
 		mm.slab = make([]byte, frames*size)
+		mm.slots = make([]memoSlot, frames)
 		mm.free = make([]int32, frames)
 		for i := range mm.free {
 			mm.free[i] = int32(i)
@@ -46,37 +74,168 @@ func (m *Machine) remember(key swap.PageKey, payload []byte) {
 	}
 	at := mm.free[len(mm.free)-1]
 	mm.free = mm.free[:len(mm.free)-1]
-	mm.slot.Set(key, memoSlot{at, int32(copy(mm.slab[int(at)*size:], payload))})
+	mm.slots[at] = memoSlot{int32(copy(mm.slab[int(at)*size:], payload)), sum}
+	p.Memo |= at + 1
 }
 
-// recall frees the page's slot and returns what it held, nil when the page
-// has none. The bytes stay put until the next remember, which only PageIn
-// calls: PageOut is done with them by then.
-func (m *Machine) recall(key swap.PageKey) []byte {
-	mm := &m.memo
-	s, ok := mm.slot.Get(key)
-	if !ok {
-		return nil
+// recall frees the resident page's slot and returns what it held, nil when
+// the page has none; the page keeps its heat. The bytes stay put until
+// the next remember, which only PageIn calls: PageOut is done with them by
+// then.
+func (m *Machine) recall(p *vm.Page) (payload []byte, sum uint32) {
+	at := p.Memo&memoIndex - 1
+	if at < 0 {
+		return nil, 0
 	}
-	mm.slot.Delete(key)
-	mm.free = append(mm.free, s.at)
-	off := int(s.at) * m.cfg.keepThreshold()
-	return mm.slab[off : off+int(s.n)]
+	p.Memo &^= memoIndex
+	mm := &m.memo
+	mm.free = append(mm.free, at)
+	off := int(at) * m.cfg.keepThreshold()
+	return mm.slab[off : off+int(mm.slots[at].n)], mm.slots[at].sum
+}
+
+// plainMemo remembers the plaintext of pages that left memory compressed, so
+// that a page coming straight back is copied into its frame instead of
+// decoded. It is a ring of one record per frame in eviction order: a record
+// lives until the page faults back in or `frames` later evictions overwrite
+// it. Every compressed departure whose sum is known writes a record. A return
+// is quick when the page's record is still in the ring; only a hot page's
+// record — its last two returns were both quick — carries the plaintext. One
+// quick return predicts little: in a shuffled pass over more than memory
+// (fleet) a page that came back quickly was read late in one pass and early
+// in the next, so its next gap is long, and no such page comes back quickly
+// twice running. A page of a working set that fits (apps) does, and keeps
+// doing so. A workload that cycles through more than memory between returns
+// (a scan, a thrash) pays for ring writes and never for a page copy.
+//
+// The record also holds the sum of the travel form the page left with.
+// restoreInto uses the plaintext only when the payload it has just verified
+// carries that same sum, so a tier that serves some other version of the page
+// is decoded as always.
+type plainMemo struct {
+	ring   []plainRecord // frames of them, allocated by the first departure
+	next   int32         // the record the next departure overwrites: the oldest
+	free   []int32       // plaintext slots not in use
+	chunks [][]byte      // plaintext slots, plainChunk bytes at a time
+}
+
+// plainRecord is one departure.
+type plainRecord struct {
+	page *vm.Page // nil once the page has taken it back
+	sum  uint32   // the travel form's checksum
+	slot int32    // the plaintext's slot, -1 for none
+}
+
+// plainChunk is how much plaintext storage grows by at a time; the last
+// chunk is cut short so there is never more than a slot per frame.
+const plainChunk = 64 << 10
+
+// plainForm is a page's remembered plaintext and the sum of the travel form
+// it belongs to; the zero value remembers nothing.
+type plainForm struct {
+	data []byte
+	sum  uint32
+}
+
+// departPlain writes the record of a page that has just left memory with a
+// travel form of checksum sum, copying data — the page's bytes — when the page
+// is hot; heat is the page's memoQuick and memoHot bits from its stay. The
+// oldest record makes way: its page is no longer remembered.
+func (m *Machine) departPlain(p *vm.Page, data []byte, sum uint32, heat int32) {
+	pm := &m.plain
+	if pm.ring == nil {
+		pm.ring = make([]plainRecord, m.Pool.Total())
+		pm.free = make([]int32, 0, len(pm.ring))
+	}
+	i := pm.next
+	if pm.next++; int(pm.next) == len(pm.ring) {
+		pm.next = 0
+	}
+	r := &pm.ring[i]
+	if r.page != nil {
+		r.page.Memo = 0
+		if r.slot >= 0 {
+			pm.free = append(pm.free, r.slot)
+		}
+	}
+	*r = plainRecord{page: p, sum: sum, slot: -1}
+	p.Memo = heat&memoQuick | (i + 1)
+	if heat&memoHot != 0 {
+		if len(pm.free) == 0 {
+			m.growPlain()
+		}
+		r.slot = pm.free[len(pm.free)-1]
+		pm.free = pm.free[:len(pm.free)-1]
+		copy(m.plainSlot(r.slot), data)
+	}
+}
+
+// growPlain adds a chunk of plaintext slots. It runs only with every slot in
+// use, each by a live record other than the one being written, so fewer
+// than a slot per frame exist and the chunk holds at least one.
+func (m *Machine) growPlain() {
+	pm := &m.plain
+	ps := m.cfg.PageSize
+	per := max(1, plainChunk/ps)
+	have := len(pm.chunks) * per
+	n := min(per, len(pm.ring)-have)
+	pm.chunks = append(pm.chunks, make([]byte, n*ps))
+	for s := have + n - 1; s >= have; s-- {
+		pm.free = append(pm.free, int32(s))
+	}
+}
+
+// plainSlot returns a plaintext slot's page of bytes.
+func (m *Machine) plainSlot(slot int32) []byte {
+	ps := m.cfg.PageSize
+	per := max(1, plainChunk/ps)
+	off := int(slot) % per * ps
+	return m.plain.chunks[int(slot)/per][off : off+ps]
+}
+
+// returnPlain takes a faulting page's record: its remembered plaintext, if
+// any, and the page's heat for this stay — memoQuick when the record was
+// still there at all, plus memoHot when the return before was quick too. The
+// slot is freed at once; its bytes stay put until the next departPlain, which
+// only PageOut calls, and PageIn is done with them by then.
+func (m *Machine) returnPlain(p *vm.Page) (form plainForm, heat int32) {
+	i := p.Memo&memoIndex - 1
+	if i < 0 {
+		return plainForm{}, 0
+	}
+	heat = memoQuick
+	if p.Memo&memoQuick != 0 {
+		heat |= memoHot
+	}
+	p.Memo = 0
+	pm := &m.plain
+	r := &pm.ring[i]
+	r.page = nil
+	if r.slot >= 0 {
+		pm.free = append(pm.free, r.slot)
+		form = plainForm{m.plainSlot(r.slot), r.sum}
+	}
+	return form, heat
 }
 
 // VerifyCompressMemo checks the memo against the codec it stands in for:
 // every remembered page is resident and clean, its slot holds exactly what
-// its segment's codec makes of the frame's bytes now, no two pages share a
-// slot, and slots in use plus free slots are the machine's frames. It runs
-// the codec once per remembered page, so it is not part of CheckInvariants —
-// the perf ledger times that call once per leg, and 256 recompressions there
-// would cost the fleet workload about 4 % — tests call it directly. Nor does
-// it charge the machine for them: an audit that moved the clock would change
-// the run it audits.
+// its segment's codec makes of the frame's bytes now and that payload's
+// checksum, no two pages share a slot, and slots in use plus free slots are
+// the machine's frames. It runs the codec once per remembered page, so it is
+// not part of CheckInvariants — the perf ledger times that call once per leg,
+// and 256 recompressions there would cost the fleet workload about 4 % —
+// tests call it directly. Nor does it charge the machine for them: an audit
+// that moved the clock would change the run it audits.
 func (m *Machine) VerifyCompressMemo() error {
 	mm := &m.memo
-	if mm.slab == nil && mm.slot.Len()+len(mm.free) == 0 {
-		return nil // nothing remembered yet
+	if mm.slab == nil {
+		return m.eachPage(func(p *vm.Page) error {
+			if p.State == vm.Resident && p.Memo&memoIndex != 0 {
+				return fmt.Errorf("machine: compress memo: page %v names slot %d of a memo that holds nothing", p.Key, p.Memo&memoIndex-1)
+			}
+			return nil
+		})
 	}
 	size, frames := m.cfg.keepThreshold(), m.Pool.Total()
 	used := make([]bool, frames)
@@ -86,29 +245,151 @@ func (m *Machine) VerifyCompressMemo() error {
 		}
 		used[at] = true
 	}
-	if mm.slot.Len()+len(mm.free) != frames {
-		return fmt.Errorf("machine: compress memo: %d slots in use + %d free != %d frames", mm.slot.Len(), len(mm.free), frames)
-	}
-	var err error
-	mm.slot.Range(func(key swap.PageKey, s memoSlot) {
-		if err != nil {
-			return
+	inUse := 0
+	err := m.eachPage(func(p *vm.Page) error {
+		if p.State != vm.Resident || p.Memo&memoIndex == 0 {
+			return nil
 		}
-		if uint(s.at) >= uint(frames) || used[s.at] || s.n < 0 || int(s.n) > size {
-			err = fmt.Errorf("machine: compress memo: page %v: slot %d (%d bytes) out of range or already taken", key, s.at, s.n)
-			return
+		at := p.Memo&memoIndex - 1
+		if uint(at) >= uint(frames) || used[at] {
+			return fmt.Errorf("machine: compress memo: page %v: slot %d out of range or already taken", p.Key, at)
 		}
-		used[s.at] = true
-		seg := m.VM.Segment(key.Seg)
-		if seg == nil || uint(key.Page) >= uint(seg.NPages) {
-			err = fmt.Errorf("machine: compress memo: page %v does not exist", key)
-			return
+		used[at] = true
+		inUse++
+		s := mm.slots[at]
+		if s.n < 0 || int(s.n) > size {
+			return fmt.Errorf("machine: compress memo: page %v: slot %d claims %d bytes", p.Key, at, s.n)
 		}
-		if p := seg.Page(key.Page); p.State != vm.Resident || p.Dirty {
-			err = fmt.Errorf("machine: compress memo: page %v remembered while %v, dirty=%v", key, p.State, p.Dirty)
-		} else if want := m.codecFor(key.Seg).Compress(nil, m.Pool.Bytes(p.Frame)); !bytes.Equal(want, mm.slab[int(s.at)*size:][:s.n]) {
-			err = fmt.Errorf("machine: compress memo: page %v: slot holds %d bytes that are not what the codec makes of the frame (%d bytes)", key, s.n, len(want))
+		held := mm.slab[int(at)*size:][:s.n]
+		if p.Dirty {
+			return fmt.Errorf("machine: compress memo: page %v remembered while dirty", p.Key)
 		}
+		if want := m.codecFor(p.Key.Seg).Compress(nil, m.Pool.Bytes(p.Frame)); !bytes.Equal(want, held) {
+			return fmt.Errorf("machine: compress memo: page %v: slot holds %d bytes that are not what the codec makes of the frame (%d bytes)", p.Key, s.n, len(want))
+		}
+		if core.Checksum(held) != s.sum {
+			return fmt.Errorf("machine: compress memo: page %v: slot's sum %#x is not its payload's", p.Key, s.sum)
+		}
+		return nil
 	})
+	if err == nil && inUse+len(mm.free) != frames {
+		err = fmt.Errorf("machine: compress memo: %d slots in use + %d free != %d frames", inUse, len(mm.free), frames)
+	}
 	return err
+}
+
+// VerifyPlainMemo checks the plaintext memo: every live record names a page
+// that is not resident and names the record back, every non-resident page
+// that names a record is that record's page, no page came back quickly
+// before any left, a hot page's return was quick, no two records share a
+// plaintext slot, and slots in use plus free
+// slots are what the chunks hold — at most one per frame. Where
+// the memo could serve a page's next fault from the cache — the entry carries
+// the record's sum — the codec must decode the entry to the remembered
+// plaintext. Like VerifyCompressMemo it runs the codec, charges nothing, and
+// is for tests.
+func (m *Machine) VerifyPlainMemo() error {
+	pm := &m.plain
+	frames := m.Pool.Total()
+	quick := 0
+	named := 0
+	if err := m.eachPage(func(p *vm.Page) error {
+		if p.State == vm.Resident {
+			if p.Memo&memoQuick != 0 {
+				quick++
+			}
+			if p.Memo&^(memoQuick|memoHot|memoIndex) != 0 || p.Memo&(memoQuick|memoHot) == memoHot {
+				return fmt.Errorf("machine: plain memo: resident page %v has memo field %#x", p.Key, p.Memo)
+			}
+			return nil
+		}
+		if p.Memo == 0 {
+			return nil
+		}
+		named++
+		if p.Memo&^(memoQuick|memoIndex) != 0 {
+			return fmt.Errorf("machine: plain memo: %v page %v has memo field %#x", p.State, p.Key, p.Memo)
+		}
+		if i := p.Memo&memoIndex - 1; i < 0 || int(i) >= len(pm.ring) || pm.ring[i].page != p {
+			return fmt.Errorf("machine: plain memo: %v page %v names record %d, which is not its own", p.State, p.Key, i)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	if pm.ring == nil {
+		if quick > 0 {
+			return fmt.Errorf("machine: plain memo: %d resident pages came back quickly and no page ever left", quick)
+		}
+		return nil
+	}
+	if len(pm.ring) != frames || pm.next < 0 || int(pm.next) >= frames {
+		return fmt.Errorf("machine: plain memo: ring of %d records (next %d) for %d frames", len(pm.ring), pm.next, frames)
+	}
+	ps := m.cfg.PageSize
+	per := max(1, plainChunk/ps)
+	capacity := 0
+	for j, c := range pm.chunks {
+		if len(c)%ps != 0 || len(c) > per*ps || j < len(pm.chunks)-1 && len(c) != per*ps {
+			return fmt.Errorf("machine: plain memo: chunk %d of %d holds %d bytes", j, len(pm.chunks), len(c))
+		}
+		capacity += len(c) / ps
+	}
+	if capacity > frames {
+		return fmt.Errorf("machine: plain memo: %d chunks hold %d slots for %d frames", len(pm.chunks), capacity, frames)
+	}
+	used := make([]bool, capacity)
+	for _, s := range pm.free {
+		if uint(s) >= uint(capacity) || used[s] {
+			return fmt.Errorf("machine: plain memo: free slot %d out of range or listed twice", s)
+		}
+		used[s] = true
+	}
+	live, inUse := 0, 0
+	for i := range pm.ring {
+		r := &pm.ring[i]
+		if r.page == nil {
+			continue
+		}
+		live++
+		p := r.page
+		if p.State == vm.Resident || p.Memo&memoIndex != int32(i)+1 {
+			return fmt.Errorf("machine: plain memo: record %d names %v page %v, whose field says %d", i, p.State, p.Key, p.Memo)
+		}
+		if r.slot < 0 {
+			continue
+		}
+		if uint(r.slot) >= uint(capacity) || used[r.slot] {
+			return fmt.Errorf("machine: plain memo: record %d: slot %d out of range or already taken", i, r.slot)
+		}
+		used[r.slot] = true
+		inUse++
+		cdata, sum, ok := m.CC.Peek(p.Key)
+		if !ok || sum != r.sum {
+			continue
+		}
+		plain := m.plainSlot(r.slot)
+		if got, err := m.codecFor(p.Key.Seg).Decompress(nil, cdata); err != nil || !bytes.Equal(got, plain) {
+			return fmt.Errorf("machine: plain memo: page %v: the cache entry does not decode to the remembered plaintext (%v)", p.Key, err)
+		}
+	}
+	if live != named {
+		return fmt.Errorf("machine: plain memo: %d live records, %d pages name one", live, named)
+	}
+	if inUse+len(pm.free) != capacity {
+		return fmt.Errorf("machine: plain memo: %d slots in use + %d free != %d in the chunks", inUse, len(pm.free), capacity)
+	}
+	return nil
+}
+
+// eachPage calls f for every page of every segment until f fails.
+func (m *Machine) eachPage(f func(p *vm.Page) error) error {
+	for _, seg := range m.VM.Segments() {
+		for i := int32(0); i < seg.NPages; i++ {
+			if err := f(seg.Page(i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

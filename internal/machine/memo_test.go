@@ -6,17 +6,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"compcache/internal/core"
 	"compcache/internal/fault"
+	"compcache/internal/swap"
+	"compcache/internal/vm"
 )
 
-// The compress memo's oracle is VerifyCompressMemo: whatever the machine has
-// been through, every remembered payload is what the codec makes of its
-// page's frame now. memoRig drives a small compression-cache machine through
-// an op stream that takes every way a remembered page changes or leaves —
-// plain touches, byte reads and writes checked against a model, pins,
-// EvictAll, the cleaner, corrupt fragments out of the cache and the store
-// (recovered, or fatal: the rig boots the next machine), snapshot→restore in
-// mid-stream — and asks the oracle every few ops.
+// The memos' oracles are VerifyCompressMemo and VerifyPlainMemo: whatever the
+// machine has been through, every remembered payload is what the codec makes
+// of its page's frame now, and every remembered plaintext is what the codec
+// makes of the cache entry it would stand in for. memoRig drives a small
+// compression-cache machine through an op stream that takes every way a
+// remembered page changes, leaves or comes back — plain touches, byte reads
+// and writes checked against a model, pins, EvictAll, the cleaner, corrupt
+// fragments out of the cache and the store (recovered, or fatal: the rig
+// boots the next machine), snapshot→restore in mid-stream — and asks both
+// oracles every few ops. The byte reads are the plaintext memo's own oracle
+// as well: a page copied in from a wrong plaintext reads back wrong.
 
 const (
 	memoFrames  = 32
@@ -37,10 +43,11 @@ type memoRig struct {
 	pinned [][2]int32 // (segment, page), oldest first
 
 	// Over every machine the stream went through.
-	ops, lives, restores int
-	recoveries           uint64
-	compressions, ran    uint64 // charged to the simulated machine; run by the host's codec
-	codec, segCodec      *countedCodec
+	ops, lives, restores    int
+	recoveries              uint64
+	compressions, ran       uint64 // charged to the simulated machine; run by the host's codec
+	decompressions, decoded uint64 // likewise
+	codec, segCodec         *countedCodec
 }
 
 func newMemoRig(t testing.TB, every int) *memoRig {
@@ -74,24 +81,31 @@ func (r *memoRig) boot() {
 func (r *memoRig) retire() {
 	r.recoveries += r.m.Faults().Recoveries
 	r.compressions += r.m.Stats().Comp.Compressions
+	r.decompressions += r.m.Stats().Comp.Decompressions
 }
 
-// calls is how often either codec has compressed so far.
-func (r *memoRig) calls() uint64 { return r.codec.Calls() + r.segCodec.Calls() }
+// calls is how often either codec has compressed so far, decodes how often
+// either has decompressed.
+func (r *memoRig) calls() uint64   { return r.codec.Calls() + r.segCodec.Calls() }
+func (r *memoRig) decodes() uint64 { return r.codec.Decodes() + r.segCodec.Decodes() }
 
-// verify asks the oracle, whose own use of the codec is not the machine's.
+// verify asks the oracles, whose own use of the codec is not the machine's.
 func (r *memoRig) verify() {
 	r.t.Helper()
-	before := r.calls()
+	ran, decoded := r.calls(), r.decodes()
 	if err := r.m.VerifyCompressMemo(); err != nil {
 		r.t.Fatalf("op %d: %v", r.ops, err)
 	}
-	r.ran -= r.calls() - before
+	if err := r.m.VerifyPlainMemo(); err != nil {
+		r.t.Fatalf("op %d: %v", r.ops, err)
+	}
+	r.ran -= r.calls() - ran
+	r.decoded -= r.decodes() - decoded
 }
 
 // run interprets ops, four bytes each: what to do, where, and two arguments.
 func (r *memoRig) run(ops []byte) {
-	before := r.calls()
+	before, decoded := r.calls(), r.decodes()
 	for ; len(ops) >= memoOpBytes; ops = ops[memoOpBytes:] {
 		r.step(ops[0], ops[1], ops[2], ops[3])
 		r.ops++
@@ -115,6 +129,7 @@ func (r *memoRig) run(ops []byte) {
 	r.verify()
 	r.retire()
 	r.ran += r.calls() - before
+	r.decoded += r.decodes() - decoded
 }
 
 func (r *memoRig) step(op, where, a, b byte) {
@@ -202,8 +217,8 @@ func (r *memoRig) restore() {
 	if err != nil {
 		r.t.Fatalf("op %d: %v", r.ops, err)
 	}
-	if m.memo.slot.Len() != 0 {
-		r.t.Fatal("a restored machine remembers compressed forms it never saw")
+	if m.memo.slab != nil || m.plain.ring != nil {
+		r.t.Fatal("a restored machine remembers forms it never saw")
 	}
 	r.m = m
 	for i, name := range []string{"a", "b"} {
@@ -229,6 +244,9 @@ func TestCompressMemoAgainstCodec(t *testing.T) {
 	if r.ran >= r.compressions {
 		t.Errorf("codec ran %d times for %d compressions: the memo never served one", r.ran, r.compressions)
 	}
+	if r.decoded >= r.decompressions {
+		t.Errorf("codec decoded %d times for %d decompressions: the plaintext memo never served one", r.decoded, r.decompressions)
+	}
 	if r.recoveries == 0 {
 		t.Error("no corrupt cache fragment was recovered from below")
 	}
@@ -238,8 +256,8 @@ func TestCompressMemoAgainstCodec(t *testing.T) {
 	if r.restores == 0 {
 		t.Error("no snapshot→restore in mid-stream")
 	}
-	t.Logf("%d ops, %d machines, %d restores, %d recoveries; %d compressions, codec ran %d times",
-		r.ops, r.lives, r.restores, r.recoveries, r.compressions, r.ran)
+	t.Logf("%d ops, %d machines, %d restores, %d recoveries; %d compressions, codec ran %d times; %d decompressions, codec decoded %d times",
+		r.ops, r.lives, r.restores, r.recoveries, r.compressions, r.ran, r.decompressions, r.decoded)
 }
 
 // FuzzCompressMemo lets the fuzzer write the op stream. The corpus in
@@ -254,4 +272,69 @@ func FuzzCompressMemo(f *testing.F) {
 		}
 		newMemoRig(t, 4).run(ops)
 	})
+}
+
+// TestPlainMemoDecodesAStaleTier: the remembered plaintext stands in for one
+// travel form only, the one the page left with. A tier that serves some other
+// version of the page — here an older one, slipped in behind the machine's
+// back — passes the checksum, so only the record's own sum tells the two
+// apart: the page must come back as the tier's bytes, decoded, just as on a
+// machine that remembers nothing.
+func TestPlainMemoDecodesAStaleTier(t *testing.T) {
+	codec := counted("")
+	cfg := ccConfig()
+	cfg.CC.Codec = codec.Name()
+	fake := newFakeTier()
+	m := newMachine(t, cfg, WithRemote(fake))
+	s := m.NewSegment("heap", 4*4096)
+	p := s.seg.Page(0)
+	older := bytes.Repeat([]byte("older "), 4096/6+1)[:4096]
+	newer := bytes.Repeat([]byte("newer "), 4096/6+1)[:4096]
+
+	s.Write(0, older)
+	evict(t, m, p) // into the cache, with a record that carries no plaintext
+	s.Touch(0, false)
+	evict(t, m, p) // back within the ring once: quick, still no plaintext
+	if p.Memo&memoIndex == 0 || m.plain.ring[p.Memo&memoIndex-1].slot >= 0 {
+		t.Fatal("a page that came straight back once left with its plaintext remembered")
+	}
+	s.Touch(0, false)
+	s.Write(0, newer)
+	evict(t, m, p) // back within the ring twice running: hot, so the plaintext is remembered
+	if p.Memo&memoIndex == 0 || m.plain.ring[p.Memo&memoIndex-1].slot < 0 {
+		t.Fatal("a page that came straight back twice left without its plaintext remembered")
+	}
+
+	// The cache loses the entry and the tier holds the older version, in a
+	// travel form whose sum is its own.
+	m.CC.Drop(p.Key)
+	stale := m.codecFor(p.Key.Seg).Compress(nil, older)
+	if err := fake.Put(swap.Item{Key: p.Key, Data: stale, Compressed: true, Sum: core.Checksum(stale)}); err != nil {
+		t.Fatal(err)
+	}
+	p.State = vm.Swapped
+
+	decoded := codec.Decodes()
+	got := make([]byte, 4096)
+	s.Read(0, got)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, older) {
+		t.Error("the page came back as the remembered plaintext, not as the version the tier served")
+	}
+	if codec.Decodes() == decoded {
+		t.Error("the tier's payload was never decoded")
+	}
+	if err := m.VerifyPlainMemo(); err != nil {
+		t.Error(err)
+	}
+}
+
+// evict pushes one resident page out of memory.
+func evict(t *testing.T, m *Machine, p *vm.Page) {
+	t.Helper()
+	if err := m.VM.Evict(p); err != nil {
+		t.Fatal(err)
+	}
 }

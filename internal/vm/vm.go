@@ -84,6 +84,12 @@ type Page struct {
 	// page must be resident.
 	Pinned bool
 
+	// Memo belongs to the pager: the VM never reads or writes it, a snapshot
+	// does not carry it, and it starts at zero. It sits in what would
+	// otherwise be padding, so Page stays 48 bytes; the machine keeps the
+	// index of the page's remembered forms in it (internal/machine/memo.go).
+	Memo int32
+
 	// LastUse is the virtual time of the page's most recent reference.
 	LastUse sim.Time
 

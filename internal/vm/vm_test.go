@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"compcache/internal/mem"
 	"compcache/internal/sim"
@@ -95,6 +96,16 @@ func newTestVM(t testing.TB, frames int) (*VM, *fakePager, *mem.Pool, *sim.Clock
 		return id, nil
 	})
 	return v, fp, pool, &clock
+}
+
+// TestPageIsFortyEightBytes: the reference path walks Page descriptors, and
+// the pager's Memo field is only free because it fills padding. A field that
+// grows Page past 48 bytes moves every segment's page table onto more cache
+// lines; the same guard as sim's TestClockReferencePathIsOneCacheLine.
+func TestPageIsFortyEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Page{}); n != 48 {
+		t.Errorf("vm.Page is %d bytes, want 48", n)
+	}
 }
 
 func TestColdFaultZeroFill(t *testing.T) {
