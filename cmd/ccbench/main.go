@@ -7,7 +7,8 @@
 //
 // Every experiment is registered under a stable name (see -list); -run
 // accepts exact names, the group names "ablations" and "extensions", and
-// "all". The older -exp, -faults and -fault-rate flags remain as aliases.
+// "all" (the default). -fault-rate narrows the fault-injection sweep
+// (-run faults) to one rate plus the fault-free baseline.
 //
 // Each experiment prints the same rows or series the paper reports; the
 // paper's published values are included alongside where applicable (Table 1)
@@ -43,12 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scaleFlag := fs.String("scale", "small", "experiment scale: small or paper")
-	runFlag := fs.String("run", "", "comma-separated experiment names (see -list); groups: ablations, extensions, all")
+	runFlag := fs.String("run", "all", "comma-separated experiment names (see -list); groups: ablations, extensions, all")
 	listFlag := fs.Bool("list", false, "list registered experiment names and exit")
-	expFlag := fs.String("exp", "", "alias for -run (kept for compatibility)")
 	format := fs.String("format", "text", "output format for tables: text or csv")
 	jobs := fs.Int("j", 0, "max concurrent simulated machines (0 = one per core, 1 = serial); output is identical at any value")
-	faultsFlag := fs.Bool("faults", false, "run the fault-injection sweep (overhead and survival vs fault rate); shorthand for -run faults")
 	faultRate := fs.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
 	hostTiming := fs.Bool("host-timing", false, "measure host-clock columns (codec sweep ns/op); nondeterministic, off by default")
 	tracePath := fs.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
@@ -84,29 +83,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("unknown scale %q", *scaleFlag))
 	}
 
-	// Merge the aliases into one selection: -run wins, then -exp, then the
-	// -faults shorthand, then the full suite.
-	selection := *runFlag
-	if selection == "" {
-		selection = *expFlag
-	}
-	if *faultsFlag {
-		if selection == "" || selection == "all" {
-			selection = "faults"
-		} else if !strings.Contains(","+selection+",", ",faults,") {
-			selection += ",faults"
-		}
-	}
-	if selection == "" {
-		selection = "all"
-	}
-	experiments, err := exp.Resolve(strings.Split(selection, ","))
+	experiments, err := exp.Resolve(strings.Split(*runFlag, ","))
 	if err != nil {
 		// Bad selection is a usage error (exit 2), like a bad flag value.
 		return fail(2, err)
 	}
 	if len(experiments) == 0 {
-		return fail(2, fmt.Errorf("nothing selected by %q", selection))
+		return fail(2, fmt.Errorf("nothing selected by %q", *runFlag))
 	}
 
 	opts := exp.DefaultOptions(scale)

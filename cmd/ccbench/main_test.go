@@ -27,8 +27,9 @@ func TestListPrintsTheRegistry(t *testing.T) {
 	}
 }
 
-// TestUsageErrorsExitTwo: a bad -scale, -format or -run value prints
-// nothing on stdout, names the offender on stderr and exits 2.
+// TestUsageErrorsExitTwo: a bad -scale, -format or -run value, or a
+// retired flag, prints nothing on stdout, names the offender on stderr and
+// exits 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -39,6 +40,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-run", "bogus"}, `unknown experiment "bogus"`},
 		{[]string{"-run", ","}, `nothing selected by ","`},
 		{[]string{"-j", "many"}, `invalid value "many"`},
+		{[]string{"-exp", "fig1a"}, "flag provided but not defined: -exp"},
+		{[]string{"-faults"}, "flag provided but not defined: -faults"},
 	} {
 		status, out, errs := ccbench(t, c.args...)
 		if status != 2 || out != "" || !strings.Contains(errs, c.want) {
@@ -72,7 +75,7 @@ func TestRunCSVHostTimeIsTheOnlyHostLine(t *testing.T) {
 	if !strings.HasPrefix(first, "# Figure 1(a)") {
 		t.Errorf("CSV output does not open with the table title:\n%.80s", first)
 	}
-	_, second, _ := ccbench(t, "-exp", "fig1a", "-format", "csv", "-j", "1")
+	_, second, _ := ccbench(t, "-run", "fig1a", "-format", "csv", "-j", "1")
 	if virtual(first) != virtual(second) {
 		t.Errorf("two runs differ outside the host-time line:\n%s\nvs\n%s", first, second)
 	}

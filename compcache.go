@@ -28,175 +28,127 @@
 //	heap.WriteWord(0, 42)                // touch pages; paging just happens
 //	fmt.Println(m.Stats())
 //
-// Ready-made workloads (the paper's applications) and experiment harnesses
-// that regenerate every table and figure live here too, all registered
-// behind one interface:
+// The package's examples run the paper's scenarios end to end and check
+// what they print: the same loop with and without the cache (quickstart),
+// the Figure 3 thrasher sweep, Table 1's best and worst applications
+// (filediff, dbindex), the §1 mobile machine and a fleet of them, the
+// experiment registry, and the observability layer (WithObs, then
+// Machine.Events and Machine.Metrics). Run them with
 //
-//	res, _ := compcache.Table1(compcache.DefaultTable1Options(compcache.SmallScale))
-//	fmt.Println(res.Table())
+//	go test -run Example -v .
 //
-//	for _, e := range compcache.Experiments() { // or LookupExperiment("table1")
-//		res, _ := e.Run(ctx, compcache.DefaultExperimentOptions(compcache.SmallScale))
-//		for _, t := range res.Tables() { fmt.Println(t) }
-//	}
-//
-// The cmd/ccbench command prints all of them (-list, -run). To watch a
-// machine work, attach the deterministic observability layer and read the
-// virtual-time event stream and metrics back:
-//
-//	m, _ := compcache.New(cfg, compcache.WithObs(compcache.ObsOptions{}))
-//	... run a workload ...
-//	events, metrics := m.Events(), m.Metrics()
-//
-// The cmd/cctrace command exposes the same as -events/-timeline/-summary.
+// The cmd/ccbench command prints every registered table and figure (-list,
+// -run); cmd/cctrace shows a machine's event stream (-events, -timeline,
+// -summary).
 package compcache
 
 import (
-	"context"
-
-	"compcache/internal/compress"
-	"compcache/internal/disk"
 	"compcache/internal/exp"
 	"compcache/internal/machine"
-	"compcache/internal/model"
 	"compcache/internal/netdev"
 	"compcache/internal/obs"
-	"compcache/internal/runner"
-	"compcache/internal/stats"
-	"compcache/internal/trace"
 	"compcache/internal/workload"
 )
 
-// Core machine types.
+// Machines.
 type (
 	// Config describes a simulated machine; see Default and WithCC.
 	Config = machine.Config
-	// CCConfig is the compression-cache section of Config.
-	CCConfig = machine.CCConfig
 	// Machine is a simulated computer running in virtual time.
 	Machine = machine.Machine
-	// Space is a byte-addressable simulated address space.
-	Space = machine.Space
-	// Stats is the statistics block a run produces.
-	Stats = stats.Run
-	// DiskParams parameterizes the backing-store device.
-	DiskParams = disk.Params
+	// MachineOption attaches a machine to its surroundings at construction
+	// time; see WithObs.
+	MachineOption = machine.Option
 	// NetParams parameterizes a network page server (the diskless mobile
 	// scenario of the paper's introduction).
 	NetParams = netdev.Params
-	// Codec is a page-compression algorithm.
-	Codec = compress.Codec
-	// PageRef is one recorded page reference.
-	PageRef = trace.PageRef
-	// TraceRecorder captures page references via Machine.VM.SetTraceHook.
-	TraceRecorder = trace.Recorder
 )
 
-// Workload types (the paper's §5 applications).
+// Default returns the paper's baseline machine configuration (DECstation
+// 5000/200-class CPU costs, RZ57 disk, 4-KByte pages) with the given user
+// memory and the compression cache disabled.
+func Default(memoryBytes int64) Config { return machine.Default(memoryBytes) }
+
+// Wireless2 returns parameters for a ~2-Mbps early-90s wireless LAN, the
+// paper's mobile paging scenario.
+func Wireless2() NetParams { return netdev.Wireless2() }
+
+// New builds a machine.
+func New(cfg Config, opts ...MachineOption) (*Machine, error) { return machine.New(cfg, opts...) }
+
+// Workloads (the paper's §5 applications).
 type (
 	// Workload is a program that runs against a Machine.
 	Workload = workload.Workload
+	// Comparison is a baseline-versus-compression-cache measurement pair.
+	Comparison = workload.Comparison
 	// Thrasher is the §5.1 maximum-improvement probe.
 	Thrasher = workload.Thrasher
 	// Compare is the dynamic-programming file differencer (2.68x in the paper).
 	Compare = workload.Compare
-	// CacheSim is the coherent-cache simulator, "isca" (1.60x).
-	CacheSim = workload.CacheSim
-	// Sort is the quicksort benchmark; see SortPartial and SortRandom.
-	Sort = workload.Sort
 	// Gold is the inverted-index main-memory database; see GoldCreate,
 	// GoldCold and GoldWarm.
 	Gold = workload.Gold
-	// FileScan cyclically reads a large file through the file system (the
-	// §6 compressed-file-cache scenario).
-	FileScan = workload.FileScan
-	// Replay re-executes a recorded page-reference trace.
-	Replay = workload.Replay
-	// Multi runs several workloads as interleaved processes on one machine.
-	Multi = workload.Multi
-	// Comparison is a baseline-versus-compression-cache measurement pair.
-	Comparison = workload.Comparison
 )
 
-// Sort input orders and gold phases.
+// Gold phases.
 const (
-	SortPartial = workload.SortPartial
-	SortRandom  = workload.SortRandom
-	GoldCreate  = workload.GoldCreate
-	GoldCold    = workload.GoldCold
-	GoldWarm    = workload.GoldWarm
+	GoldCreate = workload.GoldCreate
+	GoldCold   = workload.GoldCold
+	GoldWarm   = workload.GoldWarm
 )
 
-// Experiment types.
+// RunBoth measures a workload on the baseline and compression-cache
+// machines, producing one Table 1-style comparison.
+func RunBoth(base, cc Config, w Workload, opts ...MachineOption) (Comparison, error) {
+	return workload.RunBoth(base, cc, w, opts...)
+}
+
+// Experiments.
 type (
-	// Fig1Result is a panel of the paper's Figure 1.
-	Fig1Result = exp.Fig1Result
-	// Fig3Result is the §5.1 thrasher sweep (Figure 3).
-	Fig3Result = exp.Fig3Result
 	// Fig3Options sizes the Figure 3 sweep.
 	Fig3Options = exp.Fig3Options
-	// Table1Result is the §5.2 application table.
-	Table1Result = exp.Table1Result
-	// Table1Options sizes the Table 1 runs.
-	Table1Options = exp.Table1Options
-	// Table is a rendered result table.
-	Table = exp.Table
-	// ModelParams adjusts the Figure 1 analytic model.
-	ModelParams = model.Params
-)
-
-// Experiment scales.
-const (
-	// SmallScale shrinks experiments for fast runs (tests, benchmarks).
-	SmallScale = exp.Small
-	// PaperScale uses the paper's sizes.
-	PaperScale = exp.Paper
-)
-
-// Experiment registry: every table, figure, ablation and extension study
-// behind one interface, dispatched by name (ccbench -list / -run).
-type (
+	// Fig3Result is the §5.1 thrasher sweep (Figure 3).
+	Fig3Result = exp.Fig3Result
 	// Experiment is one registered, runnable experiment.
 	Experiment = exp.Experiment
 	// ExperimentOptions is the shared sizing knob set experiments accept.
 	ExperimentOptions = exp.Options
-	// ExperimentResult is what an experiment produces: renderable tables.
-	ExperimentResult = exp.Result
 )
 
-// DefaultExperimentOptions returns the options every experiment documents:
-// built-in seeds and the full fault-rate ladder.
-func DefaultExperimentOptions(s exp.Scale) ExperimentOptions { return exp.DefaultOptions(s) }
+// SmallScale shrinks experiments for fast runs; cmd/ccbench -scale paper
+// uses the paper's sizes.
+const SmallScale = exp.Small
 
-// Experiments returns every registered experiment in name order.
+// DefaultFig3Options sizes the Figure 3 sweep for a scale.
+func DefaultFig3Options(s exp.Scale) Fig3Options { return exp.DefaultFig3Options(s) }
+
+// Fig3 regenerates Figure 3: the thrasher sweep.
+func Fig3(opts Fig3Options) (*Fig3Result, error) { return exp.Fig3(opts) }
+
+// Experiments returns every registered experiment in name order: every
+// table, figure, ablation and extension study (ccbench -list).
 func Experiments() []Experiment { return exp.Experiments() }
-
-// ExperimentNames returns every registered experiment name, sorted.
-func ExperimentNames() []string { return exp.Names() }
 
 // LookupExperiment finds one experiment by exact name ("table1",
 // "ablation/codec", ...).
 func LookupExperiment(name string) (Experiment, bool) { return exp.Lookup(name) }
 
-// ResolveExperiments expands names, group names ("ablations",
-// "extensions") and "all" into experiments in name order.
-func ResolveExperiments(names []string) ([]Experiment, error) { return exp.Resolve(names) }
+// DefaultExperimentOptions returns the options every experiment documents:
+// built-in seeds and the full fault-rate ladder.
+func DefaultExperimentOptions(s exp.Scale) ExperimentOptions { return exp.DefaultOptions(s) }
 
 // Observability: the deterministic virtual-time event bus and metrics
-// registry (attach with the WithObs machine option; see internal/obs).
+// registry (see internal/obs).
 type (
 	// ObsOptions selects event classes and the ring size.
 	ObsOptions = obs.Options
-	// Event is one virtual-time event emitted by a subsystem.
-	Event = obs.Event
 	// EventClass is the bitmask of event classes.
 	EventClass = obs.Class
-	// MetricsSnapshot is a machine's metrics-registry snapshot.
-	MetricsSnapshot = obs.Snapshot
 )
 
-// AllEventClasses enables every event class.
-const AllEventClasses = obs.ClassAll
+// WithObs is the machine option that attaches the observability layer.
+func WithObs(o ObsOptions) MachineOption { return machine.WithObs(o) }
 
 // ParseEventClasses parses a comma- or pipe-separated list of event-class
 // names ("fault,disk_read") into an enable mask; "all" (or empty) selects
@@ -206,104 +158,3 @@ func ParseEventClasses(s string) (EventClass, error) { return obs.ParseClasses(s
 // WriteEventsJSONL exports events as deterministic JSONL, one object per
 // line in fixed field order — a diffable trace artifact.
 var WriteEventsJSONL = obs.WriteEventsJSONL
-
-// WriteEventsCSV exports events as CSV with the same field order.
-var WriteEventsCSV = obs.WriteEventsCSV
-
-// WriteTimeline renders events as an aligned human-readable virtual-time
-// table (the cctrace -timeline view).
-var WriteTimeline = obs.WriteTimeline
-
-// Default returns the paper's baseline machine configuration (DECstation
-// 5000/200-class CPU costs, RZ57 disk, 4-KByte pages) with the given user
-// memory and the compression cache disabled.
-func Default(memoryBytes int64) Config { return machine.Default(memoryBytes) }
-
-// RZ57 returns the paper's disk parameters.
-func RZ57() DiskParams { return disk.RZ57() }
-
-// Ethernet10 returns parameters for a 10-Mbps Ethernet page server.
-func Ethernet10() NetParams { return netdev.Ethernet10() }
-
-// Wireless2 returns parameters for a ~2-Mbps early-90s wireless LAN, the
-// paper's mobile paging scenario.
-func Wireless2() NetParams { return netdev.Wireless2() }
-
-// ReadTrace loads a page-reference trace written by TraceRecorder.WriteTo.
-var ReadTrace = trace.ReadTrace
-
-// MachineOption attaches a machine to its surroundings at construction time
-// (observability, a shared discrete-event kernel, a remote page store); see
-// WithObs and internal/machine.
-type MachineOption = machine.Option
-
-// WithObs is the machine option that attaches the observability layer.
-func WithObs(o ObsOptions) MachineOption { return machine.WithObs(o) }
-
-// New builds a machine.
-func New(cfg Config, opts ...MachineOption) (*Machine, error) { return machine.New(cfg, opts...) }
-
-// Measure runs a workload on a fresh machine built from cfg.
-func Measure(cfg Config, w Workload, opts ...MachineOption) (Stats, error) {
-	return workload.Measure(cfg, w, opts...)
-}
-
-// MeasureMachine is Measure for callers that also need the machine after
-// the run — typically to read its event ring (Machine.Events) or metrics
-// snapshot (Machine.Metrics) when the options attach observability.
-func MeasureMachine(cfg Config, w Workload, opts ...MachineOption) (*Machine, Stats, error) {
-	return workload.MeasureMachine(cfg, w, opts...)
-}
-
-// RunBoth measures a workload on the baseline and compression-cache
-// machines, producing one Table 1-style comparison.
-func RunBoth(base, cc Config, w Workload, opts ...MachineOption) (Comparison, error) {
-	return workload.RunBoth(base, cc, w, opts...)
-}
-
-// RunBothN is RunBoth with the two machines running concurrently on up to
-// workers goroutines (0 = one per core, 1 = serial). Each machine gets its
-// own clone of w and its own virtual clock, so the result is identical to
-// RunBoth at any parallelism.
-func RunBothN(ctx context.Context, base, cc Config, w Workload, workers int, opts ...MachineOption) (Comparison, error) {
-	return workload.RunBothN(ctx, base, cc, w, workers, opts...)
-}
-
-// CloneWorkload returns an independent copy of a workload, safe to run on a
-// concurrent machine while the original runs elsewhere. Workloads with
-// reference-typed state implement workload.Cloner; plain structs are copied
-// shallowly.
-func CloneWorkload(w Workload) Workload { return workload.Clone(w) }
-
-// Parallelism resolves a worker-count knob the way every experiment harness
-// here does: n if positive, else one worker per available core.
-func Parallelism(n int) int { return runner.Parallelism(n) }
-
-// LookupCodec returns a registered page-compression codec ("lzrw1", "lzss",
-// "bdi", "fpc", "rle", "null").
-func LookupCodec(name string) (Codec, error) { return compress.Lookup(name) }
-
-// Codecs lists the registered codec names.
-func Codecs() []string { return compress.Names() }
-
-// DefaultModel returns the Figure 1 analytic-model assumptions.
-func DefaultModel() ModelParams { return model.Default() }
-
-// Fig1a regenerates Figure 1(a): bandwidth speedup of compressed transfers.
-func Fig1a() *Fig1Result { return exp.Fig1a() }
-
-// Fig1b regenerates Figure 1(b): reference-time speedup with compressed
-// pages kept in memory.
-func Fig1b() *Fig1Result { return exp.Fig1b() }
-
-// DefaultFig3Options sizes the Figure 3 sweep for a scale.
-func DefaultFig3Options(s exp.Scale) Fig3Options { return exp.DefaultFig3Options(s) }
-
-// Fig3 regenerates Figure 3: the thrasher sweep.
-func Fig3(opts Fig3Options) (*Fig3Result, error) { return exp.Fig3(opts) }
-
-// DefaultTable1Options sizes the Table 1 runs for a scale.
-func DefaultTable1Options(s exp.Scale) Table1Options { return exp.DefaultTable1Options(s) }
-
-// Table1 regenerates Table 1: the application speedups.
-func Table1(opts Table1Options) (*Table1Result, error) { return exp.Table1(opts) }
