@@ -38,8 +38,8 @@
 //	go test -run Example -v .
 //
 // The cmd/ccbench command prints every registered table and figure (-list,
-// -run); cmd/cctrace shows a machine's event stream (-events, -timeline,
-// -summary).
+// -run); cmd/ccsim runs one machine and shows its event stream (-events,
+// -timeline, -summary).
 package compcache
 
 import (

@@ -326,7 +326,7 @@ func Example_experiments() {
 
 // The deterministic observability layer: attach it with WithObs, run, and
 // read the virtual-time event stream and the metrics registry back (the
-// cctrace command shows the same as -events, -timeline and -summary).
+// ccsim command shows the same as -events, -timeline and -summary).
 func Example_observability() {
 	faults, err := compcache.ParseEventClasses("fault")
 	if err != nil {

@@ -33,6 +33,7 @@ func TestCrashAtEveryPoint(t *testing.T) {
 	w := &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
 	for name, cfg := range tinyCrashLegs() {
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			st, err := workload.Measure(cfg, workload.Clone(w))
 			if err != nil {
 				t.Fatalf("baseline run: %v", err)

@@ -15,11 +15,11 @@ import (
 // host-side scheduling must be invisible in the results.
 
 func TestTable1ParallelMatchesSerial(t *testing.T) {
-	full, err := serialTable1()
+	ser, err := serialTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three rows keep the second run affordable; they cover all
+	// Three rows keep both runs affordable; they cover all
 	// mutable-receiver workload kinds (Compare, CacheSim, Sort).
 	opts := DefaultTable1Options(Small)
 	opts.Workloads = opts.Workloads[:3]
@@ -28,7 +28,7 @@ func TestTable1ParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := (&Table1Result{MemoryMB: full.MemoryMB, Rows: full.Rows[:3]}).Table().String()
+	serial := ser.Table().String()
 	if parallel := res.Table().String(); serial != parallel {
 		t.Fatalf("Table 1 differs between -j 1 and -j 4:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}

@@ -23,7 +23,7 @@ func badAppend(m map[string]int) []string {
 	return out
 }
 
-// badPrint writes directly from map iteration, the cctrace shape.
+// badPrint writes directly from map iteration, a trace summary's shape.
 func badPrint() {
 	segs := map[int]int{}
 	for seg, pages := range segs {

@@ -68,41 +68,9 @@ func ExportEventsJSONL(path string, stdout io.Writer, events []Event) error {
 	return errors.Join(WriteEventsJSONL(w, events), w.Flush(), f.Close())
 }
 
-// WriteEventsCSV renders events as CSV with a header row, same field order
-// as the JSONL exporter.
-func WriteEventsCSV(w io.Writer, events []Event) error {
-	if _, err := io.WriteString(w, "t,class,sub,seg,page,bytes,dur,aux\n"); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 96)
-	for _, e := range events {
-		buf = buf[:0]
-		buf = strconv.AppendInt(buf, int64(e.T), 10)
-		buf = append(buf, ',')
-		buf = append(buf, e.Class.String()...)
-		buf = append(buf, ',')
-		buf = append(buf, e.Sub.String()...)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.Seg), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.Page), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, e.Bytes, 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.Dur), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, e.Aux, 10)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteTimeline renders events as an aligned human-readable table, one line
 // per event, timestamps and durations as time.Durations of virtual time. It
-// is the view `cctrace -timeline` prints.
+// is the view `ccsim -timeline` prints.
 func WriteTimeline(w io.Writer, events []Event) error {
 	if _, err := fmt.Fprintf(w, "%14s  %-8s %-10s %6s %8s %9s %12s %6s\n",
 		"t", "sub", "class", "seg", "page", "bytes", "dur", "aux"); err != nil {

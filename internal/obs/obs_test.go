@@ -232,18 +232,6 @@ func TestExportersDeterministic(t *testing.T) {
 	if a.String() != want {
 		t.Fatalf("JSONL:\n%s\nwant:\n%s", a.String(), want)
 	}
-
-	var c bytes.Buffer
-	if err := WriteEventsCSV(&c, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(c.String(), "\n"), "\n")
-	if len(lines) != 3 || lines[0] != "t,class,sub,seg,page,bytes,dur,aux" {
-		t.Fatalf("CSV:\n%s", c.String())
-	}
-	if lines[1] != "100,fault,vm,1,2,0,3000,1" {
-		t.Fatalf("CSV row: %s", lines[1])
-	}
 }
 
 func TestSnapshotCSV(t *testing.T) {

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -127,7 +126,11 @@ type Run struct {
 	Swap   Swap
 	Faults Faults
 
-	Time  time.Duration // virtual execution time of the workload
+	Time time.Duration // virtual execution time of the workload
+
+	// Extra is always nil and nothing reads it. It stays because the
+	// benchmark's golden digests hash Run's JSON form, "Extra":null
+	// included; it goes when those digests are next regenerated.
 	Extra map[string]float64
 
 	// Metrics is the machine's obs-registry snapshot (counters, gauges,
@@ -135,14 +138,6 @@ type Run struct {
 	// observability bus. It is deterministic — sorted by name with fixed
 	// buckets — so DeepEqual comparisons between runs remain valid.
 	Metrics *obs.Snapshot
-}
-
-// AddExtra records a named auxiliary metric (workload-specific).
-func (r *Run) AddExtra(name string, v float64) {
-	if r.Extra == nil {
-		r.Extra = make(map[string]float64)
-	}
-	r.Extra[name] = v
 }
 
 // AvgAccess reports the mean virtual time per simulated memory reference,
@@ -180,16 +175,6 @@ func (r Run) String() string {
 	if r.Faults.InjectedCrashes > 0 || r.Faults.RecoveredSegments > 0 || r.Faults.TornWritesDiscarded > 0 {
 		fmt.Fprintf(&b, "crash           %d injected, %d segments recovered, %d torn writes discarded\n",
 			r.Faults.InjectedCrashes, r.Faults.RecoveredSegments, r.Faults.TornWritesDiscarded)
-	}
-	if len(r.Extra) > 0 {
-		keys := make([]string, 0, len(r.Extra))
-		for k := range r.Extra {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "extra           %s = %g\n", k, r.Extra[k])
-		}
 	}
 	return b.String()
 }

@@ -57,9 +57,8 @@ func TestAvgAccess(t *testing.T) {
 func TestRunStringContainsSections(t *testing.T) {
 	var r Run
 	r.VM.Refs = 5
-	r.AddExtra("records", 42)
 	s := r.String()
-	for _, want := range []string{"time", "refs", "faults", "compressions", "disk", "swap", "records"} {
+	for _, want := range []string{"time", "refs", "faults", "compressions", "disk", "swap"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
@@ -80,14 +79,5 @@ func TestBytesStr(t *testing.T) {
 		if got := bytesStr(c.n); got != c.want {
 			t.Errorf("bytesStr(%d) = %q, want %q", c.n, got, c.want)
 		}
-	}
-}
-
-func TestAddExtraInitializesMap(t *testing.T) {
-	var r Run
-	r.AddExtra("a", 1)
-	r.AddExtra("b", 2)
-	if r.Extra["a"] != 1 || r.Extra["b"] != 2 {
-		t.Fatalf("Extra = %v", r.Extra)
 	}
 }
