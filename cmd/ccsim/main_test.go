@@ -52,6 +52,30 @@ func TestCrashRebootVerifies(t *testing.T) {
 	}
 }
 
+// TestClassesNoneTracesNothing: -classes none records no event in any view,
+// and -classes all is the default, byte for byte.
+func TestClassesNoneTracesNothing(t *testing.T) {
+	views := []string{"-cc", "-summary", "-events", "-"}
+	status, none, errs := ccsim(append(views, "-classes", "none")...)
+	if status != 0 || errs != "" {
+		t.Fatalf("-classes none exited %d, stderr %q", status, errs)
+	}
+	_, after, ok := strings.Cut(none, "\n  device          135.41175ms   0.8%\n")
+	if !ok || !strings.HasPrefix(after, "events by class (0 retained):\nmetrics:\n") {
+		t.Errorf("-classes none: the views after the breakdown are not empty of events:\n%.600s", after)
+	}
+	status, all, errs := ccsim(append(views, "-classes", "all")...)
+	if status != 0 || errs != "" {
+		t.Fatalf("-classes all exited %d, stderr %q", status, errs)
+	}
+	if !strings.Contains(all, "events by class (13105 retained):\nfault        3072\n") {
+		t.Errorf("-classes all does not retain every event:\n%.1500s", all)
+	}
+	if _, def, _ := ccsim(views...); def != all {
+		t.Error("the default -classes differs from -classes all")
+	}
+}
+
 // recordTrace records the 4-MB read-write thrasher on a 2-MB machine
 // configured by args and returns the trace's path.
 func recordTrace(t *testing.T, args ...string) string {

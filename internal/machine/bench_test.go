@@ -37,6 +37,43 @@ func BenchmarkFaultPath(b *testing.B) {
 	}
 }
 
+// newResidentSpace returns a space of 64 pages, every one resident, on a
+// machine with room for twice that: every access below is a resident hit.
+func newResidentSpace(b *testing.B) *Space {
+	b.Helper()
+	m, err := New(Default(benchMB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := m.NewSegment("hot", 64*4096)
+	s.Write(0, make([]byte, s.Size()))
+	if err := m.Err(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	return s
+}
+
+// BenchmarkSpaceRead and BenchmarkSpaceReadWord are a workload's resident
+// hit through the Space accessors it calls: one 16-byte record, one word.
+func BenchmarkSpaceRead(b *testing.B) {
+	s := newResidentSpace(b)
+	var buf [16]byte
+	for i := 0; i < b.N; i++ {
+		s.Read(int64(i&63)*4096+int64(i&255)*16, buf[:])
+	}
+}
+
+var spaceWordSink uint64
+
+func BenchmarkSpaceReadWord(b *testing.B) {
+	s := newResidentSpace(b)
+	for i := 0; i < b.N; i++ {
+		spaceWordSink += s.ReadWord(int64(i&63)*4096 + int64(i&511)*8)
+	}
+}
+
 // BenchmarkSteadyStatePaging measures the machine's compress/decompress hot
 // path once the compression cache holds the whole working set: every touch
 // is a page-out (compress into the per-machine scratch buffer) plus a cache

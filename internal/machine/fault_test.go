@@ -126,13 +126,36 @@ func TestCorruptOnlyCopyYieldsTypedError(t *testing.T) {
 		t.Fatalf("unrecoverable error does not wrap the corruption detail: %v", err)
 	}
 
-	// The error sticks: later accesses no-op instead of cascading.
-	s.WriteWord(0, 42)
-	if got := s.ReadWord(0); got != 0 {
-		t.Fatalf("post-failure read returned %d, want sticky-error zero", got)
+	// The error sticks: every later access through any of the six Space
+	// accessors is a no-op — no reference counted, no virtual time — and
+	// reads see zero, instead of cascading.
+	refs, now := m.VM.Stats().Refs, m.Clock.Now()
+	buf := []byte{1, 2, 3}
+	for name, access := range map[string]func(){
+		"Touch":     func() { s.Touch(0, true) },
+		"Pin":       func() { s.Pin(1) },
+		"Read":      func() { s.Read(4090, buf) }, // spans a page boundary
+		"Write":     func() { s.Write(0, buf) },
+		"WriteWord": func() { s.WriteWord(0, 42) },
+		"ReadWord": func() {
+			if got := s.ReadWord(0); got != 0 {
+				t.Errorf("post-failure ReadWord returned %d, want sticky-error zero", got)
+			}
+		},
+	} {
+		access()
+		if got := m.VM.Stats().Refs; got != refs {
+			t.Errorf("post-failure %s counted %d references", name, got-refs)
+		}
+		if got := m.Clock.Now(); got != now {
+			t.Errorf("post-failure %s moved the clock by %v", name, got-now)
+		}
+		if m.Err() != err {
+			t.Fatalf("after %s: first error did not stick", name)
+		}
 	}
-	if m.Err() != err {
-		t.Fatal("first error did not stick")
+	if buf[0] != 1 || buf[1] != 2 || buf[2] != 3 {
+		t.Errorf("post-failure Read filled the buffer: %v", buf)
 	}
 }
 

@@ -44,8 +44,6 @@ type Machine struct {
 	faults    *fault.Injector      // nil when no fault config is given
 	recovery  *swap.RecoveryReport // mount-time recovery report (NewFromMedia only)
 
-	err error // first fatal error; see Err
-
 	bus        *obs.Bus       // nil without WithObs
 	compHist   *obs.Histogram // machine.compress_page — per-page compression time
 	decompHist *obs.Histogram // machine.decompress_page — per-page decompression time
@@ -71,7 +69,7 @@ type Machine struct {
 }
 
 // machineState is the machine's own replay state — what a snapshot carries
-// beyond the subsystems' state. A dead machine (err set) is never
+// beyond the subsystems' state. A dead machine (Err set) is never
 // snapshotted.
 type machineState struct {
 	segCodec    []compress.Codec // per-segment override (§3) by segment id, nil = none; stored by name
@@ -267,15 +265,9 @@ func (m *Machine) Config() Config { return m.cfg }
 // workload (an unrecoverable page loss or a propagated device failure), or
 // nil. Once Err is non-nil the Space access methods become no-ops: the
 // simulated process is dead and the workload's remaining references are not
-// executed. Harnesses check Err after the workload returns.
-func (m *Machine) Err() error { return m.err }
-
-// fail records the machine's first fatal error.
-func (m *Machine) fail(err error) {
-	if m.err == nil && err != nil {
-		m.err = err
-	}
-}
+// executed. Harnesses check Err after the workload returns. The VM keeps
+// the error (vm.VM.Err): only a reference can kill the process.
+func (m *Machine) Err() error { return m.VM.Err() }
 
 // Faults reports the machine-side fault counters (detections, recoveries,
 // mount-time recovery results) merged with the injector's counters.
@@ -950,25 +942,25 @@ func (s *Space) Size() int64 { return s.seg.Size(s.m.cfg.PageSize) }
 // Pages reports the segment size in pages.
 func (s *Space) Pages() int32 { return s.seg.NPages }
 
+// The access methods below are forwards that inline into the workload, so a
+// resident hit costs one host call (vm's access or Touch; ReadWord is over
+// the inliner's budget and costs two). The VM keeps the first error and
+// refuses every later reference, so a forward has nothing to do with an
+// error: each tests it only because errdrop forbids dropping it unread.
+
 // Touch references one word on page n (reading or writing), the primitive
 // the thrasher workload uses.
 func (s *Space) Touch(page int32, write bool) {
-	if s.m.err != nil {
-		return
-	}
 	if _, err := s.m.VM.Touch(s.seg, page, write); err != nil {
-		s.m.fail(err)
+		return
 	}
 }
 
 // Pin faults page n in (if needed) and exempts it from eviction — the §3
 // advisory for applications that know LRU will behave poorly.
 func (s *Space) Pin(page int32) {
-	if s.m.err != nil {
-		return
-	}
 	if _, err := s.m.VM.Pin(s.seg, page); err != nil {
-		s.m.fail(err)
+		return
 	}
 }
 
@@ -977,44 +969,31 @@ func (s *Space) Unpin(page int32) { s.m.VM.Unpin(s.seg, page) }
 
 // Read copies from the space into buf.
 func (s *Space) Read(off int64, buf []byte) {
-	if s.m.err != nil {
+	if s.m.VM.Read(s.seg, off, buf) != nil {
 		return
-	}
-	if err := s.m.VM.Read(s.seg, off, buf); err != nil {
-		s.m.fail(err)
 	}
 }
 
 // Write copies data into the space.
 func (s *Space) Write(off int64, data []byte) {
-	if s.m.err != nil {
+	if s.m.VM.Write(s.seg, off, data) != nil {
 		return
-	}
-	if err := s.m.VM.Write(s.seg, off, data); err != nil {
-		s.m.fail(err)
 	}
 }
 
 // ReadWord reads the 8-byte word at off. After a fatal machine error it
 // returns 0 (the dead process observes nothing).
 func (s *Space) ReadWord(off int64) uint64 {
-	if s.m.err != nil {
-		return 0
-	}
-	v, err := s.m.VM.ReadWord(s.seg, off)
+	w, err := s.m.VM.ReadWord(s.seg, off)
 	if err != nil {
-		s.m.fail(err)
 		return 0
 	}
-	return v
+	return w
 }
 
 // WriteWord writes the 8-byte word at off.
 func (s *Space) WriteWord(off int64, val uint64) {
-	if s.m.err != nil {
+	if s.m.VM.WriteWord(s.seg, off, val) != nil {
 		return
-	}
-	if err := s.m.VM.WriteWord(s.seg, off, val); err != nil {
-		s.m.fail(err)
 	}
 }

@@ -41,6 +41,7 @@ type memoRig struct {
 	seg    [2]*Space
 	model  [2][]byte  // what each segment must read back as
 	pinned [][2]int32 // (segment, page), oldest first
+	lost   error      // an EvictAll failure: fatal here, though only a reference's failure kills the machine
 
 	// Over every machine the stream went through.
 	ops, lives, restores    int
@@ -75,6 +76,15 @@ func (r *memoRig) boot() {
 	}
 	r.model = [2][]byte{make([]byte, memoPages*4096), make([]byte, memoPages*4096)}
 	r.pinned = r.pinned[:0]
+	r.lost = nil
+}
+
+// err is what ended the current machine, if anything has.
+func (r *memoRig) err() error {
+	if err := r.m.Err(); err != nil {
+		return err
+	}
+	return r.lost
 }
 
 // retire adds the current machine's counters to the rig's.
@@ -109,7 +119,7 @@ func (r *memoRig) run(ops []byte) {
 	for ; len(ops) >= memoOpBytes; ops = ops[memoOpBytes:] {
 		r.step(ops[0], ops[1], ops[2], ops[3])
 		r.ops++
-		if err := r.m.Err(); err != nil {
+		if err := r.err(); err != nil {
 			// The one way to die here is a corrupt fragment that was the only
 			// copy. The dead machine's memo must still be right.
 			var lost *fault.UnrecoverableError
@@ -173,7 +183,7 @@ func (r *memoRig) step(op, where, a, b byte) {
 		if a%4 != 0 {
 			r.clean()
 		} else if err := r.m.EvictAll(); err != nil {
-			r.m.fail(err)
+			r.lost = err
 		}
 	case 15:
 		if a%4 == 0 {

@@ -25,8 +25,8 @@ import (
 // through sim.Kernel.Snap instead), and machines with a remote tier (pages
 // only the tier holds would be missing).
 func (m *Machine) Snapshot() ([]byte, error) {
-	if m.err != nil {
-		return nil, fmt.Errorf("machine: cannot snapshot a dead machine: %w", m.err)
+	if err := m.Err(); err != nil {
+		return nil, fmt.Errorf("machine: cannot snapshot a dead machine: %w", err)
 	}
 	if err := m.snapshottable(); err != nil {
 		return nil, err

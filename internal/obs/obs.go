@@ -31,7 +31,7 @@ import (
 )
 
 // Class identifies one event type. Classes are bits so a Bus can enable any
-// subset; a zero mask in Options selects all classes.
+// subset; a zero mask in Options selects all classes, and ClassNone none.
 type Class uint32
 
 // Event classes, one bit each.
@@ -91,6 +91,10 @@ const (
 // ClassAll enables every event class.
 const ClassAll Class = 1<<classCount - 1
 
+// ClassNone enables no event class. It is a bit no class uses, because the
+// zero mask in Options already means every class.
+const ClassNone Class = 1 << classCount
+
 // classNames maps each class bit (by index) to its wire name; the names are
 // what the exporters and the enable-mask parser use.
 var classNames = [classCount]string{
@@ -120,7 +124,8 @@ func (c Class) String() string {
 
 // ParseClasses parses a comma- or pipe-separated list of wire names
 // ("fault,disk_read") into an enable mask. "all" and the empty string select
-// every class; "none" selects nothing.
+// every class; "none" selects nothing (ClassNone, unless a class is named
+// beside it).
 func ParseClasses(s string) (Class, error) {
 	split := func(r rune) bool { return r == ',' || r == '|' }
 	var mask Class
@@ -147,6 +152,9 @@ func ParseClasses(s string) (Class, error) {
 	}
 	if s == "" || strings.TrimFunc(s, split) == "" {
 		return ClassAll, nil
+	}
+	if mask == 0 {
+		return ClassNone, nil
 	}
 	return mask, nil
 }
@@ -213,7 +221,7 @@ const (
 
 // Options configures a Bus.
 type Options struct {
-	// Classes is the enable mask; 0 selects every class.
+	// Classes is the enable mask; 0 selects every class, ClassNone none.
 	Classes Class
 
 	// RingSize bounds the retained event window; 0 selects DefaultRingSize.

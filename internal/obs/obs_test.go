@@ -63,6 +63,49 @@ func TestZeroOptionsSelectAll(t *testing.T) {
 	}
 }
 
+// "none" is a mask that records nothing, though the zero mask in Options is
+// every class: ParseClasses answers ClassNone for it. "all", the empty
+// string and the zero Options are unchanged.
+func TestParseClassesNoneRecordsNothing(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Class
+	}{
+		{"none", ClassNone},
+		{" none , none ", ClassNone},
+		{"none,fault", ClassFault},
+		{"all", ClassAll},
+		{"", ClassAll},
+		{",", ClassAll},
+		{"fault|flush", ClassFault | ClassFlush},
+	} {
+		got, err := ParseClasses(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseClasses(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	none := NewBus(Options{Classes: ClassNone})
+	for i := 0; i < classCount; i++ {
+		if none.Enabled(1 << i) {
+			t.Errorf("ClassNone enables %v", Class(1<<i))
+		}
+		none.Emit(Event{Class: 1 << i})
+	}
+	if none.Len() != 0 || len(none.Events()) != 0 {
+		t.Errorf("a ClassNone bus recorded %d events", none.Len())
+	}
+	if got := ClassNone.String(); got != "none" {
+		t.Errorf("ClassNone = %q", got)
+	}
+	all := NewBus(Options{Classes: ClassAll})
+	for i := 0; i < classCount; i++ {
+		all.Emit(Event{Class: 1 << i})
+	}
+	if all.Len() != classCount || NewBus(Options{}).Mask() != ClassAll {
+		t.Errorf("ClassAll recorded %d of %d classes; zero Options mask %v", all.Len(), classCount, NewBus(Options{}).Mask())
+	}
+}
+
 func TestRingWrap(t *testing.T) {
 	b := NewBus(Options{RingSize: 4})
 	for i := 0; i < 10; i++ {

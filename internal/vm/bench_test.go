@@ -78,3 +78,13 @@ func BenchmarkRead4B(b *testing.B) {
 		v.Read(s, int64(i&63)*4096+int64(i&1023)*4, buf[:])
 	}
 }
+
+// BenchmarkRead16B reads one 16-byte record, the size the sort workload
+// moves, never across a page.
+func BenchmarkRead16B(b *testing.B) {
+	v, s := newBenchVM(b)
+	var buf [16]byte
+	for i := 0; i < b.N; i++ {
+		v.Read(s, int64(i&63)*4096+int64(i&255)*16, buf[:])
+	}
+}

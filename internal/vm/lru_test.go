@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,9 +16,10 @@ import (
 // it, and they touch pages and advance the clock before the hook returns.
 // Whatever Touch knew before the hook — the time Advance returned, which page
 // was the LRU tail, whether its own page was resident — may be stale after
-// it. Each stream below is driven through such a hook; after every reference
-// the list must be consistent and the referenced page must be the most
-// recently used, stamped with the current time.
+// it. Each stream below is driven through such a hook, alternating Touch
+// with word accesses (access's copy of the same bookkeeping); after every
+// reference the list must be consistent and the referenced page must be the
+// most recently used, stamped with the current time.
 func TestReentrantTraceHook(t *testing.T) {
 	const npages = 16
 	streams := map[string]func(i int, rng *rand.Rand) int32{
@@ -51,7 +53,16 @@ func TestReentrantTraceHook(t *testing.T) {
 				})
 				for i := 0; i < 2000; i++ {
 					n := next(i, rng)
-					p := touch(t, v, s, n, i%7 == 0)
+					// Every other reference goes through access's body.
+					p := s.Page(n)
+					switch {
+					case i%2 == 0:
+						touch(t, v, s, n, i%7 == 0)
+					case i%7 == 0:
+						writeWord(t, v, s, int64(n)*4096+8, uint64(i))
+					default:
+						readWord(t, v, s, int64(n)*4096+8)
+					}
 					if p != v.lruTail {
 						t.Fatalf("ref %d: page %d is not the LRU tail after its own reference", i, n)
 					}
@@ -160,11 +171,15 @@ func (m *lruModel) evict(n int32) {
 	p.state, p.dirty, p.swapValid = Swapped, false, true
 }
 
-// Seeded random Touch/Read/Write/Pin/Unpin/Evict/ReleaseOldest streams, with
-// runs of repeated hits on one page so the tail fast path is taken, compared
-// against lruModel after every operation: the whole resident order (which is
-// the victim order), OldestAge, every page's state and flags, the counters,
-// the clock, and the bytes read back.
+// Seeded random Touch/Read/Write/ReadWord/WriteWord/Pin/Unpin/Evict/
+// ReleaseOldest streams, with runs of repeated hits on one page so the tail
+// fast path is taken, compared against lruModel after every operation: the
+// whole resident order (which is the victim order), OldestAge, every page's
+// state and flags, the counters, the clock, and the bytes read back. The
+// reference bookkeeping has two bodies, Touch's and access's (a byte or word
+// access within one page); a byte access that spans pages goes through
+// Touch. The stream takes all of them, and zero-length byte accesses, which
+// are no reference at all, at offsets inside and past the segment.
 func TestLRUAgainstModel(t *testing.T) {
 	const (
 		npages = 24
@@ -234,16 +249,21 @@ func TestLRUAgainstModel(t *testing.T) {
 			}
 			write := rng.Intn(3) == 0
 			op := ""
-			switch r := rng.Intn(20); {
+			switch r := rng.Intn(23); {
 			case r < 9:
 				op = fmt.Sprintf("Touch(%d,%v)", n, write)
 				touch(t, v, s, n, write)
 				m.touch(n, write)
 				last = n
 			case r < 14:
-				// Up to three pages, so one access is several references.
+				// Up to three pages, so one access is several references; or
+				// a short run, mostly within one page.
 				off := int64(n)*ps + int64(rng.Intn(ps))
-				buf := make([]byte, 1+rng.Intn(2*ps))
+				size := 1 + rng.Intn(2*ps)
+				if rng.Intn(2) == 0 {
+					size = 1 + rng.Intn(64)
+				}
+				buf := make([]byte, size)
 				if room := int64(len(shadow)) - off; int64(len(buf)) > room {
 					buf = buf[:room]
 				}
@@ -267,6 +287,39 @@ func TestLRUAgainstModel(t *testing.T) {
 					last = int32(pg)
 				}
 			case r < 16:
+				off := int64(n)*ps + int64(rng.Intn(ps-7))
+				op = fmt.Sprintf("word(off=%d,%v)", off, write)
+				word := shadow[off : off+8]
+				if write {
+					val := rng.Uint64()
+					binary.LittleEndian.PutUint64(word, val)
+					if err := v.WriteWord(s, off, val); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					got, err := v.ReadWord(s, off)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := binary.LittleEndian.Uint64(word); got != want {
+						t.Fatalf("seed %d step %d (%s): read %#x, last write %#x", seed, step, op, got, want)
+					}
+				}
+				m.touch(n, write)
+				last = n
+			case r < 17:
+				off := rng.Int63n(2 * int64(len(shadow)))
+				op = fmt.Sprintf("empty(off=%d,%v)", off, write)
+				var err error
+				if write {
+					err = v.Write(s, off, nil)
+				} else {
+					err = v.Read(s, off, []byte{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			case r < 19:
 				if m.pages[n].pin || pinned == frames/2 {
 					continue
 				}
@@ -278,7 +331,7 @@ func TestLRUAgainstModel(t *testing.T) {
 				m.pages[n].pin = true
 				pinned++
 				last = n
-			case r < 18:
+			case r < 21:
 				if !m.pages[n].pin {
 					continue
 				}
@@ -286,7 +339,7 @@ func TestLRUAgainstModel(t *testing.T) {
 				v.Unpin(s, n)
 				m.pages[n].pin = false
 				pinned--
-			case r < 19:
+			case r < 22:
 				if m.pages[n].state != Resident || m.pages[n].pin {
 					continue
 				}
@@ -329,6 +382,41 @@ func TestResidentHitDoesNotAllocate(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(200, func() { f(); i++ }); got != 0 {
 			t.Errorf("resident %s allocates %v times per call", name, got)
+		}
+	}
+}
+
+// A wild address is a workload bug, not a fault: a negative offset through
+// any accessor, or a word that straddles a page, panics with the message it
+// always had, before the reference is counted or the clock moves.
+func TestWildAccessPanics(t *testing.T) {
+	v, _, _, clock := newTestVM(t, 4)
+	s := v.NewSegment("heap", 4)
+	buf := make([]byte, 16)
+	const negative = "vm: negative offset"
+	for _, c := range []struct {
+		name, want string
+		access     func()
+	}{
+		{"Read(-1)", negative, func() { v.Read(s, -1, buf) }},
+		{"Read(-1, empty)", negative, func() { v.Read(s, -1, nil) }},
+		{"Write(-4096)", negative, func() { v.Write(s, -4096, buf) }},
+		{"ReadWord(-8)", negative, func() { v.ReadWord(s, -8) }},
+		{"WriteWord(-1)", negative, func() { v.WriteWord(s, -1, 1) }},
+		{"ReadWord(4090)", "vm: word access at 4090 straddles a page boundary", func() { v.ReadWord(s, 4090) }},
+		{"WriteWord(8191)", "vm: word access at 8191 straddles a page boundary", func() { v.WriteWord(s, 8191, 1) }},
+	} {
+		refs, now := v.Stats().Refs, clock.Now()
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s panicked with %v, want %q", c.name, got, c.want)
+				}
+			}()
+			c.access()
+		}()
+		if v.Stats().Refs != refs || clock.Now() != now {
+			t.Errorf("%s counted a reference or moved the clock before panicking", c.name)
 		}
 	}
 }

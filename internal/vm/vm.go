@@ -16,6 +16,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"time"
@@ -168,8 +169,11 @@ type VM struct {
 	vmState
 	clock *sim.Clock
 	pool  *mem.Pool
-	cost  sim.CostModel
 	pager Pager // installed with SetPager after construction
+
+	// memRef and faultOverhead are the two costs of the model the VM charges
+	// itself: every reference, and every fault's software overhead.
+	memRef, faultOverhead sim.Duration
 
 	// frameSource obtains a frame for a faulting page, reclaiming one
 	// through the replacement policy when the pool is empty.
@@ -186,6 +190,10 @@ type VM struct {
 
 	bus       *obs.Bus
 	faultHist *obs.Histogram // vm.fault_service — full fault service time
+
+	// err is the first reference that failed; see Err. It is not replay
+	// state: a dead VM is never snapshotted.
+	err error
 }
 
 // vmState is the VM's replay state: everything a snapshot carries.
@@ -211,11 +219,12 @@ func New(clock *sim.Clock, pool *mem.Pool, cost sim.CostModel) *VM {
 		panic(fmt.Sprintf("vm: page size %d is not a power of two", ps))
 	}
 	v := &VM{
-		clock:     clock,
-		pool:      pool,
-		cost:      cost,
-		pageShift: uint(bits.TrailingZeros(uint(ps))),
-		pageMask:  int64(ps - 1),
+		clock:         clock,
+		pool:          pool,
+		memRef:        cost.MemRef,
+		faultOverhead: cost.FaultOverhead,
+		pageShift:     uint(bits.TrailingZeros(uint(ps))),
+		pageMask:      int64(ps - 1),
 	}
 	v.frameSource = func(o mem.Owner) (mem.FrameID, error) {
 		id, ok := pool.Alloc(o)
@@ -251,6 +260,13 @@ func (v *VM) SetObserver(b *obs.Bus) {
 
 // Stats returns a snapshot of the VM counters.
 func (v *VM) Stats() stats.VM { return v.st }
+
+// Err returns the error of the first reference that failed (a fault the
+// pager or the frame source could not serve), or nil. The simulated process
+// is dead from then on: every later Touch, Pin, Read, Write, ReadWord and
+// WriteWord returns this error at once, counts no reference and moves no
+// clock, and ReadWord reads 0.
+func (v *VM) Err() error { return v.err }
 
 // ResidentPages reports the number of uncompressed resident pages.
 func (v *VM) ResidentPages() int { return v.resident }
@@ -289,10 +305,16 @@ func (v *VM) NewSegment(name string, npages int32) *Segment {
 // in if necessary, and returns the page (resident on return). Every call
 // costs one memory-reference time plus whatever the fault path costs. On
 // error the page is not resident and the reference did not complete — the
-// simulated process took an unrecoverable machine check.
+// simulated process took an unrecoverable machine check (see Err).
+//
+// access repeats this body for a single-page byte or word access, in the
+// same order; TestLRUAgainstModel holds both to one model.
 func (v *VM) Touch(s *Segment, n int32, write bool) (*Page, error) {
+	if v.err != nil {
+		return nil, v.err
+	}
 	v.st.Refs++
-	v.clock.Advance(v.cost.MemRef)
+	v.clock.Advance(v.memRef)
 	if v.traceHook != nil {
 		v.traceHook(s.ID, n, write)
 	}
@@ -323,7 +345,8 @@ func (v *VM) markWritten(p *Page) {
 }
 
 // fault brings a non-resident page into memory. On error the allocated
-// frame is returned to the pool and the page keeps its prior state.
+// frame is returned to the pool, the page keeps its prior state, and the VM
+// is dead (see Err).
 func (v *VM) fault(p *Page) error {
 	if p.State == Resident {
 		// Invariant: Touch only calls fault for non-resident pages.
@@ -331,11 +354,11 @@ func (v *VM) fault(p *Page) error {
 	}
 	v.st.Faults++
 	t0 := v.clock.Now()
-	v.clock.Charge(sim.CauseFault, v.cost.FaultOverhead)
+	v.clock.Charge(sim.CauseFault, v.faultOverhead)
 
 	frame, err := v.frameSource(mem.VM)
 	if err != nil {
-		return err
+		return v.die(err)
 	}
 	data := v.pool.Bytes(frame)
 
@@ -350,7 +373,7 @@ func (v *VM) fault(p *Page) error {
 		src, err := v.pager.PageIn(p, data)
 		if err != nil {
 			v.pool.Release(frame)
-			return err
+			return v.die(err)
 		}
 		switch src {
 		case SrcCC:
@@ -378,6 +401,15 @@ func (v *VM) fault(p *Page) error {
 		})
 	}
 	return nil
+}
+
+// die records a failed reference's error as the VM's first, unless a
+// reference made inside the trace hook failed before it, and returns it.
+func (v *VM) die(err error) error {
+	if v.err == nil {
+		v.err = err
+	}
+	return err
 }
 
 // Name identifies the VM system in the replacement policy ("vm").
@@ -554,78 +586,118 @@ func (v *VM) CheckLRU() error {
 // Read copies len(buf) bytes at byte offset off in segment s into buf,
 // touching (and faulting) each covered page.
 func (v *VM) Read(s *Segment, off int64, buf []byte) error {
-	return v.access(s, off, buf, false)
+	return v.access(s, off, buf, nil, opRead)
 }
 
 // Write copies data into segment s at byte offset off, touching (and
 // faulting) each covered page and marking it dirty.
 func (v *VM) Write(s *Segment, off int64, data []byte) error {
-	return v.access(s, off, data, true)
+	return v.access(s, off, data, nil, opWrite)
 }
 
-func (v *VM) access(s *Segment, off int64, buf []byte, write bool) error {
+// ReadWord reads the 8-byte little-endian word at byte offset off, which
+// must not straddle a page.
+func (v *VM) ReadWord(s *Segment, off int64) (uint64, error) {
+	var w uint64
+	err := v.access(s, off, nil, &w, opReadWord)
+	return w, err
+}
+
+// WriteWord writes the 8-byte little-endian word at byte offset off, which
+// must not straddle a page.
+func (v *VM) WriteWord(s *Segment, off int64, val uint64) error {
+	return v.access(s, off, nil, &val, opWriteWord)
+}
+
+// accessOp is what access does at the bytes it reaches; the write ops are
+// the odd ones.
+type accessOp uint8
+
+const (
+	opRead accessOp = iota
+	opWrite
+	opReadWord
+	opWriteWord
+)
+
+// access is the one entry behind Read, Write, ReadWord and WriteWord. A
+// zero-length byte access is no reference at all. An access within one page
+// is one reference, made here in Touch's order — so a resident hit is one
+// host call from the workload — and then the copy or the word move. Only a
+// byte access that spans pages goes through Touch, once per page.
+//
+// The word moves through a pointer, not a result, because a second result
+// puts the Read and Write wrappers, and the machine's forwards around them,
+// over the inliner's budget.
+func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp) error {
+	if v.err != nil {
+		return v.err
+	}
 	if off < 0 {
 		// Invariant: the simulated equivalent of a wild pointer (see Page).
 		panic("vm: negative offset")
 	}
-	for len(buf) > 0 {
-		page := int32(off >> v.pageShift)
-		in := int(off & v.pageMask)
-		n := int(v.pageMask) + 1 - in
-		if n > len(buf) {
-			n = len(buf)
+	in, n := int(off&v.pageMask), len(buf)
+	if op >= opReadWord {
+		n = 8
+		if in+n > int(v.pageMask)+1 {
+			// Invariant: word accessors are documented page-aligned; a
+			// straddle is a workload bug.
+			panic(fmt.Sprintf("vm: word access at %d straddles a page boundary", off))
 		}
-		p, err := v.Touch(s, page, write)
+	} else if n == 0 {
+		return nil
+	} else if in+n > int(v.pageMask)+1 {
+		return v.accessPages(s, off, buf, op == opWrite)
+	}
+	write := op&1 != 0
+	v.st.Refs++
+	v.clock.Advance(v.memRef)
+	page := int32(off >> v.pageShift)
+	if v.traceHook != nil {
+		v.traceHook(s.ID, page, write)
+	}
+	p := s.Page(page)
+	if p.State == Resident {
+		v.lruTouch(p)
+	} else if err := v.fault(p); err != nil {
+		return err
+	}
+	if write {
+		v.markWritten(p)
+	}
+	b := v.pool.Bytes(p.Frame)[in : in+n]
+	switch op {
+	case opRead:
+		copy(buf, b)
+	case opWrite:
+		copy(b, buf)
+	case opReadWord:
+		*word = binary.LittleEndian.Uint64(b)
+	case opWriteWord:
+		binary.LittleEndian.PutUint64(b, *word)
+	}
+	return nil
+}
+
+// accessPages is access for a byte range that spans pages: one Touch, and
+// one copy, per page covered.
+func (v *VM) accessPages(s *Segment, off int64, buf []byte, write bool) error {
+	for len(buf) > 0 {
+		in := int(off & v.pageMask)
+		n := min(int(v.pageMask)+1-in, len(buf))
+		p, err := v.Touch(s, int32(off>>v.pageShift), write)
 		if err != nil {
 			return err
 		}
-		frame := v.pool.Bytes(p.Frame)
+		frame := v.pool.Bytes(p.Frame)[in : in+n]
 		if write {
-			copy(frame[in:in+n], buf[:n])
+			copy(frame, buf[:n])
 		} else {
-			copy(buf[:n], frame[in:in+n])
+			copy(buf[:n], frame)
 		}
 		buf = buf[n:]
 		off += int64(n)
 	}
 	return nil
-}
-
-// ReadWord reads the 8-byte little-endian word at byte offset off.
-func (v *VM) ReadWord(s *Segment, off int64) (uint64, error) {
-	page, in := v.wordAddr(off)
-	p, err := v.Touch(s, page, false)
-	if err != nil {
-		return 0, err
-	}
-	b := v.pool.Bytes(p.Frame)[in:]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
-}
-
-// WriteWord writes the 8-byte little-endian word at byte offset off.
-func (v *VM) WriteWord(s *Segment, off int64, val uint64) error {
-	page, in := v.wordAddr(off)
-	p, err := v.Touch(s, page, true)
-	if err != nil {
-		return err
-	}
-	b := v.pool.Bytes(p.Frame)[in:]
-	b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
-	b[4], b[5], b[6], b[7] = byte(val>>32), byte(val>>40), byte(val>>48), byte(val>>56)
-	return nil
-}
-
-func (v *VM) wordAddr(off int64) (page int32, in int) {
-	if off < 0 {
-		// Invariant: the simulated equivalent of a wild pointer (see Page).
-		panic("vm: negative offset")
-	}
-	in = int(off & v.pageMask)
-	if in+8 > int(v.pageMask)+1 {
-		// Invariant: word accessors are documented page-aligned; a straddle
-		// is a workload bug.
-		panic(fmt.Sprintf("vm: word access at %d straddles a page boundary", off))
-	}
-	return int32(off >> v.pageShift), in
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,6 +20,8 @@ type fakePager struct {
 	pageOuts int
 	pageIns  int
 	dirtied  int
+
+	failIn map[int32]error // PageIn of these pages (any segment) fails
 }
 
 func newFakePager() *fakePager {
@@ -35,6 +38,9 @@ func (f *fakePager) PageOut(p *Page, data []byte) error {
 }
 
 func (f *fakePager) PageIn(p *Page, data []byte) (Source, error) {
+	if err := f.failIn[p.Key.Page]; err != nil {
+		return 0, err
+	}
 	f.pageIns++
 	stored, ok := f.store[p.Key]
 	if !ok {
@@ -158,6 +164,80 @@ func TestWordStraddlePanics(t *testing.T) {
 		}
 	}()
 	v.ReadWord(s, 4090)
+}
+
+// The first reference that fails kills the simulated process: the VM keeps
+// its error, and every later access through any of the six accessors
+// returns it at once — no reference counted, no clock movement, no bytes
+// moved, ReadWord reading 0. A reference made inside the trace hook that
+// fails first keeps its error first, even when the reference that called
+// the hook then fails too.
+func TestFirstFailedReferenceSticks(t *testing.T) {
+	v, fp, pool, clock := newTestVM(t, 4)
+	s := v.NewSegment("heap", 4)
+	for n := int32(0); n < 4; n++ {
+		writeWord(t, v, s, int64(n)*4096, uint64(n)+1)
+		if err := v.Evict(s.Page(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inHook, inOuter := errors.New("page 0 lost"), errors.New("page 1 lost")
+	fp.failIn = map[int32]error{0: inHook, 1: inOuter}
+	readWord(t, v, s, 2*4096) // page 2 resident and clean again: later hits would succeed
+	v.SetTraceHook(func(_, page int32, _ bool) {
+		if page == 1 {
+			if _, err := v.Touch(s, 0, false); err != inHook {
+				t.Errorf("Touch of page 0 inside the hook = %v, want %v", err, inHook)
+			}
+		}
+	})
+	if _, err := v.Touch(s, 1, false); err != inOuter {
+		t.Fatalf("Touch of page 1 = %v, want %v", err, inOuter)
+	}
+	if v.Err() != inHook {
+		t.Fatalf("Err() = %v, want the first failure %v", v.Err(), inHook)
+	}
+	for _, n := range []int32{0, 1} {
+		if st := s.Page(n).State; st != Swapped {
+			t.Fatalf("failed page %d is %v, want it left swapped", n, st)
+		}
+	}
+	if err := pool.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+
+	refs, now := v.Stats().Refs, clock.Now()
+	buf := []byte{1, 2, 3}
+	for name, access := range map[string]func() error{
+		"Touch": func() error { _, err := v.Touch(s, 2, true); return err },
+		"Pin":   func() error { _, err := v.Pin(s, 2); return err },
+		"Read":  func() error { return v.Read(s, 2*4096, buf) },
+		"Write": func() error { return v.Write(s, 4095, buf) }, // spans pages 0 and 1
+		"ReadWord": func() error {
+			w, err := v.ReadWord(s, 2*4096)
+			if w != 0 {
+				t.Errorf("ReadWord of a dead VM read %d", w)
+			}
+			return err
+		},
+		"WriteWord": func() error { return v.WriteWord(s, 2*4096, 42) },
+	} {
+		if err := access(); err != inHook {
+			t.Errorf("%s on a dead VM = %v, want %v", name, err, inHook)
+		}
+		if got := v.Stats().Refs; got != refs {
+			t.Errorf("%s on a dead VM counted %d references", name, got-refs)
+		}
+		if got := clock.Now(); got != now {
+			t.Errorf("%s on a dead VM moved the clock by %v", name, got-now)
+		}
+	}
+	if buf[0] != 1 || buf[1] != 2 || buf[2] != 3 {
+		t.Errorf("Read on a dead VM filled the buffer: %v", buf)
+	}
+	if p := s.Page(2); p.Pinned || p.Dirty {
+		t.Errorf("page 2 = %+v after accesses to a dead VM", *p)
+	}
 }
 
 func TestBulkReadWriteAcrossPages(t *testing.T) {
