@@ -163,7 +163,7 @@ type Cache struct {
 	// steady-state insert/kill cycle allocation-free. All bookkeeping is
 	// per-cache and single-goroutine, so recycling cannot perturb
 	// determinism.
-	slabs      [][]byte
+	slabs      [slabClasses][][]byte // by class, see slabGet
 	entryPool  []*Entry
 	framePool  []*ccFrame
 	acqBuf     []mem.FrameID // Insert's frame-acquisition buffer
@@ -241,17 +241,27 @@ func (c *Cache) Has(key swap.PageKey) bool { return c.entries.Has(key) }
 // frameCap is the usable bytes per frame.
 func (c *Cache) frameCap() int { return c.pool.PageSize() - c.params.FrameHeaderBytes }
 
-// slabGet returns a cache-owned buffer of n bytes (n never exceeds the page
-// size, so every slab is allocated at full page capacity and any recycled
-// slab fits).
+// slabClasses is how many sizes of slab the cache hands out: a quarter page
+// (the paper's 1-KB fragment at 4-KB pages), a half, three quarters and a
+// whole page.
+const slabClasses = 4
+
+// slabGet returns a cache-owned buffer of n bytes, n at most the page size.
+// Its capacity is that of the smallest class that holds n bytes, and each
+// class recycles through its own freelist, so a recycled slab always fits and
+// a small entry does not pin a page of host memory.
 func (c *Cache) slabGet(n int) []byte {
-	if k := len(c.slabs); k > 0 {
-		s := c.slabs[k-1]
-		c.slabs = c.slabs[:k-1]
-		return s[:n]
+	k := c.slabClass(n)
+	if free := c.slabs[k]; len(free) > 0 {
+		c.slabs[k] = free[:len(free)-1]
+		return free[len(free)-1][:n]
 	}
-	return make([]byte, n, c.pool.PageSize())
+	return make([]byte, n, (k+1)*c.pool.PageSize()/slabClasses)
 }
+
+// slabClass is the class of the smallest slab that holds n bytes; a slab's
+// capacity is its own class's.
+func (c *Cache) slabClass(n int) int { return (n*slabClasses - 1) / c.pool.PageSize() }
 
 // newEntry returns a reset Entry, recycled when possible.
 func (c *Cache) newEntry() *Entry {
@@ -547,7 +557,8 @@ func (c *Cache) kill(e *Entry) {
 		c.markClean(e)
 	}
 	c.entries.Delete(e.Key)
-	c.slabs = append(c.slabs, e.Data[:0])
+	k := c.slabClass(cap(e.Data))
+	c.slabs[k] = append(c.slabs[k], e.Data[:0])
 	e.Data = nil
 	c.order[e.oidx] = nil
 }

@@ -64,8 +64,8 @@ func (c *Cache) Snap(sc *snap.Codec) {
 		if len(data) > c.pool.PageSize() {
 			sc.Failf("core: snapshot entry %v holds %d bytes, more than a page", e.Key, len(data))
 		} else if !e.dead {
-			// Entry buffers must carry full page capacity: killed entries'
-			// slabs are recycled and re-sliced up to the page size.
+			// Entry buffers are slabs of their size class: killed entries'
+			// slabs are recycled by class.
 			e.Data = c.slabGet(len(data))
 			copy(e.Data, data)
 		}

@@ -18,7 +18,7 @@ import (
 // scratch buffer, core.Cache copies into recycled slabs and recycles its
 // entry and frame bookkeeping, the stores clean and compact out of scratch
 // they own, the codecs pool theirs, the compress memo is one slab, and the
-// plaintext memo's chunks stop growing once the hot pages have each had one
+// plaintext memo's chunks stop growing once the pages it admits have each had one
 // (during warm-up). steadyRows pins that for every store shape a machine pages through by
 // running it. Nothing reads the source for allocation sites, so a row sees
 // only what it drives — and therefore proves, from the machine's own counters
@@ -99,11 +99,11 @@ var steadyRows = []steadyRow{
 		}},
 	// The default cache over a segment with its own codec, read-only: pages
 	// come back from the clustered store a block at a time and what came
-	// along enters the cache without compressing. A page returns four memories
-	// of evictions after it left, too late for the plaintext memo, so every
-	// decompression decodes; over a working set that returns within one, none
-	// does.
-	{name: "prefetch", codec: "fpc", cfg: ccConfig, pages: 1024, fill: fillHalfRandom, drove: []counter{swapIns, prefetched}},
+	// along enters the cache without compressing. A page that a cache hit
+	// brought in returns four memories of evictions after it left, inside
+	// the plaintext memo's window of eight, and so does one over a working
+	// set that returns within one.
+	{name: "prefetch", codec: "fpc", cfg: ccConfig, pages: 1024, fill: fillHalfRandom, drove: []counter{swapIns, prefetched}, plain: true},
 	{name: "prefetch-recent", codec: "fpc", cfg: ccConfig, pages: 320, fill: fillHalfRandom, drove: []counter{swapIns, prefetched}, plain: true},
 }
 
@@ -223,8 +223,9 @@ func steadyCycle(t *testing.T, writes bool) {
 			// so a read-only row runs the codec only for pages that have none:
 			// the ones that miss the keep threshold and travel raw. A row that
 			// dirties every page it touches runs it for every compression.
-			// A row whose pages come back within one memory's worth of
-			// evictions is copied in from the plaintext memo, not decoded.
+			// A row whose pages come back from a stay begun by a cache hit
+			// within eight memories' worth of evictions is copied in from the
+			// plaintext memo, not decoded.
 			decomps := after.Comp.Decompressions - before.Comp.Decompressions
 			if decoded := cc.Decodes() + sc.Decodes() - decBefore; row.plain && decoded >= decomps {
 				t.Errorf("%d decompressions and the codec decoded %d times: the plaintext memo served none", decomps, decoded)

@@ -21,7 +21,7 @@ func (a amnesiac) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 	return a.Machine.PageIn(p, data)
 }
 
-// forget empties both memos and cools every page.
+// forget empties both memos and clears every page's hit bit.
 func (m *Machine) forget() {
 	_ = m.eachPage(func(p *vm.Page) error {
 		if p.State == vm.Resident {

@@ -482,13 +482,14 @@ func (m *Machine) Stats() stats.Run {
 func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	it := swap.Item{Key: p.Key, Data: data}
 	var insErr error
-	var heat int32
+	var hit int32
 	if m.CC != nil {
 		// The page is leaving memory, so its remembered compressed form goes
 		// whichever way it leaves; only a page still clean may use it. Its
-		// plaintext is remembered on the way out if it is hot.
+		// plaintext is remembered on the way out if its stay began with a
+		// cache hit.
 		memo, sum := m.recall(p)
-		heat, p.Memo = p.Memo, 0
+		hit, p.Memo = p.Memo&memoHit, 0
 
 		// Fast path: the page was faulted out of the cache and never
 		// modified, so its compressed copy is still valid — re-entering the
@@ -498,7 +499,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		if !p.Dirty && m.CC.Has(p.Key) {
 			p.State = vm.Compressed
 			if memo != nil { // the entry is the one the page and its sum came from
-				m.departPlain(p, data, sum, heat)
+				m.departPlain(p, data, sum, hit)
 			}
 			return nil
 		}
@@ -519,7 +520,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			if ok, insErr = m.CC.InsertSummed(p.Key, cdata, sum, p.Dirty); ok {
 				p.State = vm.Compressed
 				p.Dirty = false // dirtiness now tracked by the cache entry
-				m.departPlain(p, data, sum, heat)
+				m.departPlain(p, data, sum, hit)
 				m.maybeClean()
 				return nil
 			}
@@ -542,7 +543,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	p.Dirty = false
 	p.State = vm.Swapped
 	if it.Compressed {
-		m.departPlain(p, data, it.Sum, heat)
+		m.departPlain(p, data, it.Sum, hit)
 	}
 	return nil
 }
@@ -615,13 +616,13 @@ func (m *Machine) heldBelow(key swap.PageKey) bool {
 // is counted); a corrupt or unreadable fragment with no lower-level copy
 // returns fault.UnrecoverableError.
 func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
-	known, heat := m.returnPlain(p)
+	known := m.returnPlain(p)
 	if m.CC != nil {
 		if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
 			m.faults.CorruptCache(cdata)
 			err := m.restoreInto(data, cdata, true, sum, p.Key, known)
 			if err == nil {
-				m.remember(p, cdata, sum, heat)
+				m.remember(p, cdata, sum, memoHit)
 				// The entry is retained and backs the resident copy, so the
 				// page itself is clean; SwapValid tracks whether the entry
 				// has been persisted. Modifying the page invalidates the
@@ -665,7 +666,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key, known); err != nil {
 			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		} else if compressed {
-			m.remember(p, payload, sum, heat)
+			m.remember(p, payload, sum, 0)
 		}
 		p.Dirty = false
 		p.SwapValid = true

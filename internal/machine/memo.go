@@ -17,18 +17,15 @@ import (
 // One field of each page, vm.Page.Memo, indexes both, and what it names
 // depends on where the page is:
 //
-//   - resident: its slot in the compressed-form memo plus one (0: none),
-//     memoQuick when the page came back while its plaintext record was
-//     still in the ring, and memoHot when the return before was quick too;
-//   - not resident: its record in the plaintext ring plus one (0: none),
-//     and memoQuick when the return that began its last stay was quick.
+//   - resident: its slot in the compressed-form memo plus one (0: none), and
+//     memoHit when its stay began with a compression-cache hit;
+//   - not resident: its record in the plaintext ring plus one (0: none).
 //
 // A page only moves between the two through PageIn and PageOut, which
 // rewrite the field on the way.
 const (
-	memoQuick = 1 << 29
-	memoHot   = 1 << 30
-	memoIndex = memoQuick - 1
+	memoHit   = 1 << 30
+	memoIndex = memoHit - 1
 )
 
 // compressMemo remembers, for resident pages not modified since PageIn
@@ -50,14 +47,14 @@ type memoSlot struct {
 }
 
 // remember copies the compressed payload PageIn has just verified against sum
-// and decoded into a slot for the page, and gives the page the heat
-// returnPlain measured. PageIn runs for non-resident pages only and every
-// PageOut gives the page's slot back, so the page has none yet and, at a slot
-// per frame, one is free. A payload longer than a slot never entered the
-// cache or a tier compressed. A page left without a slot is simply
-// compressed again.
-func (m *Machine) remember(p *vm.Page, payload []byte, sum uint32, heat int32) {
-	p.Memo = heat
+// and decoded into a slot for the page, and marks the page with hit: memoHit
+// when the payload was a compression-cache entry, 0 when a tier served it.
+// PageIn runs for non-resident pages only and every PageOut gives the page's
+// slot back, so the page has none yet and, at a slot per frame, one is free.
+// A payload longer than a slot never entered the cache or a tier compressed.
+// A page left without a slot is simply compressed again.
+func (m *Machine) remember(p *vm.Page, payload []byte, sum uint32, hit int32) {
+	p.Memo = hit
 	mm := &m.memo
 	size := m.cfg.keepThreshold()
 	if mm.slab == nil {
@@ -79,7 +76,7 @@ func (m *Machine) remember(p *vm.Page, payload []byte, sum uint32, heat int32) {
 }
 
 // recall frees the resident page's slot and returns what it held, nil when
-// the page has none; the page keeps its heat. The bytes stay put until
+// the page has none; the page keeps its hit bit. The bytes stay put until
 // the next remember, which only PageIn calls: PageOut is done with them by
 // then.
 func (m *Machine) recall(p *vm.Page) (payload []byte, sum uint32) {
@@ -96,24 +93,23 @@ func (m *Machine) recall(p *vm.Page) (payload []byte, sum uint32) {
 
 // plainMemo remembers the plaintext of pages that left memory compressed, so
 // that a page coming straight back is copied into its frame instead of
-// decoded. It is a ring of one record per frame in eviction order: a record
-// lives until the page faults back in or `frames` later evictions overwrite
-// it. Every compressed departure whose sum is known writes a record. A return
-// is quick when the page's record is still in the ring; only a hot page's
-// record — its last two returns were both quick — carries the plaintext. One
-// quick return predicts little: in a shuffled pass over more than memory
-// (fleet) a page that came back quickly was read late in one pass and early
-// in the next, so its next gap is long, and no such page comes back quickly
-// twice running. A page of a working set that fits (apps) does, and keeps
-// doing so. A workload that cycles through more than memory between returns
-// (a scan, a thrash) pays for ring writes and never for a page copy.
+// decoded. It is a ring of plainWindow records per frame in eviction order:
+// every compressed departure whose sum is known writes one, and it lives
+// until the page faults back in or plainWindow memories of later departures
+// overwrite it. Only a page whose stay began with a compression-cache hit
+// leaves its plaintext in the record: it has come back from the cache once,
+// so it belongs to a working set the cache holds, and it is likely to again.
+// A page that came cold, from a tier or through a fragment that failed its
+// check has shown no such thing. Plaintext slots number at most one per
+// frame; a hit page that departs while other records hold every slot keeps a
+// record without one, and no record gives its slot up for it.
 //
 // The record also holds the sum of the travel form the page left with.
 // restoreInto uses the plaintext only when the payload it has just verified
 // carries that same sum, so a tier that serves some other version of the page
 // is decoded as always.
 type plainMemo struct {
-	ring   []plainRecord // frames of them, allocated by the first departure
+	ring   []plainRecord // plainWindow × frames of them, allocated by the first departure
 	next   int32         // the record the next departure overwrites: the oldest
 	free   []int32       // plaintext slots not in use
 	chunks [][]byte      // plaintext slots, plainChunk bytes at a time
@@ -125,6 +121,12 @@ type plainRecord struct {
 	sum  uint32   // the travel form's checksum
 	slot int32    // the plaintext's slot, -1 for none
 }
+
+// plainWindow is how many memories of departures a record outlives. A
+// longer window finds more returning pages, but past eight their slots are
+// held by records whose pages never come back (DESIGN.md "Remembered forms,
+// both directions" has the sweep).
+const plainWindow = 8
 
 // plainChunk is how much plaintext storage grows by at a time; the last
 // chunk is cut short so there is never more than a slot per frame.
@@ -138,14 +140,15 @@ type plainForm struct {
 }
 
 // departPlain writes the record of a page that has just left memory with a
-// travel form of checksum sum, copying data — the page's bytes — when the page
-// is hot; heat is the page's memoQuick and memoHot bits from its stay. The
-// oldest record makes way: its page is no longer remembered.
-func (m *Machine) departPlain(p *vm.Page, data []byte, sum uint32, heat int32) {
+// travel form of checksum sum, copying data — the page's bytes — when hit is
+// memoHit and a slot is free. The oldest record makes way: its page is no
+// longer remembered, and its slot is free again.
+func (m *Machine) departPlain(p *vm.Page, data []byte, sum uint32, hit int32) {
 	pm := &m.plain
 	if pm.ring == nil {
-		pm.ring = make([]plainRecord, m.Pool.Total())
-		pm.free = make([]int32, 0, len(pm.ring))
+		frames := m.Pool.Total()
+		pm.ring = make([]plainRecord, plainWindow*frames)
+		pm.free = make([]int32, 0, frames)
 	}
 	i := pm.next
 	if pm.next++; int(pm.next) == len(pm.ring) {
@@ -159,30 +162,31 @@ func (m *Machine) departPlain(p *vm.Page, data []byte, sum uint32, heat int32) {
 		}
 	}
 	*r = plainRecord{page: p, sum: sum, slot: -1}
-	p.Memo = heat&memoQuick | (i + 1)
-	if heat&memoHot != 0 {
-		if len(pm.free) == 0 {
-			m.growPlain()
-		}
-		r.slot = pm.free[len(pm.free)-1]
-		pm.free = pm.free[:len(pm.free)-1]
-		copy(m.plainSlot(r.slot), data)
+	p.Memo = i + 1
+	if hit == 0 || len(pm.free) == 0 && !m.growPlain() {
+		return
 	}
+	r.slot = pm.free[len(pm.free)-1]
+	pm.free = pm.free[:len(pm.free)-1]
+	copy(m.plainSlot(r.slot), data)
 }
 
-// growPlain adds a chunk of plaintext slots. It runs only with every slot in
-// use, each by a live record other than the one being written, so fewer
-// than a slot per frame exist and the chunk holds at least one.
-func (m *Machine) growPlain() {
+// growPlain adds a chunk of plaintext slots, unless the chunks already hold
+// one per frame, and reports whether it did.
+func (m *Machine) growPlain() bool {
 	pm := &m.plain
 	ps := m.cfg.PageSize
 	per := max(1, plainChunk/ps)
-	have := len(pm.chunks) * per
-	n := min(per, len(pm.ring)-have)
+	have, frames := len(pm.chunks)*per, m.Pool.Total()
+	if have >= frames {
+		return false
+	}
+	n := min(per, frames-have)
 	pm.chunks = append(pm.chunks, make([]byte, n*ps))
 	for s := have + n - 1; s >= have; s-- {
 		pm.free = append(pm.free, int32(s))
 	}
+	return true
 }
 
 // plainSlot returns a plaintext slot's page of bytes.
@@ -193,29 +197,24 @@ func (m *Machine) plainSlot(slot int32) []byte {
 	return m.plain.chunks[int(slot)/per][off : off+ps]
 }
 
-// returnPlain takes a faulting page's record: its remembered plaintext, if
-// any, and the page's heat for this stay — memoQuick when the record was
-// still there at all, plus memoHot when the return before was quick too. The
-// slot is freed at once; its bytes stay put until the next departPlain, which
-// only PageOut calls, and PageIn is done with them by then.
-func (m *Machine) returnPlain(p *vm.Page) (form plainForm, heat int32) {
-	i := p.Memo&memoIndex - 1
+// returnPlain takes a faulting page's record and returns its remembered
+// plaintext, if any. The slot is freed at once; its bytes stay put until the
+// next departPlain, which only PageOut calls, and PageIn is done with them by
+// then.
+func (m *Machine) returnPlain(p *vm.Page) plainForm {
+	i := p.Memo - 1
 	if i < 0 {
-		return plainForm{}, 0
-	}
-	heat = memoQuick
-	if p.Memo&memoQuick != 0 {
-		heat |= memoHot
+		return plainForm{}
 	}
 	p.Memo = 0
 	pm := &m.plain
 	r := &pm.ring[i]
 	r.page = nil
-	if r.slot >= 0 {
-		pm.free = append(pm.free, r.slot)
-		form = plainForm{m.plainSlot(r.slot), r.sum}
+	if r.slot < 0 {
+		return plainForm{}
 	}
-	return form, heat
+	pm.free = append(pm.free, r.slot)
+	return plainForm{m.plainSlot(r.slot), r.sum}
 }
 
 // VerifyCompressMemo checks the memo against the codec it stands in for:
@@ -278,27 +277,22 @@ func (m *Machine) VerifyCompressMemo() error {
 	return err
 }
 
-// VerifyPlainMemo checks the plaintext memo: every live record names a page
-// that is not resident and names the record back, every non-resident page
-// that names a record is that record's page, no page came back quickly
-// before any left, a hot page's return was quick, no two records share a
-// plaintext slot, and slots in use plus free
-// slots are what the chunks hold — at most one per frame. Where
-// the memo could serve a page's next fault from the cache — the entry carries
-// the record's sum — the codec must decode the entry to the remembered
-// plaintext. Like VerifyCompressMemo it runs the codec, charges nothing, and
-// is for tests.
+// VerifyPlainMemo checks the plaintext memo: the ring holds plainWindow
+// records per frame, every live record names a page that is not resident and
+// names the record back, every non-resident page that names a record is that
+// record's page, only a resident page carries the hit bit, no two records
+// share a plaintext slot, and slots in use plus free slots are what the
+// chunks hold — at most one per frame. Where the memo could serve a page's
+// next fault from the cache — the entry carries the record's sum — the codec
+// must decode the entry to the remembered plaintext. Like VerifyCompressMemo
+// it runs the codec, charges nothing, and is for tests.
 func (m *Machine) VerifyPlainMemo() error {
 	pm := &m.plain
 	frames := m.Pool.Total()
-	quick := 0
 	named := 0
 	if err := m.eachPage(func(p *vm.Page) error {
 		if p.State == vm.Resident {
-			if p.Memo&memoQuick != 0 {
-				quick++
-			}
-			if p.Memo&^(memoQuick|memoHot|memoIndex) != 0 || p.Memo&(memoQuick|memoHot) == memoHot {
+			if p.Memo&^(memoHit|memoIndex) != 0 {
 				return fmt.Errorf("machine: plain memo: resident page %v has memo field %#x", p.Key, p.Memo)
 			}
 			return nil
@@ -307,23 +301,17 @@ func (m *Machine) VerifyPlainMemo() error {
 			return nil
 		}
 		named++
-		if p.Memo&^(memoQuick|memoIndex) != 0 {
+		if p.Memo&^memoIndex != 0 {
 			return fmt.Errorf("machine: plain memo: %v page %v has memo field %#x", p.State, p.Key, p.Memo)
 		}
-		if i := p.Memo&memoIndex - 1; i < 0 || int(i) >= len(pm.ring) || pm.ring[i].page != p {
+		if i := p.Memo - 1; int(i) >= len(pm.ring) || pm.ring[i].page != p {
 			return fmt.Errorf("machine: plain memo: %v page %v names record %d, which is not its own", p.State, p.Key, i)
 		}
 		return nil
-	}); err != nil {
+	}); err != nil || pm.ring == nil {
 		return err
 	}
-	if pm.ring == nil {
-		if quick > 0 {
-			return fmt.Errorf("machine: plain memo: %d resident pages came back quickly and no page ever left", quick)
-		}
-		return nil
-	}
-	if len(pm.ring) != frames || pm.next < 0 || int(pm.next) >= frames {
+	if len(pm.ring) != plainWindow*frames || pm.next < 0 || int(pm.next) >= len(pm.ring) {
 		return fmt.Errorf("machine: plain memo: ring of %d records (next %d) for %d frames", len(pm.ring), pm.next, frames)
 	}
 	ps := m.cfg.PageSize
@@ -353,7 +341,7 @@ func (m *Machine) VerifyPlainMemo() error {
 		}
 		live++
 		p := r.page
-		if p.State == vm.Resident || p.Memo&memoIndex != int32(i)+1 {
+		if p.State == vm.Resident || p.Memo != int32(i)+1 {
 			return fmt.Errorf("machine: plain memo: record %d names %v page %v, whose field says %d", i, p.State, p.Key, p.Memo)
 		}
 		if r.slot < 0 {

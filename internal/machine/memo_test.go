@@ -46,6 +46,7 @@ type memoRig struct {
 	// Over every machine the stream went through.
 	ops, lives, restores    int
 	recoveries              uint64
+	watched                 memoCounts
 	compressions, ran       uint64 // charged to the simulated machine; run by the host's codec
 	decompressions, decoded uint64 // likewise
 	codec, segCodec         *countedCodec
@@ -70,6 +71,7 @@ func (r *memoRig) boot() {
 		r.t.Fatal(err)
 	}
 	r.m = m
+	m.VM.SetPager(memoWatch{m, &r.watched})
 	r.seg[0] = m.NewSegment("a", memoPages*4096)
 	if r.seg[1], err = m.NewSegmentCodec("b", memoPages*4096, r.segCodec.Name()); err != nil {
 		r.t.Fatal(err)
@@ -203,18 +205,7 @@ func (r *memoRig) unpinOldest() {
 
 // clean flushes every dirty cache entry, so that a corrupt fragment read out
 // of the cache afterwards has a copy below to recover from.
-func (r *memoRig) clean() {
-	for {
-		n, err := r.m.CC.Clean()
-		if err != nil {
-			r.t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-	}
-	r.m.Drain()
-}
+func (r *memoRig) clean() { cleanAll(r.t, r.m) }
 
 // restore replaces the machine with its own snapshot, restored: the same
 // machine with nothing remembered.
@@ -231,6 +222,7 @@ func (r *memoRig) restore() {
 		r.t.Fatal("a restored machine remembers forms it never saw")
 	}
 	r.m = m
+	m.VM.SetPager(memoWatch{m, &r.watched})
 	for i, name := range []string{"a", "b"} {
 		var ok bool
 		if r.seg[i], ok = m.SpaceFor(name); !ok {
@@ -238,6 +230,40 @@ func (r *memoRig) restore() {
 		}
 	}
 	r.restores++
+}
+
+// memoWatch is a machine's pager, counting what the plaintext memo does
+// with each departure.
+type memoWatch struct {
+	*Machine
+	n *memoCounts
+}
+
+// memoCounts is what a memoWatch counts.
+type memoCounts struct {
+	copies   int // departures whose record holds the page's plaintext
+	slotless int // stays begun by a cache hit that departed with every slot taken
+	expired  int // records that expired while they held a slot
+}
+
+func (w memoWatch) PageOut(p *vm.Page, data []byte) error {
+	pm := &w.plain
+	expiring := pm.ring != nil && pm.ring[pm.next].page != nil && pm.ring[pm.next].slot >= 0
+	hit := p.Memo&memoHit != 0
+	err := w.Machine.PageOut(p, data)
+	if p.State == vm.Resident || p.Memo == 0 {
+		return err // no record written
+	}
+	if expiring {
+		w.n.expired++
+	}
+	switch {
+	case pm.ring[p.Memo-1].slot >= 0:
+		w.n.copies++
+	case hit:
+		w.n.slotless++
+	}
+	return err
 }
 
 // memoStream is a seeded op stream of n ops.
@@ -266,16 +292,65 @@ func TestCompressMemoAgainstCodec(t *testing.T) {
 	if r.restores == 0 {
 		t.Error("no snapshot→restore in mid-stream")
 	}
-	t.Logf("%d ops, %d machines, %d restores, %d recoveries; %d compressions, codec ran %d times; %d decompressions, codec decoded %d times",
-		r.ops, r.lives, r.restores, r.recoveries, r.compressions, r.ran, r.decompressions, r.decoded)
+	if r.watched.slotless == 0 {
+		t.Error("no page whose stay began with a cache hit departed with every plaintext slot taken")
+	}
+	t.Logf("%d ops, %d machines, %d restores, %d recoveries; %d compressions, codec ran %d times; %d decompressions, codec decoded %d times; %+v",
+		r.ops, r.lives, r.restores, r.recoveries, r.compressions, r.ran, r.decompressions, r.decoded, r.watched)
+}
+
+// memoPasses appends to ops passes of op over the first n pages of both
+// segments in turn (page 0 of a, page 0 of b, page 1 of a, ...). A random
+// stream restores or empties its machine every few dozen ops, long before
+// the plaintext ring wraps; plain passes run the memo short.
+func memoPasses(ops []byte, n, passes int, op byte) []byte {
+	for range passes {
+		for where := range 2 * n {
+			ops = append(ops, op, byte(where), 0, 0)
+		}
+	}
+	return ops
+}
+
+var (
+	// memoSlotless writes every page without changing its bytes, evicts
+	// them all into the cache and cleans it, so that a corrupt fragment is
+	// recovered from below instead of killing the machine. Then it reads
+	// every page: each comes back from the cache, and two memories of pages
+	// leave with their stays begun by a hit, more than there are slots.
+	memoSlotless = memoPasses(append(memoPasses(nil, memoPages, 1, 4), 14, 0, 0, 0, 14, 0, 1, 0), memoPages, 1, 0)
+	// memoExpiry goes on to cycle through the first two memories of pages
+	// (memoFrames of each segment): the last third, slots and all, is not
+	// touched again while more than a ring of records is written.
+	memoExpiry = memoPasses(memoSlotless, memoFrames, 5, 0)
+)
+
+// TestPlainMemoRunsShortOfSlots: the crafted streams reach the two moments
+// a plaintext slot is not to be had — a hit departure with every slot taken,
+// and a record that expires holding one — and both oracles hold through them.
+func TestPlainMemoRunsShortOfSlots(t *testing.T) {
+	r := newMemoRig(t, 4)
+	r.run(memoSlotless)
+	if r.watched.slotless == 0 {
+		t.Error("memoSlotless: no hit departure found every slot taken")
+	}
+	r = newMemoRig(t, 4)
+	r.run(memoExpiry)
+	if r.watched.expired == 0 {
+		t.Error("memoExpiry: no record expired holding a slot")
+	}
+	t.Logf("memoExpiry: %+v", r.watched)
 }
 
 // FuzzCompressMemo lets the fuzzer write the op stream. The corpus in
 // testdata holds streams that reach a recovery, a fatal fragment and a
-// restore within a few hundred ops.
+// restore within a few hundred ops; memoSlotless and memoExpiry run the
+// plaintext memo out of slots.
 func FuzzCompressMemo(f *testing.F) {
 	f.Add(memoStream(1, 64))
 	f.Add(memoStream(2, 512))
+	f.Add(memoSlotless)
+	f.Add(memoExpiry)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > memoMaxOps*memoOpBytes {
 			ops = ops[:memoMaxOps*memoOpBytes]
@@ -302,17 +377,15 @@ func TestPlainMemoDecodesAStaleTier(t *testing.T) {
 	newer := bytes.Repeat([]byte("newer "), 4096/6+1)[:4096]
 
 	s.Write(0, older)
-	evict(t, m, p) // into the cache, with a record that carries no plaintext
-	s.Touch(0, false)
-	evict(t, m, p) // back within the ring once: quick, still no plaintext
-	if p.Memo&memoIndex == 0 || m.plain.ring[p.Memo&memoIndex-1].slot >= 0 {
-		t.Fatal("a page that came straight back once left with its plaintext remembered")
+	evict(t, m, p) // into the cache from a cold stay: a record that carries no plaintext
+	if plainSlotOf(t, m, p) >= 0 {
+		t.Fatal("a page whose stay began cold left with its plaintext remembered")
 	}
-	s.Touch(0, false)
+	s.Touch(0, false) // a cache hit
 	s.Write(0, newer)
-	evict(t, m, p) // back within the ring twice running: hot, so the plaintext is remembered
-	if p.Memo&memoIndex == 0 || m.plain.ring[p.Memo&memoIndex-1].slot < 0 {
-		t.Fatal("a page that came straight back twice left without its plaintext remembered")
+	evict(t, m, p) // a stay that began with a cache hit: the plaintext is remembered
+	if plainSlotOf(t, m, p) < 0 {
+		t.Fatal("a page whose stay began with a cache hit left without its plaintext remembered")
 	}
 
 	// The cache loses the entry and the tier holds the older version, in a
@@ -339,6 +412,108 @@ func TestPlainMemoDecodesAStaleTier(t *testing.T) {
 	if err := m.VerifyPlainMemo(); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPlainMemoAdmitsCacheHitsOnly: a departing page's plaintext is copied
+// only when its stay began with a compression-cache hit. A stay that began
+// cold, in a tier, or with a cache fragment that failed its check and was
+// recovered from below leaves a record without plaintext. Over a shuffled
+// run through three memories of pages, each copy stands for a stay that began
+// with a hit, so there are no more copies than hits.
+func TestPlainMemoAdmitsCacheHitsOnly(t *testing.T) {
+	m := newMachine(t, ccConfig())
+	s := m.NewSegment("heap", 4*4096)
+	p := s.seg.Page(0)
+	s.Write(0, bytes.Repeat([]byte("plain "), 4096/6+1)[:4096])
+	departs := func(why string, want bool) {
+		t.Helper()
+		evict(t, m, p)
+		if got := plainSlotOf(t, m, p) >= 0; got != want {
+			t.Fatalf("a stay that began %s: plaintext remembered %v, want %v", why, got, want)
+		}
+		if err := m.VerifyPlainMemo(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	departs("cold", false)
+
+	// The entry is written back and reclaimed: the next fault reads the store.
+	cleanAll(t, m)
+	m.CC.Drop(p.Key)
+	m.entryDropped(p.Key)
+	s.Touch(0, false)
+	if m.Stats().VM.SwapIns != 1 {
+		t.Fatal("the page did not come back from the store")
+	}
+	departs("in a tier", false)
+
+	s.Touch(0, false)
+	if m.Stats().VM.CacheHits != 1 {
+		t.Fatal("the page did not come back from the cache")
+	}
+	departs("with a cache hit", true)
+
+	// The entry is clean, so a fragment that fails its check is recovered
+	// from the store.
+	cleanAll(t, m)
+	cdata, _, _ := m.CC.Peek(p.Key)
+	cdata[0] ^= 0xff
+	s.Touch(0, false)
+	if m.Faults().Recoveries != 1 {
+		t.Fatal("the corrupt fragment was not recovered from below")
+	}
+	departs("with a corrupt fragment", false)
+
+	m = newMachine(t, ccConfig())
+	var n memoCounts
+	m.VM.SetPager(memoWatch{m, &n})
+	pages := 3 * m.Pool.Total()
+	s = m.NewSegment("heap", int64(pages)*4096)
+	fillHalfRandom(s)
+	rng := rand.New(rand.NewSource(1))
+	for pass := 0; pass < 4; pass++ {
+		for _, i := range rng.Perm(pages) {
+			s.Touch(int32(i), rng.Intn(4) == 0)
+		}
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyPlainMemo(); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if n.copies == 0 || st.VM.SwapIns == 0 {
+		t.Fatalf("%d copies, %d swap-ins: the run never took the paths it is about", n.copies, st.VM.SwapIns)
+	}
+	if uint64(n.copies) > st.VM.CacheHits {
+		t.Errorf("%d plaintext copies for %d cache hits", n.copies, st.VM.CacheHits)
+	}
+	t.Logf("%d cache hits, %d swap-ins; %+v", st.VM.CacheHits, st.VM.SwapIns, n)
+}
+
+// cleanAll writes every dirty cache entry back to the store.
+func cleanAll(t testing.TB, m *Machine) {
+	t.Helper()
+	for {
+		n, err := m.CC.Clean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+	}
+	m.Drain()
+}
+
+// plainSlotOf is the plaintext slot of a departed page's record, -1 for none.
+func plainSlotOf(t *testing.T, m *Machine, p *vm.Page) int32 {
+	t.Helper()
+	if p.State == vm.Resident || p.Memo == 0 {
+		t.Fatalf("page %v (%v) departed without a plaintext record", p.Key, p.State)
+	}
+	return m.plain.ring[p.Memo-1].slot
 }
 
 // evict pushes one resident page out of memory.
