@@ -86,6 +86,39 @@ func lzHash(v uint32) uint32 {
 
 // Compress appends the LZRW1-compressed form of src to dst.
 func (LZRW1) Compress(dst, src []byte) []byte {
+	if len(src) <= lzNarrowInput {
+		return lzCompress[uint16](dst, src, nil, 0)
+	}
+	return lzCompress[uint32](dst, src, nil, 0)
+}
+
+// CompressFrom appends to dst what Compress(dst, src) appends, reusing prev,
+// the compressed form of an earlier version of src that agrees with it in its
+// first same bytes: whenever prev is Compress(nil, old) and old[:same] equals
+// src[:same], the result is byte for byte Compress(dst, src). Other prev
+// bytes give unspecified output, but never a panic or a write past what
+// Compress would claim.
+//
+// The parse of src reaches the same state as the parse of old at every group
+// boundary before the first item that could read a byte at or past same, so
+// CompressFrom copies prev up to the last such boundary, rebuilds the hash
+// table from the item positions there, and parses the rest as Compress does
+// (DESIGN.md "Codecs").
+func (LZRW1) CompressFrom(dst, src, prev []byte, same int) []byte {
+	if len(src) <= lzNarrowInput {
+		return lzCompress[uint16](dst, src, prev, same)
+	}
+	return lzCompress[uint32](dst, src, prev, same)
+}
+
+// lzNarrowInput is the longest input whose positions all fit the 16-bit hash
+// table, half the size of the 32-bit one that longer stream blocks need.
+const lzNarrowInput = 1 << 16
+
+// lzCompress is Compress and CompressFrom, over a hash table of positions of
+// type T; prev is nil, or the compressed form to resume from (see
+// CompressFrom).
+func lzCompress[T uint16 | uint32](dst, src, prev []byte, same int) []byte {
 	base, n := len(dst), len(src)
 	if n == 0 {
 		return append(dst, flagCompress)
@@ -102,8 +135,14 @@ func (LZRW1) Compress(dst, src []byte) []byte {
 	// position 0 the offset is 0, which is rejected, and anywhere later a
 	// match needs the three bytes at 0 to equal the three at pos, so both
 	// hash to this slot — which position 0 wrote before any other.
-	var table [lzHashSize]int32
+	var table [lzHashSize]T
 	pos, o := 0, base+1
+	if prev != nil {
+		var in int
+		if pos, in = lzResume(&table, src, prev, same); in > 0 {
+			o += copy(buf[o:], prev[1:1+in])
+		}
+	}
 
 	// Whole groups: sixteen items look at less than lzGroupSpan bytes of src
 	// (the last starts at most 15*18 bytes in and reaches lzReach further)
@@ -118,7 +157,7 @@ func (LZRW1) Compress(dst, src []byte) []byte {
 			v := binary.LittleEndian.Uint32(cur[:4])
 			h := lzHash(v)
 			cand := int(table[h])
-			table[h] = int32(pos)
+			table[h] = T(pos)
 			off := pos - cand
 			old := (*[lzReach]byte)(src[cand : cand+lzReach : cand+lzReach])
 			if (v^binary.LittleEndian.Uint32(old[:4]))<<8 != 0 || uint(off-1) >= lzMaxOff {
@@ -166,7 +205,7 @@ func (LZRW1) Compress(dst, src []byte) []byte {
 		if pos+lzMinMatch <= n {
 			h := lzHash(uint32(src[pos]) | uint32(src[pos+1])<<8 | uint32(src[pos+2])<<16)
 			cand := int(table[h])
-			table[h] = int32(pos)
+			table[h] = T(pos)
 			off := pos - cand
 			if uint(off-1) < lzMaxOff &&
 				src[cand] == src[pos] && src[cand+1] == src[pos+1] && src[cand+2] == src[pos+2] {
@@ -194,6 +233,50 @@ func (LZRW1) Compress(dst, src []byte) []byte {
 	}
 	buf[base] = flagCompress
 	return buf[:o]
+}
+
+// lzResume walks prev, a block Compress made of an earlier version of src
+// that agrees with src in its first same bytes, a 16-item group at a time,
+// hashing each group's item positions into table as Compress did. It stops at
+// the first group whose last item could read a byte at or past same — an
+// item reads less than lzReach bytes from where it starts — and at one that
+// prev cuts short or that would bring the output to the budget, and returns
+// the position in src and the offset in prev's body where that group starts.
+// Up to there the parse of src is the parse of old: the same items, the same
+// table, and no budget check that fails.
+func lzResume[T uint16 | uint32](table *[lzHashSize]T, src, prev []byte, same int) (pos, in int) {
+	if len(prev) == 0 || prev[0] != flagCompress {
+		return 0, 0
+	}
+	body := prev[1:]
+	same = min(same, len(src))
+	var at [lzGroupItems]int // the group's item positions
+	for in+2 <= len(body) {
+		control := uint(body[in]) | uint(body[in+1])<<8
+		j, p := in+2, pos
+		for k := range at {
+			if j >= len(body) {
+				return pos, in
+			}
+			at[k] = p
+			if control&1 != 0 {
+				p += int(body[j]&0x0F) + lzMinMatch
+				j += 2
+			} else {
+				p++
+				j++
+			}
+			control >>= 1
+		}
+		if at[lzGroupItems-1]+lzReach > same || j > len(body) || j >= len(src) {
+			return pos, in
+		}
+		for _, q := range at {
+			table[lzHash(binary.LittleEndian.Uint32(src[q:]))] = T(q)
+		}
+		pos, in = p, j
+	}
+	return pos, in
 }
 
 func storedBlock(dst, src []byte) []byte {

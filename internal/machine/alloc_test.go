@@ -265,13 +265,14 @@ func steadyCycle(t *testing.T, writes bool) {
 func TestSteadyStateReadCycleZeroAllocs(t *testing.T)    { steadyCycle(t, false) }
 func TestSteadyStateDirtyRewriteZeroAllocs(t *testing.T) { steadyCycle(t, true) }
 
-// countedCodec is a registered codec that counts its Compress and
+// countedCodec is a registered codec that counts its compressions and
 // Decompress calls, so a row can tell the compressions and decompressions the
 // simulated machine was charged for (Comp.Compressions, Comp.Decompressions)
-// from the ones the host's codec actually ran.
+// from the ones the host's codec actually ran. It resumes where the codec it
+// wraps can (resumer), and counts those compressions apart as well.
 type countedCodec struct {
 	compress.Codec
-	calls, decodes atomic.Uint64
+	calls, resumes, decodes atomic.Uint64
 }
 
 func (c *countedCodec) Name() string { return "counted-" + c.Codec.Name() }
@@ -281,17 +282,37 @@ func (c *countedCodec) Compress(dst, src []byte) []byte {
 	return c.Codec.Compress(dst, src)
 }
 
+func (c *countedCodec) CompressFrom(dst, src, prev []byte, same int) []byte {
+	r, ok := c.Codec.(resumer)
+	if !ok {
+		return c.Compress(dst, src)
+	}
+	c.calls.Add(1)
+	c.resumes.Add(1)
+	return r.CompressFrom(dst, src, prev, same)
+}
+
 func (c *countedCodec) Decompress(dst, src []byte) ([]byte, error) {
 	c.decodes.Add(1)
 	return c.Codec.Decompress(dst, src)
 }
 
-// Calls reports the Compress calls so far; a nil codec has made none.
+// Calls reports the compressions so far, resumed or not; a nil codec has
+// made none.
 func (c *countedCodec) Calls() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.calls.Load()
+}
+
+// Resumes reports how many of the compressions so far resumed from an
+// earlier compressed form; a nil codec has made none.
+func (c *countedCodec) Resumes() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.resumes.Load()
 }
 
 // Decodes reports the Decompress calls so far; a nil codec has made none.

@@ -6,18 +6,37 @@ import "compcache/internal/vm"
 // before each page-in and each eviction from now on, so that every
 // compression and every decompression runs the codec, as it did before the
 // memos existed. It is the control of the indistinguishability test and
-// exists in test binaries only: the machine has no such setting.
-func (m *Machine) ForgetMemos() { m.VM.SetPager(amnesiac{m}) }
+// exists in test binaries only: the machine has no such setting. The pager it
+// installs counts the evictions made while a page-in was under way.
+func (m *Machine) ForgetMemos() *Amnesiac {
+	a := &Amnesiac{Machine: m}
+	m.VM.SetPager(a)
+	return a
+}
 
-type amnesiac struct{ *Machine }
+// Amnesiac is the pager ForgetMemos installs.
+type Amnesiac struct {
+	*Machine
+	paging bool // inside PageIn
 
-func (a amnesiac) PageOut(p *vm.Page, data []byte) error {
+	// EvictedMidPageIn counts the evictions made inside a page-in: the
+	// neighbours a tier restore brings along can take frames from other
+	// pages before the faulting page is resident.
+	EvictedMidPageIn int
+}
+
+func (a *Amnesiac) PageOut(p *vm.Page, data []byte) error {
+	if a.paging {
+		a.EvictedMidPageIn++
+	}
 	a.forget()
 	return a.Machine.PageOut(p, data)
 }
 
-func (a amnesiac) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
+func (a *Amnesiac) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 	a.forget()
+	a.paging = true
+	defer func() { a.paging = false }()
 	return a.Machine.PageIn(p, data)
 }
 

@@ -17,7 +17,9 @@ import (
 // codec for every compression and every decompression. Nothing the simulated
 // machine can report may tell them apart: the statistics with the metrics
 // registry in them, the virtual clock, the snapshot bytes. The host can: the
-// first machine's codec has to have compressed and decoded less.
+// first machine's codec has to have compressed and decoded less, and on
+// gold's phase, whose index pages go out dirty, to have resumed compressing
+// pages from the forms they came in with, where the second never can.
 func TestCompressMemoIsInvisible(t *testing.T) {
 	codec := machine.Counted("")
 	cfg := machine.Default(64 * 4096).WithCC()
@@ -41,11 +43,12 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 				Phase: workload.GoldWarm, Seed: 3}
 		},
 	}
-	var ran, decoded [2]uint64
+	var ran, resumed, decoded [2]uint64
 	for _, phase := range phases {
 		name := phase().Name()
+		var phaseResumed [2]uint64
 		for i, m := range []*machine.Machine{asBuilt, forgetful} {
-			before, decodes := codec.Calls(), codec.Decodes()
+			before, resumes, decodes := codec.Calls(), codec.Resumes(), codec.Decodes()
 			if err := phase().Run(m); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -53,7 +56,12 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			ran[i] += codec.Calls() - before
+			phaseResumed[i] = codec.Resumes() - resumes
+			resumed[i] += phaseResumed[i]
 			decoded[i] += codec.Decodes() - decodes
+		}
+		if _, gold := phase().(*workload.Gold); gold && phaseResumed[0] == 0 {
+			t.Errorf("%s: the machine as built never resumed a compression", name)
 		}
 		if a, b := asBuilt.Stats(), forgetful.Stats(); !reflect.DeepEqual(a, b) {
 			t.Errorf("after %s the statistics differ:\nas built:\n%v\nforgetful:\n%v", name, a, b)
@@ -88,5 +96,43 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 		t.Errorf("%d decompressions: the codec decoded %d times on the forgetful machine (want all of them) and %d times on the machine as built (want fewer)",
 			comp.Decompressions, decoded[1], decoded[0])
 	}
-	t.Logf("codec compressed %d times as built, %d forgetful; decoded %d times as built, %d forgetful", ran[0], ran[1], decoded[0], decoded[1])
+	if resumed[1] != 0 {
+		t.Errorf("the forgetful machine resumed %d compressions from forms it had forgotten", resumed[1])
+	}
+	t.Logf("codec compressed %d times as built (%d resumed), %d forgetful; decoded %d times as built, %d forgetful", ran[0], resumed[0], ran[1], decoded[0], decoded[1])
+}
+
+// TestForgetfulMachineKeepsItsMemosStraight: the forgetful machine is the
+// control above, so its memos have to stay as sound as the machine's. On the
+// clustered store with prefetch on, a page restored from the store brings its
+// neighbours along, and caching them can evict other pages — each eviction
+// making the forgetful pager walk every page — before the faulting page is
+// resident. By then the page must not name its compressed-form slot: the
+// walk would take the slot for a plaintext record, leak the slot and free
+// another record's.
+func TestForgetfulMachineKeepsItsMemosStraight(t *testing.T) {
+	m, err := machine.New(machine.Default(64 * 4096).WithCC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgetful := m.ForgetMemos()
+	for _, w := range []workload.Workload{
+		&workload.Thrasher{Pages: 512, Passes: 4, CompressTarget: 0.5, Seed: 3},
+		&workload.Gold{Messages: 400, WordsPerMessage: 16, VocabWords: 300, Queries: 300,
+			Phase: workload.GoldWarm, Seed: 3},
+	} {
+		if err := w.Run(m); err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if err := m.VerifyCompressMemo(); err != nil {
+			t.Errorf("after %s: %v", w.Name(), err)
+		}
+		if err := m.VerifyPlainMemo(); err != nil {
+			t.Errorf("after %s: %v", w.Name(), err)
+		}
+	}
+	if forgetful.EvictedMidPageIn == 0 {
+		t.Error("no page was evicted while another was being restored")
+	}
+	t.Logf("%d evictions inside a page-in", forgetful.EvictedMidPageIn)
 }

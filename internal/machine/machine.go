@@ -485,9 +485,9 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	var hit int32
 	if m.CC != nil {
 		// The page is leaving memory, so its remembered compressed form goes
-		// whichever way it leaves; only a page still clean may use it. Its
-		// plaintext is remembered on the way out if its stay began with a
-		// cache hit.
+		// whichever way it leaves; a page still clean uses it as it is, a
+		// dirty one as where to resume compressing from. Its plaintext is
+		// remembered on the way out if its stay began with a cache hit.
 		memo, sum := m.recall(p)
 		hit, p.Memo = p.Memo&memoHit, 0
 
@@ -503,15 +503,18 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			}
 			return nil
 		}
+		// A dirty page's remembered form is of the bytes it came in with,
+		// which it still holds up to the first word written since.
+		var prev []byte
 		if p.Dirty {
-			memo = nil
+			memo, prev = nil, memo
 		}
 
 		// Compress once, then decide the page's fate: the cache keeps it if
 		// it fits, otherwise it goes to the first tier below that takes it —
 		// raw when it missed the 4:3 threshold and the compression effort was
 		// wasted (§5.2).
-		cdata, keep := m.compress(p.Key, data, memo)
+		cdata, keep := m.compress(p.Key, data, memo, prev, int(p.Unwritten)*8)
 		if keep {
 			if memo == nil {
 				sum = core.Checksum(cdata)
@@ -553,15 +556,22 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 // clears the keep threshold. Insert copies into a cache-owned slab and a
 // Tier copies what it keeps, so the buffer is free again by the time the
 // caller returns. A non-nil memo is what the codec would make of data (see
-// compressMemo): the simulated machine compresses all the same — every charge
-// and counter below — and only the host skips the work.
-func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, keep bool) {
+// compressMemo); a non-nil prev is what it made of bytes that agree with data
+// in their first same, and a codec that can resumes from it. The simulated
+// machine compresses in full all the same — every charge and counter below —
+// and only the host skips the work.
+func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) (cdata []byte, keep bool) {
 	m.Clock.Charge(sim.CauseCompress, m.cfg.Cost.CompressCost(len(data)))
 	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
 	m.comp.Compressions++
 	m.comp.BytesIn += uint64(len(data))
 	if cdata = memo; cdata == nil {
-		cdata = m.codecFor(key.Seg).Compress(m.compBuf[:0], data)
+		codec := m.codecFor(key.Seg)
+		if r, ok := codec.(resumer); ok && prev != nil && same > 0 {
+			cdata = r.CompressFrom(m.compBuf[:0], data, prev, same)
+		} else {
+			cdata = codec.Compress(m.compBuf[:0], data)
+		}
 		m.compBuf = cdata[:0]
 	}
 	m.comp.BytesOut += uint64(len(cdata))
@@ -572,6 +582,15 @@ func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, k
 	m.comp.CompressibleIn += uint64(len(data))
 	m.comp.CompressibleOut += uint64(len(cdata))
 	return cdata, true
+}
+
+// resumer is a codec that can compress a page again from the compressed form
+// of an earlier version that agrees with it in a prefix, without parsing that
+// prefix afresh: CompressFrom appends Compress(dst, src)'s bytes whenever prev
+// is Compress(nil, old) and old[:same] equals src[:same] (compress.LZRW1 is
+// one). A codec without it compresses in full.
+type resumer interface {
+	CompressFrom(dst, src, prev []byte, same int) []byte
 }
 
 // putBelow offers a page leaving memory to each tier in order — fleet memory
@@ -622,7 +641,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			m.faults.CorruptCache(cdata)
 			err := m.restoreInto(data, cdata, true, sum, p.Key, known)
 			if err == nil {
-				m.remember(p, cdata, sum, memoHit)
+				p.Memo = m.remember(cdata, sum, memoHit)
 				// The entry is retained and backs the resident copy, so the
 				// page itself is clean; SwapValid tracks whether the entry
 				// has been persisted. Modifying the page invalidates the
@@ -661,18 +680,20 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 		if err != nil {
 			return 0, unrecoverable(p.Key, l.name+" read failed", err)
 		}
+		var memo int32
 		if l.raw {
 			m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy) // the tier filled the frame
 		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key, known); err != nil {
 			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		} else if compressed {
-			m.remember(p, payload, sum, 0)
+			memo = m.remember(payload, sum, 0)
 		}
 		p.Dirty = false
 		p.SwapValid = true
 		if len(along) > 0 && !m.cfg.CC.DisablePrefetch {
 			m.insertNeighbors(along)
 		}
+		p.Memo = memo
 		return l.src, nil
 	}
 	return 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
@@ -730,12 +751,11 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 
 // Dirtied invalidates stale lower-level copies when a clean resident page is
 // first modified: the retained compression-cache entry and the copy in any
-// tier below both go stale at that moment, and so does the remembered
-// compressed form.
+// tier below both go stale at that moment. The remembered compressed form
+// stays: PageOut resumes from it (see compress).
 func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
-		m.recall(p)
 	}
 	for i := range m.below {
 		m.below[i].tier.Invalidate(p.Key)
@@ -764,7 +784,7 @@ func (f fsBlockCache) Store(fileID int32, block int64, data []byte) (bool, error
 	if m.CC.Has(key) {
 		return true, nil // still-valid compressed copy from an earlier eviction
 	}
-	cdata, keep := m.compress(key, data, nil)
+	cdata, keep := m.compress(key, data, nil, nil, 0)
 	if !keep {
 		return false, nil
 	}

@@ -28,12 +28,14 @@ const (
 	memoIndex = memoHit - 1
 )
 
-// compressMemo remembers, for resident pages not modified since PageIn
-// restored them, the compressed payload they were restored from and its
-// verified checksum. Compress is a pure function of a page's bytes, so while
-// the bytes cannot change that payload is what the codec would produce again,
-// and PageOut takes it from here instead of running the codec — and the sum
-// instead of running the CRC.
+// compressMemo remembers, for resident pages PageIn restored from a
+// compressed payload, that payload and its verified checksum. Compress is a
+// pure function of a page's bytes, so while the page is clean the payload is
+// what the codec would produce again, and PageOut takes it from here instead
+// of running the codec — and the sum instead of running the CRC. Once the
+// page is dirty the payload is still what the codec made of its bytes up to
+// the first word written since (vm.Page.Unwritten), and PageOut has a codec
+// that can resume from there.
 type compressMemo struct {
 	slots []memoSlot // frames of them
 	free  []int32    // slot numbers not in use
@@ -47,14 +49,18 @@ type memoSlot struct {
 }
 
 // remember copies the compressed payload PageIn has just verified against sum
-// and decoded into a slot for the page, and marks the page with hit: memoHit
-// when the payload was a compression-cache entry, 0 when a tier served it.
-// PageIn runs for non-resident pages only and every PageOut gives the page's
-// slot back, so the page has none yet and, at a slot per frame, one is free.
-// A payload longer than a slot never entered the cache or a tier compressed.
-// A page left without a slot is simply compressed again.
-func (m *Machine) remember(p *vm.Page, payload []byte, sum uint32, hit int32) {
-	p.Memo = hit
+// and decoded into a slot for the faulting page, and returns what the page's
+// memo field is to say: the slot, and hit — memoHit when the payload was a
+// compression-cache entry, 0 when a tier served it. PageIn runs for
+// non-resident pages only and every PageOut gives the page's slot back, so
+// the page has none yet and, at a slot per frame, one is free. A payload
+// longer than a slot never entered the cache or a tier compressed. A page
+// left without a slot is simply compressed again.
+//
+// PageIn writes the field only once nothing else can run before the page is
+// resident: until then the field still reads as a plaintext record (see
+// memoHit), and a tier restore's prefetch may evict other pages first.
+func (m *Machine) remember(payload []byte, sum uint32, hit int32) int32 {
 	mm := &m.memo
 	size := m.cfg.keepThreshold()
 	if mm.slab == nil {
@@ -67,12 +73,12 @@ func (m *Machine) remember(p *vm.Page, payload []byte, sum uint32, hit int32) {
 		}
 	}
 	if len(mm.free) == 0 || len(payload) > size {
-		return
+		return hit
 	}
 	at := mm.free[len(mm.free)-1]
 	mm.free = mm.free[:len(mm.free)-1]
 	mm.slots[at] = memoSlot{int32(copy(mm.slab[int(at)*size:], payload)), sum}
-	p.Memo |= at + 1
+	return hit | (at + 1)
 }
 
 // recall frees the resident page's slot and returns what it held, nil when
@@ -218,13 +224,14 @@ func (m *Machine) returnPlain(p *vm.Page) plainForm {
 }
 
 // VerifyCompressMemo checks the memo against the codec it stands in for:
-// every remembered page is resident and clean, its slot holds exactly what
-// its segment's codec makes of the frame's bytes now and that payload's
-// checksum, no two pages share a slot, and slots in use plus free slots are
-// the machine's frames. It runs the codec once per remembered page, so it is
-// not part of CheckInvariants — the perf ledger times that call once per leg,
-// and 256 recompressions there would cost the fleet workload about 4 % —
-// tests call it directly. Nor does it charge the machine for them: an audit
+// every remembered page is resident, its slot holds that payload's checksum
+// and exactly what its segment's codec makes of the frame's bytes now — of
+// the bytes it decodes to, for a dirty page, which must equal the frame's in
+// the page's unwritten prefix — no two pages share a slot, and slots in use
+// plus free slots are the machine's frames. It runs the codec once per
+// remembered page, so it is not part of CheckInvariants — the perf ledger
+// times that call once per leg, and 256 recompressions there would cost the
+// fleet workload about 4 % — tests call it directly. Nor does it charge the machine for them: an audit
 // that moved the clock would change the run it audits.
 func (m *Machine) VerifyCompressMemo() error {
 	mm := &m.memo
@@ -260,10 +267,19 @@ func (m *Machine) VerifyCompressMemo() error {
 			return fmt.Errorf("machine: compress memo: page %v: slot %d claims %d bytes", p.Key, at, s.n)
 		}
 		held := mm.slab[int(at)*size:][:s.n]
+		codec, frame := m.codecFor(p.Key.Seg), m.Pool.Bytes(p.Frame)
 		if p.Dirty {
-			return fmt.Errorf("machine: compress memo: page %v remembered while dirty", p.Key)
+			// The frame has moved on from the bytes the slot was made of, but
+			// not in its unwritten prefix, and the slot is still what the
+			// codec makes of those bytes.
+			old, err := codec.Decompress(nil, held)
+			same := int(p.Unwritten) * 8
+			if err != nil || len(old) != len(frame) || !bytes.Equal(old[:same], frame[:same]) {
+				return fmt.Errorf("machine: compress memo: dirty page %v: slot's %d bytes do not decode to the frame's first %d (%v)", p.Key, s.n, same, err)
+			}
+			frame = old
 		}
-		if want := m.codecFor(p.Key.Seg).Compress(nil, m.Pool.Bytes(p.Frame)); !bytes.Equal(want, held) {
+		if want := codec.Compress(nil, frame); !bytes.Equal(want, held) {
 			return fmt.Errorf("machine: compress memo: page %v: slot holds %d bytes that are not what the codec makes of the frame (%d bytes)", p.Key, s.n, len(want))
 		}
 		if core.Checksum(held) != s.sum {

@@ -18,6 +18,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -61,10 +62,21 @@ func (s PageState) String() string {
 }
 
 // Page is one virtual page's bookkeeping. The Pager may read and write the
-// exported fields; the VM owns State, Frame and the LRU links.
+// exported fields; the VM owns State, Unwritten, Frame and the LRU links.
 type Page struct {
 	Key   swap.PageKey
 	State PageState
+
+	// Unwritten counts the 8-byte words at the start of the page that no
+	// write has reached since the page last became resident: a fault sets it
+	// to the whole page (at most 65 535 words), a byte or word write within
+	// one page lowers it to at most the word the write starts in, and a Touch
+	// for writing or a write that spans pages sets it to 0. It never counts a
+	// written word, so a pager may take those bytes as the ones PageIn
+	// produced. Like Memo it fills padding and a snapshot does not carry it:
+	// a restored page reads 0.
+	Unwritten uint16
+
 	Frame mem.FrameID
 
 	// Dirty reports that the resident copy has been modified since it was
@@ -321,20 +333,18 @@ func (v *VM) Touch(s *Segment, n int32, write bool) (*Page, error) {
 	p := s.Page(n)
 	if p.State == Resident {
 		v.lruTouch(p)
-		if write {
-			v.markWritten(p)
-		}
-		return p, nil
-	}
-	if err := v.fault(p); err != nil {
+	} else if err := v.fault(p); err != nil {
 		return nil, err
 	}
 	if write {
+		p.Unwritten = 0
 		v.markWritten(p)
 	}
 	return p, nil
 }
 
+// markWritten records a write to resident page p; the caller lowers
+// p.Unwritten, which would put this over the inliner's budget.
 func (v *VM) markWritten(p *Page) {
 	p.EverWritten = true
 	if !p.Dirty {
@@ -391,6 +401,7 @@ func (v *VM) fault(p *Page) error {
 	}
 	p.Frame = frame
 	p.State = Resident
+	p.Unwritten = uint16(min(len(data)/8, math.MaxUint16))
 	v.lruAppend(p)
 	svc := time.Duration(v.clock.Now() - t0)
 	v.faultHist.Observe(svc)
@@ -664,6 +675,7 @@ func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp
 		return err
 	}
 	if write {
+		p.Unwritten = min(p.Unwritten, uint16(in/8))
 		v.markWritten(p)
 	}
 	b := v.pool.Bytes(p.Frame)[in : in+n]
