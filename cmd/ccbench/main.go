@@ -20,6 +20,10 @@
 // uses one worker per core, 1 forces serial execution. Every machine runs
 // on its own virtual clock with its own cloned workload, so the output is
 // byte-for-byte identical at any -j.
+//
+// -cpuprofile writes a host CPU profile of the run (for go tool pprof), each
+// sample labelled with the experiment it was taken in, worker goroutines
+// included.
 package main
 
 import (
@@ -29,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -40,7 +45,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the whole command: it runs the selected experiments, prints their
 // tables on stdout and returns the exit status — 0 done, 1 an experiment
 // failed, 2 a usage error (with the message on stderr).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs := flag.NewFlagSet("ccbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scaleFlag := fs.String("scale", "small", "experiment scale: small or paper")
@@ -51,6 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultRate := fs.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
 	hostTiming := fs.Bool("host-timing", false, "measure host-clock columns (codec sweep ns/op); nondeterministic, off by default")
 	tracePath := fs.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the run to this file, its samples labelled by experiment")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -98,10 +104,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.HostTiming = *hostTiming
 	opts.TracePath = *tracePath
 
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return fail(1, err)
+		}
+		defer func() {
+			if err := stop(); err != nil && status == 0 {
+				status = fail(1, err)
+			}
+		}()
+	}
+
 	ctx := context.Background()
 	start := time.Now() //cclint:ignore walltime -- deliberate host-time reading: the closing line reports how long the suite took on this machine, never a simulated cost
 	for _, e := range experiments {
-		res, err := e.Run(ctx, opts)
+		var res exp.Result
+		pprof.Do(ctx, pprof.Labels("experiment", e.Name()), func(ctx context.Context) {
+			res, err = e.Run(ctx, opts)
+		})
 		if err != nil {
 			return fail(1, err)
 		}
@@ -117,4 +138,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "ccbench: %d experiment(s) at %s scale in %v (host time)\n",
 		len(experiments), scale, elapsed)
 	return 0
+}
+
+// startCPUProfile starts a host CPU profile written to path; the returned
+// stop ends it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }

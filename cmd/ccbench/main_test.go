@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,5 +80,22 @@ func TestRunCSVHostTimeIsTheOnlyHostLine(t *testing.T) {
 	_, second, _ := ccbench(t, "-run", "fig1a", "-format", "csv", "-j", "1")
 	if virtual(first) != virtual(second) {
 		t.Errorf("two runs differ outside the host-time line:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// TestCPUProfileIsWritten: -cpuprofile leaves a gzipped profile behind and
+// changes nothing else; a profile that cannot be created fails the run.
+func TestCPUProfileIsWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	status, out, errs := ccbench(t, "-run", "fig1a", "-cpuprofile", path)
+	if status != 0 || errs != "" || !strings.Contains(out, "Figure 1(a)") {
+		t.Fatalf("-cpuprofile: exit %d, stderr %q, stdout %.80q", status, errs, out)
+	}
+	if b, err := os.ReadFile(path); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("profile: %d bytes, %v; want a non-empty gzipped profile", len(b), err)
+	}
+	status, _, errs = ccbench(t, "-run", "fig1a", "-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof"))
+	if status != 1 || !strings.Contains(errs, "cpu.pprof") {
+		t.Errorf("unwritable profile: exit %d, stderr %q; want 1 and the path", status, errs)
 	}
 }

@@ -29,17 +29,21 @@
 // configuration. With -crash-at-write the reboot's recovery report takes the
 // statistics block's place and the views describe the rebooted machine.
 // Everything printed is in virtual time and deterministic for a fixed seed.
+// -cpuprofile writes a host CPU profile of the run (for go tool pprof), its
+// samples labelled by workload and leg: the run, and the reboot after a cut.
 package main
 
 import (
 	"bufio"
 	"cmp"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"maps"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -47,6 +51,7 @@ import (
 	"compcache/internal/fault"
 	"compcache/internal/machine"
 	"compcache/internal/obs"
+	"compcache/internal/stats"
 	"compcache/internal/swap"
 	"compcache/internal/trace"
 	"compcache/internal/workload"
@@ -80,6 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&f.views.summary, "summary", false, "print per-class event counts and the metrics snapshot")
 	fs.StringVar(&f.views.classes, "classes", "all", "event classes to trace, comma-separated (see obs docs); 'all' or 'none'")
 	fs.IntVar(&f.views.ring, "ring", 0, "event ring capacity (0 = default; oldest events drop beyond it)")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a host CPU profile of the run to this file, its samples labelled by workload and leg (run, reboot)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -93,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if f.info != "" {
 		err = writeInfo(out, f.info)
 	} else {
-		err = f.simulate(out)
+		err = f.profiled(out)
 	}
 	if err = errors.Join(err, out.Flush()); err != nil {
 		fmt.Fprintln(stderr, "ccsim:", err)
@@ -110,6 +116,7 @@ type flags struct {
 	seed                  int64
 	crashAt               uint64
 	record, replay, info  string
+	cpuProfile            string
 	views                 obsOptions
 }
 
@@ -178,6 +185,29 @@ func (f *flags) config() machine.Config {
 	return cfg
 }
 
+// profiled is simulate under the host CPU profile -cpuprofile asks for.
+func (f *flags) profiled(out io.Writer) error {
+	if f.cpuProfile == "" {
+		return f.simulate(out)
+	}
+	file, err := os.Create(f.cpuProfile)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(file); err != nil {
+		return errors.Join(err, file.Close())
+	}
+	err = f.simulate(out)
+	pprof.StopCPUProfile()
+	return errors.Join(err, file.Close())
+}
+
+// leg runs fn with its host CPU samples labelled by the workload and the
+// leg of the run (the run itself, or the reboot after a power cut).
+func leg(w workload.Workload, name string, fn func()) {
+	pprof.Do(context.Background(), pprof.Labels("workload", w.Name(), "leg", name), func(context.Context) { fn() })
+}
+
 // simulate makes the run the flags describe and prints its report.
 func (f *flags) simulate(out io.Writer) error {
 	var w workload.Workload
@@ -203,7 +233,9 @@ func (f *flags) simulate(out io.Writer) error {
 	}
 
 	cfg := f.config()
-	m, st, err := workload.MeasureMachine(cfg, w, opts...)
+	var m *machine.Machine
+	var st stats.Run
+	leg(w, "run", func() { m, st, err = workload.MeasureMachine(cfg, w, opts...) })
 	if f.crashAt > 0 {
 		// The armed power cut fires mid-run; any other failure is the run's.
 		if err != nil && !fault.IsCrash(err) {
@@ -235,12 +267,18 @@ func (f *flags) simulate(out io.Writer) error {
 		fmt.Fprintf(out, "power cut at device write %d, %v into the run\n\n", f.crashAt, m.Elapsed())
 		reboot := cfg
 		reboot.Faults = nil
-		if shown, err = machine.NewFromMedia(reboot, m.FS.Image(), opts...); err != nil {
+		var verr error
+		leg(w, "reboot", func() {
+			if shown, err = machine.NewFromMedia(reboot, m.FS.Image(), opts...); err == nil {
+				verr = shown.VerifyRecovery(m)
+			}
+		})
+		if err != nil {
 			return fmt.Errorf("reboot failed: %w", err)
 		}
 		fmt.Fprintln(out, "reboot:", shown.Introspect().Recovery)
-		if err := shown.VerifyRecovery(m); err != nil {
-			return fmt.Errorf("recovery verification FAILED: %w", err)
+		if verr != nil {
+			return fmt.Errorf("recovery verification FAILED: %w", verr)
 		}
 		fmt.Fprintln(out, "recovery verified: no acknowledged-durable page lost, no torn fragment served")
 	}

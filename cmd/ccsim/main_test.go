@@ -269,3 +269,24 @@ func TestHelpNamesEveryCodec(t *testing.T) {
 		t.Errorf("-h does not offer %q:\n%s", want, errs)
 	}
 }
+
+// TestCPUProfileIsWritten: -cpuprofile leaves a gzipped profile behind and
+// changes nothing the run prints, in a plain run and across a reboot; a
+// profile that cannot be created fails the run.
+func TestCPUProfileIsWritten(t *testing.T) {
+	for _, args := range [][]string{{"-cc"}, {"-cc", "-crash-at-write", "20"}} {
+		path := filepath.Join(t.TempDir(), "cpu.pprof")
+		_, plain, _ := ccsim(args...)
+		status, out, errs := ccsim(append(args, "-cpuprofile", path)...)
+		if status != 0 || errs != "" || out != plain {
+			t.Fatalf("%v -cpuprofile: exit %d, stderr %q, output equal to the unprofiled run's %t", args, status, errs, out == plain)
+		}
+		if b, err := os.ReadFile(path); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%v: profile of %d bytes, %v; want a non-empty gzipped profile", args, len(b), err)
+		}
+	}
+	status, _, errs := ccsim("-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof"))
+	if status != 1 || !strings.Contains(errs, "cpu.pprof") {
+		t.Errorf("unwritable profile: exit %d, stderr %q; want 1 and the path", status, errs)
+	}
+}

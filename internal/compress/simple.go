@@ -18,6 +18,11 @@ func (Null) Name() string { return "null" }
 // MaxCompressedSize reports n+4 (length header plus the raw bytes).
 func (Null) MaxCompressedSize(n int) int { return n + 4 }
 
+// CompressedLen reports n+4, the length of Compress's output for any n-byte
+// input, without producing it: a stored block's length depends on its
+// input's length alone.
+func (Null) CompressedLen(n int) int { return n + 4 }
+
 // Compress appends a stored block to dst.
 func (Null) Compress(dst, src []byte) []byte {
 	var hdr [4]byte

@@ -492,6 +492,33 @@ func (f *File) RawRead(p []byte, off int64, n int) error {
 	return nil
 }
 
+// RawView is RawRead without the copy: when [off, off+n) lies in one
+// platter block it charges the device exactly as RawRead does and returns
+// that block's own bytes, with ok set. The view is read-only and valid until
+// the file's next write or truncation. A range that crosses a block boundary
+// charges nothing and reports ok=false: the caller reads it with RawRead. A
+// device error is RawRead's, with ok set and nothing lent.
+func (f *File) RawView(off int64, n int) (view []byte, ok bool, err error) {
+	bs := int64(f.fs.opts.BlockSize)
+	in := off % bs
+	if in+int64(n) > bs {
+		return nil, false, nil
+	}
+	f.fs.checkRaw(off, n)
+	if err := f.fs.disk.Read(f.base+off, n); err != nil {
+		return nil, true, err
+	}
+	return f.platterBlock(off / bs)[in : in+int64(n) : in+int64(n)], true, nil
+}
+
+// RawReadStaged is RawRead without the copy, for a caller that reads the
+// bytes it needs afterwards with ReadStaged: it makes RawRead's geometry
+// check and device charge, and returns its error.
+func (f *File) RawReadStaged(off int64, n int) error {
+	f.fs.checkRaw(off, n)
+	return f.fs.disk.Read(f.base+off, n)
+}
+
 // RawWrite synchronously writes n bytes from p at off, bypassing the cache.
 func (f *File) RawWrite(p []byte, off int64, n int) error {
 	f.fs.checkRaw(off, n)

@@ -483,3 +483,87 @@ func TestImageSizeBoundedByWrittenExtent(t *testing.T) {
 		t.Errorf("honest image refused: %v", err)
 	}
 }
+
+// TestRawViewMatchesRawRead: RawView and RawReadStaged are RawRead without
+// the copy. On twin file systems fed the same transfers they leave the same
+// disk statistics and clock as RawRead, RawView's bytes are RawRead's, a
+// range across a block boundary is refused without a charge, and an injected
+// read error surfaces as RawRead's does, with nothing lent.
+func TestRawViewMatchesRawRead(t *testing.T) {
+	for _, partial := range []bool{false, true} {
+		type twin struct {
+			f     *File
+			d     *disk.Disk
+			clock *sim.Clock
+		}
+		newTwin := func(readErrors float64) twin {
+			fsys, d, clock, _ := newTestFS(t, Options{AllowPartialIO: partial})
+			in, err := fault.New(fault.Config{Seed: 4, ReadErrorRate: readErrors}, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetFaultInjector(in)
+			f := fsys.Create("swap")
+			data := make([]byte, 4*4096)
+			rand.New(rand.NewSource(8)).Read(data)
+			if err := f.RawWrite(data, 0, len(data)); err != nil {
+				t.Fatal(err)
+			}
+			return twin{f, d, clock}
+		}
+		same := func(what string, a, b twin) {
+			t.Helper()
+			if a.d.Stats() != b.d.Stats() || a.clock.Now() != b.clock.Now() {
+				t.Errorf("partial %t, %s: stats %+v at %v, RawRead's %+v at %v",
+					partial, what, b.d.Stats(), b.clock.Now(), a.d.Stats(), a.clock.Now())
+			}
+		}
+		copied, lent, staged := newTwin(0), newTwin(0), newTwin(0)
+		spans := [][2]int64{{0, 4096}, {8192, 4096}, {4096, 4096}}
+		if partial {
+			spans = append(spans, [2]int64{512, 1024}, [2]int64{4096 + 3072, 1024})
+		}
+		for _, s := range spans {
+			off, n := s[0], int(s[1])
+			got := make([]byte, n)
+			if err := copied.f.RawRead(got, off, n); err != nil {
+				t.Fatal(err)
+			}
+			view, ok, err := lent.f.RawView(off, n)
+			if !ok || err != nil || !bytes.Equal(view, got) || cap(view) != n {
+				t.Fatalf("partial %t: RawView(%d, %d) = %d bytes (cap %d), %t, %v; want RawRead's %d bytes, true, nil",
+					partial, off, n, len(view), cap(view), ok, err, n)
+			}
+			if err := staged.f.RawReadStaged(off, n); err != nil {
+				t.Fatal(err)
+			}
+			same("RawView", copied, lent)
+			same("RawReadStaged", copied, staged)
+		}
+
+		// Across a block boundary: nothing charged, nothing lent.
+		before, at := lent.d.Stats(), lent.clock.Now()
+		off := int64(4096 - lent.f.fs.rawGran)
+		if view, ok, err := lent.f.RawView(off, int(2*lent.f.fs.rawGran)); ok || view != nil || err != nil {
+			t.Errorf("partial %t: RawView across a block boundary = %d bytes, %t, %v; want nothing, false, nil", partial, len(view), ok, err)
+		}
+		if lent.d.Stats() != before || lent.clock.Now() != at {
+			t.Errorf("partial %t: a refused RawView charged the device", partial)
+		}
+
+		// An injected read error: the same error and charge as RawRead's.
+		copied, lent, staged = newTwin(1), newTwin(1), newTwin(1)
+		errRead := copied.f.RawRead(make([]byte, 4096), 0, 4096)
+		view, ok, errView := lent.f.RawView(0, 4096)
+		errStaged := staged.f.RawReadStaged(0, 4096)
+		if errRead == nil || !ok || view != nil || errView == nil || errView.Error() != errRead.Error() {
+			t.Errorf("partial %t: RawView under a read error = %d bytes, %t, %v; want nothing, true and RawRead's %v",
+				partial, len(view), ok, errView, errRead)
+		}
+		if errStaged == nil || errStaged.Error() != errRead.Error() {
+			t.Errorf("partial %t: RawReadStaged under a read error = %v, want RawRead's %v", partial, errStaged, errRead)
+		}
+		same("RawView under a read error", copied, lent)
+		same("RawReadStaged under a read error", copied, staged)
+	}
+}

@@ -1,6 +1,9 @@
 package machine
 
-import "compcache/internal/vm"
+import (
+	"compcache/internal/compress"
+	"compcache/internal/vm"
+)
 
 // ForgetMemos makes m forget every remembered form, in both directions,
 // before each page-in and each eviction from now on, so that every
@@ -55,3 +58,9 @@ func (m *Machine) forget() {
 
 // Counted is the counting codec of alloc_test.go for the external tests.
 var Counted = counted
+
+// SetCodec makes m compress and decompress with c in place of the codec its
+// configuration names, which still stands in every snapshot's fingerprint.
+// c must be that codec in another guise (machine.Counted's wrapper): a test
+// compares the two machines byte for byte.
+func (m *Machine) SetCodec(c compress.Codec) { m.codec = c }

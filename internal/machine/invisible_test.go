@@ -136,3 +136,54 @@ func TestForgetfulMachineKeepsItsMemosStraight(t *testing.T) {
 	}
 	t.Logf("%d evictions inside a page-in", forgetful.EvictedMidPageIn)
 }
+
+// TestNullLengthAnswerIsInvisible: the null codec's output length is fixed,
+// so the machine does not run it on a page it already knows misses the keep
+// threshold. A write thrash several times the size of memory, every page of
+// it sent below raw, runs on a machine with the bare null codec and on one
+// whose codec is the counting wrapper, which hides the length answer and so
+// compresses every page. Nothing the simulated machine reports may tell them
+// apart — the statistics with the metrics registry, the clock, the snapshot
+// bytes — while the wrapper shows every compression the bare codec skipped.
+func TestNullLengthAnswerIsInvisible(t *testing.T) {
+	codec := machine.Counted("null")
+	cfg := machine.Default(64 * 4096).WithCC()
+	cfg.CC.Codec = "null"
+	build := func() *machine.Machine {
+		m, err := machine.New(cfg, machine.WithObs(obs.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	bare, wrapped := build(), build()
+	wrapped.SetCodec(codec)
+	before := codec.Calls()
+	for _, m := range []*machine.Machine{bare, wrapped} {
+		if err := (&workload.Thrasher{Pages: 512, Write: true, Passes: 2, Seed: 3}).Run(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := bare.Stats(), wrapped.Stats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("the statistics differ:\nbare:\n%v\nwrapped:\n%v", a, b)
+	}
+	if a, b := bare.Elapsed(), wrapped.Elapsed(); a != b {
+		t.Errorf("the virtual clocks differ: %v bare, %v wrapped", a, b)
+	}
+	a, err := bare.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wrapped.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("the snapshots differ (%d and %d bytes)", len(a), len(b))
+	}
+	comp := bare.Stats().Comp
+	if ran := codec.Calls() - before; comp.Compressions == 0 || ran != comp.Compressions || comp.Incompressible != comp.Compressions {
+		t.Errorf("%d compressions, %d incompressible: the wrapped codec ran %d times; want every compression run, and missing the threshold",
+			comp.Compressions, comp.Incompressible, ran)
+	}
+}

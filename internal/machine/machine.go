@@ -557,9 +557,11 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 // Tier copies what it keeps, so the buffer is free again by the time the
 // caller returns. A non-nil memo is what the codec would make of data (see
 // compressMemo); a non-nil prev is what it made of bytes that agree with data
-// in their first same, and a codec that can resumes from it. The simulated
-// machine compresses in full all the same — every charge and counter below —
-// and only the host skips the work.
+// in their first same, and a codec that can resumes from it. A codec whose
+// output length is fixed (fixedLen) and misses the threshold is not run at
+// all: cdata is nil, and the caller sends data on raw. The simulated machine
+// compresses in full all the same — every charge and counter below — and
+// only the host skips the work.
 func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) (cdata []byte, keep bool) {
 	m.Clock.Charge(sim.CauseCompress, m.cfg.Cost.CompressCost(len(data)))
 	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
@@ -567,6 +569,13 @@ func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) 
 	m.comp.BytesIn += uint64(len(data))
 	if cdata = memo; cdata == nil {
 		codec := m.codecFor(key.Seg)
+		if f, ok := codec.(fixedLen); ok {
+			if n := f.CompressedLen(len(data)); n > m.cfg.keepThreshold() {
+				m.comp.BytesOut += uint64(n)
+				m.comp.Incompressible++
+				return nil, false
+			}
+		}
 		if r, ok := codec.(resumer); ok && prev != nil && same > 0 {
 			cdata = r.CompressFrom(m.compBuf[:0], data, prev, same)
 		} else {
@@ -591,6 +600,14 @@ func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) 
 // one). A codec without it compresses in full.
 type resumer interface {
 	CompressFrom(dst, src, prev []byte, same int) []byte
+}
+
+// fixedLen is a codec whose output length depends on its input's length
+// alone: CompressedLen(n) is len(Compress(nil, src)) for every n-byte src
+// (compress.Null is one). When that length misses the keep threshold the
+// output would only be discarded, so the host does not produce it.
+type fixedLen interface {
+	CompressedLen(n int) int
 }
 
 // putBelow offers a page leaving memory to each tier in order — fleet memory

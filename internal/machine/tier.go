@@ -31,7 +31,8 @@ type Tier interface {
 	// is the frame the fault is filling: a tier that keeps whole pages may
 	// deliver straight into it and return it as the payload, every other
 	// tier ignores it. along lists pages the transfer brought with it for
-	// free. The returned slices are borrowed until the tier's next call.
+	// free. The returned slices are borrowed until the tier's next call and
+	// read-only: they may be the store's own media.
 	// (Pieces, not a swap.Item: see DESIGN.md "The raw link".)
 	Get(key swap.PageKey, page []byte) (payload []byte, compressed bool, sum uint32, along []swap.Item, ok bool, err error)
 
@@ -97,6 +98,7 @@ type clusteredTier struct {
 	*swap.Clustered
 	faults *fault.Injector
 	one    [1]swap.Item // single-item WriteCluster batch
+	buf    []byte       // a compressed payload's copy, for the injector to corrupt
 }
 
 // Put implements Tier. WriteCluster serializes into its own cluster buffer,
@@ -109,10 +111,14 @@ func (t *clusteredTier) Put(it swap.Item) error {
 	return err
 }
 
-// Get implements Tier.
+// Get implements Tier. The store may lend its platter bytes, which must not
+// change: on a machine with an injector, a compressed payload is copied
+// before the injector draws, whether or not it then corrupts the copy.
 func (t *clusteredTier) Get(key swap.PageKey, _ []byte) ([]byte, bool, uint32, []swap.Item, bool, error) {
 	data, sum, compressed, along, ok, err := t.Read(key)
-	if compressed {
+	if compressed && t.faults != nil {
+		t.buf = append(t.buf[:0], data...)
+		data = t.buf
 		t.faults.CorruptSwap(data)
 	}
 	return data, compressed, sum, along, ok, err

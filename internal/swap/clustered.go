@@ -112,8 +112,9 @@ type Clustered struct {
 	bus   *obs.Bus
 	clock *sim.Clock // event timestamps only; the fs layer charges the I/O
 
-	// readBuf and readNbrs back the slices Read returns; they are reused on
-	// the next Read, which is why Read's results are borrow-only.
+	// readBuf and readNbrs back the slices Read returns when it does not lend
+	// the platter; they are reused on the next Read, which is why Read's
+	// results are borrow-only.
 	readBuf  []byte
 	readNbrs []Item
 
@@ -304,21 +305,26 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 	// page map, so a failed write leaves the old copies authoritative. The
 	// buffer is reused, so what the placements leave alone (padding gaps, the
 	// record's fragments, the whole-block tail) is zeroed: the platter must
-	// hold deterministic zeroes there, not stale bytes.
+	// hold deterministic zeroes there, not stale bytes. A lone item that is
+	// the whole cluster — a raw page with no commit record — has nothing
+	// around it to zero, and is written from the caller's buffer.
 	n := int(total) * c.cfg.FragSize
-	if cap(c.writeBuf) < n {
-		c.writeBuf = make([]byte, n)
-	}
-	buf := c.writeBuf[:n]
-	end := 0
-	for _, p := range placements {
-		off := int(p.rel) * c.cfg.FragSize
-		clear(buf[end:off])
-		end = off + copy(buf[off:], p.item.Data)
-	}
-	clear(buf[end:])
-	if c.cfg.CommitRecords {
-		ccrEncode(buf[int(recRel)*c.cfg.FragSize:], c.seq, start, recFrags, placements)
+	buf := items[0].Data
+	if len(items) > 1 || recFrags > 0 || len(buf) != n {
+		if cap(c.writeBuf) < n {
+			c.writeBuf = make([]byte, n)
+		}
+		buf = c.writeBuf[:n]
+		end := 0
+		for _, p := range placements {
+			off := int(p.rel) * c.cfg.FragSize
+			clear(buf[end:off])
+			end = off + copy(buf[off:], p.item.Data)
+		}
+		clear(buf[end:])
+		if c.cfg.CommitRecords {
+			ccrEncode(buf[int(recRel)*c.cfg.FragSize:], c.seq, start, recFrags, placements)
+		}
 	}
 	off := int64(start) * int64(c.cfg.FragSize)
 	var err error
@@ -414,14 +420,17 @@ func (c *Clustered) alloc(n int32, blockAligned bool) int32 {
 // the device reads every block the page's fragments touch, and every other
 // page wholly contained in those blocks is returned as a neighbor — an Item
 // carrying the checksum recorded when that page was stored (the caller
-// typically inserts neighbors into the compression cache as clean pages). It reports ok=false if the page is not stored. The returned sum is
-// the integrity checksum recorded when the page was stored; the caller
-// verifies it after any decompression-side corruption checks.
+// typically inserts neighbors into the compression cache as clean pages). It
+// reports ok=false if the page is not stored. The returned sum is the
+// integrity checksum recorded when the page was stored; the caller verifies
+// it after any decompression-side corruption checks.
 //
-// The returned data and neighbor Data slices are views into a per-device
-// read buffer that the next Read call reuses: callers must copy anything
-// they retain before reading again (they may mutate the views in place,
-// e.g. for fault injection, until then).
+// The returned data and neighbor Data slices are read-only views, valid until
+// the store's next write or Read. A read that lies in one file block and
+// brings no neighbors lends the platter block itself (fs.File.RawView); any
+// other is copied into a read buffer the next Read reuses. Neighbors are
+// never lent: a caller caching them can trigger a flush, and the flush a
+// compaction that rewrites the platter under views not yet consumed.
 func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool, neighbors []Item, ok bool, err error) {
 	e, found := c.extents.Get(key)
 	if !found {
@@ -432,26 +441,22 @@ func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool,
 	byteLen := int(e.nfrags) * c.cfg.FragSize
 
 	if c.fsys.AllowPartialIO() {
-		buf := c.readBytes(byteLen)
-		if err := c.file.RawRead(buf, fragOff, byteLen); err != nil {
+		buf, err := c.readSpan(fragOff, byteLen, true)
+		if err != nil {
 			return nil, 0, false, nil, true, err
 		}
 		return buf[:e.length], e.sum, e.compressed, nil, true, nil
 	}
 
 	// Whole-block mode: read all covering blocks. A page that spans a block
-	// boundary costs a two-block read (§4.3).
+	// boundary costs a two-block read (§4.3). The neighbors are found first,
+	// from the page map alone, to know whether the read may be lent; their
+	// views point into the read buffer, which the read fills when it does
+	// not lend.
 	bs := int64(c.blockSize)
 	b0 := fragOff / bs
 	b1 := (fragOff + int64(byteLen) + bs - 1) / bs
-	buf := c.readBytes(int((b1 - b0) * bs))
-	if err := c.file.RawRead(buf, b0*bs, len(buf)); err != nil {
-		return nil, 0, false, nil, true, err
-	}
-	rel := fragOff - b0*bs
-	data = buf[rel : rel+int64(e.length)]
-
-	// Collect neighbors: pages whose extents lie wholly inside [b0, b1).
+	own := c.readBytes(int((b1 - b0) * bs))
 	neighbors = c.readNbrs[:0]
 	firstFrag := int32(b0 * bs / int64(c.cfg.FragSize))
 	lastFrag := int32(b1 * bs / int64(c.cfg.FragSize))
@@ -466,7 +471,7 @@ func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool,
 		nrel := int64(ne.start)*int64(c.cfg.FragSize) - b0*bs
 		neighbors = append(neighbors, Item{
 			Key:        nk,
-			Data:       buf[nrel : nrel+int64(ne.length)],
+			Data:       own[nrel : nrel+int64(ne.length)],
 			Compressed: ne.compressed,
 			Sum:        ne.sum,
 		})
@@ -475,15 +480,24 @@ func (c *Clustered) Read(key PageKey) (data []byte, sum uint32, compressed bool,
 	if len(neighbors) == 0 {
 		neighbors = nil
 	}
-	return data, e.sum, e.compressed, neighbors, true, nil
+	buf, err := c.readSpan(b0*bs, len(own), neighbors == nil)
+	if err != nil {
+		return nil, 0, false, nil, true, err
+	}
+	rel := fragOff - b0*bs
+	return buf[rel : rel+int64(e.length)], e.sum, e.compressed, neighbors, true, nil
 }
 
-// startsAt returns the live extent whose first fragment is f, if there is
-// one (see byStart).
-func (c *Clustered) startsAt(f int32) (PageKey, extent, bool) {
-	key := c.byStart[f]
-	e, ok := c.extents.Get(key)
-	return key, e, ok && e.start == f
+// readSpan reads n bytes at off: lent from the platter when lend is set and
+// the span lies in one block, otherwise copied into the read buffer.
+func (c *Clustered) readSpan(off int64, n int, lend bool) ([]byte, error) {
+	if lend {
+		if view, ok, err := c.file.RawView(off, n); ok {
+			return view, err
+		}
+	}
+	buf := c.readBytes(n)
+	return buf, c.file.RawRead(buf, off, n)
 }
 
 // readBytes returns the reusable read buffer grown to n bytes.
@@ -492,6 +506,14 @@ func (c *Clustered) readBytes(n int) []byte {
 		c.readBuf = make([]byte, n)
 	}
 	return c.readBuf[:n]
+}
+
+// startsAt returns the live extent whose first fragment is f, if there is
+// one (see byStart).
+func (c *Clustered) startsAt(f int32) (PageKey, extent, bool) {
+	key := c.byStart[f]
+	e, ok := c.extents.Get(key)
+	return key, e, ok && e.start == f
 }
 
 // maybeGC compacts the swap file when garbage (holes plus padding) exceeds

@@ -129,10 +129,9 @@ type LFS struct {
 
 	// Cleaner scratch, reused across passes so steady-state cleaning
 	// allocates nothing: recycled segment bookkeeping objects and the
-	// page-copy/segment-sweep buffers.
-	segPool  []*lfsSegment
-	copyBuf  []byte
-	sweepBuf []byte
+	// page-copy buffer.
+	segPool []*lfsSegment
+	copyBuf []byte
 }
 
 // lfsState is the store's replay state: everything a snapshot carries.
@@ -487,12 +486,10 @@ func (l *LFS) clean() (bool, error) {
 		}
 		seg := l.segs[v]
 		if seg.live > 0 {
-			// One sequential sweep reads the whole victim segment.
+			// One sequential sweep reads the whole victim segment; the live
+			// pages are then taken from the media image it paid for.
 			n := len(seg.pages) * l.cfg.PageSize
-			if cap(l.sweepBuf) < n {
-				l.sweepBuf = make([]byte, n)
-			}
-			if err := l.file.RawRead(l.sweepBuf[:n], l.dataOff(v, 0), n); err != nil {
+			if err := l.file.RawReadStaged(l.dataOff(v, 0), n); err != nil {
 				return freed, err
 			}
 			for idx, key := range seg.pages {

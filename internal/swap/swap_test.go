@@ -785,3 +785,57 @@ func newFSQuick() (*fs.FS, *disk.Disk, *sim.Clock) {
 	fsys, _ := fs.New(fs.Options{BlockSize: 4096}, d, &clock, pool)
 	return fsys, d, &clock
 }
+
+// TestReadLendsOnlyWithoutNeighbors: a Read that brings neighbors returns
+// them, and the page, from the store's read buffer, which only the next Read
+// writes. A caller caching the neighbors one at a time may flush into the
+// store and so compact it, rewriting platter blocks in place, before it
+// reaches the last neighbor; the neighbors must not change under it. A Read
+// that brings none lends the platter block itself, valid only until the
+// store's next write.
+func TestReadLendsOnlyWithoutNeighbors(t *testing.T) {
+	c, _, _ := newClustered(t, fs.Options{}, ClusterConfig{GCTriggerFrac: 0.01})
+	var items []Item
+	for i := int32(0); i < 4; i++ { // one block of four one-fragment pages
+		items = append(items, Item{Key: PageKey{1, i}, Data: page(int64(i), 1000), Compressed: true})
+	}
+	writeCluster(t, c, items, false)
+	items = items[:0]
+	for i := int32(0); i < 32; i++ { // a cluster's worth of garbage to be
+		items = append(items, Item{Key: PageKey{2, i}, Data: page(int64(i)+50, 1000), Compressed: true})
+	}
+	writeCluster(t, c, items, false)
+
+	_, _, nbrs, _ := readC(t, c, PageKey{1, 0})
+	if len(nbrs) != 3 {
+		t.Fatalf("%d neighbors, want 3", len(nbrs))
+	}
+	// Free page 1 and the garbage: the next write compacts the store, and
+	// the dense rewrite moves pages 2 and 3 down over page 1's fragment.
+	c.Invalidate(PageKey{1, 1})
+	for i := int32(0); i < 32; i++ {
+		c.Invalidate(PageKey{2, i})
+	}
+	lone := Item{Key: PageKey{3, 0}, Data: page(77, 4096)}
+	writeCluster(t, c, []Item{lone}, false)
+	if c.Stats().GCs != 1 {
+		t.Fatalf("%d compactions, want the write to have compacted once", c.Stats().GCs)
+	}
+	for _, n := range nbrs {
+		if !bytes.Equal(n.Data, page(int64(n.Key.Page), 1000)) {
+			t.Errorf("neighbor %v is not what was stored once the store has compacted", n.Key)
+		}
+	}
+
+	// The lone raw page is lent: rewriting its block shows through the view.
+	data, _, nb, _ := readC(t, c, lone.Key)
+	if nb != nil || !bytes.Equal(data, lone.Data) {
+		t.Fatalf("lone page read back with %d neighbors, equal %t", len(nb), bytes.Equal(data, lone.Data))
+	}
+	c.Invalidate(lone.Key)
+	next := Item{Key: PageKey{3, 1}, Data: page(78, 4096)}
+	writeCluster(t, c, []Item{next}, false)
+	if !bytes.Equal(data, next.Data) {
+		t.Error("a read with no neighbors was copied, not lent: the next write into its block did not show through")
+	}
+}
