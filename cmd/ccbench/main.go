@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	format := fs.String("format", "text", "output format for tables: text or csv")
 	jobs := fs.Int("j", 0, "max concurrent simulated machines (0 = one per core, 1 = serial); output is identical at any value")
 	faultRate := fs.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
-	hostTiming := fs.Bool("host-timing", false, "measure host-clock columns (codec sweep ns/op); nondeterministic, off by default")
 	tracePath := fs.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the run to this file, its samples labelled by experiment")
 	if err := fs.Parse(args); err != nil {
@@ -101,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	opts := exp.DefaultOptions(scale)
 	opts.Parallelism = *jobs
 	opts.FaultRate = *faultRate
-	opts.HostTiming = *hostTiming
 	opts.TracePath = *tracePath
 
 	if *cpuProfile != "" {
@@ -120,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	start := time.Now() //cclint:ignore walltime -- deliberate host-time reading: the closing line reports how long the suite took on this machine, never a simulated cost
 	for _, e := range experiments {
 		var res exp.Result
-		pprof.Do(ctx, pprof.Labels("experiment", e.Name()), func(ctx context.Context) {
+		pprof.Do(ctx, pprof.Labels("experiment", e.Name), func(ctx context.Context) {
 			res, err = e.Run(ctx, opts)
 		})
 		if err != nil {

@@ -44,6 +44,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-j", "many"}, `invalid value "many"`},
 		{[]string{"-exp", "fig1a"}, "flag provided but not defined: -exp"},
 		{[]string{"-faults"}, "flag provided but not defined: -faults"},
+		{[]string{"-host-timing"}, "flag provided but not defined: -host-timing"},
 	} {
 		status, out, errs := ccbench(t, c.args...)
 		if status != 2 || out != "" || !strings.Contains(errs, c.want) {

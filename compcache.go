@@ -43,6 +43,8 @@
 package compcache
 
 import (
+	"context"
+
 	"compcache/internal/exp"
 	"compcache/internal/machine"
 	"compcache/internal/netdev"
@@ -106,8 +108,6 @@ func RunBoth(base, cc Config, w Workload, opts ...MachineOption) (Comparison, er
 
 // Experiments.
 type (
-	// Fig3Options sizes the Figure 3 sweep.
-	Fig3Options = exp.Fig3Options
 	// Fig3Result is the §5.1 thrasher sweep (Figure 3).
 	Fig3Result = exp.Fig3Result
 	// Experiment is one registered, runnable experiment.
@@ -120,11 +120,14 @@ type (
 // uses the paper's sizes.
 const SmallScale = exp.Small
 
-// DefaultFig3Options sizes the Figure 3 sweep for a scale.
-func DefaultFig3Options(s exp.Scale) Fig3Options { return exp.DefaultFig3Options(s) }
-
 // Fig3 regenerates Figure 3: the thrasher sweep.
-func Fig3(opts Fig3Options) (*Fig3Result, error) { return exp.Fig3(opts) }
+func Fig3(ctx context.Context, o ExperimentOptions) (*Fig3Result, error) {
+	res, err := exp.Fig3(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+	return res.(*Fig3Result), nil
+}
 
 // Experiments returns every registered experiment in name order: every
 // table, figure, ablation and extension study (ccbench -list).

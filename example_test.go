@@ -97,8 +97,7 @@ func Example_quickstart() {
 // without the cache (Figure 3; ccbench -run fig3 prints both panels, and
 // with -scale paper sweeps the paper's 2-40 MB on a 6 MB machine).
 func Example_thrasher() {
-	opts := compcache.DefaultFig3Options(compcache.SmallScale)
-	res, err := compcache.Fig3(opts)
+	res, err := compcache.Fig3(context.Background(), compcache.DefaultExperimentOptions(compcache.SmallScale))
 	if err != nil {
 		panic(err)
 	}
@@ -301,8 +300,9 @@ func Example_fleet() {
 	// fleet virtual time: 2m7.68018685s
 }
 
-// Every table, figure, ablation and extension study is registered behind
-// one interface and dispatched by name (ccbench -list / -run).
+// Every table, figure, ablation and extension study is one registry entry —
+// a name and a function of the shared options — dispatched by name
+// (ccbench -list / -run).
 func Example_experiments() {
 	fmt.Println(len(compcache.Experiments()), "experiments registered")
 	e, ok := compcache.LookupExperiment("ext/model-validation")

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"compcache/internal/machine"
@@ -11,16 +12,18 @@ import (
 // Ablations quantify the design decisions §4 argues for. Each returns a
 // Table comparing a design variant against the paper's configuration. Every
 // ablation builds its full grid of independent (configuration, workload)
-// runs up front and fans them out across up to workers concurrent machines
+// runs up front and fans them out across up to Options.Parallelism machines
 // (0 = one per core, 1 = serial); rows always assemble in grid order, so
 // the tables are byte-identical at any parallelism.
 
-// AblationPartialIO measures §4.3's central constraint: whole-file-block
+// ablationPartialIO measures §4.3's central constraint: whole-file-block
 // transfers versus an ideal backing store that can move exactly the bytes a
 // compressed page occupies ("Ideally, one would use the compression cache in
 // a system that permitted less than a 4-Kbyte read to satisfy a page fault",
 // §5.2; "A better interface to the backing store would help as well", §6).
-func AblationPartialIO(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func ablationPartialIO(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
+	seed := o.seed(1)
 	t := &Table{
 		Title:  "Ablation: whole-block backing-store transfers vs exact-size (partial) I/O",
 		Header: []string{"workload", "backing store", "time", "disk reads", "bytes read", "speedup vs whole-block"},
@@ -42,7 +45,7 @@ func AblationPartialIO(memoryMB int, pages int32, seed int64, workers int) (*Tab
 			jobs = append(jobs, job{cfg, w})
 		}
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -62,11 +65,12 @@ func AblationPartialIO(memoryMB int, pages int32, seed int64, workers int) (*Tab
 	return t, nil
 }
 
-// AblationSpanning measures §4.3's page-spanning parameter: pages that may
+// ablationSpanning measures §4.3's page-spanning parameter: pages that may
 // cross file-block boundaries waste no fragments but can require two-block
 // reads; pages that may not "increase fragmentation and the effective
 // bandwidth for writes to the backing store correspondingly decreases".
-func AblationSpanning(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func ablationSpanning(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
 	t := &Table{
 		Title:  "Ablation: compressed pages spanning file-block boundaries",
 		Header: []string{"spanning", "time", "bytes written", "bytes read", "swap frags live/free"},
@@ -78,9 +82,9 @@ func AblationSpanning(memoryMB int, pages int32, seed int64, workers int) (*Tabl
 		cfg.Swap.SpanBlocks = span
 		// Pages compressing to ~3 fragments so packing decisions matter.
 		jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2,
-			CompressTarget: 0.55, Seed: seed}})
+			CompressTarget: 0.55, Seed: o.seed(1)}})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -94,12 +98,14 @@ func AblationSpanning(memoryMB int, pages int32, seed int64, workers int) (*Tabl
 	return t, nil
 }
 
-// AblationBias sweeps the compression cache's retention bias (§4.2: "the
+// ablationBias sweeps the compression cache's retention bias (§4.2: "the
 // optimal penalty for the compression cache is application-dependent").
 // A favourable bias (small scale) lets the cache grow during paging; an
 // unfavourable one degenerates it into "a buffer for compressing and
 // decompressing pages between memory and the backing store".
-func AblationBias(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func ablationBias(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
+	seed := o.seed(1)
 	t := &Table{
 		Title:  "Ablation: compression-cache age bias (retention preference)",
 		Header: []string{"cc age scale", "thrasher time", "thrasher hits", "gold_warm time", "gold_warm hits"},
@@ -121,7 +127,7 @@ func AblationBias(memoryMB int, pages int32, seed int64, workers int) (*Table, e
 			job{cfg, &workload.Gold{Messages: msgs, WordsPerMessage: 24,
 				VocabWords: 3000, Queries: msgs / 3, Phase: workload.GoldWarm, Seed: seed}})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -134,10 +140,11 @@ func AblationBias(memoryMB int, pages int32, seed int64, workers int) (*Table, e
 	return t, nil
 }
 
-// AblationThreshold sweeps the 4:3 retention threshold on the paper's worst
+// ablationThreshold sweeps the 4:3 retention threshold on the paper's worst
 // compressor, sort_random (§5.2: ~98% of pages miss the threshold, so the
 // threshold's job is damage control).
-func AblationThreshold(memoryMB int, seed int64, workers int) (*Table, error) {
+func ablationThreshold(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
 	t := &Table{
 		Title:  "Ablation: compression retention threshold (paper: keep only better than 4:3)",
 		Header: []string{"keep if comp <=", "sort_random time", "uncomp%", "cc inserts"},
@@ -156,9 +163,9 @@ func AblationThreshold(memoryMB int, seed int64, workers int) (*Table, error) {
 		cfg := machine.Default(int64(memoryMB) << 20).WithCC()
 		cfg.CC.KeepNum, cfg.CC.KeepDen = th.num, th.den
 		jobs = append(jobs, job{cfg, &workload.Sort{
-			Bytes: int64(memoryMB) << 20 * 3 / 2, Mode: workload.SortRandom, VocabWords: 4000, Seed: seed}})
+			Bytes: int64(memoryMB) << 20 * 3 / 2, Mode: workload.SortRandom, VocabWords: 4000, Seed: o.seed(1)}})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -171,10 +178,11 @@ func AblationThreshold(memoryMB int, seed int64, workers int) (*Table, error) {
 	return t, nil
 }
 
-// AblationCodec compares compression algorithms (§3: the design "should
+// ablationCodec compares compression algorithms (§3: the design "should
 // allow different compression algorithms to be used for different types of
 // data").
-func AblationCodec(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func ablationCodec(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
 	t := &Table{
 		Title:  "Ablation: codec choice",
 		Header: []string{"codec", "time", "ratio", "uncomp%", "cc hit rate"},
@@ -184,9 +192,9 @@ func AblationCodec(memoryMB int, pages int32, seed int64, workers int) (*Table, 
 	for _, codec := range codecs {
 		cfg := machine.Default(int64(memoryMB) << 20).WithCC()
 		cfg.CC.Codec = codec
-		jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: seed}})
+		jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +208,7 @@ func AblationCodec(memoryMB int, pages int32, seed int64, workers int) (*Table, 
 	return t, nil
 }
 
-// AblationFixedSize reproduces §4.2's motivating argument against the
+// ablationFixedSize reproduces §4.2's motivating argument against the
 // original fixed-size compression cache: "on a machine with 8 Mbytes of
 // memory available to user processes, setting aside 4 Mbytes for compressed
 // pages would cause a 6-Mbyte process to page, ruining its performance. On
@@ -208,7 +216,8 @@ func AblationCodec(memoryMB int, pages int32, seed int64, workers int) (*Table, 
 // not fit into the 4 Mbytes available." The fixed rows pre-grow the cache to
 // a set size that never changes (the original design, kept in the core for
 // this study); the adaptive row is the paper's final design.
-func AblationFixedSize(memoryMB int, seed int64, workers int) (*Table, error) {
+func ablationFixedSize(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
 	t := &Table{
 		Title:  "Ablation: fixed-size compression cache vs adaptive sizing (§4.2)",
 		Header: []string{"cache sizing", "small ws time", "large ws time"},
@@ -231,10 +240,10 @@ func AblationFixedSize(memoryMB int, seed int64, workers int) (*Table, error) {
 		for _, ws := range []int32{smallWS, largeWS} {
 			cfg := machine.Default(memBytes).WithCC()
 			cfg.CC.FixedFrames = v.maxFrames
-			jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: ws, Write: true, Passes: 2, Seed: seed}})
+			jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: ws, Write: true, Passes: 2, Seed: o.seed(1)}})
 		}
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}

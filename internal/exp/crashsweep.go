@@ -18,7 +18,7 @@ import (
 // sampled/total ratio rather than pretending the sweep was exhaustive.
 const maxCrashPoints = 64
 
-// CrashSweep crash-tests the recoverable backing-store formats. For each leg
+// crashSweep crash-tests the recoverable backing-store formats. For each leg
 // — the durable log-structured baseline, then the compressed machine once
 // per registered codec — it first runs a write-heavy thrasher fault-free to
 // count the run's device writes, then replays the run with the power cut at
@@ -28,15 +28,9 @@ const maxCrashPoints = 64
 // fragment served. Every sampled crash point of every leg must verify for
 // the experiment to produce a table at all; the table reports what recovery
 // saw along the way.
-func CrashSweep(ctx context.Context, memoryMB int, seed int64, workers int) (*Table, error) {
-	t := &Table{
-		Title:  "Extension: crash-point sweep (power cut at the k-th device write, reboot, recover, verify)",
-		Header: []string{"configuration", "crash points", "recovered pages", "stale", "torn discarded", "verified"},
-		Note: "Each crash point is one full run killed at its k-th device write; 'crash points' is\n" +
-			"sampled/total writes. 'recovered pages' sums the pages recovery reindexed across all crash\n" +
-			"points; 'torn discarded' counts checksum-failed records the scanner refused. A row only\n" +
-			"prints if every sampled crash point passed the oracle.",
-	}
+func crashSweep(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
+	seed := o.seed(1)
 	// A quarter overcommit keeps the write count tractable (each write is a
 	// crash point, each crash point a full replay) while still paging.
 	// Near-incompressible pages force the compression cache to reject most
@@ -46,69 +40,73 @@ func CrashSweep(ctx context.Context, memoryMB int, seed int64, workers int) (*Ta
 	pages := frames + frames/4
 	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 1, CompressTarget: 0.85, Seed: seed}
 
-	type leg struct {
-		name string
-		cfg  machine.Config
-	}
 	base := machine.Default(int64(memoryMB) << 20)
-	legs := []leg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true})}}
+	legs := []crashLeg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true})}}
 	for _, codec := range compress.Names() {
 		cfg := base.WithCC()
 		cfg.CC.Codec = codec
 		cfg.Swap.CommitRecords = true
-		legs = append(legs, leg{"cc/" + codec, cfg})
+		legs = append(legs, crashLeg{"cc/" + codec, cfg})
 	}
-	for _, l := range legs {
-		sampled, writes, rep, err := crashSweepLeg(ctx, l.cfg, w, seed, workers)
+	return crashTable(ctx, o.Parallelism, legs, w, seed)
+}
+
+// crashLeg is one machine configuration the crash sweep cuts.
+type crashLeg struct {
+	name string
+	cfg  machine.Config
+}
+
+// crashTable sweeps every leg's crash points with up to workers machines at
+// a time and renders one row per leg.
+func crashTable(ctx context.Context, workers int, legs []crashLeg, w workload.Workload, seed int64) (Result, error) {
+	t := &Table{
+		Title:  "Extension: crash-point sweep (power cut at the k-th device write, reboot, recover, verify)",
+		Header: []string{"configuration", "crash points", "recovered pages", "stale", "torn discarded", "verified"},
+		Note: "Each crash point is one full run killed at its k-th device write; 'crash points' is\n" +
+			"sampled/total writes. 'recovered pages' sums the pages recovery reindexed across all crash\n" +
+			"points; 'torn discarded' counts checksum-failed records the scanner refused. A row only\n" +
+			"prints if every sampled crash point passed the oracle.",
+	}
+	// Fault-free runs count each leg's device writes. Each is one crash
+	// point, and the crash replays are byte-identical up to their cut, so
+	// writes 1..W all occur in every replay.
+	jobs := make([]job, len(legs))
+	for i, l := range legs {
+		jobs[i] = job{l.cfg, w}
+	}
+	baselines, err := measureAll(ctx, workers, jobs)
+	if err != nil {
+		return nil, fmt.Errorf("crash sweep baselines: %w", err)
+	}
+	for i, l := range legs {
+		writes := int(baselines[i].Disk.Writes)
+		stride := max(1, (writes+maxCrashPoints-1)/maxCrashPoints)
+		var points []uint64
+		for k := 1; k <= writes; k += stride {
+			points = append(points, uint64(k))
+		}
+		reps, err := runner.Map(ctx, workers, len(points),
+			func(_ context.Context, j int) (swap.RecoveryReport, error) {
+				return crashTrial(l.cfg, workload.Clone(w), seed, points[j])
+			})
 		if err != nil {
 			return nil, fmt.Errorf("crash sweep %s: %w", l.name, err)
 		}
+		var total swap.RecoveryReport
+		for _, rep := range reps {
+			total.RecoveredPages += rep.RecoveredPages
+			total.StalePages += rep.StalePages
+			total.TornDiscarded += rep.TornDiscarded
+		}
 		t.AddRow(l.name,
-			fmt.Sprintf("%d/%d", sampled, writes),
-			fmt.Sprintf("%d", rep.RecoveredPages),
-			fmt.Sprintf("%d", rep.StalePages),
-			fmt.Sprintf("%d", rep.TornDiscarded),
-			fmt.Sprintf("%d/%d ok", sampled, sampled))
+			fmt.Sprintf("%d/%d", len(points), writes),
+			fmt.Sprintf("%d", total.RecoveredPages),
+			fmt.Sprintf("%d", total.StalePages),
+			fmt.Sprintf("%d", total.TornDiscarded),
+			fmt.Sprintf("%d/%d ok", len(points), len(points)))
 	}
 	return t, nil
-}
-
-// crashSweepLeg runs one configuration's sweep and returns the sampled and
-// total crash-point counts plus the summed recovery reports.
-func crashSweepLeg(ctx context.Context, cfg machine.Config, w workload.Workload, seed int64, workers int) (int, int, swap.RecoveryReport, error) {
-	// Fault-free run: count the device writes. Each is one crash point, and
-	// the crash replays are byte-identical up to their cut, so writes 1..W
-	// all occur in every replay.
-	st, err := workload.Measure(cfg, workload.Clone(w))
-	if err != nil {
-		return 0, 0, swap.RecoveryReport{}, err
-	}
-	writes := int(st.Disk.Writes)
-	stride := (writes + maxCrashPoints - 1) / maxCrashPoints
-	if stride < 1 {
-		stride = 1
-	}
-	points := make([]uint64, 0, maxCrashPoints)
-	for k := 1; k <= writes; k += stride {
-		points = append(points, uint64(k))
-	}
-
-	reps, err := runner.Map(ctx, runner.Parallelism(workers), len(points),
-		func(_ context.Context, i int) (swap.RecoveryReport, error) {
-			return crashTrial(cfg, workload.Clone(w), seed, points[i])
-		})
-	if err != nil {
-		return 0, 0, swap.RecoveryReport{}, err
-	}
-	var total swap.RecoveryReport
-	for _, rep := range reps {
-		total.ScannedSegments += rep.ScannedSegments
-		total.RecoveredSegments += rep.RecoveredSegments
-		total.RecoveredPages += rep.RecoveredPages
-		total.StalePages += rep.StalePages
-		total.TornDiscarded += rep.TornDiscarded
-	}
-	return len(points), writes, total, nil
 }
 
 // crashTrial kills one run at its k-th device write, reboots from the torn

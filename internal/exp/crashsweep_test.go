@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"testing"
 
 	"compcache/internal/compress"
@@ -27,10 +26,13 @@ func tinyCrashLegs() map[string]machine.Config {
 	return legs
 }
 
+// tinyCrashWorkload is the run every tiny crash leg cuts.
+var tinyCrashWorkload = &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
+
 // TestCrashAtEveryPoint is the exhaustive satellite: for every leg, crash at
 // every single device write of a small run and verify every recovery.
 func TestCrashAtEveryPoint(t *testing.T) {
-	w := &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
+	w := tinyCrashWorkload
 	for name, cfg := range tinyCrashLegs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -51,31 +53,5 @@ func TestCrashAtEveryPoint(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCrashSweepDeterministicAcrossWorkers reruns one leg's sweep serially
-// and with eight workers; virtual-time simulation must make the aggregate
-// recovery reports identical.
-func TestCrashSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := machine.Default(64 * 4096).WithCC()
-	cfg.Swap.CommitRecords = true
-	w := &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
-
-	ctx := context.Background()
-	s1, w1, rep1, err := crashSweepLeg(ctx, cfg, w, 5, 1)
-	if err != nil {
-		t.Fatalf("serial sweep: %v", err)
-	}
-	s8, w8, rep8, err := crashSweepLeg(ctx, cfg, w, 5, 8)
-	if err != nil {
-		t.Fatalf("parallel sweep: %v", err)
-	}
-	if s1 != s8 || w1 != w8 || rep1 != rep8 {
-		t.Errorf("sweep diverged across workers:\n-j1: %d/%d %+v\n-j8: %d/%d %+v",
-			s1, w1, rep1, s8, w8, rep8)
-	}
-	if s1 == 0 {
-		t.Error("sweep sampled no crash points")
 	}
 }

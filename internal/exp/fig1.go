@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"compcache/internal/model"
@@ -16,30 +17,34 @@ type Fig1Result struct {
 	Grid   [][]float64
 }
 
-// Fig1a models transferring compressed pages to and from the backing store
+// fig1a models transferring compressed pages to and from the backing store
 // (the paper's Figure 1(a)).
-func Fig1a() *Fig1Result {
-	p := model.Default()
-	r := &Fig1Result{
-		Title:  "Figure 1(a): bandwidth speedup, compressed transfers to backing store",
-		Ratios: model.Linspace(0.05, 1.0, 20),
-		Speeds: model.Logspace(0.25, 32, 15),
-	}
-	r.Grid = model.Grid(p.BandwidthSpeedup, r.Ratios, r.Speeds)
-	return r
+func fig1a(ctx context.Context, _ Options) (Result, error) {
+	return fig1(ctx, "Figure 1(a): bandwidth speedup, compressed transfers to backing store",
+		model.Default().BandwidthSpeedup)
 }
 
-// Fig1b models keeping compressed pages in memory for the cyclic workload
+// fig1b models keeping compressed pages in memory for the cyclic workload
 // with W = 2M (the paper's Figure 1(b)).
-func Fig1b() *Fig1Result {
-	p := model.Default()
+func fig1b(ctx context.Context, _ Options) (Result, error) {
+	return fig1(ctx, "Figure 1(b): mean memory-reference-time speedup, compressed pages kept in memory (W = 2M)",
+		model.Default().ReferenceSpeedup)
+}
+
+// fig1 evaluates one panel's speedup surface over the (ratio, speed) plane.
+// It simulates nothing, but a done ctx stops it as it stops every
+// experiment.
+func fig1(ctx context.Context, title string, speedup func(r, s float64) float64) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	r := &Fig1Result{
-		Title:  "Figure 1(b): mean memory-reference-time speedup, compressed pages kept in memory (W = 2M)",
+		Title:  title,
 		Ratios: model.Linspace(0.05, 1.0, 20),
 		Speeds: model.Logspace(0.25, 32, 15),
 	}
-	r.Grid = model.Grid(p.ReferenceSpeedup, r.Ratios, r.Speeds)
-	return r
+	r.Grid = model.Grid(speedup, r.Ratios, r.Speeds)
+	return r, nil
 }
 
 // Regions classifies every grid point the way the paper's figure is shaded
@@ -96,6 +101,3 @@ func (f *Fig1Result) Table() *Table {
 
 // Tables implements Result.
 func (f *Fig1Result) Tables() []*Table { return []*Table{f.Table()} }
-
-// String renders the table.
-func (f *Fig1Result) String() string { return f.Table().String() }

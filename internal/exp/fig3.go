@@ -32,47 +32,34 @@ type Fig3Result struct {
 	Points   []Fig3Point
 }
 
-// Fig3Options sizes the experiment.
-type Fig3Options struct {
-	// MemoryMB is user-available memory; the paper uses ~6.
-	MemoryMB int
-	// SizesMB are the address-space sizes to sweep; the paper sweeps 0-40.
-	SizesMB []int
-	// Passes is the number of timed access sweeps after initialization.
-	Passes int
-	// Seed makes runs reproducible.
-	Seed int64
-	// Parallelism caps how many machines run concurrently: 0 means one per
-	// core, 1 forces serial execution; the output is byte-identical either
-	// way.
-	Parallelism int
+// fig3Sizes is Figure 3's sizing by scale: user-available memory (the paper
+// uses ~6 MB) and the address-space sizes to sweep (the paper sweeps 0-40).
+var fig3Sizes = [...]struct {
+	memoryMB int
+	sizesMB  []int
+}{
+	Small: {2, []int{1, 2, 3, 4, 6, 8}},
+	Paper: {6, []int{2, 4, 6, 8, 10, 12, 15, 20, 25, 30, 35, 40}},
 }
 
-// DefaultFig3Options returns the sweep for the given scale.
-func DefaultFig3Options(s Scale) Fig3Options {
-	if s == Paper {
-		return Fig3Options{
-			MemoryMB: 6,
-			SizesMB:  []int{2, 4, 6, 8, 10, 12, 15, 20, 25, 30, 35, 40},
-			Passes:   2,
-			Seed:     1,
-		}
-	}
-	return Fig3Options{
-		MemoryMB: 2,
-		SizesMB:  []int{1, 2, 3, 4, 6, 8},
-		Passes:   2,
-		Seed:     1,
-	}
-}
+// fig3Passes is the number of timed access sweeps after initialization.
+const fig3Passes = 2
 
 // Fig3 runs the §5.1 thrasher sweep: average page access time and speedup
 // versus address-space size, read-only and read-write, with and without the
 // compression cache. Each size contributes four independent machines
 // ({read-write, read-only} x {baseline, cc}); the whole grid fans out
-// across opts.Parallelism workers and the points assemble in size order.
-func Fig3(opts Fig3Options) (*Fig3Result, error) {
-	memBytes := int64(opts.MemoryMB) << 20
+// across Options.Parallelism workers and the points assemble in size order.
+// The result is a *Fig3Result.
+func Fig3(ctx context.Context, o Options) (Result, error) {
+	sz := fig3Sizes[o.Scale]
+	return fig3Sweep(ctx, o.Parallelism, sz.memoryMB, sz.sizesMB, o.seed(1))
+}
+
+// fig3Sweep measures the given address-space sizes on a memoryMB machine
+// with up to workers machines at a time.
+func fig3Sweep(ctx context.Context, workers, memoryMB int, sizesMB []int, seed int64) (Result, error) {
+	memBytes := int64(memoryMB) << 20
 	// Four measurements per size, in a fixed sub-order: rw/std, rw/cc,
 	// ro/std, ro/cc.
 	type spec struct {
@@ -80,15 +67,15 @@ func Fig3(opts Fig3Options) (*Fig3Result, error) {
 		write  bool
 		cc     bool
 	}
-	specs := make([]spec, 0, 4*len(opts.SizesMB))
-	for _, sizeMB := range opts.SizesMB {
+	specs := make([]spec, 0, 4*len(sizesMB))
+	for _, sizeMB := range sizesMB {
 		for _, write := range []bool{true, false} {
 			for _, cc := range []bool{false, true} {
 				specs = append(specs, spec{sizeMB, write, cc})
 			}
 		}
 	}
-	runs, err := runner.Map(context.Background(), runner.Parallelism(opts.Parallelism), len(specs),
+	runs, err := runner.Map(ctx, workers, len(specs),
 		func(_ context.Context, i int) (stats.Run, error) {
 			s := specs[i]
 			cfg := machine.Default(memBytes)
@@ -96,7 +83,7 @@ func Fig3(opts Fig3Options) (*Fig3Result, error) {
 				cfg = cfg.WithCC()
 			}
 			st, err := workload.Measure(cfg, &workload.Thrasher{
-				Pages: int32(s.sizeMB << 20 / 4096), Write: s.write, Passes: opts.Passes, Seed: opts.Seed})
+				Pages: int32(s.sizeMB << 20 / 4096), Write: s.write, Passes: fig3Passes, Seed: seed})
 			if err != nil {
 				return stats.Run{}, fmt.Errorf("fig3 %dMB write=%v: %w", s.sizeMB, s.write, err)
 			}
@@ -106,9 +93,9 @@ func Fig3(opts Fig3Options) (*Fig3Result, error) {
 		return nil, err
 	}
 
-	res := &Fig3Result{MemoryMB: opts.MemoryMB}
-	sweeps := (&workload.Thrasher{Passes: opts.Passes}).TimedSweeps()
-	for si, sizeMB := range opts.SizesMB {
+	res := &Fig3Result{MemoryMB: memoryMB}
+	sweeps := (&workload.Thrasher{Passes: fig3Passes}).TimedSweeps()
+	for si, sizeMB := range sizesMB {
 		pages := int32(sizeMB << 20 / 4096)
 		touches := time.Duration(sweeps) * time.Duration(pages)
 		rwStd, rwCC, roStd, roCC := runs[4*si], runs[4*si+1], runs[4*si+2], runs[4*si+3]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"compcache/internal/cluster"
@@ -15,7 +16,7 @@ import (
 	"compcache/internal/runner"
 )
 
-// FleetSweep scales the paper's diskless scenario out to a fleet: N machines
+// fleetSweep scales the paper's diskless scenario out to a fleet: N machines
 // paging over one link to a shared page server, co-advancing on one
 // discrete-event kernel. The grid crosses fleet size with link parameters
 // and codec; each cell reports aggregate tail latency (p50/p99/p999 of
@@ -25,12 +26,13 @@ import (
 // Every cell runs in two phases — populate, then a shuffled verify sweep —
 // with a kernel snapshot/restore cycle at the phase boundary, so the sweep
 // continuously proves the cycle is a semantic no-op. Cells are independent
-// fleets fanned out across workers; rows assemble in grid order, so the
-// table is byte-identical at any parallelism.
+// fleets fanned out across Options.Parallelism workers; rows assemble in
+// grid order, so the table is byte-identical at any parallelism.
 //
-// tracePath, when non-empty, additionally writes one JSON record per cell
-// (grid order) — the machine-readable artifact CI archives.
-func FleetSweep(memoryMB int, pages int32, seed int64, workers int, tracePath string) (*Table, error) {
+// Options.TracePath, when non-empty, additionally writes one JSON record per
+// cell (grid order) — the machine-readable artifact CI archives.
+func fleetSweep(ctx context.Context, o Options) (Result, error) {
+	memoryMB, pages := o.sizing()
 	t := &Table{
 		Title:  "Extension: fleet tail latency vs fleet size (shared page server, discrete-event kernel)",
 		Header: []string{"fleet", "link", "codec", "faults", "remote-ins", "srv ops", "p50", "p99", "p999"},
@@ -66,9 +68,9 @@ func FleetSweep(memoryMB int, pages int32, seed int64, workers int, tracePath st
 		row []string
 		rec fleetRec
 	}
-	results, err := runner.Map(context.Background(), workers, len(cells), func(_ context.Context, i int) (cellOut, error) {
+	results, err := runner.Map(ctx, o.Parallelism, len(cells), func(_ context.Context, i int) (cellOut, error) {
 		ce := cells[i]
-		c, err := runFleetCell(ce.machines, int64(memoryMB)<<20, ce.link, ce.codec, seed, perMachine)
+		c, err := runFleetCell(ce.machines, int64(memoryMB)<<20, ce.link, ce.codec, o.seed(1), perMachine)
 		if err != nil {
 			return cellOut{}, fmt.Errorf("fleet cell %d/%s/%s: %w", ce.machines, ce.linkName, ce.codec, err)
 		}
@@ -108,8 +110,8 @@ func FleetSweep(memoryMB int, pages int32, seed int64, workers int, tracePath st
 		t.AddRow(r.row...)
 		recs[i] = r.rec
 	}
-	if tracePath != "" {
-		if err := writeFleetTrace(tracePath, recs); err != nil {
+	if o.TracePath != "" {
+		if err := writeFleetTrace(o.TracePath, recs); err != nil {
 			return nil, err
 		}
 	}
@@ -268,7 +270,7 @@ func (a *histAgg) quantile(q float64) time.Duration {
 	for le := range a.counts {
 		bounds = append(bounds, le)
 	}
-	sortDurations(bounds)
+	slices.Sort(bounds)
 	var cum uint64
 	for _, le := range bounds {
 		cum += a.counts[le]
@@ -277,14 +279,6 @@ func (a *histAgg) quantile(q float64) time.Duration {
 		}
 	}
 	return -1
-}
-
-func sortDurations(d []time.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
 
 func fmtQuantile(d time.Duration) string {

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -27,12 +26,6 @@ type Options struct {
 	// experiment reads it.
 	FaultRate float64
 
-	// HostTiming enables host-clock measurement columns (currently the codec
-	// sweep's ns/op). Host timings are inherently nondeterministic, so they
-	// are off by default and the affected columns print "-"; everything else
-	// in the tables stays byte-identical at any Parallelism.
-	HostTiming bool
-
 	// TracePath, when non-empty, makes experiments that support a
 	// machine-readable trace write one there (currently ext/fleet-sweep:
 	// one JSON record per grid cell). The file contents are deterministic —
@@ -55,12 +48,12 @@ func (o Options) sizing() (memMB int, pages int32) {
 	return 1, 768
 }
 
-// seed returns the effective seed (the shared default 1 unless overridden).
-func (o Options) seed() int64 {
+// seed returns the effective seed: o.Seed, or def when it is zero.
+func (o Options) seed(def int64) int64 {
 	if o.Seed != 0 {
 		return o.Seed
 	}
-	return 1
+	return def
 }
 
 // Result is what a registered experiment produces: one or more renderable
@@ -74,74 +67,70 @@ type Result interface {
 // experiments each produce exactly one).
 func (t *Table) Tables() []*Table { return []*Table{t} }
 
-// Experiment is one runnable entry of the registry.
-type Experiment interface {
+// Experiment is one entry of the registry.
+type Experiment struct {
 	// Name is the registry key ("table1", "ablation/codec", ...). Group
 	// prefixes before the slash ("ablation/", "ext/") are what the group
 	// names in Resolve expand to.
-	Name() string
+	Name string
 
-	// Run executes the experiment. Implementations derive all sizing from
-	// opts and must stay deterministic for a fixed (Scale, Seed).
-	Run(ctx context.Context, opts Options) (Result, error)
+	// Run executes the experiment. It derives all sizing from o, stays
+	// deterministic for a fixed (Scale, Seed), and runs no simulation once
+	// ctx is done: its error then wraps ctx.Err().
+	Run func(ctx context.Context, o Options) (Result, error)
 }
 
-// funcExp adapts a closure to the Experiment interface.
-type funcExp struct {
-	name string
-	run  func(ctx context.Context, opts Options) (Result, error)
-}
-
-func (f funcExp) Name() string { return f.name }
-func (f funcExp) Run(ctx context.Context, opts Options) (Result, error) {
-	return f.run(ctx, opts)
-}
-
-var registry = map[string]Experiment{}
-
-// Register adds an experiment to the registry. Duplicate names are a
-// programming error.
-func Register(e Experiment) {
-	if _, dup := registry[e.Name()]; dup {
-		// Invariant: registration happens once, at package init.
-		panic(fmt.Sprintf("exp: duplicate experiment %q", e.Name()))
-	}
-	registry[e.Name()] = e
-}
-
-// register is the init-time shorthand for function-backed experiments.
-func register(name string, run func(ctx context.Context, opts Options) (Result, error)) {
-	Register(funcExp{name: name, run: run})
+// registry lists every experiment once, sorted by name.
+var registry = []Experiment{
+	{"ablation/bias", ablationBias},
+	{"ablation/codec", ablationCodec},
+	{"ablation/fixed-size", ablationFixedSize},
+	{"ablation/partial-io", ablationPartialIO},
+	{"ablation/spanning", ablationSpanning},
+	{"ablation/threshold", ablationThreshold},
+	{"ext/backing-store", backingStoreSweep},
+	{"ext/codec-sweep", codecSweep},
+	{"ext/compression-speed", compressionSpeedSweep},
+	{"ext/crash-sweep", crashSweep},
+	{"ext/file-cache", compressedFileCache},
+	{"ext/fleet-sweep", fleetSweep},
+	{"ext/lfs", lfsComparison},
+	{"ext/mobile", mobileScenario},
+	{"ext/model-validation", modelValidation},
+	{"ext/multiprogramming", multiprogramming},
+	{"ext/pinning", advisoryPinning},
+	{"faults", faultSweep},
+	{"fig1a", fig1a},
+	{"fig1b", fig1b},
+	{"fig3", Fig3},
+	{"table1", table1},
 }
 
 // Names returns every registered experiment name, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Experiments returns every registered experiment in name order.
-func Experiments() []Experiment {
-	names := Names()
-	out := make([]Experiment, len(names))
-	for i, name := range names {
-		out[i] = registry[name]
-	}
-	return out
-}
+func Experiments() []Experiment { return append([]Experiment(nil), registry...) }
 
 // Lookup finds one experiment by exact name.
 func Lookup(name string) (Experiment, bool) {
-	e, ok := registry[name]
-	return e, ok
+	for _, e := range registry {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // groups maps a group name to the registry prefix it expands to.
 var groups = map[string]string{
+	"all":        "",
 	"ablations":  "ablation/",
 	"extensions": "ext/",
 }
@@ -150,126 +139,29 @@ var groups = map[string]string{
 // ("ablations", "extensions"), or "all" — into experiments in name order,
 // deduplicated. Unknown names are an error listing the valid ones.
 func Resolve(names []string) ([]Experiment, error) {
-	picked := map[string]bool{}
+	picked := make([]bool, len(registry))
 	for _, raw := range names {
 		name := strings.TrimSpace(raw)
-		switch {
-		case name == "":
-		case name == "all":
-			for _, n := range Names() {
-				picked[n] = true
+		if name == "" {
+			continue
+		}
+		prefix, group := groups[name]
+		found := false
+		for i, e := range registry {
+			if e.Name == name || group && strings.HasPrefix(e.Name, prefix) {
+				picked[i], found = true, true
 			}
-		case groups[name] != "":
-			prefix := groups[name]
-			for _, n := range Names() {
-				if strings.HasPrefix(n, prefix) {
-					picked[n] = true
-				}
-			}
-		default:
-			if _, ok := registry[name]; !ok {
-				return nil, fmt.Errorf("exp: unknown experiment %q (valid: all, ablations, extensions, %s)",
-					name, strings.Join(Names(), ", "))
-			}
-			picked[name] = true
+		}
+		if !found {
+			return nil, fmt.Errorf("exp: unknown experiment %q (valid: all, ablations, extensions, %s)",
+				name, strings.Join(Names(), ", "))
 		}
 	}
-	ordered := make([]string, 0, len(picked))
-	for name := range picked {
-		ordered = append(ordered, name)
-	}
-	sort.Strings(ordered)
-	out := make([]Experiment, len(ordered))
-	for i, name := range ordered {
-		out[i] = registry[name]
+	var out []Experiment
+	for i, e := range registry {
+		if picked[i] {
+			out = append(out, e)
+		}
 	}
 	return out, nil
-}
-
-// tableExp registers an experiment backed by one of the (memMB, pages, seed,
-// workers) sweep functions.
-func tableExp(name string, run func(memMB int, pages int32, seed int64, workers int) (*Table, error)) {
-	register(name, func(_ context.Context, o Options) (Result, error) {
-		memMB, pages := o.sizing()
-		return run(memMB, pages, o.seed(), o.Parallelism)
-	})
-}
-
-// tableExpNoPages registers a sweep that sizes itself from memory alone.
-func tableExpNoPages(name string, run func(memMB int, seed int64, workers int) (*Table, error)) {
-	register(name, func(_ context.Context, o Options) (Result, error) {
-		memMB, _ := o.sizing()
-		return run(memMB, o.seed(), o.Parallelism)
-	})
-}
-
-func init() {
-	register("fig1a", func(_ context.Context, _ Options) (Result, error) {
-		return Fig1a(), nil
-	})
-	register("fig1b", func(_ context.Context, _ Options) (Result, error) {
-		return Fig1b(), nil
-	})
-	register("fig3", func(_ context.Context, o Options) (Result, error) {
-		opts := DefaultFig3Options(o.Scale)
-		opts.Parallelism = o.Parallelism
-		if o.Seed != 0 {
-			opts.Seed = o.Seed
-		}
-		return Fig3(opts)
-	})
-	register("table1", func(_ context.Context, o Options) (Result, error) {
-		opts := DefaultTable1Options(o.Scale)
-		opts.Parallelism = o.Parallelism
-		if o.Seed != 0 {
-			opts.Seed = o.Seed
-		}
-		return Table1(opts)
-	})
-	register("faults", func(_ context.Context, o Options) (Result, error) {
-		opts := DefaultFaultsOptions(o.Scale)
-		opts.Parallelism = o.Parallelism
-		if o.Seed != 0 {
-			opts.Seed = o.Seed
-		}
-		if o.FaultRate >= 0 {
-			// Keep the rate-0 baseline: overhead is relative to it.
-			opts.Rates = []float64{0}
-			if o.FaultRate > 0 {
-				opts.Rates = append(opts.Rates, o.FaultRate)
-			}
-		}
-		return FaultSweep(opts)
-	})
-
-	tableExp("ablation/partial-io", AblationPartialIO)
-	tableExp("ablation/spanning", AblationSpanning)
-	tableExp("ablation/bias", AblationBias)
-	tableExpNoPages("ablation/threshold", AblationThreshold)
-	tableExp("ablation/codec", AblationCodec)
-	tableExpNoPages("ablation/fixed-size", AblationFixedSize)
-
-	tableExp("ext/backing-store", BackingStoreSweep)
-	tableExp("ext/compression-speed", CompressionSpeedSweep)
-	register("ext/pinning", func(_ context.Context, o Options) (Result, error) {
-		memMB, pages := o.sizing()
-		return AdvisoryPinning(memMB, pages/3*2, o.seed(), o.Parallelism)
-	})
-	tableExpNoPages("ext/file-cache", CompressedFileCache)
-	tableExp("ext/lfs", LFSComparison)
-	tableExpNoPages("ext/multiprogramming", Multiprogramming)
-	tableExpNoPages("ext/model-validation", ModelValidation)
-	tableExpNoPages("ext/mobile", MobileScenario)
-	register("ext/codec-sweep", func(_ context.Context, o Options) (Result, error) {
-		memMB, pages := o.sizing()
-		return CodecSweep(memMB, pages, o.seed(), o.Parallelism, o.HostTiming)
-	})
-	register("ext/fleet-sweep", func(_ context.Context, o Options) (Result, error) {
-		memMB, pages := o.sizing()
-		return FleetSweep(memMB, pages, o.seed(), o.Parallelism, o.TracePath)
-	})
-	register("ext/crash-sweep", func(ctx context.Context, o Options) (Result, error) {
-		memMB, _ := o.sizing()
-		return CrashSweep(ctx, memMB, o.seed(), o.Parallelism)
-	})
 }

@@ -2,15 +2,16 @@ package exp
 
 import (
 	"context"
-	"sort"
 	"strings"
 	"testing"
 )
 
 func TestNamesSortedAndComplete(t *testing.T) {
 	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("registry not strictly sorted at %q, %q", names[i-1], names[i])
+		}
 	}
 	want := []string{
 		"ablation/bias", "ablation/codec", "ablation/fixed-size",
@@ -40,8 +41,8 @@ func TestResolveGroups(t *testing.T) {
 		t.Fatalf("ablations resolved to %d experiments, want 6", len(abl))
 	}
 	for _, e := range abl {
-		if !strings.HasPrefix(e.Name(), "ablation/") {
-			t.Fatalf("ablations group included %q", e.Name())
+		if !strings.HasPrefix(e.Name, "ablation/") {
+			t.Fatalf("ablations group included %q", e.Name)
 		}
 	}
 

@@ -22,8 +22,8 @@ type job struct {
 // the workload, so runs never share mutable state; because every machine is
 // deterministic in virtual time, the results are byte-identical to a serial
 // sweep regardless of workers.
-func measureAll(workers int, jobs []job, opts ...machine.Option) ([]stats.Run, error) {
-	return runner.Map(context.Background(), runner.Parallelism(workers), len(jobs),
+func measureAll(ctx context.Context, workers int, jobs []job, opts ...machine.Option) ([]stats.Run, error) {
+	return runner.Map(ctx, workers, len(jobs),
 		func(_ context.Context, i int) (stats.Run, error) {
 			return workload.Measure(jobs[i].cfg, workload.Clone(jobs[i].w), opts...)
 		})

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,80 +48,65 @@ type Table1Result struct {
 	Rows     []Table1Row
 }
 
-// Table1Options sizes the experiment.
-type Table1Options struct {
-	MemoryMB int
-	Seed     int64
-	// Parallelism caps how many machines run concurrently: 0 means one per
-	// core, 1 forces serial execution. The table is byte-identical either
-	// way — runs are independent and results are ordered by row, not by
-	// completion.
-	Parallelism int
-	// Workloads overrides the default workload set (tests use subsets).
-	Workloads []workload.Workload
-}
-
-// DefaultTable1Options returns the workload set for the given scale, in the
-// paper's row order. Paper scale sizes working sets at roughly 1.5-3x user
-// memory, the same pressure regime as the paper's 14-MByte configuration.
-func DefaultTable1Options(s Scale) Table1Options {
+// table1Workloads returns Table 1's user memory and application set for a
+// scale, in the paper's row order, every workload seeded with seed. Paper
+// scale sizes working sets at roughly 1.5-3x user memory, the same pressure
+// regime as the paper's 14-MByte configuration.
+func table1Workloads(s Scale, seed int64) (memoryMB int, ws []workload.Workload) {
 	if s == Paper {
-		const seed = 42
-		return Table1Options{
-			MemoryMB: 8,
-			Seed:     seed,
-			Workloads: []workload.Workload{
-				&workload.Compare{N: 24576, Band: 1024, Seed: seed},
-				&workload.CacheSim{CPUs: 8, Sets: 2048, Ways: 2, AddrWords: 1 << 21,
-					BlockWordsList: []int{4, 16, 64}, Refs: 1 << 20, Seed: seed},
-				&workload.Sort{Bytes: 12 << 20, Mode: workload.SortPartial, Seed: seed},
-				&workload.Gold{Messages: 60000, WordsPerMessage: 32, VocabWords: 16000,
-					Queries: 20000, Phase: workload.GoldCreate, Seed: seed},
-				&workload.Gold{Messages: 60000, WordsPerMessage: 32, VocabWords: 16000,
-					Queries: 20000, Phase: workload.GoldCold, Seed: seed},
-				&workload.Sort{Bytes: 12 << 20, Mode: workload.SortRandom, Seed: seed},
-				&workload.Gold{Messages: 60000, WordsPerMessage: 32, VocabWords: 16000,
-					Queries: 20000, Phase: workload.GoldWarm, Seed: seed},
-			},
+		return 8, []workload.Workload{
+			&workload.Compare{N: 24576, Band: 1024, Seed: seed},
+			&workload.CacheSim{CPUs: 8, Sets: 2048, Ways: 2, AddrWords: 1 << 21,
+				BlockWordsList: []int{4, 16, 64}, Refs: 1 << 20, Seed: seed},
+			&workload.Sort{Bytes: 12 << 20, Mode: workload.SortPartial, Seed: seed},
+			&workload.Gold{Messages: 60000, WordsPerMessage: 32, VocabWords: 16000,
+				Queries: 20000, Phase: workload.GoldCreate, Seed: seed},
+			&workload.Gold{Messages: 60000, WordsPerMessage: 32, VocabWords: 16000,
+				Queries: 20000, Phase: workload.GoldCold, Seed: seed},
+			&workload.Sort{Bytes: 12 << 20, Mode: workload.SortRandom, Seed: seed},
+			&workload.Gold{Messages: 60000, WordsPerMessage: 32, VocabWords: 16000,
+				Queries: 20000, Phase: workload.GoldWarm, Seed: seed},
 		}
 	}
-	const seed = 42
-	return Table1Options{
-		MemoryMB: 1,
-		Seed:     seed,
-		Workloads: []workload.Workload{
-			&workload.Compare{N: 4096, Band: 512, Seed: seed},
-			&workload.CacheSim{CPUs: 4, Sets: 256, Ways: 2, AddrWords: 1 << 17,
-				BlockWordsList: []int{4, 16}, Refs: 1 << 16, Seed: seed},
-			&workload.Sort{Bytes: 3 << 20 / 2, Mode: workload.SortPartial, VocabWords: 4000, Seed: seed},
-			&workload.Gold{Messages: 12000, WordsPerMessage: 24, VocabWords: 3000,
-				Queries: 6000, Phase: workload.GoldCreate, Seed: seed},
-			&workload.Gold{Messages: 12000, WordsPerMessage: 24, VocabWords: 3000,
-				Queries: 6000, Phase: workload.GoldCold, Seed: seed},
-			&workload.Sort{Bytes: 3 << 20 / 2, Mode: workload.SortRandom, VocabWords: 4000, Seed: seed},
-			&workload.Gold{Messages: 12000, WordsPerMessage: 24, VocabWords: 3000,
-				Queries: 6000, Phase: workload.GoldWarm, Seed: seed},
-		},
+	return 1, []workload.Workload{
+		&workload.Compare{N: 4096, Band: 512, Seed: seed},
+		&workload.CacheSim{CPUs: 4, Sets: 256, Ways: 2, AddrWords: 1 << 17,
+			BlockWordsList: []int{4, 16}, Refs: 1 << 16, Seed: seed},
+		&workload.Sort{Bytes: 3 << 20 / 2, Mode: workload.SortPartial, VocabWords: 4000, Seed: seed},
+		&workload.Gold{Messages: 12000, WordsPerMessage: 24, VocabWords: 3000,
+			Queries: 6000, Phase: workload.GoldCreate, Seed: seed},
+		&workload.Gold{Messages: 12000, WordsPerMessage: 24, VocabWords: 3000,
+			Queries: 6000, Phase: workload.GoldCold, Seed: seed},
+		&workload.Sort{Bytes: 3 << 20 / 2, Mode: workload.SortRandom, VocabWords: 4000, Seed: seed},
+		&workload.Gold{Messages: 12000, WordsPerMessage: 24, VocabWords: 3000,
+			Queries: 6000, Phase: workload.GoldWarm, Seed: seed},
 	}
 }
 
-// Table1 runs every §5.2 application on the baseline and compression-cache
-// machines. The 2 x len(Workloads) runs are independent, so they fan out
-// across opts.Parallelism workers; rows come back in workload order.
-func Table1(opts Table1Options) (*Table1Result, error) {
-	memBytes := int64(opts.MemoryMB) << 20
-	jobs := make([]job, 0, 2*len(opts.Workloads))
-	for _, w := range opts.Workloads {
+// table1 runs every §5.2 application on the baseline and compression-cache
+// machines; the result is a *Table1Result. Its built-in seed is 42.
+func table1(ctx context.Context, o Options) (Result, error) {
+	memoryMB, ws := table1Workloads(o.Scale, o.seed(42))
+	return table1Rows(ctx, o.Parallelism, memoryMB, ws)
+}
+
+// table1Rows measures one Table 1 row per workload. The 2 x len(ws) runs are
+// independent, so they fan out across up to workers machines; rows come
+// back in workload order.
+func table1Rows(ctx context.Context, workers, memoryMB int, ws []workload.Workload) (Result, error) {
+	memBytes := int64(memoryMB) << 20
+	jobs := make([]job, 0, 2*len(ws))
+	for _, w := range ws {
 		jobs = append(jobs,
 			job{machine.Default(memBytes), w},
 			job{machine.Default(memBytes).WithCC(), w})
 	}
-	runs, err := measureAll(opts.Parallelism, jobs)
+	runs, err := measureAll(ctx, workers, jobs)
 	if err != nil {
 		return nil, err
 	}
-	res := &Table1Result{MemoryMB: opts.MemoryMB}
-	for i, w := range opts.Workloads {
+	res := &Table1Result{MemoryMB: memoryMB}
+	for i, w := range ws {
 		row := Table1Row{Name: w.Name(), Cmp: workload.Comparison{
 			Workload: w.Name(), Std: runs[2*i], CC: runs[2*i+1]}}
 		row.Paper, _ = PaperTable1(w.Name())

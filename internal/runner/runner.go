@@ -8,6 +8,10 @@
 // slots each result by index, so a parallel sweep produces byte-identical
 // output to a serial one. Callers are responsible for giving each call its
 // own mutable state (workload.Clone exists for exactly this).
+//
+// A worker count of zero or less means one worker per GOMAXPROCS, so every
+// caller passes its parallelism knob straight through and "0 = every core"
+// holds wherever a sweep fans out.
 package runner
 
 import (
@@ -19,16 +23,6 @@ import (
 	"sync/atomic"
 )
 
-// Parallelism resolves a worker-count knob: values > 0 are used as given,
-// and anything else selects runtime.GOMAXPROCS(0), so option structs can
-// leave the knob zero for "use every core".
-func Parallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Map runs fn(ctx, i) for every index in [0, n) using at most workers
 // concurrent goroutines and returns the results slotted by index, so the
 // output order never depends on scheduling. Each call must be independent:
@@ -39,11 +33,14 @@ func Parallelism(n int) int {
 // partial results are kept (the returned slice always has n slots, holding
 // the zero value at failed or skipped indexes). After the first failure or
 // a context cancellation no new indexes are dispatched, but in-flight calls
-// run to completion. workers <= 1 runs every index serially on the calling
-// goroutine.
+// run to completion. workers <= 0 means runtime.GOMAXPROCS(0) workers; one
+// worker runs every index serially on the calling goroutine.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

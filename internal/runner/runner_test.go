@@ -8,15 +8,36 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-func TestParallelism(t *testing.T) {
-	if got := Parallelism(3); got != 3 {
-		t.Fatalf("Parallelism(3) = %d", got)
+// TestMapZeroWorkersRunsConcurrently: a worker count of zero or less is one
+// worker per GOMAXPROCS, so with two or more procs the two calls of a
+// two-index Map are in flight at once. Each call waits, for a bounded time,
+// for the other to start; a serial Map runs the first alone and fails it.
+func TestMapZeroWorkersRunsConcurrently(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	for _, n := range []int{0, -1} {
-		if got := Parallelism(n); got != runtime.GOMAXPROCS(0) {
-			t.Fatalf("Parallelism(%d) = %d, want GOMAXPROCS %d", n, got, runtime.GOMAXPROCS(0))
+	for _, workers := range []int{0, -1} {
+		var started sync.WaitGroup
+		started.Add(2)
+		both := make(chan struct{})
+		go func() {
+			started.Wait()
+			close(both)
+		}()
+		_, err := Map(context.Background(), workers, 2, func(_ context.Context, i int) (int, error) {
+			started.Done()
+			select {
+			case <-both:
+				return i, nil
+			case <-time.After(5 * time.Second):
+				return 0, fmt.Errorf("call %d ran alone", i)
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d with GOMAXPROCS %d: %v", workers, runtime.GOMAXPROCS(0), err)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func RunBothN(ctx context.Context, base, cc machine.Config, w Workload, workers 
 		return Comparison{}, fmt.Errorf("workload: RunBoth needs a baseline and a CC configuration, in that order")
 	}
 	cfgs := [2]machine.Config{base, cc}
-	runs, err := runner.Map(ctx, runner.Parallelism(workers), len(cfgs),
+	runs, err := runner.Map(ctx, workers, len(cfgs),
 		func(_ context.Context, i int) (stats.Run, error) {
 			return Measure(cfgs[i], Clone(w), opts...)
 		})
