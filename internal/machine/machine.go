@@ -981,10 +981,10 @@ func (s *Space) Size() int64 { return s.seg.Size(s.m.cfg.PageSize) }
 func (s *Space) Pages() int32 { return s.seg.NPages }
 
 // The access methods below are forwards that inline into the workload, so a
-// resident hit costs one host call (vm's access or Touch; ReadWord is over
-// the inliner's budget and costs two). The VM keeps the first error and
-// refuses every later reference, so a forward has nothing to do with an
-// error: each tests it only because errdrop forbids dropping it unread.
+// resident hit costs one host call (vm's access or Touch). The VM keeps the
+// first error and refuses every later reference, so a forward has nothing to
+// do with an error: each tests it only because errdrop forbids dropping it
+// unread.
 
 // Touch references one word on page n (reading or writing), the primitive
 // the thrasher workload uses.
@@ -1020,13 +1020,13 @@ func (s *Space) Write(off int64, data []byte) {
 }
 
 // ReadWord reads the 8-byte word at off. After a fatal machine error it
-// returns 0 (the dead process observes nothing).
-func (s *Space) ReadWord(off int64) uint64 {
-	w, err := s.m.VM.ReadWord(s.seg, off)
-	if err != nil {
-		return 0
+// returns 0 (the dead process observes nothing): a failed ReadWordInto
+// leaves w unwritten.
+func (s *Space) ReadWord(off int64) (w uint64) {
+	if s.m.VM.ReadWordInto(s.seg, off, &w) != nil {
+		return
 	}
-	return w
+	return
 }
 
 // WriteWord writes the 8-byte word at off.

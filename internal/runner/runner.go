@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -35,9 +37,19 @@ import (
 // a context cancellation no new indexes are dispatched, but in-flight calls
 // run to completion. workers <= 0 means runtime.GOMAXPROCS(0) workers; one
 // worker runs every index serially on the calling goroutine.
+//
+// Each call runs under pprof.Do with the profiler label "job" set to its
+// index, added to the labels ctx carries, so a CPU profile of a sweep splits
+// its samples per job.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
+	call := func(i int) (r T, err error) {
+		pprof.Do(ctx, pprof.Labels("job", strconv.Itoa(i)), func(ctx context.Context) {
+			r, err = fn(ctx, i)
+		})
+		return r, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -50,7 +62,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 				errs[i] = fmt.Errorf("run %d: %w", i, err)
 				break
 			}
-			r, err := fn(ctx, i)
+			r, err := call(i)
 			if err != nil {
 				errs[i] = fmt.Errorf("run %d: %w", i, err)
 				break
@@ -79,7 +91,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 					failed.Store(true)
 					return
 				}
-				r, err := fn(ctx, i)
+				r, err := call(i)
 				if err != nil {
 					errs[i] = fmt.Errorf("run %d: %w", i, err)
 					failed.Store(true)

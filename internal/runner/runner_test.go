@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +150,32 @@ func TestMapRunsConcurrently(t *testing.T) {
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("result[%d] = %d", i, v)
+		}
+	}
+}
+
+// Every call sees its index as the profiler label "job", beside the labels
+// of the context Map was given, on the serial and the parallel path alike.
+func TestMapLabelsEachJob(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var (
+			got []string
+			err error
+		)
+		pprof.Do(context.Background(), pprof.Labels("experiment", "sweep"), func(ctx context.Context) {
+			got, err = Map(ctx, workers, 8, func(ctx context.Context, i int) (string, error) {
+				job, _ := pprof.Label(ctx, "job")
+				outer, _ := pprof.Label(ctx, "experiment")
+				return outer + "/" + job, nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range got {
+			if want := fmt.Sprintf("sweep/%d", i); g != want {
+				t.Fatalf("workers=%d: job %d saw labels %q, want %q", workers, i, g, want)
+			}
 		}
 	}
 }

@@ -71,6 +71,16 @@ func BenchmarkWriteWord(b *testing.B) {
 	}
 }
 
+// BenchmarkRead1B, BenchmarkRead4B and BenchmarkWrite4B move the byte and
+// the row the compare workload does, which access moves as fixed-size arrays.
+func BenchmarkRead1B(b *testing.B) {
+	v, s := newBenchVM(b)
+	var buf [1]byte
+	for i := 0; i < b.N; i++ {
+		v.Read(s, int64(i&63)*4096+int64(i&4095), buf[:])
+	}
+}
+
 func BenchmarkRead4B(b *testing.B) {
 	v, s := newBenchVM(b)
 	var buf [4]byte
@@ -86,5 +96,22 @@ func BenchmarkRead16B(b *testing.B) {
 	var buf [16]byte
 	for i := 0; i < b.N; i++ {
 		v.Read(s, int64(i&63)*4096+int64(i&255)*16, buf[:])
+	}
+}
+
+func BenchmarkWrite4B(b *testing.B) {
+	v, s := newBenchVM(b)
+	var buf [4]byte
+	for i := 0; i < b.N; i++ {
+		v.Write(s, int64(i&63)*4096+int64(i&1023)*4, buf[:])
+	}
+}
+
+// BenchmarkWrite16B writes one 16-byte record, as the sort workload does.
+func BenchmarkWrite16B(b *testing.B) {
+	v, s := newBenchVM(b)
+	var buf [16]byte
+	for i := 0; i < b.N; i++ {
+		v.Write(s, int64(i&63)*4096+int64(i&255)*16, buf[:])
 	}
 }

@@ -257,11 +257,20 @@ func TestLRUAgainstModel(t *testing.T) {
 				last = n
 			case r < 14:
 				// Up to three pages, so one access is several references; or
-				// a short run, mostly within one page.
+				// a short run, mostly within one page. Half the short runs
+				// have a length access moves as a fixed-size array (1, 4,
+				// 16) or one it copies (24), some ending on the page's last
+				// byte.
 				off := int64(n)*ps + int64(rng.Intn(ps))
 				size := 1 + rng.Intn(2*ps)
 				if rng.Intn(2) == 0 {
 					size = 1 + rng.Intn(64)
+					if rng.Intn(2) == 0 {
+						size = [...]int{1, 4, 16, 24}[rng.Intn(4)]
+						if rng.Intn(4) == 0 {
+							off = int64(n+1)*ps - int64(size)
+						}
+					}
 				}
 				buf := make([]byte, size)
 				if room := int64(len(shadow)) - off; int64(len(buf)) > room {
@@ -364,7 +373,7 @@ func TestLRUAgainstModel(t *testing.T) {
 }
 
 // A resident hit is the simulator's innermost loop and must not allocate,
-// through any of the five entry points.
+// through any of the six entry points.
 func TestResidentHitDoesNotAllocate(t *testing.T) {
 	v, _, _, _ := newTestVM(t, 8)
 	s := v.NewSegment("heap", 4)
@@ -374,10 +383,14 @@ func TestResidentHitDoesNotAllocate(t *testing.T) {
 	}
 	i := 0
 	for name, f := range map[string]func(){
-		"Touch":     func() { v.Touch(s, int32(i&3), i&4 != 0) },
-		"Read":      func() { v.Read(s, int64(i&1)*4096+100, buf) },
-		"Write":     func() { v.Write(s, int64(i&1)*4096+100, buf) },
-		"ReadWord":  func() { v.ReadWord(s, int64(i&3)*4096+8) },
+		"Touch":    func() { v.Touch(s, int32(i&3), i&4 != 0) },
+		"Read":     func() { v.Read(s, int64(i&1)*4096+100, buf) },
+		"Write":    func() { v.Write(s, int64(i&1)*4096+100, buf) },
+		"ReadWord": func() { v.ReadWord(s, int64(i&3)*4096+8) },
+		"ReadWordInto": func() {
+			var w uint64
+			v.ReadWordInto(s, int64(i&3)*4096+8, &w)
+		},
 		"WriteWord": func() { v.WriteWord(s, int64(i&3)*4096+8, uint64(i)) },
 	} {
 		if got := testing.AllocsPerRun(200, func() { f(); i++ }); got != 0 {

@@ -320,7 +320,8 @@ func (v *VM) NewSegment(name string, npages int32) *Segment {
 // simulated process took an unrecoverable machine check (see Err).
 //
 // access repeats this body for a single-page byte or word access, in the
-// same order; TestLRUAgainstModel holds both to one model.
+// same order but with a test for a hit on the LRU tail first;
+// TestLRUAgainstModel holds both to one model.
 func (v *VM) Touch(s *Segment, n int32, write bool) (*Page, error) {
 	if v.err != nil {
 		return nil, v.err
@@ -614,6 +615,13 @@ func (v *VM) ReadWord(s *Segment, off int64) (uint64, error) {
 	return w, err
 }
 
+// ReadWordInto is ReadWord with the word stored through w, which an error
+// leaves untouched. With one result its callers' forwards stay inlineable
+// (machine.Space.ReadWord).
+func (v *VM) ReadWordInto(s *Segment, off int64, w *uint64) error {
+	return v.access(s, off, nil, w, opReadWord)
+}
+
 // WriteWord writes the 8-byte little-endian word at byte offset off, which
 // must not straddle a page.
 func (v *VM) WriteWord(s *Segment, off int64, val uint64) error {
@@ -640,6 +648,11 @@ const (
 // The word moves through a pointer, not a result, because a second result
 // puts the Read and Write wrappers, and the machine's forwards around them,
 // over the inliner's budget.
+//
+// The lengths the workloads move (1 and 4 for compare's cells and rows, 16
+// for sort's records) are fixed-size array moves compiled into access, so a
+// hit makes no runtime call for them; any other length is a copy. A shared
+// helper for short moves is out of line and gives the call back.
 func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp) error {
 	if v.err != nil {
 		return v.err
@@ -668,11 +681,19 @@ func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp
 	if v.traceHook != nil {
 		v.traceHook(s.ID, page, write)
 	}
-	p := s.Page(page)
-	if p.State == Resident {
-		v.lruTouch(p)
-	} else if err := v.fault(p); err != nil {
-		return err
+	// A hit on the LRU tail needs neither the page table nor a splice, only
+	// a fresh LastUse (lruTouch's first case). The tail is read here, after
+	// the trace hook, which may have moved it.
+	p := v.lruTail
+	if p != nil && p.Key == (swap.PageKey{Seg: s.ID, Page: page}) {
+		p.LastUse = v.clock.Now()
+	} else {
+		p = s.Page(page)
+		if p.State == Resident {
+			v.lruTouch(p)
+		} else if err := v.fault(p); err != nil {
+			return err
+		}
 	}
 	if write {
 		p.Unwritten = min(p.Unwritten, uint16(in/8))
@@ -680,14 +701,26 @@ func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp
 	}
 	b := v.pool.Bytes(p.Frame)[in : in+n]
 	switch op {
-	case opRead:
-		copy(buf, b)
-	case opWrite:
-		copy(b, buf)
 	case opReadWord:
 		*word = binary.LittleEndian.Uint64(b)
+		return nil
 	case opWriteWord:
 		binary.LittleEndian.PutUint64(b, *word)
+		return nil
+	}
+	dst, src := buf, b
+	if write {
+		dst, src = b, buf
+	}
+	switch n {
+	case 1:
+		dst[0] = src[0]
+	case 4:
+		*(*[4]byte)(dst) = *(*[4]byte)(src)
+	case 16:
+		*(*[16]byte)(dst) = *(*[16]byte)(src)
+	default:
+		copy(dst, src)
 	}
 	return nil
 }

@@ -168,11 +168,11 @@ func TestWordStraddlePanics(t *testing.T) {
 }
 
 // The first reference that fails kills the simulated process: the VM keeps
-// its error, and every later access through any of the six accessors
+// its error, and every later access through any of the seven accessors
 // returns it at once — no reference counted, no clock movement, no bytes
-// moved, ReadWord reading 0. A reference made inside the trace hook that
-// fails first keeps its error first, even when the reference that called
-// the hook then fails too.
+// moved, ReadWord reading 0 and ReadWordInto leaving its word alone. A
+// reference made inside the trace hook that fails first keeps its error
+// first, even when the reference that called the hook then fails too.
 func TestFirstFailedReferenceSticks(t *testing.T) {
 	v, fp, pool, clock := newTestVM(t, 4)
 	s := v.NewSegment("heap", 4)
@@ -221,6 +221,14 @@ func TestFirstFailedReferenceSticks(t *testing.T) {
 			}
 			return err
 		},
+		"ReadWordInto": func() error {
+			w := uint64(7)
+			err := v.ReadWordInto(s, 2*4096, &w)
+			if w != 7 {
+				t.Errorf("ReadWordInto of a dead VM stored %d", w)
+			}
+			return err
+		},
 		"WriteWord": func() error { return v.WriteWord(s, 2*4096, 42) },
 	} {
 		if err := access(); err != inHook {
@@ -238,6 +246,24 @@ func TestFirstFailedReferenceSticks(t *testing.T) {
 	}
 	if p := s.Page(2); p.Pinned || p.Dirty {
 		t.Errorf("page 2 = %+v after accesses to a dead VM", *p)
+	}
+}
+
+// access takes a hit on the LRU tail without the page table, matching the
+// tail by segment and page: the same page number in another segment is
+// another page, and faults.
+func TestTailHitMatchesSegment(t *testing.T) {
+	v, _, _, _ := newTestVM(t, 4)
+	a, b := v.NewSegment("a", 2), v.NewSegment("b", 2)
+	writeWord(t, v, a, 8, 1) // a's page 0 is the tail
+	if got := readWord(t, v, b, 8); got != 0 {
+		t.Fatalf("b's page 0 read %d, a's word", got)
+	}
+	if p := b.Page(0); p.State != Resident || v.lruTail != p {
+		t.Fatalf("b's page 0 = %v, tail %v; want it faulted in as the tail", p.State, v.lruTail.Key)
+	}
+	if got := readWord(t, v, a, 8); got != 1 || v.Stats().Faults != 2 {
+		t.Fatalf("a's page 0 read %d after %d faults, want 1 after 2", got, v.Stats().Faults)
 	}
 }
 

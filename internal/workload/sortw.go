@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -157,6 +157,16 @@ func (s *Sort) Run(m *machine.Machine) error {
 	return nil
 }
 
+// recordLess reports whether record a sorts before record b, in the order of
+// bytes.Compare: each record is two big-endian words, compared in turn.
+func recordLess(a, b *[recordBytes]byte) bool {
+	a0, b0 := binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(b[:8])
+	if a0 != b0 {
+		return a0 < b0
+	}
+	return binary.BigEndian.Uint64(a[8:]) < binary.BigEndian.Uint64(b[8:])
+}
+
 // quicksort is an iterative in-place quicksort with median-of-three pivots
 // and insertion sort below a cutoff, operating on records in simulated
 // memory.
@@ -173,7 +183,6 @@ func (s *Sort) quicksort(space *machine.Space, base, lo, hi int64) {
 		write(i, &rb)
 		write(j, &ra)
 	}
-	less := func(a, b *[recordBytes]byte) bool { return bytes.Compare(a[:], b[:]) < 0 }
 
 	const cutoff = 12
 	type span struct{ lo, hi int64 }
@@ -186,17 +195,17 @@ func (s *Sort) quicksort(space *machine.Space, base, lo, hi int64) {
 			mid := sp.lo + (sp.hi-sp.lo)/2
 			read(sp.lo, &ra)
 			read(mid, &rb)
-			if less(&rb, &ra) {
+			if recordLess(&rb, &ra) {
 				swap(sp.lo, mid)
 			}
 			read(sp.lo, &ra)
 			read(sp.hi, &rb)
-			if less(&rb, &ra) {
+			if recordLess(&rb, &ra) {
 				swap(sp.lo, sp.hi)
 			}
 			read(mid, &ra)
 			read(sp.hi, &rb)
-			if less(&rb, &ra) {
+			if recordLess(&rb, &ra) {
 				swap(mid, sp.hi)
 			}
 			read(mid, &rp) // pivot
@@ -205,14 +214,14 @@ func (s *Sort) quicksort(space *machine.Space, base, lo, hi int64) {
 			for i <= j {
 				for {
 					read(i, &ra)
-					if !less(&ra, &rp) {
+					if !recordLess(&ra, &rp) {
 						break
 					}
 					i++
 				}
 				for {
 					read(j, &rb)
-					if !less(&rp, &rb) {
+					if !recordLess(&rp, &rb) {
 						break
 					}
 					j--
@@ -242,7 +251,7 @@ func (s *Sort) quicksort(space *machine.Space, base, lo, hi int64) {
 			j := i - 1
 			for j >= sp.lo {
 				read(j, &rb)
-				if !less(&ra, &rb) {
+				if !recordLess(&ra, &rb) {
 					break
 				}
 				write(j+1, &rb)
@@ -260,7 +269,7 @@ func (s *Sort) VerifySorted() int64 {
 	s.space.Read(s.base, prev[:])
 	for i := int64(1); i < s.n; i++ {
 		s.space.Read(s.base+i*recordBytes, cur[:])
-		if bytes.Compare(cur[:], prev[:]) < 0 {
+		if recordLess(&cur, &prev) {
 			return i
 		}
 		prev = cur

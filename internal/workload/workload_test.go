@@ -213,6 +213,44 @@ func TestSortValidation(t *testing.T) {
 	}
 }
 
+// recordLess must order records as bytes.Compare does: on random records, on
+// pairs that agree in their first word (so the second decides), and on bytes
+// of 0x80 and above, which a signed or little-endian compare misorders.
+func TestRecordLessMatchesBytesCompare(t *testing.T) {
+	rec := func(s string) (r [recordBytes]byte) {
+		copy(r[:], s)
+		return r
+	}
+	pairs := [][2][recordBytes]byte{
+		{rec(""), rec("")},
+		{rec("apple"), rec("apples")},
+		{rec("abcdefgh"), rec("abcdefgh\x01")},
+		{rec("abcdefgh\x7f"), rec("abcdefgh\x80")},
+		{rec("\x7f"), rec("\x80")},
+		{rec("\x01\xff"), rec("\xff\x01")},
+		{rec("abcdefgh12345678"), rec("abcdefgh12345679")},
+		{rec("\xff\xff\xff\xff\xff\xff\xff\xff\xff"), rec("\xff\xff\xff\xff\xff\xff\xff\xff\x00")},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		var a, b [recordBytes]byte
+		rng.Read(a[:])
+		rng.Read(b[:])
+		// Share a prefix of 0 to 16 bytes, so many pairs tie on the
+		// first word and some are equal.
+		copy(b[:rng.Intn(recordBytes+1)], a[:])
+		pairs = append(pairs, [2][recordBytes]byte{a, b})
+	}
+	for _, p := range pairs {
+		for _, ab := range [2][2][recordBytes]byte{p, {p[1], p[0]}} {
+			a, b := ab[0], ab[1]
+			if got, want := recordLess(&a, &b), bytes.Compare(a[:], b[:]) < 0; got != want {
+				t.Fatalf("recordLess(%x, %x) = %v, bytes.Compare says %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestGoldPhasesRun(t *testing.T) {
 	for _, phase := range []GoldPhase{GoldCreate, GoldCold, GoldWarm} {
 		w := &Gold{Messages: 400, WordsPerMessage: 16, VocabWords: 300,
