@@ -185,16 +185,12 @@ func bdiWord(b []byte, off, width int) uint64 {
 
 // Decompress appends the decompressed form of a BDI block to dst.
 func (BDI) Decompress(dst, src []byte) ([]byte, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrCorrupt)
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, err
 	}
-	flag, body := src[0], src[1:]
-	switch flag {
-	case flagCopy:
+	if stored {
 		return append(dst, body...), nil
-	case flagCompress:
-	default:
-		return nil, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, flag)
 	}
 	pos := 0
 	for pos < len(body) {

@@ -59,9 +59,61 @@ type Codec interface {
 	MaxCompressedSize(n int) int
 }
 
+// PrefixDecoder is a codec that can decode a block a prefix at a time, so a
+// caller that needs only the first bytes of a page does not pay for the rest
+// (LZRW1 and FPC are two).
+//
+// DecompressPrefix continues the decode of src from at, where dst holds
+// exactly the bytes the steps before it produced (dst[:0] at the zero
+// Prefix), appends until at least upto bytes exist or the block ends, and
+// returns the extended slice and where the next step starts. Any sequence of
+// steps over the same src produces, once Done, Decompress(dst[:0], src)'s
+// bytes; and where Decompress fails, the step that reaches the failure
+// returns Decompress's error. A step may use dst's spare capacity as scratch,
+// as Decompress may, and never reads a byte there it has not written itself,
+// so the bytes past the returned slice are not the block's until a later step
+// returns them.
+type PrefixDecoder interface {
+	Codec
+	DecompressPrefix(dst, src []byte, at Prefix, upto int) ([]byte, Prefix, error)
+}
+
+// Prefix is where a prefix decode stopped: how much of its block's body the
+// steps so far consumed. LZRW1 stops only between groups and FPC only between
+// control bytes, so that offset and the output so far are the whole state.
+// The zero Prefix is the block's start.
+type Prefix struct {
+	in   int // bytes of the body consumed
+	done bool
+}
+
+// Done reports whether the decode has reached the block's end.
+func (p Prefix) Done() bool { return p.done }
+
 // ErrCorrupt is returned (possibly wrapped) by Decompress when the input is
 // not a valid compressed block.
 var ErrCorrupt = errors.New("compress: corrupt block")
+
+// splitBlock checks the flag byte every block but Null's starts with, and
+// returns the body after it and whether the block is stored.
+func splitBlock(src []byte) (body []byte, stored bool, err error) {
+	if len(src) == 0 {
+		return nil, false, fmt.Errorf("%w: empty input", ErrCorrupt)
+	}
+	switch src[0] {
+	case flagCopy:
+		return src[1:], true, nil
+	case flagCompress:
+		return src[1:], false, nil
+	}
+	return nil, false, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, src[0])
+}
+
+// storedPrefix is the prefix step of a stored block: its body is its output.
+func storedPrefix(dst, body []byte, at Prefix, upto int) ([]byte, Prefix) {
+	n := min(len(body), max(upto, at.in))
+	return append(dst, body[at.in:n]...), Prefix{in: n, done: n == len(body)}
+}
 
 // regMu guards registry. It is the one lock outside internal/runner, and it
 // is real synchronisation: runner workers build

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // FPC is a Frequent-Pattern Compression codec after Alameldeen & Wood
@@ -157,19 +158,47 @@ func fpcWord(code byte, p *[4]byte) uint32 {
 
 // Decompress appends the decompressed form of an FPC block to dst.
 func (FPC) Decompress(dst, src []byte) ([]byte, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrCorrupt)
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, err
 	}
-	flag, body := src[0], src[1:]
-	switch flag {
-	case flagCopy:
+	if stored {
 		return append(dst, body...), nil
-	case flagCompress:
-	default:
-		return nil, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, flag)
 	}
+	out, _, err := fpcDecode(dst, body, len(dst), 0, math.MaxInt)
+	return out, err
+}
+
+// DecompressPrefix is the prefix decoder (see PrefixDecoder): it stops at the
+// first control byte at or past upto.
+func (FPC) DecompressPrefix(dst, src []byte, at Prefix, upto int) ([]byte, Prefix, error) {
+	if at.done {
+		return dst, at, nil
+	}
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, at, err
+	}
+	if stored {
+		out, at := storedPrefix(dst, body, at, upto)
+		return out, at, nil
+	}
+	out, pos, err := fpcDecode(dst, body, 0, at.in, upto)
+	if err != nil {
+		return nil, at, err
+	}
+	return out, Prefix{in: pos, done: pos < 0}, nil
+}
+
+// fpcDecode decodes an FPC block's body — its length word, then its codes —
+// onto dst, whose bytes from base on are the block's output so far, a whole
+// number of words that the codes before pos produced; pos is 0 or a control
+// byte's offset past the length word. It stops at the end of the block,
+// returning pos -1, or at the first control byte where the output reaches
+// upto bytes of dst, returning that byte's offset.
+func fpcDecode(dst, body []byte, base, pos, upto int) ([]byte, int, error) {
 	if len(body) < fpcLenBytes {
-		return nil, fmt.Errorf("%w: truncated fpc header", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: truncated fpc header", ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(body))
 	body = body[fpcLenBytes:]
@@ -187,9 +216,9 @@ func (FPC) Decompress(dst, src []byte) ([]byte, error) {
 	// byte, or between its two codes with haveHi set.
 	buf := dst[:cap(dst)]
 	d := len(dst)
-	pos, ctrl, haveHi, w := 0, byte(0), false, 0
+	ctrl, haveHi, w := byte(0), false, (d-base)/4
 fast:
-	for pos+1+2*4 <= len(body) && d+2*4 <= len(buf) && w+2 <= words {
+	for d < upto && pos+1+2*4 <= len(body) && d+2*4 <= len(buf) && w+2 <= words {
 		c := body[pos]
 		if c == fpcRaw<<4|fpcRaw {
 			*(*[8]byte)(buf[d : d+8 : d+8]) = *(*[8]byte)(body[pos+1 : pos+9 : pos+9])
@@ -228,25 +257,29 @@ fast:
 	}
 
 	// The rest a code at a time, every access checked, growing dst as
-	// needed. This loop is the definition of every error.
+	// needed, to the next control byte at or past upto. This loop is the
+	// definition of every error.
 	dst = buf[:d]
 	for w < words {
 		var code byte
 		if haveHi {
 			code, haveHi = ctrl>>4, false
 		} else {
+			if len(dst) >= upto {
+				return dst, pos, nil
+			}
 			if pos >= len(body) {
-				return nil, fmt.Errorf("%w: fpc input exhausted at word %d/%d", ErrCorrupt, w, words)
+				return nil, 0, fmt.Errorf("%w: fpc input exhausted at word %d/%d", ErrCorrupt, w, words)
 			}
 			ctrl, code, haveHi = body[pos], body[pos]&0x0F, true
 			pos++
 		}
 		if code > fpcRaw {
-			return nil, fmt.Errorf("%w: bad fpc code %d", ErrCorrupt, code)
+			return nil, 0, fmt.Errorf("%w: bad fpc code %d", ErrCorrupt, code)
 		}
 		need := fpcNeed[code]
 		if pos+need > len(body) {
-			return nil, fmt.Errorf("%w: truncated fpc payload", ErrCorrupt)
+			return nil, 0, fmt.Errorf("%w: truncated fpc payload", ErrCorrupt)
 		}
 		var payload [4]byte
 		copy(payload[:], body[pos:pos+need])
@@ -254,7 +287,7 @@ fast:
 		if code == fpcZeroRun {
 			run := int(payload[0])
 			if run < 2 || w+run > words {
-				return nil, fmt.Errorf("%w: bad fpc zero-run length %d", ErrCorrupt, run)
+				return nil, 0, fmt.Errorf("%w: bad fpc zero-run length %d", ErrCorrupt, run)
 			}
 			dst = append(dst, lzZero[:4*run]...)
 			w += run
@@ -264,10 +297,10 @@ fast:
 		w++
 	}
 	if haveHi && ctrl>>4 != 0 {
-		return nil, fmt.Errorf("%w: nonzero dangling fpc nibble", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: nonzero dangling fpc nibble", ErrCorrupt)
 	}
 	if len(body)-pos != tail {
-		return nil, fmt.Errorf("%w: fpc tail is %d bytes, want %d", ErrCorrupt, len(body)-pos, tail)
+		return nil, 0, fmt.Errorf("%w: fpc tail is %d bytes, want %d", ErrCorrupt, len(body)-pos, tail)
 	}
-	return append(dst, body[pos:]...), nil
+	return append(dst, body[pos:]...), -1, nil
 }

@@ -197,7 +197,7 @@ func FuzzDecompressDirtyScratch(f *testing.F) {
 }
 
 // corpusBlocks reads the checked-in seed corpus of one fuzz target.
-func corpusBlocks(t *testing.T, target string) [][]byte {
+func corpusBlocks(t testing.TB, target string) [][]byte {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
 	if err != nil || len(files) == 0 {

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -271,7 +272,7 @@ func lzResume[T uint16 | uint32](table *[lzHashSize]T, src, prev []byte, same in
 		if at[lzGroupItems-1]+lzReach > same || j > len(body) || j >= len(src) {
 			return pos, in
 		}
-		for _, q := range at {
+		for _, q := range &at {
 			table[lzHash(binary.LittleEndian.Uint32(src[q:]))] = T(q)
 		}
 		pos, in = p, j
@@ -286,20 +287,44 @@ func storedBlock(dst, src []byte) []byte {
 
 // Decompress appends the decompressed form of an LZRW1 block to dst.
 func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrCorrupt)
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, err
 	}
-	flag, body := src[0], src[1:]
-	switch flag {
-	case flagCopy:
+	if stored {
 		return append(dst, body...), nil
-	case flagCompress:
-	default:
-		return nil, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, flag)
 	}
-	base := len(dst)
-	pos := 0
+	out, _, err := lzDecode(dst, body, len(dst), 0, math.MaxInt)
+	return out, err
+}
 
+// DecompressPrefix is the prefix decoder (see PrefixDecoder): it stops at the
+// first group boundary at or past upto.
+func (LZRW1) DecompressPrefix(dst, src []byte, at Prefix, upto int) ([]byte, Prefix, error) {
+	if at.done {
+		return dst, at, nil
+	}
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, at, err
+	}
+	if stored {
+		out, at := storedPrefix(dst, body, at, upto)
+		return out, at, nil
+	}
+	out, pos, err := lzDecode(dst, body, 0, at.in, upto)
+	if err != nil {
+		return nil, at, err
+	}
+	return out, Prefix{in: pos, done: pos == len(body)}, nil
+}
+
+// lzDecode decodes an LZRW1 block's body from pos, a group boundary, onto
+// dst, whose bytes from base on are the block's output so far. It stops at
+// the end of the body or at the first group boundary where the output
+// reaches upto bytes of dst, and returns the extended slice and where it
+// stopped.
+func lzDecode(dst, body []byte, base, pos, upto int) ([]byte, int, error) {
 	// Whole groups, a literal run at a time: while a group's input is all
 	// there and its worst-case output fits in dst's capacity, each step
 	// moves the literals in front of the next copy item as one 16-byte block
@@ -307,10 +332,15 @@ func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
 	// words. A move may run past the end of its item; what it writes there
 	// is overwritten by the next item or cut off by the final length, and it
 	// stays inside the capacity claimed here — bytes the caller never filled
-	// and this decoder zeroes before it touches them.
-	buf := append(dst, lzZero[:min(cap(dst)-len(dst), len(lzZero))]...)
-	d := base
-	for pos+lzGroupIn <= len(body) && d+lzGroupSpan <= len(buf) {
+	// and this decoder zeroes before it touches them. A prefix step claims
+	// only what the groups up to upto can reach.
+	spare := min(cap(dst)-len(dst), len(lzZero))
+	if upto-len(dst) < spare-lzGroupSpan {
+		spare = max(upto-len(dst)+lzGroupSpan, 0)
+	}
+	buf := append(dst, lzZero[:spare]...)
+	d := len(dst)
+	for d < upto && pos+lzGroupIn <= len(body) && d+lzGroupSpan <= len(buf) {
 		// Bit 16 ends the last run where the group ends.
 		control := uint(body[pos]) | uint(body[pos+1])<<8 | 1<<lzGroupItems
 		pos += 2
@@ -329,7 +359,7 @@ func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
 			length := int(b0&0x0F) + lzMinMatch
 			start := d - off
 			if off == 0 || start < base {
-				return nil, fmt.Errorf("%w: copy offset %d out of range", ErrCorrupt, off)
+				return nil, 0, fmt.Errorf("%w: copy offset %d out of range", ErrCorrupt, off)
 			}
 			if off >= 8 {
 				// Word by word, in order: each word's source lies wholly
@@ -351,16 +381,16 @@ func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
 	// The last groups, short inputs and a dst without spare capacity: an
 	// item at a time, every access checked, growing dst as needed.
 	dst = buf[:d]
-	for pos < len(body) {
+	for pos < len(body) && len(dst) < upto {
 		if pos+2 > len(body) {
-			return nil, fmt.Errorf("%w: truncated control word", ErrCorrupt)
+			return nil, 0, fmt.Errorf("%w: truncated control word", ErrCorrupt)
 		}
 		control := uint16(body[pos]) | uint16(body[pos+1])<<8
 		pos += 2
 		for bit := 0; bit < lzGroupItems && pos < len(body); bit++ {
 			if control&1 == 1 {
 				if pos+2 > len(body) {
-					return nil, fmt.Errorf("%w: truncated copy item", ErrCorrupt)
+					return nil, 0, fmt.Errorf("%w: truncated copy item", ErrCorrupt)
 				}
 				b0, b1 := body[pos], body[pos+1]
 				pos += 2
@@ -368,7 +398,7 @@ func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
 				length := int(b0&0x0F) + lzMinMatch
 				start := len(dst) - off
 				if off == 0 || start < base {
-					return nil, fmt.Errorf("%w: copy offset %d out of range", ErrCorrupt, off)
+					return nil, 0, fmt.Errorf("%w: copy offset %d out of range", ErrCorrupt, off)
 				}
 				// Byte-at-a-time copy: source and destination may overlap
 				// when off < length.
@@ -382,5 +412,5 @@ func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
 			control >>= 1
 		}
 	}
-	return dst, nil
+	return dst, pos, nil
 }

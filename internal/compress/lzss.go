@@ -178,16 +178,12 @@ func (LZSS) Compress(dst, src []byte) []byte {
 
 // Decompress appends the decompressed form of an LZSS block to dst.
 func (LZSS) Decompress(dst, src []byte) ([]byte, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrCorrupt)
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, err
 	}
-	flag, body := src[0], src[1:]
-	switch flag {
-	case flagCopy:
+	if stored {
 		return append(dst, body...), nil
-	case flagCompress:
-	default:
-		return nil, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, flag)
 	}
 	base := len(dst)
 	pos := 0

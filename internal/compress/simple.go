@@ -107,16 +107,12 @@ func (RLE) Compress(dst, src []byte) []byte {
 
 // Decompress appends the decoded form of an RLE block to dst.
 func (RLE) Decompress(dst, src []byte) ([]byte, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrCorrupt)
+	body, stored, err := splitBlock(src)
+	if err != nil {
+		return nil, err
 	}
-	flag, body := src[0], src[1:]
-	switch flag {
-	case flagCopy:
+	if stored {
 		return append(dst, body...), nil
-	case flagCompress:
-	default:
-		return nil, fmt.Errorf("%w: bad flag byte %#x", ErrCorrupt, flag)
 	}
 	for i := 0; i < len(body); {
 		switch c := body[i]; c {

@@ -23,8 +23,9 @@ type resumer interface {
 
 // checked is a codec for a machine under test: every page the machine
 // compresses — in full or resumed from an earlier form, where the codec can
-// resume — and every block it decompresses is also given to the reference,
-// and disagreements are reported to the test.
+// resume — and every block it decompresses — in one call or a prefix at a
+// time — is also given to the reference, and disagreements are reported to
+// the test. Both codecs it wraps decode by prefix.
 type checked struct {
 	compress.Codec
 	ref                               reference
@@ -67,6 +68,26 @@ func (c checked) Decompress(dst, src []byte) ([]byte, error) {
 	}
 	*c.decompressed++
 	return out, err
+}
+
+// DecompressPrefix holds each step to the reference's decode of the whole
+// block: the bytes so far are a prefix of it, and a step that finishes or
+// fails does so where the reference does. A block counts as decompressed
+// when its decode finishes or fails.
+func (c checked) DecompressPrefix(dst, src []byte, at compress.Prefix, upto int) ([]byte, compress.Prefix, error) {
+	out, next, err := c.Codec.(compress.PrefixDecoder).DecompressPrefix(dst, src, at, upto)
+	want, wantErr := c.ref.Decompress(nil, src)
+	switch {
+	case err != nil && wantErr == nil,
+		err == nil && wantErr == nil && !bytes.HasPrefix(want, out),
+		err == nil && next.Done() && (wantErr != nil || len(out) != len(want)):
+		c.t.Errorf("block %d: a step to %d bytes decoded %d bytes (%v, done %v), reference %d (%v)",
+			*c.decompressed, upto, len(out), err, next.Done(), len(want), wantErr)
+	}
+	if err != nil || next.Done() {
+		*c.decompressed++
+	}
+	return out, next, err
 }
 
 // TestCodecsMatchReferenceOnWorkloadPages checks the byte-identity contract

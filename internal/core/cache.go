@@ -378,9 +378,11 @@ func (c *Cache) InsertSummed(key swap.PageKey, data []byte, sum uint32, dirty bo
 
 	buf := c.slabGet(len(data))
 	copy(buf, data)
+	// Field by field: a composite literal is built on the stack and then
+	// block-copied into the recycled entry.
 	e := c.newEntry()
-	*e = Entry{Key: key, Data: buf, Dirty: dirty, Sum: sum,
-		insert: c.clock.Now(), frames: e.frames[:0]}
+	e.Key, e.Data, e.Dirty, e.Sum, e.dead = key, buf, dirty, sum, false
+	e.insert, e.frames, e.refs, e.oidx = c.clock.Now(), e.frames[:0], 0, 0
 	left := need
 	if rem > 0 {
 		tail := c.frames[len(c.frames)-1]

@@ -266,13 +266,17 @@ func TestSteadyStateReadCycleZeroAllocs(t *testing.T)    { steadyCycle(t, false)
 func TestSteadyStateDirtyRewriteZeroAllocs(t *testing.T) { steadyCycle(t, true) }
 
 // countedCodec is a registered codec that counts its compressions and
-// Decompress calls, so a row can tell the compressions and decompressions the
+// decodes, so a row can tell the compressions and decompressions the
 // simulated machine was charged for (Comp.Compressions, Comp.Decompressions)
 // from the ones the host's codec actually ran. It resumes where the codec it
-// wraps can (resumer), and counts those compressions apart as well.
+// wraps can (resumer), and counts those compressions apart as well. Where
+// the codec it wraps decodes by prefix, the registered wrapper does too
+// (prefixCounted). A decode is a Decompress call or a prefix step from a
+// block's start, and the wrapper counts the bytes every decode and step
+// produced.
 type countedCodec struct {
 	compress.Codec
-	calls, resumes, decodes atomic.Uint64
+	calls, resumes, decodes, decoded atomic.Uint64
 }
 
 func (c *countedCodec) Name() string { return "counted-" + c.Codec.Name() }
@@ -294,7 +298,21 @@ func (c *countedCodec) CompressFrom(dst, src, prev []byte, same int) []byte {
 
 func (c *countedCodec) Decompress(dst, src []byte) ([]byte, error) {
 	c.decodes.Add(1)
-	return c.Codec.Decompress(dst, src)
+	out, err := c.Codec.Decompress(dst, src)
+	c.decoded.Add(uint64(max(len(out)-len(dst), 0)))
+	return out, err
+}
+
+// prefixCounted is a countedCodec over a codec that decodes by prefix.
+type prefixCounted struct{ *countedCodec }
+
+func (c prefixCounted) DecompressPrefix(dst, src []byte, at compress.Prefix, upto int) ([]byte, compress.Prefix, error) {
+	if at == (compress.Prefix{}) {
+		c.decodes.Add(1)
+	}
+	out, next, err := c.Codec.(compress.PrefixDecoder).DecompressPrefix(dst, src, at, upto)
+	c.decoded.Add(uint64(max(len(out)-len(dst), 0)))
+	return out, next, err
 }
 
 // Calls reports the compressions so far, resumed or not; a nil codec has
@@ -315,12 +333,20 @@ func (c *countedCodec) Resumes() uint64 {
 	return c.resumes.Load()
 }
 
-// Decodes reports the Decompress calls so far; a nil codec has made none.
+// Decodes reports the decodes so far; a nil codec has made none.
 func (c *countedCodec) Decodes() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.decodes.Load()
+}
+
+// Decoded reports the bytes decoded so far; a nil codec has decoded none.
+func (c *countedCodec) Decoded() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.decoded.Load()
 }
 
 var countedCodecs = map[string]*countedCodec{}
@@ -339,7 +365,11 @@ func counted(name string) *countedCodec {
 		panic(err)
 	}
 	c := &countedCodec{Codec: inner}
-	compress.Register(c)
+	if _, ok := inner.(compress.PrefixDecoder); ok {
+		compress.Register(prefixCounted{c})
+	} else {
+		compress.Register(c)
+	}
 	countedCodecs[name] = c
 	return c
 }

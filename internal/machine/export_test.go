@@ -2,6 +2,7 @@ package machine
 
 import (
 	"compcache/internal/compress"
+	"compcache/internal/mem"
 	"compcache/internal/vm"
 )
 
@@ -43,10 +44,21 @@ func (a *Amnesiac) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 	return a.Machine.PageIn(p, data)
 }
 
-// forget empties both memos and clears every page's hit bit.
+// PageInPrefix restores the whole page, as PageIn does: the forgetful
+// machine decodes every page it restores in full.
+func (a *Amnesiac) PageInPrefix(p *vm.Page, data []byte, _ int) (vm.Source, int, error) {
+	src, err := a.PageIn(p, data)
+	return src, len(data), err
+}
+
+// forget empties both memos and clears every page's hit bit, finishing every
+// frame's pending tail first: a partial page's tail decodes from its form.
 func (m *Machine) forget() {
+	if err := m.finishTails(); err != nil {
+		panic(err)
+	}
 	_ = m.eachPage(func(p *vm.Page) error {
-		if p.State == vm.Resident {
+		if p.HoldsFrame() {
 			m.recall(p)
 			p.Memo = 0
 		} else {
@@ -64,3 +76,33 @@ var Counted = counted
 // c must be that codec in another guise (machine.Counted's wrapper): a test
 // compares the two machines byte for byte.
 func (m *Machine) SetCodec(c compress.Codec) { m.codec = c }
+
+// PendingTails reports how many frames have a tail still to decode.
+func (m *Machine) PendingTails() int {
+	n := 0
+	for _, s := range m.memo.slots {
+		if s.dec != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// WatchFileFrames makes the file cache's frame source count the frames it is
+// given while their tails are pending, and returns the count so far.
+func (m *Machine) WatchFileFrames() func() int {
+	n := 0
+	m.FS.SetFrameSource(func(o mem.Owner) (mem.FrameID, error) {
+		id, err := m.alloc.AllocFrame(o)
+		if err != nil {
+			return mem.NoFrame, err
+		}
+		if m.memo.slots != nil && m.memo.slots[id].dec != nil {
+			n++
+		}
+		m.claimTail(id, o)
+		m.maybeClean()
+		return id, nil
+	})
+	return func() int { return n }
+}

@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -12,18 +13,25 @@ import (
 
 // TestCompressMemoIsInvisible runs the workloads the memos help most — a
 // read-only thrash several times the size of memory, then gold's warm phase —
-// on a machine as built and on one that forgets every remembered form, in
-// both directions, before each page-in and each eviction, and so runs the
-// codec for every compression and every decompression. Nothing the simulated
-// machine can report may tell them apart: the statistics with the metrics
-// registry in them, the virtual clock, the snapshot bytes. The host can: the
-// first machine's codec has to have compressed and decoded less, and on
-// gold's phase, whose index pages go out dirty, to have resumed compressing
-// pages from the forms they came in with, where the second never can.
+// and the ones partial restores help most — one word read of each page of
+// three memories' worth, shuffled, under LZRW1 and under FPC, then a scan of
+// a file through the compressed file cache, whose frames can come from the
+// cache and, before it, from pages restored in part — on a machine as built
+// and on one that forgets every remembered form, in both directions, before
+// each page-in and each eviction, and so runs the codec for every
+// compression and decodes every page it restores whole. Nothing the
+// simulated machine can report may tell them apart: the statistics with the
+// metrics registry in them, the virtual clock, the snapshot bytes — taken,
+// after the word reads, while frames still have tails to decode. The host
+// can: the first machine's codec has to have compressed less, decoded fewer
+// times and fewer bytes, and on gold's phase, whose index pages go out
+// dirty, to have resumed compressing pages from the forms they came in
+// with, where the second never can.
 func TestCompressMemoIsInvisible(t *testing.T) {
-	codec := machine.Counted("")
+	codec, fpc := machine.Counted(""), machine.Counted("fpc")
 	cfg := machine.Default(64 * 4096).WithCC()
 	cfg.CC.Codec = codec.Name()
+	cfg.CC.FileCache = true
 	build := func() *machine.Machine {
 		m, err := machine.New(cfg, machine.WithObs(obs.Options{}))
 		if err != nil {
@@ -33,6 +41,7 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 	}
 	asBuilt, forgetful := build(), build()
 	forgetful.ForgetMemos()
+	fileTails := asBuilt.WatchFileFrames()
 
 	phases := []func() workload.Workload{
 		func() workload.Workload {
@@ -42,26 +51,41 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 			return &workload.Gold{Messages: 400, WordsPerMessage: 16, VocabWords: 300, Queries: 300,
 				Phase: workload.GoldWarm, Seed: 3}
 		},
+		func() workload.Workload { return sparse{pages: 192, passes: 3, seed: 5} },
+		func() workload.Workload { return sparse{codec: fpc.Name(), pages: 192, passes: 3, seed: 6} },
+		func() workload.Workload {
+			return then{sparse{pages: 192, passes: 1, seed: 7}, &workload.FileScan{FileBytes: 192 * 4096, Passes: 2, Seed: 7}}
+		},
 	}
-	var ran, resumed, decoded [2]uint64
+	calls := func() uint64 { return codec.Calls() + fpc.Calls() }
+	decodes := func() uint64 { return codec.Decodes() + fpc.Decodes() }
+	bytesDecoded := func() uint64 { return codec.Decoded() + fpc.Decoded() }
+	var ran, resumed, decoded, decodedBytes [2]uint64
 	for _, phase := range phases {
 		name := phase().Name()
 		var phaseResumed [2]uint64
 		for i, m := range []*machine.Machine{asBuilt, forgetful} {
-			before, resumes, decodes := codec.Calls(), codec.Resumes(), codec.Decodes()
+			before, resumes, decodesBefore, bytesBefore := calls(), codec.Resumes(), decodes(), bytesDecoded()
 			if err := phase().Run(m); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if err := m.Err(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			ran[i] += codec.Calls() - before
+			ran[i] += calls() - before
 			phaseResumed[i] = codec.Resumes() - resumes
 			resumed[i] += phaseResumed[i]
-			decoded[i] += codec.Decodes() - decodes
+			decoded[i] += decodes() - decodesBefore
+			decodedBytes[i] += bytesDecoded() - bytesBefore
 		}
 		if _, gold := phase().(*workload.Gold); gold && phaseResumed[0] == 0 {
 			t.Errorf("%s: the machine as built never resumed a compression", name)
+		}
+		if n := forgetful.PendingTails(); n != 0 {
+			t.Errorf("after %s the forgetful machine has %d frames with tails pending", name, n)
+		}
+		if _, words := phase().(sparse); words && asBuilt.PendingTails() == 0 {
+			t.Errorf("after %s no frame of the machine as built has a tail pending", name)
 		}
 		if a, b := asBuilt.Stats(), forgetful.Stats(); !reflect.DeepEqual(a, b) {
 			t.Errorf("after %s the statistics differ:\nas built:\n%v\nforgetful:\n%v", name, a, b)
@@ -96,10 +120,78 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 		t.Errorf("%d decompressions: the codec decoded %d times on the forgetful machine (want all of them) and %d times on the machine as built (want fewer)",
 			comp.Decompressions, decoded[1], decoded[0])
 	}
+	if decodedBytes[1] != comp.Decompressions*4096 || decodedBytes[0] >= decodedBytes[1] {
+		t.Errorf("%d decompressions: the codec decoded %d bytes on the forgetful machine (want a page for each) and %d bytes on the machine as built (want fewer)",
+			comp.Decompressions, decodedBytes[1], decodedBytes[0])
+	}
 	if resumed[1] != 0 {
 		t.Errorf("the forgetful machine resumed %d compressions from forms it had forgotten", resumed[1])
 	}
-	t.Logf("codec compressed %d times as built (%d resumed), %d forgetful; decoded %d times as built, %d forgetful", ran[0], resumed[0], ran[1], decoded[0], decoded[1])
+	if n := fileTails(); n == 0 {
+		t.Error("no frame went to the file cache with a tail pending")
+	}
+	t.Logf("codec compressed %d times as built (%d resumed), %d forgetful; decoded %d times (%d bytes) as built, %d (%d bytes) forgetful",
+		ran[0], resumed[0], ran[1], decoded[0], decodedBytes[0], decoded[1], decodedBytes[1])
+}
+
+// then runs one workload and then another.
+type then [2]workload.Workload
+
+func (w then) Name() string { return w[0].Name() + "+" + w[1].Name() }
+
+func (w then) Run(m *machine.Machine) error {
+	if err := w[0].Run(m); err != nil {
+		return err
+	}
+	return w[1].Run(m)
+}
+
+// sparse writes pages pages of the shape the fleet writes — half of each
+// page noise, in 64-byte blocks — then reads one word of each, at a random
+// place, in a shuffled order, passes times: every page it restores is read
+// at that word and nowhere else. In the last pass every other read is
+// followed by a word written to a page of a second segment that nothing has
+// touched, whose fault clears a frame that may still have a tail.
+type sparse struct {
+	codec         string // the segment's codec; "" for the machine's
+	pages, passes int
+	seed          int64
+}
+
+func (w sparse) Name() string { return "sparse-" + w.codec }
+
+func (w sparse) Run(m *machine.Machine) error {
+	ps := int64(m.Config().PageSize)
+	var s *machine.Space
+	if w.codec == "" {
+		s = m.NewSegment("sparse", int64(w.pages)*ps)
+	} else {
+		var err error
+		if s, err = m.NewSegmentCodec("sparse", int64(w.pages)*ps, w.codec); err != nil {
+			return err
+		}
+	}
+	rng := rand.New(rand.NewSource(w.seed))
+	page := make([]byte, ps)
+	for p := range w.pages {
+		clear(page)
+		for blk := 0; blk < len(page); blk += 64 {
+			if rng.Intn(2) == 0 {
+				rng.Read(page[blk : blk+64])
+			}
+		}
+		s.Write(int64(p)*ps, page)
+	}
+	fresh := m.NewSegment("fresh", int64(w.pages/2)*ps)
+	for pass := range w.passes {
+		for i, p := range rng.Perm(w.pages) {
+			s.ReadWord(int64(p)*ps + int64(rng.Intn(int(ps/8)))*8)
+			if pass == w.passes-1 && i%2 == 0 {
+				fresh.WriteWord(int64(i/2)*ps, uint64(i))
+			}
+		}
+	}
+	return m.Err()
 }
 
 // TestForgetfulMachineKeepsItsMemosStraight: the forgetful machine is the

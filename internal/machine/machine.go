@@ -61,7 +61,7 @@ type Machine struct {
 	compBuf []byte // codec.Compress destination, reused across calls
 	nbrBuf  []byte // neighbor staging (corrupt+verify)
 
-	memo  compressMemo // compressed forms of clean resident pages; see memo.go
+	memo  compressMemo // compressed forms of resident pages, by frame; see memo.go
 	plain plainMemo    // plaintext of recently evicted pages; see memo.go
 
 	base       books      // where the conservation equations start; see time.go
@@ -410,6 +410,7 @@ func (m *Machine) allocFrame(owner mem.Owner) (mem.FrameID, error) {
 	if err != nil {
 		return mem.NoFrame, err
 	}
+	m.claimTail(id, owner)
 	m.maybeClean()
 	return id, nil
 }
@@ -483,13 +484,16 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	it := swap.Item{Key: p.Key, Data: data}
 	var insErr error
 	var hit int32
+	whole := true // data holds all of the page
 	if m.CC != nil {
 		// The page is leaving memory, so its remembered compressed form goes
 		// whichever way it leaves; a page still clean uses it as it is, a
 		// dirty one as where to resume compressing from. Its plaintext is
-		// remembered on the way out if its stay began with a cache hit.
+		// remembered on the way out if its stay began with a cache hit and
+		// its frame holds all of it (departWhole).
 		memo, sum := m.recall(p)
 		hit, p.Memo = p.Memo&memoHit, 0
+		whole = m.departWhole(p, hit)
 
 		// Fast path: the page was faulted out of the cache and never
 		// modified, so its compressed copy is still valid — re-entering the
@@ -498,7 +502,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		// cheap).
 		if !p.Dirty && m.CC.Has(p.Key) {
 			p.State = vm.Compressed
-			if memo != nil { // the entry is the one the page and its sum came from
+			if memo != nil && whole { // the entry is the one the page and its sum came from
 				m.departPlain(p, data, sum, hit)
 			}
 			return nil
@@ -523,7 +527,9 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			if ok, insErr = m.CC.InsertSummed(p.Key, cdata, sum, p.Dirty); ok {
 				p.State = vm.Compressed
 				p.Dirty = false // dirtiness now tracked by the cache entry
-				m.departPlain(p, data, sum, hit)
+				if whole {
+					m.departPlain(p, data, sum, hit)
+				}
 				m.maybeClean()
 				return nil
 			}
@@ -545,7 +551,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	}
 	p.Dirty = false
 	p.State = vm.Swapped
-	if it.Compressed {
+	if it.Compressed && whole {
 		m.departPlain(p, data, it.Sum, hit)
 	}
 	return nil
@@ -646,33 +652,44 @@ func (m *Machine) heldBelow(key swap.PageKey) bool {
 }
 
 // PageIn services a fault for a page whose contents are compressed in
-// memory or held by a tier below. A corrupt compression-cache fragment is
-// recovered from the first tier that has a clean copy (the entry is dropped,
-// the tier's read proceeds at its usual virtual-time cost, and the recovery
-// is counted); a corrupt or unreadable fragment with no lower-level copy
-// returns fault.UnrecoverableError.
+// memory or held by a tier below, restoring the whole page (PageInPrefix).
 func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
+	src, _, err := m.PageInPrefix(p, data, len(data))
+	return src, err
+}
+
+// PageInPrefix implements vm.PrefixPager: it services a fault for a page
+// whose contents are compressed in memory or held by a tier below, decoding
+// a compressed form only as far as the first need bytes (restorePage). A
+// corrupt compression-cache fragment is recovered from the first tier that
+// has a clean copy (the entry is dropped, the tier's read proceeds at its
+// usual virtual-time cost, and the recovery is counted); a corrupt or
+// unreadable fragment with no lower-level copy returns
+// fault.UnrecoverableError. A fragment whose checksum holds but that the
+// codec rejects past the decoded prefix is found only by the reference that
+// reaches it (Extend), and is fatal then.
+func (m *Machine) PageInPrefix(p *vm.Page, data []byte, need int) (vm.Source, int, error) {
 	known := m.returnPlain(p)
 	if m.CC != nil {
 		if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
 			m.faults.CorruptCache(cdata)
-			err := m.restoreInto(data, cdata, true, sum, p.Key, known)
+			valid, memo, err := m.restorePage(p, data, cdata, true, sum, known, need)
 			if err == nil {
-				p.Memo = m.remember(cdata, sum, memoHit)
+				p.Memo = memo | memoHit
 				// The entry is retained and backs the resident copy, so the
 				// page itself is clean; SwapValid tracks whether the entry
 				// has been persisted. Modifying the page invalidates the
 				// entry (see Dirtied).
 				p.Dirty = false
 				p.SwapValid = !entryDirty
-				return vm.SrcCC, nil
+				return vm.SrcCC, valid, nil
 			}
 			// The in-memory fragment is corrupt. Drop the entry; if a tier
 			// below has a clean copy of the same contents, recover from it
 			// at that tier's usual cost.
 			m.CC.Drop(p.Key)
 			if entryDirty || !m.heldBelow(p.Key) {
-				return 0, unrecoverable(p.Key, "corrupt cache entry with no backing copy", err)
+				return 0, 0, unrecoverable(p.Key, "corrupt cache entry with no backing copy", err)
 			}
 			m.fst.Recoveries++
 			if m.bus.Enabled(obs.ClassRecovery) {
@@ -695,15 +712,13 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			continue
 		}
 		if err != nil {
-			return 0, unrecoverable(p.Key, l.name+" read failed", err)
+			return 0, 0, unrecoverable(p.Key, l.name+" read failed", err)
 		}
-		var memo int32
+		valid, memo := len(data), int32(0)
 		if l.raw {
 			m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy) // the tier filled the frame
-		} else if err := m.restoreInto(data, payload, compressed, sum, p.Key, known); err != nil {
-			return 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
-		} else if compressed {
-			memo = m.remember(payload, sum, 0)
+		} else if valid, memo, err = m.restorePage(p, data, payload, compressed, sum, known, need); err != nil {
+			return 0, 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		}
 		p.Dirty = false
 		p.SwapValid = true
@@ -711,9 +726,24 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 			m.insertNeighbors(along)
 		}
 		p.Memo = memo
-		return l.src, nil
+		return l.src, valid, nil
 	}
-	return 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
+	return 0, 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
+}
+
+// Extend implements vm.PrefixPager: it decodes more of the tail of partial
+// page p's frame, to at least twice what is decoded: a program that reads
+// past the prefix tends to read on, and a page read through from the start
+// then takes a handful of steps, not one per group. A codec rejection there
+// is the reference's machine check: the page's only verified form is bad
+// past the prefix, and the fault that could have recovered it from below is
+// over.
+func (m *Machine) Extend(p *vm.Page, _ []byte, need int) (int, error) {
+	valid, err := m.decodeTail(p.Frame, max(need, 2*m.memo.slots[p.Frame].done))
+	if err != nil {
+		return 0, unrecoverable(p.Key, "compressed form rejected past the decoded prefix", err)
+	}
+	return valid, nil
 }
 
 // insertNeighbors caches pages that came along for free with a tier's
@@ -848,7 +878,7 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 		p.State = vm.Swapped
 		p.SwapValid = true
 		p.Dirty = false
-	case vm.Resident:
+	case vm.Resident, vm.Partial:
 		// Reclaim only drops clean entries, so the backing store has the
 		// contents.
 		p.SwapValid = true
@@ -866,16 +896,8 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 // copied in instead of decoded — the simulated machine decompresses all the
 // same, and only the host skips the work.
 func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey, known plainForm) error {
-	if compressed {
-		m.Clock.Charge(sim.CauseDecompress, m.cfg.Cost.DecompressCost(len(data)))
-		m.decompHist.Observe(m.cfg.Cost.DecompressCost(len(data)))
-		m.comp.Decompressions++
-	} else {
-		m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy)
-	}
-	if core.Checksum(payload) != sum {
-		m.fst.CorruptionsDetected++
-		return &fault.CorruptionError{Page: key.String(), Reason: "checksum mismatch"}
+	if err := m.verify(data, payload, compressed, sum, key); err != nil {
+		return err
 	}
 	if !compressed {
 		copy(data, payload)
@@ -902,6 +924,24 @@ func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32,
 	// copy the page would silently keep its stale contents.
 	if len(out) > 0 && &out[0] != &data[0] {
 		copy(data, out)
+	}
+	return nil
+}
+
+// verify is where restoring a travel form into data begins: it charges the
+// cost model for the whole restore — decompression for a compressed payload,
+// a page copy for a raw one — and checks the payload's sum.
+func (m *Machine) verify(data, payload []byte, compressed bool, sum uint32, key swap.PageKey) error {
+	if compressed {
+		m.Clock.Charge(sim.CauseDecompress, m.cfg.Cost.DecompressCost(len(data)))
+		m.decompHist.Observe(m.cfg.Cost.DecompressCost(len(data)))
+		m.comp.Decompressions++
+	} else {
+		m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy)
+	}
+	if core.Checksum(payload) != sum {
+		m.fst.CorruptionsDetected++
+		return &fault.CorruptionError{Page: key.String(), Reason: "checksum mismatch"}
 	}
 	return nil
 }
@@ -944,9 +984,9 @@ func (m *Machine) CheckInvariants() error {
 				if !m.heldBelow(p.Key) {
 					return fmt.Errorf("machine: page %v marked swapped but absent from backing store", p.Key)
 				}
-			case vm.Resident:
+			case vm.Resident, vm.Partial:
 				if err := claims.Claim(p.Frame, mem.VM); err != nil {
-					return fmt.Errorf("machine: resident page %v: %w", p.Key, err)
+					return fmt.Errorf("machine: %v page %v: %w", p.State, p.Key, err)
 				}
 			}
 		}

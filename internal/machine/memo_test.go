@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -17,8 +18,9 @@ import (
 // of its page's frame now, and every remembered plaintext is what the codec
 // makes of the cache entry it would stand in for. memoRig drives a small
 // compression-cache machine through an op stream that takes every way a
-// remembered page changes, leaves or comes back — plain touches, byte reads
-// and writes checked against a model, pins, EvictAll, the cleaner, corrupt
+// remembered page changes, leaves or comes back — plain touches, byte and
+// word reads and writes checked against a model, pins, EvictAll, the
+// cleaner, corrupt
 // fragments out of the cache and the store (recovered, or fatal: the rig
 // boots the next machine), snapshot→restore in mid-stream — and asks both
 // oracles every few ops. The byte reads are the plaintext memo's own oracle
@@ -45,6 +47,7 @@ type memoRig struct {
 
 	// Over every machine the stream went through.
 	ops, lives, restores    int
+	partial                 int // word reads that left their page partial
 	recoveries              uint64
 	watched                 memoCounts
 	compressions, ran       uint64 // charged to the simulated machine; run by the host's codec
@@ -149,8 +152,18 @@ func (r *memoRig) step(op, where, a, b byte) {
 	s, page := r.seg[si], int32(where>>1)%memoPages
 	off := int64(page)*4096 + int64(a)*16
 	switch op % 16 {
-	case 0, 1, 2, 3:
+	case 0, 1, 2:
 		s.Touch(page, false)
+	case 3:
+		// One word, the way the fleet reads a page: a page restored for it
+		// is decoded only so far, and its frame keeps the rest as a tail.
+		got := s.ReadWord(off)
+		if want := binary.LittleEndian.Uint64(r.model[si][off:]); r.m.Err() == nil && got != want {
+			r.t.Fatalf("op %d: segment %d read back word %#x at %d, want %#x", r.ops, si, got, off, want)
+		}
+		if s.seg.Page(page).State == vm.Partial {
+			r.partial++
+		}
 	case 4, 5:
 		s.Touch(page, true) // dirties the page and leaves its bytes alone
 	case 6, 7, 8:
@@ -297,11 +310,14 @@ func TestCompressMemoAgainstCodec(t *testing.T) {
 	if r.restores == 0 {
 		t.Error("no snapshot→restore in mid-stream")
 	}
+	if r.partial == 0 {
+		t.Error("no word read left its page restored in part")
+	}
 	if r.watched.slotless == 0 {
 		t.Error("no page whose stay began with a cache hit departed with every plaintext slot taken")
 	}
-	t.Logf("%d ops, %d machines, %d restores, %d recoveries; %d compressions, codec ran %d times (%d resumed); %d decompressions, codec decoded %d times; %+v",
-		r.ops, r.lives, r.restores, r.recoveries, r.compressions, r.ran, resumes, r.decompressions, r.decoded, r.watched)
+	t.Logf("%d ops, %d machines, %d restores, %d recoveries, %d partial pages; %d compressions, codec ran %d times (%d resumed); %d decompressions, codec decoded %d times; %+v",
+		r.ops, r.lives, r.restores, r.recoveries, r.partial, r.compressions, r.ran, resumes, r.decompressions, r.decoded, r.watched)
 }
 
 // memoPasses appends to ops passes of op over the first n pages of both

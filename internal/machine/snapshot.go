@@ -14,7 +14,8 @@ import (
 // cache ring, backing store, event bus and the machine's own counters.
 // Capture is non-perturbing — no virtual time passes and no subsystem state
 // changes — so a run that is snapshotted mid-flight continues byte-identical
-// to one that is not.
+// to one that is not. (It finishes decoding the pages a partial restore left
+// in frames, which only the host sees.)
 //
 // Restore rebuilds a machine from the same configuration and a snapshot;
 // driving the restored machine produces exactly the virtual-time trace and
@@ -29,6 +30,11 @@ func (m *Machine) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("machine: cannot snapshot a dead machine: %w", err)
 	}
 	if err := m.snapshottable(); err != nil {
+		return nil, err
+	}
+	// A snapshot carries every frame's bytes, so each frame must hold what
+	// it would on a machine that restores pages whole (memo.go).
+	if err := m.finishTails(); err != nil {
 		return nil, err
 	}
 	w := snap.NewWriter()

@@ -179,15 +179,23 @@ func (m *lruModel) evict(n int32) {
 // reference bookkeeping has two bodies, Touch's and access's (a byte or word
 // access within one page); a byte access that spans pages goes through
 // Touch. The stream takes all of them, and zero-length byte accesses, which
-// are no reference at all, at offsets inside and past the segment.
+// are no reference at all, at offsets inside and past the segment. Each seed
+// runs twice: over a pager that restores whole pages and over one that
+// restores them in part (prefixPager), whose Partial pages the model must
+// not be able to tell from Resident ones.
 func TestLRUAgainstModel(t *testing.T) {
 	const (
 		npages = 24
 		frames = 8
 		ps     = 4096
 	)
-	for seed := int64(1); seed <= 4; seed++ {
+	for run := 0; run < 8; run++ {
+		seed, prefix := int64(run%4+1), run >= 4
 		v, fp, pool, clock := newTestVM(t, frames)
+		pp := &prefixPager{fakePager: fp}
+		if prefix {
+			v.SetPager(pp)
+		}
 		s := v.NewSegment("heap", npages)
 		m := &lruModel{frames: frames, cost: sim.DefaultCostModel(), pages: make([]modelPage, npages)}
 		shadow := make([]byte, npages*ps)
@@ -229,7 +237,11 @@ func TestLRUAgainstModel(t *testing.T) {
 			}
 			for n := range m.pages {
 				got, want := s.Page(int32(n)), m.pages[n]
-				if got.State != want.state || got.Dirty != want.dirty || got.EverWritten != want.everWritten ||
+				state := got.State
+				if state == Partial {
+					state = Resident
+				}
+				if state != want.state || got.Dirty != want.dirty || got.EverWritten != want.everWritten ||
 					got.SwapValid != want.swapValid || got.Pinned != want.pin {
 					fail("page %d = %+v, model %+v", n, *got, want)
 				}
@@ -369,7 +381,57 @@ func TestLRUAgainstModel(t *testing.T) {
 		if err := pool.CheckConservation(); err != nil {
 			t.Fatal(err)
 		}
+		if prefix && (pp.partial == 0 || pp.extends == 0) {
+			t.Errorf("seed %d: %d pages restored in part, %d extended: the prefix pager's paths were not taken", seed, pp.partial, pp.extends)
+		}
 	}
+}
+
+// prefixPager is a fakePager that restores a page only as far as the
+// reference needs, rounded up to 256 bytes, and fills the rest of the frame
+// with garbage, which a reference that the VM lets past the prefix reads
+// back wrong. A Partial page is clean, so its page-out leaves the store
+// alone.
+type prefixPager struct {
+	*fakePager
+	partial, extends int
+}
+
+func (f *prefixPager) PageInPrefix(p *Page, data []byte, need int) (Source, int, error) {
+	src, err := f.PageIn(p, data)
+	if err != nil {
+		return 0, 0, err
+	}
+	valid := f.cut(data, need)
+	if valid < len(data) {
+		f.partial++
+	}
+	return src, valid, nil
+}
+
+func (f *prefixPager) Extend(p *Page, data []byte, need int) (int, error) {
+	f.extends++
+	copy(data, f.store[p.Key])
+	return f.cut(data, need), nil
+}
+
+// cut keeps the prefix a reference needing need bytes gets and overwrites
+// the rest.
+func (f *prefixPager) cut(data []byte, need int) int {
+	valid := min(len(data), (need+255)/256*256)
+	for i := valid; i < len(data); i++ {
+		data[i] = 0xEE
+	}
+	return valid
+}
+
+func (f *prefixPager) PageOut(p *Page, data []byte) error {
+	if p.State != Partial {
+		return f.fakePager.PageOut(p, data)
+	}
+	f.pageOuts++
+	p.State, p.Dirty, p.SwapValid = Swapped, false, true
+	return nil
 }
 
 // A resident hit is the simulator's innermost loop and must not allocate,

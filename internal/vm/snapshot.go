@@ -10,7 +10,8 @@ import (
 // restored replacement order is exact. Frame IDs are recorded as-is — the
 // pool is restored verbatim, so they stay valid; the machine's invariant
 // check audits them against the pool. Decoding needs a freshly constructed
-// VM (no segments).
+// VM (no segments). Encoding writes a Partial page as Resident and leaves it
+// so: its pager has finished every frame first.
 func (v *VM) Snap(c *snap.Codec) {
 	c.Section("vm")
 	if c.Decoding() && len(v.segs) != 0 {
@@ -38,7 +39,14 @@ func (v *VM) Snap(c *snap.Codec) {
 		for i := 0; i < len(s.pages) && c.Err() == nil; i++ {
 			p := &s.pages[i]
 			p.Key = swap.PageKey{Seg: s.ID, Page: int32(i)}
-			snap.Byte(c, &p.State)
+			// A Partial page is Resident to the simulated machine, and its
+			// pager finishes its frame before a snapshot (PrefixPager).
+			state := p.State
+			if state == Partial {
+				state = Resident
+			}
+			snap.Byte(c, &state)
+			p.State = state
 			snap.Int32(c, &p.Frame)
 			c.Bool(&p.Dirty)
 			c.Bool(&p.SwapValid)

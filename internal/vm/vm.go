@@ -43,6 +43,11 @@ const (
 	Compressed
 	// Swapped pages' current contents are only on the backing store.
 	Swapped
+	// Partial pages occupy a frame like Resident ones, but only a prefix of
+	// it holds their contents yet: a PrefixPager restored them in part, and
+	// decodes the rest when a reference needs it (see PrefixPager). To
+	// everything the simulated machine reports a Partial page is Resident.
+	Partial
 )
 
 // String returns the state name.
@@ -56,6 +61,8 @@ func (s PageState) String() string {
 		return "compressed"
 	case Swapped:
 		return "swapped"
+	case Partial:
+		return "partial"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -75,6 +82,10 @@ type Page struct {
 	// written word, so a pager may take those bytes as the ones PageIn
 	// produced. Like Memo it fills padding and a snapshot does not carry it:
 	// a restored page reads 0.
+	//
+	// While the page is Partial no write has reached it, so the field counts
+	// instead the words at the start of the frame that hold the page's
+	// contents; a reference past them asks the pager for more.
 	Unwritten uint16
 
 	Frame mem.FrameID
@@ -109,6 +120,10 @@ type Page struct {
 	prev, next *Page
 }
 
+// HoldsFrame reports whether the page occupies a physical frame: it is
+// Resident or Partial.
+func (p *Page) HoldsFrame() bool { return p.State == Resident || p.State == Partial }
+
 // Source says where a fault's contents came from; the Pager returns it so
 // the VM can attribute the fault in its statistics.
 type Source int8
@@ -137,14 +152,38 @@ type Pager interface {
 	PageOut(p *Page, data []byte) error
 
 	// PageIn produces the page's current contents into data (the new
-	// frame's bytes) and reports where they came from. It must update
-	// p.Dirty/p.SwapValid; the VM sets p.State to Resident afterwards. On
-	// error data is not valid and the page stays in its prior state.
+	// frame's bytes, which p.Frame names during the call) and reports where
+	// they came from. It must update p.Dirty/p.SwapValid; the VM sets
+	// p.State to Resident afterwards. On error data is not valid and the
+	// page stays in its prior state.
 	PageIn(p *Page, data []byte) (Source, error)
 
 	// Dirtied is called when a clean resident page is first modified, so
 	// stale copies at lower levels can be invalidated.
 	Dirtied(p *Page)
+}
+
+// PrefixPager is a Pager that can restore a page in part: the VM finds out
+// with a type assertion when the pager is installed, and then faults through
+// PageInPrefix instead of PageIn. A page restored in part is Partial, holds
+// its frame and is on the LRU list like a Resident one, and is charged
+// nothing more: every cost of the fault was charged when it was restored.
+// Only the host's work is put off. The pager sees p.Frame set to the
+// faulting frame during both calls, and PageOut of a Partial page lends it
+// the frame as it is: only the prefix holds the page's bytes.
+type PrefixPager interface {
+	Pager
+
+	// PageInPrefix is PageIn for a fault that needs only the first need
+	// bytes of the page, and reports how many leading bytes of data hold the
+	// page's contents on return: at least need, and len(data) when the page
+	// is whole.
+	PageInPrefix(p *Page, data []byte, need int) (Source, int, error)
+
+	// Extend makes at least the first need bytes of Partial page p's frame,
+	// data, hold its contents, and reports how many leading bytes do. An
+	// error is what the simulated process dies of.
+	Extend(p *Page, data []byte, need int) (int, error)
 }
 
 // Segment is a contiguous range of virtual pages (the unit that has a swap
@@ -182,6 +221,9 @@ type VM struct {
 	clock *sim.Clock
 	pool  *mem.Pool
 	pager Pager // installed with SetPager after construction
+
+	// prefix is pager as a PrefixPager, when it is one.
+	prefix PrefixPager
 
 	// memRef and faultOverhead are the two costs of the model the VM charges
 	// itself: every reference, and every fault's software overhead.
@@ -249,7 +291,10 @@ func New(clock *sim.Clock, pool *mem.Pool, cost sim.CostModel) *VM {
 }
 
 // SetPager installs the pager.
-func (v *VM) SetPager(p Pager) { v.pager = p }
+func (v *VM) SetPager(p Pager) {
+	v.pager = p
+	v.prefix, _ = p.(PrefixPager)
+}
 
 // SetFrameSource installs the policy-backed frame allocator.
 func (v *VM) SetFrameSource(f func(mem.Owner) (mem.FrameID, error)) { v.frameSource = f }
@@ -334,7 +379,7 @@ func (v *VM) Touch(s *Segment, n int32, write bool) (*Page, error) {
 	p := s.Page(n)
 	if p.State == Resident {
 		v.lruTouch(p)
-	} else if err := v.fault(p); err != nil {
+	} else if err := v.fault(p, int(v.pageMask)+1); err != nil {
 		return nil, err
 	}
 	if write {
@@ -355,10 +400,16 @@ func (v *VM) markWritten(p *Page) {
 	}
 }
 
-// fault brings a non-resident page into memory. On error the allocated
-// frame is returned to the pool, the page keeps its prior state, and the VM
-// is dead (see Err).
-func (v *VM) fault(p *Page) error {
+// fault brings a page that is not Resident into memory, as far as a
+// reference that needs its first need bytes requires: a Partial page is
+// referenced as a hit and decoded further if need passes its prefix, any
+// other page faults. On error the allocated frame is returned to the pool,
+// the page keeps its prior state, and the VM is dead (see Err).
+func (v *VM) fault(p *Page, need int) error {
+	if p.State == Partial {
+		v.lruTouch(p)
+		return v.decode(p, need)
+	}
 	if p.State == Resident {
 		// Invariant: Touch only calls fault for non-resident pages.
 		panic("vm: fault on resident page")
@@ -374,6 +425,7 @@ func (v *VM) fault(p *Page) error {
 	data := v.pool.Bytes(frame)
 
 	source := obs.FaultSrcZero
+	valid := len(data)
 	switch p.State {
 	case Untouched:
 		v.st.ColdFaults++
@@ -381,8 +433,15 @@ func (v *VM) fault(p *Page) error {
 		p.Dirty = false
 		p.SwapValid = false
 	default:
-		src, err := v.pager.PageIn(p, data)
+		var src Source
+		p.Frame = frame
+		if v.prefix != nil {
+			src, valid, err = v.prefix.PageInPrefix(p, data, need)
+		} else {
+			src, err = v.pager.PageIn(p, data)
+		}
 		if err != nil {
+			p.Frame = mem.NoFrame
 			v.pool.Release(frame)
 			return v.die(err)
 		}
@@ -401,8 +460,7 @@ func (v *VM) fault(p *Page) error {
 		}
 	}
 	p.Frame = frame
-	p.State = Resident
-	p.Unwritten = uint16(min(len(data)/8, math.MaxUint16))
+	v.settle(p, valid)
 	v.lruAppend(p)
 	svc := time.Duration(v.clock.Now() - t0)
 	v.faultHist.Observe(svc)
@@ -413,6 +471,33 @@ func (v *VM) fault(p *Page) error {
 		})
 	}
 	return nil
+}
+
+// decode makes at least the first need bytes of Partial page p hold its
+// contents, asking the pager for more when its prefix falls short.
+func (v *VM) decode(p *Page, need int) error {
+	if need <= int(p.Unwritten)*8 {
+		return nil
+	}
+	valid, err := v.prefix.Extend(p, v.pool.Bytes(p.Frame), need)
+	if err != nil {
+		return v.die(err)
+	}
+	v.settle(p, valid)
+	return nil
+}
+
+// settle makes a page whose frame holds valid leading bytes of its contents
+// Resident when that is all of them, and Partial otherwise.
+func (v *VM) settle(p *Page, valid int) {
+	size := int(v.pageMask) + 1
+	if valid >= size {
+		p.State = Resident
+		valid = size
+	} else {
+		p.State = Partial
+	}
+	p.Unwritten = uint16(min(valid/8, math.MaxUint16))
 }
 
 // die records a failed reference's error as the VM's first, unless a
@@ -471,7 +556,7 @@ func (v *VM) Unpin(s *Segment, n int32) {
 // Evict forces a specific resident page out of memory (exported for tests
 // and for workload madvise-style hints).
 func (v *VM) Evict(p *Page) error {
-	if p.State != Resident {
+	if !p.HoldsFrame() {
 		// Invariant: callers (ReleaseOldest, tests) select from the resident
 		// LRU list; evicting a non-resident page is a programming error.
 		panic(fmt.Sprintf("vm: Evict of non-resident page %v (%v)", p.Key, p.State))
@@ -502,17 +587,19 @@ func (v *VM) Evict(p *Page) error {
 	zeros := !p.Dirty && !p.EverWritten && !p.SwapValid
 
 	frame := p.Frame
-	p.Frame = mem.NoFrame
 	if zeros {
+		p.Frame = mem.NoFrame
 		v.pool.Release(frame)
 		p.State = Untouched
 		return nil
 	}
 	// The pager gets the frame's own bytes on loan, the frame already released
 	// so that it can reuse it: the kernel compresses straight out of the page
-	// frame, and so does the simulator (mem.Pool.Lend).
+	// frame, and so does the simulator (mem.Pool.Lend). p.Frame still names
+	// it until PageOut returns.
 	err := v.pager.PageOut(p, v.pool.Lend(frame))
 	v.pool.EndLoan()
+	p.Frame = mem.NoFrame
 	return err
 }
 
@@ -574,7 +661,7 @@ func (v *VM) CheckLRU() error {
 	count := 0
 	var last sim.Time
 	for p := v.lruHead; p != nil; p = p.next {
-		if p.State != Resident {
+		if !p.HoldsFrame() {
 			return fmt.Errorf("vm: non-resident page %v on LRU list", p.Key)
 		}
 		if p.LastUse < last {
@@ -684,15 +771,23 @@ func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp
 	// A hit on the LRU tail needs neither the page table nor a splice, only
 	// a fresh LastUse (lruTouch's first case). The tail is read here, after
 	// the trace hook, which may have moved it.
+	// A Partial page is never taken as a hit here: the reference may lie
+	// past its prefix.
 	p := v.lruTail
-	if p != nil && p.Key == (swap.PageKey{Seg: s.ID, Page: page}) {
+	if p != nil && p.Key == (swap.PageKey{Seg: s.ID, Page: page}) && p.State == Resident {
 		p.LastUse = v.clock.Now()
 	} else {
 		p = s.Page(page)
 		if p.State == Resident {
 			v.lruTouch(p)
-		} else if err := v.fault(p); err != nil {
-			return err
+		} else {
+			need := in + n
+			if write {
+				need = int(v.pageMask) + 1 // a write finishes the page first
+			}
+			if err := v.fault(p, need); err != nil {
+				return err
+			}
 		}
 	}
 	if write {
