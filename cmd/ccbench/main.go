@@ -35,7 +35,6 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"compcache/internal/exp"
 )
@@ -115,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	}
 
 	ctx := context.Background()
-	start := time.Now() //cclint:ignore walltime -- deliberate host-time reading: the closing line reports how long the suite took on this machine, never a simulated cost
 	for _, e := range experiments {
 		var res exp.Result
 		pprof.Do(ctx, pprof.Labels("experiment", e.Name), func(ctx context.Context) {
@@ -132,9 +130,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			}
 		}
 	}
-	elapsed := time.Since(start).Round(time.Millisecond) //cclint:ignore walltime -- deliberate host-time reading: the summary is explicitly labelled "(host time)" in the output
-	fmt.Fprintf(stdout, "ccbench: %d experiment(s) at %s scale in %v (host time)\n",
-		len(experiments), scale, elapsed)
 	return 0
 }
 

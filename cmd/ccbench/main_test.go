@@ -53,24 +53,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
-// TestRunCSVHostTimeIsTheOnlyHostLine: an experiment's CSV opens with its
-// title, and two runs differ in nothing but the closing line that is
-// labelled as host time.
-func TestRunCSVHostTimeIsTheOnlyHostLine(t *testing.T) {
-	// virtual drops the host-time summary, checking it is the last line.
-	virtual := func(out string) string {
-		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-		last := lines[len(lines)-1]
-		if !strings.HasPrefix(last, "ccbench: 1 experiment(s) at small scale in ") || !strings.HasSuffix(last, " (host time)") {
-			t.Fatalf("closing line %q is not the host-time summary", last)
-		}
-		rest := strings.Join(lines[:len(lines)-1], "\n")
-		if strings.Contains(rest, "host time") {
-			t.Errorf("host time mentioned before the closing line:\n%s", rest)
-		}
-		return rest
-	}
-
+// TestRunCSVIsTheSameAtAnyJ: an experiment's CSV opens with its title, and
+// a serial run prints the same bytes as one at the default -j.
+func TestRunCSVIsTheSameAtAnyJ(t *testing.T) {
 	status, first, errs := ccbench(t, "-run", "fig1a", "-format", "csv")
 	if status != 0 || errs != "" {
 		t.Fatalf("-run fig1a: exit %d, stderr %q; want 0 and silence", status, errs)
@@ -78,9 +63,8 @@ func TestRunCSVHostTimeIsTheOnlyHostLine(t *testing.T) {
 	if !strings.HasPrefix(first, "# Figure 1(a)") {
 		t.Errorf("CSV output does not open with the table title:\n%.80s", first)
 	}
-	_, second, _ := ccbench(t, "-run", "fig1a", "-format", "csv", "-j", "1")
-	if virtual(first) != virtual(second) {
-		t.Errorf("two runs differ outside the host-time line:\n%s\nvs\n%s", first, second)
+	if _, second, _ := ccbench(t, "-run", "fig1a", "-format", "csv", "-j", "1"); first != second {
+		t.Errorf("-j 1 output differs from the default -j:\n%s\nvs\n%s", second, first)
 	}
 }
 

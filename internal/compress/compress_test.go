@@ -70,6 +70,9 @@ func TestRoundTripCorpus(t *testing.T) {
 		"allzero":   make([]byte, 4096),
 		"short-run": {1, 1, 1},
 		"min-run":   {2, 2, 2, 2},
+		// Past the largest page, where LZRW1's 16-bit positions wrap and it
+		// no longer owes the reference its bytes (see LZRW1).
+		"past-page-bound": bytes.Repeat(text, 8)[:70000],
 	}
 	for _, c := range allCodecs(t) {
 		for name, src := range cases {

@@ -33,7 +33,11 @@ import (
 //
 // Every golden digest pins this codec's compressed sizes, so the
 // implementation may spend fewer host cycles but never emit different bytes;
-// refLZRW1 (in the tests) is the plain coding it must agree with. Both
+// refLZRW1 (in the tests) is the plain coding it must agree with on every
+// input of up to 64 KBytes, the largest page. The hash table holds 16-bit
+// positions, so past 64 KBytes a slot holds a position cut short, which the
+// offset check rejects where the reference may find a match: the output may
+// then differ from the reference's, but still decompresses to the input. Both
 // directions run a fast loop over whole 16-item groups while a worst-case
 // group fits in what is left of the input and of the output, and finish with
 // a careful per-item loop that checks every access. The fast loops reach
@@ -86,12 +90,7 @@ func lzHash(v uint32) uint32 {
 }
 
 // Compress appends the LZRW1-compressed form of src to dst.
-func (LZRW1) Compress(dst, src []byte) []byte {
-	if len(src) <= lzNarrowInput {
-		return lzCompress[uint16](dst, src, nil, 0)
-	}
-	return lzCompress[uint32](dst, src, nil, 0)
-}
+func (LZRW1) Compress(dst, src []byte) []byte { return lzCompress(dst, src, nil, 0) }
 
 // CompressFrom appends to dst what Compress(dst, src) appends, reusing prev,
 // the compressed form of an earlier version of src that agrees with it in its
@@ -106,20 +105,12 @@ func (LZRW1) Compress(dst, src []byte) []byte {
 // table from the item positions there, and parses the rest as Compress does
 // (DESIGN.md "Codecs").
 func (LZRW1) CompressFrom(dst, src, prev []byte, same int) []byte {
-	if len(src) <= lzNarrowInput {
-		return lzCompress[uint16](dst, src, prev, same)
-	}
-	return lzCompress[uint32](dst, src, prev, same)
+	return lzCompress(dst, src, prev, same)
 }
 
-// lzNarrowInput is the longest input whose positions all fit the 16-bit hash
-// table, half the size of the 32-bit one that longer stream blocks need.
-const lzNarrowInput = 1 << 16
-
-// lzCompress is Compress and CompressFrom, over a hash table of positions of
-// type T; prev is nil, or the compressed form to resume from (see
-// CompressFrom).
-func lzCompress[T uint16 | uint32](dst, src, prev []byte, same int) []byte {
+// lzCompress is Compress and CompressFrom; prev is nil, or the compressed
+// form to resume from (see CompressFrom).
+func lzCompress(dst, src, prev []byte, same int) []byte {
 	base, n := len(dst), len(src)
 	if n == 0 {
 		return append(dst, flagCompress)
@@ -136,7 +127,7 @@ func lzCompress[T uint16 | uint32](dst, src, prev []byte, same int) []byte {
 	// position 0 the offset is 0, which is rejected, and anywhere later a
 	// match needs the three bytes at 0 to equal the three at pos, so both
 	// hash to this slot — which position 0 wrote before any other.
-	var table [lzHashSize]T
+	var table [lzHashSize]uint16
 	pos, o := 0, base+1
 	if prev != nil {
 		var in int
@@ -158,7 +149,7 @@ func lzCompress[T uint16 | uint32](dst, src, prev []byte, same int) []byte {
 			v := binary.LittleEndian.Uint32(cur[:4])
 			h := lzHash(v)
 			cand := int(table[h])
-			table[h] = T(pos)
+			table[h] = uint16(pos)
 			off := pos - cand
 			old := (*[lzReach]byte)(src[cand : cand+lzReach : cand+lzReach])
 			if (v^binary.LittleEndian.Uint32(old[:4]))<<8 != 0 || uint(off-1) >= lzMaxOff {
@@ -206,7 +197,7 @@ func lzCompress[T uint16 | uint32](dst, src, prev []byte, same int) []byte {
 		if pos+lzMinMatch <= n {
 			h := lzHash(uint32(src[pos]) | uint32(src[pos+1])<<8 | uint32(src[pos+2])<<16)
 			cand := int(table[h])
-			table[h] = T(pos)
+			table[h] = uint16(pos)
 			off := pos - cand
 			if uint(off-1) < lzMaxOff &&
 				src[cand] == src[pos] && src[cand+1] == src[pos+1] && src[cand+2] == src[pos+2] {
@@ -245,7 +236,7 @@ func lzCompress[T uint16 | uint32](dst, src, prev []byte, same int) []byte {
 // the position in src and the offset in prev's body where that group starts.
 // Up to there the parse of src is the parse of old: the same items, the same
 // table, and no budget check that fails.
-func lzResume[T uint16 | uint32](table *[lzHashSize]T, src, prev []byte, same int) (pos, in int) {
+func lzResume(table *[lzHashSize]uint16, src, prev []byte, same int) (pos, in int) {
 	if len(prev) == 0 || prev[0] != flagCompress {
 		return 0, 0
 	}
@@ -273,7 +264,7 @@ func lzResume[T uint16 | uint32](table *[lzHashSize]T, src, prev []byte, same in
 			return pos, in
 		}
 		for _, q := range &at {
-			table[lzHash(binary.LittleEndian.Uint32(src[q:]))] = T(q)
+			table[lzHash(binary.LittleEndian.Uint32(src[q:]))] = uint16(q)
 		}
 		pos, in = p, j
 	}

@@ -6,9 +6,7 @@ package lint
 // time.Now() quietly couples results to the host machine, the Go
 // scheduler and the garbage collector — and an environment variable or a
 // core count read mid-run does the same to any other number. The analyzer
-// runs over the whole module — command front-ends that deliberately
-// report host time (ccbench's closing summary) carry an ignore directive
-// with the reason spelled out.
+// runs over the whole module, command front-ends included.
 //
 // The banned functions are the source table's walltime rows (sources.go):
 // the clock, the environment and the scheduler facts, called or handed

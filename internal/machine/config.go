@@ -160,18 +160,22 @@ func (c Config) WithCC() Config {
 
 // PageSizeError reports a Config.PageSize the machine cannot be built with.
 // The VM splits byte offsets into page and offset by shift and mask, so the
-// size must be a power of two; 512, one disk sector, is the smallest.
+// size must be a power of two; 512, one disk sector, is the smallest, and
+// 64 KBytes, all the positions LZRW1's 16-bit hash table holds, the largest.
 type PageSizeError struct{ Size int }
 
 func (e *PageSizeError) Error() string {
-	return fmt.Sprintf("machine: bad page size %d (need a power of two, 512 or more)", e.Size)
+	return fmt.Sprintf("machine: bad page size %d (need a power of two from 512 to %d)", e.Size, maxPageSize)
 }
+
+// maxPageSize is the largest page a machine is built with.
+const maxPageSize = 1 << 16
 
 func (c *Config) setDefaults() error {
 	if c.PageSize == 0 {
 		c.PageSize = 4096
 	}
-	if c.PageSize < 512 || c.PageSize&(c.PageSize-1) != 0 {
+	if c.PageSize < 512 || c.PageSize > maxPageSize || c.PageSize&(c.PageSize-1) != 0 {
 		return &PageSizeError{Size: c.PageSize}
 	}
 	if c.MemoryBytes < int64(c.PageSize)*8 {
@@ -179,6 +183,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Cost == (sim.CostModel{}) {
 		c.Cost = sim.DefaultCostModel()
+	}
+	if err := c.Cost.Validate(); err != nil {
+		return err
 	}
 	if c.Disk.BytesPerSec == 0 {
 		c.Disk = disk.RZ57()

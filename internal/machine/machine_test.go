@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func TestConfigValidation(t *testing.T) {
 		pageSize int
 		ok       bool
 	}{
-		{512, true}, {4096, true}, {8192, true},
-		{-4096, false}, {256, false}, {1000, false},
+		{512, true}, {4096, true}, {8192, true}, {65536, true},
+		{-4096, false}, {256, false}, {1000, false}, {131072, false},
 		{1536, false}, // a multiple of the sector size, but not a power of two
 	} {
 		_, err := New(Config{PageSize: c.pageSize, MemoryBytes: mb})
@@ -66,6 +67,8 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("page size %d: err = %v, want a *PageSizeError", c.pageSize, err)
 		case !c.ok && pse.Size != c.pageSize:
 			t.Errorf("page size %d: error names size %d", c.pageSize, pse.Size)
+		case !c.ok && !strings.Contains(err.Error(), "from 512 to 65536"):
+			t.Errorf("page size %d: error %q does not state both limits", c.pageSize, err)
 		}
 	}
 	if _, err := New(Config{MemoryBytes: 1024}); err == nil {
@@ -92,6 +95,12 @@ func TestNewRefusesSettingsItCannotHonour(t *testing.T) {
 	swapPage.Swap.PageSize = 8192
 	typo := Default(mb).WithCC()
 	typo.Biases = map[string]policy.Bias{"CC": {Scale: 0.5}}
+	backward := Default(mb)
+	backward.Cost.MemRef = -1
+	nanBW := Default(mb)
+	nanBW.Cost.CompressBW = math.NaN()
+	tinyBW := Default(mb)
+	tinyBW.Cost.DecompressBW = 1e-300
 	for name, c := range map[string]struct {
 		cfg  Config
 		want string
@@ -100,6 +109,9 @@ func TestNewRefusesSettingsItCannotHonour(t *testing.T) {
 		"Swap.PageSize != PageSize": {swapPage, "Swap.PageSize 8192"},
 		"LFS PageSize != PageSize":  {Default(mb).WithLFS(swap.LFSConfig{PageSize: 8192}), "LFSSwap.PageSize 8192"},
 		"unknown Biases key":        {typo, "vm, fs and cc"},
+		"negative MemRef":           {backward, "negative cost"},
+		"NaN CompressBW":            {nanBW, "bandwidth NaN"},
+		"tiny DecompressBW":         {tinyBW, "bandwidth 1e-300"},
 	} {
 		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", name, err, c.want)

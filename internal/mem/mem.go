@@ -233,6 +233,7 @@ func (c *Claims) Claim(id FrameID, o Owner) error {
 
 func (p *Pool) ownerOf(id FrameID) Owner {
 	if uint(id) >= uint(len(p.owner)) {
+		// Invariant: callers hold ids Alloc returned (see badFrame).
 		panic(badFrame{id, len(p.owner)})
 	}
 	return p.owner[id]

@@ -96,6 +96,10 @@ func (c *Clock) Advance(d Duration) Time {
 // kernel-mediated wait of an attached clock.
 func (c *Clock) advanceSlow(d Duration) Time {
 	if d < 0 {
+		// Invariant: callers advance by a cost from a validated model
+		// (CostModel, disk.Params, netdev.Params, fault.Config each reject
+		// negative values) or by a later time minus an earlier one, so a
+		// negative d is a bug in the caller, not an input.
 		panic(fmt.Sprintf("sim: Advance by negative duration %v", d))
 	}
 	if d == 0 {

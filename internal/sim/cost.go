@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // CostModel holds the CPU-side costs of the simulated machine. The defaults
 // approximate the DECstation 5000/200 used in the paper (a ~25-MHz R3000,
@@ -49,6 +52,22 @@ func DefaultCostModel() CostModel {
 		CompressBW:    1.0e6,
 		DecompressBW:  2.0e6,
 	}
+}
+
+// Validate reports whether every charge the model makes is a non-negative
+// Duration: a negative cost would run a clock backward (see Clock.Advance),
+// and so would a bandwidth that is negative, NaN or so small that a page's
+// cost overflows. A zero bandwidth charges nothing.
+func (m CostModel) Validate() error {
+	if m.MemRef < 0 || m.FaultOverhead < 0 || m.PageCopy < 0 {
+		return fmt.Errorf("sim: negative cost parameter")
+	}
+	for _, bw := range []float64{m.CompressBW, m.DecompressBW} {
+		if bw != 0 && !(bw >= 1) {
+			return fmt.Errorf("sim: bandwidth %g bytes/s is neither 0 nor at least 1", bw)
+		}
+	}
+	return nil
 }
 
 // CompressCost reports the virtual time to compress n input bytes.

@@ -353,6 +353,10 @@ func (c *Codec) Counters(p any) {
 			c.I64(&n)
 			f.SetInt(n)
 		default:
+			// Invariant: callers pass their own stats blocks, whose field
+			// types the program text fixes, never a value decoded from
+			// input; a non-64-bit field fails the first snapshot any test
+			// takes of that block.
 			panic(fmt.Sprintf("snap: Counters: %s.%s is not a 64-bit integer", v.Type(), v.Type().Field(i).Name))
 		}
 	}
