@@ -4,19 +4,21 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"compcache/internal/mem"
 )
 
 // heldFrames walks everything reachable from the machine except the frame
-// pool itself and returns the path to every slice that points into the
-// pool's arena. Frames are named by id everywhere — page tables, the file
-// cache, the compression cache's ring — and their bytes reach PageOut,
-// PageIn, a codec or a tier only on loan for one call, so between calls there
-// must be none: a buffer somebody kept is a page somebody else now owns.
+// pool itself and returns the path to every slice that points into any chunk
+// of frame storage the pool has made. Frames are named by id everywhere —
+// page tables, the file cache, the compression cache's ring — and their bytes
+// reach PageOut, PageIn, a codec or a tier only on loan for one call, so
+// between calls there must be none: a buffer somebody kept is a page somebody
+// else now owns.
 // Function values are opaque to the walk; nothing in the machine stores one
 // that captures a frame.
 func heldFrames(m *Machine) []string {
-	arena := reflect.ValueOf(m.Pool.Bytes(0)).Pointer()
-	end := arena + uintptr(m.Pool.Total()*m.Pool.PageSize())
+	chunks := m.FrameChunks()
 	seen := map[uintptr]bool{reflect.ValueOf(m.Pool).Pointer(): true}
 	var held []string
 	var walk func(v reflect.Value, path string)
@@ -45,8 +47,11 @@ func heldFrames(m *Machine) []string {
 			}
 		case reflect.Slice:
 			if v.Len() > 0 || v.Cap() > 0 {
-				if p := v.Pointer(); p >= arena && p < end {
-					held = append(held, fmt.Sprintf("%s (frame %d)", path, (p-arena)/uintptr(m.Pool.PageSize())))
+				p := v.Pointer()
+				for _, c := range chunks {
+					if p >= c.Lo && p < c.Hi {
+						held = append(held, fmt.Sprintf("%s (frame %d)", path, c.First+mem.FrameID((p-c.Lo)/uintptr(m.Pool.PageSize()))))
+					}
 				}
 			}
 			switch v.Type().Elem().Kind() {

@@ -9,6 +9,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"compcache/internal/core"
 	"compcache/internal/disk"
@@ -171,6 +172,18 @@ func (e *PageSizeError) Error() string {
 // maxPageSize is the largest page a machine is built with.
 const maxPageSize = 1 << 16
 
+// MemorySizeError reports a Config.MemoryBytes the machine cannot be built
+// with: fewer than 8 pages, or more than a mem.FrameID can name.
+type MemorySizeError struct {
+	Bytes    int64
+	PageSize int
+}
+
+func (e *MemorySizeError) Error() string {
+	return fmt.Sprintf("machine: memory of %d bytes is %d pages of %d bytes (need 8 to %d)",
+		e.Bytes, e.Bytes/int64(e.PageSize), e.PageSize, math.MaxInt32)
+}
+
 func (c *Config) setDefaults() error {
 	if c.PageSize == 0 {
 		c.PageSize = 4096
@@ -178,8 +191,8 @@ func (c *Config) setDefaults() error {
 	if c.PageSize < 512 || c.PageSize > maxPageSize || c.PageSize&(c.PageSize-1) != 0 {
 		return &PageSizeError{Size: c.PageSize}
 	}
-	if c.MemoryBytes < int64(c.PageSize)*8 {
-		return fmt.Errorf("machine: memory %d bytes is too small (need at least 8 pages)", c.MemoryBytes)
+	if pages := c.MemoryBytes / int64(c.PageSize); pages < 8 || pages > math.MaxInt32 {
+		return &MemorySizeError{Bytes: c.MemoryBytes, PageSize: c.PageSize}
 	}
 	if c.Cost == (sim.CostModel{}) {
 		c.Cost = sim.DefaultCostModel()

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"reflect"
+
 	"compcache/internal/compress"
 	"compcache/internal/mem"
 	"compcache/internal/vm"
@@ -105,4 +107,29 @@ func (m *Machine) WatchFileFrames() func() int {
 		return id, nil
 	})
 	return func() int { return n }
+}
+
+// HeldFrames is alias_test.go's heldFrames for the external tests.
+var HeldFrames = heldFrames
+
+// FrameChunk is one chunk of the frame pool's storage: its first frame and
+// the host addresses of its bytes, [Lo, Hi).
+type FrameChunk struct {
+	First  mem.FrameID
+	Lo, Hi uintptr
+}
+
+// FrameChunks returns every chunk of frames the pool has made storage for.
+// The chunk table is the pool's own and stays unexported, so a test reads it
+// by reflection.
+func (m *Machine) FrameChunks() []FrameChunk {
+	table := reflect.ValueOf(m.Pool).Elem().FieldByName("data")
+	var made []FrameChunk
+	for i := 0; i < table.Len(); i++ {
+		if c := table.Index(i); !c.IsNil() {
+			lo := c.Pointer()
+			made = append(made, FrameChunk{mem.FrameID(i * mem.ChunkFrames), lo, lo + uintptr(c.Len())})
+		}
+	}
+	return made
 }

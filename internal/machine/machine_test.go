@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -71,8 +72,20 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("page size %d: error %q does not state both limits", c.pageSize, err)
 		}
 	}
-	if _, err := New(Config{MemoryBytes: 1024}); err == nil {
-		t.Error("tiny memory accepted")
+	// Seven pages, and one frame more than a mem.FrameID names: refused by
+	// the configuration check, before a frame table is allocated.
+	for _, memBytes := range []int64{7 * 4096, (math.MaxInt32 + 1) * 4096} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := New(Config{MemoryBytes: memBytes})
+		runtime.ReadMemStats(&after)
+		var mse *MemorySizeError
+		if !errors.As(err, &mse) || mse.Bytes != memBytes {
+			t.Errorf("memory of %d bytes: err = %v, want a *MemorySizeError naming it", memBytes, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("memory of %d bytes: New allocated %d bytes before refusing it", memBytes, got)
+		}
 	}
 	cfg := Default(mb)
 	cfg.CC.Enabled = true

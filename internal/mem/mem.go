@@ -9,7 +9,10 @@
 // for a fixed stock).
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FrameID names a physical page frame. NoFrame is the zero of the type and
 // never names a real frame.
@@ -53,36 +56,50 @@ func (o Owner) String() string {
 type Pool struct {
 	poolState
 	pageSize int
-	counts   [numOwners]int // per-owner census of the owner table
+	counts   [numOwners]int32 // per-owner census of the owner table
 
 	lent FrameID // the one frame on loan, NoFrame when none; see Lend
+
+	one [1][]byte // data of a one-chunk pool, which then allocates no table
 }
 
 // poolState is the pool's replay state: everything a snapshot carries.
 type poolState struct {
-	data  []byte // one backing array, sliced per frame
+	data  [][]byte // chunk table; frame id lies in data[id>>chunkShift], nil until Alloc first reaches it
 	owner []Owner
 	free  []FrameID
 }
 
+// ChunkFrames is how many frames share one backing array. Frame storage is
+// made a chunk at a time, the first time Alloc hands out a frame in it, so a
+// machine with memory to spare holds on the host only what it ever used; at
+// 4-KByte pages a chunk is 1 MByte.
+const ChunkFrames = 1 << chunkShift
+
+const chunkShift = 8
+
 // NewPool creates a pool of n frames of pageSize bytes each.
 func NewPool(n, pageSize int) *Pool {
-	if n <= 0 || pageSize <= 0 {
+	if n <= 0 || n > math.MaxInt32 || pageSize <= 0 {
 		// Invariant: construction-time configuration error; machine.Config
 		// validation rejects bad geometry before reaching here.
 		panic(fmt.Sprintf("mem: invalid pool geometry %d x %d", n, pageSize))
 	}
 	p := &Pool{pageSize: pageSize, lent: NoFrame, poolState: poolState{
-		data:  make([]byte, n*pageSize),
 		owner: make([]Owner, n),
 		free:  make([]FrameID, 0, n),
 	}}
+	if chunks := (n + ChunkFrames - 1) >> chunkShift; chunks == 1 {
+		p.data = p.one[:]
+	} else {
+		p.data = make([][]byte, chunks)
+	}
 	// Push in reverse so frame 0 is handed out first; allocation order is
 	// deterministic, which keeps runs reproducible.
 	for i := n - 1; i >= 0; i-- {
 		p.free = append(p.free, FrameID(i))
 	}
-	p.counts[Free] = n
+	p.counts[Free] = int32(n)
 	return p
 }
 
@@ -93,10 +110,10 @@ func (p *Pool) PageSize() int { return p.pageSize }
 func (p *Pool) Total() int { return len(p.owner) }
 
 // FreeCount reports the number of free frames.
-func (p *Pool) FreeCount() int { return p.counts[Free] }
+func (p *Pool) FreeCount() int { return int(p.counts[Free]) }
 
 // OwnedBy reports how many frames o currently holds.
-func (p *Pool) OwnedBy(o Owner) int { return p.counts[o] }
+func (p *Pool) OwnedBy(o Owner) int { return int(p.counts[o]) }
 
 // Alloc takes a free frame for owner o. It reports ok=false when the pool is
 // exhausted; the caller must then reclaim a frame through the replacement
@@ -121,6 +138,9 @@ func (p *Pool) Alloc(o Owner) (FrameID, bool) {
 		panic(fmt.Sprintf("mem: frame %d is on loan and cannot go to %v, which writes frame bytes", id, o))
 	}
 	p.free = p.free[:len(p.free)-1]
+	if c := id >> chunkShift; p.data[c] == nil {
+		p.data[c] = make([]byte, p.chunkLen(int(c)))
+	}
 	p.owner[id] = o
 	p.counts[Free]--
 	p.counts[o]++
@@ -172,18 +192,26 @@ func (p *Pool) EndLoan() {
 // Owner reports the current owner of a frame.
 func (p *Pool) Owner(id FrameID) Owner { return p.ownerOf(id) }
 
-// Bytes returns the frame's backing bytes (always pageSize long).
+// Bytes returns the frame's backing bytes (always pageSize long). The frame
+// must have been handed out at least once; an id that names no such frame
+// panics in the chunk-table load or in the slice.
 func (p *Pool) Bytes(id FrameID) []byte {
-	p.ownerOf(id) // bounds check
-	off := int(id) * p.pageSize
-	return p.data[off : off+p.pageSize : off+p.pageSize]
+	c := p.data[id>>chunkShift]
+	off := int(id&(ChunkFrames-1)) * p.pageSize
+	return c[off : off+p.pageSize : off+p.pageSize]
+}
+
+// chunkLen is the byte length of chunk c: ChunkFrames frames, fewer in the
+// last chunk.
+func (p *Pool) chunkLen(c int) int {
+	return min(ChunkFrames, len(p.owner)-c<<chunkShift) * p.pageSize
 }
 
 // CheckConservation verifies that ownership counts are consistent with the
 // per-frame table and sum to the pool size. Tests call it after stressing
 // the policy machinery.
 func (p *Pool) CheckConservation() error {
-	var counts [numOwners]int
+	var counts [numOwners]int32
 	for _, o := range p.owner {
 		counts[o]++
 	}
@@ -192,12 +220,12 @@ func (p *Pool) CheckConservation() error {
 	}
 	sum := 0
 	for _, c := range counts {
-		sum += c
+		sum += int(c)
 	}
 	if sum != len(p.owner) {
 		return fmt.Errorf("mem: frame count drifted: %d != %d", sum, len(p.owner))
 	}
-	if counts[Free] != len(p.free) {
+	if int(counts[Free]) != len(p.free) {
 		return fmt.Errorf("mem: free list length %d != free count %d", len(p.free), counts[Free])
 	}
 	if p.lent != NoFrame {
@@ -242,9 +270,9 @@ func (p *Pool) ownerOf(id FrameID) Owner {
 // badFrame is the panic value for a frame id that names no frame.
 // Invariant: frame ids only come from Alloc; an out-of-range id is the
 // simulated equivalent of a wild kernel pointer. It is a value, formatted
-// only when the panic is printed, so that raising it leaves ownerOf, and
-// Bytes with it, small enough to inline into the per-reference path (a
-// Sprintf call, even out of line, would not).
+// only when the panic is printed, so that raising it leaves ownerOf small
+// enough to inline into Owner and Release (a Sprintf call, even out of line,
+// would not).
 type badFrame struct {
 	id     FrameID
 	frames int

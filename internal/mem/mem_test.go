@@ -1,8 +1,13 @@
 package mem
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+
+	"compcache/internal/snap"
 )
 
 func TestPoolBasics(t *testing.T) {
@@ -155,5 +160,117 @@ func TestLoan(t *testing.T) {
 	}
 	if err := p.CheckConservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// made lists the chunks of p that have frame storage.
+func made(p *Pool) []int {
+	var cs []int
+	for c, b := range p.data {
+		if b != nil {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// A pool makes frame storage a chunk at a time, when Alloc first hands out a
+// frame in it: a fresh machine's pool costs the host its tables only.
+func TestPoolMakesChunksOnFirstAlloc(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPool(2048, 4096)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ChunkFrames*4096 {
+		t.Errorf("NewPool(2048, 4096) allocated %d bytes, at least a chunk of frames", got)
+	}
+	if len(p.data) != 2048/ChunkFrames || len(made(p)) != 0 {
+		t.Fatalf("fresh pool: %d chunks, %v made; want %d, none", len(p.data), made(p), 2048/ChunkFrames)
+	}
+	for i := 0; i < ChunkFrames; i++ {
+		p.Alloc(VM)
+	}
+	if got := made(p); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("after one chunk's worth of Allocs, chunks %v made, want [0]", got)
+	}
+	f, _ := p.Alloc(CC)
+	if got := made(p); f != ChunkFrames || len(got) != 2 || got[1] != 1 {
+		t.Fatalf("Alloc gave frame %d and left chunks %v made, want frame %d and [0 1]", f, got, ChunkFrames)
+	}
+	if len(p.Bytes(f)) != 4096 || len(p.Bytes(0)) != 4096 {
+		t.Fatal("Bytes of a made chunk is not one page")
+	}
+	mustPanic(t, "Bytes of a frame never handed out", func() { p.Bytes(2047) })
+	mustPanic(t, "Bytes of a negative id", func() { p.Bytes(-1) })
+
+	// The last chunk holds what is left over, and its frames end the pool.
+	q := NewPool(ChunkFrames+3, 64)
+	for i := 0; i < ChunkFrames+3; i++ {
+		q.Alloc(FS)
+	}
+	if n := len(q.data[1]); n != 3*64 {
+		t.Fatalf("short last chunk is %d bytes, want %d", n, 3*64)
+	}
+	mustPanic(t, "Bytes past the last frame", func() { q.Bytes(ChunkFrames + 3) })
+}
+
+// snapBytes encodes p's snapshot.
+func snapBytes(t *testing.T, p *Pool) []byte {
+	t.Helper()
+	w := snap.NewWriter()
+	p.Snap(snap.Encoder(w))
+	b, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// A chunk with no storage is written as the zeros a made one would hold, and
+// a restore makes storage only for chunks that hold an owned frame or a
+// byte that is not zero.
+func TestSnapshotOfChunks(t *testing.T) {
+	const n, size = 4*ChunkFrames + 5, 64
+	// Both pools hold frame 0 (owned, "page"), frame 2*ChunkFrames+7
+	// (released, its bytes kept) and frame 4*ChunkFrames (owned, zeros).
+	// full has made every chunk; partial then loses the storage of chunks 1
+	// and 3, which hold free frames of zeros, as a restore would leave them.
+	partial, full := NewPool(n, size), NewPool(n, size)
+	for i := 0; i < n; i++ {
+		full.Alloc(VM)
+	}
+	for i := n - 1; i >= 0; i-- {
+		full.Release(FrameID(i))
+	}
+	for _, p := range []*Pool{partial, full} {
+		for i := 0; i <= 4*ChunkFrames; i++ {
+			p.Alloc(VM)
+		}
+		copy(p.Bytes(0), "page")
+		copy(p.Bytes(2*ChunkFrames+7), "kept")
+		for i := 4*ChunkFrames - 1; i > 0; i-- {
+			p.Release(FrameID(i))
+		}
+	}
+	partial.data[1], partial.data[3] = nil, nil
+	img := snapBytes(t, partial)
+	if !bytes.Equal(img, snapBytes(t, full)) {
+		t.Fatal("a pool with chunks left unmade snapshots unlike one with every chunk made")
+	}
+
+	restored := NewPool(n, size)
+	r, err := snap.NewReader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Snap(snap.Decoder(r))
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := made(restored), []int{0, 2, 4}; !slices.Equal(got, want) {
+		t.Fatalf("restore made chunks %v, want %v", got, want)
+	}
+	if !bytes.Equal(snapBytes(t, restored), img) {
+		t.Fatal("restored pool snapshots differently")
 	}
 }

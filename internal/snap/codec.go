@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -199,6 +200,59 @@ func (c *Codec) Fixed(p *[]byte, what string) {
 		c.Failf("snap: %s is %d bytes, want %d", what, n, len(*p))
 	}
 	copy(*p, c.r.take(len(*p)))
+}
+
+// Chunked visits a byte array of size bytes, a length the configuration
+// fixes, held as the chunks *p of chunk bytes each (the last may be shorter),
+// a nil one standing for zeros. It writes what Fixed writes for the whole
+// array. Decoding fills each chunk in place, gives a nil chunk storage only
+// when its bytes in the snapshot are not all zero, and fails unless the
+// snapshot holds exactly size bytes.
+func (c *Codec) Chunked(p *[][]byte, chunk, size int, what string) {
+	c.mark(p)
+	if c.r == nil {
+		c.w.U32(uint32(size))
+		for i, b := range *p {
+			if b != nil {
+				c.w.buf = append(c.w.buf, b...)
+				continue
+			}
+			for n := min(chunk, size-i*chunk); n > 0; n -= len(zeros) {
+				c.w.buf = append(c.w.buf, zeros[:min(n, len(zeros))]...)
+			}
+		}
+		return
+	}
+	if n := int(c.r.U32()); c.r.err == nil && n != size {
+		c.Failf("snap: %s is %d bytes, want %d", what, n, size)
+	}
+	for i, dst := range *p {
+		b := c.r.take(min(chunk, size-i*chunk))
+		switch {
+		case b == nil:
+			return
+		case dst == nil && allZero(b):
+		case dst == nil:
+			(*p)[i] = make([]byte, len(b))
+			copy((*p)[i], b)
+		default:
+			copy(dst, b)
+		}
+	}
+}
+
+// zeros is what a nil chunk holds, a block at a time.
+var zeros [4096]byte
+
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeros))
+		if !bytes.Equal(b[:n], zeros[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // Const visits a fact the configuration fixes — geometry, which optional

@@ -170,6 +170,8 @@ func TestDecodeValidation(t *testing.T) {
 		{"const", lenOf(4), func(c *Codec) { Const(c, c.Int, 8, "frames") }, "frames: snapshot has 4, this machine 8"},
 		{"fixed", encode(t, func(c *Codec) { b := []byte{1, 2}; c.Bytes(&b) }),
 			func(c *Codec) { b := make([]byte, 3); c.Fixed(&b, "block") }, "block is 2 bytes, want 3"},
+		{"chunked", encode(t, func(c *Codec) { b := []byte{1, 2}; c.Bytes(&b) }),
+			func(c *Codec) { b := make([][]byte, 2); c.Chunked(&b, 2, 3, "frames") }, "frames is 2 bytes, want 3"},
 		{"repeated key", encode(t, func(c *Codec) {
 			n, k := 2, int32(7)
 			c.Int(&n)
@@ -185,6 +187,27 @@ func TestDecodeValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestChunkedIsFixed: Chunked writes what Fixed writes for the whole array,
+// with zeros for a nil chunk, and a decode gives storage to a nil chunk only
+// when the snapshot holds a byte of it that is not zero.
+func TestChunkedIsFixed(t *testing.T) {
+	whole := []byte{1, 2, 0, 0, 0, 0, 0}
+	chunks := [][]byte{{1, 2, 0}, nil, nil}
+	img := encode(t, func(c *Codec) { c.Chunked(&chunks, 3, len(whole), "data") })
+	if want := encode(t, func(c *Codec) { c.Fixed(&whole, "data") }); !bytes.Equal(img, want) {
+		t.Fatalf("Chunked wrote %v, Fixed %v", img, want)
+	}
+	whole[6] = 9
+	img = encode(t, func(c *Codec) { c.Fixed(&whole, "data") })
+	got := make([][]byte, 3)
+	if err := decode(img, func(c *Codec) { c.Chunked(&got, 3, len(whole), "data") }); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]byte{{1, 2, 0}, nil, {9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded chunks %v, want %v", got, want)
 	}
 }
 

@@ -26,13 +26,18 @@ func fillTunable(rng *rand.Rand, buf []byte, target float64) {
 // vocabulary produces a deterministic pseudo-dictionary of distinct
 // lowercase words, standing in for /usr/dict/words (which the paper's sort
 // benchmark replicates many times). Word lengths are 4-12 letters.
+//
+// The words are slices of one string, and the dedup set is keyed by the
+// word's letters in a fixed array (no letter is zero, so the padding cannot
+// collide), so a vocabulary costs a handful of allocations whatever its size.
 func vocabulary(n int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[string]bool, n)
-	words := make([]string, 0, n)
-	for len(words) < n {
-		l := 4 + rng.Intn(9)
-		b := make([]byte, l)
+	seen := make(map[[12]byte]bool, n)
+	arena := make([]byte, 0, 12*n)
+	ends := make([]int, 0, n)
+	for len(ends) < n {
+		var w [12]byte
+		b := w[:4+rng.Intn(9)]
 		// Markov-ish letter chain for a vaguely English shape.
 		prev := byte('a' + rng.Intn(26))
 		for i := range b {
@@ -44,11 +49,17 @@ func vocabulary(n int, seed int64) []string {
 			b[i] = c
 			prev = c
 		}
-		w := string(b)
 		if !seen[w] {
 			seen[w] = true
-			words = append(words, w)
+			arena = append(arena, b...)
+			ends = append(ends, len(arena))
 		}
+	}
+	all := string(arena)
+	words := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		words[i], start = all[start:end], end
 	}
 	return words
 }

@@ -323,6 +323,12 @@ func TestVocabularyDeterministicDistinct(t *testing.T) {
 			t.Fatalf("word %q out of length range", w)
 		}
 	}
+	// The words share one string and the dedup set has fixed-size keys, so a
+	// sort's 4000-word vocabulary costs a handful of allocations, not two a
+	// word.
+	if allocs := testing.AllocsPerRun(3, func() { vocabulary(4000, 1) }); allocs > 32 {
+		t.Errorf("vocabulary(4000, 1) makes %.0f allocations, want at most 32", allocs)
+	}
 }
 
 func TestFillTunableRatios(t *testing.T) {
