@@ -37,16 +37,6 @@ func TestCodecZeroAllocs(t *testing.T) {
 				}); n != 0 {
 					t.Errorf("Compress allocates %v times per run", n)
 				}
-				if r, ok := c.(interface {
-					CompressFrom(dst, src, prev []byte, same int) []byte
-				}); ok {
-					again := make([]byte, 0, c.MaxCompressedSize(pageSize))
-					if n := testing.AllocsPerRun(100, func() {
-						again = r.CompressFrom(again[:0], page, comp, pageSize/2)
-					}); n != 0 {
-						t.Errorf("CompressFrom allocates %v times per run", n)
-					}
-				}
 				if n := testing.AllocsPerRun(100, func() {
 					out, err := c.Decompress(plain[:0], comp)
 					if err != nil {

@@ -133,6 +133,8 @@ func Register(c Codec) {
 	defer regMu.Unlock() //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
 	name := c.Name()
 	if _, dup := registry[name]; dup {
+		// Invariant: each codec name is registered once; a second codec
+		// under it would change what every machine naming it runs.
 		panic(fmt.Sprintf("compress: Register called twice for codec %q", name))
 	}
 	registry[name] = c

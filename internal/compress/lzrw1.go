@@ -90,27 +90,7 @@ func lzHash(v uint32) uint32 {
 }
 
 // Compress appends the LZRW1-compressed form of src to dst.
-func (LZRW1) Compress(dst, src []byte) []byte { return lzCompress(dst, src, nil, 0) }
-
-// CompressFrom appends to dst what Compress(dst, src) appends, reusing prev,
-// the compressed form of an earlier version of src that agrees with it in its
-// first same bytes: whenever prev is Compress(nil, old) and old[:same] equals
-// src[:same], the result is byte for byte Compress(dst, src). Other prev
-// bytes give unspecified output, but never a panic or a write past what
-// Compress would claim.
-//
-// The parse of src reaches the same state as the parse of old at every group
-// boundary before the first item that could read a byte at or past same, so
-// CompressFrom copies prev up to the last such boundary, rebuilds the hash
-// table from the item positions there, and parses the rest as Compress does
-// (DESIGN.md "Codecs").
-func (LZRW1) CompressFrom(dst, src, prev []byte, same int) []byte {
-	return lzCompress(dst, src, prev, same)
-}
-
-// lzCompress is Compress and CompressFrom; prev is nil, or the compressed
-// form to resume from (see CompressFrom).
-func lzCompress(dst, src, prev []byte, same int) []byte {
+func (LZRW1) Compress(dst, src []byte) []byte {
 	base, n := len(dst), len(src)
 	if n == 0 {
 		return append(dst, flagCompress)
@@ -129,12 +109,6 @@ func lzCompress(dst, src, prev []byte, same int) []byte {
 	// hash to this slot — which position 0 wrote before any other.
 	var table [lzHashSize]uint16
 	pos, o := 0, base+1
-	if prev != nil {
-		var in int
-		if pos, in = lzResume(&table, src, prev, same); in > 0 {
-			o += copy(buf[o:], prev[1:1+in])
-		}
-	}
 
 	// Whole groups: sixteen items look at less than lzGroupSpan bytes of src
 	// (the last starts at most 15*18 bytes in and reaches lzReach further)
@@ -225,50 +199,6 @@ func lzCompress(dst, src, prev []byte, same int) []byte {
 	}
 	buf[base] = flagCompress
 	return buf[:o]
-}
-
-// lzResume walks prev, a block Compress made of an earlier version of src
-// that agrees with src in its first same bytes, a 16-item group at a time,
-// hashing each group's item positions into table as Compress did. It stops at
-// the first group whose last item could read a byte at or past same — an
-// item reads less than lzReach bytes from where it starts — and at one that
-// prev cuts short or that would bring the output to the budget, and returns
-// the position in src and the offset in prev's body where that group starts.
-// Up to there the parse of src is the parse of old: the same items, the same
-// table, and no budget check that fails.
-func lzResume(table *[lzHashSize]uint16, src, prev []byte, same int) (pos, in int) {
-	if len(prev) == 0 || prev[0] != flagCompress {
-		return 0, 0
-	}
-	body := prev[1:]
-	same = min(same, len(src))
-	var at [lzGroupItems]int // the group's item positions
-	for in+2 <= len(body) {
-		control := uint(body[in]) | uint(body[in+1])<<8
-		j, p := in+2, pos
-		for k := range at {
-			if j >= len(body) {
-				return pos, in
-			}
-			at[k] = p
-			if control&1 != 0 {
-				p += int(body[j]&0x0F) + lzMinMatch
-				j += 2
-			} else {
-				p++
-				j++
-			}
-			control >>= 1
-		}
-		if at[lzGroupItems-1]+lzReach > same || j > len(body) || j >= len(src) {
-			return pos, in
-		}
-		for _, q := range &at {
-			table[lzHash(binary.LittleEndian.Uint32(src[q:]))] = uint16(q)
-		}
-		pos, in = p, j
-	}
-	return pos, in
 }
 
 func storedBlock(dst, src []byte) []byte {

@@ -3,7 +3,6 @@ package compress
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -256,72 +255,4 @@ func FuzzLZRW1MatchesReference(f *testing.F) {
 		f.Add(bad.block)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkLZRW1MatchesReference(t, data) })
-}
-
-// FuzzLZRW1CompressFromMatchesCompress is CompressFrom's contract. old is
-// compressed, and src is old with edit written over it from byte same on,
-// which may lengthen it: the two agree in their first same bytes, so resuming
-// from old's compressed form must give Compress's bytes for src exactly, into
-// a nil, a prefixed or a recycled dst. With bit 2 of mode set, edit itself is
-// taken for the compressed form — arbitrary bytes, from which CompressFrom
-// must neither panic nor write past what Compress would claim.
-func FuzzLZRW1CompressFromMatchesCompress(f *testing.F) {
-	for i, p := range seedPages() {
-		f.Add(p, uint16(len(p)/2), []byte("an edit"), uint8(i))
-	}
-	text := []byte(strings.Repeat("an index page of the gold workload, dirtied late ", 1400))
-	f.Add(text[:fuzzPageSize], uint16(1756), []byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(0))
-	f.Add(text[:fuzzPageSize], uint16(fuzzPageSize), []byte("appended"), uint8(2))
-	f.Add(text, uint16(40000), []byte("past the page bound"), uint8(1)) // 70 KB: past the page bound
-	f.Add(text[:fuzzPageSize], uint16(100), LZRW1{}.Compress(nil, mixedPage()), uint8(4))
-	f.Fuzz(func(t *testing.T, old []byte, same uint16, edit []byte, mode uint8) {
-		var lz LZRW1
-		at := int(same) % (len(old) + 1)
-		src := append(bytes.Clone(old[:at]), edit...)
-		if end := at + len(edit); end < len(old) {
-			src = append(src, old[end:]...)
-		}
-		prev := lz.Compress(nil, old)
-		arbitrary := mode&4 != 0
-		if arbitrary {
-			prev = edit
-		}
-		prefix := []byte("prefix kept")
-		var dst []byte
-		switch mode % 3 {
-		case 1:
-			dst = bytes.Clone(prefix)
-		case 2:
-			dst = append(bytes.Repeat([]byte{0xFF}, len(prefix)+lz.MaxCompressedSize(len(src)))[:0], prefix...)
-		}
-		want := lz.Compress(bytes.Clone(dst), src)
-		got := lz.CompressFrom(dst, src, prev, at)
-		if !bytes.Equal(got[:len(dst)], dst) {
-			t.Fatalf("CompressFrom changed the %d bytes dst held", len(dst))
-		}
-		if arbitrary {
-			if n := len(got) - len(dst); n > lz.MaxCompressedSize(len(src)) {
-				t.Fatalf("CompressFrom from arbitrary bytes wrote %d bytes for %d", n, len(src))
-			}
-			return
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("CompressFrom of %d bytes agreeing in %d: %d bytes, Compress %d", len(src), at, len(got), len(want))
-		}
-	})
-}
-
-// TestLZRW1ResumeSkipsTheKnownPrefix: resuming is exact whatever lzResume
-// returns, so the fuzz target cannot see a resume that gives up early. On a
-// text page, wherever it changes, the walk has to stop less than a group's
-// span short of the change — and not past it.
-func TestLZRW1ResumeSkipsTheKnownPrefix(t *testing.T) {
-	page := []byte(strings.Repeat("memory compression cache paging sprite kernel ", 100))[:fuzzPageSize]
-	for _, same := range []int{0, 18, 19, 400, 1756, fuzzPageSize} {
-		var table [lzHashSize]uint16
-		pos, in := lzResume(&table, page, LZRW1{}.Compress(nil, page), same)
-		if pos+lzGroupSpan < same && same < fuzzPageSize-lzGroupSpan || pos > same || in >= len(page) {
-			t.Errorf("a page that changes at %d resumes at %d (prev offset %d)", same, pos, in)
-		}
-	}
 }

@@ -15,41 +15,21 @@ type reference interface {
 	Decompress(dst, src []byte) ([]byte, error)
 }
 
-// resumer is the codec interface the machine resumes a dirty page's
-// compression through.
-type resumer interface {
-	CompressFrom(dst, src, prev []byte, same int) []byte
-}
-
 // checked is a codec for a machine under test: every page the machine
-// compresses — in full or resumed from an earlier form, where the codec can
-// resume — and every block it decompresses — in one call or a prefix at a
+// compresses and every block it decompresses — in one call or a prefix at a
 // time — is also given to the reference, and disagreements are reported to
 // the test. Both codecs it wraps decode by prefix.
 type checked struct {
 	compress.Codec
-	ref                               reference
-	t                                 *testing.T
-	compressed, resumed, decompressed *int
+	ref                      reference
+	t                        *testing.T
+	compressed, decompressed *int
 }
 
 func (c checked) Name() string { return c.Codec.Name() + "-checked" }
 
 func (c checked) Compress(dst, src []byte) []byte {
-	return c.check(dst, src, c.Codec.Compress(dst, src))
-}
-
-func (c checked) CompressFrom(dst, src, prev []byte, same int) []byte {
-	r, ok := c.Codec.(resumer)
-	if !ok {
-		return c.Compress(dst, src)
-	}
-	*c.resumed++
-	return c.check(dst, src, r.CompressFrom(dst, src, prev, same))
-}
-
-// check holds out, what the codec appended to dst for src, to the reference.
-func (c checked) check(dst, src, out []byte) []byte {
+	out := c.Codec.Compress(dst, src)
 	if ref, ok := c.ref.(interface{ Compress(dst, src []byte) []byte }); ok {
 		if want := ref.Compress(nil, src); !bytes.Equal(out[len(dst):], want) {
 			c.t.Errorf("page %d: compressed to %d bytes, reference %d", *c.compressed, len(out)-len(dst), len(want))
@@ -103,8 +83,8 @@ func TestCodecsMatchReferenceOnWorkloadPages(t *testing.T) {
 		{compress.FPC{}, compress.RefFPC},
 	} {
 		t.Run(tc.codec.Name(), func(t *testing.T) {
-			var compressed, resumed, decompressed int
-			c := checked{Codec: tc.codec, ref: tc.ref, t: t, compressed: &compressed, resumed: &resumed, decompressed: &decompressed}
+			var compressed, decompressed int
+			c := checked{Codec: tc.codec, ref: tc.ref, t: t, compressed: &compressed, decompressed: &decompressed}
 			compress.Register(c)
 			defer compress.Unregister(c.Name())
 			cfg := machine.Default(768 << 10).WithCC()
@@ -125,10 +105,7 @@ func TestCodecsMatchReferenceOnWorkloadPages(t *testing.T) {
 			if decompressed == 0 {
 				t.Error("no block was decompressed")
 			}
-			if _, ok := tc.codec.(resumer); ok && resumed == 0 {
-				t.Error("no page was compressed again from the form it came in with")
-			}
-			t.Logf("%d pages compressed, %d of them resumed; %d blocks decompressed", compressed, resumed, decompressed)
+			t.Logf("%d pages compressed; %d blocks decompressed", compressed, decompressed)
 		})
 	}
 }

@@ -268,15 +268,13 @@ func TestSteadyStateDirtyRewriteZeroAllocs(t *testing.T) { steadyCycle(t, true) 
 // countedCodec is a registered codec that counts its compressions and
 // decodes, so a row can tell the compressions and decompressions the
 // simulated machine was charged for (Comp.Compressions, Comp.Decompressions)
-// from the ones the host's codec actually ran. It resumes where the codec it
-// wraps can (resumer), and counts those compressions apart as well. Where
-// the codec it wraps decodes by prefix, the registered wrapper does too
-// (prefixCounted). A decode is a Decompress call or a prefix step from a
-// block's start, and the wrapper counts the bytes every decode and step
-// produced.
+// from the ones the host's codec actually ran. Where the codec it wraps
+// decodes by prefix, the registered wrapper does too (prefixCounted). A
+// decode is a Decompress call or a prefix step from a block's start, and the
+// wrapper counts the bytes every decode and step produced.
 type countedCodec struct {
 	compress.Codec
-	calls, resumes, decodes, decoded atomic.Uint64
+	calls, decodes, decoded atomic.Uint64
 }
 
 func (c *countedCodec) Name() string { return "counted-" + c.Codec.Name() }
@@ -284,16 +282,6 @@ func (c *countedCodec) Name() string { return "counted-" + c.Codec.Name() }
 func (c *countedCodec) Compress(dst, src []byte) []byte {
 	c.calls.Add(1)
 	return c.Codec.Compress(dst, src)
-}
-
-func (c *countedCodec) CompressFrom(dst, src, prev []byte, same int) []byte {
-	r, ok := c.Codec.(resumer)
-	if !ok {
-		return c.Compress(dst, src)
-	}
-	c.calls.Add(1)
-	c.resumes.Add(1)
-	return r.CompressFrom(dst, src, prev, same)
 }
 
 func (c *countedCodec) Decompress(dst, src []byte) ([]byte, error) {
@@ -315,22 +303,12 @@ func (c prefixCounted) DecompressPrefix(dst, src []byte, at compress.Prefix, upt
 	return out, next, err
 }
 
-// Calls reports the compressions so far, resumed or not; a nil codec has
-// made none.
+// Calls reports the compressions so far; a nil codec has made none.
 func (c *countedCodec) Calls() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.calls.Load()
-}
-
-// Resumes reports how many of the compressions so far resumed from an
-// earlier compressed form; a nil codec has made none.
-func (c *countedCodec) Resumes() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.resumes.Load()
 }
 
 // Decodes reports the decodes so far; a nil codec has made none.

@@ -487,10 +487,10 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	whole := true // data holds all of the page
 	if m.CC != nil {
 		// The page is leaving memory, so its remembered compressed form goes
-		// whichever way it leaves; a page still clean uses it as it is, a
-		// dirty one as where to resume compressing from. Its plaintext is
-		// remembered on the way out if its stay began with a cache hit and
-		// its frame holds all of it (departWhole).
+		// whichever way it leaves; only a page still clean has one (Dirtied
+		// takes it away). Its plaintext is remembered on the way out if its
+		// stay began with a cache hit and its frame holds all of it
+		// (departWhole).
 		memo, sum := m.recall(p)
 		hit, p.Memo = p.Memo&memoHit, 0
 		whole = m.departWhole(p, hit)
@@ -507,18 +507,11 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			}
 			return nil
 		}
-		// A dirty page's remembered form is of the bytes it came in with,
-		// which it still holds up to the first word written since.
-		var prev []byte
-		if p.Dirty {
-			memo, prev = nil, memo
-		}
-
 		// Compress once, then decide the page's fate: the cache keeps it if
 		// it fits, otherwise it goes to the first tier below that takes it —
 		// raw when it missed the 4:3 threshold and the compression effort was
 		// wasted (§5.2).
-		cdata, keep := m.compress(p.Key, data, memo, prev, int(p.Unwritten)*8)
+		cdata, keep := m.compress(p.Key, data, memo)
 		if keep {
 			if memo == nil {
 				sum = core.Checksum(cdata)
@@ -562,13 +555,11 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 // clears the keep threshold. Insert copies into a cache-owned slab and a
 // Tier copies what it keeps, so the buffer is free again by the time the
 // caller returns. A non-nil memo is what the codec would make of data (see
-// compressMemo); a non-nil prev is what it made of bytes that agree with data
-// in their first same, and a codec that can resumes from it. A codec whose
-// output length is fixed (fixedLen) and misses the threshold is not run at
-// all: cdata is nil, and the caller sends data on raw. The simulated machine
-// compresses in full all the same — every charge and counter below — and
-// only the host skips the work.
-func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) (cdata []byte, keep bool) {
+// compressMemo). A codec whose output length is fixed (fixedLen) and misses
+// the threshold is not run at all: cdata is nil, and the caller sends data on
+// raw. The simulated machine compresses in full all the same — every charge
+// and counter below — and only the host skips the work.
+func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, keep bool) {
 	m.Clock.Charge(sim.CauseCompress, m.cfg.Cost.CompressCost(len(data)))
 	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
 	m.comp.Compressions++
@@ -582,11 +573,7 @@ func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) 
 				return nil, false
 			}
 		}
-		if r, ok := codec.(resumer); ok && prev != nil && same > 0 {
-			cdata = r.CompressFrom(m.compBuf[:0], data, prev, same)
-		} else {
-			cdata = codec.Compress(m.compBuf[:0], data)
-		}
+		cdata = codec.Compress(m.compBuf[:0], data)
 		m.compBuf = cdata[:0]
 	}
 	m.comp.BytesOut += uint64(len(cdata))
@@ -597,15 +584,6 @@ func (m *Machine) compress(key swap.PageKey, data, memo, prev []byte, same int) 
 	m.comp.CompressibleIn += uint64(len(data))
 	m.comp.CompressibleOut += uint64(len(cdata))
 	return cdata, true
-}
-
-// resumer is a codec that can compress a page again from the compressed form
-// of an earlier version that agrees with it in a prefix, without parsing that
-// prefix afresh: CompressFrom appends Compress(dst, src)'s bytes whenever prev
-// is Compress(nil, old) and old[:same] equals src[:same] (compress.LZRW1 is
-// one). A codec without it compresses in full.
-type resumer interface {
-	CompressFrom(dst, src, prev []byte, same int) []byte
 }
 
 // fixedLen is a codec whose output length depends on its input's length
@@ -798,11 +776,12 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 
 // Dirtied invalidates stale lower-level copies when a clean resident page is
 // first modified: the retained compression-cache entry and the copy in any
-// tier below both go stale at that moment. The remembered compressed form
-// stays: PageOut resumes from it (see compress).
+// tier below both go stale at that moment, and so does the remembered
+// compressed form.
 func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
+		m.recall(p)
 	}
 	for i := range m.below {
 		m.below[i].tier.Invalidate(p.Key)
@@ -831,7 +810,7 @@ func (f fsBlockCache) Store(fileID int32, block int64, data []byte) (bool, error
 	if m.CC.Has(key) {
 		return true, nil // still-valid compressed copy from an earlier eviction
 	}
-	cdata, keep := m.compress(key, data, nil, nil, 0)
+	cdata, keep := m.compress(key, data, nil)
 	if !keep {
 		return false, nil
 	}

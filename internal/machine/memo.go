@@ -38,10 +38,8 @@ const (
 // compressed payload, that payload and its verified checksum. Compress is a
 // pure function of a page's bytes, so while the page is clean the payload is
 // what the codec would produce again, and PageOut takes it from here instead
-// of running the codec — and the sum instead of running the CRC. Once the
-// page is dirty the payload is still what the codec made of its bytes up to
-// the first word written since (vm.Page.Unwritten), and PageOut has a codec
-// that can resume from there.
+// of running the codec — and the sum instead of running the CRC. The first
+// write to the page takes its slot away (Dirtied).
 //
 // Slots are indexed by frame: slot F holds the form of F's current or last
 // VM occupant. The slot is also where the frame's pending tail decodes from:
@@ -380,18 +378,16 @@ func (m *Machine) returnPlain(p *vm.Page) plainForm {
 }
 
 // VerifyCompressMemo checks the memo against the codec it stands in for:
-// every remembered page holds a frame and names that frame's slot, which
-// holds that payload's checksum and exactly what its segment's codec makes
-// of the frame's bytes now — of the bytes it decodes to, for a dirty page,
-// which must equal the frame's in the page's unwritten prefix — and a
-// partial page is remembered and its frame's tail is not ahead of what the
-// page says is decoded. It finishes every pending tail first, the way a
-// snapshot does, since it reads frames. It runs the codec once per
-// remembered page, so it is not part of CheckInvariants — the perf ledger
-// times that call once per leg, and 256 recompressions there would cost the
-// fleet workload about 4 % — tests call it directly. Nor does it charge the
-// machine for them: an audit that moved the clock would change the run it
-// audits.
+// every remembered page is clean, holds a frame and names that frame's slot,
+// which holds that payload's checksum and exactly what its segment's codec
+// makes of the frame's bytes now, and a partial page is remembered and its
+// frame's tail is not ahead of what the page says is decoded. It finishes
+// every pending tail first, the way a snapshot does, since it reads frames.
+// It runs the codec once per remembered page, so it is not part of
+// CheckInvariants — the perf ledger times that call once per leg, and 256
+// recompressions there would cost the fleet workload about 4 % — tests call
+// it directly. Nor does it charge the machine for them: an audit that moved
+// the clock would change the run it audits.
 func (m *Machine) VerifyCompressMemo() error {
 	mm := &m.memo
 	if mm.slab == nil {
@@ -410,8 +406,8 @@ func (m *Machine) VerifyCompressMemo() error {
 		if p.Memo&memoIndex-1 != int32(p.Frame) {
 			return fmt.Errorf("machine: compress memo: partial page %v in frame %d names slot %d", p.Key, p.Frame, p.Memo&memoIndex-1)
 		}
-		if t := mm.slots[p.Frame].tail; t.dec != nil && (t.done < int(p.Unwritten)*8 || t.key != p.Key) {
-			return fmt.Errorf("machine: compress memo: partial page %v has %d words decoded, its frame's tail %d bytes of page %v", p.Key, p.Unwritten, t.done, t.key)
+		if t := mm.slots[p.Frame].tail; t.dec != nil && (t.done < int(p.Valid)*8 || t.key != p.Key) {
+			return fmt.Errorf("machine: compress memo: partial page %v has %d words decoded, its frame's tail %d bytes of page %v", p.Key, p.Valid, t.done, t.key)
 		}
 		return nil
 	}); err != nil {
@@ -425,6 +421,9 @@ func (m *Machine) VerifyCompressMemo() error {
 		if !p.HoldsFrame() || p.Memo&memoIndex == 0 {
 			return nil
 		}
+		if p.Dirty {
+			return fmt.Errorf("machine: compress memo: dirty page %v names slot %d", p.Key, p.Memo&memoIndex-1)
+		}
 		if at := p.Memo&memoIndex - 1; at != int32(p.Frame) || uint(at) >= uint(len(used)) || used[at] {
 			return fmt.Errorf("machine: compress memo: page %v in frame %d names slot %d, out of range or already taken", p.Key, p.Frame, at)
 		}
@@ -434,19 +433,7 @@ func (m *Machine) VerifyCompressMemo() error {
 			return fmt.Errorf("machine: compress memo: page %v: slot %d claims %d bytes", p.Key, p.Frame, s.n)
 		}
 		held := m.slotBytes(p.Frame)
-		codec, frame := m.codecFor(p.Key.Seg), m.Pool.Bytes(p.Frame)
-		if p.Dirty {
-			// The frame has moved on from the bytes the slot was made of, but
-			// not in its unwritten prefix, and the slot is still what the
-			// codec makes of those bytes.
-			old, err := codec.Decompress(nil, held)
-			same := int(p.Unwritten) * 8
-			if err != nil || len(old) != len(frame) || !bytes.Equal(old[:same], frame[:same]) {
-				return fmt.Errorf("machine: compress memo: dirty page %v: slot's %d bytes do not decode to the frame's first %d (%v)", p.Key, s.n, same, err)
-			}
-			frame = old
-		}
-		if want := codec.Compress(nil, frame); !bytes.Equal(want, held) {
+		if want := m.codecFor(p.Key.Seg).Compress(nil, m.Pool.Bytes(p.Frame)); !bytes.Equal(want, held) {
 			return fmt.Errorf("machine: compress memo: page %v: slot holds %d bytes that are not what the codec makes of the frame (%d bytes)", p.Key, s.n, len(want))
 		}
 		if core.Checksum(held) != s.sum {

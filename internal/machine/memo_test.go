@@ -288,18 +288,13 @@ func memoStream(seed int64, n int) []byte {
 
 func TestCompressMemoAgainstCodec(t *testing.T) {
 	r := newMemoRig(t, 8)
-	resumes := r.codec.Resumes()
 	r.run(memoStream(22, 20000))
-	resumes = r.codec.Resumes() - resumes
 	// The stream has to have gone where the memo can go wrong.
 	if r.ran >= r.compressions {
 		t.Errorf("codec ran %d times for %d compressions: the memo never served one", r.ran, r.compressions)
 	}
 	if r.decoded >= r.decompressions {
 		t.Errorf("codec decoded %d times for %d decompressions: the plaintext memo never served one", r.decoded, r.decompressions)
-	}
-	if resumes == 0 {
-		t.Error("no dirty page was compressed again from the form it came in with")
 	}
 	if r.recoveries == 0 {
 		t.Error("no corrupt cache fragment was recovered from below")
@@ -316,8 +311,8 @@ func TestCompressMemoAgainstCodec(t *testing.T) {
 	if r.watched.slotless == 0 {
 		t.Error("no page whose stay began with a cache hit departed with every plaintext slot taken")
 	}
-	t.Logf("%d ops, %d machines, %d restores, %d recoveries, %d partial pages; %d compressions, codec ran %d times (%d resumed); %d decompressions, codec decoded %d times; %+v",
-		r.ops, r.lives, r.restores, r.recoveries, r.partial, r.compressions, r.ran, resumes, r.decompressions, r.decoded, r.watched)
+	t.Logf("%d ops, %d machines, %d restores, %d recoveries, %d partial pages; %d compressions, codec ran %d times; %d decompressions, codec decoded %d times; %+v",
+		r.ops, r.lives, r.restores, r.recoveries, r.partial, r.compressions, r.ran, r.decompressions, r.decoded, r.watched)
 }
 
 // memoPasses appends to ops passes of op over the first n pages of both

@@ -201,9 +201,13 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 // a duplicate id or a nil clock panics.
 func (k *Kernel) Attach(c *Clock, id ActorID) {
 	if c == nil {
+		// Invariant: callers attach a clock they own; a nil one has no
+		// time to wait on.
 		panic("sim: Attach of nil clock")
 	}
 	if id < 0 || id >= maxActors {
+		// Invariant: callers number actors from 0 below maxActors, the
+		// size of the kernel's actor table.
 		panic(fmt.Sprintf("sim: actor id %d outside [0, %d)", id, maxActors))
 	}
 	st := k.lookup(id)
@@ -211,6 +215,8 @@ func (k *Kernel) Attach(c *Clock, id ActorID) {
 	case st == nil:
 		st = k.add(id)
 	case st.clock != nil:
+		// Invariant: each actor id is attached once; a second clock on it
+		// would split one actor's time in two.
 		panic(fmt.Sprintf("sim: duplicate actor %d", id))
 	default:
 		// Restored actor: the snapshot recorded where its clock stood.
@@ -236,6 +242,8 @@ func (k *Kernel) NewClock(id ActorID) *Clock {
 func (k *Kernel) Go(id ActorID, fn func()) {
 	st := k.state(id)
 	if st.next != nil {
+		// Invariant: callers re-arm an actor with Go only once its
+		// previous program has returned.
 		panic(fmt.Sprintf("sim: Go on live actor %d", id))
 	}
 	st.body = fn
@@ -249,6 +257,8 @@ func (k *Kernel) Go(id ActorID, fn func()) {
 func (k *Kernel) Bind(id ActorID, fn func()) {
 	st := k.state(id)
 	if st.next != nil {
+		// Invariant: callers bind a program only to an idle actor, as a
+		// restore leaves every actor.
 		panic(fmt.Sprintf("sim: Bind on live actor %d", id))
 	}
 	st.body = fn
@@ -261,6 +271,8 @@ func (k *Kernel) Bind(id ActorID, fn func()) {
 // refuses to snapshot.
 func (k *Kernel) Schedule(at Time, id ActorID, fn func(Time)) {
 	if fn == nil {
+		// Invariant: callers schedule a callback to run; Run would call a
+		// nil one when its instant came.
 		panic("sim: Schedule of nil callback")
 	}
 	if at < k.now {
@@ -276,6 +288,8 @@ func (k *Kernel) Schedule(at Time, id ActorID, fn func(Time)) {
 // original value.
 func (k *Kernel) Run() Time {
 	if k.running {
+		// Invariant: Run is called from outside the kernel, never from an
+		// actor or a timer callback it dispatches.
 		panic("sim: Run re-entered")
 	}
 	k.running = true
@@ -290,10 +304,14 @@ func (k *Kernel) Run() Time {
 		}
 		st := k.lookup(ev.id)
 		if st == nil {
+			// Invariant: only Go, Wait and a restore push resume events,
+			// each for an attached actor.
 			panic(fmt.Sprintf("sim: resume event for unknown actor %d", ev.id))
 		}
 		if st.next == nil {
 			if st.body == nil {
+				// Invariant: a restored kernel's waiting actors are
+				// re-bound (Bind) before Run.
 				panic(fmt.Sprintf("sim: resume event for actor %d with no program", ev.id))
 			}
 			st.start()
@@ -339,6 +357,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Wait(id ActorID, until Time) Time {
 	st := k.state(id)
 	if until < st.clock.now {
+		// Invariant: callers wait forward; virtual time never runs back.
 		panic(fmt.Sprintf("sim: Wait backward from %v to %v", st.clock.now, until))
 	}
 	if !k.running {
@@ -349,6 +368,8 @@ func (k *Kernel) Wait(id ActorID, until Time) Time {
 		return until
 	}
 	if k.current != id {
+		// Invariant: during Run only the actor being dispatched waits, on
+		// its own clock.
 		panic(fmt.Sprintf("sim: Wait by actor %d while actor %d holds the baton", id, k.current))
 	}
 	// Fast path: if this actor would still be the globally earliest event,
@@ -384,6 +405,7 @@ func (k *Kernel) state(id ActorID) *actorState {
 	if st := k.lookup(id); st != nil && st.clock != nil {
 		return st
 	}
+	// Invariant: callers name an actor they attached (Attach, NewClock).
 	panic(fmt.Sprintf("sim: actor %d not attached", id))
 }
 

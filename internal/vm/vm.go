@@ -18,7 +18,6 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"time"
 
@@ -69,24 +68,17 @@ func (s PageState) String() string {
 }
 
 // Page is one virtual page's bookkeeping. The Pager may read and write the
-// exported fields; the VM owns State, Unwritten, Frame and the LRU links.
+// exported fields; the VM owns State, Valid, Frame and the LRU links.
 type Page struct {
 	Key   swap.PageKey
 	State PageState
 
-	// Unwritten counts the 8-byte words at the start of the page that no
-	// write has reached since the page last became resident: a fault sets it
-	// to the whole page (at most 65 535 words), a byte or word write within
-	// one page lowers it to at most the word the write starts in, and a Touch
-	// for writing or a write that spans pages sets it to 0. It never counts a
-	// written word, so a pager may take those bytes as the ones PageIn
-	// produced. Like Memo it fills padding and a snapshot does not carry it:
-	// a restored page reads 0.
-	//
-	// While the page is Partial no write has reached it, so the field counts
-	// instead the words at the start of the frame that hold the page's
-	// contents; a reference past them asks the pager for more.
-	Unwritten uint16
+	// Valid counts the 8-byte words at the start of the frame that hold the
+	// page's contents: all of them once the page is Resident, fewer while it
+	// is Partial, where a reference past them asks the pager for more. Only a
+	// fault or a further decode writes it (settle). Like Memo it fills padding
+	// and a snapshot does not carry it: a restored page reads 0.
+	Valid uint16
 
 	Frame mem.FrameID
 
@@ -383,14 +375,11 @@ func (v *VM) Touch(s *Segment, n int32, write bool) (*Page, error) {
 		return nil, err
 	}
 	if write {
-		p.Unwritten = 0
 		v.markWritten(p)
 	}
 	return p, nil
 }
 
-// markWritten records a write to resident page p; the caller lowers
-// p.Unwritten, which would put this over the inliner's budget.
 func (v *VM) markWritten(p *Page) {
 	p.EverWritten = true
 	if !p.Dirty {
@@ -476,7 +465,7 @@ func (v *VM) fault(p *Page, need int) error {
 // decode makes at least the first need bytes of Partial page p hold its
 // contents, asking the pager for more when its prefix falls short.
 func (v *VM) decode(p *Page, need int) error {
-	if need <= int(p.Unwritten)*8 {
+	if need <= int(p.Valid)*8 {
 		return nil
 	}
 	valid, err := v.prefix.Extend(p, v.pool.Bytes(p.Frame), need)
@@ -497,7 +486,7 @@ func (v *VM) settle(p *Page, valid int) {
 	} else {
 		p.State = Partial
 	}
-	p.Unwritten = uint16(min(valid/8, math.MaxUint16))
+	p.Valid = uint16(valid / 8)
 }
 
 // die records a failed reference's error as the VM's first, unless a
@@ -791,7 +780,6 @@ func (v *VM) access(s *Segment, off int64, buf []byte, word *uint64, op accessOp
 		}
 	}
 	if write {
-		p.Unwritten = min(p.Unwritten, uint16(in/8))
 		v.markWritten(p)
 	}
 	b := v.pool.Bytes(p.Frame)[in : in+n]

@@ -535,20 +535,18 @@ func newQuickVM() (*VM, *fakePager, *mem.Pool, *sim.Clock) {
 	return v, fp, pool, &clock
 }
 
-// TestUnwrittenPrefix: a page's unwritten prefix is the whole page after a
-// fault; a byte or word write within the page lowers it to the word the write
-// starts in and never raises it, a Touch for writing or a write that spans
-// pages sets it to 0, and a read leaves it alone. A restored VM, which was
-// never told, reads 0 on every page.
-func TestUnwrittenPrefix(t *testing.T) {
+// TestValidPrefix: a page's valid prefix is the whole page after a fault, and
+// a read leaves it alone. A restored VM, which was never told, reads 0 on
+// every page.
+func TestValidPrefix(t *testing.T) {
 	v, _, pool, _ := newTestVM(t, 4)
 	s := v.NewSegment("heap", 8)
 	const whole = 4096 / 8
 	p := touch(t, v, s, 0, false)
 	want := func(q *Page, what string, n uint16) {
 		t.Helper()
-		if q.Unwritten != n {
-			t.Errorf("%s: page %d has %d unwritten words, want %d", what, q.Key.Page, q.Unwritten, n)
+		if q.Valid != n {
+			t.Errorf("%s: page %d has %d valid words, want %d", what, q.Key.Page, q.Valid, n)
 		}
 	}
 	want(p, "after a cold fault", whole)
@@ -557,21 +555,7 @@ func TestUnwrittenPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want(p, "after reads", whole)
-	writeWord(t, v, s, 2048, 1)
-	want(p, "after WriteWord at 2048", 256)
-	if err := v.Write(s, 1007, []byte{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	want(p, "after Write at 1007", 125)
-	writeWord(t, v, s, 2048, 2)
-	want(p, "after a later WriteWord further in", 125)
-	if err := v.Write(s, 4090, make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	want(p, "after a Write that spans into page 1", 0)
-	want(s.Page(1), "after a Write that spans into it", 0)
 	want(touch(t, v, s, 2, false), "after a cold fault", whole)
-	want(touch(t, v, s, 2, true), "after Touch for writing", 0)
 
 	if err := v.Evict(p); err != nil {
 		t.Fatal(err)
