@@ -238,6 +238,21 @@ func TestLoadModuleNeverLoadsTestdata(t *testing.T) {
 	}
 }
 
+// TestLoaderHonoursBuildConstraints: the buildtag fixture declares one
+// constant in two files that no build includes together. The loader must
+// read only the file the default build includes (the fixture module's clean
+// type check is the other half of the test).
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	pkgs := selectFixture(t, "testdata/src/buildtag")
+	var files []string
+	for _, f := range pkgs[0].Files {
+		files = append(files, filepath.Base(pkgs[0].Fset.File(f.Pos()).Name()))
+	}
+	if len(files) != 1 || files[0] != "default.go" {
+		t.Errorf("loaded %v, want [default.go]", files)
+	}
+}
+
 // TestRunOutputSorted: diagnostics come back ordered by position so
 // cclint's own output is deterministic.
 func TestRunOutputSorted(t *testing.T) {

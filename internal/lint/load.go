@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -208,8 +209,11 @@ func findModule(dir string) (root, module string, err error) {
 	}
 }
 
-// parsePackage parses the non-test Go files of one directory into the
-// module. It returns (nil, nil) for directories with no Go files.
+// parsePackage parses the non-test Go files of one directory that the
+// default build includes into the module: a file that a build constraint or
+// its name's GOOS/GOARCH suffix leaves out of `go build` is left out here
+// too, or it would type-check against the file it stands in for. It returns
+// (nil, nil) for directories with no such files.
 func parsePackage(mod *Module, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -221,7 +225,13 @@ func parsePackage(mod *Module, dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	if len(names) == 0 {
 		return nil, nil

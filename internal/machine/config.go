@@ -53,16 +53,6 @@ type CCConfig struct {
 	// memory size.
 	CleanReserve int
 
-	// DisablePrefetch turns off neighbor prefetch: by default, pages
-	// incidentally read by clustered swap reads are inserted into the
-	// cache as clean entries.
-	DisablePrefetch bool
-
-	// MetadataOverhead models the paper's §4.4 memory overhead: ~38 KBytes
-	// of static tables (LZRW1 hash table + code growth) charged at startup,
-	// plus 8 bytes per virtual page charged as segments are created.
-	MetadataOverhead bool
-
 	// FileCache extends the compression cache to evicted file-buffer-cache
 	// blocks, §6's "one might consider ... keep[ing] part or all of the
 	// file buffer cache in compressed format in order to improve the cache
@@ -297,9 +287,3 @@ func (c *Config) coreParams() core.Params {
 	}
 	return p
 }
-
-// staticOverheadBytes is the §4.4 fixed metadata cost.
-const staticOverheadBytes = 16*1024 + 22*1024 // LZRW1 hash table + code size delta
-
-// perPageOverheadBytes is the §4.4 page-table extension per virtual page.
-const perPageOverheadBytes = 8

@@ -48,7 +48,7 @@ func TestDecompressIntoCopiesBackNonAliasedResult(t *testing.T) {
 	for i := range page {
 		page[i] = 0xEE
 	}
-	if err := m.restoreInto(page, cdata, true, core.Checksum(cdata), swap.PageKey{Seg: seg, Page: 3}, plainForm{}); err != nil {
+	if err := m.restoreInto(page, cdata, true, core.Checksum(cdata), swap.PageKey{Seg: seg, Page: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(page, want) {
@@ -67,7 +67,7 @@ func TestDecompressIntoAliasedResultUnchanged(t *testing.T) {
 	codec := m.codecFor(0)
 	cdata := codec.Compress(nil, want)
 	page := make([]byte, m.Config().PageSize)
-	if err := m.restoreInto(page, cdata, true, core.Checksum(cdata), swap.PageKey{Seg: 0, Page: 0}, plainForm{}); err != nil {
+	if err := m.restoreInto(page, cdata, true, core.Checksum(cdata), swap.PageKey{Seg: 0, Page: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(page, want) {

@@ -45,7 +45,7 @@ func FuzzFragmentIntegrity(f *testing.F) {
 		for i := range page {
 			page[i] = 0xEE // stale contents that must never leak through
 		}
-		err := m.restoreInto(page, frag, true, sum, swap.PageKey{Seg: 0, Page: 0}, plainForm{})
+		err := m.restoreInto(page, frag, true, sum, swap.PageKey{Seg: 0, Page: 0}, nil)
 		if bytes.Equal(frag, orig) {
 			if err != nil {
 				t.Fatalf("pristine fragment rejected: %v", err)

@@ -61,8 +61,11 @@ type Machine struct {
 	compBuf []byte // codec.Compress destination, reused across calls
 	nbrBuf  []byte // neighbor staging (corrupt+verify)
 
-	memo  compressMemo // compressed forms of resident pages, by frame; see memo.go
-	plain plainMemo    // plaintext of recently evicted pages; see memo.go
+	// forms is every form of a page the host remembers so as not to produce
+	// it again (memo.go); nil remembers nothing. It points at kept, unless
+	// the build forgets (keepForms).
+	forms *forms
+	kept  forms
 
 	base       books      // where the conservation equations start; see time.go
 	startSpent sim.Ledger // the clock's ledger at the Elapsed() origin
@@ -112,6 +115,9 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		return nil, fmt.Errorf("machine: WithRemote needs a compression cache: fleet memory holds pages in the checksummed travel form only that machine produces")
 	}
 	m := &Machine{cfg: cfg, Clock: &sim.Clock{}}
+	if keepForms {
+		m.forms = &m.kept
+	}
 	if b.kernel != nil {
 		// Attach before any subsystem exists so construction-time charges land
 		// on the actor clock; see the WithKernel contract.
@@ -209,9 +215,6 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		}
 		if cfg.CC.FileCache {
 			m.FS.SetCompressedBlockCache(fsBlockCache{m})
-		}
-		if cfg.CC.MetadataOverhead {
-			m.reserveKernelBytes(staticOverheadBytes)
 		}
 	case cfg.LFSSwap != nil:
 		lfsCfg := *cfg.LFSSwap
@@ -382,25 +385,7 @@ func (m *Machine) NewSegment(name string, bytes int64) *Space {
 		panic("machine: segment size must be positive")
 	}
 	npages := int32((bytes + int64(m.cfg.PageSize) - 1) / int64(m.cfg.PageSize))
-	seg := m.VM.NewSegment(name, npages)
-	if m.cfg.CC.Enabled && m.cfg.CC.MetadataOverhead {
-		m.reserveKernelBytes(int(npages) * perPageOverheadBytes)
-	}
-	return &Space{m: m, seg: seg}
-}
-
-// reserveKernelBytes pins whole frames to model kernel metadata overhead.
-func (m *Machine) reserveKernelBytes(bytes int) {
-	frames := (bytes + m.cfg.PageSize - 1) / m.cfg.PageSize
-	for i := 0; i < frames; i++ {
-		if _, ok := m.Pool.Alloc(mem.Kernel); !ok {
-			// Invariant: kernel metadata is charged at configuration time
-			// (machine/segment creation); a machine too small to hold its own
-			// page tables is an experiment sizing error, not a runtime fault
-			// to degrade from.
-			panic("machine: not enough memory for kernel metadata")
-		}
-	}
+	return &Space{m: m, seg: m.VM.NewSegment(name, npages)}
 }
 
 // allocFrame is the policy-arbitrated frame source shared by the VM fault
@@ -410,7 +395,9 @@ func (m *Machine) allocFrame(owner mem.Owner) (mem.FrameID, error) {
 	if err != nil {
 		return mem.NoFrame, err
 	}
-	m.claimTail(id, owner)
+	if m.hasTail(id) {
+		m.claimTail(id, owner)
+	}
 	m.maybeClean()
 	return id, nil
 }
@@ -483,67 +470,55 @@ func (m *Machine) Stats() stats.Run {
 func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	it := swap.Item{Key: p.Key, Data: data}
 	var insErr error
-	var hit int32
-	whole := true // data holds all of the page
+	var form []byte
+	var sum uint32
+	var hit, whole bool
 	if m.CC != nil {
-		// The page is leaving memory, so its remembered compressed form goes
-		// whichever way it leaves; only a page still clean has one (Dirtied
-		// takes it away). Its plaintext is remembered on the way out if its
-		// stay began with a cache hit and its frame holds all of it
-		// (departWhole).
-		memo, sum := m.recall(p)
-		hit, p.Memo = p.Memo&memoHit, 0
-		whole = m.departWhole(p, hit)
-
-		// Fast path: the page was faulted out of the cache and never
-		// modified, so its compressed copy is still valid — re-entering the
-		// cache is just a page-table update, no compression (§4.1's retained
-		// compressed copies; this is what keeps read-mostly working sets
-		// cheap).
+		form, sum, hit, whole = m.departing(p)
 		if !p.Dirty && m.CC.Has(p.Key) {
+			// Fast path: the page was faulted out of the cache and never
+			// modified, so its compressed copy is still valid — re-entering
+			// the cache is just a page-table update, no compression (§4.1's
+			// retained compressed copies; this is what keeps read-mostly
+			// working sets cheap). The entry is the one the page's
+			// remembered form and its sum came from.
 			p.State = vm.Compressed
-			if memo != nil && whole { // the entry is the one the page and its sum came from
-				m.departPlain(p, data, sum, hit)
-			}
-			return nil
-		}
-		// Compress once, then decide the page's fate: the cache keeps it if
-		// it fits, otherwise it goes to the first tier below that takes it —
-		// raw when it missed the 4:3 threshold and the compression effort was
-		// wasted (§5.2).
-		cdata, keep := m.compress(p.Key, data, memo)
-		if keep {
-			if memo == nil {
+			it.Data, it.Compressed, it.Sum = form, form != nil, sum
+		} else if cdata, keep := m.compress(p.Key, data, form); keep {
+			// Compress once, then decide the page's fate: the cache keeps it
+			// if it fits, otherwise it goes to the first tier below that
+			// takes it — raw when it missed the 4:3 threshold and the
+			// compression effort was wasted (§5.2).
+			if form == nil {
 				sum = core.Checksum(cdata)
 			}
+			it.Data, it.Compressed, it.Sum = cdata, true, sum
 			var ok bool
 			if ok, insErr = m.CC.InsertSummed(p.Key, cdata, sum, p.Dirty); ok {
 				p.State = vm.Compressed
 				p.Dirty = false // dirtiness now tracked by the cache entry
-				if whole {
-					m.departPlain(p, data, sum, hit)
-				}
 				m.maybeClean()
-				return nil
 			}
-			// The cache could not take the page: no memory, or the flush
-			// that would have made room failed (insErr — the flushed batch
-			// stays dirty in the cache and is retried later, so insErr alone
-			// loses nothing). The page goes below compressed, still
+			// Otherwise the cache could not take the page: no memory, or the
+			// flush that would have made room failed (insErr — the flushed
+			// batch stays dirty in the cache and is retried later, so insErr
+			// alone loses nothing). The page goes below compressed, still
 			// benefiting from the reduced transfer size.
-			it.Data, it.Compressed, it.Sum = cdata, true, sum
 		}
 	}
-	// A clean page with a valid copy below is simply discarded (on a baseline
-	// machine every clean page the VM hands over has one: PageIn said so).
-	if p.Dirty || !p.SwapValid {
-		if err := m.putBelow(it, insErr); err != nil {
-			return err
+	if p.State != vm.Compressed {
+		// A clean page with a valid copy below is simply discarded (on a
+		// baseline machine every clean page the VM hands over has one:
+		// PageIn said so).
+		if p.Dirty || !p.SwapValid {
+			if err := m.putBelow(it, insErr); err != nil {
+				return err
+			}
+			p.SwapValid = true
 		}
-		p.SwapValid = true
+		p.Dirty = false
+		p.State = vm.Swapped
 	}
-	p.Dirty = false
-	p.State = vm.Swapped
 	if it.Compressed && whole {
 		m.departPlain(p, data, it.Sum, hit)
 	}
@@ -554,24 +529,22 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 // scratch buffer, charging the cost model, and reports whether the result
 // clears the keep threshold. Insert copies into a cache-owned slab and a
 // Tier copies what it keeps, so the buffer is free again by the time the
-// caller returns. A non-nil memo is what the codec would make of data (see
-// compressMemo). A codec whose output length is fixed (fixedLen) and misses
+// caller returns. A non-nil form is what the codec would make of data (see
+// compressMemo). A codec whose output length is known (knownLen) to miss
 // the threshold is not run at all: cdata is nil, and the caller sends data on
 // raw. The simulated machine compresses in full all the same — every charge
 // and counter below — and only the host skips the work.
-func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, keep bool) {
+func (m *Machine) compress(key swap.PageKey, data, form []byte) (cdata []byte, keep bool) {
 	m.Clock.Charge(sim.CauseCompress, m.cfg.Cost.CompressCost(len(data)))
 	m.compHist.Observe(m.cfg.Cost.CompressCost(len(data)))
 	m.comp.Compressions++
 	m.comp.BytesIn += uint64(len(data))
-	if cdata = memo; cdata == nil {
+	if cdata = form; cdata == nil {
 		codec := m.codecFor(key.Seg)
-		if f, ok := codec.(fixedLen); ok {
-			if n := f.CompressedLen(len(data)); n > m.cfg.keepThreshold() {
-				m.comp.BytesOut += uint64(n)
-				m.comp.Incompressible++
-				return nil, false
-			}
+		if n := m.knownLen(codec, len(data)); n > m.cfg.keepThreshold() {
+			m.comp.BytesOut += uint64(n)
+			m.comp.Incompressible++
+			return nil, false
 		}
 		cdata = codec.Compress(m.compBuf[:0], data)
 		m.compBuf = cdata[:0]
@@ -584,14 +557,6 @@ func (m *Machine) compress(key swap.PageKey, data, memo []byte) (cdata []byte, k
 	m.comp.CompressibleIn += uint64(len(data))
 	m.comp.CompressibleOut += uint64(len(cdata))
 	return cdata, true
-}
-
-// fixedLen is a codec whose output length depends on its input's length
-// alone: CompressedLen(n) is len(Compress(nil, src)) for every n-byte src
-// (compress.Null is one). When that length misses the keep threshold the
-// output would only be discarded, so the host does not produce it.
-type fixedLen interface {
-	CompressedLen(n int) int
 }
 
 // putBelow offers a page leaving memory to each tier in order — fleet memory
@@ -651,9 +616,8 @@ func (m *Machine) PageInPrefix(p *vm.Page, data []byte, need int) (vm.Source, in
 	if m.CC != nil {
 		if cdata, sum, entryDirty, ok := m.CC.Fault(p.Key); ok {
 			m.faults.CorruptCache(cdata)
-			valid, memo, err := m.restorePage(p, data, cdata, true, sum, known, need)
+			valid, err := m.restorePage(p, data, cdata, true, sum, known, true, need)
 			if err == nil {
-				p.Memo = memo | memoHit
 				// The entry is retained and backs the resident copy, so the
 				// page itself is clean; SwapValid tracks whether the entry
 				// has been persisted. Modifying the page invalidates the
@@ -692,32 +656,28 @@ func (m *Machine) PageInPrefix(p *vm.Page, data []byte, need int) (vm.Source, in
 		if err != nil {
 			return 0, 0, unrecoverable(p.Key, l.name+" read failed", err)
 		}
-		valid, memo := len(data), int32(0)
+		valid := len(data)
 		if l.raw {
 			m.Clock.Charge(sim.CauseCopy, m.cfg.Cost.PageCopy) // the tier filled the frame
-		} else if valid, memo, err = m.restorePage(p, data, payload, compressed, sum, known, need); err != nil {
+		} else if valid, err = m.restorePage(p, data, payload, compressed, sum, known, false, need); err != nil {
 			return 0, 0, unrecoverable(p.Key, "corrupt "+l.name+" copy", err)
 		}
 		p.Dirty = false
 		p.SwapValid = true
-		if len(along) > 0 && !m.cfg.CC.DisablePrefetch {
+		if len(along) > 0 {
 			m.insertNeighbors(along)
 		}
-		p.Memo = memo
 		return l.src, valid, nil
 	}
 	return 0, 0, unrecoverable(p.Key, fmt.Sprintf("page in state %v has no backing copy", p.State), nil)
 }
 
 // Extend implements vm.PrefixPager: it decodes more of the tail of partial
-// page p's frame, to at least twice what is decoded: a program that reads
-// past the prefix tends to read on, and a page read through from the start
-// then takes a handful of steps, not one per group. A codec rejection there
-// is the reference's machine check: the page's only verified form is bad
-// past the prefix, and the fault that could have recovered it from below is
-// over.
+// page p's frame (decodeTail). A codec rejection there is the reference's
+// machine check: the page's only verified form is bad past the prefix, and
+// the fault that could have recovered it from below is over.
 func (m *Machine) Extend(p *vm.Page, _ []byte, need int) (int, error) {
-	valid, err := m.decodeTail(p.Frame, max(need, 2*m.memo.slots[p.Frame].done))
+	valid, err := m.decodeTail(p.Frame, need)
 	if err != nil {
 		return 0, unrecoverable(p.Key, "compressed form rejected past the decoded prefix", err)
 	}
@@ -830,7 +790,7 @@ func (f fsBlockCache) Load(fileID int32, block int64, data []byte) (bool, error)
 		return false, nil
 	}
 	m.faults.CorruptCache(cdata)
-	if err := m.restoreInto(data, cdata, true, sum, key, plainForm{}); err != nil {
+	if err := m.restoreInto(data, cdata, true, sum, key, nil); err != nil {
 		m.CC.Drop(key)
 		return false, nil
 	}
@@ -870,11 +830,11 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 // memory; verification runs before the codec so a flipped bit can never
 // decompress to a silently wrong page. A checksum mismatch, codec rejection,
 // or length mismatch returns a *fault.CorruptionError; callers decide whether
-// a fallback copy exists. known is the page's remembered plaintext (see
-// plainMemo): when it belongs to the very travel form just verified, it is
+// a fallback copy exists. A non-nil plain is what payload decodes to, the
+// page's remembered plaintext of this very travel form (see plainMemo): it is
 // copied in instead of decoded — the simulated machine decompresses all the
 // same, and only the host skips the work.
-func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey, known plainForm) error {
+func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32, key swap.PageKey, plain []byte) error {
 	if err := m.verify(data, payload, compressed, sum, key); err != nil {
 		return err
 	}
@@ -882,8 +842,8 @@ func (m *Machine) restoreInto(data, payload []byte, compressed bool, sum uint32,
 		copy(data, payload)
 		return nil
 	}
-	if known.data != nil && known.sum == sum {
-		copy(data, known.data)
+	if plain != nil {
+		copy(data, plain)
 		return nil
 	}
 	out, err := m.codecFor(key.Seg).Decompress(data[:0], payload)

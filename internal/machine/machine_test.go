@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"compcache/internal/mem"
 	"compcache/internal/netdev"
 	"compcache/internal/policy"
 	"compcache/internal/swap"
@@ -409,19 +408,6 @@ func TestNeighborPrefetchPopulatesCC(t *testing.T) {
 	}
 }
 
-func TestMetadataOverheadReservesFrames(t *testing.T) {
-	cfg := Default(mb).WithCC()
-	cfg.CC.MetadataOverhead = true
-	m := newMachine(t, cfg)
-	if got := m.Pool.OwnedBy(mem.Kernel); got != 10 { // 38 KB -> 10 frames
-		t.Fatalf("kernel frames after startup = %d, want 10", got)
-	}
-	m.NewSegment("big", 60*mb) // 15360 pages * 8 B = 120 KB -> 30 frames
-	if got := m.Pool.OwnedBy(mem.Kernel); got != 40 {
-		t.Fatalf("kernel frames after segment = %d, want 40", got)
-	}
-}
-
 func TestMarkStartAndElapsed(t *testing.T) {
 	m := newMachine(t, Default(mb))
 	s := m.NewSegment("heap", 16*4096)
@@ -572,41 +558,6 @@ func TestCodecChoiceAffectsBehaviour(t *testing.T) {
 	// RLE also crushes near-zero pages.
 	if rle := run("rle"); rle > 0.3 {
 		t.Fatalf("rle ratio %.2f on zero-ish pages", rle)
-	}
-}
-
-func TestDisablePrefetch(t *testing.T) {
-	// Pages compressing to ~1 fragment (4 pages per file block) with a
-	// compressed working set larger than memory: faults reach the clustered
-	// swap and each block read carries neighbors.
-	fillQuarterCompressible := func(s *Space) {
-		rng := rand.New(rand.NewSource(9))
-		page := make([]byte, 4096)
-		for p := int32(0); p < s.Pages(); p++ {
-			rng.Read(page[:800])
-			for i := 800; i < 4096; i++ {
-				page[i] = 0
-			}
-			s.Write(int64(p)*4096, page)
-		}
-	}
-	run := func(disable bool) float64 {
-		cfg := Default(mb / 2).WithCC()
-		cfg.CC.DisablePrefetch = disable
-		m := newMachine(t, cfg)
-		s := m.NewSegment("heap", 3*mb)
-		fillQuarterCompressible(s)
-		for pass := 0; pass < 2; pass++ {
-			for p := int32(0); p < s.Pages(); p++ {
-				s.Touch(p, false)
-			}
-		}
-		return m.Stats().CC.HitRate()
-	}
-	with := run(false)
-	without := run(true)
-	if with <= without {
-		t.Fatalf("prefetch did not raise the hit rate: with=%.2f without=%.2f", with, without)
 	}
 }
 
@@ -815,9 +766,6 @@ func TestConfigMatrixIntegrity(t *testing.T) {
 	ccFixed := Default(mb / 2).WithCC()
 	ccFixed.CC.FixedFrames = 32
 	add("cc+fixed", ccFixed)
-	ccMeta := Default(mb / 2).WithCC()
-	ccMeta.CC.MetadataOverhead = true
-	add("cc+metadata", ccMeta)
 
 	for _, v := range variants {
 		v := v

@@ -231,7 +231,7 @@ func (r *memoRig) restore() {
 	if err != nil {
 		r.t.Fatalf("op %d: %v", r.ops, err)
 	}
-	if m.memo.slab != nil || m.plain.ring != nil {
+	if m.forms.memo.slab != nil || m.forms.plain.ring != nil {
 		r.t.Fatal("a restored machine remembers forms it never saw")
 	}
 	r.m = m
@@ -260,7 +260,7 @@ type memoCounts struct {
 }
 
 func (w memoWatch) PageOut(p *vm.Page, data []byte) error {
-	pm := &w.plain
+	pm := &w.forms.plain
 	expiring := pm.ring != nil && pm.ring[pm.next].page != nil && pm.ring[pm.next].slot >= 0
 	hit := p.Memo&memoHit != 0
 	err := w.Machine.PageOut(p, data)
@@ -529,7 +529,7 @@ func plainSlotOf(t *testing.T, m *Machine, p *vm.Page) int32 {
 	if p.State == vm.Resident || p.Memo == 0 {
 		t.Fatalf("page %v (%v) departed without a plaintext record", p.Key, p.State)
 	}
-	return m.plain.ring[p.Memo-1].slot
+	return m.forms.plain.ring[p.Memo-1].slot
 }
 
 // evict pushes one resident page out of memory.
