@@ -9,9 +9,11 @@
 // ("./...", "./internal/...", or plain directories); whatever the
 // patterns, the whole module is loaded and type-checked so every identifier
 // resolves to the same object everywhere — patterns only select which
-// packages' findings are reported. cclint reads the source
-// tree and nothing else. Exit status is 0 when the tree is clean, 1 when
-// any finding survives, and 2 on usage or load errors.
+// packages' findings are reported. cclint reads the source tree plus the
+// toolchain's export data for the standard library (one `go list -export`
+// call). Exit status is 0 when the tree is clean, 1 when any finding
+// survives, and 2 on usage or load errors; a tree that does not type-check
+// is a load error.
 //
 // -only runs a comma-separated subset of the suite — the iteration loop
 // for a single analyzer on a subtree, e.g.
@@ -74,9 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mod, err := lint.LoadModule(".")
 	if err != nil {
 		return fail(err)
-	}
-	for _, terr := range mod.TypeErrors {
-		fmt.Fprintln(stderr, "cclint: type error:", terr)
 	}
 
 	patterns := fs.Args()

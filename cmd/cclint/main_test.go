@@ -23,10 +23,7 @@ func TestListNamesTheSuite(t *testing.T) {
 	if status != 0 {
 		t.Fatalf("-list exited %d, want 0", status)
 	}
-	want := []string{
-		"walltime", "globalrand", "maprange", "errdrop",
-		"sharedwrite", "floatorder", "kernelproto",
-	}
+	want := []string{"walltime", "globalrand", "maprange", "errdrop", "kernelproto"}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {
 		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(want), out)
@@ -38,18 +35,20 @@ func TestListNamesTheSuite(t *testing.T) {
 	}
 }
 
-// scratchModule writes a three-package module — one clean, one reading the
-// host clock, one summing floats in map order — and makes it the working
-// directory, which is what cclint lints.
-func scratchModule(t *testing.T) {
+// scratchFiles is a three-package module: one clean, one reading the host
+// clock, one summing floats in map order.
+var scratchFiles = map[string]string{
+	"go.mod":           "module scratch\n\ngo 1.22\n",
+	"clean/clean.go":   "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
+	"dirty/dirty.go":   "package dirty\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
+	"floaty/floaty.go": "package floaty\n\nfunc Sum(m map[string]float64) (t float64) {\n\tfor _, v := range m {\n\t\tt += v\n\t}\n\treturn t\n}\n",
+}
+
+// scratchModule writes files into a new module directory and makes it the
+// working directory, which is what cclint lints.
+func scratchModule(t *testing.T, files map[string]string) {
 	t.Helper()
 	root := t.TempDir()
-	files := map[string]string{
-		"go.mod":           "module scratch\n\ngo 1.22\n",
-		"clean/clean.go":   "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
-		"dirty/dirty.go":   "package dirty\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
-		"floaty/floaty.go": "package floaty\n\nfunc Sum(m map[string]float64) (t float64) {\n\tfor _, v := range m {\n\t\tt += v\n\t}\n\treturn t\n}\n",
-	}
 	for name, src := range files {
 		path := filepath.Join(root, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -76,7 +75,7 @@ func scratchModule(t *testing.T) {
 // TestExitStatus pins the contract CI and scripts rely on: 0 clean, 1 any
 // surviving finding whichever analyzer reports it, 2 a usage error.
 func TestExitStatus(t *testing.T) {
-	scratchModule(t)
+	scratchModule(t, scratchFiles)
 
 	if status, out, errs := cclint(t, "./clean"); status != 0 || out != "" {
 		t.Errorf("clean package: exit %d, stdout %q, stderr %q; want 0 and no findings", status, out, errs)
@@ -90,14 +89,14 @@ func TestExitStatus(t *testing.T) {
 		t.Errorf("finding not reported at dirty.go:5 by walltime:\n%s", out)
 	}
 
-	// There is no advisory tier: a floatorder finding alone fails the run.
+	// There is no advisory tier: a float sum in map order alone fails the run.
 	status, out, _ = cclint(t, "./floaty")
-	if status != 1 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "[floatorder]") {
-		t.Errorf("package with only a floatorder finding: exit %d, stdout %q; want 1 and that one finding", status, out)
+	if status != 1 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "float accumulation inside map iteration") || !strings.Contains(out, "[maprange]") {
+		t.Errorf("package with only a float sum in map order: exit %d, stdout %q; want 1 and that one maprange finding", status, out)
 	}
 
 	// A retired analyzer's name is an unknown name like any other.
-	for _, name := range []string{"wibble", "nondet", "hotalloc", "bufown", "crosscredit", "obscoverage"} {
+	for _, name := range []string{"wibble", "nondet", "hotalloc", "bufown", "crosscredit", "obscoverage", "sharedwrite", "floatorder"} {
 		status, _, errs := cclint(t, "-only", name, "./clean")
 		if status != 2 || !strings.Contains(errs, `unknown analyzer "`+name+`"`) {
 			t.Errorf("-only %s: exit %d, stderr %q; want 2 naming the analyzer", name, status, errs)
@@ -114,9 +113,24 @@ func TestExitStatus(t *testing.T) {
 // TestJSONCleanTreeIsEmptyArray: CI diffs this output against "[]", so a
 // clean tree must not print null.
 func TestJSONCleanTreeIsEmptyArray(t *testing.T) {
-	scratchModule(t)
+	scratchModule(t, scratchFiles)
 	status, out, _ := cclint(t, "-json", "./clean")
 	if status != 0 || strings.TrimSpace(out) != "[]" {
 		t.Errorf("-json on a clean package: exit %d, stdout %q; want 0 and []", status, out)
+	}
+}
+
+// TestTypeErrorFailsTheRun: a tree the compiler rejects is a load error,
+// exit 2 naming the error, even when the selected package is clean — no
+// analyzer ever runs on a module that did not type-check.
+func TestTypeErrorFailsTheRun(t *testing.T) {
+	scratchModule(t, map[string]string{
+		"go.mod":           "module scratch\n\ngo 1.22\n",
+		"clean/clean.go":   "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
+		"broken/broken.go": "package broken\n\nfunc Name() string { return 1 }\n",
+	})
+	status, out, errs := cclint(t, "./clean")
+	if status != 2 || out != "" || !strings.Contains(errs, "broken.go:3:") || !strings.Contains(errs, "cannot use 1") {
+		t.Errorf("module with a type error: exit %d, stdout %q, stderr %q; want 2 naming broken.go:3", status, out, errs)
 	}
 }

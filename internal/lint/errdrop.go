@@ -221,16 +221,13 @@ func deref(t types.Type) types.Type {
 
 // isErrorType reports whether t is exactly the predeclared error type.
 func isErrorType(t types.Type) bool {
-	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
+	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // errResultIndex returns the index of the first error in a call's result
 // tuple, or -1.
 func errResultIndex(info *types.Info, call *ast.CallExpr) int {
-	t := info.TypeOf(call)
-	switch t := t.(type) {
-	case nil:
-		return -1
+	switch t := info.TypeOf(call).(type) {
 	case *types.Tuple:
 		for i := 0; i < t.Len(); i++ {
 			if isErrorType(t.At(i).Type()) {

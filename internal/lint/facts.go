@@ -9,8 +9,8 @@ import (
 // The typed fact helpers every analyzer and per-function scanner shares.
 // They answer from the module's one types.Info what spelling can only
 // guess: which object an identifier is, which function an expression
-// names, whether a value is a map. A nil or missing type is "unknown",
-// never proof.
+// names, whether a value is a map. The module type-checked without error
+// (LoadTree refuses it otherwise), so every expression has a type.
 
 // objectOf resolves an identifier to the object it uses or defines.
 func objectOf(info *types.Info, id *ast.Ident) types.Object {
@@ -64,21 +64,14 @@ func builtinCall(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// isString reports whether t is a string type (false for a nil, unknown
-// type).
+// isString reports whether t is a string type.
 func isString(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
 }
 
-// isMap reports whether t is a map type (false for a nil, unknown type).
+// isMap reports whether t is a map type.
 func isMap(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }

@@ -91,10 +91,8 @@ func scanKernelViolations(mod *Module, body ast.Node) []kpSite {
 		case *ast.SelectStmt:
 			out = append(out, kpSite{n, "selects on channels"})
 		case *ast.RangeStmt:
-			if t := info.TypeOf(n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					out = append(out, kpSite{n, "ranges over a channel"})
-				}
+			if _, isChan := info.TypeOf(n.X).Underlying().(*types.Chan); isChan {
+				out = append(out, kpSite{n, "ranges over a channel"})
 			}
 		case *ast.CallExpr:
 			if s := kernelViolationCall(info, n); s != "" {

@@ -12,11 +12,12 @@
 //
 // cclint turns those tribal rules into CI-enforced law. The framework is
 // deliberately stdlib-only: the build environment has no network, so
-// golang.org/x/tools is off the table. Since PR 5 the engine loads the
-// whole module at once and type-checks it with go/types (one shared
-// types.Info across packages, stdlib resolved from GOROOT source), so
-// every analyzer asks the type checker what an identifier is instead of
-// guessing from its spelling (facts.go). There is no call graph: the one
+// golang.org/x/tools is off the table. The engine loads the whole module
+// at once and type-checks it with go/types (one shared types.Info across
+// packages, the standard library read from the toolchain's export data),
+// so every analyzer asks the type checker what an identifier is instead of
+// guessing from its spelling (facts.go). A tree that does not type-check
+// is a load error, never a partial lint. There is no call graph: the one
 // invariant that used to need one — who may touch the host scheduler — is
 // a fact about packages, not call chains (kernelproto.go).
 //
@@ -27,8 +28,8 @@
 // or, as a standalone comment, on the line directly below it. The reason
 // after "--" is mandatory; a directive without one is itself a finding, as
 // is a directive that no longer suppresses anything. That is the only
-// suppression mechanism: cclint reads the source tree and nothing else,
-// and any surviving finding fails it.
+// suppression mechanism: cclint reads the source tree plus the standard
+// library's export data, and any surviving finding fails it.
 package lint
 
 import (
@@ -68,7 +69,7 @@ type Analyzer interface {
 
 // All returns the full cclint analyzer suite, in stable order: the three
 // determinism analyzers on the nondeterminism source table and typed
-// map-ness, the three per-function analyzers, then the package rule:
+// map-ness, the per-function errdrop, then the package rule:
 // scheduler-visible primitives outside internal/runner (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
@@ -76,8 +77,6 @@ func All() []Analyzer {
 		GlobalRand{},
 		MapRange{},
 		ErrDrop{},
-		SharedWrite{},
-		FloatOrder{},
 		KernelProto{},
 	}
 }

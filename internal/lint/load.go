@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +10,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -32,15 +37,9 @@ type Module struct {
 	Fset *token.FileSet
 	// Pkgs holds all packages, sorted by import path.
 	Pkgs []*Package
-	// Info is the shared type information for the whole module. It is
-	// always non-nil; entries may be missing for code that failed to
-	// type-check (TypeErrors records why), and analyzers must treat a
-	// nil lookup as "unknown", never as proof.
+	// Info is the shared type information for the whole module. Every
+	// package type-checked without error, or the load failed.
 	Info *types.Info
-	// TypeErrors collects type-check errors. A broken tree still loads —
-	// cclint has to be able to point at code the compiler also rejects —
-	// but analyses degrade to syntax where type facts are missing.
-	TypeErrors []error
 
 	byPath map[string]*Package
 }
@@ -62,8 +61,7 @@ type Package struct {
 	// way Fset positions name files. The ignore machinery uses it to tell
 	// trailing directives from standalone ones.
 	Lines map[string][]string
-	// Types is the type-checked package (never nil after loading, but
-	// possibly incomplete if TypeErrors is non-empty for the module).
+	// Types is the type-checked package.
 	Types *types.Package
 	// Mod is the module this package belongs to (set by the loader: a
 	// Package never reaches an analyzer without it).
@@ -93,6 +91,9 @@ func LoadModule(dir string) (*Module, error) {
 // internal/lint/testdata/src as a pretend module, so fixture packages get
 // import paths like "compcache/errdrop/internal/vm" and can import each
 // other, while real loads (LoadModule) can never reach them.
+//
+// The load is strict: a tree that does not type-check, or an import the
+// toolchain has no export data for, is an error, as it is for `go build`.
 func LoadTree(root, modulePath string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -144,7 +145,9 @@ func LoadTree(root, modulePath string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	check(mod, order)
+	if err := check(mod, order); err != nil {
+		return nil, err
+	}
 	return mod, nil
 }
 
@@ -264,7 +267,7 @@ func parsePackage(mod *Module, dir string) (*Package, error) {
 		}
 		pkg.Lines[path] = strings.Split(string(src), "\n")
 		for _, imp := range f.Imports {
-			if p := importLiteral(imp); p == mod.Path || strings.HasPrefix(p, mod.Path+"/") {
+			if p := importLiteral(imp); mod.internal(p) {
 				imports[p] = true
 			}
 		}
@@ -346,54 +349,88 @@ func newInfo() *types.Info {
 	}
 }
 
+// internal reports whether an import path names a package of the module.
+func (m *Module) internal(path string) bool {
+	return path == m.Path || strings.HasPrefix(path, m.Path+"/")
+}
+
+// exportFiles asks the go command, in one `go list -export` call, for the
+// compiled export data of every package the module imports from outside
+// itself (the standard library), building what the build cache lacks. It
+// maps each import path to its export file.
+func exportFiles(mod *Module) (map[string]string, error) {
+	imports := make(map[string]bool)
+	for _, pkg := range mod.Pkgs {
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if p := importLiteral(imp); !mod.internal(p) {
+					imports[p] = true
+				}
+			}
+		}
+	}
+	files := make(map[string]string)
+	if len(imports) == 0 {
+		return files, nil
+	}
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, slices.Sorted(maps.Keys(imports))...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = mod.Root
+	out, err := cmd.Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%v\n%s", err, bytes.TrimSpace(exit.Stderr))
+		}
+		return nil, fmt.Errorf("lint: go list -export: %w", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		files[path] = file
+	}
+	return files, nil
+}
+
 // moduleImporter resolves module-internal imports from the loaded set and
-// everything else (the standard library) by type-checking it from GOROOT
-// source — the build environment has no network and no pre-compiled
-// export data, so "source" is the only compiler the stdlib importer can
-// honestly claim.
+// everything else from the toolchain's export data.
 type moduleImporter struct {
 	mod *Module
-	std types.ImporterFrom
+	std types.Importer
 }
 
 func (mi *moduleImporter) Import(path string) (*types.Package, error) {
-	return mi.ImportFrom(path, mi.mod.Root, 0)
-}
-
-func (mi *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path == mi.mod.Path || strings.HasPrefix(path, mi.mod.Path+"/") {
+	if mi.mod.internal(path) {
 		if p := mi.mod.byPath[path]; p != nil && p.Types != nil {
 			return p.Types, nil
 		}
 		return nil, fmt.Errorf("package %s not found in module %s", path, mi.mod.Path)
 	}
-	return mi.std.ImportFrom(path, dir, mode)
+	return mi.std.Import(path)
 }
 
 // check type-checks the packages in dependency order, sharing one
 // types.Info so cross-package identities (the *types.Func for
-// sim.Clock.Advance, say) are the same object everywhere.
-func check(mod *Module, order []*Package) {
-	mi := &moduleImporter{mod: mod}
-	if src, ok := importer.ForCompiler(mod.Fset, "source", nil).(types.ImporterFrom); ok {
-		mi.std = src
+// sim.Clock.Advance, say) are the same object everywhere. The first package
+// with a type error ends the load with every error in it.
+func check(mod *Module, order []*Package) error {
+	files, err := exportFiles(mod)
+	if err != nil {
+		return err
 	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if files[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(files[path])
+	}
+	mi := &moduleImporter{mod: mod, std: importer.ForCompiler(mod.Fset, "gc", lookup)}
 	for _, pkg := range order {
-		conf := types.Config{
-			Importer: mi,
-			Error: func(err error) {
-				mod.TypeErrors = append(mod.TypeErrors, err)
-			},
+		var errs []error
+		conf := types.Config{Importer: mi, Error: func(err error) { errs = append(errs, err) }}
+		pkg.Types, _ = conf.Check(pkg.Path, mod.Fset, pkg.Files, mod.Info)
+		if len(errs) > 0 {
+			return fmt.Errorf("lint: %s does not type-check: %w", pkg.Path, errors.Join(errs...))
 		}
-		tpkg, err := conf.Check(pkg.Path, mod.Fset, pkg.Files, mod.Info)
-		if tpkg == nil {
-			// Even a badly broken package yields a placeholder so
-			// importers of it can proceed.
-			tpkg = types.NewPackage(pkg.Path, "_")
-			if err != nil {
-				mod.TypeErrors = append(mod.TypeErrors, err)
-			}
-		}
-		pkg.Types = tpkg
 	}
+	return nil
 }

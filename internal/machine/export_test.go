@@ -26,6 +26,9 @@ func (m *Machine) ForgetMemos() {
 	m.forms = nil
 }
 
+// KeepForms is false in a ccforget build, for the external tests.
+const KeepForms = keepForms
+
 // Counted is the counting codec of alloc_test.go for the external tests.
 var Counted = counted
 

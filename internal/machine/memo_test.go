@@ -231,7 +231,7 @@ func (r *memoRig) restore() {
 	if err != nil {
 		r.t.Fatalf("op %d: %v", r.ops, err)
 	}
-	if m.forms.memo.slab != nil || m.forms.plain.ring != nil {
+	if m.forms != nil && (m.forms.memo.slab != nil || m.forms.plain.ring != nil) {
 		r.t.Fatal("a restored machine remembers forms it never saw")
 	}
 	r.m = m
@@ -260,6 +260,9 @@ type memoCounts struct {
 }
 
 func (w memoWatch) PageOut(p *vm.Page, data []byte) error {
+	if w.forms == nil {
+		return w.Machine.PageOut(p, data) // nothing remembered, nothing to count
+	}
 	pm := &w.forms.plain
 	expiring := pm.ring != nil && pm.ring[pm.next].page != nil && pm.ring[pm.next].slot >= 0
 	hit := p.Memo&memoHit != 0
@@ -289,11 +292,13 @@ func memoStream(seed int64, n int) []byte {
 func TestCompressMemoAgainstCodec(t *testing.T) {
 	r := newMemoRig(t, 8)
 	r.run(memoStream(22, 20000))
-	// The stream has to have gone where the memo can go wrong.
-	if r.ran >= r.compressions {
+	// The stream has to have gone where the memo can go wrong. A ccforget
+	// build has no memo, no partial restore and no plaintext slot to go
+	// there; the model's read-back checks are what it still runs.
+	if keepForms && r.ran >= r.compressions {
 		t.Errorf("codec ran %d times for %d compressions: the memo never served one", r.ran, r.compressions)
 	}
-	if r.decoded >= r.decompressions {
+	if keepForms && r.decoded >= r.decompressions {
 		t.Errorf("codec decoded %d times for %d decompressions: the plaintext memo never served one", r.decoded, r.decompressions)
 	}
 	if r.recoveries == 0 {
@@ -305,10 +310,10 @@ func TestCompressMemoAgainstCodec(t *testing.T) {
 	if r.restores == 0 {
 		t.Error("no snapshot→restore in mid-stream")
 	}
-	if r.partial == 0 {
+	if keepForms && r.partial == 0 {
 		t.Error("no word read left its page restored in part")
 	}
-	if r.watched.slotless == 0 {
+	if keepForms && r.watched.slotless == 0 {
 		t.Error("no page whose stay began with a cache hit departed with every plaintext slot taken")
 	}
 	t.Logf("%d ops, %d machines, %d restores, %d recoveries, %d partial pages; %d compressions, codec ran %d times; %d decompressions, codec decoded %d times; %+v",
@@ -347,12 +352,12 @@ var (
 func TestPlainMemoRunsShortOfSlots(t *testing.T) {
 	r := newMemoRig(t, 4)
 	r.run(memoSlotless)
-	if r.watched.slotless == 0 {
+	if keepForms && r.watched.slotless == 0 {
 		t.Error("memoSlotless: no hit departure found every slot taken")
 	}
 	r = newMemoRig(t, 4)
 	r.run(memoExpiry)
-	if r.watched.expired == 0 {
+	if keepForms && r.watched.expired == 0 {
 		t.Error("memoExpiry: no record expired holding a slot")
 	}
 	t.Logf("memoExpiry: %+v", r.watched)
@@ -400,7 +405,7 @@ func TestPlainMemoDecodesAStaleTier(t *testing.T) {
 	s.Touch(0, false) // a cache hit
 	s.Write(0, newer)
 	evict(t, m, p) // a stay that began with a cache hit: the plaintext is remembered
-	if plainSlotOf(t, m, p) < 0 {
+	if keepForms && plainSlotOf(t, m, p) < 0 {
 		t.Fatal("a page whose stay began with a cache hit left without its plaintext remembered")
 	}
 
@@ -444,7 +449,7 @@ func TestPlainMemoAdmitsCacheHitsOnly(t *testing.T) {
 	departs := func(why string, want bool) {
 		t.Helper()
 		evict(t, m, p)
-		if got := plainSlotOf(t, m, p) >= 0; got != want {
+		if got := plainSlotOf(t, m, p) >= 0; got != (want && keepForms) {
 			t.Fatalf("a stay that began %s: plaintext remembered %v, want %v", why, got, want)
 		}
 		if err := m.VerifyPlainMemo(); err != nil {
@@ -499,7 +504,7 @@ func TestPlainMemoAdmitsCacheHitsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if n.copies == 0 || st.VM.SwapIns == 0 {
+	if (keepForms && n.copies == 0) || st.VM.SwapIns == 0 {
 		t.Fatalf("%d copies, %d swap-ins: the run never took the paths it is about", n.copies, st.VM.SwapIns)
 	}
 	if uint64(n.copies) > st.VM.CacheHits {
@@ -523,9 +528,13 @@ func cleanAll(t testing.TB, m *Machine) {
 	m.Drain()
 }
 
-// plainSlotOf is the plaintext slot of a departed page's record, -1 for none.
+// plainSlotOf is the plaintext slot of a departed page's record, -1 for none
+// (and always on a machine that remembers nothing).
 func plainSlotOf(t *testing.T, m *Machine, p *vm.Page) int32 {
 	t.Helper()
+	if m.forms == nil {
+		return -1
+	}
 	if p.State == vm.Resident || p.Memo == 0 {
 		t.Fatalf("page %v (%v) departed without a plaintext record", p.Key, p.State)
 	}
