@@ -219,8 +219,8 @@ func TestTraceFailuresExitOneWithAMessage(t *testing.T) {
 		{[]string{"-record", filepath.Join(dir, "x.cct"), "-workload", "bogus"}, "ccsim: unknown workload \"bogus\"\n"},
 		{[]string{"-replay", missing}, "ccsim: open " + missing + ": no such file or directory\n"},
 		{[]string{"-info", missing}, "ccsim: open " + missing + ": no such file or directory\n"},
-		{[]string{"-replay", cut}, "ccsim: " + cut + ": trace: truncated at reference 9: unexpected EOF\n"},
-		{[]string{"-info", cut}, "ccsim: " + cut + ": trace: truncated at reference 9: unexpected EOF\n"},
+		{[]string{"-replay", cut}, "ccsim: " + cut + ": trace: snap: 5120 references (limit 9223372036854775807, 88 bytes left)\n"},
+		{[]string{"-info", cut}, "ccsim: " + cut + ": trace: snap: 5120 references (limit 9223372036854775807, 88 bytes left)\n"},
 		{[]string{"-info", neg}, "ccsim: " + neg + ": trace: reference 1 names segment 0 page -2; ids are never negative\n"},
 		{[]string{"-replay", neg}, "ccsim: workload replay: trace: reference 1 names segment 0 page -2; ids are never negative\n"},
 	} {

@@ -31,6 +31,21 @@ func Decoder(r *Reader) *Codec { return &Codec{r: r} }
 // Decoding reports the walk's direction.
 func (c *Codec) Decoding() bool { return c.r != nil }
 
+// Reset points c at an unframed stream — no magic, version or checksum, for
+// a record inside another format — over b: an encoder appends to b, a
+// decoder reads b from its start. A codec over a zero Writer or Reader is
+// one over nil; Reset per record, it walks any number without allocating.
+func (c *Codec) Reset(b []byte) {
+	if c.r != nil {
+		*c.r = Reader{buf: b}
+	} else {
+		*c.w = Writer{buf: b}
+	}
+}
+
+// Raw returns an encoder's unframed stream: b and every field visited since.
+func (c *Codec) Raw() []byte { return c.w.buf }
+
 // Err reports the stream's sticky error.
 func (c *Codec) Err() error {
 	if c.r != nil {
@@ -135,6 +150,16 @@ func Int64[T ~int64](c *Codec, p *T) {
 		*p = T(c.r.I64())
 	} else {
 		c.w.I64(int64(*p))
+	}
+}
+
+// U16 visits a uint16.
+func (c *Codec) U16(p *uint16) {
+	c.mark(p)
+	if c.r != nil {
+		*p = c.r.U16()
+	} else {
+		c.w.U16(*p)
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package snap is the versioned binary encoding machine snapshots use, and
-// the one state walk each subsystem describes its snapshot with.
+// the one state walk each subsystem describes its snapshot with — and every
+// other binary format the repo reads or writes.
 //
 // The stream (Writer, Reader) is fixed-width little-endian with a
-// magic/version header and a CRC-32 trailer. Both ends carry sticky errors,
-// so callers chain field writes and reads without per-call checks and
-// inspect the error once at the end. The format is deliberately dumb: no
-// varints, no compression, no field tags. Snapshots are pure functions of
-// machine state, so two runs that reach the same state produce byte-identical
-// snapshots — the property the determinism tests assert.
+// magic/version header and a CRC-32 trailer, or unframed (Codec.Reset) for a
+// record inside another format. Both ends carry sticky errors, so callers
+// chain field writes and reads without per-call checks and inspect the error
+// once at the end. The format is deliberately dumb: no varints, no
+// compression, no field tags. Snapshots are pure functions of machine state,
+// so two runs that reach the same state produce byte-identical snapshots —
+// the property the determinism tests assert.
 //
 // A Codec sits on top and walks state in one direction chosen at
 // construction: Encoder(w) appends every visited field, Decoder(r)
@@ -30,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"time"
 )
 
 // Magic opens every snapshot stream.
@@ -54,9 +55,6 @@ func NewWriter() *Writer {
 	w.U16(Version)
 	return w
 }
-
-// Err reports the sticky error.
-func (w *Writer) Err() error { return w.err }
 
 // Bytes finalizes the stream: a CRC-32 of everything written so far is
 // appended and the full buffer returned. The writer must not be used again.
@@ -112,9 +110,6 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // Int writes an int as 64 bits.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
-// Dur writes a time.Duration as 64 bits.
-func (w *Writer) Dur(v time.Duration) { w.I64(int64(v)) }
-
 // Bytes32 writes a length-prefixed byte slice (uint32 length).
 func (w *Writer) Bytes32(p []byte) {
 	w.U32(uint32(len(p)))
@@ -158,9 +153,6 @@ func NewReader(data []byte) (*Reader, error) {
 	}
 	return r, nil
 }
-
-// Err reports the sticky error.
-func (r *Reader) Err() error { return r.err }
 
 // Close verifies the stream was consumed exactly.
 func (r *Reader) Close() error {
@@ -233,9 +225,6 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
-
-// Dur reads a time.Duration.
-func (r *Reader) Dur() time.Duration { return time.Duration(r.I64()) }
 
 // Bytes32 reads a length-prefixed byte slice. The slice is a copy.
 func (r *Reader) Bytes32() []byte {

@@ -28,6 +28,7 @@ type sample struct {
 	tag    tag
 	sub    uint8
 	class  uint32
+	u16    uint16
 	frame  int32
 	at     stamp
 	u32    uint32
@@ -50,6 +51,7 @@ func (s *sample) walk(c *Codec) {
 	Byte(c, &s.tag)
 	Byte(c, &s.sub)
 	Uint32(c, &s.class)
+	c.U16(&s.u16)
 	Int32(c, &s.frame)
 	Int64(c, &s.at)
 	c.U32(&s.u32)
@@ -70,7 +72,7 @@ func (s *sample) walk(c *Codec) {
 
 func full() *sample {
 	return &sample{
-		flag: true, tag: -3, sub: 200, class: 1 << 31, frame: -1, at: -5, u32: 7, i32: -8,
+		flag: true, tag: -3, sub: 200, class: 1 << 31, u16: 0xBEEF, frame: -1, at: -5, u32: 7, i32: -8,
 		i64: -1 << 40, u64: 1 << 63, n: -12, name: "swap.lfs", blob: []byte{1, 2, 3},
 		page: []byte{9, 8, 7, 6}, ids: []int32{3, 1, 2},
 		byName: map[string]uint64{"b": 2, "a": 1},
@@ -117,6 +119,29 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if again := encode(t, got.walk); !bytes.Equal(again, img) {
 		t.Error("re-encoding the decoded state produced different bytes")
+	}
+}
+
+// TestUnframedStream: a codec Reset over a caller's bytes writes the walk
+// after them with no frame, a decoder Reset over bytes reads a walk back
+// from their start and ignores the rest, and a short stream is an error.
+func TestUnframedStream(t *testing.T) {
+	enc := Encoder(new(Writer))
+	enc.Reset([]byte("head"))
+	full().walk(enc)
+	img := enc.Raw()
+	if !bytes.HasPrefix(img, []byte("head")) || bytes.Contains(img, Magic[:]) {
+		t.Fatalf("unframed stream %q", img)
+	}
+	dec := Decoder(new(Reader))
+	got := &sample{page: make([]byte, 4)}
+	dec.Reset(append(img[4:], "tail"...))
+	if got.walk(dec); dec.Err() != nil || !reflect.DeepEqual(got, full()) {
+		t.Fatalf("decoded %+v, %v", got, dec.Err())
+	}
+	dec.Reset(img[4 : len(img)-1])
+	if got.walk(dec); dec.Err() == nil {
+		t.Fatal("a stream one byte short decoded")
 	}
 }
 

@@ -2,11 +2,13 @@ package swap
 
 import (
 	"fmt"
+	"math"
 
 	"compcache/internal/fault"
 	"compcache/internal/fs"
 	"compcache/internal/obs"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 	"compcache/internal/stats"
 )
 
@@ -79,6 +81,9 @@ func (c ClusterConfig) validate(blockSize int) error {
 	if c.GCTriggerFrac < 0 || c.GCTriggerFrac > 1 {
 		return fmt.Errorf("swap: GCTriggerFrac %g out of [0,1]", c.GCTriggerFrac)
 	}
+	if n := c.ClusterBytes / c.FragSize; c.CommitRecords && n > math.MaxUint16 {
+		return fmt.Errorf("swap: a compaction batch of up to %d fragments overflows a commit record's 16-bit count", n)
+	}
 	return nil
 }
 
@@ -118,11 +123,13 @@ type Clustered struct {
 	readBuf  []byte
 	readNbrs []Item
 
-	// placeBuf and writeBuf are WriteCluster's layout and serialization
-	// scratch, reused across calls; the device copies the bytes out before
-	// WriteCluster returns, so nothing aliases them afterwards.
-	placeBuf []placement
-	writeBuf []byte
+	// placeBuf, writeBuf and commit are WriteCluster's layout, serialization
+	// and commit-record scratch, reused across calls; the device copies the
+	// bytes out before WriteCluster returns, so nothing aliases them afterwards.
+	placeBuf  []commitEntry
+	writeBuf  []byte
+	commit    commitRecord
+	commitEnc *snap.Codec
 
 	// A compaction pass's scratch, grown once and reused the same way: the
 	// live-page table and the arena its page data is carved from, the
@@ -176,6 +183,7 @@ func makeClustered(cfg ClusterConfig, fsys *fs.FS, file *fs.File) *Clustered {
 	}
 	if cfg.CommitRecords {
 		c.seq = 1
+		c.commitEnc = snap.Encoder(new(snap.Writer))
 	}
 	return c
 }
@@ -225,12 +233,6 @@ func (c *Clustered) fragsFor(n int) int32 {
 	return int32((n + c.cfg.FragSize - 1) / c.cfg.FragSize)
 }
 
-type placement struct {
-	item   Item
-	rel    int32 // fragment offset from cluster start
-	nfrags int32
-}
-
 // WriteCluster writes a batch of pages in one clustered operation. Items
 // already in the store are relocated; their old fragments become garbage,
 // which is what forces the §4.3 garbage collection. When async is true the
@@ -238,19 +240,14 @@ type placement struct {
 // otherwise the caller waits for it.
 //
 // Callers should batch items to about ClusterBytes; WriteCluster itself
-// accepts any batch and issues one device operation per call.
+// accepts any batch — in CommitRecords mode, up to the 65,535 items a commit
+// record counts — and issues one device operation per call.
 func (c *Clustered) WriteCluster(items []Item, async bool) error {
-	err := c.writeCluster(items, async)
-	// The layout scratch points at the callers' buffers — a frame on loan,
-	// the machine's compression buffer — which are theirs again now.
-	clear(c.placeBuf)
-	return err
-}
-
-// writeCluster is WriteCluster up to the point of letting go of the items.
-func (c *Clustered) writeCluster(items []Item, async bool) error {
 	if len(items) == 0 {
 		return nil
+	}
+	if c.cfg.CommitRecords && len(items) > math.MaxUint16 {
+		return fmt.Errorf("swap: %d items in one cluster; a commit record holds at most %d", len(items), math.MaxUint16)
 	}
 	// Compact first if garbage demands it. GC reenters WriteCluster for its
 	// dense rewrite, and those inner calls use the shared placeBuf/writeBuf
@@ -259,11 +256,12 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 	if err := c.maybeGC(); err != nil {
 		return err
 	}
-	// Lay the items out relative to the cluster start. The cluster start is
-	// always block-aligned in whole-block mode, so relative block
-	// boundaries coincide with absolute ones.
+	// Lay the items out relative to the cluster start, as the entries of its
+	// commit record. The cluster start is always block-aligned in
+	// whole-block mode, so relative block boundaries coincide with absolute
+	// ones.
 	blockFrags := int32(c.fragsPerB)
-	placements := c.placeBuf[:0]
+	entries := c.placeBuf[:0]
 	var cursor, liveFrags int32
 	for _, it := range items {
 		if !it.Compressed && len(it.Data) != c.cfg.PageSize {
@@ -277,11 +275,12 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 				cursor += blockFrags - within // pad to the next block
 			}
 		}
-		placements = append(placements, placement{it, cursor, nf})
+		e := extent{start: cursor, nfrags: nf, length: int32(len(it.Data)), compressed: it.Compressed, sum: it.Sum}
+		entries = append(entries, commitEntry{key: it.Key, extent: e})
 		cursor += nf
 		liveFrags += nf
 	}
-	c.placeBuf = placements
+	c.placeBuf = entries
 	// In the recoverable format the cluster carries a trailing commit
 	// record; its fragments are cluster padding (never entered in byStart,
 	// so reads skip them) and travel in the same device transfer as the
@@ -289,7 +288,7 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 	recRel := cursor
 	var recFrags int32
 	if c.cfg.CommitRecords {
-		recFrags = c.fragsFor(ccrFixed + ccrRecordBytes*len(items))
+		recFrags = c.fragsFor(commitBytes(len(items)))
 	}
 	total := cursor + recFrags
 	wholeBlocks := !c.fsys.AllowPartialIO()
@@ -300,10 +299,13 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 	}
 
 	start := c.alloc(total, wholeBlocks)
+	for i := range entries {
+		entries[i].start += start
+	}
 
 	// Serialize the cluster and issue the device write before touching the
 	// page map, so a failed write leaves the old copies authoritative. The
-	// buffer is reused, so what the placements leave alone (padding gaps, the
+	// buffer is reused, so what the items leave alone (padding gaps, the
 	// record's fragments, the whole-block tail) is zeroed: the platter must
 	// hold deterministic zeroes there, not stale bytes. A lone item that is
 	// the whole cluster — a raw page with no commit record — has nothing
@@ -316,14 +318,14 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 		}
 		buf = c.writeBuf[:n]
 		end := 0
-		for _, p := range placements {
-			off := int(p.rel) * c.cfg.FragSize
+		for i, e := range entries {
+			off := int(e.start-start) * c.cfg.FragSize
 			clear(buf[end:off])
-			end = off + copy(buf[off:], p.item.Data)
+			end = off + copy(buf[off:], items[i].Data)
 		}
 		clear(buf[end:])
 		if c.cfg.CommitRecords {
-			ccrEncode(buf[int(recRel)*c.cfg.FragSize:], c.seq, start, recFrags, placements)
+			c.encodeCommit(buf[int(recRel)*c.cfg.FragSize:], recFrags)
 		}
 	}
 	off := int64(start) * int64(c.cfg.FragSize)
@@ -345,27 +347,20 @@ func (c *Clustered) writeCluster(items []Item, async bool) error {
 			// The machine is dead; remember what was in flight so the
 			// recovery oracle knows these pages carry no durability promise
 			// (a fully-survived tear may still resurface them).
-			for _, p := range placements {
-				c.attempted.Set(p.item.Key, p.item.Sum)
+			for _, e := range entries {
+				c.attempted.Set(e.key, e.sum)
 			}
 		}
 		return err
 	}
 
 	// Record the new locations, freeing any old copies.
-	for _, p := range placements {
-		if old, ok := c.extents.Get(p.item.Key); ok {
-			c.freeExtent(p.item.Key, old)
+	for _, e := range entries {
+		if old, ok := c.extents.Get(e.key); ok {
+			c.freeExtent(e.key, old)
 		}
-		e := extent{
-			start:      start + p.rel,
-			nfrags:     p.nfrags,
-			length:     int32(len(p.item.Data)),
-			compressed: p.item.Compressed,
-			sum:        p.item.Sum,
-		}
-		c.extents.Set(p.item.Key, e)
-		c.byStart[e.start] = p.item.Key
+		c.extents.Set(e.key, e.extent)
+		c.byStart[e.start] = e.key
 	}
 	c.liveFr += int(liveFrags)
 	c.padFr += int(total - liveFrags)

@@ -1,130 +1,100 @@
 package swap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 
 	"compcache/internal/fs"
 	"compcache/internal/obs"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 )
 
-// Clustered commit-record layout. Every clustered write ends with one of
-// these, fragment-aligned, in the same device transfer as the data:
-//
-//	off  0   magic "CCCR"
-//	off  4   version  (uint16 LE)
-//	off  6   count    (uint16 LE)   items in the batch
-//	off  8   sequence (uint64 LE)   cluster order; higher supersedes lower
-//	off 16   CRC-32   (uint32 LE)   over bytes [0, 24+28*count) with this
-//	                                field zeroed
-//	off 20   recFrags (uint32 LE)   fragments the record occupies
-//	off 24   count records of 28 bytes:
-//	             seg    (int32 LE)   page identity
-//	             page   (int32 LE)
-//	             start  (int32 LE)   absolute first fragment of the extent
-//	             nfrags (int32 LE)
-//	             length (int32 LE)   exact stored byte length
-//	             flags  (uint32 LE)  bit 0: compressed
-//	             sum    (uint32 LE)  CRC-32 of the stored bytes (Item.Sum)
-const (
-	ccrFixed       = 24
-	ccrRecordBytes = 28
-	ccrVersion     = 1
+// commitRecord is the clustered store's commit record. Every clustered
+// write ends with one, fragment-aligned, in the same device transfer as the
+// data: the head (magic "CCCR"; sequence is cluster order), the fragments
+// the record occupies, then one entry per item of the batch.
+type commitRecord struct {
+	recordHead
+	recFrags int32
+	entries  []commitEntry
+}
+
+// commitEntry is one item of a committed cluster, its page and where the
+// item's bytes lie; WriteCluster lays a batch out as these.
+type commitEntry struct {
+	key PageKey
+	extent
+	flags uint32 // compressed, as the media holds it: bit 0
+}
+
+var (
+	commitMagic      = [4]byte{'C', 'C', 'C', 'R'}
+	commitHeadBytes  = encodedLen(new(commitRecord).walk) // a zero record has no entries
+	commitEntryBytes = encodedLen(new(commitEntry).walk)
 )
 
-var ccrMagic = [4]byte{'C', 'C', 'C', 'R'}
+// commitBytes is the size of a commit record of n entries.
+func commitBytes(n int) int { return commitHeadBytes + n*commitEntryBytes }
 
-// ccrEncode serializes a commit record for a batch placed at absolute
-// fragment start. dst is the record's fragment range within the cluster
-// serialization buffer, already zeroed; recFrags is the fragment count that
-// range spans.
-func ccrEncode(dst []byte, seq uint64, start int32, recFrags int32, placements []placement) {
-	copy(dst, ccrMagic[:])
-	binary.LittleEndian.PutUint16(dst[4:], ccrVersion)
-	binary.LittleEndian.PutUint16(dst[6:], uint16(len(placements)))
-	binary.LittleEndian.PutUint64(dst[8:], seq)
-	binary.LittleEndian.PutUint32(dst[20:], uint32(recFrags))
-	for i, p := range placements {
-		off := ccrFixed + i*ccrRecordBytes
-		binary.LittleEndian.PutUint32(dst[off:], uint32(p.item.Key.Seg))
-		binary.LittleEndian.PutUint32(dst[off+4:], uint32(p.item.Key.Page))
-		binary.LittleEndian.PutUint32(dst[off+8:], uint32(start+p.rel))
-		binary.LittleEndian.PutUint32(dst[off+12:], uint32(p.nfrags))
-		binary.LittleEndian.PutUint32(dst[off+16:], uint32(len(p.item.Data)))
-		var flags uint32
-		if p.item.Compressed {
-			flags |= 1
-		}
-		binary.LittleEndian.PutUint32(dst[off+20:], flags)
-		binary.LittleEndian.PutUint32(dst[off+24:], p.item.Sum)
+func (r *commitRecord) walk(c *snap.Codec) {
+	r.recordHead.walk(c)
+	c.I32(&r.recFrags)
+	if !r.opens(commitMagic) {
+		return
 	}
-	crc := crc32.ChecksumIEEE(dst[:ccrFixed+len(placements)*ccrRecordBytes])
-	binary.LittleEndian.PutUint32(dst[16:], crc)
+	if c.Decoding() {
+		r.entries = make([]commitEntry, c.Bound(int(r.count), math.MaxUint16, "commit record entries"))
+	}
+	for i := range r.entries {
+		r.entries[i].walk(c)
+	}
 }
 
-// ccrItem is one decoded commit-record entry.
-type ccrItem struct {
-	key        PageKey
-	start      int32
-	nfrags     int32
-	length     int32
-	compressed bool
-	sum        uint32
+func (e *commitEntry) walk(c *snap.Codec) {
+	pageKey(c, &e.key)
+	c.I32(&e.start)
+	c.I32(&e.nfrags)
+	c.I32(&e.length)
+	e.flags = 0
+	if e.compressed {
+		e.flags = 1
+	}
+	c.U32(&e.flags)
+	e.compressed = e.flags&1 != 0
+	c.U32(&e.sum)
 }
 
-// ccrDecode parses and validates a commit record at the start of src. It
-// returns ok=false for anything that is not a complete, checksum-valid,
-// internally consistent record.
-func ccrDecode(src []byte, fragSize int) (seq uint64, recFrags int32, items []ccrItem, ok bool) {
-	if len(src) < ccrFixed {
-		return 0, 0, nil, false
+// encodeCommit writes the commit record of the batch laid out in placeBuf
+// into dst, the record's zeroed fragments of the cluster buffer; recFrags is
+// the fragment count dst spans.
+func (c *Clustered) encodeCommit(dst []byte, recFrags int32) {
+	r := &c.commit
+	r.recordHead = recordHead{magic: commitMagic, version: recordVersion, count: uint16(len(c.placeBuf)), seq: c.seq}
+	r.recFrags, r.entries = recFrags, c.placeBuf
+	encodeRecord(c.commitEnc, dst, &r.recordHead, r.walk)
+}
+
+// decode parses the commit record at the start of src through dec and
+// reports whether it is a complete, checksum-valid, internally consistent
+// record.
+func (r *commitRecord) decode(dec *snap.Codec, src []byte, fragSize int) bool {
+	dec.Reset(src)
+	if r.walk(dec); dec.Err() != nil || !r.opens(commitMagic) {
+		return false
 	}
-	if [4]byte{src[0], src[1], src[2], src[3]} != ccrMagic {
-		return 0, 0, nil, false
+	end := commitBytes(len(r.entries))
+	if recordSum(src[:end]) != r.crc || int(r.recFrags) != (end+fragSize-1)/fragSize {
+		return false
 	}
-	if binary.LittleEndian.Uint16(src[4:]) != ccrVersion {
-		return 0, 0, nil, false
-	}
-	count := int(binary.LittleEndian.Uint16(src[6:]))
-	end := ccrFixed + count*ccrRecordBytes
-	if count == 0 || end > len(src) {
-		return 0, 0, nil, false
-	}
-	stored := binary.LittleEndian.Uint32(src[16:])
-	scratch := make([]byte, end)
-	copy(scratch, src[:end])
-	scratch[16], scratch[17], scratch[18], scratch[19] = 0, 0, 0, 0
-	if crc32.ChecksumIEEE(scratch) != stored {
-		return 0, 0, nil, false
-	}
-	recFrags = int32(binary.LittleEndian.Uint32(src[20:]))
-	if recFrags != int32((end+fragSize-1)/fragSize) {
-		return 0, 0, nil, false
-	}
-	seq = binary.LittleEndian.Uint64(src[8:])
-	items = make([]ccrItem, count)
-	for i := 0; i < count; i++ {
-		off := ccrFixed + i*ccrRecordBytes
-		it := ccrItem{
-			key: PageKey{
-				Seg:  int32(binary.LittleEndian.Uint32(src[off:])),
-				Page: int32(binary.LittleEndian.Uint32(src[off+4:])),
-			},
-			start:      int32(binary.LittleEndian.Uint32(src[off+8:])),
-			nfrags:     int32(binary.LittleEndian.Uint32(src[off+12:])),
-			length:     int32(binary.LittleEndian.Uint32(src[off+16:])),
-			compressed: binary.LittleEndian.Uint32(src[off+20:])&1 != 0,
-			sum:        binary.LittleEndian.Uint32(src[off+24:]),
+	for _, e := range r.entries {
+		if e.start < 0 || e.nfrags <= 0 || e.length < 0 || int(e.length) > int(e.nfrags)*fragSize {
+			return false
 		}
-		if it.start < 0 || it.nfrags <= 0 || it.length < 0 || int(it.length) > int(it.nfrags)*fragSize {
-			return 0, 0, nil, false
-		}
-		items[i] = it
 	}
-	return seq, recFrags, items, true
+	return true
 }
 
 // RecoverClustered mounts a clustered store from whatever the media image
@@ -171,18 +141,16 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 	}
 	totalFrags := n / cfg.FragSize
 	type candidate struct {
-		frag     int32
-		seq      uint64
-		recFrags int32
-		items    []ccrItem
+		frag int32
+		commitRecord
 	}
 	var cands []candidate
+	var rec commitRecord
+	dec := snap.Decoder(new(snap.Reader))
 	for f := 0; f < totalFrags; f++ {
-		seq, recFrags, items, ok := ccrDecode(buf[f*cfg.FragSize:], cfg.FragSize)
-		if !ok {
-			continue
+		if rec.decode(dec, buf[f*cfg.FragSize:], cfg.FragSize) {
+			cands = append(cands, candidate{int32(f), rec})
 		}
-		cands = append(cands, candidate{frag: int32(f), seq: seq, recFrags: recFrags, items: items})
 	}
 	rep.ScannedSegments = len(cands)
 
@@ -226,7 +194,7 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 		}
 		claim(cand.frag, cand.recFrags) // tentative; reverted if nothing survives
 		accepted := 0
-		for _, it := range cand.items {
+		for _, it := range cand.entries {
 			if c.extents.Has(it.key) {
 				rep.StalePages++ // a newer cluster already recovered this page
 				continue
@@ -241,9 +209,8 @@ func RecoverClustered(cfg ClusterConfig, fsys *fs.FS, bus *obs.Bus, clock *sim.C
 				continue
 			}
 			claim(it.start, it.nfrags)
-			e := extent{start: it.start, nfrags: it.nfrags, length: it.length, compressed: it.compressed, sum: it.sum}
-			c.extents.Set(it.key, e)
-			c.byStart[e.start] = it.key
+			c.extents.Set(it.key, it.extent)
+			c.byStart[it.start] = it.key
 			c.liveFr += int(it.nfrags)
 			accepted++
 		}

@@ -13,6 +13,7 @@ import (
 	"compcache/internal/fs"
 	"compcache/internal/mem"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 )
 
 // fuzzLFSConfig is the geometry every fuzz input is mounted under: 4-page
@@ -234,7 +235,12 @@ func durableClusteredImage(tb testing.TB, npages int, extra ...PageKey) []byte {
 // summed in int32 its end wraps negative and slips under any upper bound.
 func wrappedExtentRecord() []byte {
 	img := make([]byte, 4096)
-	ccrEncode(img, 1, math.MaxInt32-1, 1, []placement{{item: Item{Key: PageKey{Seg: 1}, Data: make([]byte, 100)}, nfrags: 4}})
+	rec := commitRecord{
+		recordHead: recordHead{magic: commitMagic, version: recordVersion, count: 1, seq: 1},
+		recFrags:   1,
+		entries:    []commitEntry{{key: PageKey{Seg: 1}, extent: extent{start: math.MaxInt32 - 1, nfrags: 4, length: 100}}},
+	}
+	encodeRecord(snap.Encoder(new(snap.Writer)), img, &rec.recordHead, rec.walk)
 	return img
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"compcache/internal/fs"
 	"compcache/internal/mem"
+	"compcache/internal/snap"
 	"compcache/internal/stats"
 )
 
@@ -79,7 +80,7 @@ func (c LFSConfig) validate(blockSize int) error {
 			return fmt.Errorf("swap: lfs segment size %d leaves no room for pages after the %d-byte header block",
 				c.SegmentBytes, blockSize)
 		}
-		if lfsHeaderFixed+lfsRecordBytes*pages > blockSize {
+		if lfsHeadBytes+lfsSlotBytes*pages > blockSize {
 			return fmt.Errorf("swap: lfs header for %d pages does not fit one %d-byte block", pages, blockSize)
 		}
 	}
@@ -130,8 +131,10 @@ type LFS struct {
 	// Cleaner scratch, reused across passes so steady-state cleaning
 	// allocates nothing: recycled segment bookkeeping objects and the
 	// page-copy buffer.
-	segPool []*lfsSegment
-	copyBuf []byte
+	segPool   []*lfsSegment
+	copyBuf   []byte
+	header    segmentHeader // Flush's durable-format header, and its encoder
+	headerEnc *snap.Codec
 }
 
 // lfsState is the store's replay state: everything a snapshot carries.
@@ -190,6 +193,7 @@ func makeLFS(cfg LFSConfig, fsys *fs.FS, pool *mem.Pool, file *fs.File) (*LFS, e
 	if cfg.Durable {
 		l.headerBytes = fsys.BlockSize()
 		l.stage = make([]byte, cfg.SegmentBytes)
+		l.headerEnc = snap.Encoder(new(snap.Writer))
 	}
 	l.pagesPerSeg = (cfg.SegmentBytes - l.headerBytes) / cfg.PageSize
 	for i := 0; i < l.pagesPerSeg; i++ {
@@ -355,7 +359,7 @@ func (l *LFS) Flush() error {
 	if l.durable() {
 		seg := l.segs[l.cur]
 		seg.seq = l.seq
-		lfsEncodeHeader(l.stage[:l.headerBytes], l.seq, seg, l.cfg.PageSize)
+		l.encodeHeader(seg)
 		n := l.headerBytes + l.curUsed*l.cfg.PageSize
 		if _, err := l.file.RawWriteAsync(l.stage[:n], l.segOff(l.cur), n); err != nil {
 			return err

@@ -1,105 +1,146 @@
 package swap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 
 	"compcache/internal/fs"
 	"compcache/internal/mem"
 	"compcache/internal/obs"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 )
 
-// Durable LFS segment layout. Each segment opens with one file-system block
-// holding the segment header; the page slots follow. Header and pages reach
-// the device as a single transfer (Flush), so a power cut tears them
-// together and the header's checksum detects any torn suffix:
-//
-//	off  0   magic "CCLF"
-//	off  4   version  (uint16 LE)
-//	off  6   count    (uint16 LE)   slots recorded
-//	off  8   sequence (uint64 LE)   log order; higher supersedes lower
-//	off 16   CRC-32   (uint32 LE)   over bytes [0, 20+16*count) with this
-//	                                field zeroed
-//	off 20   count records of 16 bytes:
-//	             seg    (int32 LE)  page identity (lfsTombstone for a slot
-//	             page   (int32 LE)  invalidated before the flush)
-//	             length (uint32 LE) payload bytes (the page size)
-//	             sum    (uint32 LE) CRC-32 of the slot's page data
-const (
-	lfsHeaderFixed = 20
-	lfsRecordBytes = 16
-	lfsVersion     = 1
-)
-
-var lfsMagic = [4]byte{'C', 'C', 'L', 'F'}
-
-// lfsEncodeHeader serializes the open segment's record table into dst (the
-// header block of the staged segment image). Unused header bytes are zeroed
-// so media contents are a pure function of the write history.
-func lfsEncodeHeader(dst []byte, seq uint64, seg *lfsSegment, pageSize int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	copy(dst, lfsMagic[:])
-	binary.LittleEndian.PutUint16(dst[4:], lfsVersion)
-	binary.LittleEndian.PutUint16(dst[6:], uint16(len(seg.pages)))
-	binary.LittleEndian.PutUint64(dst[8:], seq)
-	for i, key := range seg.pages {
-		off := lfsHeaderFixed + i*lfsRecordBytes
-		binary.LittleEndian.PutUint32(dst[off:], uint32(key.Seg))
-		binary.LittleEndian.PutUint32(dst[off+4:], uint32(key.Page))
-		if key == lfsTombstone {
-			continue // length and sum stay zero
-		}
-		binary.LittleEndian.PutUint32(dst[off+8:], uint32(pageSize))
-		binary.LittleEndian.PutUint32(dst[off+12:], seg.sums[i])
-	}
-	crc := crc32.ChecksumIEEE(dst[:lfsHeaderFixed+len(seg.pages)*lfsRecordBytes])
-	binary.LittleEndian.PutUint32(dst[16:], crc)
+// recordHead opens both durable formats' records, the LFS segment header
+// and the clustered commit record. A format's layout is its walk, the fields
+// visited in order, fixed-width and little-endian: here the magic, version,
+// entry count, sequence (higher supersedes lower) and, at byte crcAt, the
+// CRC-32 of the whole record with this field read as zero.
+type recordHead struct {
+	magic          [4]byte
+	version, count uint16
+	seq            uint64
+	crc            uint32
 }
 
-// lfsDecodeHeader parses and validates a segment header block. It returns
-// ok=false for anything that is not a complete, checksum-valid header —
-// unwritten media, a torn header, or garbage.
-func lfsDecodeHeader(src []byte, pagesPerSeg int) (seq uint64, keys []PageKey, lengths []uint32, sums []uint32, ok bool) {
-	if len(src) < lfsHeaderFixed {
-		return 0, nil, nil, nil, false
+const (
+	recordVersion = 1
+	crcAt         = 16
+)
+
+func (h *recordHead) walk(c *snap.Codec) {
+	for i := range h.magic {
+		snap.Byte(c, &h.magic[i])
 	}
-	if [4]byte{src[0], src[1], src[2], src[3]} != lfsMagic {
-		return 0, nil, nil, nil, false
+	c.U16(&h.version)
+	c.U16(&h.count)
+	c.U64(&h.seq)
+	c.U32(&h.crc)
+}
+
+// opens reports whether h opens a record of the format magic names, with
+// entries; a record's walk reads no further than a head that does not.
+func (h *recordHead) opens(magic [4]byte) bool {
+	return h.magic == magic && h.version == recordVersion && h.count != 0
+}
+
+// crcZero stands in for a record's checksum field while it is summed.
+var crcZero [4]byte
+
+// recordSum is the CRC-32 of the encoded record b, its checksum field read
+// as zero.
+func recordSum(b []byte) uint32 {
+	sum := crc32.Update(crc32.ChecksumIEEE(b[:crcAt]), crc32.IEEETable, crcZero[:])
+	return crc32.Update(sum, crc32.IEEETable, b[crcAt+len(crcZero):])
+}
+
+// encodeRecord encodes the record walk visits, whose head is h, into dst —
+// zeroed, and large enough to hold it — and seals it with its checksum. enc
+// is the store's encoder, Reset for every record so that none allocates.
+func encodeRecord(enc *snap.Codec, dst []byte, h *recordHead, walk func(*snap.Codec)) {
+	enc.Reset(dst[:0])
+	walk(enc) // cannot fail: only decoding checks anything
+	b := enc.Raw()
+	h.crc = recordSum(b)
+	enc.Reset(b[crcAt:crcAt])
+	enc.U32(&h.crc)
+}
+
+// encodedLen is the size of what walk encodes: the fields are fixed-width,
+// so a record's size follows from its entry count.
+func encodedLen(walk func(*snap.Codec)) int {
+	enc := snap.Encoder(new(snap.Writer))
+	walk(enc)
+	return len(enc.Raw())
+}
+
+// segmentHeader is the durable LFS segment header, alone in the segment's
+// first block (the rest of the block zero) and written with the segment's
+// pages as one transfer, so a torn flush fails its checksum.
+type segmentHeader struct {
+	recordHead // magic "CCLF"
+	slots      []headerSlot
+}
+
+// headerSlot records one page slot of a segment.
+type headerSlot struct {
+	key    PageKey // lfsTombstone for a slot invalidated before the flush
+	length uint32  // payload bytes (the page size); zero for a tombstone
+	sum    uint32  // CRC-32 of the slot's page data; zero for a tombstone
+}
+
+var (
+	lfsMagic     = [4]byte{'C', 'C', 'L', 'F'}
+	lfsHeadBytes = encodedLen(new(recordHead).walk)
+	lfsSlotBytes = encodedLen(new(headerSlot).walk)
+)
+
+func (h *segmentHeader) walk(c *snap.Codec) {
+	h.recordHead.walk(c)
+	if !h.opens(lfsMagic) {
+		return
 	}
-	if binary.LittleEndian.Uint16(src[4:]) != lfsVersion {
-		return 0, nil, nil, nil, false
+	if c.Decoding() {
+		h.slots = make([]headerSlot, c.Bound(int(h.count), math.MaxUint16, "lfs header slots"))
 	}
-	count := int(binary.LittleEndian.Uint16(src[6:]))
-	if count == 0 || count > pagesPerSeg || lfsHeaderFixed+count*lfsRecordBytes > len(src) {
-		return 0, nil, nil, nil, false
+	for i := range h.slots {
+		h.slots[i].walk(c)
 	}
-	stored := binary.LittleEndian.Uint32(src[16:])
-	end := lfsHeaderFixed + count*lfsRecordBytes
-	scratch := make([]byte, end)
-	copy(scratch, src[:end])
-	scratch[16], scratch[17], scratch[18], scratch[19] = 0, 0, 0, 0
-	if crc32.ChecksumIEEE(scratch) != stored {
-		return 0, nil, nil, nil, false
-	}
-	seq = binary.LittleEndian.Uint64(src[8:])
-	keys = make([]PageKey, count)
-	lengths = make([]uint32, count)
-	sums = make([]uint32, count)
-	for i := 0; i < count; i++ {
-		off := lfsHeaderFixed + i*lfsRecordBytes
-		keys[i] = PageKey{
-			Seg:  int32(binary.LittleEndian.Uint32(src[off:])),
-			Page: int32(binary.LittleEndian.Uint32(src[off+4:])),
+}
+
+func (s *headerSlot) walk(c *snap.Codec) {
+	pageKey(c, &s.key)
+	c.U32(&s.length)
+	c.U32(&s.sum)
+}
+
+// encodeHeader writes the header of seg, the open segment, into the staged
+// segment image's header block.
+func (l *LFS) encodeHeader(seg *lfsSegment) {
+	h := &l.header
+	h.recordHead = recordHead{magic: lfsMagic, version: recordVersion, count: uint16(len(seg.pages)), seq: seg.seq}
+	h.slots = h.slots[:0]
+	for i, key := range seg.pages {
+		slot := headerSlot{key: key}
+		if key != lfsTombstone {
+			slot.length, slot.sum = uint32(l.cfg.PageSize), seg.sums[i]
 		}
-		lengths[i] = binary.LittleEndian.Uint32(src[off+8:])
-		sums[i] = binary.LittleEndian.Uint32(src[off+12:])
+		h.slots = append(h.slots, slot)
 	}
-	return seq, keys, lengths, sums, true
+	clear(l.stage[:l.headerBytes])
+	encodeRecord(l.headerEnc, l.stage[:l.headerBytes], &h.recordHead, h.walk)
+}
+
+// decode parses the header block src through dec and reports whether it
+// holds a complete, checksum-valid header of at most pagesPerSeg slots —
+// not unwritten media, a torn header, or garbage.
+func (h *segmentHeader) decode(dec *snap.Codec, src []byte, pagesPerSeg int) bool {
+	dec.Reset(src)
+	h.walk(dec)
+	return dec.Err() == nil && h.opens(lfsMagic) && len(h.slots) <= pagesPerSeg &&
+		recordSum(src[:lfsHeadBytes+len(h.slots)*lfsSlotBytes]) == h.crc
 }
 
 // RecoveryReport summarizes one mount-time recovery pass.
@@ -158,40 +199,41 @@ func RecoverLFS(cfg LFSConfig, fsys *fs.FS, pool *mem.Pool, bus *obs.Bus, clock 
 	}
 	var cands []candidate
 	nRegions := int((file.Size() + int64(cfg.SegmentBytes) - 1) / int64(cfg.SegmentBytes))
-	hdr := make([]byte, l.headerBytes)
+	buf := make([]byte, l.headerBytes)
 	data := make([]byte, l.pagesPerSeg*cfg.PageSize)
+	var hdr segmentHeader
+	dec := snap.Decoder(new(snap.Reader))
 	for s := int32(0); int(s) < nRegions; s++ {
 		rep.ScannedSegments++
-		if err := file.RawRead(hdr, l.segOff(s), l.headerBytes); err != nil {
+		if err := file.RawRead(buf, l.segOff(s), l.headerBytes); err != nil {
 			return nil, nil, fmt.Errorf("swap: recovery read of segment %d header: %w", s, err)
 		}
-		seq, keys, lengths, sums, ok := lfsDecodeHeader(hdr, l.pagesPerSeg)
-		if !ok {
+		if !hdr.decode(dec, buf, l.pagesPerSeg) {
 			continue // never written, torn header, or garbage: region is free
 		}
-		n := len(keys) * cfg.PageSize
+		n := len(hdr.slots) * cfg.PageSize
 		if err := file.RawRead(data[:n], l.dataOff(s, 0), n); err != nil {
 			return nil, nil, fmt.Errorf("swap: recovery read of segment %d data: %w", s, err)
 		}
 		seg := &lfsSegment{
-			seq:   seq,
-			pages: make([]PageKey, len(keys)),
-			sums:  make([]uint32, len(keys)),
+			seq:   hdr.seq,
+			pages: make([]PageKey, len(hdr.slots)),
+			sums:  make([]uint32, len(hdr.slots)),
 		}
-		for i, key := range keys {
+		for i, slot := range hdr.slots {
 			seg.pages[i] = lfsTombstone
-			if key == lfsTombstone {
+			if slot.key == lfsTombstone {
 				continue
 			}
 			pg := data[i*cfg.PageSize : (i+1)*cfg.PageSize]
-			if lengths[i] != uint32(cfg.PageSize) || crc32.ChecksumIEEE(pg) != sums[i] {
+			if slot.length != uint32(cfg.PageSize) || crc32.ChecksumIEEE(pg) != slot.sum {
 				// The header survived but this slot's data did not reach the
 				// media whole — the torn tail of the crashed flush.
 				rep.TornDiscarded++
 				continue
 			}
-			seg.pages[i] = key
-			seg.sums[i] = sums[i]
+			seg.pages[i] = slot.key
+			seg.sums[i] = slot.sum
 		}
 		cands = append(cands, candidate{region: s, seg: seg})
 	}

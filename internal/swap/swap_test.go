@@ -10,6 +10,7 @@ import (
 	"compcache/internal/fs"
 	"compcache/internal/mem"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 )
 
 func newFS(t *testing.T, opts fs.Options) (*fs.FS, *disk.Disk, *sim.Clock) {
@@ -188,6 +189,7 @@ func TestClusteredConfigValidation(t *testing.T) {
 		{PageSize: 4096, FragSize: 3000},
 		{PageSize: 4096, ClusterBytes: 1000},
 		{PageSize: 4096, GCTriggerFrac: 2},
+		{PageSize: 4096, FragSize: 512, ClusterBytes: 65536 * 512, CommitRecords: true}, // a compaction batch overflows the record's count
 	}
 	for i, cfg := range bad {
 		if _, err := NewClustered(cfg, fsys); err == nil {
@@ -365,9 +367,11 @@ func TestWriteClusterPadsWithZeroes(t *testing.T) {
 		copy(want[int64(e.start)*frag-from:], it.Data)
 	}
 	records := 0
+	var rec commitRecord
+	dec := snap.Decoder(new(snap.Reader))
 	for off := 0; off < len(img); off += int(frag) {
-		if _, _, items, ok := ccrDecode(img[off:], int(frag)); ok {
-			n := ccrFixed + ccrRecordBytes*len(items)
+		if rec.decode(dec, img[off:], int(frag)) {
+			n := commitBytes(len(rec.entries))
 			copy(want[off:], img[off:off+n]) // the record is whatever it is
 			records++
 		}

@@ -1,10 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"compcache/internal/snap"
 )
 
 // PageRef is one page-granularity VM reference, the unit the machine's
@@ -59,67 +60,43 @@ func Segments(refs []PageRef) ([]Segment, error) {
 // traceMagic identifies the on-disk format.
 var traceMagic = [4]byte{'c', 'c', 't', '1'}
 
-// WriteTo serializes the trace: a magic header, a count, then 9 bytes per
-// reference (segment, page, write flag), little-endian.
-func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return n, err
-	}
-	n += 4
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(r.Refs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return n, err
-	}
-	n += 8
-	var rec [9]byte
-	for _, ref := range r.Refs {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(ref.Seg))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(ref.Page))
-		rec[8] = 0
-		if ref.Write {
-			rec[8] = 1
-		}
-		if _, err := bw.Write(rec[:]); err != nil {
-			return n, err
-		}
-		n += 9
-	}
-	return n, bw.Flush()
-}
-
-// ReadTrace deserializes a trace written by WriteTo.
-func ReadTrace(r io.Reader) ([]PageRef, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: short header: %w", err)
+// walk visits a trace file: the magic, then the references as a counted
+// sequence of (segment, page, write flag), little-endian.
+func (r *Recorder) walk(c *snap.Codec) {
+	magic := traceMagic
+	for i := range magic {
+		snap.Byte(c, &magic[i])
 	}
 	if magic != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
+		c.Failf("bad magic %q", magic)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: short count: %w", err)
+	snap.Slice(c, &r.Refs, math.MaxInt, "references", func(ref *PageRef) {
+		c.I32(&ref.Seg)
+		c.I32(&ref.Page)
+		c.Bool(&ref.Write)
+	})
+}
+
+// WriteTo serializes the trace.
+func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	enc := snap.Encoder(new(snap.Writer))
+	r.walk(enc) // cannot fail: only decoding checks anything
+	n, err := w.Write(enc.Raw())
+	return int64(n), err
+}
+
+// ReadTrace deserializes a trace written by WriteTo. The count a trace
+// claims is held to the bytes it has, so a forged count allocates nothing.
+func ReadTrace(r io.Reader) ([]PageRef, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const maxTrace = 1 << 28 // sanity bound: ~268M references
-	if count > maxTrace {
-		return nil, fmt.Errorf("trace: implausible reference count %d", count)
+	dec := snap.Decoder(new(snap.Reader))
+	dec.Reset(data)
+	var rec Recorder
+	if rec.walk(dec); dec.Err() != nil {
+		return nil, fmt.Errorf("trace: %w", dec.Err())
 	}
-	refs := make([]PageRef, 0, count)
-	var rec [9]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated at reference %d: %w", i, err)
-		}
-		refs = append(refs, PageRef{
-			Seg:   int32(binary.LittleEndian.Uint32(rec[0:])),
-			Page:  int32(binary.LittleEndian.Uint32(rec[4:])),
-			Write: rec[8] != 0,
-		})
-	}
-	return refs, nil
+	return rec.Refs, nil
 }

@@ -2,6 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -155,4 +160,61 @@ func TestReadTraceErrors(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(big)); err == nil {
 		t.Error("implausible count accepted")
 	}
+}
+
+// TestTraceFileBytesPinned pins the trace file format: a change to what
+// WriteTo writes orphans every recorded trace.
+func TestTraceFileBytesPinned(t *testing.T) {
+	var rec Recorder
+	for i := int32(0); i < 6; i++ {
+		rec.Note(i%3, 1000*i-1, i%2 == 1)
+	}
+	rec.Note(-1, 1<<30, true)
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), "972c9df9b8b9476c96b3e7c6c4130884b4c606160474b868eedb52c9e09378e3"; got != want {
+		t.Fatalf("trace file sha256 = %s, want %s", got, want)
+	}
+}
+
+// TestForgedTraceCountAllocatesNothing: a header claiming 1<<24 references
+// with none behind it is refused before anything is sized by the claim.
+func TestForgedTraceCountAllocatesNothing(t *testing.T) {
+	forged := binary.LittleEndian.AppendUint64([]byte("cct1"), 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTrace(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a forged count was accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("refusing a forged count allocated %d bytes", n)
+	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes: it must not panic, and a
+// trace it accepts must write back as a trace that reads the same.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		refs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rec := Recorder{Refs: refs}
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("an accepted trace does not read back: %v", err)
+		}
+		if !slices.Equal(again, refs) {
+			t.Fatalf("read back %v, want %v", again, refs)
+		}
+	})
 }
