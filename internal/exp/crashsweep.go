@@ -41,25 +41,17 @@ func crashSweep(ctx context.Context, o Options) (Result, error) {
 	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 1, CompressTarget: 0.85, Seed: seed}
 
 	base := machine.Default(int64(memoryMB) << 20)
-	legs := []crashLeg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true})}}
+	type leg struct {
+		name string
+		cfg  machine.Config
+	}
+	legs := []leg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true})}}
 	for _, codec := range compress.Names() {
 		cfg := base.WithCC()
 		cfg.CC.Codec = codec
 		cfg.Swap.CommitRecords = true
-		legs = append(legs, crashLeg{"cc/" + codec, cfg})
+		legs = append(legs, leg{"cc/" + codec, cfg})
 	}
-	return crashTable(ctx, o.Parallelism, legs, w, seed)
-}
-
-// crashLeg is one machine configuration the crash sweep cuts.
-type crashLeg struct {
-	name string
-	cfg  machine.Config
-}
-
-// crashTable sweeps every leg's crash points with up to workers machines at
-// a time and renders one row per leg.
-func crashTable(ctx context.Context, workers int, legs []crashLeg, w workload.Workload, seed int64) (Result, error) {
 	t := &Table{
 		Title:  "Extension: crash-point sweep (power cut at the k-th device write, reboot, recover, verify)",
 		Header: []string{"configuration", "crash points", "recovered pages", "stale", "torn discarded", "verified"},
@@ -75,7 +67,7 @@ func crashTable(ctx context.Context, workers int, legs []crashLeg, w workload.Wo
 	for i, l := range legs {
 		jobs[i] = job{l.cfg, w}
 	}
-	baselines, err := measureAll(ctx, workers, jobs)
+	baselines, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("crash sweep baselines: %w", err)
 	}
@@ -86,7 +78,7 @@ func crashTable(ctx context.Context, workers int, legs []crashLeg, w workload.Wo
 		for k := 1; k <= writes; k += stride {
 			points = append(points, uint64(k))
 		}
-		reps, err := runner.Map(ctx, workers, len(points),
+		reps, err := runner.Map(ctx, o.Parallelism, len(points),
 			func(_ context.Context, j int) (swap.RecoveryReport, error) {
 				return crashTrial(l.cfg, workload.Clone(w), seed, points[j])
 			})

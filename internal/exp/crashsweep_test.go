@@ -26,13 +26,10 @@ func tinyCrashLegs() map[string]machine.Config {
 	return legs
 }
 
-// tinyCrashWorkload is the run every tiny crash leg cuts.
-var tinyCrashWorkload = &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
-
 // TestCrashAtEveryPoint is the exhaustive satellite: for every leg, crash at
 // every single device write of a small run and verify every recovery.
 func TestCrashAtEveryPoint(t *testing.T) {
-	w := tinyCrashWorkload
+	w := &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
 	for name, cfg := range tinyCrashLegs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -230,18 +230,12 @@ func compressedFileCache(ctx context.Context, o Options) (Result, error) {
 			// LRU-like entry aging (rather than the paper's FIFO) is what
 			// keeps the compressed copies alive between scans.
 			cfg.CC.RefreshOnFault = enabled
-			m, err := machine.New(cfg)
+			m, st, err := workload.MeasureMachine(cfg,
+				&workload.FileScan{FileBytes: fileBytes, Passes: 3, CompressTarget: 0.12, Seed: o.seed(1)})
 			if err != nil {
 				return fcRun{}, err
 			}
-			w := &workload.FileScan{FileBytes: fileBytes, Passes: 3, CompressTarget: 0.12, Seed: o.seed(1)}
-			if err := w.Run(m); err != nil {
-				return fcRun{}, err
-			}
-			if err := m.CheckInvariants(); err != nil {
-				return fcRun{}, err
-			}
-			return fcRun{m.Stats(), m.FS.CompressedCacheHits()}, nil
+			return fcRun{st, m.FS.CompressedCacheHits()}, nil
 		})
 	if err != nil {
 		return nil, err

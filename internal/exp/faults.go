@@ -66,24 +66,11 @@ type faultTrial struct {
 // paging failure returns the machine's stats as of the death instead of
 // discarding them, so the sweep can report fault activity for died trials.
 func measureTrial(cfg machine.Config, w workload.Workload) (faultTrial, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return faultTrial{}, err
-	}
-	err = w.Run(m)
-	if err == nil {
-		err = m.Err()
-	}
-	if fault.IsUnrecoverable(err) {
+	m, st, err := workload.MeasureMachine(cfg, w)
+	if m != nil && fault.IsUnrecoverable(err) {
 		return faultTrial{run: m.Stats(), died: true}, nil
 	}
-	if err != nil {
-		return faultTrial{}, err
-	}
-	if err := m.CheckInvariants(); err != nil {
-		return faultTrial{}, fmt.Errorf("post-run invariant violation: %w", err)
-	}
-	return faultTrial{run: m.Stats()}, nil
+	return faultTrial{run: st}, err
 }
 
 // faultSweep measures overhead and survival versus fault rate: the same
@@ -109,12 +96,7 @@ func faultSweep(ctx context.Context, o Options) (Result, error) {
 			rates = append(rates, o.FaultRate)
 		}
 	}
-	return faultRates(ctx, o.Parallelism, faultSizes[o.Scale], rates, o.seed(1))
-}
-
-// faultRates runs the sweep over the given rates, which must include 0 (the
-// overhead column's baseline), with up to workers machines at a time.
-func faultRates(ctx context.Context, workers int, sz faultSize, rates []float64, seed int64) (Result, error) {
+	sz, seed := faultSizes[o.Scale], o.seed(1)
 	memBytes := int64(sz.memoryMB) << 20
 	type spec struct {
 		rate float64
@@ -126,7 +108,7 @@ func faultRates(ctx context.Context, workers int, sz faultSize, rates []float64,
 			specs = append(specs, spec{rate, seed + int64(ri)*1_000_003 + int64(tr)})
 		}
 	}
-	trials, err := runner.Map(ctx, workers, len(specs),
+	trials, err := runner.Map(ctx, o.Parallelism, len(specs),
 		func(_ context.Context, i int) (faultTrial, error) {
 			s := specs[i]
 			cfg := machine.Default(memBytes).WithCC()

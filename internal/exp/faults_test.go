@@ -11,20 +11,10 @@ import (
 	"compcache/internal/workload"
 )
 
-// smallFaults is a three-rate, two-trial fault sweep on a 384-page working
-// set with up to workers machines at a time.
-func smallFaults(ctx context.Context, workers int) (Result, error) {
-	return faultRates(ctx, workers, faultSize{memoryMB: 1, pages: 384, trials: 2}, []float64{0, 1e-3, 1e-2}, 1)
-}
-
 func TestFaultSweepShape(t *testing.T) {
-	r, err := smallFaults(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.(*FaultsResult)
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(res.Points))
+	res := result[*FaultsResult](t, "faults")
+	if len(res.Points) < 2 {
+		t.Fatalf("points = %d, want the rate-0 baseline and at least one rate", len(res.Points))
 	}
 	p0 := res.Points[0]
 	if p0.Survived != p0.Trials || p0.Overhead != 1.0 || p0.Faults.Any() {

@@ -53,13 +53,7 @@ const fig3Passes = 2
 // The result is a *Fig3Result.
 func Fig3(ctx context.Context, o Options) (Result, error) {
 	sz := fig3Sizes[o.Scale]
-	return fig3Sweep(ctx, o.Parallelism, sz.memoryMB, sz.sizesMB, o.seed(1))
-}
-
-// fig3Sweep measures the given address-space sizes on a memoryMB machine
-// with up to workers machines at a time.
-func fig3Sweep(ctx context.Context, workers, memoryMB int, sizesMB []int, seed int64) (Result, error) {
-	memBytes := int64(memoryMB) << 20
+	memBytes := int64(sz.memoryMB) << 20
 	// Four measurements per size, in a fixed sub-order: rw/std, rw/cc,
 	// ro/std, ro/cc.
 	type spec struct {
@@ -67,15 +61,15 @@ func fig3Sweep(ctx context.Context, workers, memoryMB int, sizesMB []int, seed i
 		write  bool
 		cc     bool
 	}
-	specs := make([]spec, 0, 4*len(sizesMB))
-	for _, sizeMB := range sizesMB {
+	specs := make([]spec, 0, 4*len(sz.sizesMB))
+	for _, sizeMB := range sz.sizesMB {
 		for _, write := range []bool{true, false} {
 			for _, cc := range []bool{false, true} {
 				specs = append(specs, spec{sizeMB, write, cc})
 			}
 		}
 	}
-	runs, err := runner.Map(ctx, workers, len(specs),
+	runs, err := runner.Map(ctx, o.Parallelism, len(specs),
 		func(_ context.Context, i int) (stats.Run, error) {
 			s := specs[i]
 			cfg := machine.Default(memBytes)
@@ -83,7 +77,7 @@ func fig3Sweep(ctx context.Context, workers, memoryMB int, sizesMB []int, seed i
 				cfg = cfg.WithCC()
 			}
 			st, err := workload.Measure(cfg, &workload.Thrasher{
-				Pages: int32(s.sizeMB << 20 / 4096), Write: s.write, Passes: fig3Passes, Seed: seed})
+				Pages: int32(s.sizeMB << 20 / 4096), Write: s.write, Passes: fig3Passes, Seed: o.seed(1)})
 			if err != nil {
 				return stats.Run{}, fmt.Errorf("fig3 %dMB write=%v: %w", s.sizeMB, s.write, err)
 			}
@@ -93,9 +87,9 @@ func fig3Sweep(ctx context.Context, workers, memoryMB int, sizesMB []int, seed i
 		return nil, err
 	}
 
-	res := &Fig3Result{MemoryMB: memoryMB}
+	res := &Fig3Result{MemoryMB: sz.memoryMB}
 	sweeps := (&workload.Thrasher{Passes: fig3Passes}).TimedSweeps()
-	for si, sizeMB := range sizesMB {
+	for si, sizeMB := range sz.sizesMB {
 		pages := int32(sizeMB << 20 / 4096)
 		touches := time.Duration(sweeps) * time.Duration(pages)
 		rwStd, rwCC, roStd, roCC := runs[4*si], runs[4*si+1], runs[4*si+2], runs[4*si+3]

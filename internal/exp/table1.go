@@ -87,13 +87,8 @@ func table1Workloads(s Scale, seed int64) (memoryMB int, ws []workload.Workload)
 // machines; the result is a *Table1Result. Its built-in seed is 42.
 func table1(ctx context.Context, o Options) (Result, error) {
 	memoryMB, ws := table1Workloads(o.Scale, o.seed(42))
-	return table1Rows(ctx, o.Parallelism, memoryMB, ws)
-}
-
-// table1Rows measures one Table 1 row per workload. The 2 x len(ws) runs are
-// independent, so they fan out across up to workers machines; rows come
-// back in workload order.
-func table1Rows(ctx context.Context, workers, memoryMB int, ws []workload.Workload) (Result, error) {
+	// The 2 x len(ws) runs are independent, so they fan out; rows come back
+	// in workload order.
 	memBytes := int64(memoryMB) << 20
 	jobs := make([]job, 0, 2*len(ws))
 	for _, w := range ws {
@@ -101,7 +96,7 @@ func table1Rows(ctx context.Context, workers, memoryMB int, ws []workload.Worklo
 			job{machine.Default(memBytes), w},
 			job{machine.Default(memBytes).WithCC(), w})
 	}
-	runs, err := measureAll(ctx, workers, jobs)
+	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
 		return nil, err
 	}

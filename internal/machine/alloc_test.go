@@ -73,11 +73,11 @@ var steadyRows = []steadyRow{
 	// The baseline machine on the direct swap file.
 	{name: "direct", cfg: func() Config { return Default(mb) }, pages: 1024, fill: fillCompressible, drove: []counter{swapIns}},
 	{name: "direct", writes: 1, cfg: func() Config { return Default(mb) }, pages: 1024, fill: fillCompressible, drove: []counter{swapIns}},
-	// The baseline on a log with eight segments to spare, so the cleaner
-	// copies live pages forward all the time.
+	// The baseline on a log: every rewrite leaves a dead page behind, so
+	// the cleaner copies live pages forward every few segments.
 	{name: "lfs", writes: 1, pages: 1024, fill: fillCompressible, drove: []counter{swapIns, storeGCs},
 		cfg: func() Config {
-			return Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 16 * 4096, MaxSegments: 72})
+			return Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 16 * 4096})
 		}},
 	// The null codec: every page misses the 4:3 threshold and travels through
 	// the clustered store raw. A read-only pass leaves every page an extent

@@ -709,7 +709,7 @@ func TestCompressedFileCache(t *testing.T) {
 }
 
 func TestLFSBackedMachineIntegrity(t *testing.T) {
-	cfg := Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 16 * 4096, MaxSegments: 24})
+	cfg := Default(mb).WithLFS(swap.LFSConfig{SegmentBytes: 16 * 4096})
 	m := newMachine(t, cfg)
 	s := m.NewSegment("heap", 2*mb)
 	rng := rand.New(rand.NewSource(6))
@@ -727,8 +727,8 @@ func TestLFSBackedMachineIntegrity(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().Swap.PagesOut == 0 {
-		t.Fatal("LFS swap unused")
+	if st := m.Stats().Swap; st.PagesOut == 0 || st.GCs == 0 {
+		t.Fatalf("LFS swap unused or never cleaned: %d pages out, %d cleaner passes", st.PagesOut, st.GCs)
 	}
 }
 
@@ -745,7 +745,7 @@ func TestConfigMatrixIntegrity(t *testing.T) {
 	add := func(name string, cfg Config) { variants = append(variants, variant{name, cfg}) }
 
 	add("baseline", Default(mb/2))
-	add("baseline+lfs", Default(mb/2).WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, MaxSegments: 32}))
+	add("baseline+lfs", Default(mb/2).WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096}))
 	add("baseline+net", Default(mb/2).WithNetwork(netdev.Ethernet10()))
 	for _, codec := range []string{"lzrw1", "lzss"} {
 		for _, span := range []bool{false, true} {

@@ -36,14 +36,6 @@ type LFSConfig struct {
 	// (hundreds of KB) to amortize positioning. Default 256 KB.
 	SegmentBytes int
 
-	// MaxSegments caps the log's on-disk size, forcing the cleaner to run;
-	// 0 sizes the log generously (cleaning still happens, later).
-	MaxSegments int
-
-	// CleanReserve is the number of free segments the cleaner tries to
-	// keep ready. Default 2.
-	CleanReserve int
-
 	// Durable enables the recoverable on-media format: each segment starts
 	// with a header block carrying a sequence number and a per-slot record
 	// table (PageKey, length, CRC-32), written atomically with the segment's
@@ -59,9 +51,6 @@ func (c *LFSConfig) setDefaults() {
 	if c.SegmentBytes == 0 {
 		c.SegmentBytes = 256 * 1024
 	}
-	if c.CleanReserve == 0 {
-		c.CleanReserve = 2
-	}
 }
 
 func (c LFSConfig) validate(blockSize int) error {
@@ -70,9 +59,6 @@ func (c LFSConfig) validate(blockSize int) error {
 	}
 	if c.SegmentBytes < c.PageSize || c.SegmentBytes%c.PageSize != 0 {
 		return fmt.Errorf("swap: lfs segment size %d must be a multiple of the page size", c.SegmentBytes)
-	}
-	if c.MaxSegments < 0 || c.CleanReserve < 0 {
-		return fmt.Errorf("swap: negative lfs limit")
 	}
 	if c.Durable {
 		pages := (c.SegmentBytes - blockSize) / c.PageSize
@@ -164,11 +150,7 @@ func NewLFS(cfg LFSConfig, fsys *fs.FS, pool *mem.Pool) (*LFS, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur, err := l.allocSegment()
-	if err != nil {
-		return nil, err
-	}
-	l.cur = cur
+	l.cur = l.allocSegment()
 	if l.durable() {
 		l.seq = 1
 	}
@@ -249,48 +231,17 @@ func (l *LFS) newSegment() *lfsSegment {
 	return s
 }
 
-// allocSegment returns a free segment number, growing the log if allowed.
-func (l *LFS) allocSegment() (int32, error) {
+// allocSegment returns a free segment number, growing the log when none is
+// free.
+func (l *LFS) allocSegment() int32 {
 	if n := len(l.free); n > 0 {
 		seg := l.free[n-1]
 		l.free = l.free[:n-1]
 		l.segs[seg] = l.newSegment()
-		return seg, nil
-	}
-	if l.cfg.MaxSegments > 0 && len(l.segs) >= l.cfg.MaxSegments {
-		// Log full. The live-copying cleaner cannot rescue us from here:
-		// allocSegment can run while the just-flushed segment is still
-		// current (Flush allocates its successor after writing it out), and
-		// a cleaning pass at that moment would copy live pages into the full
-		// current segment, overflowing its slot table onto its neighbour's
-		// media addresses — latent accounting drift that CheckConsistency
-		// cannot see because both tables stay self-consistent. Only segments
-		// with no live pages can be freed without copying; anything else is
-		// a genuine sizing error, surfaced as an error so the run dies
-		// cleanly.
-		if l.freeDead() {
-			return l.allocSegment()
-		}
-		return 0, fmt.Errorf("swap: LFS log full (%d segments) and nothing cleanable without copying", len(l.segs))
+		return seg
 	}
 	l.segs = append(l.segs, l.newSegment())
-	return int32(len(l.segs) - 1), nil
-}
-
-// freeDead frees on-disk segments with no live pages; they need no copying,
-// so this is safe at any point, including mid-flush.
-func (l *LFS) freeDead() bool {
-	freed := false
-	for i, s := range l.segs {
-		if int32(i) == l.cur || s == nil || s.live > 0 || len(s.pages) == 0 {
-			continue
-		}
-		l.segs[i] = nil
-		l.segPool = append(l.segPool, s)
-		l.free = append(l.free, int32(i))
-		freed = true
-	}
-	return freed
+	return int32(len(l.segs) - 1)
 }
 
 // promote moves cleaned victim segments whose reuse barrier has been reached
@@ -373,11 +324,7 @@ func (l *LFS) Flush() error {
 		}
 	}
 	l.curUsed = 0
-	cur, err := l.allocSegment()
-	if err != nil {
-		return err
-	}
-	l.cur = cur
+	l.cur = l.allocSegment()
 	return l.maybeClean()
 }
 
@@ -421,21 +368,17 @@ func (l *LFS) Invalidate(key PageKey) {
 	l.loc.Delete(key)
 }
 
-// maybeClean runs the segment cleaner when free segments run low.
+// maybeClean runs the segment cleaner once garbage dominates: four
+// segments' worth of dead pages on disk. The log grows rather than fills,
+// so this bounds its size without constant copying.
 func (l *LFS) maybeClean() error {
-	if l.cfg.MaxSegments == 0 {
-		// Generously sized log: clean only when garbage dominates, to bound
-		// disk usage without constant copying.
-		var dead int
-		for i, s := range l.segs {
-			if int32(i) != l.cur && s != nil {
-				dead += len(s.pages) - s.live
-			}
+	var dead int
+	for i, s := range l.segs {
+		if int32(i) != l.cur && s != nil {
+			dead += len(s.pages) - s.live
 		}
-		if dead < 4*l.pagesPerSeg {
-			return nil
-		}
-	} else if len(l.free) >= l.cfg.CleanReserve {
+	}
+	if dead < 4*l.pagesPerSeg {
 		return nil
 	}
 	_, err := l.clean()

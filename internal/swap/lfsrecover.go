@@ -284,11 +284,7 @@ func RecoverLFS(cfg LFSConfig, fsys *fs.FS, pool *mem.Pool, bus *obs.Bus, clock 
 		}
 	}
 	l.seq = maxSeq + 1
-	cur, err := l.allocSegment()
-	if err != nil {
-		return nil, nil, err
-	}
-	l.cur = cur
+	l.cur = l.allocSegment()
 	if err := l.CheckConsistency(); err != nil {
 		return nil, nil, fmt.Errorf("swap: recovered LFS fails consistency check: %w", err)
 	}
