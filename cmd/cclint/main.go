@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cclint [-json] [-list] [-only a,b] [packages...]
+//	cclint [-json] [-list] [packages...]
 //
 // Packages default to ./... . Patterns follow the go tool's shape
 // ("./...", "./internal/...", or plain directories); whatever the
@@ -15,13 +15,8 @@
 // survives, and 2 on usage or load errors; a tree that does not type-check
 // is a load error.
 //
-// -only runs a comma-separated subset of the suite — the iteration loop
-// for a single analyzer on a subtree, e.g.
-//
-//	cclint -only kernelproto ./internal/cluster
-//
-// Ignore directives naming unselected analyzers stay valid (the unused-
-// directive hygiene check is skipped in filtered runs).
+// Every run applies the whole suite; a full-module pass takes about a third
+// of a second.
 //
 // Findings are suppressed one line at a time, with a mandatory reason:
 //
@@ -38,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"compcache/internal/lint"
 )
@@ -52,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run instead of the full suite")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -65,9 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	analyzers := lint.All()
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range lint.All() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name(), a.Doc())
 		}
 		return 0
@@ -90,19 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(errors.New("no Go packages matched"))
 	}
 
-	var diags []lint.Diagnostic
-	if *only != "" {
-		names := strings.Split(*only, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		diags, err = lint.RunOnly(pkgs, analyzers, names)
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		diags = lint.Run(pkgs, analyzers)
-	}
+	diags := lint.Run(pkgs)
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)

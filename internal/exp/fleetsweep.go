@@ -74,7 +74,7 @@ func fleetSweep(ctx context.Context, o Options) (Result, error) {
 		if err != nil {
 			return cellOut{}, fmt.Errorf("fleet cell %d/%s/%s: %w", ce.machines, ce.linkName, ce.codec, err)
 		}
-		agg := newHistAgg()
+		var agg histAgg
 		var faults, remoteIns uint64
 		for m := 0; m < c.Size(); m++ {
 			st := c.Machine(m).Stats()
@@ -232,26 +232,22 @@ func firstErr(errs []error) error {
 // ---------------------------------------------------------------------------
 // Aggregate histogram percentiles.
 
-// histAgg sums fault-service histograms across fleet members: bucket bounds
-// come from the shared default ladder, so counts add bound-by-bound.
+// histAgg sums fault-service histograms across fleet members. Every
+// histogram uses obs.DefaultBuckets, so counts add bucket by bucket in the
+// ladder's order; the last slot is the overflow bucket.
 type histAgg struct {
-	counts   map[time.Duration]uint64
-	overflow uint64
-	total    uint64
-}
-
-func newHistAgg() *histAgg {
-	return &histAgg{counts: make(map[time.Duration]uint64)}
+	counts [len(obs.DefaultBuckets) + 1]uint64
+	total  uint64
 }
 
 func (a *histAgg) add(h obs.HistogramSnapshot) {
 	a.total += h.Count
 	for _, b := range h.Buckets {
-		if b.Le < 0 {
-			a.overflow += b.Count
-		} else {
-			a.counts[b.Le] += b.Count
+		i := len(obs.DefaultBuckets)
+		if b.Le >= 0 {
+			i, _ = slices.BinarySearch(obs.DefaultBuckets[:], b.Le)
 		}
+		a.counts[i] += b.Count
 	}
 }
 
@@ -266,14 +262,9 @@ func (a *histAgg) quantile(q float64) time.Duration {
 	if need == 0 {
 		need = 1
 	}
-	bounds := make([]time.Duration, 0, len(a.counts))
-	for le := range a.counts {
-		bounds = append(bounds, le)
-	}
-	slices.Sort(bounds)
 	var cum uint64
-	for _, le := range bounds {
-		cum += a.counts[le]
+	for i, le := range obs.DefaultBuckets {
+		cum += a.counts[i]
 		if cum >= need {
 			return le
 		}

@@ -64,6 +64,14 @@ func builtinCall(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
+// deref unwraps one level of pointer.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
 // isString reports whether t is a string type.
 func isString(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)

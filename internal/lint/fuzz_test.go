@@ -26,7 +26,7 @@ import (
 func FuzzIgnoreDirective(f *testing.F) {
 	seeds := []string{
 		" walltime -- host-time progress report",
-		" walltime,maprange,errdrop -- several analyzers at once",
+		" walltime,maprange,kernelproto -- several analyzers at once",
 		" walltime --",
 		" -- reason with no analyzer",
 		" kernelproto - - broken separator",

@@ -118,11 +118,9 @@ func (ds *directives) suppress(d Diagnostic) bool {
 }
 
 // hygiene reports directive problems: missing reason, unknown analyzer,
-// and — when the full suite ran — directives that no longer suppress
-// anything (stale ignores must be deleted, exactly as staticcheck treats
-// them). The unused check is skipped for filtered -only runs, where a
-// directive for an unselected analyzer is legitimately idle.
-func (ds *directives) hygiene(reportUnused bool) []Diagnostic {
+// and directives that no longer suppress anything (stale ignores must be
+// deleted, exactly as staticcheck treats them).
+func (ds *directives) hygiene() []Diagnostic {
 	var out []Diagnostic
 	emit := func(dir *directive, format string, args ...any) {
 		out = append(out, diagAt(hygieneName, dir.pos, format, args...))
@@ -133,7 +131,7 @@ func (ds *directives) hygiene(reportUnused bool) []Diagnostic {
 			emit(dir, "ignore directive missing '-- reason': every suppression must say why")
 		case len(dir.badNames) > 0:
 			emit(dir, "ignore directive names unknown analyzer %q", strings.Join(dir.badNames, ","))
-		case !dir.used && reportUnused:
+		case !dir.used:
 			emit(dir, "ignore directive for %q suppresses nothing; delete it", strings.Join(dir.analyzers, ","))
 		}
 	}

@@ -10,7 +10,11 @@
 //     unseeded rand call or one map iteration feeding an output stream
 //     silently breaks the guarantee.
 //
-// cclint turns those tribal rules into CI-enforced law. The framework is
+// Both are also checked at run time: every experiment's output is compared
+// byte for byte with a golden. cclint keeps the rules whose breaches no
+// test is sure to see: host state read anywhere (walltime), map order
+// feeding ordered output (maprange), and scheduler-visible primitives
+// outside internal/runner (kernelproto). The framework is
 // deliberately stdlib-only: the build environment has no network, so
 // golang.org/x/tools is off the table. The engine loads the whole module
 // at once and type-checks it with go/types (one shared types.Info across
@@ -67,16 +71,13 @@ type Analyzer interface {
 	Check(pkg *Package) []Diagnostic
 }
 
-// All returns the full cclint analyzer suite, in stable order: the three
-// determinism analyzers on the nondeterminism source table and typed
-// map-ness, the per-function errdrop, then the package rule:
-// scheduler-visible primitives outside internal/runner (kernelproto).
+// All returns the full cclint analyzer suite, in stable order: the ban on
+// host state, typed map order, then the package rule: scheduler-visible
+// primitives outside internal/runner (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
-		GlobalRand{},
 		MapRange{},
-		ErrDrop{},
 		KernelProto{},
 	}
 }
@@ -98,56 +99,28 @@ func diagAt(name string, pos token.Position, format string, args ...any) Diagnos
 	}
 }
 
-// Run applies every analyzer to every selected package, filters the
+// Run applies the whole suite (All) to every selected package, filters the
 // findings through the //cclint:ignore directives, appends
 // directive-hygiene findings (missing reason, unknown analyzer, unused
 // directive), and returns the surviving diagnostics sorted by position.
-func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	return run(pkgs, analyzers, analyzers, true)
-}
-
-// RunOnly runs only the named analyzers from the suite — the -only
-// iteration loop. Directive hygiene still validates names against the
-// whole suite (so -only does not misreport known analyzers as unknown),
-// and the unused-directive check is skipped entirely: a directive for an
-// analyzer outside the selection legitimately suppresses nothing in a
-// filtered run. An unknown name in names is an error.
-func RunOnly(pkgs []*Package, suite []Analyzer, names []string) ([]Diagnostic, error) {
-	byName := make(map[string]Analyzer, len(suite))
-	for _, a := range suite {
-		byName[a.Name()] = a
-	}
-	var selected []Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (run -list for the suite)", n)
-		}
-		selected = append(selected, a)
-	}
-	return run(pkgs, suite, selected, false), nil
-}
-
-// run is the shared engine behind Run and RunOnly: known names come from
-// the full suite, checks from the selection, and unused-directive
-// hygiene only applies when the whole suite ran.
-func run(pkgs []*Package, suite, selected []Analyzer, fullSuite bool) []Diagnostic {
-	known := make(map[string]bool, len(suite))
-	for _, a := range suite {
+func Run(pkgs []*Package) []Diagnostic {
+	analyzers := All()
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
 		known[a.Name()] = true
 	}
 
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		dirs := collectIgnores(pkg, known)
-		for _, a := range selected {
+		for _, a := range analyzers {
 			for _, d := range a.Check(pkg) {
 				if !dirs.suppress(d) {
 					out = append(out, d)
 				}
 			}
 		}
-		out = append(out, dirs.hygiene(fullSuite)...)
+		out = append(out, dirs.hygiene()...)
 	}
 	slices.SortStableFunc(out, func(a, b Diagnostic) int {
 		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),

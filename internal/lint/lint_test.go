@@ -11,7 +11,7 @@ import (
 
 // The golden tests are a hand-rolled, stdlib-only analysistest: the whole
 // of testdata/src is mounted once as a pretend module named "compcache"
-// (so fixture packages get import paths like "compcache/errdrop/internal/vm"
+// (so fixture packages get import paths like "compcache/kernelproto/internal/sim"
 // and can import each other), each fixture subtree is selected, the full analyzer suite (plus
 // ignore-directive processing) runs over it, and every diagnostic must
 // match a trailing
@@ -100,7 +100,7 @@ func runGolden(t *testing.T, dir string) {
 		}
 	}
 
-	diags := Run(pkgs, All())
+	diags := Run(pkgs)
 	for _, d := range diags {
 		found := false
 		for _, w := range wants[d.File][d.Line] {
@@ -130,47 +130,7 @@ func TestGlobalRandGolden(t *testing.T)  { runGolden(t, "testdata/src/globalrand
 func TestMapRangeGolden(t *testing.T)    { runGolden(t, "testdata/src/maprange") }
 func TestIgnoreGolden(t *testing.T)      { runGolden(t, "testdata/src/ignore") }
 func TestMachineFixture(t *testing.T)    { runGolden(t, "testdata/src/internal/machine") }
-func TestErrDropGolden(t *testing.T)     { runGolden(t, "testdata/src/errdrop") }
 func TestKernelProtoGolden(t *testing.T) { runGolden(t, "testdata/src/kernelproto") }
-
-// TestRunOnlyFilters pins the -only semantics: only selected analyzers
-// fire, ignore directives naming unselected analyzers stay valid (no
-// stale-directive noise in a filtered run), and an unknown name errors
-// instead of silently checking nothing.
-func TestRunOnlyFilters(t *testing.T) {
-	pkgs := selectFixture(t, "testdata/src/ignore")
-
-	diags, err := RunOnly(pkgs, All(), []string{"maprange"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if d.Analyzer == "walltime" {
-			t.Errorf("filtered run reported unselected analyzer: %v", d)
-		}
-		if strings.Contains(d.Message, "suppresses nothing") {
-			t.Errorf("filtered run reported a stale directive it cannot judge: %v", d)
-		}
-	}
-
-	diags, err = RunOnly(pkgs, All(), []string{"walltime"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits int
-	for _, d := range diags {
-		if d.Analyzer == "walltime" {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Error("RunOnly(walltime) found nothing in the ignore fixture")
-	}
-
-	if _, err := RunOnly(pkgs, All(), []string{"wibble"}); err == nil {
-		t.Error("RunOnly with an unknown analyzer name must error")
-	}
-}
 
 // TestMachineFixtureScope pins the two properties the acceptance criteria
 // name: the fixture directory resolves to an import path ending in
@@ -186,7 +146,7 @@ func TestMachineFixtureScope(t *testing.T) {
 	if !strings.HasSuffix(pkg.Path, "internal/machine") {
 		t.Fatalf("fixture import path %q does not end in internal/machine", pkg.Path)
 	}
-	diags := Run(pkgs, All())
+	diags := Run(pkgs)
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no findings; cclint would exit 0 on it")
 	}
@@ -270,8 +230,8 @@ func TestLoadTreeRefusesWhatGoBuildRefuses(t *testing.T) {
 // TestRunOutputSorted: diagnostics come back ordered by position so
 // cclint's own output is deterministic.
 func TestRunOutputSorted(t *testing.T) {
-	pkgs := append(selectFixture(t, "testdata/src/walltime"), selectFixture(t, "testdata/src/errdrop")...)
-	diags := Run(pkgs, All())
+	pkgs := append(selectFixture(t, "testdata/src/walltime"), selectFixture(t, "testdata/src/maprange")...)
+	diags := Run(pkgs)
 	if len(diags) < 2 {
 		t.Fatalf("want several diagnostics to order, got %d", len(diags))
 	}
@@ -283,21 +243,19 @@ func TestRunOutputSorted(t *testing.T) {
 	}
 }
 
-// TestRealTreeClean: the real tree has zero unignored findings under the
-// full suite. (The full suite must run so ignore directives for every
-// analyzer resolve; a partial suite would misread them as unknown.)
+// TestRealTreeClean: the real tree has zero unignored findings.
 func TestRealTreeClean(t *testing.T) {
 	mod, err := LoadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(mod.Pkgs, All()) {
+	for _, d := range Run(mod.Pkgs) {
 		t.Errorf("unexpected finding on the real tree: %v", d)
 	}
 }
 
 // BenchmarkLintModule measures full-module cclint wall time: load,
-// type-check and all five analyzers — the pass the CI wall-time
+// type-check and the whole suite — the pass the CI wall-time
 // budget gate times against .cclint-lint-budget.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -309,7 +267,7 @@ func BenchmarkLintModule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if diags := Run(pkgs, All()); len(diags) > 0 {
+		if diags := Run(pkgs); len(diags) > 0 {
 			b.Fatalf("tree not clean under benchmark: %d findings", len(diags))
 		}
 	}

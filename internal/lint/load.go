@@ -89,7 +89,7 @@ func LoadModule(dir string) (*Module, error) {
 // LoadTree loads the directory tree rooted at root as if it were a module
 // named modulePath. The golden tests use it to mount
 // internal/lint/testdata/src as a pretend module, so fixture packages get
-// import paths like "compcache/errdrop/internal/vm" and can import each
+// import paths like "compcache/kernelproto/internal/sim" and can import each
 // other, while real loads (LoadModule) can never reach them.
 //
 // The load is strict: a tree that does not type-check, or an import the

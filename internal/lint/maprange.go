@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // MapRange flags `range` over a map whose body produces ordered output:
@@ -166,4 +168,48 @@ func orderedOutputCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return fn.Name(), true
 	}
 	return "", false
+}
+
+// sortFuncs are the standard-library functions that sort their argument
+// in place, by package path. Everything else spelled sort.X or slices.X
+// (Search, Contains, Reverse, Clone ...) leaves map order as it found it.
+var sortFuncs = map[string][]string{
+	"sort":   {"Sort", "Stable", "Slice", "SliceStable", "Strings", "Ints", "Float64s"},
+	"slices": {"Sort", "SortFunc", "SortStableFunc"},
+}
+
+// sanitizerCall reports whether a call sorts its arguments: one of
+// sortFuncs, resolved through the type checker whatever the file calls
+// the package, or a package-local helper whose name starts with "sort"
+// (sortPageKeys(keys)).
+func sanitizerCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := funcValueOf(info, call.Fun)
+	if fn == nil {
+		return false
+	}
+	if names, ok := sortFuncs[pkgPath(fn)]; ok {
+		return slices.Contains(names, fn.Name())
+	}
+	_, unqualified := ast.Unparen(call.Fun).(*ast.Ident)
+	return unqualified && strings.HasPrefix(fn.Name(), "sort")
+}
+
+// sortedObjects returns every variable a function body hands to a
+// sanitizer anywhere — the collect-then-sort idiom. maprange lets an
+// append into such a variable pass.
+func sortedObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	sorted := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && sanitizerCall(info, call) {
+			for _, arg := range call.Args {
+				if id := rootIdent(arg); id != nil {
+					if obj := objectOf(info, id); obj != nil {
+						sorted[obj] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return sorted
 }

@@ -67,7 +67,7 @@ func lintTree(t *testing.T, root string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("LoadTree(%s): %v", root, err)
 	}
-	return Run(mod.Pkgs, All())
+	return Run(mod.Pkgs)
 }
 
 // diagKeys folds diagnostics to analyzer+message multisets; mutations
@@ -172,20 +172,11 @@ func TestMapRangeMutationDeletedSort(t *testing.T) {
 
 // TestGlobalRandMutationDroppedSeed: delete the seeded local that shadows
 // the package name and the very same spelling, rand.Intn(4), becomes the
-// process-global source.
+// process-global source, which is host state like the clock.
 func TestGlobalRandMutationDroppedSeed(t *testing.T) {
 	mutateFixture(t, "globalrand/globalrand.go",
 		"\trand := rand.New(rand.NewSource(seed))\n", "",
-		"globalrand: rand.Intn uses the process-global source; thread a seeded *rand.Rand instead")
-}
-
-// TestErrDropMutationDroppedCheck: delete the `if err != nil` between two
-// assignments to err and the first failure is lost to the second.
-func TestErrDropMutationDroppedCheck(t *testing.T) {
-	mutateFixture(t, "errdrop/internal/vm/vm.go",
-		"\terr := p.read(addr)\n\tif err != nil {\n\t\treturn err\n\t}\n\terr = p.write(addr)",
-		"\terr := p.read(addr)\n\terr = p.write(addr)",
-		"errdrop: error assigned to err is overwritten before anything reads it; the first failure is lost")
+		"walltime: rand.Intn uses the process-global source; thread a seeded *rand.Rand instead")
 }
 
 // TestFloatOrderMutationMovedIntoMapRange: the sorted-keys reduction run

@@ -962,55 +962,32 @@ func (s *Space) Pages() int32 { return s.seg.NPages }
 // The access methods below are forwards that inline into the workload, so a
 // resident hit costs one host call (vm's access or Touch). The VM keeps the
 // first error and refuses every later reference, so a forward has nothing to
-// do with an error: each tests it only because errdrop forbids dropping it
-// unread.
+// do with the error it returns; the harness reads it from Err.
 
 // Touch references one word on page n (reading or writing), the primitive
 // the thrasher workload uses.
-func (s *Space) Touch(page int32, write bool) {
-	if _, err := s.m.VM.Touch(s.seg, page, write); err != nil {
-		return
-	}
-}
+func (s *Space) Touch(page int32, write bool) { s.m.VM.Touch(s.seg, page, write) }
 
 // Pin faults page n in (if needed) and exempts it from eviction — the §3
 // advisory for applications that know LRU will behave poorly.
-func (s *Space) Pin(page int32) {
-	if _, err := s.m.VM.Pin(s.seg, page); err != nil {
-		return
-	}
-}
+func (s *Space) Pin(page int32) { s.m.VM.Pin(s.seg, page) }
 
 // Unpin makes page n evictable again.
 func (s *Space) Unpin(page int32) { s.m.VM.Unpin(s.seg, page) }
 
 // Read copies from the space into buf.
-func (s *Space) Read(off int64, buf []byte) {
-	if s.m.VM.Read(s.seg, off, buf) != nil {
-		return
-	}
-}
+func (s *Space) Read(off int64, buf []byte) { s.m.VM.Read(s.seg, off, buf) }
 
 // Write copies data into the space.
-func (s *Space) Write(off int64, data []byte) {
-	if s.m.VM.Write(s.seg, off, data) != nil {
-		return
-	}
-}
+func (s *Space) Write(off int64, data []byte) { s.m.VM.Write(s.seg, off, data) }
 
 // ReadWord reads the 8-byte word at off. After a fatal machine error it
 // returns 0 (the dead process observes nothing): a failed ReadWordInto
 // leaves w unwritten.
 func (s *Space) ReadWord(off int64) (w uint64) {
-	if s.m.VM.ReadWordInto(s.seg, off, &w) != nil {
-		return
-	}
+	s.m.VM.ReadWordInto(s.seg, off, &w)
 	return
 }
 
 // WriteWord writes the 8-byte word at off.
-func (s *Space) WriteWord(off int64, val uint64) {
-	if s.m.VM.WriteWord(s.seg, off, val) != nil {
-		return
-	}
-}
+func (s *Space) WriteWord(off int64, val uint64) { s.m.VM.WriteWord(s.seg, off, val) }

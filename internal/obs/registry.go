@@ -58,7 +58,7 @@ func (g *Gauge) Value() int64 {
 // buckets keep
 // histograms byte-comparable across runs and machines — the determinism
 // contract extends to every exported artifact.
-var DefaultBuckets = []time.Duration{
+var DefaultBuckets = [...]time.Duration{
 	1 * time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond,
 	10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
 	100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
@@ -154,7 +154,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	h := &Histogram{
 		name:   name,
-		bounds: DefaultBuckets,
+		bounds: DefaultBuckets[:],
 		counts: make([]uint64, len(DefaultBuckets)+1),
 	}
 	r.hists[name] = h

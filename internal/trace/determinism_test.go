@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// TestGeneratorDeterminism is the regression test behind the globalrand
-// analyzer: every generator with a fixed seed must emit an identical
-// reference sequence from two fresh instances. Each generator owns a
-// private rand.Rand seeded from its Seed field, so nothing — not
-// goroutine interleaving, not another generator running first, not the
-// process-global source — can perturb the stream. If this test starts
+// TestGeneratorDeterminism is the run-time side of walltime's ban on the
+// process-global random source: every generator with a fixed seed must
+// emit an identical reference sequence from two fresh instances. Each
+// generator owns a private rand.Rand seeded from its Seed field, so
+// nothing — not goroutine interleaving, not another generator running
+// first, not the process-global source — can perturb the stream. If this test starts
 // failing, some rand call slipped outside the seeded-source pattern (and
-// cclint's globalrand analyzer should have caught it first).
+// cclint's walltime analyzer should have caught it first).
 func TestGeneratorDeterminism(t *testing.T) {
 	fresh := map[string]func() Generator{
 		"uniform": func() Generator {
