@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"math"
 	"slices"
 	"strings"
 )
@@ -22,6 +23,10 @@ import (
 //	keys := make([]K, 0, len(m))
 //	for k := range m { keys = append(keys, k) }   // ok: keys sorted below
 //	sort.Strings(keys)
+//
+// A sort excuses the appends of one map range only: it must follow that
+// range statement and come before the next map range that appends to the
+// same variable, so a slice reused for several maps needs a sort after each.
 //
 // and order-independent work (counting, integer sums, writing into another
 // map, deleting entries, a float sum local to the body) is never flagged.
@@ -46,16 +51,16 @@ func (m MapRange) Check(pkg *Package) []Diagnostic {
 	info := pkg.Mod.Info
 	var out []Diagnostic
 	for _, fn := range pkg.funcs {
-		var sorted map[types.Object]bool // fn's sorted variables, found at its first map range
+		var facts *sortFacts // fn's sorts and collecting loops, found at its first map range
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok || !isMap(info.TypeOf(rs.X)) {
 				return true
 			}
-			if sorted == nil {
-				sorted = sortedObjects(info, fn.Body)
+			if facts == nil {
+				facts = collectSortFacts(info, fn.Body)
 			}
-			out = append(out, m.checkLoop(pkg, rs, sorted)...)
+			out = append(out, m.checkLoop(pkg, rs, facts)...)
 			return true
 		})
 	}
@@ -63,27 +68,20 @@ func (m MapRange) Check(pkg *Package) []Diagnostic {
 }
 
 // checkLoop inspects one map-range body for order-dependent output.
-func (m MapRange) checkLoop(pkg *Package, rs *ast.RangeStmt, sorted map[types.Object]bool) []Diagnostic {
+func (m MapRange) checkLoop(pkg *Package, rs *ast.RangeStmt, facts *sortFacts) []Diagnostic {
 	info := pkg.Mod.Info
 	var out []Diagnostic
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// x = append(x, ...) — ordered unless x is sorted somewhere in
-			// the function (the collect-then-sort idiom).
-			for i, rhs := range n.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || builtinCall(info, call) != "append" {
-					continue
+			// x = append(x, ...) — ordered unless x is sorted after this
+			// loop (the collect-then-sort idiom).
+			forEachAppend(info, n, func(call *ast.CallExpr, dst types.Object) {
+				if !facts.sortedAfter(dst, rs) {
+					out = append(out, diag(pkg, m.Name(), call,
+						"append inside map iteration captures random map order; collect and sort keys first"))
 				}
-				if i < len(n.Lhs) {
-					if dst := rootIdent(n.Lhs[i]); dst != nil && sorted[objectOf(info, dst)] {
-						continue
-					}
-				}
-				out = append(out, diag(pkg, m.Name(), call,
-					"append inside map iteration captures random map order; collect and sort keys first"))
-			}
+			})
 			// s += expr on a string builds it in iteration order (numeric +=
 			// is commutative and therefore order-independent).
 			if n.Tok == token.ADD_ASSIGN && isString(info.TypeOf(n.Lhs[0])) {
@@ -194,22 +192,83 @@ func sanitizerCall(info *types.Info, call *ast.CallExpr) bool {
 	return unqualified && strings.HasPrefix(fn.Name(), "sort")
 }
 
-// sortedObjects returns every variable a function body hands to a
-// sanitizer anywhere — the collect-then-sort idiom. maprange lets an
-// append into such a variable pass.
-func sortedObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	sorted := make(map[types.Object]bool)
+// sortFacts is what maprange needs to know about one function body's
+// collect-then-sort idiom: where each variable is handed to a sanitizer, and
+// where each map range that appends to it starts (once per append), both in
+// source order.
+type sortFacts struct {
+	sorts, collects map[types.Object][]token.Pos
+}
+
+// collectSortFacts records body's sanitizer calls and collecting map ranges.
+func collectSortFacts(info *types.Info, body *ast.BlockStmt) *sortFacts {
+	f := &sortFacts{sorts: map[types.Object][]token.Pos{}, collects: map[types.Object][]token.Pos{}}
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && sanitizerCall(info, call) {
-			for _, arg := range call.Args {
-				if id := rootIdent(arg); id != nil {
-					if obj := objectOf(info, id); obj != nil {
-						sorted[obj] = true
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sanitizerCall(info, n) {
+				for _, arg := range n.Args {
+					if id := rootIdent(arg); id != nil {
+						if obj := objectOf(info, id); obj != nil {
+							f.sorts[obj] = append(f.sorts[obj], n.Pos())
+						}
 					}
 				}
 			}
+		case *ast.RangeStmt:
+			if !isMap(info.TypeOf(n.X)) {
+				break
+			}
+			ast.Inspect(n.Body, func(m ast.Node) bool {
+				if as, ok := m.(*ast.AssignStmt); ok {
+					forEachAppend(info, as, func(_ *ast.CallExpr, dst types.Object) {
+						if dst != nil {
+							f.collects[dst] = append(f.collects[dst], n.Pos())
+						}
+					})
+				}
+				return true
+			})
 		}
 		return true
 	})
-	return sorted
+	return f
+}
+
+// forEachAppend calls fn for each append call as assigns, with the root
+// variable of its destination (nil when there is none).
+func forEachAppend(info *types.Info, as *ast.AssignStmt, fn func(call *ast.CallExpr, dst types.Object)) {
+	for i, rhs := range as.Rhs {
+		call, ok := rhs.(*ast.CallExpr)
+		if !ok || builtinCall(info, call) != "append" {
+			continue
+		}
+		var dst types.Object
+		if i < len(as.Lhs) {
+			if id := rootIdent(as.Lhs[i]); id != nil {
+				dst = objectOf(info, id)
+			}
+		}
+		fn(call, dst)
+	}
+}
+
+// sortedAfter reports whether obj is handed to a sanitizer after the map
+// range rs and before the next map range that appends to obj again.
+func (f *sortFacts) sortedAfter(obj types.Object, rs *ast.RangeStmt) bool {
+	if obj == nil {
+		return false
+	}
+	next := token.Pos(math.MaxInt)
+	for _, p := range f.collects[obj] {
+		if p >= rs.End() && p < next {
+			next = p
+		}
+	}
+	for _, p := range f.sorts[obj] {
+		if p > rs.End() && p < next {
+			return true
+		}
+	}
+	return false
 }

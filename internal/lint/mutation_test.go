@@ -170,6 +170,15 @@ func TestMapRangeMutationDeletedSort(t *testing.T) {
 		"maprange: append inside map iteration captures random map order; collect and sort keys first")
 }
 
+// TestMapRangeMutationReusedSliceMiddleSort: a slice reused for three maps
+// loses the sort after its middle loop; the sorts after the other two loops
+// do not excuse it (the obs.Registry.Snapshot shape).
+func TestMapRangeMutationReusedSliceMiddleSort(t *testing.T) {
+	mutateFixture(t, "maprange/maprange.go",
+		"\tsort.Strings(names)\n\ty = slices.Clone(names)", "\ty = slices.Clone(names)",
+		"maprange: append inside map iteration captures random map order; collect and sort keys first")
+}
+
 // TestGlobalRandMutationDroppedSeed: delete the seeded local that shadows
 // the package name and the very same spelling, rand.Intn(4), becomes the
 // process-global source, which is host state like the clock.

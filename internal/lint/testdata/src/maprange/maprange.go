@@ -101,6 +101,60 @@ func goodHelperSort(m map[string]int) []string {
 	return keys
 }
 
+// goodReusedSlice collects three maps' keys through one slice, sorting
+// after each loop: the obs.Registry.Snapshot shape.
+func goodReusedSlice(a, b, c map[string]int) (x, y, z []string) {
+	names := make([]string, 0, len(a))
+	for k := range a {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	x = slices.Clone(names)
+	names = names[:0]
+	for k := range b {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	y = slices.Clone(names)
+	names = names[:0]
+	for k := range c {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return x, y, slices.Clone(names)
+}
+
+// badReusedSliceMiddleSort is goodReusedSlice without its middle sort: the
+// sorts after the other two loops excuse only their own loops.
+func badReusedSliceMiddleSort(a, b, c map[string]int) (x, y, z []string) {
+	names := make([]string, 0, len(a))
+	for k := range a {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	x = slices.Clone(names)
+	names = names[:0]
+	for k := range b {
+		names = append(names, k) // want `append inside map iteration`
+	}
+	y = slices.Clone(names)
+	names = names[:0]
+	for k := range c {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return x, y, slices.Clone(names)
+}
+
+// badSortBefore sorts the slice before the loop that fills it.
+func badSortBefore(m map[string]int, keys []string) []string {
+	sort.Strings(keys)
+	for k := range m {
+		keys = append(keys, k) // want `append inside map iteration`
+	}
+	return keys
+}
+
 // goodCount does commutative accumulation; order cannot matter.
 func goodCount(m map[string]int) int {
 	total := 0

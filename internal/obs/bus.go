@@ -39,9 +39,9 @@ func NewBus(opts Options) *Bus {
 // no argument construction.
 func (b *Bus) Enabled(c Class) bool { return b != nil && b.mask&c != 0 }
 
-// Emit records an event if its class is enabled. The per-class event counter
-// in the registry advances with every recorded event, so summary counts
-// survive ring wrap.
+// Emit records an event in the ring if its class is enabled. A full ring
+// overwrites its oldest event and counts it in Dropped; Emit touches nothing
+// else, so a count over Events covers only the retained events.
 func (b *Bus) Emit(e Event) {
 	if b == nil || b.mask&e.Class == 0 {
 		return

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -222,22 +224,43 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestSnapshotSorted registers 64 counters, gauges and histograms each in
+// reverse name order: a Snapshot that skipped sorting any of the three lists
+// would keep map order, and 64 keys never iterate sorted by chance.
 func TestSnapshotSorted(t *testing.T) {
+	const n = 64
 	var r Registry
-	r.Counter("zeta").Inc()
-	r.Counter("alpha").Add(2)
-	r.Gauge("mid").Set(1)
-	r.Gauge("aaa").Set(2)
+	for i := n - 1; i >= 0; i-- {
+		name := fmt.Sprintf("m%02d", i)
+		r.Counter(name).Add(uint64(i))
+		r.Gauge(name).Set(int64(i))
+		r.Histogram(name).Observe(time.Duration(i))
+	}
 	s := r.Snapshot()
-	if s.Counters[0].Name != "alpha" || s.Counters[1].Name != "zeta" {
-		t.Fatalf("counters not sorted: %v", s.Counters)
+	for _, list := range []struct {
+		kind  string
+		names []string
+	}{
+		{"counters", names(s.Counters, func(c CounterSnapshot) string { return c.Name })},
+		{"gauges", names(s.Gauges, func(g GaugeSnapshot) string { return g.Name })},
+		{"histograms", names(s.Histograms, func(h HistogramSnapshot) string { return h.Name })},
+	} {
+		if len(list.names) != n || !slices.IsSorted(list.names) {
+			t.Errorf("%s not sorted: %v", list.kind, list.names)
+		}
 	}
-	if s.Gauges[0].Name != "aaa" || s.Gauges[1].Name != "mid" {
-		t.Fatalf("gauges not sorted: %v", s.Gauges)
-	}
-	if s.Counter("alpha") != 2 || s.Counter("missing") != 0 {
+	if s.Counter("m07") != 7 || s.Counter("missing") != 0 {
 		t.Fatal("snapshot counter lookup")
 	}
+}
+
+// names lists the names of a snapshot's entries in order.
+func names[T any](entries []T, name func(T) string) []string {
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = name(e)
+	}
+	return out
 }
 
 func TestClassString(t *testing.T) {

@@ -3,6 +3,7 @@ package swap
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"compcache/internal/fault"
 	"compcache/internal/fs"
@@ -132,14 +133,15 @@ type Clustered struct {
 	commitEnc *snap.Codec
 
 	// A compaction pass's scratch, grown once and reused the same way: the
-	// live-page table and the arena its page data is carved from, the
-	// relocating pass's cover map and padding list, and the rewrite batch.
-	// A pass is never reentered (inGC) and nothing outlives it.
+	// live-page table, the relocating pass's cover map and padding list, and
+	// the rewrite batch and the staging buffer its pages are copied into.
+	// A pass is never reentered (inGC), and no contents outlive it: the
+	// staging buffer keeps its capacity, about a cluster of page data.
 	gcPages   []gcPage
-	gcArena   []byte
 	gcCovered []bool
 	gcPad     []int32
 	gcBatch   []Item
+	gcStage   []byte
 }
 
 // clusteredState is the store's replay state: everything a snapshot carries.
@@ -256,52 +258,9 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 	if err := c.maybeGC(); err != nil {
 		return err
 	}
-	// Lay the items out relative to the cluster start, as the entries of its
-	// commit record. The cluster start is always block-aligned in
-	// whole-block mode, so relative block boundaries coincide with absolute
-	// ones.
-	blockFrags := int32(c.fragsPerB)
-	entries := c.placeBuf[:0]
-	var cursor, liveFrags int32
-	for _, it := range items {
-		if !it.Compressed && len(it.Data) != c.cfg.PageSize {
-			// Invariant: the compression cache pads or rejects short data;
-			// an odd-sized raw item is a programming error, not a fault.
-			panic(fmt.Sprintf("swap: raw item for %v is %d bytes, want %d", it.Key, len(it.Data), c.cfg.PageSize))
-		}
-		nf := c.fragsFor(len(it.Data))
-		if !c.cfg.SpanBlocks {
-			if within := cursor % blockFrags; within != 0 && within+nf > blockFrags {
-				cursor += blockFrags - within // pad to the next block
-			}
-		}
-		e := extent{start: cursor, nfrags: nf, length: int32(len(it.Data)), compressed: it.Compressed, sum: it.Sum}
-		entries = append(entries, commitEntry{key: it.Key, extent: e})
-		cursor += nf
-		liveFrags += nf
-	}
-	c.placeBuf = entries
-	// In the recoverable format the cluster carries a trailing commit
-	// record; its fragments are cluster padding (never entered in byStart,
-	// so reads skip them) and travel in the same device transfer as the
-	// data, committing — or tearing — with it.
-	recRel := cursor
-	var recFrags int32
-	if c.cfg.CommitRecords {
-		recFrags = c.fragsFor(commitBytes(len(items)))
-	}
-	total := cursor + recFrags
-	wholeBlocks := !c.fsys.AllowPartialIO()
-	if wholeBlocks {
-		if rem := total % blockFrags; rem != 0 {
-			total += blockFrags - rem
-		}
-	}
-
-	start := c.alloc(total, wholeBlocks)
-	for i := range entries {
-		entries[i].start += start
-	}
+	l := c.layout(items)
+	entries, start, total := c.placeBuf, l.start, l.total
+	c.claim(start, total)
 
 	// Serialize the cluster and issue the device write before touching the
 	// page map, so a failed write leaves the old copies authoritative. The
@@ -312,7 +271,7 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 	// around it to zero, and is written from the caller's buffer.
 	n := int(total) * c.cfg.FragSize
 	buf := items[0].Data
-	if len(items) > 1 || recFrags > 0 || len(buf) != n {
+	if len(items) > 1 || l.recFrags > 0 || len(buf) != n {
 		if cap(c.writeBuf) < n {
 			c.writeBuf = make([]byte, n)
 		}
@@ -325,7 +284,7 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 		}
 		clear(buf[end:])
 		if c.cfg.CommitRecords {
-			c.encodeCommit(buf[int(recRel)*c.cfg.FragSize:], recFrags)
+			c.encodeCommit(buf[int(l.recRel)*c.cfg.FragSize:], l.recFrags)
 		}
 	}
 	off := int64(start) * int64(c.cfg.FragSize)
@@ -362,8 +321,8 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 		c.extents.Set(e.key, e.extent)
 		c.byStart[e.start] = e.key
 	}
-	c.liveFr += int(liveFrags)
-	c.padFr += int(total - liveFrags)
+	c.liveFr += int(l.liveFrags)
+	c.padFr += int(total - l.liveFrags)
 	if c.cfg.CommitRecords {
 		c.seq++
 	}
@@ -379,35 +338,92 @@ func (c *Clustered) WriteCluster(items []Item, async bool) error {
 	return nil
 }
 
-// alloc finds (first-fit) or creates a run of n free fragments, block-aligned
-// when blockAligned is set, marks the run, and returns its start.
-func (c *Clustered) alloc(n int32, blockAligned bool) int32 {
-	step := 1
-	if blockAligned {
-		step = c.fragsPerB
-	}
-	for startAt := c.hint - c.hint%step; ; startAt += step {
-		for int(n) > len(c.marked)-startAt {
-			c.marked = append(c.marked, false)
-			c.byStart = append(c.byStart, PageKey{})
+// clusterLayout is where one clustered write goes: its run of fragments
+// [start, start+total), the fragments its items cover, and its commit
+// record's position relative to start.
+type clusterLayout struct {
+	start, total     int32
+	liveFrags        int32
+	recRel, recFrags int32
+}
+
+// layout places items as one cluster without allocating it: it fills
+// placeBuf with their commit entries at absolute fragment positions and
+// returns the run the allocator's first fit picks. WriteCluster claims
+// exactly that run; the dense compaction pass asks it how far its next write
+// reaches.
+func (c *Clustered) layout(items []Item) clusterLayout {
+	// Lay the items out relative to the cluster start, as the entries of its
+	// commit record. The cluster start is always block-aligned in
+	// whole-block mode, so relative block boundaries coincide with absolute
+	// ones.
+	blockFrags := int32(c.fragsPerB)
+	entries := c.placeBuf[:0]
+	var cursor, liveFrags int32
+	for _, it := range items {
+		if !it.Compressed && len(it.Data) != c.cfg.PageSize {
+			// Invariant: the compression cache pads or rejects short data;
+			// an odd-sized raw item is a programming error, not a fault.
+			panic(fmt.Sprintf("swap: raw item for %v is %d bytes, want %d", it.Key, len(it.Data), c.cfg.PageSize))
 		}
-		run := true
-		for i := 0; i < int(n); i++ {
-			if c.marked[startAt+i] {
-				run = false
-				break
+		nf := c.fragsFor(len(it.Data))
+		if !c.cfg.SpanBlocks {
+			if within := cursor % blockFrags; within != 0 && within+nf > blockFrags {
+				cursor += blockFrags - within // pad to the next block
 			}
 		}
-		if !run {
-			continue
+		e := extent{start: cursor, nfrags: nf, length: int32(len(it.Data)), compressed: it.Compressed, sum: it.Sum}
+		entries = append(entries, commitEntry{key: it.Key, extent: e})
+		cursor += nf
+		liveFrags += nf
+	}
+	c.placeBuf = entries
+	// In the recoverable format the cluster carries a trailing commit
+	// record; its fragments are cluster padding (never entered in byStart,
+	// so reads skip them) and travel in the same device transfer as the
+	// data, committing — or tearing — with it.
+	l := clusterLayout{liveFrags: liveFrags, recRel: cursor}
+	if c.cfg.CommitRecords {
+		l.recFrags = c.fragsFor(commitBytes(len(items)))
+	}
+	l.total = cursor + l.recFrags
+	step := 1
+	if !c.fsys.AllowPartialIO() {
+		// Whole-block I/O: the cluster fills and starts on whole blocks.
+		if rem := l.total % blockFrags; rem != 0 {
+			l.total += blockFrags - rem
 		}
-		for i := 0; i < int(n); i++ {
-			c.marked[startAt+i] = true
-		}
-		if startAt == c.hint {
-			c.hint = startAt + int(n)
-		}
-		return int32(startAt)
+		step = c.fragsPerB
+	}
+	l.start = c.firstFit(l.total, step)
+	for i := range entries {
+		entries[i].start += l.start
+	}
+	return l
+}
+
+// firstFit finds the first run of n free fragments at or after the hint,
+// starting at a multiple of step; fragments past the bitmap's end are free.
+// It marks nothing.
+func (c *Clustered) firstFit(n int32, step int) int32 {
+	start := c.hint - c.hint%step
+	for start < len(c.marked) && slices.Contains(c.marked[start:min(start+int(n), len(c.marked))], true) {
+		start += step
+	}
+	return int32(start)
+}
+
+// claim marks the n-fragment run at start, growing the bitmap to hold it.
+func (c *Clustered) claim(start, n int32) {
+	for int(start+n) > len(c.marked) {
+		c.marked = append(c.marked, false)
+		c.byStart = append(c.byStart, PageKey{})
+	}
+	for i := start; i < start+n; i++ {
+		c.marked[i] = true
+	}
+	if int(start) == c.hint {
+		c.hint = int(start + n)
 	}
 }
 
@@ -528,11 +544,10 @@ func (c *Clustered) maybeGC() error {
 	return c.GC()
 }
 
-// gcPage is one live extent captured by the GC read sweep.
+// gcPage is one live extent found by the GC read sweep.
 type gcPage struct {
-	key  PageKey
-	e    extent
-	data []byte
+	key PageKey
+	e   extent
 }
 
 // GC compacts the swap file: every live extent is read (block-granular) and
@@ -587,37 +602,24 @@ func (c *Clustered) GC() error {
 	return nil
 }
 
-// sweepLive reads every live extent in one sequential sweep, block-granular
-// in whole-block mode, returning the pages sorted by media position. The
-// pages' data is carved from one arena sized before the first read, so each
-// extent keeps its own copy until the rewrite.
+// sweepLive charges the device for reading every live extent in one
+// sequential sweep, block-granular in whole-block mode, and returns the
+// pages sorted by media position. It copies nothing: writeBack takes each
+// page's bytes off the platter just before the write that carries it.
 func (c *Clustered) sweepLive() ([]gcPage, error) {
-	pages := c.gcPages[:0]
-	total := 0
+	pages := slices.Grow(c.gcPages[:0], c.extents.Len())
 	for f := int32(0); int(f) < len(c.byStart); f++ {
 		if key, e, ok := c.startsAt(f); ok {
 			pages = append(pages, gcPage{key: key, e: e})
-			_, n := c.sweepSpan(e)
-			total += n
 			f += e.nfrags - 1
 		}
 	}
 	c.gcPages = pages
-
-	if cap(c.gcArena) < total {
-		c.gcArena = make([]byte, total)
-	}
-	arena := c.gcArena[:total]
-	for i := range pages {
-		e := pages[i].e
-		off, n := c.sweepSpan(e)
-		buf := arena[:n:n]
-		arena = arena[n:]
-		if err := c.file.RawRead(buf, off, n); err != nil {
+	for _, p := range pages {
+		off, n := c.sweepSpan(p.e)
+		if err := c.file.RawReadStaged(off, n); err != nil {
 			return nil, err
 		}
-		rel := int64(e.start)*int64(c.cfg.FragSize) - off
-		pages[i].data = buf[rel : rel+int64(e.length)]
 		c.st.GCBytesCopied += uint64(n)
 	}
 	return pages, nil
@@ -646,7 +648,7 @@ func (c *Clustered) gcRewrite(pages []gcPage) error {
 	c.liveFr = 0
 	c.padFr = 0
 	c.hint = 0
-	return c.writeBack(pages)
+	return c.writeBack(pages, true)
 }
 
 // gcRelocate is the crash-safe compaction: live pages are rewritten through
@@ -677,7 +679,7 @@ func (c *Clustered) gcRelocate(pages []gcPage) error {
 	c.gcPad = pad
 
 	c.hint = 0 // steer the relocation toward the lowest holes
-	if err := c.writeBack(pages); err != nil {
+	if err := c.writeBack(pages, false); err != nil {
 		return err
 	}
 	for _, f := range pad {
@@ -688,23 +690,70 @@ func (c *Clustered) gcRelocate(pages []gcPage) error {
 	return nil
 }
 
-// writeBack rewrites the swept pages in cluster-sized batches.
-func (c *Clustered) writeBack(pages []gcPage) error {
-	batch := c.gcBatch[:0]
-	batchBytes := 0
-	for _, p := range pages {
-		batch = append(batch, Item{Key: p.key, Data: p.data, Compressed: p.e.compressed, Sum: p.e.sum})
-		batchBytes += int(p.e.nfrags) * c.cfg.FragSize
-		if batchBytes >= c.cfg.ClusterBytes {
-			if err := c.WriteCluster(batch, false); err != nil {
-				return err
-			}
-			batch = batch[:0]
-			batchBytes = 0
+// writeBack rewrites the swept pages in cluster-sized batches. Each page is
+// copied off the platter into the staging buffer just before the write that
+// carries it; the sweep has already paid for the read. The relocating pass
+// writes only into free fragments or those of pages it has rewritten, so
+// nothing else is at risk. The dense rewrite (dense) restarts at fragment
+// zero, and a write can cover the start of a page it has not reached yet:
+// before each write it first stages every remaining page whose extent
+// starts below the end of that write's layout.
+func (c *Clustered) writeBack(pages []gcPage, dense bool) error {
+	// A batch carries less than a cluster plus one page of data.
+	stage := slices.Grow(c.gcStage[:0], c.cfg.ClusterBytes+c.cfg.PageSize)
+	staged := 0 // pages[:staged] are written or staged, in order
+	for next := 0; next < len(pages); {
+		end, batchBytes := next, 0
+		for end < len(pages) && batchBytes < c.cfg.ClusterBytes {
+			batchBytes += int(pages[end].e.nfrags) * c.cfg.FragSize
+			end++
 		}
+		for ; staged < end; staged++ {
+			stage = c.stagePage(stage, pages[staged].e)
+		}
+		batch := c.bindBatch(pages[next:end], stage)
+		if dense {
+			l := c.layout(batch)
+			for ; staged < len(pages) && pages[staged].e.start < l.start+l.total; staged++ {
+				stage = c.stagePage(stage, pages[staged].e)
+			}
+			batch = c.bindBatch(pages[next:end], stage) // staging may have moved
+		}
+		if err := c.WriteCluster(batch, false); err != nil {
+			c.gcStage = stage
+			return err
+		}
+		written := 0
+		for _, it := range batch {
+			written += len(it.Data)
+		}
+		stage = stage[:copy(stage, stage[written:])] // keep the early copies
+		next = end
+	}
+	c.gcStage = stage
+	return nil
+}
+
+// stagePage appends the bytes of extent e, copied off the platter, to stage.
+func (c *Clustered) stagePage(stage []byte, e extent) []byte {
+	n := len(stage)
+	stage = slices.Grow(stage, int(e.length))[:n+int(e.length)]
+	c.file.ReadStaged(int64(e.start)*int64(c.cfg.FragSize), stage[n:])
+	return stage
+}
+
+// bindBatch returns the write batch for pages, whose bytes open stage in
+// order.
+func (c *Clustered) bindBatch(pages []gcPage, stage []byte) []Item {
+	batch := c.gcBatch[:0]
+	off := 0
+	for _, p := range pages {
+		n := off + int(p.e.length)
+		batch = append(batch, Item{Key: p.key, Data: stage[off:n:n], Compressed: p.e.compressed, Sum: p.e.sum})
+		off = n
 	}
 	c.gcBatch = batch
-	return c.WriteCluster(batch, false)
+	return batch
 }
 
 // CheckConsistency rebuilds the fragment accounting from the extent map and

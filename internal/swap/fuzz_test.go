@@ -361,6 +361,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		{"FuzzRecoverLFS", lfsSeeds, true},
 		{"FuzzRecoverClustered", clusteredSeeds, true},
 		{"FuzzPageTable", pageTableSeeds, false},
+		{"FuzzClusteredGC", gcSeeds, false},
 	} {
 		dir := filepath.Join("testdata", "fuzz", target.name)
 		if os.Getenv("WRITE_FUZZ_CORPUS") == "" {

@@ -261,8 +261,13 @@ func (g *Gold) Run(m *machine.Machine) error {
 	ix := &goldIndex{space: space, arena: arena}
 	ix.buckets = arena.AllocPageAligned(goldBuckets * 8)
 
+	// A dead machine reads every word as zero, so every lookup would miss
+	// and every insert allocate until the arena ran out: build and
+	// runQueries stop at the machine's error, checked once per message and
+	// once per query, and Run returns it. A failed EvictAll has lost a page
+	// without killing the machine, so Run returns that error at once.
 	build := func() {
-		for msg := 0; msg < g.Messages; msg++ {
+		for msg := 0; msg < g.Messages && m.Err() == nil; msg++ {
 			for i := 0; i < g.WordsPerMessage; i++ {
 				ix.addPosting(g, words[zipf.Uint64()], uint32(msg))
 			}
@@ -272,7 +277,7 @@ func (g *Gold) Run(m *machine.Machine) error {
 		qrng := rand.New(rand.NewSource(seed))
 		qzipf := rand.NewZipf(qrng, 1.1, 1, uint64(g.VocabWords-1))
 		nextDoc := uint32(g.Messages)
-		for q := 0; q < n; q++ {
+		for q := 0; q < n && m.Err() == nil; q++ {
 			w := words[qzipf.Uint64()]
 			ix.query(g, w)
 			if qrng.Float64() < updateFrac {
@@ -288,14 +293,19 @@ func (g *Gold) Run(m *machine.Machine) error {
 		build()
 	case GoldCold:
 		build()
-		m.EvictAll() // the engine "having just started": nothing resident
+		// The engine "having just started": nothing resident.
+		if err := m.EvictAll(); err != nil {
+			return err
+		}
 		m.MarkStart()
 		// The cold run both answers queries and absorbs new mail, so it
 		// "writes many pages as well as reading them".
 		runQueries(g.Queries, 0.3, g.Seed+7)
 	case GoldWarm:
 		build()
-		m.EvictAll()
+		if err := m.EvictAll(); err != nil {
+			return err
+		}
 		runQueries(g.Queries, 0.3, g.Seed+7) // untimed cold pass
 		m.MarkStart()
 		runQueries(g.Queries, g.UpdateFrac, g.Seed+8)
@@ -303,5 +313,5 @@ func (g *Gold) Run(m *machine.Machine) error {
 		return fmt.Errorf("gold: unknown phase %d", g.Phase)
 	}
 	m.Drain()
-	return nil
+	return m.Err()
 }

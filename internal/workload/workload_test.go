@@ -2,10 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"compcache/internal/fault"
 	"compcache/internal/machine"
 	"compcache/internal/trace"
 )
@@ -292,6 +294,22 @@ func TestGoldQueryFindsPostings(t *testing.T) {
 func TestGoldValidation(t *testing.T) {
 	if _, err := Measure(baseCfg(), &Gold{Messages: 0}); err == nil {
 		t.Fatal("Messages=0 accepted")
+	}
+}
+
+// TestGoldOnDeadMachineReturnsItsError: once the backing store fails, every
+// word the index reads is zero, so without a check each lookup misses and
+// each insert allocates until the index arena panics. Each phase stops at
+// the machine's error and returns it. The index outgrows memory while it is
+// built, so even the create phase writes to the failing store.
+func TestGoldOnDeadMachineReturnsItsError(t *testing.T) {
+	for _, phase := range []GoldPhase{GoldCreate, GoldCold, GoldWarm} {
+		w := &Gold{Messages: 6000, WordsPerMessage: 32, VocabWords: 3000, Phase: phase, Seed: 11}
+		_, err := Measure(baseCfg().WithFaults(fault.Config{Seed: 1, WriteErrorRate: 1}), w)
+		var ue *fault.UnrecoverableError
+		if !errors.As(err, &ue) {
+			t.Errorf("phase %v: got %v, want a *fault.UnrecoverableError", phase, err)
+		}
 	}
 }
 
