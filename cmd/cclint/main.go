@@ -16,11 +16,7 @@
 // is a load error.
 //
 // Every run applies the whole suite; a full-module pass takes about a third
-// of a second.
-//
-// Findings are suppressed one line at a time, with a mandatory reason:
-//
-//	start := time.Now() //cclint:ignore walltime -- host-time progress line
+// of a second. Nothing suppresses a finding: it is fixed in the code.
 //
 // See internal/lint for the analyzers and DESIGN.md ("Static analysis
 // engine") for the typed fact layer and why each rule exists.

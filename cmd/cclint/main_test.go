@@ -16,8 +16,8 @@ func cclint(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	return status, out.String(), errb.String()
 }
 
-// TestListNamesTheSuite pins the suite's names and order: ignore
-// directives and CI spell them.
+// TestListNamesTheSuite pins the suite's names and order: findings and CI
+// spell them.
 func TestListNamesTheSuite(t *testing.T) {
 	status, out, _ := cclint(t, "-list")
 	if status != 0 {
@@ -35,24 +35,13 @@ func TestListNamesTheSuite(t *testing.T) {
 	}
 }
 
-// retired are the names of analyzers the suite no longer has.
-var retired = []string{"nondet", "hotalloc", "bufown", "crosscredit", "obscoverage", "sharedwrite", "floatorder", "globalrand", "errdrop"}
-
-// scratchFiles is a four-package module: one clean, one reading the host
-// clock, one summing floats in map order, and one whose ignore directives
-// name retired analyzers.
+// scratchFiles is a three-package module: one clean, one reading the host
+// clock, and one summing floats in map order.
 var scratchFiles = map[string]string{
 	"go.mod":           "module scratch\n\ngo 1.22\n",
 	"clean/clean.go":   "package clean\n\nfunc Add(a, b int) int { return a + b }\n",
 	"dirty/dirty.go":   "package dirty\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
 	"floaty/floaty.go": "package floaty\n\nfunc Sum(m map[string]float64) (t float64) {\n\tfor _, v := range m {\n\t\tt += v\n\t}\n\treturn t\n}\n",
-	"retired/retired.go": func() string {
-		src := "package retired\n\nfunc One() int {\n"
-		for _, name := range retired {
-			src += "\t//cclint:ignore " + name + " -- a rule that is gone\n\t_ = 0\n"
-		}
-		return src + "\treturn 1\n}\n"
-	}(),
 }
 
 // scratchModule writes files into a new module directory and makes it the
@@ -102,20 +91,8 @@ func TestExitStatus(t *testing.T) {
 
 	// There is no advisory tier: a float sum in map order alone fails the run.
 	status, out, _ = cclint(t, "./floaty")
-	if status != 1 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "float accumulation inside map iteration") || !strings.Contains(out, "[maprange]") {
+	if status != 1 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "range over a map") || !strings.Contains(out, "[maprange]") {
 		t.Errorf("package with only a float sum in map order: exit %d, stdout %q; want 1 and that one maprange finding", status, out)
-	}
-
-	// A directive naming a retired analyzer names an unknown one: each is
-	// a finding of its own, so a stale suppression cannot outlive its rule.
-	status, out, _ = cclint(t, "./retired")
-	if status != 1 {
-		t.Errorf("package with directives naming retired analyzers: exit %d, want 1", status)
-	}
-	for _, name := range retired {
-		if !strings.Contains(out, `ignore directive names unknown analyzer "`+name+`"`) {
-			t.Errorf("directive naming %s not reported as unknown:\n%s", name, out)
-		}
 	}
 
 	// Scripts still passing a flag cclint no longer has must fail loudly.

@@ -16,7 +16,8 @@ package compress
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -116,11 +117,11 @@ func storedPrefix(dst, body []byte, at Prefix, upto int) ([]byte, Prefix) {
 }
 
 // regMu guards registry. It is the one lock outside internal/runner, and it
-// is real synchronisation: runner workers build
-// machines, and so call Lookup, concurrently, and start-up code (the bench
-// harness) may Register a codec of its own meanwhile. Which of them gets the
-// lock first changes no simulated result, and every line that takes it tells
-// kernelproto so.
+// is real synchronisation: runner workers build machines, and so call
+// Lookup, concurrently, and start-up code (the bench harness) may Register a
+// codec of its own meanwhile. Which of them gets the lock first changes no
+// simulated result; kernelproto's table of real locks names it for that
+// reason.
 var (
 	regMu    sync.RWMutex
 	registry = make(map[string]Codec)
@@ -129,8 +130,8 @@ var (
 // Register makes a codec available by name. It panics if the name is already
 // taken, matching the behaviour of database/sql-style registries.
 func Register(c Codec) {
-	regMu.Lock()         //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
-	defer regMu.Unlock() //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
+	regMu.Lock()
+	defer regMu.Unlock()
 	name := c.Name()
 	if _, dup := registry[name]; dup {
 		// Invariant: each codec name is registered once; a second codec
@@ -142,8 +143,8 @@ func Register(c Codec) {
 
 // Lookup returns the codec registered under name.
 func Lookup(name string) (Codec, error) {
-	regMu.RLock()         //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
-	defer regMu.RUnlock() //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
+	regMu.RLock()
+	defer regMu.RUnlock()
 	c, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("compress: unknown codec %q", name)
@@ -153,14 +154,9 @@ func Lookup(name string) (Codec, error) {
 
 // Names reports the registered codec names in sorted order.
 func Names() []string {
-	regMu.RLock()         //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
-	defer regMu.RUnlock() //cclint:ignore kernelproto -- registry lock shared with runner workers; it orders no simulated result (see regMu)
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return slices.Sorted(maps.Keys(registry))
 }
 
 func init() {

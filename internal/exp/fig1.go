@@ -3,6 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"compcache/internal/model"
 )
@@ -59,8 +61,8 @@ func (f *Fig1Result) Regions() map[string]float64 {
 		}
 	}
 	out := map[string]float64{}
-	for k, c := range counts {
-		out[k] = float64(c) / float64(total)
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
+		out[k] = float64(counts[k]) / float64(total)
 	}
 	return out
 }

@@ -318,7 +318,7 @@ func (f *File) WriteAt(p []byte, off int64) error {
 // blocks stay dirty and the error is returned.
 func (fs *FS) Sync() error {
 	var dirty []*cacheBlock
-	for _, cb := range fs.cache {
+	for cb := fs.lruHead; cb != nil; cb = cb.next {
 		if cb.dirty {
 			dirty = append(dirty, cb)
 		}
@@ -402,13 +402,17 @@ func (fs *FS) evict(cb *cacheBlock) error {
 	return err
 }
 
+// dropFileBlocks forgets f's cached blocks, releasing their frames in LRU
+// order: the pool's free list, and so every snapshot, records that order.
 func (fs *FS) dropFileBlocks(f *File) {
-	for key, cb := range fs.cache {
-		if key.file == f {
+	for cb := fs.lruHead; cb != nil; {
+		next := cb.next
+		if cb.key.file == f {
 			fs.lruRemove(cb)
-			delete(fs.cache, key)
+			delete(fs.cache, cb.key)
 			fs.pool.Release(cb.frame)
 		}
+		cb = next
 	}
 }
 

@@ -3,7 +3,8 @@ package fs
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Image is a deep copy of the file system's media: every file's metadata and
@@ -59,12 +60,7 @@ func (f *File) checkSize() error {
 // machine's image can outlive the machine.
 func (fs *FS) Image() *Image {
 	img := &Image{}
-	names := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(fs.files)) {
 		f := fs.files[name]
 		fi := FileImage{Name: f.name, ID: f.id, Base: f.base, Size: f.size}
 		for b, data := range f.platter {

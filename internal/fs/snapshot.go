@@ -21,7 +21,7 @@ func (fs *FS) Snap(c *snap.Codec) {
 	c.I32(&fs.nextID)
 	c.I64(&fs.nextBase)
 	old := fs.files
-	snap.Map(c, &fs.files, 1<<20, "files", cmp.Less[string], func(name *string, fp **File) {
+	snap.Map(c, &fs.files, 1<<20, "files", cmp.Compare[string], func(name *string, fp **File) {
 		c.String(name)
 		if c.Decoding() {
 			if *fp = old[*name]; *fp == nil {

@@ -99,3 +99,31 @@ func TestSnapshotRejectsBlockOutsideExtent(t *testing.T) {
 		t.Errorf("snapshot with a size inside the written block: err = %v", err)
 	}
 }
+
+// TestTruncateReleasesFramesInAFixedOrder: re-creating a cached file hands
+// its frames back to the pool in one order, so the pool's snapshot, which
+// records the free list, is the same in every fresh file system.
+func TestTruncateReleasesFramesInAFixedOrder(t *testing.T) {
+	var first []byte
+	for i := 0; i < 20; i++ {
+		f, _, _, pool := newTestFS(t, Options{})
+		if err := f.Create("data").WriteAt(make([]byte, 32*4096), 0); err != nil {
+			t.Fatal(err)
+		}
+		if f.CacheLen() != 32 {
+			t.Fatalf("cache holds %d blocks, want 32", f.CacheLen())
+		}
+		f.Create("data")
+		w := snap.NewWriter()
+		pool.Snap(snap.Encoder(w))
+		blob, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = blob
+		} else if !bytes.Equal(blob, first) {
+			t.Fatalf("file system %d's pool snapshot differs from the first's", i)
+		}
+	}
+}

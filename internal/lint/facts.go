@@ -6,19 +6,11 @@ import (
 	"strings"
 )
 
-// The typed fact helpers every analyzer and per-function scanner shares.
-// They answer from the module's one types.Info what spelling can only
-// guess: which object an identifier is, which function an expression
-// names, whether a value is a map. The module type-checked without error
-// (LoadTree refuses it otherwise), so every expression has a type.
-
-// objectOf resolves an identifier to the object it uses or defines.
-func objectOf(info *types.Info, id *ast.Ident) types.Object {
-	if u := info.Uses[id]; u != nil {
-		return u
-	}
-	return info.Defs[id]
-}
+// The typed fact helpers the analyzers share. They answer from the
+// module's one types.Info what spelling can only guess: which function an
+// expression names, which builtin a call invokes, whether a value is a map.
+// The module type-checked without error (LoadTree refuses it otherwise), so
+// every expression has a type.
 
 // funcValueOf resolves an expression naming a function — f, pkg.f under
 // whatever name the file imports pkg, a dot-imported f, or a method value
@@ -72,35 +64,8 @@ func deref(t types.Type) types.Type {
 	return t
 }
 
-// isString reports whether t is a string type.
-func isString(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 // isMap reports whether t is a map type.
 func isMap(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
-}
-
-// rootIdent returns the leftmost identifier of an expression chain
-// (x, x.y, x[i], *x, &x, (x) ...), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }

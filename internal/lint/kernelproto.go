@@ -20,9 +20,9 @@ package lint
 // through a func value is on every fault path and on no call-graph edge.
 //
 // sync.Pool is allowed (pooled scratch never blocks, and the codecs'
-// recyclers rely on it). A lock that is real synchronisation and has to stay
-// (the codec registry's) carries a reasoned //cclint:ignore on each line that
-// takes it.
+// recyclers rely on it). A package-level lock that is real synchronisation
+// and has to stay is a row of realLocks, with its reason; a method called on
+// it is not a finding, and any other lock in its package still is.
 
 import (
 	"go/ast"
@@ -45,6 +45,16 @@ func (KernelProto) Doc() string {
 
 // schedulerOwners are the packages allowed to touch the host scheduler.
 var schedulerOwners = []string{"internal/runner"}
+
+// realLock names one package-level lock outside the scheduler owners that
+// stays, and why taking it orders no simulated result.
+type realLock struct{ pkg, name, why string }
+
+// realLocks is the whole list of locks kernelproto lets stand.
+var realLocks = []realLock{
+	{"internal/compress", "regMu", "runner workers Lookup codecs while start-up code Registers one; " +
+		"which of them gets the lock first changes no simulated result"},
+}
 
 // Check implements Analyzer.
 func (kp KernelProto) Check(pkg *Package) []Diagnostic {
@@ -126,9 +136,29 @@ func kernelViolationCall(info *types.Info, call *ast.CallExpr) string {
 	case "sync/atomic":
 		return "performs atomic " + name
 	case "sync":
-		if forbiddenSyncTypes[typ] {
+		if forbiddenSyncTypes[typ] && !onRealLock(info, call) {
 			return "takes sync." + name
 		}
 	}
 	return ""
+}
+
+// onRealLock reports whether call is a method called directly on a
+// package-level variable that realLocks names.
+func onRealLock(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+		return false
+	}
+	return slices.ContainsFunc(realLocks, func(l realLock) bool {
+		return l.name == v.Name() && pathHasSuffix(v.Pkg().Path(), l.pkg)
+	})
 }

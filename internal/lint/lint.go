@@ -7,14 +7,14 @@
 //     clock in internal/sim. A single stray time.Now() turns the paper's
 //     Table 1 / Figure 3 numbers into artifacts of the host machine.
 //  2. Determinism — every experiment is byte-identical at any -j. One
-//     unseeded rand call or one map iteration feeding an output stream
-//     silently breaks the guarantee.
+//     unseeded rand call or one iteration in map order silently breaks the
+//     guarantee.
 //
 // Both are also checked at run time: every experiment's output is compared
 // byte for byte with a golden. cclint keeps the rules whose breaches no
-// test is sure to see: host state read anywhere (walltime), map order
-// feeding ordered output (maprange), and scheduler-visible primitives
-// outside internal/runner (kernelproto). The framework is
+// test is sure to see: host state read anywhere (walltime), iteration in
+// map order anywhere (maprange), and scheduler-visible primitives outside
+// internal/runner (kernelproto). The framework is
 // deliberately stdlib-only: the build environment has no network, so
 // golang.org/x/tools is off the table. The engine loads the whole module
 // at once and type-checks it with go/types (one shared types.Info across
@@ -25,15 +25,9 @@
 // invariant that used to need one — who may touch the host scheduler — is
 // a fact about packages, not call chains (kernelproto.go).
 //
-// Findings can be suppressed, one line at a time, with a written reason:
-//
-//	start := time.Now() //cclint:ignore walltime -- host-time progress report
-//
-// or, as a standalone comment, on the line directly below it. The reason
-// after "--" is mandatory; a directive without one is itself a finding, as
-// is a directive that no longer suppresses anything. That is the only
-// suppression mechanism: cclint reads the source tree plus the standard
-// library's export data, and any surviving finding fails it.
+// Nothing suppresses a finding. The one lock outside internal/runner that
+// has to stay is a named row, with its reason, in kernelproto's table of
+// real locks; every other finding is fixed in the code.
 package lint
 
 import (
@@ -63,7 +57,7 @@ func (d Diagnostic) String() string {
 // module-wide context (other packages, type info) is reached through
 // pkg.Mod.
 type Analyzer interface {
-	// Name is the identifier used in output and in ignore directives.
+	// Name is the identifier used in output.
 	Name() string
 	// Doc is a one-line description of what the analyzer enforces.
 	Doc() string
@@ -72,7 +66,7 @@ type Analyzer interface {
 }
 
 // All returns the full cclint analyzer suite, in stable order: the ban on
-// host state, typed map order, then the package rule: scheduler-visible
+// host state, the ban on map order, then the package rule: scheduler-visible
 // primitives outside internal/runner (kernelproto).
 func All() []Analyzer {
 	return []Analyzer{
@@ -84,11 +78,7 @@ func All() []Analyzer {
 
 // diag builds a Diagnostic at a node's position.
 func diag(pkg *Package, name string, n ast.Node, format string, args ...any) Diagnostic {
-	return diagAt(name, pkg.Fset.Position(n.Pos()), format, args...)
-}
-
-// diagAt builds a Diagnostic at a resolved position.
-func diagAt(name string, pos token.Position, format string, args ...any) Diagnostic {
+	pos := pkg.Fset.Position(n.Pos())
 	return Diagnostic{
 		Analyzer: name,
 		Pos:      pos,
@@ -99,28 +89,14 @@ func diagAt(name string, pos token.Position, format string, args ...any) Diagnos
 	}
 }
 
-// Run applies the whole suite (All) to every selected package, filters the
-// findings through the //cclint:ignore directives, appends
-// directive-hygiene findings (missing reason, unknown analyzer, unused
-// directive), and returns the surviving diagnostics sorted by position.
+// Run applies the whole suite (All) to every selected package and returns
+// the findings sorted by position.
 func Run(pkgs []*Package) []Diagnostic {
-	analyzers := All()
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-	}
-
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		dirs := collectIgnores(pkg, known)
-		for _, a := range analyzers {
-			for _, d := range a.Check(pkg) {
-				if !dirs.suppress(d) {
-					out = append(out, d)
-				}
-			}
+		for _, a := range All() {
+			out = append(out, a.Check(pkg)...)
 		}
-		out = append(out, dirs.hygiene()...)
 	}
 	slices.SortStableFunc(out, func(a, b Diagnostic) int {
 		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),

@@ -12,8 +12,8 @@ import (
 // The golden tests are a hand-rolled, stdlib-only analysistest: the whole
 // of testdata/src is mounted once as a pretend module named "compcache"
 // (so fixture packages get import paths like "compcache/kernelproto/internal/sim"
-// and can import each other), each fixture subtree is selected, the full analyzer suite (plus
-// ignore-directive processing) runs over it, and every diagnostic must
+// and can import each other), each fixture subtree is selected, the full analyzer suite
+// runs over it, and every diagnostic must
 // match a trailing
 //
 //	// want `regexp` [`regexp` ...]
@@ -65,12 +65,17 @@ type want struct {
 	matched bool
 }
 
-// parseWants scans a package's raw source lines for want comments.
+// parseWants scans a package's source files for want comments.
 func parseWants(t *testing.T, pkg *Package) map[string]map[int][]*want {
 	t.Helper()
 	wants := map[string]map[int][]*want{}
-	for file, lines := range pkg.Lines {
-		for i, line := range lines {
+	for _, f := range pkg.Files {
+		file := pkg.Fset.File(f.Pos()).Name()
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
 			_, rest, ok := strings.Cut(line, "// want ")
 			if !ok {
 				continue
@@ -128,7 +133,6 @@ func runGolden(t *testing.T, dir string) {
 func TestWalltimeGolden(t *testing.T)    { runGolden(t, "testdata/src/walltime") }
 func TestGlobalRandGolden(t *testing.T)  { runGolden(t, "testdata/src/globalrand") }
 func TestMapRangeGolden(t *testing.T)    { runGolden(t, "testdata/src/maprange") }
-func TestIgnoreGolden(t *testing.T)      { runGolden(t, "testdata/src/ignore") }
 func TestMachineFixture(t *testing.T)    { runGolden(t, "testdata/src/internal/machine") }
 func TestKernelProtoGolden(t *testing.T) { runGolden(t, "testdata/src/kernelproto") }
 
@@ -176,8 +180,8 @@ func TestLoadModuleNeverLoadsTestdata(t *testing.T) {
 		if strings.HasSuffix(pkg.Path, "internal/lint") {
 			haveLint = true
 		}
-		for file := range pkg.Lines {
-			if strings.HasSuffix(file, "_test.go") {
+		for _, f := range pkg.Files {
+			if file := pkg.Fset.File(f.Pos()).Name(); strings.HasSuffix(file, "_test.go") {
 				t.Errorf("loaded test file %s", file)
 			}
 		}
@@ -243,7 +247,7 @@ func TestRunOutputSorted(t *testing.T) {
 	}
 }
 
-// TestRealTreeClean: the real tree has zero unignored findings.
+// TestRealTreeClean: the real tree has no findings.
 func TestRealTreeClean(t *testing.T) {
 	mod, err := LoadModule(".")
 	if err != nil {

@@ -44,8 +44,8 @@ type Module struct {
 	byPath map[string]*Package
 }
 
-// Package is one parsed Go package as the analyzers see it. Syntax (Files,
-// Lines) is always present; Types carries the package's type-checked form
+// Package is one parsed Go package as the analyzers see it. Syntax (Files)
+// is always present; Types carries the package's type-checked form
 // and Mod links back to the whole module for cross-package queries.
 type Package struct {
 	// Path is the slash-separated import path, e.g.
@@ -57,18 +57,13 @@ type Package struct {
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, sorted by file name.
 	Files []*ast.File
-	// Lines holds each file's raw source split into lines, keyed the same
-	// way Fset positions name files. The ignore machinery uses it to tell
-	// trailing directives from standalone ones.
-	Lines map[string][]string
 	// Types is the type-checked package.
 	Types *types.Package
 	// Mod is the module this package belongs to (set by the loader: a
 	// Package never reaches an analyzer without it).
 	Mod *Module
 
-	imports []string        // module-internal import paths, for topo-sorting
-	funcs   []*ast.FuncDecl // the declared functions with a body, in source order
+	imports []string // module-internal import paths, for topo-sorting
 }
 
 // LoadModule locates the module containing dir (by walking up to go.mod)
@@ -242,40 +237,25 @@ func parsePackage(mod *Module, dir string) (*Package, error) {
 	sort.Strings(names)
 
 	pkg := &Package{
-		Path:  importPath(dir, mod.Root, mod.Path),
-		Dir:   dir,
-		Fset:  mod.Fset,
-		Lines: make(map[string][]string),
-		Mod:   mod,
+		Path: importPath(dir, mod.Root, mod.Path),
+		Dir:  dir,
+		Fset: mod.Fset,
+		Mod:  mod,
 	}
 	imports := make(map[string]bool)
 	for _, n := range names {
-		path := filepath.Join(dir, n)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(mod.Fset, path, src, parser.ParseComments)
+		f, err := parser.ParseFile(mod.Fset, filepath.Join(dir, n), nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
 		}
 		pkg.Files = append(pkg.Files, f)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				pkg.funcs = append(pkg.funcs, fd)
-			}
-		}
-		pkg.Lines[path] = strings.Split(string(src), "\n")
 		for _, imp := range f.Imports {
 			if p := importLiteral(imp); mod.internal(p) {
 				imports[p] = true
 			}
 		}
 	}
-	for p := range imports {
-		pkg.imports = append(pkg.imports, p)
-	}
-	sort.Strings(pkg.imports)
+	pkg.imports = slices.Sorted(maps.Keys(imports))
 	return pkg, nil
 }
 

@@ -162,21 +162,24 @@ func TestWalltimeMutationRenamedImport(t *testing.T) {
 		"walltime: wall-clock call time.Now contaminates virtual-time measurements; advance the sim clock instead")
 }
 
-// TestMapRangeMutationDeletedSort: the collect-then-sort idiom without its
-// sort is a plain map-order append.
+// mrKeysMessage is the maprange finding for a bare maps.Keys.
+const mrKeysMessage = "maprange: maps.Keys yields in random map order; pass it straight to slices.Sorted or slices.SortedFunc"
+
+// TestMapRangeMutationDeletedSort: the sorted keys without their sort are
+// the keys in map order.
 func TestMapRangeMutationDeletedSort(t *testing.T) {
 	mutateFixture(t, "maprange/maprange.go",
-		"\tsort.Strings(keys)\n\treturn keys", "\treturn keys",
-		"maprange: append inside map iteration captures random map order; collect and sort keys first")
+		"return slices.Sorted(maps.Keys(m))", "return slices.Collect(maps.Keys(m))",
+		mrKeysMessage)
 }
 
-// TestMapRangeMutationReusedSliceMiddleSort: a slice reused for three maps
-// loses the sort after its middle loop; the sorts after the other two loops
-// do not excuse it (the obs.Registry.Snapshot shape).
+// TestMapRangeMutationReusedSliceMiddleSort: three families' names lose the
+// sort of the middle one (the obs.Registry.Snapshot shape); the sorts of
+// the other two do not excuse it.
 func TestMapRangeMutationReusedSliceMiddleSort(t *testing.T) {
 	mutateFixture(t, "maprange/maprange.go",
-		"\tsort.Strings(names)\n\ty = slices.Clone(names)", "\ty = slices.Clone(names)",
-		"maprange: append inside map iteration captures random map order; collect and sort keys first")
+		"slices.Sorted(maps.Keys(gauges))", "slices.Collect(maps.Keys(gauges))",
+		mrKeysMessage)
 }
 
 // TestGlobalRandMutationDroppedSeed: delete the seeded local that shadows
@@ -192,8 +195,8 @@ func TestGlobalRandMutationDroppedSeed(t *testing.T) {
 // over the map itself sums in iteration order.
 func TestFloatOrderMutationMovedIntoMapRange(t *testing.T) {
 	mutateFixture(t, "maprange/floatsum.go",
-		"\tfor _, k := range keys {\n\t\ttotal += m[k]", "\tfor k := range m {\n\t\ttotal += m[k]",
-		"maprange: float accumulation inside map iteration; map order is random per run — sort the keys first")
+		"\tfor _, k := range slices.Sorted(maps.Keys(m)) {", "\tfor k := range m {",
+		"maprange: range over a map visits it in random order; range over slices.Sorted(maps.Keys(m)) or an ordered structure")
 }
 
 // TestRunDeterministic: cclint's own output is a byte-identical artifact.

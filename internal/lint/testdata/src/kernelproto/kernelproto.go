@@ -47,6 +47,10 @@ type guarded struct{ sync.Mutex }
 
 var ticks int64
 
+// regMu is named like the codec registry's lock, but the table of real
+// locks names that lock in its own package only.
+var regMu sync.Mutex
+
 // Locks holds one finding per sync and sync/atomic primitive.
 func Locks(s *state) {
 	s.mu.Lock()                // want `takes sync\.Mutex\.Lock outside internal/runner`
@@ -58,6 +62,7 @@ func Locks(s *state) {
 	atomic.AddInt64(&ticks, 1) // want `performs atomic AddInt64 outside internal/runner`
 	s.n.Add(1)                 // want `performs atomic Int64\.Add outside internal/runner`
 	new(guarded).Lock()        // want `takes sync\.Mutex\.Lock outside internal/runner`
+	regMu.Lock()               // want `takes sync\.Mutex\.Lock outside internal/runner`
 }
 
 // Cache is the hook shape: the flush closure is stored at construction and

@@ -1,62 +1,33 @@
-// Float reductions over map iteration, next to their deterministic fixes.
+// Float reductions over a map, next to their deterministic fix.
 
 package mr
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
-// badSumMap reduces floats in random map order.
-func badSumMap(m map[string]float64) float64 {
-	total := 0.0
-	for _, v := range m {
-		total += v // want `float accumulation inside map iteration`
+// badSumMap reduces floats in random map order: float addition is not
+// associative, so the last bits of the total depend on the order.
+func badSumMap(m map[string]float64) (total float64) {
+	for _, v := range m { // want `range over a map`
+		total += v
 	}
 	return total
 }
 
-// badSpelled spells the accumulation out; still order-sensitive.
-func badSpelled(m map[string]float64) float64 {
-	total := 0.0
-	for _, v := range m {
-		total = total + v // want `float accumulation inside map iteration`
-	}
-	return total
-}
-
-// goodSorted materializes and sorts the keys first.
-func goodSorted(m map[string]float64) float64 {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	total := 0.0
-	for _, k := range keys {
+// goodSorted sums in key order.
+func goodSorted(m map[string]float64) (total float64) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		total += m[k]
 	}
 	return total
 }
 
-// goodIntCount is integer accumulation: commutative, silent.
-func goodIntCount(m map[string]float64) int {
-	n := 0
-	for range m {
-		n += 1
+// goodAscending sums the values in ascending order, a fixed order too.
+func goodAscending(m map[string]float64) (total float64) {
+	for _, v := range slices.Sorted(maps.Values(m)) {
+		total += v
 	}
-	return n
-}
-
-// goodLocalReset accumulates into a body-local; it resets every
-// iteration and cannot carry order dependence out of the loop.
-func goodLocalReset(m map[string][]float64) int {
-	n := 0
-	for _, vs := range m {
-		sub := 0.0
-		for _, v := range vs {
-			sub += v
-		}
-		if sub > 1 {
-			n += 1
-		}
-	}
-	return n
+	return total
 }

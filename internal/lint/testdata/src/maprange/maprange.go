@@ -1,10 +1,12 @@
-// Package mr is a golden fixture for the maprange analyzer.
+// Package mr is a golden fixture for the maprange analyzer: every range
+// over a map is a finding, and so is every map iterator that does not go
+// straight into a sort.
 package mr
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -12,289 +14,205 @@ import (
 	"compcache/maprange/ext"
 )
 
-type runStats struct{ Extra map[string]float64 }
-
-// badAppend collects map keys without ever sorting them.
+// badAppend collects map keys; whatever it does with them afterwards, the
+// loop runs in map order.
 func badAppend(m map[string]int) []string {
 	var out []string
-	for k := range m {
-		out = append(out, k) // want `append inside map iteration`
+	for k := range m { // want `range over a map`
+		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }
 
-// badPrint writes directly from map iteration, a trace summary's shape.
-func badPrint() {
-	segs := map[int]int{}
-	for seg, pages := range segs {
-		fmt.Printf("%d: %d\n", seg, pages) // want `fmt\.Printf inside map iteration`
-	}
-}
-
-// badBuilder builds a string through a field-typed map.
-func badBuilder(s runStats) string {
-	var b strings.Builder
-	for k := range s.Extra {
-		b.WriteString(k) // want `WriteString inside map iteration`
-	}
-	return b.String()
-}
-
-// badConcat accumulates a string with +=.
-func badConcat(m map[string]string) string {
-	out := ""
-	for _, v := range m {
-		out += v + "\n" // want `string built inside map iteration`
-	}
-	return out
-}
-
-// badWrite pushes bytes from map iteration straight through a writer.
-func badWrite(w io.Writer, m map[string][]byte) {
-	for _, v := range m {
-		w.Write(v)             // want `Write inside map iteration`
-		io.WriteString(w, "x") // want `io\.WriteString inside map iteration`
-	}
-}
-
-// badEncode streams records in random map order through an encoder.
-func badEncode(enc *json.Encoder, m map[string]int) {
-	for k := range m {
-		enc.Encode(k) // want `Encode inside map iteration`
-	}
-}
-
-// goodCollectSort is the canonical deterministic idiom: collect, sort,
-// then use.
-func goodCollectSort(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// goodSortSlice collects values and orders them with a comparator, the
-// fs.Sync shape.
-func goodSortSlice(m map[string]int) []int {
-	var vals []int
-	for _, v := range m {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals
-}
-
-// sortKeys stands in for a package-local sorting helper (the swap
-// package's sortPageKeys shape).
-func sortKeys(keys []string) { sort.Strings(keys) }
-
-// goodHelperSort collects keys and orders them through a local helper
-// whose name marks it as a sort.
-func goodHelperSort(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	return keys
-}
-
-// goodReusedSlice collects three maps' keys through one slice, sorting
-// after each loop: the obs.Registry.Snapshot shape.
-func goodReusedSlice(a, b, c map[string]int) (x, y, z []string) {
-	names := make([]string, 0, len(a))
-	for k := range a {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	x = slices.Clone(names)
-	names = names[:0]
-	for k := range b {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	y = slices.Clone(names)
-	names = names[:0]
-	for k := range c {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return x, y, slices.Clone(names)
-}
-
-// badReusedSliceMiddleSort is goodReusedSlice without its middle sort: the
-// sorts after the other two loops excuse only their own loops.
-func badReusedSliceMiddleSort(a, b, c map[string]int) (x, y, z []string) {
-	names := make([]string, 0, len(a))
-	for k := range a {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	x = slices.Clone(names)
-	names = names[:0]
-	for k := range b {
-		names = append(names, k) // want `append inside map iteration`
-	}
-	y = slices.Clone(names)
-	names = names[:0]
-	for k := range c {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return x, y, slices.Clone(names)
-}
-
-// badSortBefore sorts the slice before the loop that fills it.
-func badSortBefore(m map[string]int, keys []string) []string {
-	sort.Strings(keys)
-	for k := range m {
-		keys = append(keys, k) // want `append inside map iteration`
-	}
-	return keys
-}
-
-// goodCount does commutative accumulation; order cannot matter.
-func goodCount(m map[string]int) int {
+// badCount does order-independent work, and is a finding all the same: the
+// rule is the shape, not what the body does with it.
+func badCount(m map[string]int) int {
 	total := 0
-	for _, v := range m {
+	for _, v := range m { // want `range over a map`
 		total += v
 	}
 	return total
 }
 
-// goodMapToMap writes into another map; the result is order-independent.
-func goodMapToMap(m map[string]int) map[string]int {
-	out := map[string]int{}
-	for k, v := range m {
-		out[k] = 2 * v
+// badClosure ranges over a map inside a function literal.
+func badClosure(m map[string]int) func() int {
+	return func() int {
+		n := 0
+		for range m { // want `range over a map`
+			n++
+		}
+		return n
 	}
-	return out
 }
 
-// goodSliceRange ranges a slice: never a finding, appends and prints are
-// fine in deterministic order.
-func goodSliceRange(xs []string) []string {
+// badInit ranges over a map in a package-level initialiser, inside no
+// declared function.
+var badInit = func(m map[int]bool) (n int) {
+	for k := range m { // want `range over a map`
+		n += k
+	}
+	return n
+}
+
+// badKeysSeq ranges over the keys iterator, which yields in map order.
+func badKeysSeq(m map[string]int) []string {
 	var out []string
-	for _, x := range xs {
-		out = append(out, x)
-		fmt.Println(x)
+	for k := range maps.Keys(m) { // want `maps\.Keys yields in random map order`
+		out = append(out, k)
 	}
 	return out
 }
 
-// The shapes below are the ones only the type checker gets right; a
-// spelling-based guess misses the first four and flags the fifth.
+// badCollect materialises the values in map order.
+func badCollect(m map[string]int) []int {
+	return slices.Collect(maps.Values(m)) // want `maps\.Values yields in random map order`
+}
+
+// badAll hands the pair iterator to a loop.
+func badAll(m map[string]int) (s string) {
+	for k, v := range maps.All(m) { // want `maps\.All yields in random map order`
+		s += fmt.Sprint(k, v)
+	}
+	return s
+}
+
+// badValue hands the iterator constructor around as a value.
+var badValue = maps.Keys[map[string]int] // want `maps\.Keys yields in random map order`
+
+// badWrapped sorts something else: only the direct argument of a sort is
+// ordered.
+func badWrapped(m map[string]int) []string {
+	return slices.Sorted(keysOf(m))
+}
+
+func keysOf(m map[string]int) func(func(string) bool) {
+	return maps.Keys(m) // want `maps\.Keys yields in random map order`
+}
+
+// The three plants behind maprange: each loses an order that a golden only
+// sometimes sees.
+
+// badQuantileBounds (M1) fills a fleet sweep's bounds from a map and never
+// sorts them.
+func badQuantileBounds(bounds map[float64]int) []float64 {
+	var qs []float64
+	for q := range bounds { // want `range over a map`
+		qs = append(qs, q)
+	}
+	return qs
+}
+
+// badGaugeNames (M2) reuses one slice for three maps' names; only the
+// first and the last are sorted.
+func badGaugeNames(counters, gauges, hists map[string]int) (c, g, h []string) {
+	names := make([]string, 0, len(counters))
+	for name := range counters { // want `range over a map`
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	c = slices.Clone(names)
+	names = names[:0]
+	for name := range gauges { // want `range over a map`
+		names = append(names, name)
+	}
+	g = slices.Clone(names)
+	names = names[:0]
+	for name := range hists { // want `range over a map`
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return c, g, slices.Clone(names)
+}
+
+// badTwoRows (M3) ranges a two-key map into a table's rows: small maps keep
+// insertion order most of the time, so a golden sees the swap only now and
+// then.
+func badTwoRows(small, large string) []string {
+	var rows []string
+	for _, label := range map[int]string{0: small, 1: large} { // want `range over a map`
+		rows = append(rows, label)
+	}
+	return rows
+}
+
+// The shapes below are the ones only the type checker gets right.
 
 func table() map[string]int { return map[string]int{} }
 
 // badCallResult ranges over a map that is never named: it is the result of
 // a call.
-func badCallResult() []string {
-	var out []string
-	for k := range table() {
-		out = append(out, k) // want `append inside map iteration`
+func badCallResult() (n int) {
+	for range table() { // want `range over a map`
+		n++
 	}
-	return out
+	return n
 }
 
 type counts map[string]int
 
 // badNamedType ranges over a variable whose type is a named map type.
-func badNamedType(c counts) []string {
-	var out []string
-	for k := range c {
-		out = append(out, k) // want `append inside map iteration`
+func badNamedType(c counts) (n int) {
+	for range c { // want `range over a map`
+		n++
 	}
-	return out
+	return n
 }
 
 // badForeignField ranges over a map field declared in another package.
-func badForeignField(ix ext.Index) []string {
-	var out []string
-	for k := range ix.ByKey {
-		out = append(out, k) // want `append inside map iteration`
+func badForeignField(ix ext.Index) (n int) {
+	for range ix.ByKey { // want `range over a map`
+		n++
 	}
-	return out
+	return n
 }
 
-// badConcatPlain builds a string with no literal in sight; the += is a
-// string concatenation because its target is a string.
-func badConcatPlain(m map[string]string) string {
-	out := ""
-	for _, v := range m {
-		out += v // want `string built inside map iteration`
-	}
-	return out
-}
+// frame has a slice field that shares its name with ext.Index's map field.
+type frame struct{ ByKey []string }
 
-// frame has a slice field that shares its name with runStats.Extra, a map
-// (the core.Cache shape: frame.entries is a slice, Cache.entries a map).
-type frame struct{ Extra []string }
-
-// goodSliceField ranges over the slice: deterministic order, no finding.
+// goodSliceField ranges over the slice: a fixed order, no finding.
 func goodSliceField(f frame) []string {
 	var out []string
-	for _, x := range f.Extra {
+	for _, x := range f.ByKey {
 		out = append(out, x)
 	}
 	return out
 }
 
-// The shapes below are spelled like sorts and are not: a sort.X or
-// slices.X call that does not order its argument leaves the append in map
-// order.
-
-// badContains hands the collected keys to a membership test.
-func badContains(m map[string]int) bool {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append inside map iteration`
-	}
-	return slices.Contains(keys, "x")
+// goodSortedKeys is the idiom: the keys, sorted.
+func goodSortedKeys(m map[string]int) []string {
+	return slices.Sorted(maps.Keys(m))
 }
 
-// badClone copies the keys on their way out; a copy of map order is map
-// order.
-func badClone(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append inside map iteration`
-	}
-	return slices.Clone(keys)
+// goodGaugeNames is M2 mended: each family's names sorted on their own.
+func goodGaugeNames(counters, gauges, hists map[string]int) (c, g, h []string) {
+	return slices.Sorted(maps.Keys(counters)), slices.Sorted(maps.Keys(gauges)), slices.Sorted(maps.Keys(hists))
 }
 
-// badSearch binary-searches keys that nobody sorted.
-func badSearch(m map[string]int) int {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append inside map iteration`
-	}
-	return sort.SearchStrings(keys, "x")
+// goodSortedValues orders the values with a comparator.
+func goodSortedValues(m map[string]int) []int {
+	return slices.SortedFunc(maps.Values(m), cmp.Compare[int])
 }
 
-// badReverse reverses map order, which is still map order.
-func badReverse(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append inside map iteration`
-	}
-	slices.Reverse(keys)
-	return keys
+// goodSortedStable orders the pairs' keys stably, through parentheses.
+func goodSortedStable(m map[string]int) []string {
+	return slices.SortedStableFunc((maps.Keys(m)), strings.Compare)
 }
 
-type finder struct{}
+// goodCloneCopy copies maps: neither call observes the order.
+func goodCloneCopy(m map[string]int) map[string]int {
+	out := maps.Clone(m)
+	maps.Copy(out, map[string]int{"x": 1})
+	return out
+}
 
-func (finder) Strings(keys []string) int { return len(keys) }
-
-// badShadowedSort calls a method on a local variable that happens to be
-// named sort.
-func badShadowedSort(m map[string]int) int {
-	sort := finder{}
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append inside map iteration`
+// goodIndex reads, writes and deletes entries by key.
+func goodIndex(m map[string]int, keys []string) int {
+	n := 0
+	for _, k := range keys {
+		n += m[k]
+		m[k] = 0
+		delete(m, k)
 	}
-	return sort.Strings(keys)
+	return n
 }

@@ -235,7 +235,7 @@ func (c *Config) setDefaults() error {
 	// A fresh map: the caller's is shared, and a consumer it leaves out keeps
 	// the paper's bias rather than turning neutral.
 	biases, named := policy.DefaultBiases(), 0
-	for name := range biases {
+	for _, name := range [...]string{"vm", "fs", "cc"} {
 		if b, ok := c.Biases[name]; ok {
 			biases[name] = b
 			named++

@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -109,56 +110,61 @@ func (h *Histogram) Count() uint64 {
 }
 
 // Registry holds one machine's metrics. The zero Registry is ready to use;
-// each Bus embeds one. Lookups happen at wiring time (subsystems cache the
-// returned handles), so the hot path never touches the maps.
+// each Bus embeds one. Each family is a slice kept sorted by name, so a
+// snapshot walks it in order and needs no sort. Lookups happen at wiring
+// time (subsystems cache the returned handles), so the hot path never
+// searches.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
+}
+
+// metric is a handle the registry files by name.
+type metric interface{ metricName() string }
+
+func (c *Counter) metricName() string   { return c.name }
+func (g *Gauge) metricName() string     { return g.name }
+func (h *Histogram) metricName() string { return h.name }
+
+// find returns the position of the handle named name in the name-sorted
+// family, or where it would go, and whether it is there.
+func find[M metric](family []M, name string) (int, bool) {
+	return slices.BinarySearchFunc(family, name, func(m M, name string) int {
+		return strings.Compare(m.metricName(), name)
+	})
+}
+
+// lookup returns the handle named name, inserting the one mk makes where it
+// sorts when there is none.
+func lookup[M metric](family *[]M, name string, mk func() M) M {
+	i, ok := find(*family, name)
+	if !ok {
+		*family = slices.Insert(*family, i, mk())
+	}
+	return (*family)[i]
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
+	return lookup(&r.counters, name, func() *Counter { return &Counter{name: name} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
+	return lookup(&r.gauges, name, func() *Gauge { return &Gauge{name: name} })
 }
 
 // Histogram returns the named histogram with the default virtual-latency
 // buckets, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
-	}
-	h := &Histogram{
-		name:   name,
-		bounds: DefaultBuckets[:],
-		counts: make([]uint64, len(DefaultBuckets)+1),
-	}
-	r.hists[name] = h
-	return h
+	return lookup(&r.hists, name, func() *Histogram {
+		return &Histogram{
+			name:   name,
+			bounds: DefaultBuckets[:],
+			counts: make([]uint64, len(DefaultBuckets)+1),
+		}
+	})
 }
 
 // CounterSnapshot is one counter's exported state.
@@ -208,30 +214,14 @@ type Snapshot struct {
 // Snapshot captures the registry's current state in sorted order.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
+	for _, c := range r.counters {
+		s.Counters = append(s.Counters, CounterSnapshot{Name: c.name, Value: c.v})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.Counters = append(s.Counters, CounterSnapshot{Name: name, Value: r.counters[name].v})
+	for _, g := range r.gauges {
+		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Value: g.v})
 	}
-	names = names[:0]
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: r.gauges[name].v})
-	}
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := r.hists[name]
-		hs := HistogramSnapshot{Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	for _, h := range r.hists {
+		hs := HistogramSnapshot{Name: h.name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 		for i, c := range h.counts {
 			if c == 0 {
 				continue

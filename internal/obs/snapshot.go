@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"compcache/internal/snap"
-)
+import "compcache/internal/snap"
 
 // Snap walks the bus's replay state: the retained events (oldest first), the
 // drop counter, and every registered metric by name. The enable mask comes
@@ -54,24 +50,19 @@ func (b *Bus) Snap(c *snap.Codec) {
 // existing handles in place — subsystems cached those pointers at wiring
 // time — so a metric the snapshot names must already be registered on this
 // bus.
-func metrics[M any](c *snap.Codec, family string, byName map[string]*M, value func(*M)) {
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	n := c.Len(len(names), 1<<20, family+" metrics")
+func metrics[M metric](c *snap.Codec, family string, handles []M, value func(M)) {
+	n := c.Len(len(handles), 1<<20, family+" metrics")
 	for i := 0; i < n && c.Err() == nil; i++ {
 		var name string
 		if !c.Decoding() {
-			name = names[i]
+			name = handles[i].metricName()
 		}
 		c.String(&name)
-		m := byName[name]
-		if m == nil {
+		j, ok := find(handles, name)
+		if !ok {
 			c.Failf("obs: snapshot names unregistered %s %q", family, name)
 			return
 		}
-		value(m)
+		value(handles[j])
 	}
 }

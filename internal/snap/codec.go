@@ -3,7 +3,9 @@ package snap
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 )
 
@@ -330,22 +332,17 @@ func Slice[T any](c *Codec, s *[]T, max int, what string, elem func(*T)) {
 	}
 }
 
-// Map visits a map field in ascending key order (less orders the keys, which
+// Map visits a map field in ascending key order (cmp orders the keys, which
 // keeps the bytes a pure function of the state): its bounded size, then each
 // pair through kv. Decoding replaces *m and fails on a repeated key.
-func Map[K comparable, V any](c *Codec, m *map[K]V, max int, what string, less func(a, b K) bool, kv func(*K, *V)) {
+func Map[K comparable, V any](c *Codec, m *map[K]V, max int, what string, cmp func(a, b K) int, kv func(*K, *V)) {
 	c.mark(m)
 	old := *m
 	if c.r != nil {
 		*m = make(map[K]V)
 	}
 	Keyed(c, len(old), max, what, func(visit func(K, V)) {
-		keys := make([]K, 0, len(old))
-		for k := range old {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-		for _, k := range keys {
+		for _, k := range slices.SortedFunc(maps.Keys(old), cmp) {
 			visit(k, old[k])
 		}
 	}, kv, func(k K, v V) bool {

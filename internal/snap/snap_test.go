@@ -63,7 +63,7 @@ func (s *sample) walk(c *Codec) {
 	c.Bytes(&s.blob)
 	c.Fixed(&s.page, "page")
 	Slice(c, &s.ids, 8, "ids", c.I32)
-	Map(c, &s.byName, 8, "named values", cmp.Less[string], func(k *string, v *uint64) {
+	Map(c, &s.byName, 8, "named values", cmp.Compare[string], func(k *string, v *uint64) {
 		c.String(k)
 		c.U64(v)
 	})
@@ -204,7 +204,7 @@ func TestDecodeValidation(t *testing.T) {
 			c.I32(&k)
 		}), func(c *Codec) {
 			var m map[int32]bool
-			Map(c, &m, 4, "set", cmp.Less[int32], func(k *int32, _ *bool) { c.I32(k) })
+			Map(c, &m, 4, "set", cmp.Compare[int32], func(k *int32, _ *bool) { c.I32(k) })
 		}, "key 7 repeats"},
 		{"section", encode(t, func(c *Codec) { c.Section("vm") }), func(c *Codec) { c.Section("fs") }, "drift"},
 	} {

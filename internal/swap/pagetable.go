@@ -1,7 +1,9 @@
 package swap
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"compcache/internal/snap"
 )
@@ -22,7 +24,7 @@ import (
 // key has one home: Set moves a spilled key into its row once the row has
 // grown close enough.
 //
-// Range iterates in lessKey order (segment, then page, both signed). That
+// Range iterates in compareKey order (segment, then page, both signed). That
 // order is the snapshot contract: the stores used to write Go maps key-sorted
 // (snap.Map), and a table walked in the same order writes the same bytes.
 //
@@ -131,22 +133,18 @@ func (t *PageTable[T]) Clear() {
 	t.dense = 0
 }
 
-// Keys returns the keys set, in lessKey order.
+// Keys returns the keys set, in compareKey order.
 func (t *PageTable[T]) Keys() []PageKey {
 	keys := make([]PageKey, 0, t.Len())
 	t.Range(func(k PageKey, _ T) { keys = append(keys, k) })
 	return keys
 }
 
-// Range calls f for every key in lessKey order. f must not Set or Delete.
+// Range calls f for every key in compareKey order. f must not Set or Delete.
 func (t *PageTable[T]) Range(f func(PageKey, T)) {
 	var far []PageKey
 	if len(t.spill) > 0 {
-		far = make([]PageKey, 0, len(t.spill))
-		for k := range t.spill {
-			far = append(far, k)
-		}
-		sortPageKeys(far)
+		far = slices.SortedFunc(maps.Keys(t.spill), compareKey)
 	}
 	// Rows in signed segment order: the odd (negative) rows downward, then
 	// the even ones upward. Before each dense key come the spilled keys that
@@ -158,7 +156,7 @@ func (t *PageTable[T]) Range(f func(PageKey, T)) {
 				continue
 			}
 			k := PageKey{Seg: seg, Page: int32(page)}
-			for len(far) > 0 && lessKey(far[0], k) {
+			for len(far) > 0 && compareKey(far[0], k) < 0 {
 				f(far[0], t.spill[far[0]])
 				far = far[1:]
 			}
@@ -188,14 +186,7 @@ func (t *PageTable[T]) Snap(c *snap.Codec, max int, what string, kv func(*PageKe
 	})
 }
 
-func sortPageKeys(keys []PageKey) {
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-}
-
-// lessKey orders page keys by segment, then page.
-func lessKey(a, b PageKey) bool {
-	if a.Seg != b.Seg {
-		return a.Seg < b.Seg
-	}
-	return a.Page < b.Page
+// compareKey orders page keys by segment, then page.
+func compareKey(a, b PageKey) int {
+	return cmp.Or(cmp.Compare(a.Seg, b.Seg), cmp.Compare(a.Page, b.Page))
 }

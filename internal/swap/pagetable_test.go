@@ -2,6 +2,7 @@ package swap
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -29,7 +30,7 @@ var (
 
 // checkPageTableOps interprets data as a stream of six-byte Set/Get/Delete
 // operations, applies it to a PageTable and to a plain map, and after every
-// step requires the same answers, the same Len, and Range in sortPageKeys
+// step requires the same answers, the same Len, and Range in compareKey
 // order of the map's keys — the equality that keeps snapshot bytes unchanged.
 func checkPageTableOps(t *testing.T, data []byte) {
 	var table PageTable[uint32]
@@ -67,11 +68,7 @@ func checkPageTableOps(t *testing.T, data []byte) {
 		if table.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model holds %d", step, table.Len(), len(model))
 		}
-		want := make([]PageKey, 0, len(model))
-		for k := range model {
-			want = append(want, k)
-		}
-		sortPageKeys(want)
+		want := slices.SortedFunc(maps.Keys(model), compareKey)
 		if keys := table.Keys(); !slices.Equal(keys, want) {
 			t.Fatalf("step %d: iteration order %v, want %v", step, keys, want)
 		}

@@ -543,7 +543,8 @@ func (v *VM) Unpin(s *Segment, n int32) {
 }
 
 // Evict forces a specific resident page out of memory (exported for tests
-// and for workload madvise-style hints).
+// and for workload madvise-style hints). A PageOut error kills the process
+// (see Err).
 func (v *VM) Evict(p *Page) error {
 	if !p.HoldsFrame() {
 		// Invariant: callers (ReleaseOldest, tests) select from the resident
@@ -589,7 +590,12 @@ func (v *VM) Evict(p *Page) error {
 	err := v.pager.PageOut(p, v.pool.Lend(frame))
 	v.pool.EndLoan()
 	p.Frame = mem.NoFrame
-	return err
+	if err != nil {
+		// The page is off the LRU list with no frame and no copy the pager
+		// took: the process cannot go on referencing it.
+		return v.die(err)
+	}
+	return nil
 }
 
 // lru plumbing ---------------------------------------------------------------

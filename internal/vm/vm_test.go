@@ -22,7 +22,8 @@ type fakePager struct {
 	pageIns  int
 	dirtied  int
 
-	failIn map[int32]error // PageIn of these pages (any segment) fails
+	failIn  map[int32]error // PageIn of these pages (any segment) fails
+	failOut map[int32]error // PageOut of these pages (any segment) fails
 }
 
 func newFakePager() *fakePager {
@@ -30,6 +31,9 @@ func newFakePager() *fakePager {
 }
 
 func (f *fakePager) PageOut(p *Page, data []byte) error {
+	if err := f.failOut[p.Key.Page]; err != nil {
+		return err
+	}
 	f.pageOuts++
 	f.store[p.Key] = append([]byte(nil), data...)
 	p.State = Swapped
@@ -246,6 +250,30 @@ func TestFirstFailedReferenceSticks(t *testing.T) {
 	}
 	if p := s.Page(2); p.Pinned || p.Dirty {
 		t.Errorf("page 2 = %+v after accesses to a dead VM", *p)
+	}
+}
+
+// TestFailedPageOutKillsTheProcess: a page whose PageOut fails has left the
+// LRU list and its frame, and the pager kept no copy, so the VM dies with
+// the pager's error: the next Touch of the page returns it instead of
+// dereferencing the frame the page no longer has.
+func TestFailedPageOutKillsTheProcess(t *testing.T) {
+	v, fp, pool, _ := newTestVM(t, 4)
+	s := v.NewSegment("heap", 2)
+	writeWord(t, v, s, 0, 1)
+	lost := errors.New("page 0 lost")
+	fp.failOut = map[int32]error{0: lost}
+	if err := v.Evict(s.Page(0)); err != lost {
+		t.Fatalf("Evict = %v, want %v", err, lost)
+	}
+	if _, err := v.Touch(s, 0, false); err != lost {
+		t.Fatalf("Touch of the page after its failed PageOut = %v, want %v", err, lost)
+	}
+	if v.Err() != lost {
+		t.Fatalf("Err() = %v, want %v", v.Err(), lost)
+	}
+	if err := pool.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 
