@@ -3,12 +3,12 @@
 // Usage:
 //
 //	ccbench -list
-//	ccbench [-scale small|paper] [-run name1,name2,...] [-j N] [-format text|csv]
+//	ccbench [-scale small|paper] [-run name1,name2,...] [-j N] [-format text|csv] [-cpuprofile PATH]
 //
 // Every experiment is registered under a stable name (see -list); -run
 // accepts exact names, the group names "ablations" and "extensions", and
-// "all" (the default). -fault-rate narrows the fault-injection sweep
-// (-run faults) to one rate plus the fault-free baseline.
+// "all" (the default). -format csv prints every table as comma-separated
+// values, the machine-readable form of every result.
 //
 // Each experiment prints the same rows or series the paper reports; the
 // paper's published values are included alongside where applicable (Table 1)
@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	listFlag := fs.Bool("list", false, "list registered experiment names and exit")
 	format := fs.String("format", "text", "output format for tables: text or csv")
 	jobs := fs.Int("j", 0, "max concurrent simulated machines (0 = one per core, 1 = serial); output is identical at any value")
-	faultRate := fs.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
-	tracePath := fs.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the run to this file, its samples labelled by experiment")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -96,10 +94,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		return fail(2, fmt.Errorf("nothing selected by %q", *runFlag))
 	}
 
-	opts := exp.DefaultOptions(scale)
-	opts.Parallelism = *jobs
-	opts.FaultRate = *faultRate
-	opts.TracePath = *tracePath
+	opts := exp.Options{Scale: scale, Parallelism: *jobs}
 
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)

@@ -45,6 +45,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-exp", "fig1a"}, "flag provided but not defined: -exp"},
 		{[]string{"-faults"}, "flag provided but not defined: -faults"},
 		{[]string{"-host-timing"}, "flag provided but not defined: -host-timing"},
+		{[]string{"-fault-rate", "1e-3"}, "flag provided but not defined: -fault-rate"},
+		{[]string{"-trace", "x"}, "flag provided but not defined: -trace"},
 	} {
 		status, out, errs := ccbench(t, c.args...)
 		if status != 2 || out != "" || !strings.Contains(errs, c.want) {

@@ -112,7 +112,9 @@ type (
 	Fig3Result = exp.Fig3Result
 	// Experiment is one registered, runnable experiment.
 	Experiment = exp.Experiment
-	// ExperimentOptions is the shared sizing knob set experiments accept.
+	// ExperimentOptions is the shared sizing knob set experiments accept:
+	// a scale and a worker cap. The zero value is the small scale, one
+	// worker per core.
 	ExperimentOptions = exp.Options
 )
 
@@ -136,10 +138,6 @@ func Experiments() []Experiment { return exp.Experiments() }
 // LookupExperiment finds one experiment by exact name ("table1",
 // "ablation/codec", ...).
 func LookupExperiment(name string) (Experiment, bool) { return exp.Lookup(name) }
-
-// DefaultExperimentOptions returns the options every experiment documents:
-// built-in seeds and the full fault-rate ladder.
-func DefaultExperimentOptions(s exp.Scale) ExperimentOptions { return exp.DefaultOptions(s) }
 
 // Observability: the deterministic virtual-time event bus and metrics
 // registry (see internal/obs).

@@ -97,7 +97,7 @@ func Example_quickstart() {
 // without the cache (Figure 3; ccbench -run fig3 prints both panels, and
 // with -scale paper sweeps the paper's 2-40 MB on a 6 MB machine).
 func Example_thrasher() {
-	res, err := compcache.Fig3(context.Background(), compcache.DefaultExperimentOptions(compcache.SmallScale))
+	res, err := compcache.Fig3(context.Background(), compcache.ExperimentOptions{Scale: compcache.SmallScale})
 	if err != nil {
 		panic(err)
 	}
@@ -309,7 +309,7 @@ func Example_experiments() {
 	if !ok {
 		panic("ext/model-validation is not registered")
 	}
-	res, err := e.Run(context.Background(), compcache.DefaultExperimentOptions(compcache.SmallScale))
+	res, err := e.Run(context.Background(), compcache.ExperimentOptions{Scale: compcache.SmallScale})
 	if err != nil {
 		panic(err)
 	}

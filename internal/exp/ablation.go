@@ -23,7 +23,7 @@ import (
 // §5.2; "A better interface to the backing store would help as well", §6).
 func ablationPartialIO(ctx context.Context, o Options) (Result, error) {
 	memoryMB, pages := o.sizing()
-	seed := o.seed(1)
+	const seed = 1
 	t := &Table{
 		Title:  "Ablation: whole-block backing-store transfers vs exact-size (partial) I/O",
 		Header: []string{"workload", "backing store", "time", "disk reads", "bytes read", "speedup vs whole-block"},
@@ -82,7 +82,7 @@ func ablationSpanning(ctx context.Context, o Options) (Result, error) {
 		cfg.Swap.SpanBlocks = span
 		// Pages compressing to ~3 fragments so packing decisions matter.
 		jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2,
-			CompressTarget: 0.55, Seed: o.seed(1)}})
+			CompressTarget: 0.55, Seed: 1}})
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
@@ -105,7 +105,7 @@ func ablationSpanning(ctx context.Context, o Options) (Result, error) {
 // decompressing pages between memory and the backing store".
 func ablationBias(ctx context.Context, o Options) (Result, error) {
 	memoryMB, pages := o.sizing()
-	seed := o.seed(1)
+	const seed = 1
 	t := &Table{
 		Title:  "Ablation: compression-cache age bias (retention preference)",
 		Header: []string{"cc age scale", "thrasher time", "thrasher hits", "gold_warm time", "gold_warm hits"},
@@ -118,10 +118,8 @@ func ablationBias(ctx context.Context, o Options) (Result, error) {
 	var jobs []job
 	for _, scale := range scales {
 		cfg := machine.Default(int64(memoryMB) << 20).WithCC()
-		cfg.Biases = policy.DefaultBiases()
-		b := cfg.Biases["cc"]
-		b.Scale = scale
-		cfg.Biases["cc"] = b
+		cfg.Biases.CC = policy.DefaultBiases().CC
+		cfg.Biases.CC.Scale = scale
 		jobs = append(jobs,
 			job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: seed}},
 			job{cfg, &workload.Gold{Messages: msgs, WordsPerMessage: 24,
@@ -163,7 +161,7 @@ func ablationThreshold(ctx context.Context, o Options) (Result, error) {
 		cfg := machine.Default(int64(memoryMB) << 20).WithCC()
 		cfg.CC.KeepNum, cfg.CC.KeepDen = th.num, th.den
 		jobs = append(jobs, job{cfg, &workload.Sort{
-			Bytes: int64(memoryMB) << 20 * 3 / 2, Mode: workload.SortRandom, VocabWords: 4000, Seed: o.seed(1)}})
+			Bytes: int64(memoryMB) << 20 * 3 / 2, Mode: workload.SortRandom, VocabWords: 4000, Seed: 1}})
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
@@ -192,7 +190,7 @@ func ablationCodec(ctx context.Context, o Options) (Result, error) {
 	for _, codec := range codecs {
 		cfg := machine.Default(int64(memoryMB) << 20).WithCC()
 		cfg.CC.Codec = codec
-		jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}})
+		jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: 1}})
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
@@ -240,7 +238,7 @@ func ablationFixedSize(ctx context.Context, o Options) (Result, error) {
 		for _, ws := range []int32{smallWS, largeWS} {
 			cfg := machine.Default(memBytes).WithCC()
 			cfg.CC.FixedFrames = v.maxFrames
-			jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: ws, Write: true, Passes: 2, Seed: o.seed(1)}})
+			jobs = append(jobs, job{cfg, &workload.Thrasher{Pages: ws, Write: true, Passes: 2, Seed: 1}})
 		}
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)

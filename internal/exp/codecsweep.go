@@ -37,7 +37,7 @@ func codecSweep(ctx context.Context, o Options) (Result, error) {
 		{"fpc", 20e6, 20e6},  // hardware-class pattern matcher
 		{"bdi", 40e6, 40e6},  // hardware-class arithmetic transform
 	}
-	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}
+	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: 1}
 	var jobs []job
 	for _, v := range variants {
 		cfg := machine.Default(int64(memoryMB) << 20).WithCC()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"compcache/internal/compress"
 	"compcache/internal/fault"
 	"compcache/internal/machine"
 	"compcache/internal/runner"
@@ -18,40 +17,51 @@ import (
 // sampled/total ratio rather than pretending the sweep was exhaustive.
 const maxCrashPoints = 64
 
-// crashSweep crash-tests the recoverable backing-store formats. For each leg
-// — the durable log-structured baseline, then the compressed machine once
-// per registered codec — it first runs a write-heavy thrasher fault-free to
-// count the run's device writes, then replays the run with the power cut at
-// the k-th write (every write, stride-sampled past maxCrashPoints), reboots
-// a machine from the torn media image, and holds the recovery to the
+// crashLeg is one machine configuration a crash sweep cuts.
+type crashLeg struct {
+	name string
+	cfg  machine.Config
+}
+
+// crashLegs lists the configurations crashSweep and TestCrashAtEveryPoint
+// cut on a machine of memoryBytes: the durable log-structured baseline (its
+// segments segmentBytes long, 0 for the store's default) and the compressed
+// machine with commit records. Both sweeps thrash near-incompressible pages,
+// so every compression misses the 4:3 retention threshold and the clustered
+// store writes every page raw: the codec changes neither the media nor
+// anything recovery sees, and one codec leg is the whole of it.
+func crashLegs(memoryBytes int64, segmentBytes int) []crashLeg {
+	base := machine.Default(memoryBytes)
+	cc := base.WithCC()
+	cc.CC.Codec = "lzrw1"
+	cc.Swap.CommitRecords = true
+	return []crashLeg{
+		{"lfs", base.WithLFS(swap.LFSConfig{SegmentBytes: segmentBytes, Durable: true})},
+		{"cc/lzrw1", cc},
+	}
+}
+
+// crashSweep crash-tests the recoverable backing-store formats. For each of
+// crashLegs it first runs a write-heavy thrasher fault-free to count the
+// run's device writes, then replays the run with the power cut at the k-th
+// write (every write, stride-sampled past maxCrashPoints), reboots a machine
+// from the torn media image, and holds the recovery to the
 // crash-consistency oracle: no acknowledged-durable page lost, no torn
 // fragment served. Every sampled crash point of every leg must verify for
 // the experiment to produce a table at all; the table reports what recovery
 // saw along the way.
 func crashSweep(ctx context.Context, o Options) (Result, error) {
 	memoryMB, _ := o.sizing()
-	seed := o.seed(1)
+	const seed = 1
 	// A quarter overcommit keeps the write count tractable (each write is a
 	// crash point, each crash point a full replay) while still paging.
-	// Near-incompressible pages force the compression cache to reject most
+	// Near-incompressible pages force the compression cache to reject all
 	// of them to the clustered store — crash points need device writes to
 	// cut.
 	frames := int32(int64(memoryMB) << 20 / 4096)
 	pages := frames + frames/4
 	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 1, CompressTarget: 0.85, Seed: seed}
-
-	base := machine.Default(int64(memoryMB) << 20)
-	type leg struct {
-		name string
-		cfg  machine.Config
-	}
-	legs := []leg{{"lfs (durable)", base.WithLFS(swap.LFSConfig{Durable: true})}}
-	for _, codec := range compress.Names() {
-		cfg := base.WithCC()
-		cfg.CC.Codec = codec
-		cfg.Swap.CommitRecords = true
-		legs = append(legs, leg{"cc/" + codec, cfg})
-	}
+	legs := crashLegs(int64(memoryMB)<<20, 0)
 	t := &Table{
 		Title:  "Extension: crash-point sweep (power cut at the k-th device write, reboot, recover, verify)",
 		Header: []string{"configuration", "crash points", "recovered pages", "stale", "torn discarded", "verified"},
@@ -91,7 +101,11 @@ func crashSweep(ctx context.Context, o Options) (Result, error) {
 			total.StalePages += rep.StalePages
 			total.TornDiscarded += rep.TornDiscarded
 		}
-		t.AddRow(l.name,
+		name := l.name
+		if l.cfg.LFSSwap != nil {
+			name += " (durable)"
+		}
+		t.AddRow(name,
 			fmt.Sprintf("%d/%d", len(points), writes),
 			fmt.Sprintf("%d", total.RecoveredPages),
 			fmt.Sprintf("%d", total.StalePages),

@@ -23,9 +23,7 @@ var results = func() map[string]func() (Result, error) {
 	m := make(map[string]func() (Result, error), len(registry))
 	for _, e := range registry {
 		m[e.Name] = sync.OnceValues(func() (Result, error) {
-			o := DefaultOptions(Small)
-			o.Parallelism = 4
-			return e.Run(context.Background(), o)
+			return e.Run(context.Background(), Options{Scale: Small, Parallelism: 4})
 		})
 	}
 	return m
@@ -353,7 +351,7 @@ func TestLFSComparison(t *testing.T) {
 	}
 	// Fits-compressed regime: the cache eliminates I/O entirely and must
 	// beat LFS, which still reads every fault from disk.
-	res, err := lfsSweep(context.Background(), DefaultOptions(Small), 512)
+	res, err := lfsSweep(context.Background(), Options{}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

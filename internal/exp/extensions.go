@@ -69,7 +69,7 @@ func backingStoreSweep(ctx context.Context, o Options) (Result, error) {
 	// claim). Write-heavy spilling workloads behave differently — see the
 	// note the table prints.
 	w := &workload.Thrasher{Pages: pages, Write: false, Passes: 3,
-		CompressTarget: 0.15, Seed: o.seed(1)}
+		CompressTarget: 0.15, Seed: 1}
 	var jobs []job
 	for _, b := range cases {
 		base := b.mk(machine.Default(int64(memoryMB) << 20))
@@ -97,7 +97,7 @@ func compressionSpeedSweep(ctx context.Context, o Options) (Result, error) {
 		Header: []string{"compression speed", "std time", "cc time", "speedup"},
 		Note:   "The paper's DECstation compresses ~1 MB/s in software; 10-40 MB/s models a hardware engine.",
 	}
-	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}
+	w := &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: 1}
 	base := machine.Default(int64(memoryMB) << 20)
 	bws := []float64{0.5e6, 1e6, 4e6, 10e6, 40e6}
 	jobs := []job{{base, w}} // the shared baseline runs as job 0
@@ -132,7 +132,7 @@ func compressionSpeedSweep(ctx context.Context, o Options) (Result, error) {
 // and without the compression cache.
 func mobileScenario(ctx context.Context, o Options) (Result, error) {
 	memoryMB, _ := o.sizing()
-	seed := o.seed(1)
+	const seed = 1
 	t := &Table{
 		Title:  "Extension: the §1 mobile scenario — small memory, wireless paging",
 		Header: []string{"workload", "std time", "cc time", "speedup"},
@@ -187,7 +187,7 @@ func advisoryPinning(ctx context.Context, o Options) (Result, error) {
 	var jobs []job
 	for _, c := range cases {
 		jobs = append(jobs, job{c.cfg, &workload.Thrasher{
-			Pages: pages, Write: false, Passes: 3, PinFraction: c.pin, Seed: o.seed(1)}})
+			Pages: pages, Write: false, Passes: 3, PinFraction: c.pin, Seed: 1}})
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
@@ -231,7 +231,7 @@ func compressedFileCache(ctx context.Context, o Options) (Result, error) {
 			// keeps the compressed copies alive between scans.
 			cfg.CC.RefreshOnFault = enabled
 			m, st, err := workload.MeasureMachine(cfg,
-				&workload.FileScan{FileBytes: fileBytes, Passes: 3, CompressTarget: 0.12, Seed: o.seed(1)})
+				&workload.FileScan{FileBytes: fileBytes, Passes: 3, CompressTarget: 0.12, Seed: 1})
 			if err != nil {
 				return fcRun{}, err
 			}
@@ -281,7 +281,7 @@ func lfsSweep(ctx context.Context, o Options, pages int32) (Result, error) {
 	}
 	var jobs []job
 	for _, c := range cases {
-		jobs = append(jobs, job{c.cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: o.seed(1)}})
+		jobs = append(jobs, job{c.cfg, &workload.Thrasher{Pages: pages, Write: true, Passes: 2, Seed: 1}})
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)
 	if err != nil {
@@ -303,7 +303,7 @@ func lfsSweep(ctx context.Context, o Options, pages int32) (Result, error) {
 // compressible process sharing the machine with an incompressible one.
 func multiprogramming(ctx context.Context, o Options) (Result, error) {
 	memoryMB, _ := o.sizing()
-	seed := o.seed(1)
+	const seed = 1
 	t := &Table{
 		Title:  "Extension: multiprogrammed workload mixes (round-robin, shared memory)",
 		Header: []string{"mix", "std time", "cc time", "speedup"},
@@ -364,7 +364,7 @@ func modelValidation(ctx context.Context, o Options) (Result, error) {
 	writes := []bool{true, false}
 	var jobs []job
 	for _, write := range writes {
-		w := &workload.Thrasher{Pages: pages, Write: write, Passes: 3, Seed: o.seed(1)}
+		w := &workload.Thrasher{Pages: pages, Write: write, Passes: 3, Seed: 1}
 		jobs = append(jobs, job{base, w}, job{base.WithCC(), w})
 	}
 	runs, err := measureAll(ctx, o.Parallelism, jobs)

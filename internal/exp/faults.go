@@ -81,22 +81,15 @@ func measureTrial(cfg machine.Config, w workload.Workload) (faultTrial, error) {
 // when the only copy of a page is gone. Only injector seeds vary between
 // trials, so the sweep is deterministic at any parallelism.
 //
-// The rates are a ladder from 0 to 1e-2, or 0 and Options.FaultRate when it
-// is not negative. A rate is applied uniformly to device read errors, device
-// write errors and both corruption classes; latency spikes — transient by
-// nature, so far more common than hard faults in practice — fire at 50x the
-// rate (capped at 1) to make their overhead visible at rates where the
-// machine still survives.
+// The rates are a ladder from 0 to 1e-2. A rate is applied uniformly to
+// device read errors, device write errors and both corruption classes;
+// latency spikes — transient by nature, so far more common than hard faults
+// in practice — fire at 50x the rate (capped at 1) to make their overhead
+// visible at rates where the machine still survives.
 func faultSweep(ctx context.Context, o Options) (Result, error) {
 	rates := []float64{0, 1e-4, 1e-3, 1e-2}
-	if o.FaultRate >= 0 {
-		// Keep the rate-0 baseline: overhead is relative to it.
-		rates = []float64{0}
-		if o.FaultRate > 0 {
-			rates = append(rates, o.FaultRate)
-		}
-	}
-	sz, seed := faultSizes[o.Scale], o.seed(1)
+	sz := faultSizes[o.Scale]
+	const seed = 1
 	memBytes := int64(sz.memoryMB) << 20
 	type spec struct {
 		rate float64

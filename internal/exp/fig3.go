@@ -77,7 +77,7 @@ func Fig3(ctx context.Context, o Options) (Result, error) {
 				cfg = cfg.WithCC()
 			}
 			st, err := workload.Measure(cfg, &workload.Thrasher{
-				Pages: int32(s.sizeMB << 20 / 4096), Write: s.write, Passes: fig3Passes, Seed: o.seed(1)})
+				Pages: int32(s.sizeMB << 20 / 4096), Write: s.write, Passes: fig3Passes, Seed: 1})
 			if err != nil {
 				return stats.Run{}, fmt.Errorf("fig3 %dMB write=%v: %w", s.sizeMB, s.write, err)
 			}

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"time"
 
@@ -28,9 +26,6 @@ import (
 // continuously proves the cycle is a semantic no-op. Cells are independent
 // fleets fanned out across Options.Parallelism workers; rows assemble in
 // grid order, so the table is byte-identical at any parallelism.
-//
-// Options.TracePath, when non-empty, additionally writes one JSON record per
-// cell (grid order) — the machine-readable artifact CI archives.
 func fleetSweep(ctx context.Context, o Options) (Result, error) {
 	memoryMB, pages := o.sizing()
 	t := &Table{
@@ -64,15 +59,11 @@ func fleetSweep(ctx context.Context, o Options) (Result, error) {
 	if perMachine > pages {
 		perMachine = pages
 	}
-	type cellOut struct {
-		row []string
-		rec fleetRec
-	}
-	results, err := runner.Map(ctx, o.Parallelism, len(cells), func(_ context.Context, i int) (cellOut, error) {
+	rows, err := runner.Map(ctx, o.Parallelism, len(cells), func(_ context.Context, i int) ([]string, error) {
 		ce := cells[i]
-		c, err := runFleetCell(ce.machines, int64(memoryMB)<<20, ce.link, ce.codec, o.seed(1), perMachine)
+		c, err := runFleetCell(ce.machines, int64(memoryMB)<<20, ce.link, ce.codec, 1, perMachine)
 		if err != nil {
-			return cellOut{}, fmt.Errorf("fleet cell %d/%s/%s: %w", ce.machines, ce.linkName, ce.codec, err)
+			return nil, fmt.Errorf("fleet cell %d/%s/%s: %w", ce.machines, ce.linkName, ce.codec, err)
 		}
 		var agg histAgg
 		var faults, remoteIns uint64
@@ -84,36 +75,17 @@ func fleetSweep(ctx context.Context, o Options) (Result, error) {
 				agg.add(h)
 			}
 		}
-		srv := c.Server().Stats()
-		p50, p99, p999 := agg.quantile(0.50), agg.quantile(0.99), agg.quantile(0.999)
-		out := cellOut{
-			row: []string{
-				fmt.Sprintf("%d", ce.machines), ce.linkName, ce.codec,
-				fmt.Sprintf("%d", faults), fmt.Sprintf("%d", remoteIns), fmt.Sprintf("%d", srv.Ops),
-				fmtQuantile(p50), fmtQuantile(p99), fmtQuantile(p999),
-			},
-			rec: fleetRec{
-				Fleet: ce.machines, Link: ce.linkName, Codec: ce.codec,
-				Faults: faults, RemoteIns: remoteIns,
-				ServerOps: srv.Ops, Forwards: srv.Forwards, TierHits: srv.TierHits, TierMiss: srv.TierMiss,
-				P50us: usOrNeg(p50), P99us: usOrNeg(p99), P999us: usOrNeg(p999),
-				FleetTimeUs: int64(time.Duration(c.Kernel.Now()) / time.Microsecond),
-			},
-		}
-		return out, nil
+		return []string{
+			fmt.Sprintf("%d", ce.machines), ce.linkName, ce.codec,
+			fmt.Sprintf("%d", faults), fmt.Sprintf("%d", remoteIns), fmt.Sprintf("%d", c.Server().Stats().Ops),
+			fmtQuantile(agg.quantile(0.50)), fmtQuantile(agg.quantile(0.99)), fmtQuantile(agg.quantile(0.999)),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]fleetRec, len(results))
-	for i, r := range results {
-		t.AddRow(r.row...)
-		recs[i] = r.rec
-	}
-	if o.TracePath != "" {
-		if err := writeFleetTrace(o.TracePath, recs); err != nil {
-			return nil, err
-		}
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	return t, nil
 }
@@ -277,46 +249,4 @@ func fmtQuantile(d time.Duration) string {
 		return ">max"
 	}
 	return "≤" + fmtDur(d)
-}
-
-func usOrNeg(d time.Duration) int64 {
-	if d < 0 {
-		return -1
-	}
-	return int64(d / time.Microsecond)
-}
-
-// ---------------------------------------------------------------------------
-// JSONL trace artifact.
-
-// fleetRec is one grid cell of the machine-readable sweep trace.
-type fleetRec struct {
-	Fleet       int    `json:"fleet"`
-	Link        string `json:"link"`
-	Codec       string `json:"codec"`
-	Faults      uint64 `json:"faults"`
-	RemoteIns   uint64 `json:"remote_ins"`
-	ServerOps   uint64 `json:"server_ops"`
-	Forwards    uint64 `json:"forwards"`
-	TierHits    uint64 `json:"tier_hits"`
-	TierMiss    uint64 `json:"tier_miss"`
-	P50us       int64  `json:"p50_us"`
-	P99us       int64  `json:"p99_us"`
-	P999us      int64  `json:"p999_us"`
-	FleetTimeUs int64  `json:"fleet_time_us"`
-}
-
-func writeFleetTrace[T any](path string, results []T) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, r := range results {
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -3,26 +3,30 @@ package exp
 import (
 	"context"
 	"errors"
-	"maps"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
+	"compcache/internal/compress"
 	"compcache/internal/machine"
+	"compcache/internal/swap"
 	"compcache/internal/workload"
 )
 
 // TestParallelMatchesSerial: measureAll, which every sweep fans out
 // through, returns the same stats.Run for every job, field for field, with
 // one worker or four. TestRegistry holds each experiment's rendered cells to
-// its -j 1 golden; this holds the counters no table prints as well.
+// its -j 1 golden; this holds the counters no table prints as well. The
+// jobs are a durable LFS machine and a compressed one per codec.
 func TestParallelMatchesSerial(t *testing.T) {
 	w := &workload.Thrasher{Pages: 80, Write: true, Passes: 1, CompressTarget: 0.85, Seed: 5}
-	legs := tinyCrashLegs()
-	var jobs []job
-	for _, name := range slices.Sorted(maps.Keys(legs)) {
-		jobs = append(jobs, job{legs[name], w})
+	base := machine.Default(64 * 4096)
+	jobs := []job{{base.WithLFS(swap.LFSConfig{SegmentBytes: 8 * 4096, Durable: true}), w}}
+	for _, codec := range compress.Names() {
+		cfg := base.WithCC()
+		cfg.CC.Codec = codec
+		cfg.Swap.CommitRecords = true
+		jobs = append(jobs, job{cfg, w})
 	}
 	serial, err := measureAll(context.Background(), 1, jobs)
 	if err != nil {
@@ -68,7 +72,7 @@ func TestCancelledContextRunsNoJob(t *testing.T) {
 	for _, e := range Experiments() {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := e.Run(ctx, DefaultOptions(Small))
+		res, err := e.Run(ctx, Options{})
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, context.Canceled) || res != nil {
 			t.Errorf("%s: result %v, error %v; want no result and context.Canceled", e.Name, res, err)

@@ -7,36 +7,14 @@ import (
 )
 
 // Options is the one experiment-sizing knob set every registered experiment
-// accepts. Individual experiments read the fields they care about and ignore
-// the rest, so a single Options value can drive a whole `-run` list.
+// accepts; its zero value is the small scale, one worker per core.
 type Options struct {
 	// Scale selects Small or Paper sizing (see Scale).
 	Scale Scale
 
-	// Seed overrides the experiment's built-in seed; 0 keeps the default, so
-	// the registry reproduces the documented tables out of the box.
-	Seed int64
-
 	// Parallelism caps concurrent simulated machines (0 = one per core,
 	// 1 = serial). Results are byte-identical at any value.
 	Parallelism int
-
-	// FaultRate restricts the fault sweep to one rate (plus the rate-0
-	// baseline). Negative selects the built-in rate ladder. Only the faults
-	// experiment reads it.
-	FaultRate float64
-
-	// TracePath, when non-empty, makes experiments that support a
-	// machine-readable trace write one there (currently ext/fleet-sweep:
-	// one JSON record per grid cell). The file contents are deterministic —
-	// cells are written in grid order at any Parallelism.
-	TracePath string
-}
-
-// DefaultOptions returns the options every experiment documents: built-in
-// seeds and the full fault-rate ladder.
-func DefaultOptions(s Scale) Options {
-	return Options{Scale: s, FaultRate: -1}
 }
 
 // sizing maps the scale to the shared memory/working-set convention the
@@ -46,14 +24,6 @@ func (o Options) sizing() (memMB int, pages int32) {
 		return 6, 4096
 	}
 	return 1, 768
-}
-
-// seed returns the effective seed: o.Seed, or def when it is zero.
-func (o Options) seed(def int64) int64 {
-	if o.Seed != 0 {
-		return o.Seed
-	}
-	return def
 }
 
 // Result is what a registered experiment produces: one or more renderable
@@ -75,7 +45,7 @@ type Experiment struct {
 	Name string
 
 	// Run executes the experiment. It derives all sizing from o, stays
-	// deterministic for a fixed (Scale, Seed), and runs no simulation once
+	// deterministic for a fixed Scale, and runs no simulation once
 	// ctx is done: its error then wraps ctx.Err().
 	Run func(ctx context.Context, o Options) (Result, error)
 }

@@ -86,7 +86,7 @@ func table1Workloads(s Scale, seed int64) (memoryMB int, ws []workload.Workload)
 // table1 runs every §5.2 application on the baseline and compression-cache
 // machines; the result is a *Table1Result. Its built-in seed is 42.
 func table1(ctx context.Context, o Options) (Result, error) {
-	memoryMB, ws := table1Workloads(o.Scale, o.seed(42))
+	memoryMB, ws := table1Workloads(o.Scale, 42)
 	// The 2 x len(ws) runs are independent, so they fan out; rows come back
 	// in workload order.
 	memBytes := int64(memoryMB) << 20

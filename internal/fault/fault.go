@@ -79,7 +79,6 @@ type Config struct {
 	// operation fails with a *CrashError. This is the exhaustive-sweep knob:
 	// iterating k over every write of a workload visits every crash point
 	// exactly once. The crash point ignores the activity window.
-	// Injector.CrashAt schedules a crash at a virtual instant instead.
 	CrashAtWrite uint64
 }
 
@@ -138,7 +137,6 @@ type injectorState struct {
 	st  stats.Faults   // the Injected* counters; the machine owns the rest
 
 	writeSeq  uint64   // device writes seen (crash-point numbering)
-	crashAt   sim.Time // dynamically scheduled crash instant (0 = none)
 	crashed   bool     // the machine lost power; every device op now fails
 	crashTime sim.Time // virtual instant of the crash
 }
@@ -252,27 +250,18 @@ func (in *Injector) DiskWrite() error {
 	return &DeviceError{Op: "write", At: in.clock.Now()}
 }
 
-// CrashAt schedules a crash at the first device write at or after virtual
-// instant t. Zero cancels the schedule.
-func (in *Injector) CrashAt(t sim.Time) {
-	if in != nil {
-		in.crashAt = t
-	}
-}
-
 // Crashed reports whether the crash point has fired.
 func (in *Injector) Crashed() bool { return in != nil && in.crashed }
 
 // CrashWrite is the crash-point decision, made once per device write before
-// the write's own error draw: it fires on write Config.CrashAtWrite or on the
-// first write at or after the CrashAt instant. When the crash fires, the
-// in-flight write is torn: a whole-sector prefix of Survived bytes reaches
-// the media (possibly none, possibly all n), the injector goes
-// sticky-crashed, and the returned *CrashError reports the tear so the file
-// system can apply exactly that prefix. sectorSize is the device's
-// addressing granularity — a disk sector, a network packet. Only the tear
-// consumes randomness, so crash-capable runs are byte-identical to plain
-// ones right up to the crash point.
+// the write's own error draw: it fires on write Config.CrashAtWrite. When
+// the crash fires, the in-flight write is torn: a whole-sector prefix of
+// Survived bytes reaches the media (possibly none, possibly all n), the
+// injector goes sticky-crashed, and the returned *CrashError reports the
+// tear so the file system can apply exactly that prefix. sectorSize is the
+// device's addressing granularity — a disk sector, a network packet. Only
+// the tear consumes randomness, so crash-capable runs are byte-identical to
+// plain ones right up to the crash point.
 func (in *Injector) CrashWrite(n, sectorSize int) error {
 	if in == nil {
 		return nil
@@ -280,13 +269,10 @@ func (in *Injector) CrashWrite(n, sectorSize int) error {
 	if in.crashed {
 		return &CrashError{Op: "write", At: in.crashTime}
 	}
-	if !in.cfg.CrashConfigured() && in.crashAt == 0 {
+	if !in.cfg.CrashConfigured() {
 		return nil
 	}
-	in.writeSeq++
-	fire := in.writeSeq == in.cfg.CrashAtWrite ||
-		in.crashAt > 0 && in.clock.Now() >= in.crashAt
-	if !fire {
+	if in.writeSeq++; in.writeSeq != in.cfg.CrashAtWrite {
 		return nil
 	}
 	sectors := 0

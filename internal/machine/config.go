@@ -8,6 +8,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -109,10 +110,9 @@ type Config struct {
 	// no overhead.
 	Faults *fault.Config
 
-	// Biases configures the three-way memory trade; keys "vm", "fs", "cc".
-	// A consumer the map does not name takes its policy.DefaultBiases entry;
-	// any other key is an error from New.
-	Biases map[string]policy.Bias
+	// Biases configures the three-way memory trade. A consumer whose bias
+	// is zero takes its policy.DefaultBiases entry.
+	Biases policy.Biases
 }
 
 // Default returns the paper's baseline configuration: a DECstation-class
@@ -232,19 +232,11 @@ func (c *Config) setDefaults() error {
 	if c.CC.CleanReserve == 0 {
 		c.CC.CleanReserve = max(4, frames/64)
 	}
-	// A fresh map: the caller's is shared, and a consumer it leaves out keeps
-	// the paper's bias rather than turning neutral.
-	biases, named := policy.DefaultBiases(), 0
-	for _, name := range [...]string{"vm", "fs", "cc"} {
-		if b, ok := c.Biases[name]; ok {
-			biases[name] = b
-			named++
-		}
-	}
-	if named != len(c.Biases) {
-		return fmt.Errorf("machine: Biases names a consumer other than vm, fs and cc")
-	}
-	c.Biases = biases
+	// A consumer left zero keeps the paper's bias rather than turning neutral.
+	def := policy.DefaultBiases()
+	c.Biases.VM = cmp.Or(c.Biases.VM, def.VM)
+	c.Biases.FS = cmp.Or(c.Biases.FS, def.FS)
+	c.Biases.CC = cmp.Or(c.Biases.CC, def.CC)
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return err

@@ -177,8 +177,8 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 	m.VM.SetObserver(m.bus)
 
 	m.alloc = policy.NewAllocator(m.Pool, m.Clock)
-	m.alloc.Register(m.FS, cfg.Biases["fs"])
-	m.alloc.Register(m.VM, cfg.Biases["vm"])
+	m.alloc.Register(m.FS, cfg.Biases.FS)
+	m.alloc.Register(m.VM, cfg.Biases.VM)
 
 	switch {
 	case cfg.CC.Enabled:
@@ -189,7 +189,7 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		m.compBuf = make([]byte, 0, m.codec.MaxCompressedSize(cfg.PageSize))
 		m.CC = core.New(cfg.coreParams(), m.Clock, m.Pool)
 		m.CC.SetObserver(m.bus)
-		m.alloc.Register(ccConsumer{m.CC}, cfg.Biases["cc"])
+		m.alloc.Register(ccConsumer{m.CC}, cfg.Biases.CC)
 		var clustered *swap.Clustered
 		if img != nil {
 			if !cfg.Swap.CommitRecords {

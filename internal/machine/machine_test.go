@@ -105,8 +105,6 @@ func TestConfigValidation(t *testing.T) {
 func TestNewRefusesSettingsItCannotHonour(t *testing.T) {
 	swapPage := Default(mb).WithCC()
 	swapPage.Swap.PageSize = 8192
-	typo := Default(mb).WithCC()
-	typo.Biases = map[string]policy.Bias{"CC": {Scale: 0.5}}
 	backward := Default(mb)
 	backward.Cost.MemRef = -1
 	nanBW := Default(mb)
@@ -120,7 +118,6 @@ func TestNewRefusesSettingsItCannotHonour(t *testing.T) {
 		"LFSSwap on a cc machine":   {Default(mb).WithCC().WithLFS(swap.LFSConfig{}), "LFSSwap"},
 		"Swap.PageSize != PageSize": {swapPage, "Swap.PageSize 8192"},
 		"LFS PageSize != PageSize":  {Default(mb).WithLFS(swap.LFSConfig{PageSize: 8192}), "LFSSwap.PageSize 8192"},
-		"unknown Biases key":        {typo, "vm, fs and cc"},
 		"negative MemRef":           {backward, "negative cost"},
 		"NaN CompressBW":            {nanBW, "bandwidth NaN"},
 		"tiny DecompressBW":         {tinyBW, "bandwidth 1e-300"},
@@ -131,11 +128,11 @@ func TestNewRefusesSettingsItCannotHonour(t *testing.T) {
 	}
 }
 
-// TestBiasesDefaultWhatTheyOmit: a Biases map naming some consumers leaves
-// the others at the paper's biases, so naming a consumer with its default is
-// the same machine as not naming it.
+// TestBiasesDefaultWhatTheyOmit: a zero bias takes the paper's, so setting
+// the other consumers to their defaults is the same machine as setting
+// nothing, and a neutral cc bias is not.
 func TestBiasesDefaultWhatTheyOmit(t *testing.T) {
-	run := func(biases map[string]policy.Bias) time.Duration {
+	run := func(biases policy.Biases) time.Duration {
 		cfg := Default(mb).WithCC()
 		cfg.Biases = biases
 		m := newMachine(t, cfg)
@@ -153,11 +150,11 @@ func TestBiasesDefaultWhatTheyOmit(t *testing.T) {
 		return m.Elapsed()
 	}
 	def := policy.DefaultBiases()
-	want := run(nil)
-	if got := run(map[string]policy.Bias{"fs": def["fs"], "vm": def["vm"]}); got != want {
+	want := run(policy.Biases{})
+	if got := run(policy.Biases{FS: def.FS, VM: def.VM}); got != want {
 		t.Errorf("omitting cc: %v, want the default machine's %v", got, want)
 	}
-	if got := run(map[string]policy.Bias{"cc": policy.Neutral}); got == want {
+	if got := run(policy.Biases{CC: policy.Neutral}); got == want {
 		t.Errorf("a neutral cc bias ran in the default machine's %v: the sweep would measure nothing", got)
 	}
 }

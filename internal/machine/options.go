@@ -74,8 +74,8 @@ type Introspection struct {
 	// Bus is the machine's event bus (nil without WithObs).
 	Bus *obs.Bus
 	// Injector is the deterministic fault injector (nil without
-	// Config.Faults). Harnesses use it to schedule crashes dynamically
-	// (Injector.CrashAt) and to read injection counters.
+	// Config.Faults). Harnesses read whether the crash point fired and the
+	// injection counters from it.
 	Injector *fault.Injector
 	// Recovery is the mount-time recovery report for machines booted with
 	// NewFromMedia.

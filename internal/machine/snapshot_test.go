@@ -451,6 +451,11 @@ func TestSnapshotRejectsForgedState(t *testing.T) {
 	if _, err := Restore(tc.cfg, patched("fault.injector", 0, draws...), tc.opts...); err == nil || !strings.Contains(err.Error(), "PRNG draws") {
 		t.Errorf("forged draw count: err = %v, want the draw-count limit", err)
 	}
+	// Past the draw count, five injection counters and the write count sits
+	// the injector's zero slot; a snapshot with it set is refused.
+	if _, err := Restore(tc.cfg, patched("fault.injector", 8+5*8+8, 1), tc.opts...); err == nil || !strings.Contains(err.Error(), "scheduled crash instant") {
+		t.Errorf("forged crash instant: err = %v, want the zero-slot complaint", err)
+	}
 	if _, err := Restore(tc.cfg, patched("\x02\x00\x00\x00vm", 4+8+4+8+4, 9), tc.opts...); err == nil || !strings.Contains(err.Error(), "unknown state 9") {
 		t.Errorf("forged page state: err = %v, want the unknown-state complaint", err)
 	}

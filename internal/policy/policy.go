@@ -70,17 +70,22 @@ type Bias struct {
 // Neutral is the identity bias.
 var Neutral = Bias{Scale: 1}
 
+// Biases holds one bias per consumer a machine registers: the VM's
+// uncompressed pages, the file cache and the compression cache.
+type Biases struct {
+	VM, FS, CC Bias
+}
+
 // DefaultBiases reproduces the paper's preference order: the file cache is
 // penalized (reclaimed first), uncompressed VM pages are neutral, and
 // compressed pages are favored so the compression cache can grow during
-// heavy paging. Its keys, "fs", "vm" and "cc", are the consumers a machine
-// registers; a machine takes the bias of any consumer its configuration
-// does not name from here.
-func DefaultBiases() map[string]Bias {
-	return map[string]Bias{
-		"fs": {Scale: 1.0, Offset: 2 * time.Second},
-		"vm": {Scale: 1.0},
-		"cc": {Scale: 0.5, Offset: -2 * time.Second},
+// heavy paging. A machine takes the bias of any consumer its configuration
+// leaves zero from here.
+func DefaultBiases() Biases {
+	return Biases{
+		FS: Bias{Scale: 1.0, Offset: 2 * time.Second},
+		VM: Bias{Scale: 1.0},
+		CC: Bias{Scale: 0.5, Offset: -2 * time.Second},
 	}
 }
 

@@ -184,10 +184,10 @@ func TestOOMReturnsTypedError(t *testing.T) {
 
 func TestDefaultBiasesShape(t *testing.T) {
 	b := DefaultBiases()
-	if b["fs"].Offset <= b["vm"].Offset {
+	if b.FS.Offset <= b.VM.Offset {
 		t.Fatal("file cache must be penalized relative to VM")
 	}
-	if b["cc"].Offset >= b["vm"].Offset || b["cc"].Scale >= b["vm"].Scale {
+	if b.CC.Offset >= b.VM.Offset || b.CC.Scale >= b.VM.Scale {
 		t.Fatal("compressed pages must be favored relative to VM")
 	}
 }
