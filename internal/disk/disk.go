@@ -1,7 +1,10 @@
 // Package disk models the backing-store device: a single disk with seek,
-// rotational latency and transfer-rate costs, plus an asynchronous write
-// queue so background cleaning can overlap with computation the way the
-// paper's kernel cleaner thread does.
+// rotational latency and transfer-rate costs, on a device Queue whose
+// asynchronous writes let background cleaning overlap with computation the
+// way the paper's kernel cleaner thread does. The Queue — busy timeline,
+// counters, probes, synchronous charge, fault draws and snapshot walk — is
+// the one every backing device embeds; netdev's page-server link is the
+// other.
 //
 // The default parameters approximate the DEC RZ57, the local disk of the
 // paper's DECstation 5000/200: roughly one-gigabyte, 3600-RPM, ~15 ms average
@@ -12,14 +15,10 @@
 package disk
 
 import (
-	"fmt"
-	"math"
 	"time"
 
-	"compcache/internal/fault"
 	"compcache/internal/obs"
 	"compcache/internal/sim"
-	"compcache/internal/stats"
 )
 
 // Params describes a disk.
@@ -57,57 +56,22 @@ func RZ57() Params {
 
 // Validate reports whether the parameters describe a usable disk.
 func (p Params) Validate() error {
-	if math.IsNaN(p.BytesPerSec) || math.IsInf(p.BytesPerSec, 0) || p.BytesPerSec <= 0 {
-		return fmt.Errorf("disk: BytesPerSec must be positive and finite, got %g", p.BytesPerSec)
-	}
-	if p.SectorSize <= 0 {
-		return fmt.Errorf("disk: SectorSize must be positive, got %d", p.SectorSize)
-	}
-	// Cap the sector size well below the overflow point of TransferTime's
-	// round-up arithmetic (n + SectorSize - 1).
-	if p.SectorSize > 1<<30 {
-		return fmt.Errorf("disk: SectorSize %d is unreasonably large", p.SectorSize)
-	}
-	if p.SeekAvg < 0 || p.RotLatency < 0 || p.PerOp < 0 {
-		return fmt.Errorf("disk: negative latency parameter")
-	}
-	return nil
+	return CheckLink("disk", "SectorSize", p.BytesPerSec, p.SectorSize, p.SeekAvg, p.RotLatency, p.PerOp)
 }
 
 // TransferTime reports the media time to move n bytes (rounded up to whole
 // sectors), excluding positioning.
 func (p Params) TransferTime(n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	sectors := (n + p.SectorSize - 1) / p.SectorSize
-	bytes := sectors * p.SectorSize
-	return time.Duration(float64(bytes) / p.BytesPerSec * float64(time.Second))
+	return TransferTime(n, p.SectorSize, p.BytesPerSec)
 }
 
-// Disk is the device. It keeps a busy-until timeline: synchronous operations
-// wait for the device to drain, while asynchronous writes only extend the
-// timeline. A last-address cursor implements sequential-access detection —
-// an access that starts where the previous one ended skips seek and
-// rotational delay, which is how clustered swap writes earn their bandwidth.
+// Disk is the device: a Queue priced by seek, rotation and transfer. A
+// last-address cursor implements sequential-access detection — an access
+// that starts where the previous one ended skips seek and rotational delay,
+// which is how clustered swap writes earn their bandwidth.
 type Disk struct {
-	diskState
+	Queue
 	params Params
-	clock  *sim.Clock
-	faults *fault.Injector
-
-	bus      *obs.Bus
-	waitHist *obs.Histogram // disk.queue_wait — delay behind queued work
-	svcHist  *obs.Histogram // disk.service — positioning plus transfer
-}
-
-// diskState is the disk's replay state: everything a snapshot carries. The
-// fields of Disk proper are configuration, wiring and observability handles
-// the restore target is rebuilt with.
-type diskState struct {
-	busyAt sim.Time // device is busy until this instant
-	next   int64    // byte address one past the previous access
-	stats  stats.Disk
 }
 
 // New creates a disk on the given clock.
@@ -115,44 +79,12 @@ func New(p Params, clock *sim.Clock) (*Disk, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Disk{params: p, clock: clock, diskState: diskState{next: -1}}, nil
+	q := NewQueue(clock, p.SectorSize, obs.SubDisk, "disk", "disk.queue_wait", "disk.service")
+	return &Disk{Queue: q, params: p}, nil
 }
 
 // Params reports the disk's parameters.
 func (d *Disk) Params() Params { return d.params }
-
-// SetFaultInjector attaches a fault injector; nil (the default) disables
-// injection. The injector must live on the same clock as the disk.
-func (d *Disk) SetFaultInjector(in *fault.Injector) { d.faults = in }
-
-// SetObserver wires the disk to a machine's event bus; nil disables emission.
-func (d *Disk) SetObserver(b *obs.Bus) {
-	d.bus = b
-	d.waitHist = b.Histogram("disk.queue_wait")
-	d.svcHist = b.Histogram("disk.service")
-}
-
-// observe records one completed operation: the wait/service histograms plus
-// a completion event stamped at the completion instant.
-func (d *Disk) observe(class obs.Class, n int, wait, svc time.Duration, done sim.Time) {
-	d.waitHist.Observe(wait)
-	d.svcHist.Observe(svc)
-	if d.bus.Enabled(class) {
-		d.bus.Emit(obs.Event{
-			T: done, Class: class, Sub: obs.SubDisk,
-			Bytes: int64(n), Dur: svc, Aux: int64(wait),
-		})
-	}
-}
-
-// Granularity reports the sector size (the fs.Device interface).
-func (d *Disk) Granularity() int { return d.params.SectorSize }
-
-// Stats returns a snapshot of the device counters.
-func (d *Disk) Stats() stats.Disk { return d.stats }
-
-// BusyUntil reports the instant the device queue drains.
-func (d *Disk) BusyUntil() sim.Time { return d.busyAt }
 
 // opTime computes the service time for one operation at byte address addr.
 // A non-sequential access pays a seek plus rotational latency. A sequential
@@ -174,54 +106,20 @@ func (d *Disk) opTime(addr int64, n int) (svc time.Duration, seek bool) {
 	return svc, seek
 }
 
-// start reports when an operation issued now can begin service.
-func (d *Disk) start() sim.Time {
-	now := d.clock.Now()
-	if d.busyAt > now {
-		return d.busyAt
-	}
-	return now
-}
-
-// op performs one operation: extend the busy timeline by its service time
-// (plus any injected latency), count and probe it, and — for a synchronous
-// operation — advance the caller's virtual clock to the completion instant,
-// queueing behind any pending asynchronous writes as a real request would.
-// An injected failure is drawn last, so it surfaces only after the
-// operation has been charged its full service time: a failed transfer is
-// not a free one.
+// op prices one operation and books it on the queue, which extends the
+// timeline by its service time (plus any injected latency) and — for a
+// synchronous operation — advances the caller's virtual clock to the
+// completion instant, queueing behind any pending asynchronous writes as a
+// real request would.
 func (d *Disk) op(addr int64, n int, write, sync bool) (sim.Time, error) {
 	svc, seek := d.opTime(addr, n)
-	svc += d.faults.Latency()
-	st := d.start()
-	wait := time.Duration(st - d.clock.Now())
-	done := st.Add(svc)
-	d.busyAt = done
-	d.next = addr + int64(n)
-	d.stats.BusyTime += svc
+	st, svc := d.Begin(svc)
 	if seek {
 		d.stats.Seeks++
 	}
-	class := obs.ClassDiskRead
-	if write {
-		class = obs.ClassDiskWrite
-		d.stats.Writes++
-		d.stats.BytesWritten += uint64(n)
-	} else {
-		d.stats.Reads++
-		d.stats.BytesRead += uint64(n)
-	}
-	d.observe(class, n, wait, svc, done)
-	if sync {
-		d.clock.ChargeTo(sim.CauseDevice, done)
-	}
-	if !write {
-		return done, d.faults.DiskRead()
-	}
-	if err := d.faults.CrashWrite(n, d.params.SectorSize); err != nil {
-		return done, err
-	}
-	return done, d.faults.DiskWrite()
+	d.Count(n, write)
+	done := st.Add(svc)
+	return done, d.Complete(addr, n, st, done, write, sync)
 }
 
 // Read performs a synchronous read of n bytes at byte address addr.
@@ -244,10 +142,4 @@ func (d *Disk) Write(addr int64, n int) error {
 // with the busy timeline still charged.
 func (d *Disk) WriteAsync(addr int64, n int) (sim.Time, error) {
 	return d.op(addr, n, true, false)
-}
-
-// Drain advances the clock until all queued operations complete. Tests and
-// end-of-run accounting use it so asynchronous work is not silently free.
-func (d *Disk) Drain() {
-	d.clock.ChargeTo(sim.CauseDrain, d.busyAt)
 }

@@ -2,11 +2,11 @@ package disk
 
 import "compcache/internal/snap"
 
-// Snap walks the device's replay state: the timing state (busy horizon, head
-// position) and the traffic counters.
-func (d *Disk) Snap(c *snap.Codec) {
-	c.Section("disk")
-	snap.Int64(c, &d.busyAt)
-	c.I64(&d.next)
-	c.Counters(&d.stats)
+// Snap walks the device's replay state under its own section: the timing
+// state (busy horizon, address cursor) and the traffic counters.
+func (q *Queue) Snap(c *snap.Codec) {
+	c.Section(q.section)
+	snap.Int64(c, &q.busyAt)
+	c.I64(&q.next)
+	c.Counters(&q.stats)
 }

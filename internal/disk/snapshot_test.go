@@ -15,7 +15,7 @@ func TestSnapshotCoversState(t *testing.T) {
 		state any
 		walk  func(*snap.Codec)
 	}{
-		{"Disk", &d.diskState, d.Snap},
+		{"Disk", &d.Timeline, d.Snap},
 	} {
 		if missing := snap.Uncovered(tc.state, tc.walk); len(missing) != 0 {
 			t.Errorf("%s.Snap never visits state field(s) %v", tc.name, missing)

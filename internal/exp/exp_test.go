@@ -246,7 +246,7 @@ func TestScaleString(t *testing.T) {
 	}
 }
 
-func TestDefaultOptionsWorkloadOrderMatchesPaper(t *testing.T) {
+func TestTable1WorkloadOrderMatchesPaper(t *testing.T) {
 	_, ws := table1Workloads(Small, 42)
 	wantOrder := []string{"compare", "isca", "sort_partial", "gold_create", "gold_cold", "sort_random", "gold_warm"}
 	if len(ws) != len(wantOrder) {

@@ -31,7 +31,9 @@ import (
 
 // Device is the backing hardware the file system runs on. *disk.Disk is the
 // usual implementation; *netdev.Net implements it for the paper's diskless
-// mobile environment (paging over a network to a page server).
+// mobile environment (paging over a network to a page server). Both are a
+// disk.Queue under their own cost model, so they queue, count, charge and
+// fail the same way.
 type Device interface {
 	// Read performs a synchronous transfer from the device, advancing the
 	// caller's clock to completion. The clock is charged even when the

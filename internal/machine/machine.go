@@ -15,10 +15,21 @@ import (
 	"compcache/internal/obs"
 	"compcache/internal/policy"
 	"compcache/internal/sim"
+	"compcache/internal/snap"
 	"compcache/internal/stats"
 	"compcache/internal/swap"
 	"compcache/internal/vm"
 )
+
+// device is what a machine asks of its backing hardware: the file system's
+// interface plus the wiring and the snapshot walk of the disk.Queue every
+// device embeds.
+type device interface {
+	fs.Device
+	SetFaultInjector(*fault.Injector)
+	SetObserver(*obs.Bus)
+	Snap(*snap.Codec)
+}
 
 // Machine is a simulated computer. All subsystems share one virtual clock;
 // running a workload against the machine produces deterministic virtual-time
@@ -29,10 +40,9 @@ type Machine struct {
 
 	Clock *sim.Clock
 	Pool  *mem.Pool
-	// Device is the backing hardware (a *disk.Disk unless the configuration
-	// selects a network page server).
-	Device fs.Device
-	Disk   *disk.Disk // non-nil only for disk-backed machines
+	// Device is the backing hardware: a *disk.Disk unless the configuration
+	// selects a network page server (*netdev.Net).
+	Device device
 	FS     *fs.FS
 	VM     *vm.VM
 	CC     *core.Cache // nil when the compression cache is disabled
@@ -145,24 +155,15 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		m.faults.SetObserver(m.bus)
 	}
 	if cfg.Net != nil {
-		var net *netdev.Net
-		net, err = netdev.New(*cfg.Net, m.Clock)
-		if err == nil {
-			net.SetFaultInjector(m.faults)
-			net.SetObserver(m.bus)
-			m.Device = net
-		}
+		m.Device, err = netdev.New(*cfg.Net, m.Clock)
 	} else {
-		m.Disk, err = disk.New(cfg.Disk, m.Clock)
-		if err == nil {
-			m.Disk.SetFaultInjector(m.faults)
-			m.Disk.SetObserver(m.bus)
-			m.Device = m.Disk
-		}
+		m.Device, err = disk.New(cfg.Disk, m.Clock)
 	}
 	if err != nil {
 		return nil, err
 	}
+	m.Device.SetFaultInjector(m.faults)
+	m.Device.SetObserver(m.bus)
 	m.FS, err = fs.New(cfg.FS, m.Device, m.Clock, m.Pool)
 	if err != nil {
 		return nil, err

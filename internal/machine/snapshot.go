@@ -9,7 +9,8 @@ import (
 )
 
 // Snapshot captures the machine's complete simulation state as one opaque
-// byte blob: clock, fault injector, disk timeline, frame pool contents, file
+// byte blob: clock, fault injector, device timeline (a disk's or a network
+// page server's, each under its own section), frame pool contents, file
 // system (platter and buffer cache), page tables and LRU order, compression
 // cache ring, backing store, event bus and the machine's own counters.
 // Capture is non-perturbing — no virtual time passes and no subsystem state
@@ -21,7 +22,6 @@ import (
 // driving the restored machine produces exactly the virtual-time trace and
 // statistics the original would have produced. Snapshot refuses dead
 // machines (their simulated process is gone; boot from media instead),
-// network-backed machines (the netdev has no snapshot support),
 // kernel-attached machines (the kernel owns the schedule; snapshot the fleet
 // through sim.Kernel.Snap instead), and machines with a remote tier (pages
 // only the tier holds would be missing).
@@ -43,9 +43,6 @@ func (m *Machine) Snapshot() ([]byte, error) {
 }
 
 func (m *Machine) snapshottable() error {
-	if m.cfg.Net != nil {
-		return fmt.Errorf("machine: snapshot of network-backed machines is not supported")
-	}
 	if m.Clock.Attached() {
 		return fmt.Errorf("machine: snapshot of kernel-attached machines goes through the kernel")
 	}
@@ -75,7 +72,7 @@ func (m *Machine) snap(c *snap.Codec) {
 	if snap.Const(c, c.Bool, m.faults != nil, "machine: fault injector"); m.faults != nil {
 		m.faults.Snap(c)
 	}
-	m.Disk.Snap(c)
+	m.Device.Snap(c)
 	m.Pool.Snap(c)
 	m.FS.Snap(c)
 	m.VM.Snap(c)

@@ -67,46 +67,59 @@ func snapshotConfigs() map[string]snapCase {
 // and identical statistics.
 func TestSnapshotResumeByteIdentity(t *testing.T) {
 	for name, tc := range snapshotConfigs() {
-		t.Run(name, func(t *testing.T) {
-			m1 := newMachine(t, tc.cfg, tc.opts...)
-			s1 := m1.NewSegment("snap", 96*4096)
-			drivePhase(m1, s1, 1)
+		t.Run(name, func(t *testing.T) { checkResume(t, tc) })
+	}
+}
 
-			blob, err := m1.Snapshot()
-			if err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-			m2, err := Restore(tc.cfg, blob, tc.opts...)
-			if err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			s2, ok := m2.SpaceFor("snap")
-			if !ok {
-				t.Fatal("restored machine lost the segment")
-			}
+// TestSnapshotNetworkBackedResume: a machine paging to a network page
+// server snapshots its link's queue as a disk-backed machine snapshots its
+// disk's, and resumes byte-identically.
+func TestSnapshotNetworkBackedResume(t *testing.T) {
+	checkResume(t, snapCase{cfg: Default(40 * 4096).WithCC().WithNetwork(netdev.Ethernet10())})
+}
 
-			drivePhase(m1, s1, 2)
-			drivePhase(m2, s2, 2)
+// checkResume is TestSnapshotResumeByteIdentity's check on one machine shape.
+func checkResume(t *testing.T, tc snapCase) {
+	m1 := newMachine(t, tc.cfg, tc.opts...)
+	s1 := m1.NewSegment("snap", 96*4096)
+	drivePhase(m1, s1, 1)
+	if st := m1.Device.Stats(); st.Reads == 0 || st.Writes == 0 {
+		t.Fatalf("phase 1 left the device idle (%+v): the snapshot carries no traffic", st)
+	}
 
-			b1, err := m1.Snapshot()
-			if err != nil {
-				t.Fatalf("original re-snapshot: %v", err)
-			}
-			b2, err := m2.Snapshot()
-			if err != nil {
-				t.Fatalf("restored re-snapshot: %v", err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Errorf("final snapshots differ: %d vs %d bytes", len(b1), len(b2))
-			}
-			st1, st2 := m1.Stats().String(), m2.Stats().String()
-			if st1 != st2 {
-				t.Errorf("statistics diverged:\noriginal:\n%s\nrestored:\n%s", st1, st2)
-			}
-			if m1.Elapsed() != m2.Elapsed() {
-				t.Errorf("virtual time diverged: %v vs %v", m1.Elapsed(), m2.Elapsed())
-			}
-		})
+	blob, err := m1.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	m2, err := Restore(tc.cfg, blob, tc.opts...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	s2, ok := m2.SpaceFor("snap")
+	if !ok {
+		t.Fatal("restored machine lost the segment")
+	}
+
+	drivePhase(m1, s1, 2)
+	drivePhase(m2, s2, 2)
+
+	b1, err := m1.Snapshot()
+	if err != nil {
+		t.Fatalf("original re-snapshot: %v", err)
+	}
+	b2, err := m2.Snapshot()
+	if err != nil {
+		t.Fatalf("restored re-snapshot: %v", err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Errorf("final snapshots differ: %d vs %d bytes", len(b1), len(b2))
+	}
+	st1, st2 := m1.Stats().String(), m2.Stats().String()
+	if st1 != st2 {
+		t.Errorf("statistics diverged:\noriginal:\n%s\nrestored:\n%s", st1, st2)
+	}
+	if m1.Elapsed() != m2.Elapsed() {
+		t.Errorf("virtual time diverged: %v vs %v", m1.Elapsed(), m2.Elapsed())
 	}
 }
 
@@ -164,6 +177,20 @@ func TestSnapshotConfigMismatchRejected(t *testing.T) {
 	}
 	if _, err := Restore(cfg, blob[:len(blob)-1]); err == nil {
 		t.Error("truncated snapshot accepted")
+	}
+	// The device's section names it, so a snapshot never restores onto the
+	// other kind of backing store, in either direction.
+	netCfg := cfg.WithNetwork(netdev.Ethernet10())
+	if _, err := Restore(netCfg, blob); err == nil || !strings.Contains(err.Error(), `section "disk", want "net"`) {
+		t.Errorf("disk snapshot into a network config: %v, want a section mismatch", err)
+	}
+	m = newMachine(t, netCfg)
+	drivePhase(m, m.NewSegment("snap", 96*4096), 4)
+	if blob, err = m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(cfg, blob); err == nil || !strings.Contains(err.Error(), `section "net", want "disk"`) {
+		t.Errorf("network snapshot into a disk config: %v, want a section mismatch", err)
 	}
 }
 
@@ -285,6 +312,10 @@ func TestSnapshotCoversState(t *testing.T) {
 	m := newMachine(t, Default(40*4096))
 	if missing := snap.Uncovered(&m.machineState, m.snap); len(missing) != 0 {
 		t.Errorf("Machine.snap never visits state field(s) %v", missing)
+	}
+	net := newMachine(t, Default(40*4096).WithNetwork(netdev.Ethernet10())).Device.(*netdev.Net)
+	if missing := snap.Uncovered(&net.Timeline, net.Snap); len(missing) != 0 {
+		t.Errorf("Net.Snap never visits state field(s) %v", missing)
 	}
 }
 

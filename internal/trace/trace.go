@@ -26,39 +26,6 @@ type Generator interface {
 	Next() (ref Ref, done bool)
 }
 
-// Uniform generates n references uniformly over [0, Range), with the given
-// write fraction, from ncpu processors round-robin.
-type Uniform struct {
-	N         int
-	Range     uint64
-	WriteFrac float64
-	CPUs      int
-	Seed      int64
-
-	i   int
-	rng *rand.Rand
-}
-
-// Next implements Generator.
-func (u *Uniform) Next() (Ref, bool) {
-	if u.rng == nil {
-		u.rng = rand.New(rand.NewSource(u.Seed))
-		if u.CPUs == 0 {
-			u.CPUs = 1
-		}
-	}
-	if u.i >= u.N {
-		return Ref{}, true
-	}
-	r := Ref{
-		CPU:   u.i % u.CPUs,
-		Addr:  uint64(u.rng.Int63n(int64(u.Range))),
-		Write: u.rng.Float64() < u.WriteFrac,
-	}
-	u.i++
-	return r, false
-}
-
 // Zipf generates n references with Zipfian popularity over Range addresses
 // (hot data shared across CPUs, the canonical coherence stressor).
 type Zipf struct {
@@ -173,41 +140,4 @@ func (m *Mix) Next() (Ref, bool) {
 		return r, false
 	}
 	return Ref{}, true
-}
-
-// Collect drains a generator into a slice (for tests and small traces).
-func Collect(g Generator) []Ref {
-	var refs []Ref
-	for {
-		r, done := g.Next()
-		if done {
-			return refs
-		}
-		refs = append(refs, r)
-	}
-}
-
-// Stats summarizes a trace: distinct addresses, write fraction, and a
-// locality score (mean reuse distance bucket).
-type Stats struct {
-	Refs      int
-	Distinct  int
-	WriteFrac float64
-}
-
-// Summarize computes trace statistics.
-func Summarize(refs []Ref) Stats {
-	seen := make(map[uint64]struct{})
-	writes := 0
-	for _, r := range refs {
-		seen[r.Addr] = struct{}{}
-		if r.Write {
-			writes++
-		}
-	}
-	st := Stats{Refs: len(refs), Distinct: len(seen)}
-	if len(refs) > 0 {
-		st.WriteFrac = float64(writes) / float64(len(refs))
-	}
-	return st
 }

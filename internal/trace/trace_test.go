@@ -10,46 +10,15 @@ import (
 	"testing"
 )
 
-func TestUniform(t *testing.T) {
-	g := &Uniform{N: 1000, Range: 512, WriteFrac: 0.3, CPUs: 4, Seed: 1}
-	refs := Collect(g)
-	if len(refs) != 1000 {
-		t.Fatalf("got %d refs", len(refs))
-	}
-	st := Summarize(refs)
-	if st.WriteFrac < 0.2 || st.WriteFrac > 0.4 {
-		t.Fatalf("write frac = %v", st.WriteFrac)
-	}
-	cpus := map[int]bool{}
-	for _, r := range refs {
-		if r.Addr >= 512 {
-			t.Fatalf("addr %d out of range", r.Addr)
+// Collect drains a generator into a slice.
+func Collect(g Generator) []Ref {
+	var refs []Ref
+	for {
+		r, done := g.Next()
+		if done {
+			return refs
 		}
-		cpus[r.CPU] = true
-	}
-	if len(cpus) != 4 {
-		t.Fatalf("cpus used: %d", len(cpus))
-	}
-}
-
-func TestUniformDeterministic(t *testing.T) {
-	a := Collect(&Uniform{N: 100, Range: 64, Seed: 7})
-	b := Collect(&Uniform{N: 100, Range: 64, Seed: 7})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different traces")
-		}
-	}
-	c := Collect(&Uniform{N: 100, Range: 64, Seed: 8})
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical traces")
+		refs = append(refs, r)
 	}
 }
 
@@ -89,19 +58,12 @@ func TestStridedStaysInPartition(t *testing.T) {
 
 func TestMixDrainsAll(t *testing.T) {
 	m := &Mix{Gens: []Generator{
-		&Uniform{N: 10, Range: 8, Seed: 1},
-		&Uniform{N: 25, Range: 8, Seed: 2},
+		&Strided{N: 10, Range: 8, Seed: 1},
+		&Strided{N: 25, Range: 8, Seed: 2},
 	}}
 	refs := Collect(m)
 	if len(refs) != 35 {
 		t.Fatalf("mix produced %d refs, want 35", len(refs))
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	st := Summarize(nil)
-	if st.Refs != 0 || st.WriteFrac != 0 {
-		t.Fatalf("empty summary %+v", st)
 	}
 }
 

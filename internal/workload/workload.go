@@ -18,11 +18,9 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 
 	"compcache/internal/machine"
-	"compcache/internal/runner"
 	"compcache/internal/stats"
 )
 
@@ -86,29 +84,20 @@ func (c Comparison) Speedup() float64 {
 	return float64(c.Std.Time) / float64(c.CC.Time)
 }
 
-// RunBoth runs w under both configurations. cc must have the compression
-// cache enabled; base must not. Options apply to both machines.
+// RunBoth runs w under both configurations, the baseline and then the
+// compression cache, each on its own Clone of w. cc must have the
+// compression cache enabled; base must not. Options apply to both machines.
 func RunBoth(base, cc machine.Config, w Workload, opts ...machine.Option) (Comparison, error) {
-	return RunBothN(context.Background(), base, cc, w, 1, opts...)
-}
-
-// RunBothN is RunBoth with the two measurements fanned out across up to
-// workers goroutines (0 means one per core): the baseline and
-// compression-cache runs are independent machines with their own virtual
-// clocks, so they can run concurrently. Each run gets its own Clone of w,
-// which keeps the runs race-free and makes the result identical to a serial
-// RunBoth.
-func RunBothN(ctx context.Context, base, cc machine.Config, w Workload, workers int, opts ...machine.Option) (Comparison, error) {
 	if base.CC.Enabled || !cc.CC.Enabled {
 		return Comparison{}, fmt.Errorf("workload: RunBoth needs a baseline and a CC configuration, in that order")
 	}
-	cfgs := [2]machine.Config{base, cc}
-	runs, err := runner.Map(ctx, workers, len(cfgs),
-		func(_ context.Context, i int) (stats.Run, error) {
-			return Measure(cfgs[i], Clone(w), opts...)
-		})
+	std, err := Measure(base, Clone(w), opts...)
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{Workload: w.Name(), Std: runs[0], CC: runs[1]}, nil
+	withCC, err := Measure(cc, Clone(w), opts...)
+	if err != nil {
+		return Comparison{}, err
+	}
+	return Comparison{Workload: w.Name(), Std: std, CC: withCC}, nil
 }
