@@ -104,9 +104,12 @@ type Entry struct {
 	Sum    uint32 // Checksum of Data, computed at insertion
 	dead   bool
 	insert sim.Time
-	frames []*ccFrame
-	refs   int // frames still holding this entry; 0 → recyclable
-	oidx   int // index of this entry's slot in the order deque
+	frames []*ccFrame // the frames the entry overlaps; backed by frameBuf
+	refs   int32      // frames still holding this entry; 0 → recyclable
+	oidx   int32      // index of this entry's slot in the order deque
+	// frameBuf backs frames: a page and its header overlap at most the tail
+	// frame and two new ones, so an Entry is one allocation.
+	frameBuf [3]*ccFrame
 }
 
 // footprint is the buffer space the entry occupies, including its header.
@@ -270,9 +273,9 @@ func (c *Cache) newEntry() *Entry {
 		c.entryPool = c.entryPool[:k-1]
 		return e
 	}
-	// Sized once: a page and its header overlap at most the tail frame and
-	// two new ones.
-	return &Entry{frames: make([]*ccFrame, 0, 3)}
+	e := &Entry{}
+	e.frames = e.frameBuf[:0]
+	return e
 }
 
 // newFrame returns an empty ccFrame for pool frame id, recycled when
@@ -408,9 +411,9 @@ func (c *Cache) InsertSummed(key swap.PageKey, data []byte, sum uint32, dirty bo
 		panic("core: space accounting error during insert")
 	}
 	c.acqBuf = acquired[:0]
-	e.refs = len(e.frames)
+	e.refs = int32(len(e.frames))
 	c.entries.Set(key, e)
-	e.oidx = len(c.order)
+	e.oidx = int32(len(c.order))
 	c.order = append(c.order, e)
 	c.liveBytes += need
 	if dirty {
@@ -601,7 +604,7 @@ func (c *Cache) advanceHead() {
 			if e == nil {
 				continue
 			}
-			e.oidx = len(kept)
+			e.oidx = int32(len(kept))
 			kept = append(kept, e)
 		}
 		// Clear the abandoned tail so it holds no stale pointers.
@@ -813,12 +816,12 @@ func (c *Cache) CheckConsistency() error {
 		}
 		// Every live entry must sit in its recorded order slot (dead
 		// entries' slots are nil).
-		if e.oidx < 0 || e.oidx >= len(c.order) || c.order[e.oidx] != e {
+		if e.oidx < 0 || int(e.oidx) >= len(c.order) || c.order[e.oidx] != e {
 			return fmt.Errorf("core: live entry %v not at its order slot", key)
 		}
 	}
 	for i, e := range c.order {
-		if e != nil && e.oidx != i {
+		if e != nil && int(e.oidx) != i {
 			return fmt.Errorf("core: order slot %d holds entry %v with oidx %d", i, e.Key, e.oidx)
 		}
 	}

@@ -5,12 +5,26 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"compcache/internal/mem"
 	"compcache/internal/sim"
 	"compcache/internal/snap"
 	"compcache/internal/swap"
 )
+
+// TestEntryIsOneAllocation: a new Entry and the array backing its frames are
+// one allocation, in the 112-byte size class. A field that grows Entry past
+// 112 bytes moves every entry into the 128-byte class.
+func TestEntryIsOneAllocation(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n > 112 {
+		t.Errorf("core.Entry is %d bytes, want at most 112", n)
+	}
+	c, _, _ := newTestCache(t, 8, DefaultParams())
+	if n := testing.AllocsPerRun(100, func() { c.newEntry() }); n != 1 {
+		t.Errorf("newEntry makes %v allocations, want 1", n)
+	}
+}
 
 func newTestCache(t *testing.T, frames int, params Params) (*Cache, *mem.Pool, *sim.Clock) {
 	t.Helper()

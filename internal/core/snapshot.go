@@ -47,6 +47,7 @@ func (c *Cache) Snap(sc *snap.Codec) {
 	snap.Slice(sc, &list, 1<<24, "cache entries", func(ep **Entry) {
 		if sc.Decoding() {
 			*ep = &Entry{oidx: -1}
+			(*ep).frames = (*ep).frameBuf[:0]
 		}
 		e := *ep
 		sc.I32(&e.Key.Seg)
@@ -102,7 +103,7 @@ func (c *Cache) Snap(sc *snap.Codec) {
 	sc.Check(func() error {
 		c.order, c.head = live, 0
 		for i, e := range live {
-			e.oidx = i
+			e.oidx = int32(i)
 		}
 		c.entries.Clear()
 		for _, e := range list {

@@ -229,7 +229,7 @@ func TestAblationsSmallScale(t *testing.T) {
 		{"spanning", "ablation/spanning", 2},
 		{"bias", "ablation/bias", 6},
 		{"threshold", "ablation/threshold", 4},
-		{"codec", "ablation/codec", 4},
+		{"codec", "ablation/codec", 3},
 		{"fixedsize", "ablation/fixed-size", 3},
 	} {
 		t.Run(c.sub, func(t *testing.T) {

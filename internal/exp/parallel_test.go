@@ -58,10 +58,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunBothNMatchesRunBoth: RunBoth measures a Table 1 row exactly as
+// TestRunBothMatchesTable1Row: RunBoth measures a Table 1 row exactly as
 // table1 does, Measure on a Clone, baseline then compression cache, and
 // table1's rows are the same at any Parallelism (TestRegistry/table1).
-func TestRunBothNMatchesRunBoth(t *testing.T) {
+func TestRunBothMatchesTable1Row(t *testing.T) {
 	memoryMB, ws := table1Workloads(Small, 42)
 	cfgStd := machine.Default(int64(memoryMB) << 20)
 	row := result[*Table1Result](t, "table1").Rows[0].Cmp

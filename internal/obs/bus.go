@@ -1,7 +1,8 @@
 package obs
 
-// Bus is the per-machine event channel: a bounded ring buffer of events with
-// a per-class enable mask, plus the machine's metrics registry.
+// Bus is the per-machine event channel: a bounded window of events, kept
+// packed (eventLog), with a per-class enable mask, plus the machine's
+// metrics registry.
 //
 // A nil *Bus is valid — every method is nil-safe and a disabled probe site
 // costs one nil test plus (when non-nil) one mask test, which is the whole
@@ -16,10 +17,8 @@ type Bus struct {
 
 // busState is the bus's replay state: everything a snapshot carries.
 type busState struct {
-	ring    []Event
-	start   int    // index of the oldest retained event
-	n       int    // retained events
-	dropped uint64 // events lost to ring wrap
+	log     eventLog
+	dropped uint64 // events dropped from the full window
 	reg     Registry
 }
 
@@ -31,7 +30,7 @@ func NewBus(opts Options) *Bus {
 	if opts.RingSize <= 0 {
 		opts.RingSize = DefaultRingSize
 	}
-	return &Bus{mask: opts.Classes, busState: busState{ring: make([]Event, 0, opts.RingSize)}}
+	return &Bus{mask: opts.Classes, busState: busState{log: eventLog{max: opts.RingSize}}}
 }
 
 // Enabled reports whether events of class c are recorded. It is the hot-path
@@ -39,35 +38,38 @@ func NewBus(opts Options) *Bus {
 // no argument construction.
 func (b *Bus) Enabled(c Class) bool { return b != nil && b.mask&c != 0 }
 
-// Emit records an event in the ring if its class is enabled. A full ring
-// overwrites its oldest event and counts it in Dropped; Emit touches nothing
-// else, so a count over Events covers only the retained events.
+// Emit records an event if its class is enabled. A full window drops its
+// oldest event and counts it in Dropped; Emit touches nothing else, so a
+// count over Events covers only the retained events. Only the guard is
+// inline: the encoding is record's, out of line.
 func (b *Bus) Emit(e Event) {
 	if b == nil || b.mask&e.Class == 0 {
 		return
 	}
-	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, e)
-		b.n++
-		return
+	b.record(&e)
+}
+
+// record appends e to the log, dropping the oldest event from a full one.
+// Inlined, it would push Emit past the inlining budget.
+//
+//go:noinline
+func (b *Bus) record(e *Event) {
+	if b.log.n == b.log.max {
+		b.log.drop()
+		b.dropped++
 	}
-	// Ring full: overwrite the oldest slot.
-	b.ring[b.start] = e
-	b.start++
-	if b.start == len(b.ring) {
-		b.start = 0
-	}
-	b.dropped++
+	b.log.push(e)
 }
 
 // Events returns the retained events in emission order (a copy).
 func (b *Bus) Events() []Event {
-	if b == nil || b.n == 0 {
+	if b == nil || b.log.n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, b.n)
-	out = append(out, b.ring[b.start:]...)
-	out = append(out, b.ring[:b.start]...)
+	out := make([]Event, 0, b.log.n)
+	for e := range b.log.all() {
+		out = append(out, e)
+	}
 	return out
 }
 
@@ -76,10 +78,10 @@ func (b *Bus) Len() int {
 	if b == nil {
 		return 0
 	}
-	return b.n
+	return b.log.n
 }
 
-// Dropped reports how many events were lost to ring wrap.
+// Dropped reports how many events the full window dropped.
 func (b *Bus) Dropped() uint64 {
 	if b == nil {
 		return 0

@@ -13,9 +13,9 @@ func (b *Bus) Snap(c *snap.Codec) {
 		return
 	}
 	snap.Const(c, c.U32, uint32(b.mask), "obs: class mask")
-	c.Mark(&b.ring, &b.start, &b.n)
+	c.Mark(&b.log)
 	events := b.Events()
-	snap.Slice(c, &events, cap(b.ring), "retained events", func(e *Event) {
+	snap.Slice(c, &events, b.log.max, "retained events", func(e *Event) {
 		snap.Int64(c, &e.T)
 		snap.Uint32(c, &e.Class)
 		snap.Byte(c, &e.Sub)
@@ -26,8 +26,10 @@ func (b *Bus) Snap(c *snap.Codec) {
 		c.I64(&e.Aux)
 	})
 	if c.Decoding() {
-		b.ring = append(b.ring[:0], events...)
-		b.start, b.n = 0, len(events)
+		b.log = eventLog{max: b.log.max}
+		for i := range events {
+			b.log.push(&events[i])
+		}
 	}
 	c.U64(&b.dropped)
 
