@@ -93,15 +93,17 @@ func DefaultParams() Params {
 	}
 }
 
-// Entry is one compressed page in the cache. Data always points into a
-// cache-owned slab (Insert copies at the boundary), recycled through the
-// cache's freelists when the entry dies, so the steady-state insert path
-// allocates nothing.
+// Entry is one compressed page in the cache. Its bytes live in the cache's
+// own frames, where the ring's accounting places them: the entry header
+// begins start bytes into frames[0], and the n data bytes follow it, each
+// frame boundary they cross skipping the next frame's header. Insert copies
+// the data in at the boundary; Fault, Peek and Clean read it out (data).
 type Entry struct {
 	Key    swap.PageKey
-	Data   []byte
+	Sum    uint32 // Checksum of the data, computed at insertion
+	n      int32  // data bytes
+	start  int32  // offset of the entry header in frames[0]
 	Dirty  bool
-	Sum    uint32 // Checksum of Data, computed at insertion
 	dead   bool
 	insert sim.Time
 	frames []*ccFrame // the frames the entry overlaps; backed by frameBuf
@@ -113,13 +115,17 @@ type Entry struct {
 }
 
 // footprint is the buffer space the entry occupies, including its header.
-func (e *Entry) footprint(p Params) int { return len(e.Data) + p.EntryHeaderBytes }
+func (e *Entry) footprint(p Params) int { return int(e.n) + p.EntryHeaderBytes }
 
 type ccFrame struct {
 	id      mem.FrameID
 	used    int // bytes consumed, including the frame header
 	entries []*Entry
 	dirty   int // live dirty entries among entries; derived, see scanDirty
+	// entryBuf backs entries: a frame overlaps about two entries, so a new
+	// ccFrame is one allocation; append grows the rare frame that holds
+	// more, and the grown array stays with the frame through framePool.
+	entryBuf [4]*Entry
 }
 
 // reclaimable reports whether every entry overlapping the frame is clean or
@@ -160,21 +166,22 @@ type Cache struct {
 
 	entries swap.PageTable[*Entry] // index of the live entries in the ring
 
-	// Recycling freelists: dead entries' slabs return at kill time; Entry
-	// and ccFrame structs return when the last reference (ring frame) lets
-	// go. Together with the order-slot nil-out in kill they make the
-	// steady-state insert/kill cycle allocation-free. All bookkeeping is
-	// per-cache and single-goroutine, so recycling cannot perturb
-	// determinism.
-	slabs      [slabClasses][][]byte // by class, see slabGet
+	// Recycling freelists: Entry and ccFrame structs return when the last
+	// reference (ring frame) lets go. Together with the order-slot nil-out
+	// in kill they make the steady-state insert/kill cycle allocation-free.
+	// All bookkeeping is per-cache and single-goroutine, so recycling cannot
+	// perturb determinism.
 	entryPool  []*Entry
 	framePool  []*ccFrame
 	acqBuf     []mem.FrameID // Insert's frame-acquisition buffer
 	cleanBatch []*Entry      // Clean's batch buffer
 	cleanItems []swap.Item   // Clean's flush-item buffer
+	cleanBuf   []byte        // Clean's gathered entries; see data
+	gather     []byte        // Fault's and Peek's gathered entry; see data
 
 	flush  FlushFunc
 	onDrop DropFunc
+	taker  FrameTaker
 
 	// reclaimable counts the ring frames with no live dirty entry. Like
 	// ccFrame.dirty it is derived from the replay state, so a snapshot does
@@ -219,6 +226,14 @@ func (c *Cache) SetHooks(flush FlushFunc, onDrop DropFunc) {
 	c.onDrop = onDrop
 }
 
+// FrameTaker is told of each frame the cache takes from the pool, before the
+// cache clears and writes it: once an insert is sure to succeed, and in
+// Prefill.
+type FrameTaker interface{ TakeFrame(id mem.FrameID) }
+
+// SetFrameTaker installs t, nil for none.
+func (c *Cache) SetFrameTaker(t FrameTaker) { c.taker = t }
+
 // SetObserver wires the cache to a machine's event bus; nil disables
 // emission.
 func (c *Cache) SetObserver(b *obs.Bus) { c.bus = b }
@@ -244,28 +259,6 @@ func (c *Cache) Has(key swap.PageKey) bool { return c.entries.Has(key) }
 // frameCap is the usable bytes per frame.
 func (c *Cache) frameCap() int { return c.pool.PageSize() - c.params.FrameHeaderBytes }
 
-// slabClasses is how many sizes of slab the cache hands out: a quarter page
-// (the paper's 1-KB fragment at 4-KB pages), a half, three quarters and a
-// whole page.
-const slabClasses = 4
-
-// slabGet returns a cache-owned buffer of n bytes, n at most the page size.
-// Its capacity is that of the smallest class that holds n bytes, and each
-// class recycles through its own freelist, so a recycled slab always fits and
-// a small entry does not pin a page of host memory.
-func (c *Cache) slabGet(n int) []byte {
-	k := c.slabClass(n)
-	if free := c.slabs[k]; len(free) > 0 {
-		c.slabs[k] = free[:len(free)-1]
-		return free[len(free)-1][:n]
-	}
-	return make([]byte, n, (k+1)*c.pool.PageSize()/slabClasses)
-}
-
-// slabClass is the class of the smallest slab that holds n bytes; a slab's
-// capacity is its own class's.
-func (c *Cache) slabClass(n int) int { return (n*slabClasses - 1) / c.pool.PageSize() }
-
 // newEntry returns a reset Entry, recycled when possible.
 func (c *Cache) newEntry() *Entry {
 	if k := len(c.entryPool); k > 0 {
@@ -288,10 +281,71 @@ func (c *Cache) newFrame(id mem.FrameID) *ccFrame {
 		f.used = c.params.FrameHeaderBytes
 		return f
 	}
-	// Sized once: a frame overlaps at most the entries whose headers fit in
-	// it, plus one spanning in and one spanning out.
-	most := c.pool.PageSize()/max(1, c.params.EntryHeaderBytes) + 2
-	return &ccFrame{id: id, used: c.params.FrameHeaderBytes, entries: make([]*Entry, 0, most)}
+	f := &ccFrame{id: id, used: c.params.FrameHeaderBytes}
+	f.entries = f.entryBuf[:0]
+	return f
+}
+
+// take readies a frame just taken from the pool for the cache's bytes: the
+// frame taker is told, and the frame is cleared, so that frame and entry
+// headers and the slack past the last entry read as zeros and nothing of the
+// frame's last owner stays in it.
+func (c *Cache) take(id mem.FrameID) {
+	if c.taker != nil {
+		c.taker.TakeFrame(id)
+	}
+	clear(c.pool.Bytes(id))
+}
+
+// dataAt returns where e's data begins: the index in e.frames of the frame
+// that holds its first byte, and the byte's offset in that frame. The header
+// before it may itself cross a frame boundary.
+func (c *Cache) dataAt(e *Entry) (i, off int) {
+	ps := c.pool.PageSize()
+	off = int(e.start) + c.params.EntryHeaderBytes
+	for off >= ps && i+1 < len(e.frames) {
+		off += c.params.FrameHeaderBytes - ps
+		i++
+	}
+	return i, off
+}
+
+// store copies data, len(data) == e.n, into e's place in its frames.
+func (c *Cache) store(e *Entry, data []byte) {
+	i, off := c.dataAt(e)
+	for {
+		k := copy(c.pool.Bytes(e.frames[i].id)[off:], data)
+		if data = data[k:]; len(data) == 0 {
+			return
+		}
+		i, off = i+1, c.params.FrameHeaderBytes
+	}
+}
+
+// data returns live entry e's bytes: a view of its frame when one frame
+// holds them all, otherwise a copy gathered into buf, which must hold e.n
+// bytes. Either way the caller keeps it only until its next call into the
+// cache, so no slice into a frame outlives a call.
+func (c *Cache) data(e *Entry, buf []byte) []byte {
+	i, off := c.dataAt(e)
+	n := int(e.n)
+	if frame := c.pool.Bytes(e.frames[i].id); off+n <= len(frame) {
+		return frame[off : off+n : off+n]
+	}
+	buf = buf[:n]
+	for k := 0; k < n; i, off = i+1, c.params.FrameHeaderBytes {
+		k += copy(buf[k:], c.pool.Bytes(e.frames[i].id)[off:])
+	}
+	return buf
+}
+
+// gathered returns e's bytes the way Fault and Peek hand them out, gathering
+// a spanning entry into the cache's one page-sized buffer.
+func (c *Cache) gathered(e *Entry) []byte {
+	if c.gather == nil {
+		c.gather = make([]byte, c.pool.PageSize())
+	}
+	return c.data(e, c.gather)
 }
 
 // Insert adds a compressed page to the tail of the ring. It reports false —
@@ -300,9 +354,10 @@ func (c *Cache) newFrame(id mem.FrameID) *ccFrame {
 // then sends the page to the backing store instead. Feasibility is
 // established before any destructive work, so a failed insert reclaims no
 // frames, drops no entries, fires no hooks, flushes nothing, and changes no
-// counters. Data is COPIED into cache-owned storage: the caller keeps
+// counters. Data is COPIED into the cache's frames: the caller keeps
 // ownership of the slice and may reuse it immediately, which is what lets
-// the machine hand every codec one per-machine scratch buffer. The error
+// the machine hand every codec one per-machine scratch buffer. Data must not
+// be bytes the cache itself handed out (Fault, Peek). The error
 // reports a flush failure during at-cap recycling; the insert is abandoned
 // with any newly acquired frames returned to the pool.
 func (c *Cache) Insert(key swap.PageKey, data []byte, dirty bool) (bool, error) {
@@ -379,16 +434,16 @@ func (c *Cache) InsertSummed(key swap.PageKey, data []byte, sum uint32, dirty bo
 		c.kill(old)
 	}
 
-	buf := c.slabGet(len(data))
-	copy(buf, data)
 	// Field by field: a composite literal is built on the stack and then
 	// block-copied into the recycled entry.
 	e := c.newEntry()
-	e.Key, e.Data, e.Dirty, e.Sum, e.dead = key, buf, dirty, sum, false
-	e.insert, e.frames, e.refs, e.oidx = c.clock.Now(), e.frames[:0], 0, 0
+	e.Key, e.Sum, e.n, e.start = key, sum, int32(len(data)), int32(c.params.FrameHeaderBytes)
+	e.Dirty, e.dead, e.insert = dirty, false, c.clock.Now()
+	e.frames, e.refs, e.oidx = e.frames[:0], 0, 0
 	left := need
 	if rem > 0 {
 		tail := c.frames[len(c.frames)-1]
+		e.start = int32(tail.used)
 		take := min(rem, left)
 		tail.used += take
 		tail.entries = append(tail.entries, e)
@@ -396,6 +451,7 @@ func (c *Cache) InsertSummed(key swap.PageKey, data []byte, sum uint32, dirty bo
 		left -= take
 	}
 	for _, id := range acquired {
+		c.take(id)
 		f := c.newFrame(id)
 		take := min(c.pool.PageSize()-f.used, left)
 		f.used += take
@@ -410,6 +466,7 @@ func (c *Cache) InsertSummed(key swap.PageKey, data []byte, sum uint32, dirty bo
 		// Invariant: the frame-count arithmetic above exactly covers need.
 		panic("core: space accounting error during insert")
 	}
+	c.store(e, data)
 	c.acqBuf = acquired[:0]
 	e.refs = int32(len(e.frames))
 	c.entries.Set(key, e)
@@ -491,9 +548,10 @@ func (c *Cache) canAcquire(n int, protectTail bool) bool {
 // compressed copy in memory can be freed at any time" (§4.1), and keeping it
 // means a later eviction of the still-unmodified page costs nothing — the
 // owner must Drop the entry when the page is modified. The returned data is
-// cache-owned and valid only until the entry is dropped or superseded (its
-// slab is recycled at that point); callers consume it before the next cache
-// mutation and must not retain it.
+// the cache's: a view of the frame that holds the entry, or, for an entry
+// that spans frames, a copy in a buffer the cache reuses. It is valid only
+// until the caller's next call into the cache; callers consume it first and
+// must not retain it.
 func (c *Cache) Fault(key swap.PageKey) (data []byte, sum uint32, dirty bool, ok bool) {
 	e, found := c.entries.Get(key)
 	if !found {
@@ -510,7 +568,7 @@ func (c *Cache) Fault(key swap.PageKey) (data []byte, sum uint32, dirty bool, ok
 	if c.bus.Enabled(obs.ClassCCHit) {
 		c.bus.Emit(obs.Event{
 			T: c.clock.Now(), Class: obs.ClassCCHit, Sub: obs.SubCore,
-			Seg: key.Seg, Page: key.Page, Bytes: int64(len(e.Data)),
+			Seg: key.Seg, Page: key.Page, Bytes: int64(e.n),
 		})
 	}
 	if c.params.RefreshOnFault {
@@ -519,7 +577,7 @@ func (c *Cache) Fault(key swap.PageKey) (data []byte, sum uint32, dirty bool, ok
 		// the age the allocator compares against other consumers moves.
 		e.insert = c.clock.Now()
 	}
-	return e.Data, e.Sum, e.Dirty, true
+	return c.gathered(e), e.Sum, e.Dirty, true
 }
 
 // Peek returns the entry for key the way Fault does, but counts no hit or
@@ -530,7 +588,7 @@ func (c *Cache) Peek(key swap.PageKey) (data []byte, sum uint32, ok bool) {
 	if !found {
 		return nil, 0, false
 	}
-	return e.Data, e.Sum, true
+	return c.gathered(e), e.Sum, true
 }
 
 // Drop discards the entry for key if present (used when a stale copy must be
@@ -548,10 +606,10 @@ func (c *Cache) Drop(key swap.PageKey) {
 	}
 }
 
-// kill marks an entry dead and removes it from the live index. Its data
-// slab returns to the freelist immediately — nothing reads a dead entry's
-// Data — and its order slot is nilled so the Entry struct itself can be
-// recycled as soon as the last ring frame holding it is reclaimed.
+// kill marks an entry dead and removes it from the live index. Its bytes stay
+// in its frames, unread, until the frames leave the ring; its order slot is
+// nilled so the Entry struct itself can be recycled as soon as the last ring
+// frame holding it is reclaimed.
 func (c *Cache) kill(e *Entry) {
 	if e.dead {
 		return
@@ -562,9 +620,6 @@ func (c *Cache) kill(e *Entry) {
 		c.markClean(e)
 	}
 	c.entries.Delete(e.Key)
-	k := c.slabClass(cap(e.Data))
-	c.slabs[k] = append(c.slabs[k], e.Data[:0])
-	e.Data = nil
 	c.order[e.oidx] = nil
 }
 
@@ -629,21 +684,30 @@ func (c *Cache) Clean() (int, error) {
 	c.advanceHead()
 	batch := c.cleanBatch[:0]
 	items := c.cleanItems[:0]
-	bytes := 0
+	// The batch stops once it holds a batch's worth, so its data fits a
+	// batch and one more page; a spanning entry is gathered there.
+	if c.cleanBuf == nil {
+		c.cleanBuf = make([]byte, c.params.CleanBatchBytes+c.pool.PageSize())
+	}
+	bytes, gathered := 0, 0
 	for i := c.head; i < len(c.order) && bytes < c.params.CleanBatchBytes; i++ {
 		e := c.order[i]
 		if e == nil || !e.Dirty {
 			continue
 		}
+		data := c.data(e, c.cleanBuf[gathered:])
+		gathered += len(data)
 		batch = append(batch, e)
-		items = append(items, swap.Item{Key: e.Key, Data: e.Data, Compressed: true, Sum: e.Sum})
+		items = append(items, swap.Item{Key: e.Key, Data: data, Compressed: true, Sum: e.Sum})
 		bytes += e.footprint(c.params)
 	}
 	c.cleanBatch, c.cleanItems = batch[:0], items[:0]
 	if len(batch) == 0 {
 		return 0, nil
 	}
-	if err := c.flush(items); err != nil {
+	err := c.flush(items)
+	clear(items) // the flush kept nothing, and neither does the cache
+	if err != nil {
 		return 0, err
 	}
 	for _, e := range batch {
@@ -675,6 +739,7 @@ func (c *Cache) Prefill(k int) {
 			// freshly sized pool; exhaustion is a configuration error.
 			panic("core: Prefill exceeds available memory")
 		}
+		c.take(id)
 		c.frames = append(c.frames, c.newFrame(id))
 		c.reclaimable++
 		c.st.FrameGrows++
@@ -760,8 +825,9 @@ func (c *Cache) reclaimFirstExcept(skip *ccFrame) bool {
 }
 
 // CheckConsistency validates the cache's internal invariants: index/ring
-// agreement, byte accounting, and frame occupancy. Tests call it after
-// stressing the cache.
+// agreement, byte accounting, frame occupancy, and where the live entries'
+// bytes lie — each inside the frames it overlaps, none over another's. Tests
+// call it after stressing the cache.
 func (c *Cache) CheckConsistency() error {
 	live, dirty := 0, 0
 	keys := c.entries.Keys()
@@ -775,6 +841,12 @@ func (c *Cache) CheckConsistency() error {
 		}
 		if len(e.frames) == 0 {
 			return fmt.Errorf("core: live entry %v occupies no frames", key)
+		}
+		if e.n < 0 || int(e.n) > c.pool.PageSize() || e.start < int32(c.params.FrameHeaderBytes) || int(e.start) >= c.pool.PageSize() {
+			return fmt.Errorf("core: live entry %v of %d bytes starts at %d", key, e.n, e.start)
+		}
+		if n := c.spanned(e); n != len(e.frames) {
+			return fmt.Errorf("core: live entry %v spans %d frames, overlaps %d", key, n, len(e.frames))
 		}
 		live += e.footprint(c.params)
 		if e.Dirty {
@@ -803,6 +875,17 @@ func (c *Cache) CheckConsistency() error {
 		if err := claims.Claim(f.id, mem.CC); err != nil {
 			return fmt.Errorf("core: ring frame: %w", err)
 		}
+		at := c.params.FrameHeaderBytes
+		for _, e := range f.entries {
+			if e.dead {
+				continue
+			}
+			lo, hi, ok := c.extent(e, f)
+			if !ok || lo < at || hi > f.used {
+				return fmt.Errorf("core: entry %v lies at [%d, %d) of frame %d, which is used to %d past %d", e.Key, lo, hi, f.id, f.used, at)
+			}
+			at = hi
+		}
 	}
 	if reclaimable != c.reclaimable {
 		return fmt.Errorf("core: reclaimable frames %d, recounted %d", c.reclaimable, reclaimable)
@@ -826,4 +909,29 @@ func (c *Cache) CheckConsistency() error {
 		}
 	}
 	return nil
+}
+
+// spanned is how many frames an entry starting where e does and as long
+// needs: the one it starts in and as many more as its remainder fills.
+func (c *Cache) spanned(e *Entry) int {
+	rest := e.footprint(c.params) - (c.pool.PageSize() - int(e.start))
+	if rest <= 0 {
+		return 1
+	}
+	return 1 + (rest+c.frameCap()-1)/c.frameCap()
+}
+
+// extent reports the bytes, header included, that live entry e occupies in
+// frame f, [lo, hi), and whether f is among e's frames.
+func (c *Cache) extent(e *Entry, f *ccFrame) (lo, hi int, ok bool) {
+	lo, left := int(e.start), e.footprint(c.params)
+	for _, g := range e.frames {
+		hi = lo + min(left, c.pool.PageSize()-lo)
+		if g == f {
+			return lo, hi, true
+		}
+		left -= hi - lo
+		lo = c.params.FrameHeaderBytes
+	}
+	return 0, 0, false
 }

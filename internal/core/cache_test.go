@@ -14,15 +14,27 @@ import (
 )
 
 // TestEntryIsOneAllocation: a new Entry and the array backing its frames are
-// one allocation, in the 112-byte size class. A field that grows Entry past
-// 112 bytes moves every entry into the 128-byte class.
+// one allocation, in the 96-byte size class. A field that grows Entry past
+// 96 bytes moves every entry into the 112-byte class.
 func TestEntryIsOneAllocation(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n > 112 {
-		t.Errorf("core.Entry is %d bytes, want at most 112", n)
+	if n := unsafe.Sizeof(Entry{}); n > 96 {
+		t.Errorf("core.Entry is %d bytes, want at most 96", n)
 	}
 	c, _, _ := newTestCache(t, 8, DefaultParams())
 	if n := testing.AllocsPerRun(100, func() { c.newEntry() }); n != 1 {
 		t.Errorf("newEntry makes %v allocations, want 1", n)
+	}
+}
+
+// TestFrameIsOneAllocation: a new ccFrame and the array backing its first
+// four entries are one allocation, in the 80-byte size class.
+func TestFrameIsOneAllocation(t *testing.T) {
+	if n := unsafe.Sizeof(ccFrame{}); n > 80 {
+		t.Errorf("core.ccFrame is %d bytes, want at most 80", n)
+	}
+	c, _, _ := newTestCache(t, 8, DefaultParams())
+	if n := testing.AllocsPerRun(100, func() { c.newFrame(0) }); n != 1 {
+		t.Errorf("newFrame makes %v allocations, want 1", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"compcache/internal/swap"
@@ -187,86 +186,54 @@ func TestCleanSkipsDeadPrefix(t *testing.T) {
 
 // TestInsertCopiesAtTheBoundary: the machine hands Insert its one compression
 // scratch buffer and compresses the next page into it as soon as Insert
-// returns, so the cache must hold its own copy — in a fresh slab and in a
-// recycled one alike, of every size class.
+// returns, so the cache must hold its own copy — in its frames, whether they
+// are fresh from the pool or recycled from its own ring with an old entry's
+// bytes still in them, and for an entry that lies in one, two or three of
+// them.
 func TestInsertCopiesAtTheBoundary(t *testing.T) {
-	for class := 0; class < slabClasses; class++ {
-		t.Run(fmt.Sprintf("%dKB", class+1), func(t *testing.T) {
-			c, _, _ := newTestCache(t, 4, DefaultParams())
-			scratch := make([]byte, 0, 4096)
-			for round, k := range []swap.PageKey{key(0), key(1), key(0)} {
-				want := blob(int64(round), class*1024+1000+round)
+	// lead fills the tail so that an entry of size bytes lies in frames
+	// frames: one alone, one that crosses into a second frame, and a whole
+	// page whose header starts ten bytes before the tail's end.
+	for _, shape := range []struct{ frames, lead, size int }{
+		{1, 0, 1000}, {2, 1000, 3500}, {3, 4026, 4096},
+	} {
+		for _, recycled := range []bool{false, true} {
+			name := fmt.Sprintf("%dframes/fresh", shape.frames)
+			if recycled {
+				name = fmt.Sprintf("%dframes/recycled", shape.frames)
+			}
+			t.Run(name, func(t *testing.T) {
+				c, _, _ := newTestCache(t, 8, DefaultParams())
+				if recycled {
+					for i := int32(0); c.FrameCount() < 4; i++ {
+						insert(t, c, key(100+i), blob(int64(i), 3000), false)
+					}
+					for releaseOldest(t, c) {
+					}
+				}
+				if shape.lead > 0 {
+					insert(t, c, key(50), blob(50, shape.lead), false)
+				}
+				scratch := make([]byte, 0, 4096)
+				want := blob(int64(shape.size), shape.size)
 				data := append(scratch[:0], want...)
-				if !insert(t, c, k, data, true) {
-					t.Fatalf("round %d: Insert failed with a free pool", round)
+				if !insert(t, c, key(0), data, true) {
+					t.Fatal("Insert failed with a free pool")
+				}
+				if e, _ := c.entries.Get(key(0)); len(e.frames) != shape.frames {
+					t.Fatalf("the entry lies in %d frames, want %d", len(e.frames), shape.frames)
 				}
 				for i := range data {
 					data[i] = ^data[i]
 				}
-				got, sum, _, ok := c.Fault(k)
+				got, sum, _, ok := c.Fault(key(0))
 				if !ok || !bytes.Equal(got, want) || sum != Checksum(want) {
-					t.Fatalf("round %d: the entry changed with the caller's buffer after Insert returned", round)
+					t.Fatal("the entry changed with the caller's buffer after Insert returned")
 				}
-				c.Drop(key(1)) // a no-op in round 0; frees a slab for round 2
-			}
-			if err := c.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestSlabClassesRecycle: entries whose sizes sit at the edges of the four
-// slab classes are inserted over one another and reclaimed, round after
-// round, so that each key's slab changes class every time. Once the
-// freelists have their working size the cycle allocates nothing, and every
-// slab an entry holds, fresh or recycled, has exactly its class's capacity.
-func TestSlabClassesRecycle(t *testing.T) {
-	c, _, _ := newTestCache(t, 16, DefaultParams())
-	sizes := []struct{ n, capacity int }{
-		{0, 1024}, {1, 1024}, {1024, 1024}, {1025, 2048},
-		{2048, 2048}, {2049, 3072}, {3072, 3072}, {3073, 4096}, {4096, 4096},
-	}
-	datas := make([][]byte, len(sizes))
-	for i, sz := range sizes {
-		datas[i] = blob(int64(i), sz.n)
-	}
-	round := 0
-	cycle := func(rounds int) {
-		for end := round + rounds; round < end; round++ {
-			for i := range sizes {
-				k, j := key(int32(i)), (i+round)%len(sizes)
-				sz := sizes[j]
-				for !insert(t, c, k, datas[j], false) {
-					if !releaseOldest(t, c) {
-						t.Fatalf("round %d: no room for %d bytes and nothing to reclaim", round, sz.n)
-					}
+				if err := c.CheckConsistency(); err != nil {
+					t.Fatal(err)
 				}
-				if e, _ := c.entries.Get(k); cap(e.Data) != sz.capacity {
-					t.Fatalf("round %d: an entry of %d bytes holds a slab of %d, want %d", round, sz.n, cap(e.Data), sz.capacity)
-				}
-			}
+			})
 		}
-	}
-	cycle(300) // past two compactions of the order deque
-	var n uint64
-	func() {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		for try := 0; try < 3; try++ { // the runtime's own goroutines allocate now and then
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			cycle(100)
-			runtime.ReadMemStats(&after)
-			if n = after.Mallocs - before.Mallocs; n == 0 {
-				break
-			}
-		}
-	}()
-	if n != 0 {
-		t.Errorf("%d mallocs in 100 warm rounds of inserts and kills", n)
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -9,9 +9,10 @@ import (
 // Snap walks the cache's replay state exactly: an entry table (live and
 // dead-but-referenced entries, discovered in ring order), the frames with
 // their entry lists, and the insertion-order deque of live entries. Dead
-// entries matter — they still occupy frame space and gate reclaimability —
-// so they are carried with their keys but without data. Frames and the deque
-// name entries by their index in the table.
+// entries matter — they still occupy frame space and gate reclaimability.
+// An entry carries its length and where it starts, not its bytes: those are
+// in its frames, which the pool's section holds. Frames and the deque name
+// entries by their index in the table.
 //
 // Decoding needs a freshly constructed cache. A prefilled cache (FixedFrames)
 // grabbed frames at construction; the pool restore has already rewritten
@@ -56,19 +57,10 @@ func (c *Cache) Snap(sc *snap.Codec) {
 		sc.Bool(&e.Dirty)
 		sc.U32(&e.Sum)
 		snap.Int64(sc, &e.insert)
-		sc.Bytes(&e.Data)
-		if !sc.Decoding() {
-			return
-		}
-		data := e.Data
-		e.Data = nil
-		if len(data) > c.pool.PageSize() {
-			sc.Failf("core: snapshot entry %v holds %d bytes, more than a page", e.Key, len(data))
-		} else if !e.dead {
-			// Entry buffers are slabs of their size class: killed entries'
-			// slabs are recycled by class.
-			e.Data = c.slabGet(len(data))
-			copy(e.Data, data)
+		sc.I32(&e.n)
+		sc.I32(&e.start)
+		if sc.Decoding() && (e.n < 0 || int(e.n) > c.pool.PageSize()) {
+			sc.Failf("core: snapshot entry %v holds %d bytes, not 0 to a page", e.Key, e.n)
 		}
 	})
 	// entryRef visits one reference into the entry table.

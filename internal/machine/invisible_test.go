@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"compcache/internal/fs"
 	"compcache/internal/machine"
 	"compcache/internal/obs"
 	"compcache/internal/vm"
@@ -15,9 +16,10 @@ import (
 // TestCompressMemoIsInvisible runs the workloads the memos help most — a
 // read-only thrash several times the size of memory, then gold's warm phase —
 // and the ones partial restores help most — one word read of each page of
-// three memories' worth, shuffled, under LZRW1 and under FPC, then a scan of
-// a file through the compressed file cache, whose frames can come from the
-// cache and, before it, from pages restored in part — on a machine as built
+// three memories' worth, shuffled, under LZRW1 and under FPC, then word
+// reads each followed by a file block read, and a scan of a file, through
+// the compressed file cache, whose frames can come from the cache and from
+// pages restored in part as they leave memory — on a machine as built
 // and on one that forgets every remembered form, in both directions, before
 // each page-in and each eviction, and so runs the codec for every
 // compression and decodes every page it restores whole. Nothing the
@@ -54,7 +56,7 @@ func TestCompressMemoIsInvisible(t *testing.T) {
 		func() workload.Workload { return sparse{pages: 192, passes: 3, seed: 5} },
 		func() workload.Workload { return sparse{codec: fpc.Name(), pages: 192, passes: 3, seed: 6} },
 		func() workload.Workload {
-			return then{sparse{pages: 192, passes: 1, seed: 7}, &workload.FileScan{FileBytes: 192 * 4096, Passes: 2, Seed: 7}}
+			return then{sparse{pages: 192, passes: 1, seed: 7, file: true}, &workload.FileScan{FileBytes: 192 * 4096, Passes: 2, Seed: 7}}
 		},
 	}
 	calls := func() uint64 { return codec.Calls() + fpc.Calls() }
@@ -142,11 +144,15 @@ func (w then) Run(m *machine.Machine) error {
 // place, in a shuffled order, passes times: every page it restores is read
 // at that word and nowhere else. In the last pass every other read is
 // followed by a word written to a page of a second segment that nothing has
-// touched, whose fault clears a frame that may still have a tail.
+// touched, whose fault clears a frame that may still have a tail. With file
+// set, every read is followed by a read of the next block of a file as long
+// as the segment, so that the file cache is given frames just as pages
+// restored in part leave them.
 type sparse struct {
 	codec         string // the segment's codec; "" for the machine's
 	pages, passes int
 	seed          int64
+	file          bool
 }
 
 func (w sparse) Name() string { return "sparse-" + w.codec }
@@ -173,10 +179,23 @@ func (w sparse) Run(m *machine.Machine) error {
 		}
 		s.Write(int64(p)*ps, page)
 	}
+	var file *fs.File
+	bs := int64(m.FS.BlockSize())
+	if w.file {
+		file = m.FS.Create("sparse.data")
+		for p := range w.pages {
+			rng.Read(page[:bs/2])
+			file.WriteAt(page[:bs], int64(p)*bs)
+		}
+		m.FS.Sync()
+	}
 	fresh := m.NewSegment("fresh", int64(w.pages/2)*ps)
 	for pass := range w.passes {
 		for i, p := range rng.Perm(w.pages) {
 			s.ReadWord(int64(p)*ps + int64(rng.Intn(int(ps/8)))*8)
+			if file != nil {
+				file.ReadAt(page[:bs], int64(i)*bs)
+			}
 			if pass == w.passes-1 && i%2 == 0 {
 				fresh.WriteWord(int64(i/2)*ps, uint64(i))
 			}

@@ -8,6 +8,7 @@ import (
 
 	"compcache/internal/core"
 	"compcache/internal/fault"
+	"compcache/internal/mem"
 	"compcache/internal/swap"
 	"compcache/internal/vm"
 )
@@ -143,4 +144,49 @@ func TestNeighborsSurviveACompactionMidInsert(t *testing.T) {
 		t.Error(err)
 	}
 	t.Logf("%d reads with neighbors, %d compacted mid-insert", reads, compacted)
+}
+
+// TestPageOutInsertTakesTheLentFrame: the frame a page leaves is on loan to
+// PageOut, already free, so the cache entry its page becomes may be written
+// into that very frame. Everything PageOut reads of the page — the plaintext
+// it remembers for a page whose stay began with a cache hit — must be read
+// before the insert. Here the page's stay began with a hit, it is then
+// rewritten, and on its way out its entry does not fit the cache's tail
+// frame, so the cache grows by the frame on loan. The page must come back as
+// written, and the remembered plaintext must be what the entry decodes to.
+func TestPageOutInsertTakesTheLentFrame(t *testing.T) {
+	m := newMachine(t, ccConfig())
+	s := m.NewSegment("heap", 4*4096)
+	p := s.seg.Page(0)
+	rng := rand.New(rand.NewSource(9))
+	version := func() []byte {
+		page := make([]byte, 4096)
+		rng.Read(page[:2500]) // about 2.5 KB compressed: two do not share a frame
+		return page
+	}
+	s.Write(0, version())
+	evict(t, m, p)    // into the cache
+	s.Touch(0, false) // a cache hit
+	want := version()
+	s.Write(0, want) // the stay keeps its hit; the entry goes
+
+	lent := p.Frame
+	evict(t, m, p)
+	if p.State != vm.Compressed || m.Pool.Owner(lent) != mem.CC {
+		t.Fatalf("the page went %v and its frame to %v: the cache did not take the frame on loan", p.State, m.Pool.Owner(lent))
+	}
+	if keepForms && plainSlotOf(t, m, p) < 0 {
+		t.Fatal("a page whose stay began with a cache hit left without its plaintext remembered")
+	}
+	if err := m.VerifyPlainMemo(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 4096)
+	s.Read(0, got)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the page came back changed")
+	}
 }

@@ -65,7 +65,7 @@ type Machine struct {
 
 	// Hot-path scratch. The machine is single-goroutine, and every consumer
 	// of these buffers copies at the boundary before returning — core.Cache
-	// .Insert copies into a cache-owned slab, a Tier copies what it keeps —
+	// .Insert copies into the cache's frames, a Tier copies what it keeps —
 	// so one compression buffer and one neighbor-staging buffer serve every
 	// PageOut/PageIn/Store without per-call allocation.
 	compBuf []byte // codec.Compress destination, reused across calls
@@ -207,6 +207,7 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 		// The cleaner batches straight into the store, it does not walk the
 		// chain; on error the batch stays dirty in the cache and is retried.
 		m.CC.SetHooks(func(items []swap.Item) error { return clustered.WriteCluster(items, true) }, m.entryDropped)
+		m.CC.SetFrameTaker(&m.kept.memo)
 		m.store, m.storeKind = &clusteredTier{Clustered: clustered, faults: m.faults}, storeClustered
 		if b.remote != nil {
 			m.below = append(m.below, link{tier: b.remote, name: "remote", src: vm.SrcRemote})
@@ -485,6 +486,9 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 			// remembered form and its sum came from.
 			p.State = vm.Compressed
 			it.Data, it.Compressed, it.Sum = form, form != nil, sum
+			if it.Compressed && whole {
+				m.departPlain(p, data, sum, hit)
+			}
 		} else if cdata, keep := m.compress(p.Key, data, form); keep {
 			// Compress once, then decide the page's fate: the cache keeps it
 			// if it fits, otherwise it goes to the first tier below that
@@ -494,6 +498,11 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 				sum = core.Checksum(cdata)
 			}
 			it.Data, it.Compressed, it.Sum = cdata, true, sum
+			// data is the lent frame, and the insert may take it and write
+			// its bytes: data's last read comes first.
+			if whole {
+				m.departPlain(p, data, sum, hit)
+			}
 			var ok bool
 			if ok, insErr = m.CC.InsertSummed(p.Key, cdata, sum, p.Dirty); ok {
 				p.State = vm.Compressed
@@ -520,15 +529,12 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 		p.Dirty = false
 		p.State = vm.Swapped
 	}
-	if it.Compressed && whole {
-		m.departPlain(p, data, it.Sum, hit)
-	}
 	return nil
 }
 
 // compress runs a page through its segment's codec into the machine's
 // scratch buffer, charging the cost model, and reports whether the result
-// clears the keep threshold. Insert copies into a cache-owned slab and a
+// clears the keep threshold. Insert copies into the cache's frames and a
 // Tier copies what it keeps, so the buffer is free again by the time the
 // caller returns. A non-nil form is what the codec would make of data (see
 // compressMemo). A codec whose output length is known (knownLen) to miss
@@ -706,7 +712,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Item) {
 		}
 		// Stage the neighbor in the machine scratch buffer so fault injection
 		// corrupts the staged copy, not the clustered read buffer; Insert
-		// below copies again into a cache-owned slab.
+		// below copies again into the cache's frames.
 		m.nbrBuf = append(m.nbrBuf[:0], n.Data...)
 		cdata := m.nbrBuf
 		m.faults.CorruptSwap(cdata)

@@ -259,9 +259,10 @@ func (m *Machine) finishTails() error {
 
 // claimTail settles frame f's pending tail as allocFrame gives the frame to
 // owner, the VM or the file cache. The VM overwrites a frame it is given
-// whole, so the tail is dropped; the file cache may leave the frame
-// unwritten (a device read that fails), so the tail is finished first, as an
-// eager machine would have had it.
+// whole, so the tail is dropped (as TakeFrame drops it for the compression
+// cache); the file cache may leave the frame unwritten (a device read that
+// fails), so the tail is finished first, as an eager machine would have had
+// it.
 func (m *Machine) claimTail(f mem.FrameID, owner mem.Owner) {
 	if owner == mem.FS {
 		if _, err := m.decodeTail(f, math.MaxInt); err != nil {
@@ -269,6 +270,17 @@ func (m *Machine) claimTail(f mem.FrameID, owner mem.Owner) {
 		}
 	}
 	m.forms.memo.slots[f].dec = nil
+}
+
+// TakeFrame drops frame f's pending tail as the compression cache takes the
+// frame (core.FrameTaker). The cache clears the frame and writes its entries
+// there, as the VM overwrites a frame it is given whole, so no later decode
+// may write over them. The machine wires the memo it keeps, which holds no
+// tail in a build or machine that forgets.
+func (mm *compressMemo) TakeFrame(f mem.FrameID) {
+	if mm.slots != nil {
+		mm.slots[f].dec = nil
+	}
 }
 
 // knownLen returns the length of codec's output for an n-byte page when

@@ -387,17 +387,18 @@ func TestSnapshotCarriesEveryCounter(t *testing.T) {
 // covered configuration produces after one drive phase, so any drift in what
 // the state walks write fails here until snap.Version is bumped and the
 // values are re-pinned. (Version 2 is Version 1 plus the 8-byte
-// stats.VM.RemoteIns counter in the vm section.)
+// stats.VM.RemoteIns counter in the vm section; version 3 keeps cache
+// entries' bytes in the cache's frames only.)
 func TestSnapshotFormatPinned(t *testing.T) {
 	want := map[string]struct {
 		size int
 		sum  string
 	}{
-		"cc":     {999354, "d980e49eeab7a1af14ce1dea454e4b9b29dc0064d9f6870196960d285fda328f"},
-		"direct": {429670, "c2a53eceee1bbdf740c0fd2827c630584e76896a4edc8cd61bd437381fccff0e"},
-		"lfs":    {594733, "07fe6306e77a858c7568023144523beadf27084b57bfa8a5c26af687fa48fa00"},
+		"cc":     {959942, "95836deb560c34c118175b2437d5d182eb8d3b766e29fdc90e9c3da76b174b63"},
+		"direct": {429670, "d045a7c6948c94ca80bf45ad54501b63c820644ebecc143846329378079217b2"},
+		"lfs":    {594733, "870a53a04ac31854db2af1c7eac78287b0447aae81a2f822c89d2132cd5916e5"},
 	}
-	if snap.Version != 2 {
+	if snap.Version != 3 {
 		t.Fatalf("snap.Version is %d: re-pin these values for the new format", snap.Version)
 	}
 	for name, blob := range snapshotBlobs(t) {

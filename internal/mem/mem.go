@@ -133,8 +133,9 @@ func (p *Pool) Alloc(o Owner) (FrameID, bool) {
 	if id == p.lent && (o == VM || o == FS) {
 		// Invariant: nothing reachable from PageOut or Store allocates for VM
 		// or FS; if that changed, the lent page would be overwritten while it
-		// is being compressed or written out. Checked here — once per fault,
-		// never per reference — so Bytes and ownerOf stay inlineable.
+		// is being compressed or written out (the cache, which may take it,
+		// writes only after the lender's last read). Checked here — once per
+		// fault, never per reference — so Bytes and ownerOf stay inlineable.
 		panic(fmt.Sprintf("mem: frame %d is on loan and cannot go to %v, which writes frame bytes", id, o))
 	}
 	p.free = p.free[:len(p.free)-1]
@@ -163,12 +164,14 @@ func (p *Pool) Release(id FrameID) {
 }
 
 // Lend releases frame id and opens a loan on its bytes, which it returns:
-// they still hold the page id's owner is evicting and stay intact until
-// EndLoan. Releasing first lets whoever absorbs the page take that very frame
-// (the compression cache growing by one to hold it), which is safe for CC and
-// Kernel: their frames are accounting only — the cache keeps entry bytes in
-// its own slabs. VM (a fault fills the frame) and FS (a buffer-cache block)
-// do write frame bytes, so Alloc refuses them the frame meanwhile.
+// they hold the page id's owner is evicting. Releasing first lets whoever
+// absorbs the page take that very frame (the compression cache growing by one
+// to hold it), which is safe for CC and Kernel. The cache writes a frame it
+// takes only as its insert commits, after the lender's last read of the page
+// (machine.PageOut remembers the plaintext first; fs.evict reads nothing
+// after Store); Kernel frames are never written. VM (a fault fills the frame)
+// and FS (a buffer-cache block) write frame bytes at any time, so Alloc
+// refuses them the frame until EndLoan.
 func (p *Pool) Lend(id FrameID) []byte {
 	if p.lent != NoFrame {
 		// Invariant: a loan spans one PageOut or one compressed-block Store,

@@ -13,9 +13,11 @@ func (b *Bus) Snap(c *snap.Codec) {
 		return
 	}
 	snap.Const(c, c.U32, uint32(b.mask), "obs: class mask")
+	// The window is walked a record at a time, in both directions: encoding
+	// decodes each record as it writes it, and decoding pushes each event
+	// as it reads it, so no []Event of the window is ever made.
 	c.Mark(&b.log)
-	events := b.Events()
-	snap.Slice(c, &events, b.log.max, "retained events", func(e *Event) {
+	event := func(e *Event) {
 		snap.Int64(c, &e.T)
 		snap.Uint32(c, &e.Class)
 		snap.Byte(c, &e.Sub)
@@ -24,11 +26,18 @@ func (b *Bus) Snap(c *snap.Codec) {
 		c.I64(&e.Bytes)
 		snap.Int64(c, &e.Dur)
 		c.I64(&e.Aux)
-	})
+	}
+	n := c.Len(b.log.n, b.log.max, "retained events")
+	var e Event
 	if c.Decoding() {
 		b.log = eventLog{max: b.log.max}
-		for i := range events {
-			b.log.push(&events[i])
+		for i := 0; i < n && c.Err() == nil; i++ {
+			event(&e)
+			b.log.push(&e)
+		}
+	} else {
+		for e = range b.log.all() {
+			event(&e)
 		}
 	}
 	c.U64(&b.dropped)

@@ -39,8 +39,10 @@ var Magic = [4]byte{'C', 'C', 'S', 'N'}
 
 // Version is the current snapshot format version. Bump it on any change to
 // what the subsystems write; Restore refuses other versions. (2: the vm
-// section carries the whole stats.VM block, adding RemoteIns.)
-const Version = 2
+// section carries the whole stats.VM block, adding RemoteIns. 3: the
+// core.cache section carries each entry's length and start in place of its
+// bytes, which the cache's frames in the mem.pool section hold.)
+const Version = 3
 
 // Writer serializes fixed-width values into a growing buffer.
 type Writer struct {
